@@ -16,7 +16,6 @@ from .agent import (
     epsilon_schedule,
     greedy_action,
     select_action,
-    td_train_step,
     train_agent,
 )
 from .baselines import (

@@ -24,7 +24,6 @@ __all__ = [
     "select_action",
     "greedy_action",
     "epsilon_schedule",
-    "td_train_step",
     "EpisodeRecord",
     "TrainingLog",
     "train_agent",
@@ -84,35 +83,16 @@ class ReplayBuffer:
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def _ordered_indices(self) -> np.ndarray:
-        """Physical slots ordered oldest first."""
-        if self._size < self.capacity:
-            return np.arange(self._size)
-        return (np.arange(self.capacity) + self._head) % self.capacity
-
-    def _transition_at(self, slot: int) -> Transition:
-        return Transition(
-            state=self._states[slot].copy(),
-            action=Action(int(self._actions[slot])),
-            reward=float(self._rewards[slot]),
-            next_state=self._next_states[slot].copy(),
-            done=bool(self._dones[slot]),
-        )
-
-    def snapshot(self) -> list[Transition]:
-        """Current contents, oldest first."""
-        return [self._transition_at(int(i)) for i in self._ordered_indices()]
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        """``k`` transitions drawn uniformly without replacement."""
-        slots = self._sample_slots(k, rng)
-        return [self._transition_at(int(i)) for i in slots]
-
     def sample_batch(
         self, k: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`sample` but returns stacked column arrays."""
-        slots = self._sample_slots(k, rng)
+        """``k`` transitions drawn uniformly without replacement, as stacked
+        ``(states, actions, rewards, next_states, dones)`` column arrays."""
+        if k < 0:
+            raise ValueError(f"sample size must be >= 0, got {k}")
+        if k > self._size:
+            raise ValueError(f"cannot sample {k} transitions from a buffer of {self._size}")
+        slots = rng.choice(self._size, size=k, replace=False)
         return (
             self._states[slots],
             self._actions[slots],
@@ -120,17 +100,6 @@ class ReplayBuffer:
             self._next_states[slots],
             self._dones[slots],
         )
-
-    def _sample_slots(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        if k < 0:
-            raise ValueError(f"sample size must be >= 0, got {k}")
-        if k > self._size:
-            raise ValueError(f"cannot sample {k} transitions from a buffer of {self._size}")
-        if k == 0:
-            return np.empty(0, dtype=np.intp)
-        if self._size < self.capacity:
-            return rng.choice(self._size, size=k, replace=False)
-        return rng.choice(self.capacity, size=k, replace=False)
 
 
 def greedy_action(net: QNetwork, state: np.ndarray) -> Action:
@@ -162,17 +131,6 @@ def epsilon_schedule(episode: int, cfg: TrainConfig) -> float:
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
 
-def _stack_batch(
-    batch: list[Transition],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    states = np.stack([t.state for t in batch])
-    actions = np.array([int(t.action) for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    dones = np.array([float(t.done) for t in batch])
-    return states, actions, rewards, next_states, dones
-
-
 def _train_step_arrays(
     net: QNetwork,
     target_net: QNetwork,
@@ -181,26 +139,13 @@ def _train_step_arrays(
     adam: AdamState,
     lr: float,
 ) -> float:
-    loss, grads = td_loss_and_grads(net, target_net, *arrays, discount=discount)
-    adam_update(net.params, grads, adam, lr)
-    return loss
-
-
-def td_train_step(
-    net: QNetwork,
-    target_net: QNetwork,
-    batch: list[Transition],
-    discount: float,
-    adam: AdamState,
-    lr: float,
-) -> float:
     """One Adam step on the minibatch TD loss; returns the pre-update loss.
 
     Only ``net`` moves; the target network stays frozen.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    return _train_step_arrays(net, target_net, _stack_batch(batch), discount, adam, lr)
+    loss, grad = td_loss_and_grads(net, target_net, *arrays, discount=discount)
+    adam_update(net.flat, grad, adam, lr)
+    return loss
 
 
 @dataclass
@@ -239,7 +184,7 @@ def train_agent(env_cfg: EnvConfig, cfg: TrainConfig) -> tuple[QNetwork, Trainin
     rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_EXPLORE))
     net = mlp_init(cfg.hidden_sizes, seed=derive_seed(cfg.seed, _STREAM_NET))
     target_net = net if cfg.target_sync_interval == 0 else net.clone()
-    adam = AdamState.for_params(net.params)
+    adam = AdamState.for_params(net.flat)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     records: list[EpisodeRecord] = []
 

@@ -402,6 +402,18 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     _check(env.escape_delay_minutes >= 0.0, "env.escape_delay_minutes", "must be >= 0")
     _check(env.build_minutes >= 0.0, "env.build_minutes", "must be >= 0")
     _check(env.deploy_minutes >= 0.0, "env.deploy_minutes", "must be >= 0")
+    # A commit takes build + test minutes, plus deploy minutes unless testing
+    # catches a bug. If that can sum to 0, a run of such commits has infinite
+    # throughput (commits per hour).
+    for i, name in enumerate(("full", "partial", "skip")):
+        if env.build_minutes + env.test_minutes[i] == 0.0:
+            _check(
+                env.deploy_minutes > 0.0 and env.detection_rates[i] == 0.0,
+                "env.build_minutes",
+                f"must be > 0 when env.{name}_test_minutes is 0 and either "
+                f"env.deploy_minutes is 0 or env.{name}_detection_rate is > 0 "
+                "(a commit could take 0 minutes)",
+            )
     _check(env.commits_per_episode >= 1, "env.commits_per_episode", "must be >= 1")
     _check(0.0 < env.discount <= 1.0, "env.discount", "must be in (0, 1]")
     _check(env.trace_mode in ("standard", "adversarial"), "env.trace_mode", "invalid mode")

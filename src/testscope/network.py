@@ -1,9 +1,14 @@
-"""Q-value network: a three-layer MLP with hand-rolled backprop and Adam.
+"""Q-value network: an MLP of any depth with hand-rolled backprop and Adam.
 
 All math is plain NumPy in float64. The network maps a state vector to one
-Q-value per action through two ReLU hidden layers and a linear output layer.
-Gradients are computed analytically; the test suite checks them against
-central finite differences.
+Q-value per action through ReLU hidden layers and a linear output layer.
+Every parameter lives in one contiguous vector, ``QNetwork.flat``, laid out
+``[W0, b0, W1, b1, ...]`` with each weight matrix row-major; ``weights``,
+``biases`` and ``params`` are views into it. Gradients and the Adam moments
+are flat vectors with the same layout, so an Adam step is one elementwise
+pass and a target-network sync is one copy. Gradients are computed
+analytically; the test suite checks them against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -22,42 +27,63 @@ __all__ = [
 ]
 
 
-@dataclass
-class QNetwork:
-    """Weights and biases of the 3-layer MLP. ``weights[i]`` maps layer i to i+1."""
+def _layer_views(
+    flat: np.ndarray, sizes: tuple[int, ...]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a vector laid out like ``QNetwork.flat``."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+class QNetwork:
+    """MLP parameters in one float64 vector. ``weights[i]`` maps layer i to i+1.
+
+    The constructor copies the given arrays into a new vector, so the network
+    never aliases its inputs.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if not weights or len(weights) != len(biases):
+            raise ValueError("need one bias per weight matrix and at least one layer")
+        sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
+                raise ValueError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+        self.sizes = sizes
+        self.flat = np.concatenate(
+            [a.ravel() for w, b in zip(weights, biases) for a in (w, b)], dtype=np.float64
+        )
+        self.weights, self.biases = _layer_views(self.flat, sizes)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.sizes[0]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.sizes[-1]
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[1] for w in self.weights[:-1])
+        return self.sizes[1:-1]
 
     @property
     def params(self) -> list[np.ndarray]:
-        """Flat parameter list [W1, b1, W2, b2, W3, b3] (live views, not copies)."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Parameter arrays [W0, b0, W1, b1, ...] (views into ``flat``, in its order)."""
+        return [a for w, b in zip(self.weights, self.biases) for a in (w, b)]
 
     def clone(self) -> "QNetwork":
-        return QNetwork(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return QNetwork(self.weights, self.biases)
 
 
 def mlp_init(
-    hidden_sizes: tuple[int, int] = (64, 64),
+    hidden_sizes: tuple[int, ...] = (64, 64),
     seed: int = 0,
     input_dim: int = 10,
     output_dim: int = 3,
@@ -93,19 +119,23 @@ def _as_batch(net: QNetwork, states: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _forward_cached(
     net: QNetwork, x: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    z1 = x @ net.weights[0] + net.biases[0]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ net.weights[1] + net.biases[1]
-    a2 = np.maximum(z2, 0.0)
-    q = a2 @ net.weights[2] + net.biases[2]
-    return q, (x, z1, a1, z2, a2)
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Q-values, each layer's input activation and each hidden pre-activation."""
+    activations, pre_activations = [x], []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = activations[-1] @ w
+        z += b
+        pre_activations.append(z)
+        activations.append(np.maximum(z, 0.0))
+    q = activations[-1] @ net.weights[-1]
+    q += net.biases[-1]
+    return q, activations, pre_activations
 
 
 def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    """Q-values for one state ``(3,)`` or a batch ``(n, 3)``."""
+    """Q-values for one state ``(n_actions,)`` or a batch ``(n, n_actions)``."""
     x, single = _as_batch(net, states)
-    q, _ = _forward_cached(net, x)
+    q, _, _ = _forward_cached(net, x)
     return q[0] if single else q
 
 
@@ -118,11 +148,12 @@ def td_loss_and_grads(
     next_states: np.ndarray,
     dones: np.ndarray,
     discount: float,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean squared one-step TD error and its gradients w.r.t. ``net.params``.
+) -> tuple[float, np.ndarray]:
+    """Mean squared one-step TD error and its gradient w.r.t. ``net.flat``.
 
     Bootstrap targets ``r + discount * max_a Q_target(s', a)`` come from the
-    frozen target network; terminal transitions cut the bootstrap term.
+    frozen target network; terminal transitions cut the bootstrap term. The
+    gradient is a new vector laid out like ``net.flat``.
     """
     x, _ = _as_batch(net, states)
     n = x.shape[0]
@@ -132,7 +163,7 @@ def td_loss_and_grads(
     rewards = np.asarray(rewards, dtype=np.float64)
     not_done = 1.0 - np.asarray(dones, dtype=np.float64)
 
-    q, (_, z1, a1, z2, a2) = _forward_cached(net, x)
+    q, activations, pre_activations = _forward_cached(net, x)
     next_q = mlp_forward(target_net, next_states)
     targets = rewards + discount * next_q.max(axis=1) * not_done
 
@@ -140,55 +171,56 @@ def td_loss_and_grads(
     err = q[idx, actions] - targets
     loss = float(np.mean(err**2))
 
-    dq = np.zeros_like(q)
-    dq[idx, actions] = 2.0 * err / n
+    delta = np.zeros_like(q)
+    delta[idx, actions] = 2.0 * err / n
 
-    dw3 = a2.T @ dq
-    db3 = dq.sum(axis=0)
-    dz2 = (dq @ net.weights[2].T) * (z2 > 0.0)
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ net.weights[1].T) * (z1 > 0.0)
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-
-    return loss, [dw1, db1, dw2, db2, dw3, db3]
+    grad = np.empty_like(net.flat)
+    grad_w, grad_b = _layer_views(grad, net.sizes)
+    for i in reversed(range(len(grad_w))):
+        np.matmul(activations[i].T, delta, out=grad_w[i])
+        np.add.reduce(delta, axis=0, out=grad_b[i])
+        if i:
+            delta = delta @ net.weights[i].T
+            delta *= pre_activations[i - 1] > 0.0
+    return loss, grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment vectors laid out like the parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_update(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> list[np.ndarray]:
-    """One Adam step with bias correction, applied to ``params`` in place."""
-    if len(params) != len(grads) or any(
-        p.shape != g.shape for p, g in zip(params, grads)
-    ):
-        raise ValueError("params and grads must have matching shapes")
+) -> np.ndarray:
+    """One Adam step with bias correction, applied to ``params`` in place.
+
+    Purely elementwise: one call on a flat vector gives bit for bit what one
+    call per parameter array would.
+    """
+    if params.shape != grads.shape or state.m.shape != params.shape:
+        raise ValueError("params, grads and Adam moments must have matching shapes")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g**2
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads**2
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return params

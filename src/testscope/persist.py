@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import LogisticModel
+from .baselines import CLASSIFIER_FEATURES, LogisticModel
 from .config import StateConfig, TrainConfig
 from .fileio import atomic_write
 from .network import QNetwork
@@ -168,6 +168,15 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
             bias = float(arrays["bias"][0])
         except (KeyError, IndexError):
             raise WeightFileError(f"{path}: missing logistic parameters") from None
+        feature_names = tuple(document.get("feature_names", ()))
+        if feature_names != CLASSIFIER_FEATURES:
+            raise WeightFileError(
+                f"{path}: feature_names {list(feature_names)} differ from {list(CLASSIFIER_FEATURES)}"
+            )
+        if weights.shape != (len(CLASSIFIER_FEATURES),):
+            raise WeightFileError(
+                f"{path}: {weights.size} logistic weights, expected {len(CLASSIFIER_FEATURES)}"
+            )
         state_cfg = StateConfig(
             diff_cap=int(document.get("diff_cap", StateConfig().diff_cap)),
             files_cap=int(document.get("files_cap", StateConfig().files_cap)),
@@ -175,7 +184,6 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
         return LogisticModel(
             weights=weights,
             bias=bias,
-            feature_names=tuple(document.get("feature_names", ())),
             state_cfg=state_cfg,
         )
 

@@ -406,23 +406,21 @@ class TestCriterion10NumericalCorrectness:
             rng.random((8, 10)),
             (rng.random(8) < 0.3).astype(float),
         )
-        _, grads = td_loss_and_grads(net, target, *batch, discount=0.99)
+        _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
         h = 1e-5
         worst = 0.0
-        for p, g in zip(net.params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                saved = p[idx]
-                p[idx] = saved + h
-                up, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
-                p[idx] = saved - h
-                down, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
-                p[idx] = saved
-                fd = (up - down) / (2 * h)
-                scale = max(abs(fd), abs(g[idx]))
-                if scale > 1e-6:
-                    worst = max(worst, abs(fd - g[idx]) / scale)
+        p = net.flat
+        for i in range(p.size):
+            saved = p[i]
+            p[i] = saved + h
+            up, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
+            p[i] = saved - h
+            down, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
+            p[i] = saved
+            fd = (up - down) / (2 * h)
+            scale = max(abs(fd), abs(grad[i]))
+            if scale > 1e-6:
+                worst = max(worst, abs(fd - grad[i]) / scale)
         criterion(
             10,
             "TD gradients match central finite differences to 1e-4",
@@ -434,9 +432,9 @@ class TestCriterion10NumericalCorrectness:
         lr = 0.01
         worst = 0.0
         for g in (1.0, -2.0, 500.0):
-            params = [np.array([0.0])]
-            adam_update(params, [np.array([g])], AdamState.for_params(params), lr=lr)
-            worst = max(worst, abs(params[0][0] - (-lr * np.sign(g))))
+            params = np.array([0.0])
+            adam_update(params, np.array([g]), AdamState.for_params(params), lr=lr)
+            worst = max(worst, abs(params[0] - (-lr * np.sign(g))))
         criterion(
             10,
             "first Adam step equals -lr * sign(gradient) to 1e-6",

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from testscope.agent import (
     ReplayBuffer,
     Transition,
+    _train_step_arrays,
     epsilon_schedule,
     greedy_action,
     select_action,
-    td_train_step,
     train_agent,
 )
 from testscope.config import EnvConfig, TrainConfig
@@ -30,6 +30,13 @@ def make_transition(tag: float, done: bool = False) -> Transition:
     )
 
 
+def stored_rewards(buf: ReplayBuffer) -> list[float]:
+    """Rewards held by the buffer, oldest first, read from its column arrays."""
+    # the head slot holds the oldest entry once the buffer is full; before
+    # that the head equals the size and the roll is a no-op
+    return list(np.roll(buf._rewards[: len(buf)], -buf._head))
+
+
 class TestReplayBuffer:
     def test_push_one(self):
         buf = ReplayBuffer(5)
@@ -41,19 +48,18 @@ class TestReplayBuffer:
         for i in range(4):
             buf.push(make_transition(float(i)))
         assert len(buf) == 3
-        rewards = [t.reward for t in buf.snapshot()]
-        assert rewards == [-1.0, -2.0, -3.0]  # the first push is gone
+        assert stored_rewards(buf) == [-1.0, -2.0, -3.0]  # the first push is gone
 
     def test_storage_fidelity(self):
         buf = ReplayBuffer(4)
         original = make_transition(2.0, done=True)
         buf.push(original)
-        stored = buf.snapshot()[0]
-        np.testing.assert_array_equal(stored.state, original.state)
-        np.testing.assert_array_equal(stored.next_state, original.next_state)
-        assert stored.action == original.action
-        assert stored.reward == original.reward
-        assert stored.done is True
+        states, actions, rewards, next_states, dones = buf.sample_batch(1, np.random.default_rng(0))
+        np.testing.assert_array_equal(states[0], original.state)
+        np.testing.assert_array_equal(next_states[0], original.next_state)
+        assert actions[0] == original.action
+        assert rewards[0] == original.reward
+        assert dones[0] == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -65,25 +71,27 @@ class TestReplayBuffer:
         for r in rewards:
             buf.push(make_transition(abs(r)))
         expected = [abs(r) for r in rewards[-capacity:]]
-        assert [abs(t.reward) for t in buf.snapshot()] == expected
+        assert [abs(r) for r in stored_rewards(buf)] == expected
 
     def test_exhaustive_sample_is_permutation(self):
         buf = ReplayBuffer(8)
         for i in range(8):
             buf.push(make_transition(float(i)))
-        sample = buf.sample(8, np.random.default_rng(0))
-        assert sorted(t.reward for t in sample) == sorted(t.reward for t in buf.snapshot())
+        _, _, rewards, _, _ = buf.sample_batch(8, np.random.default_rng(0))
+        assert sorted(rewards) == sorted(stored_rewards(buf))
 
     def test_empty_sample(self):
         buf = ReplayBuffer(8)
         buf.push(make_transition(1.0))
-        assert buf.sample(0, np.random.default_rng(0)) == []
+        states, actions, rewards, next_states, dones = buf.sample_batch(0, np.random.default_rng(0))
+        assert states.shape == next_states.shape == (0, 10)
+        assert actions.shape == rewards.shape == dones.shape == (0,)
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(8)
         buf.push(make_transition(1.0))
         with pytest.raises(ValueError):
-            buf.sample(2, np.random.default_rng(0))
+            buf.sample_batch(2, np.random.default_rng(0))
 
     def test_sampling_is_uniform(self):
         # k=1 draws over a 10-item buffer land on each item ~10% of the time
@@ -93,23 +101,25 @@ class TestReplayBuffer:
         rng = np.random.default_rng(11)
         counts = np.zeros(10)
         for _ in range(10_000):
-            (t,) = buf.sample(1, rng)
-            counts[int(-t.reward)] += 1
+            _, _, rewards, _, _ = buf.sample_batch(1, rng)
+            counts[int(-rewards[0])] += 1
         assert np.all(np.abs(counts / 10_000 - 0.1) <= 0.02)
 
     def test_sample_batch_matches_sample_layout(self):
+        # every row of every column comes from one and the same pushed transition
         buf = ReplayBuffer(6)
         for i in range(6):
             buf.push(make_transition(float(i), done=(i % 2 == 0)))
         states, actions, rewards, next_states, dones = buf.sample_batch(
             4, np.random.default_rng(3)
         )
-        listed = buf.sample(4, np.random.default_rng(3))
-        np.testing.assert_array_equal(states, np.stack([t.state for t in listed]))
-        np.testing.assert_array_equal(rewards, [t.reward for t in listed])
-        np.testing.assert_array_equal(dones, [float(t.done) for t in listed])
-        np.testing.assert_array_equal(actions, [int(t.action) for t in listed])
-        np.testing.assert_array_equal(next_states, np.stack([t.next_state for t in listed]))
+        assert len(set(rewards)) == 4
+        for row, reward in enumerate(rewards):
+            pushed = make_transition(-reward, done=(int(-reward) % 2 == 0))
+            np.testing.assert_array_equal(states[row], pushed.state)
+            np.testing.assert_array_equal(next_states[row], pushed.next_state)
+            assert actions[row] == pushed.action
+            assert dones[row] == float(pushed.done)
 
 
 class TestActionSelection:
@@ -170,22 +180,28 @@ class TestEpsilonSchedule:
         assert epsilon_schedule(0, TrainConfig(episodes=1)) == 1.0
 
 
+def column_batch(n: int) -> tuple[np.ndarray, ...]:
+    buf = ReplayBuffer(4)
+    for i in range(4):
+        buf.push(make_transition(float(i)))
+    return buf.sample_batch(n, np.random.default_rng(0))
+
+
 class TestTdTrainStep:
     def test_empty_batch_rejected(self):
         net = mlp_init((4, 4), seed=0)
-        with pytest.raises(ValueError):
-            td_train_step(net, net.clone(), [], 0.99, AdamState.for_params(net.params), 1e-3)
+        empty = column_batch(0)
+        with pytest.raises(ValueError, match="non-empty"):
+            _train_step_arrays(net, net.clone(), empty, 0.99, AdamState.for_params(net.flat), 1e-3)
 
     def test_updates_only_online_network(self):
         net = mlp_init((4, 4), seed=0)
         target = mlp_init((4, 4), seed=1)
-        target_before = [p.copy() for p in target.params]
-        net_before = [p.copy() for p in net.params]
-        batch = [make_transition(float(i)) for i in range(4)]
-        td_train_step(net, target, batch, 0.99, AdamState.for_params(net.params), 1e-3)
-        assert any(not np.array_equal(a, b) for a, b in zip(net_before, net.params))
-        for a, b in zip(target_before, target.params):
-            np.testing.assert_array_equal(a, b)
+        target_before = target.flat.copy()
+        net_before = net.flat.copy()
+        _train_step_arrays(net, target, column_batch(4), 0.99, AdamState.for_params(net.flat), 1e-3)
+        assert not np.array_equal(net_before, net.flat)
+        np.testing.assert_array_equal(target_before, target.flat)
 
 
 def tiny_train_cfg(**kwargs) -> TrainConfig:

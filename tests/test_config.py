@@ -94,6 +94,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="train.discount"):
             parse_config_text("train.discount = 0\n")
 
+    def test_zero_minute_commit_rejected(self):
+        # build 0, a 0-minute scope and no deploy time: a commit takes 0 minutes
+        with pytest.raises(ConfigError, match="env.build_minutes.*env.skip_test_minutes.*env.deploy_minutes"):
+            parse_config_text("env.build_minutes = 0\nenv.deploy_minutes = 0\n")
+        # a bug caught by a 0-minute scope skips deployment: also 0 minutes
+        with pytest.raises(ConfigError, match="env.skip_detection_rate"):
+            parse_config_text("env.build_minutes = 0\nenv.skip_detection_rate = 0.5\n")
+
+    def test_zero_build_minutes_accepted_when_every_commit_takes_time(self):
+        # the skip scope catches nothing, so its commits always deploy
+        cfg = parse_config_text("env.build_minutes = 0\n")
+        assert cfg.env.build_minutes == 0.0 and cfg.env.deploy_minutes > 0.0
+        cfg = parse_config_text("env.build_minutes = 0\nenv.deploy_minutes = 0\nenv.skip_test_minutes = 0.5\n")
+        assert cfg.env.test_minutes == (10.0, 3.0, 0.5)
+
     def test_default_config_validates(self):
         validate_experiment(ExperimentConfig())
 

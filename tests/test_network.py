@@ -11,6 +11,9 @@ from testscope.network import (
     mlp_init,
     td_loss_and_grads,
 )
+from testscope.persist import load_policy, save_policy
+
+DEPTHS = [(), (32,), (16, 16), (16, 16, 16)]
 
 
 def tiny_net(seed=1) -> QNetwork:
@@ -59,6 +62,36 @@ class TestInit:
         assert net.output_dim == 3
         assert net.hidden_sizes == (4, 4)
 
+    @pytest.mark.parametrize("hidden", DEPTHS)
+    def test_any_depth_gives_one_q_value_per_action(self, hidden):
+        net = mlp_init(hidden, seed=0)
+        assert net.hidden_sizes == hidden
+        assert mlp_forward(net, np.ones(10)).shape == (3,)
+        assert mlp_forward(net, np.ones((5, 10))).shape == (5, 3)
+
+    def test_arrays_are_views_into_one_vector(self):
+        net = tiny_net()
+        assert net.flat.size == sum(p.size for p in net.params)
+        np.testing.assert_array_equal(net.flat, np.concatenate([p.ravel() for p in net.params]))
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.weights[0][0, 1] == 1.0
+        net.biases[-1][...] = -1.0
+        assert net.flat[-1] == -1.0
+
+    def test_constructor_and_clone_copy(self):
+        net = tiny_net()
+        weights = [w.copy() for w in net.weights]
+        rebuilt = QNetwork(weights, net.biases)
+        twin = net.clone()
+        weights[0][...] = 9.0
+        twin.flat[:] = 7.0
+        np.testing.assert_array_equal(rebuilt.flat, net.flat)
+        assert not np.shares_memory(twin.flat, net.flat)
+
+    def test_layers_that_do_not_chain_rejected(self):
+        with pytest.raises(ValueError):
+            QNetwork([np.zeros((10, 4)), np.zeros((5, 3))], [np.zeros(4), np.zeros(3)])
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
@@ -100,31 +133,30 @@ class TestForward:
 class TestGradients:
     def test_td_gradients_match_central_differences(self):
         # independent oracle: (L(p+h) - L(p-h)) / 2h over every parameter
-        net = tiny_net(seed=2)
-        target = mlp_init((4, 4), seed=7, input_dim=10, output_dim=3)
+        nets = [(tiny_net(seed=2), mlp_init((4, 4), seed=7))]
+        nets += [(mlp_init(h, seed=2), mlp_init(h, seed=7)) for h in DEPTHS]
         batch = random_batch(n=8, seed=3)
         discount = 0.99
-        _, grads = td_loss_and_grads(net, target, *batch, discount=discount)
-
         h = 1e-5
-        worst = 0.0
-        for p, g in zip(net.params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = p[idx]
-                p[idx] = original + h
+        for net, target in nets:
+            _, grad = td_loss_and_grads(net, target, *batch, discount=discount)
+            assert grad.shape == net.flat.shape
+            p = net.flat
+            worst = 0.0
+            for i in range(p.size):
+                original = p[i]
+                p[i] = original + h
                 up, _ = td_loss_and_grads(net, target, *batch, discount=discount)
-                p[idx] = original - h
+                p[i] = original - h
                 down, _ = td_loss_and_grads(net, target, *batch, discount=discount)
-                p[idx] = original
+                p[i] = original
                 fd = (up - down) / (2 * h)
-                scale = max(abs(fd), abs(g[idx]))
+                scale = max(abs(fd), abs(grad[i]))
                 if scale > 1e-6:
-                    worst = max(worst, abs(fd - g[idx]) / scale)
+                    worst = max(worst, abs(fd - grad[i]) / scale)
                 else:
-                    assert abs(fd - g[idx]) <= 1e-8
-        assert worst <= 1e-4
+                    assert abs(fd - grad[i]) <= 1e-8, net.hidden_sizes
+            assert worst <= 1e-4, net.hidden_sizes
 
     def test_terminal_targets_equal_rewards(self):
         net, target = tiny_net(seed=2), tiny_net(seed=2)
@@ -157,7 +189,7 @@ class TestGradients:
         # fixed terminal transition: loss must fall monotonically below 1e-3
         net = tiny_net(seed=1)
         target = net.clone()
-        adam = AdamState.for_params(net.params)
+        adam = AdamState.for_params(net.flat)
         rng = np.random.default_rng(0)
         batch = (
             rng.random((1, 10)),
@@ -168,8 +200,8 @@ class TestGradients:
         )
         losses = []
         for _ in range(2000):
-            loss, grads = td_loss_and_grads(net, target, *batch, discount=0.99)
-            adam_update(net.params, grads, adam, lr=1e-3)
+            loss, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            adam_update(net.flat, grad, adam, lr=1e-3)
             losses.append(loss)
         losses = np.array(losses)
         below = np.nonzero(losses < 1e-3)[0]
@@ -180,53 +212,129 @@ class TestGradients:
     def test_target_network_untouched_by_training(self):
         net = tiny_net(seed=1)
         target = tiny_net(seed=4)
-        frozen = [p.copy() for p in target.params]
-        adam = AdamState.for_params(net.params)
+        frozen = target.flat.copy()
+        adam = AdamState.for_params(net.flat)
         batch = random_batch(seed=8)
         for _ in range(25):
-            _, grads = td_loss_and_grads(net, target, *batch, discount=0.99)
-            adam_update(net.params, grads, adam, lr=1e-3)
-        for before, after in zip(frozen, target.params):
-            np.testing.assert_array_equal(before, after)
+            _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            adam_update(net.flat, grad, adam, lr=1e-3)
+        np.testing.assert_array_equal(frozen, target.flat)
 
 
 class TestAdam:
     def test_zero_gradient_is_a_no_op(self):
         net = tiny_net()
-        before = [p.copy() for p in net.params]
-        state = AdamState.for_params(net.params)
-        adam_update(net.params, [np.zeros_like(p) for p in net.params], state, lr=0.1)
-        for b, a in zip(before, net.params):
-            np.testing.assert_array_equal(b, a)
+        before = net.flat.copy()
+        state = AdamState.for_params(net.flat)
+        adam_update(net.flat, np.zeros_like(net.flat), state, lr=0.1)
+        np.testing.assert_array_equal(before, net.flat)
 
     def test_first_step_moves_by_lr_times_sign(self):
         # closed form: mhat/sqrt(vhat) = sign(g) on step one for constant g
         lr = 0.01
         for g in (1.0, -3.0, 250.0, -1e-3):
-            params = [np.array([1.0])]
+            params = np.array([1.0])
             state = AdamState.for_params(params)
-            adam_update(params, [np.array([g])], state, lr=lr)
-            assert params[0][0] == pytest.approx(1.0 - lr * np.sign(g), abs=1e-6)
+            adam_update(params, np.array([g]), state, lr=lr)
+            assert params[0] == pytest.approx(1.0 - lr * np.sign(g), abs=1e-6)
 
     def test_first_step_scale_invariance(self):
         lr = 0.1
-        params = [np.array([0.0, 0.0])]
+        params = np.array([0.0, 0.0])
         state = AdamState.for_params(params)
-        adam_update(params, [np.array([1.0, 100.0])], state, lr=lr)
-        assert abs(params[0][0]) == pytest.approx(abs(params[0][1]), abs=1e-8)
+        adam_update(params, np.array([1.0, 100.0]), state, lr=lr)
+        assert abs(params[0]) == pytest.approx(abs(params[1]), abs=1e-8)
 
     def test_shape_mismatch_rejected(self):
-        params = [np.zeros((2, 2))]
+        params = np.zeros(4)
         state = AdamState.for_params(params)
         with pytest.raises(ValueError):
-            adam_update(params, [np.zeros(3)], state, lr=0.1)
+            adam_update(params, np.zeros(3), state, lr=0.1)
 
     def test_step_counter_and_bias_correction(self):
         # two identical steps move the parameter roughly twice as far
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params)
-        adam_update(params, [np.array([2.0])], state, lr=0.05)
-        after_one = params[0][0]
-        adam_update(params, [np.array([2.0])], state, lr=0.05)
+        adam_update(params, np.array([2.0]), state, lr=0.05)
+        after_one = params[0]
+        adam_update(params, np.array([2.0]), state, lr=0.05)
         assert state.t == 2
-        assert params[0][0] == pytest.approx(2 * after_one, rel=1e-3)
+        assert params[0] == pytest.approx(2 * after_one, rel=1e-3)
+
+
+class TestDepthRoundTrip:
+    def test_save_load_at_depth_three_is_bit_exact(self, tmp_path):
+        net = mlp_init((16, 16, 16), seed=4)
+        net.flat += np.random.default_rng(2).normal(scale=0.3, size=net.flat.size)
+        path = tmp_path / "deep.json"
+        save_policy(path, net)
+        loaded = load_policy(path, expect_kind="q_network")
+        assert loaded.hidden_sizes == (16, 16, 16)
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+
+
+# Reference for bit-identity: the per-array three-layer TD pass and the
+# per-array Adam loop that the flat-buffer code replaced, kept verbatim in
+# their arithmetic. Every elementwise operation and matmul runs in the same
+# order, so the flat code must reproduce these parameters exactly.
+def reference_td_grads(weights, biases, target_weights, target_biases, batch, discount):
+    states, actions, rewards, next_states, dones = batch
+    n = states.shape[0]
+    not_done = 1.0 - dones
+
+    def forward(ws, bs, x):
+        z1 = x @ ws[0] + bs[0]
+        a1 = np.maximum(z1, 0.0)
+        z2 = a1 @ ws[1] + bs[1]
+        a2 = np.maximum(z2, 0.0)
+        return a2 @ ws[2] + bs[2], (z1, a1, z2, a2)
+
+    q, (z1, a1, z2, a2) = forward(weights, biases, states)
+    next_q, _ = forward(target_weights, target_biases, next_states)
+    targets = rewards + discount * next_q.max(axis=1) * not_done
+    idx = np.arange(n)
+    err = q[idx, actions] - targets
+    dq = np.zeros_like(q)
+    dq[idx, actions] = 2.0 * err / n
+    dw3 = a2.T @ dq
+    db3 = dq.sum(axis=0)
+    dz2 = (dq @ weights[2].T) * (z2 > 0.0)
+    dw2 = a1.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ weights[1].T) * (z1 > 0.0)
+    dw1 = states.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return [dw1, db1, dw2, db2, dw3, db3]
+
+
+def reference_adam(params, grads, m_list, v_list, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+class TestBitIdentity:
+    def test_flat_training_matches_per_array_reference(self):
+        net = mlp_init((64, 64), seed=11)
+        target = net.clone()
+        ref = [p.copy() for p in net.params]
+        ref_target = [p.copy() for p in target.params]
+        m_list = [np.zeros_like(p) for p in ref]
+        v_list = [np.zeros_like(p) for p in ref]
+        adam = AdamState.for_params(net.flat)
+        rng = np.random.default_rng(12)
+        for step in range(1, 201):
+            batch = random_batch(n=64, seed=int(rng.integers(2**31)))
+            _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            adam_update(net.flat, grad, adam, lr=1e-3)
+            grads = reference_td_grads(ref[0::2], ref[1::2], ref_target[0::2], ref_target[1::2], batch, 0.99)
+            reference_adam(ref, grads, m_list, v_list, step, lr=1e-3)
+            if step % 50 == 0:  # target sync
+                target = net.clone()
+                ref_target = [p.copy() for p in ref]
+        assert net.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()

@@ -81,6 +81,23 @@ class TestLogisticFiles:
 
 
 class TestGuards:
+    def test_logistic_feature_names_checked_at_load(self, tmp_path):
+        path = tmp_path / "clf.json"
+        save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
+        document = json.loads(path.read_text())
+        document["feature_names"] = ["diff_size", "files_changed", "source_fraction", "a", "b"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match="feature_names"):
+            load_policy(path)
+
+    def test_logistic_weight_length_checked_at_load(self, tmp_path):
+        path = tmp_path / "clf.json"
+        # the checksum covers the arrays, so a well-formed file with six
+        # weights passes every integrity check and fails only on the length
+        save_policy(path, LogisticModel(weights=np.zeros(6), bias=0.0))
+        with pytest.raises(WeightFileError, match="6 logistic weights, expected 5"):
+            load_policy(path)
+
     def test_kind_mismatch(self, tmp_path, trained_net):
         path = tmp_path / "agent.json"
         save_policy(path, trained_net)
