@@ -3,8 +3,8 @@ The speed-vs-safety dial
 ========================
 
 The escape penalty weight prices an undetected bug relative to test minutes.
-This demo trains one reduced agent per penalty value and prints the resulting
-trade-off curve: higher penalties buy a lower defect miss rate by spending
+This demo trains one reduced agent per penalty value (all in lockstep, as
+``penalty_sweep`` does) and prints the resulting trade-off curve: higher penalties buy a lower defect miss rate by spending
 more test time.
 
 The reduced episode count (150) keeps this quick; trends are noisier than at

@@ -17,6 +17,7 @@ from .agent import (
     greedy_action,
     select_action,
     train_agent,
+    train_agents,
 )
 from .baselines import (
     ClassifierPolicy,

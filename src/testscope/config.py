@@ -128,7 +128,7 @@ class TrainConfig:
     epsilon_end: float = 0.1
     buffer_capacity: int = 10000
     minibatch_size: int = 64
-    hidden_sizes: tuple[int, int] = (64, 64)
+    hidden_sizes: tuple[int, ...] = (64, 64)  # one width per hidden layer
     # episodes between hard target-network syncs; 0 disables the frozen
     # target entirely (bootstrap targets come from the live network)
     target_sync_interval: int = 10
@@ -203,11 +203,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _parse_int_pair(text: str) -> tuple[int, int]:
+def _parse_ints(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
+    if not all(parts):
+        raise ValueError("expected one or more comma-separated integers")
+    return tuple(int(p) for p in parts)
 
 
 def _format_value(value: Any) -> str:
@@ -284,7 +284,7 @@ CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {
     "train.epsilon_end": (("train", "epsilon_end"), _parse_float),
     "train.buffer_capacity": (("train", "buffer_capacity"), _parse_int),
     "train.minibatch_size": (("train", "minibatch_size"), _parse_int),
-    "train.hidden_sizes": (("train", "hidden_sizes"), _parse_int_pair),
+    "train.hidden_sizes": (("train", "hidden_sizes"), _parse_ints),
     "train.target_sync_interval": (("train", "target_sync_interval"), _parse_int),
     "train.escape_penalty": (("train", "escape_penalty"), _parse_float),
     "train.seed": (("train", "seed"), _parse_int),

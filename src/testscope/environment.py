@@ -26,8 +26,10 @@ The agent observes a 10-dimensional state in [0, 1]:
  10   previous commit's diff size, capped and scaled
 ====  ======================================================================
 
-Features 6-10 default to 0 at the start of an episode. The latent bug flag
-never enters the state.
+Features 6-10 default to 0 at the start of an episode. Features 6 and 9 are
+always equal: tests fail only on a caught bug (clean commits never fail),
+so they carry one signal, kept twice to match the paper's 10-feature
+state. The latent bug flag never enters the state.
 """
 
 from __future__ import annotations

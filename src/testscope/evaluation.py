@@ -19,7 +19,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .agent import GreedyPolicy, TrainingLog, train_agent
+# ``train_agent`` is not called here, but perfbench traces it under this
+# module's name as well
+from .agent import GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy
 from .commits import Commit, ObservedCommit, generate_trace, observe
 from .config import EnvConfig, TrainConfig, adversarial, derive_seed
@@ -319,14 +321,14 @@ def penalty_sweep(
     """Train one agent per escape penalty and evaluate each on identical traces.
 
     Each agent trains with the same seed and differs only in the penalty, so
-    the sweep isolates the speed-vs-safety trade-off.
+    the sweep isolates the speed-vs-safety trade-off. All agents train in
+    lockstep in one :func:`train_agents` call.
     """
     if not penalties:
         raise ValueError("need at least one penalty value")
+    trained = train_agents(env_cfg, train_cfg, penalties)
     entries = []
-    for penalty in penalties:
-        cfg = replace(train_cfg, escape_penalty=penalty)
-        net, log = train_agent(env_cfg, cfg)
+    for penalty, (net, log) in zip(penalties, trained):
         comparison, _ = compare_policies(
             {"rl": GreedyPolicy(net)},
             env_cfg,

@@ -2,10 +2,11 @@
 
 Each test exercises one numbered criterion at its stated tolerance and prints
 one ``[PASS]``/``[FAIL]`` line (run with ``pytest -s`` to see them live).
-The expensive artifacts (four 2000-episode trainings for the penalty sweep,
-one 2000-episode training at the leak-check penalty, two 500-episode
-trainings for the degenerate penalties) are session fixtures shared across
-criteria; the whole module takes about eleven minutes on one CPU core.
+The expensive artifacts (a penalty sweep of five 2000-episode agents, the
+leak-check penalty among them, and two 500-episode agents for the
+degenerate penalties, each group trained in lockstep) are session fixtures
+shared across criteria; the whole module takes about six and a half minutes
+on one CPU core.
 
 Two criteria measure something other than the default agent's raw numbers,
 because no correct agent can meet them there:
@@ -34,7 +35,7 @@ from testscope.agent import (
     GreedyPolicy,
     TrainingLog,
     epsilon_schedule,
-    train_agent,
+    train_agents,
 )
 from testscope.baselines import AlwaysPolicy, HeuristicPolicy, StaticPolicy
 from testscope.commits import generate_trace
@@ -79,11 +80,14 @@ def progress(message: str) -> None:
 
 @pytest.fixture(scope="session")
 def sweep_result():
-    progress("training agents for penalties (1, 3, 5, 10), 2000 episodes each...")
+    """Agents at penalties 1, 3, 5, 10 and ``LEAK_CHECK_PENALTY``, trained in
+    lockstep (2000 episodes) and each evaluated on the same traces."""
+    penalties = (1.0, 3.0, 5.0, 10.0, LEAK_CHECK_PENALTY)
+    progress(f"training agents for penalties {penalties} in lockstep, 2000 episodes...")
     sweep = penalty_sweep(
         EnvConfig(),
         TrainConfig(seed=TRAIN_SEED),
-        penalties=(1.0, 3.0, 5.0, 10.0),
+        penalties=penalties,
         n_runs=EVAL_RUNS,
         eval_seed=EVAL_SEED,
     )
@@ -98,33 +102,29 @@ def default_entry(sweep_result):
 
 
 @pytest.fixture(scope="session")
-def leak_check_entry():
-    """An agent trained and evaluated at ``LEAK_CHECK_PENALTY`` (2000 episodes)."""
-    progress(f"training penalty-{LEAK_CHECK_PENALTY:g} agent, 2000 episodes...")
-    sweep = penalty_sweep(
-        EnvConfig(),
-        TrainConfig(seed=TRAIN_SEED),
-        penalties=(LEAK_CHECK_PENALTY,),
-        n_runs=EVAL_RUNS,
-        eval_seed=EVAL_SEED,
-    )
-    return sweep.entry(LEAK_CHECK_PENALTY)
+def leak_check_entry(sweep_result):
+    """The agent trained and evaluated at ``LEAK_CHECK_PENALTY`` (2000 episodes)."""
+    return sweep_result.entry(LEAK_CHECK_PENALTY)
 
 
 @pytest.fixture(scope="session")
-def skip_dominant_agent():
-    progress("training penalty-0 agent, 500 episodes...")
-    net, _ = train_agent(EnvConfig(), TrainConfig(escape_penalty=0.0, episodes=500, seed=TRAIN_SEED))
-    return net
+def degenerate_agents():
+    """Agents at penalties 0 and 1000, trained in lockstep for 500 episodes."""
+    progress("training penalty-0 and penalty-1000 agents in lockstep, 500 episodes...")
+    (skip_net, _), (safety_net, _) = train_agents(
+        EnvConfig(), TrainConfig(episodes=500, seed=TRAIN_SEED), (0.0, 1000.0)
+    )
+    return skip_net, safety_net
 
 
 @pytest.fixture(scope="session")
-def safety_dominant_agent():
-    progress("training penalty-1000 agent, 500 episodes...")
-    net, _ = train_agent(
-        EnvConfig(), TrainConfig(escape_penalty=1000.0, episodes=500, seed=TRAIN_SEED)
-    )
-    return net
+def skip_dominant_agent(degenerate_agents):
+    return degenerate_agents[0]
+
+
+@pytest.fixture(scope="session")
+def safety_dominant_agent(degenerate_agents):
+    return degenerate_agents[1]
 
 
 class TestCriterion1Throughput:

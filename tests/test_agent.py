@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testscope import agent
 from testscope.agent import (
     ReplayBuffer,
     Transition,
@@ -14,6 +15,7 @@ from testscope.agent import (
     greedy_action,
     select_action,
     train_agent,
+    train_agents,
 )
 from testscope.config import EnvConfig, TrainConfig
 from testscope.environment import Action
@@ -105,6 +107,28 @@ class TestReplayBuffer:
             counts[int(-rewards[0])] += 1
         assert np.all(np.abs(counts / 10_000 - 0.1) <= 0.02)
 
+    def test_stacked_buffer_samples_the_same_slots_for_every_agent(self):
+        buf = ReplayBuffer(4, stack=(3,))
+        for i in range(6):  # wraps around, evicting the first two pushes
+            buf.push(
+                Transition(
+                    state=np.full((3, 10), i) + np.arange(3)[:, None],
+                    action=np.array([i % 3, (i + 1) % 3, (i + 2) % 3]),
+                    reward=np.array([-i, -i - 10.0, -i - 20.0]),
+                    next_state=np.full((3, 10), i + 0.5),
+                    done=i == 5,
+                )
+            )
+        states, actions, rewards, next_states, dones = buf.sample_batch(4, np.random.default_rng(1))
+        assert states.shape == next_states.shape == (3, 4, 10)
+        assert actions.shape == rewards.shape == dones.shape == (3, 4)
+        pushed = -rewards[0]
+        assert sorted(pushed) == [2.0, 3.0, 4.0, 5.0]
+        np.testing.assert_array_equal(rewards, -pushed - np.array([[0.0], [10.0], [20.0]]))
+        np.testing.assert_array_equal(states[:, :, 0], pushed + np.arange(3)[:, None])
+        np.testing.assert_array_equal(actions, (pushed + np.arange(3)[:, None]) % 3)
+        np.testing.assert_array_equal(dones, np.broadcast_to(pushed == 5.0, (3, 4)))
+
     def test_sample_batch_matches_sample_layout(self):
         # every row of every column comes from one and the same pushed transition
         buf = ReplayBuffer(6)
@@ -146,6 +170,18 @@ class TestActionSelection:
         for _ in range(30_000):
             counts[select_action(net, state, 1.0, rng)] += 1
         assert np.all(np.abs(counts / 30_000 - 1 / 3) <= 0.01)
+
+    def test_stack_explores_together_and_exploits_apart(self):
+        stacked = mlp_init((4, 4), seed=0).stacked(3)
+        stacked.flat[...] = 0.0
+        stacked.biases[2][...] = [(-1.0, 5.0, 2.0), (3.0, 0.0, 0.0), (0.0, 0.0, 9.0)]
+        greedy = select_action(stacked, np.zeros((3, 10)), 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(greedy, [1, 0, 2])
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            explored = select_action(stacked, np.zeros((3, 10)), 1.0, rng)
+            single = select_action(mlp_init((4, 4), seed=0), np.zeros(10), 1.0, twin)
+            np.testing.assert_array_equal(explored, [single] * 3)
 
     def test_invalid_epsilon_rejected(self):
         net = mlp_init((4, 4), seed=0)
@@ -268,3 +304,75 @@ class TestTrainAgent:
             np.testing.assert_array_equal(pa, pb)
         _, log_frozen = train_agent(env, tiny_train_cfg(target_sync_interval=1))
         assert log_live != log_frozen
+
+
+LOCKSTEP_PENALTIES = (0.0, 1.0, 5.0, 500.0)
+
+
+def assert_lockstep_matches_sequential(env: EnvConfig, cfg: TrainConfig) -> None:
+    """Every agent of one ``train_agents`` run equals its own ``train_agent`` run."""
+    trained = train_agents(env, cfg, LOCKSTEP_PENALTIES)
+    assert len(trained) == len(LOCKSTEP_PENALTIES)
+    for penalty, (net, log) in zip(LOCKSTEP_PENALTIES, trained):
+        alone_net, alone_log = train_agent(env, dataclasses.replace(cfg, escape_penalty=penalty))
+        assert net.flat.shape == alone_net.flat.shape
+        assert net.flat.tobytes() == alone_net.flat.tobytes(), penalty
+        assert log.records == alone_log.records, penalty
+
+
+class TestTrainAgents:
+    @pytest.mark.parametrize("sync", [0, 1, 10])
+    @pytest.mark.parametrize("hidden", [(), (32,), (64, 64), (16, 16, 16)])
+    def test_lockstep_equals_sequential(self, hidden, sync):
+        # 11 episodes of 16 commits: the 150-slot buffer evicts, and an
+        # interval of 10 syncs once
+        env = dataclasses.replace(EnvConfig(), commits_per_episode=16)
+        cfg = tiny_train_cfg(
+            episodes=11, buffer_capacity=150, hidden_sizes=hidden, target_sync_interval=sync
+        )
+        assert_lockstep_matches_sequential(env, cfg)
+
+    def test_lockstep_equals_sequential_when_the_first_episode_cannot_fill_a_batch(self):
+        env = dataclasses.replace(EnvConfig(), commits_per_episode=12)
+        cfg = tiny_train_cfg(episodes=3, minibatch_size=16)
+        _, log = train_agent(env, cfg)
+        assert log.records[0].mean_td_loss == 0.0 and log.records[1].mean_td_loss > 0.0
+        assert_lockstep_matches_sequential(env, cfg)
+
+    def test_agents_differ_by_penalty(self):
+        (_, cheap), (_, costly) = train_agents(tiny_env_cfg(), tiny_train_cfg(), (0.0, 500.0))
+        assert cheap.records != costly.records
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(agent, "generate_trace", refuse)
+        monkeypatch.setattr(agent, "mlp_init", refuse)
+
+    def test_empty_penalties_rejected(self, no_training):
+        with pytest.raises(ValueError, match="at least one"):
+            train_agents(tiny_env_cfg(), tiny_train_cfg(), ())
+
+    def test_negative_penalty_rejected(self, no_training):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            train_agents(tiny_env_cfg(), tiny_train_cfg(), (1.0, -0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, no_training, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            train_agents(tiny_env_cfg(), tiny_train_cfg(), (bad, 1.0))
+
+    @pytest.mark.parametrize("capacity, expected", [(10_000, 60), (50, 50)])
+    def test_buffer_sized_by_what_the_run_can_push(self, monkeypatch, capacity, expected):
+        sizes = []
+
+        class Recording(ReplayBuffer):
+            def __init__(self, capacity, *args, **kwargs):
+                sizes.append(capacity)
+                super().__init__(capacity, *args, **kwargs)
+
+        monkeypatch.setattr(agent, "ReplayBuffer", Recording)
+        train_agents(tiny_env_cfg(), tiny_train_cfg(buffer_capacity=capacity), (1.0, 2.0))
+        assert sizes == [expected]  # 3 episodes of 20 commits push 60 transitions

@@ -85,6 +85,16 @@ class TestTrain:
             assert run_command(["train", "--config", tiny_config, "--seed", "5", "--out", str(out)]) == 0
         assert read_files(a) == read_files(b)
 
+    @pytest.mark.parametrize("widths", ["32", "16,16,16"])
+    def test_any_hidden_depth(self, tmp_path, widths):
+        config = tmp_path / "deep.cfg"
+        config.write_text(TINY_CONFIG.replace("train.hidden_sizes = 8,8", f"train.hidden_sizes = {widths}"))
+        out = tmp_path / "r"
+        assert run_command(["train", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+        net = load_policy(out / "train-5-0.json")
+        assert net.hidden_sizes == tuple(int(w) for w in widths.split(","))
+        assert f"# config train.hidden_sizes = {widths}" in (out / "train-5-1.csv").read_text()
+
 
 class TestEvalCommand:
     def test_static_policy_report(self, tmp_path, tiny_config):

@@ -66,6 +66,19 @@ class TestParsing:
         assert cfg.eval.penalties == (2.0, 4.0)
         assert cfg.train.hidden_sizes == (32, 16)
 
+    @pytest.mark.parametrize("text, widths", [("32", (32,)), ("16, 16, 16", (16, 16, 16))])
+    def test_hidden_sizes_take_any_depth(self, text, widths):
+        cfg = parse_config_text(f"train.hidden_sizes = {text}\n")
+        assert cfg.train.hidden_sizes == widths
+        (snapshot,) = [v for k, v in config_items(cfg) if k == "train.hidden_sizes"]
+        assert snapshot == ",".join(map(str, widths))
+        assert parse_config_text(f"train.hidden_sizes = {snapshot}\n") == cfg
+
+    @pytest.mark.parametrize("text", ["", "64,,64", "64,", "8.5", "0,4"])
+    def test_bad_hidden_sizes_rejected(self, text):
+        with pytest.raises(ConfigError, match="train.hidden_sizes"):
+            parse_config_text(f"train.hidden_sizes = {text}\n")
+
     def test_every_key_round_trips(self):
         # serializing the defaults and parsing them back is the identity
         default = ExperimentConfig()

@@ -214,6 +214,19 @@ class TestPipelineEnv:
             steps += 1
         assert steps == cfg.commits_per_episode
 
+    def test_features_six_and_nine_are_always_equal(self):
+        # tests fail only on a caught bug, so the failure and caught
+        # fractions are one signal
+        cfg = EnvConfig()
+        env = PipelineEnv(generate_trace(cfg, cfg.commits_per_episode, seed=8), cfg, seed=3)
+        rng = np.random.default_rng(0)
+        state, done, caught = env.reset(), False, 0
+        while not done:
+            assert state[5] == state[8]
+            outcome, state, done = env.step(Action(int(rng.integers(3))), 5.0)
+            caught += outcome.detected
+        assert caught > 0
+
     def test_detected_bug_rejected_before_deploy(self):
         # full tests on a buggy commit: no deploy time, no escape delay
         cfg = EnvConfig()

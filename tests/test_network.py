@@ -130,33 +130,58 @@ class TestForward:
             assert before == after
 
 
+def assert_gradients_match_central_differences(net, target, batch, discount=0.99, h=1e-5):
+    """Independent oracle: (L(p+h) - L(p-h)) / 2h over every parameter.
+
+    For a stack, agent k's loss is differentiated w.r.t. agent k's parameters.
+    """
+    _, grad = td_loss_and_grads(net, target, *batch, discount=discount)
+    assert grad.shape == net.flat.shape
+    p = net.flat
+    worst = 0.0
+    for i in np.ndindex(p.shape):
+        agent = i[:-1]
+        original = p[i]
+        p[i] = original + h
+        up, _ = td_loss_and_grads(net, target, *batch, discount=discount)
+        p[i] = original - h
+        down, _ = td_loss_and_grads(net, target, *batch, discount=discount)
+        p[i] = original
+        fd = (up[agent] - down[agent]) / (2 * h)
+        scale = max(abs(fd), abs(grad[i]))
+        if scale > 1e-6:
+            worst = max(worst, abs(fd - grad[i]) / scale)
+        else:
+            assert abs(fd - grad[i]) <= 1e-8, net.hidden_sizes
+    assert worst <= 1e-4, net.hidden_sizes
+
+
+def stack_of(nets) -> QNetwork:
+    """A (K, P) stack holding the given single networks' parameters."""
+    weights = [np.stack(layer) for layer in zip(*(n.weights for n in nets))]
+    biases = [np.stack(layer) for layer in zip(*(n.biases for n in nets))]
+    return QNetwork(weights, biases)
+
+
+def stacked_batch(k, n=8, seed=0):
+    """One independent random batch per agent, stacked along a leading axis."""
+    batches = [random_batch(n=n, seed=seed + a) for a in range(k)]
+    return tuple(np.stack(column) for column in zip(*batches))
+
+
 class TestGradients:
     def test_td_gradients_match_central_differences(self):
-        # independent oracle: (L(p+h) - L(p-h)) / 2h over every parameter
         nets = [(tiny_net(seed=2), mlp_init((4, 4), seed=7))]
         nets += [(mlp_init(h, seed=2), mlp_init(h, seed=7)) for h in DEPTHS]
         batch = random_batch(n=8, seed=3)
-        discount = 0.99
-        h = 1e-5
         for net, target in nets:
-            _, grad = td_loss_and_grads(net, target, *batch, discount=discount)
-            assert grad.shape == net.flat.shape
-            p = net.flat
-            worst = 0.0
-            for i in range(p.size):
-                original = p[i]
-                p[i] = original + h
-                up, _ = td_loss_and_grads(net, target, *batch, discount=discount)
-                p[i] = original - h
-                down, _ = td_loss_and_grads(net, target, *batch, discount=discount)
-                p[i] = original
-                fd = (up - down) / (2 * h)
-                scale = max(abs(fd), abs(grad[i]))
-                if scale > 1e-6:
-                    worst = max(worst, abs(fd - grad[i]) / scale)
-                else:
-                    assert abs(fd - grad[i]) <= 1e-8, net.hidden_sizes
-            assert worst <= 1e-4, net.hidden_sizes
+            assert_gradients_match_central_differences(net, target, batch)
+
+    @pytest.mark.parametrize("hidden", [(4, 4), *DEPTHS])
+    def test_stacked_td_gradients_match_central_differences(self, hidden):
+        net = stack_of([mlp_init(hidden, seed=s) for s in (2, 3, 4)])
+        target = stack_of([mlp_init(hidden, seed=s) for s in (7, 8, 9)])
+        assert_gradients_match_central_differences(net, target, stacked_batch(3, seed=3))
 
     def test_terminal_targets_equal_rewards(self):
         net, target = tiny_net(seed=2), tiny_net(seed=2)
@@ -219,6 +244,66 @@ class TestGradients:
             _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
             adam_update(net.flat, grad, adam, lr=1e-3)
         np.testing.assert_array_equal(frozen, target.flat)
+
+
+class TestStack:
+    def test_stacked_copies_and_unstack_round_trips(self):
+        net = tiny_net()
+        stacked = net.stacked(3)
+        assert stacked.stack == (3,) and net.stack == ()
+        assert stacked.flat.shape == (3, net.flat.size)
+        assert stacked.weights[1].shape == (3, 4, 4) and stacked.biases[2].shape == (3, 3)
+        stacked.weights[0][1] += 1.0  # a view into agent 1's row of the stack
+        assert stacked.flat[1, 0] == net.flat[0] + 1.0
+        first, second, third = stacked.unstack()
+        assert first.flat.tobytes() == third.flat.tobytes() == net.flat.tobytes()
+        assert second.flat.tobytes() != net.flat.tobytes()
+        assert not np.shares_memory(first.flat, stacked.flat)
+
+    def test_constructor_takes_stacked_layers(self):
+        nets = [mlp_init((8,), seed=s) for s in range(3)]
+        stacked = stack_of(nets)
+        for agent, single in zip(stacked.unstack(), nets):
+            assert agent.flat.tobytes() == single.flat.tobytes()
+
+    def test_stacked_states_must_match_the_stack(self):
+        stacked = tiny_net().stacked(2)
+        assert mlp_forward(stacked, np.ones((2, 10))).shape == (2, 3)
+        assert mlp_forward(stacked, np.ones((2, 5, 10))).shape == (2, 5, 3)
+        for bad in (np.ones(10), np.ones((3, 10)), np.ones((3, 5, 10)), np.ones((2, 9))):
+            with pytest.raises(ValueError):
+                mlp_forward(stacked, bad)
+
+    @pytest.mark.parametrize("hidden", DEPTHS)
+    def test_each_slice_equals_its_single_network_bit_for_bit(self, hidden):
+        rng = np.random.default_rng(5)
+        nets = [mlp_init(hidden, seed=s) for s in range(4)]
+        targets = [mlp_init(hidden, seed=s) for s in range(10, 14)]
+        for n in nets + targets:  # distinct, non-zero biases
+            n.flat += rng.normal(scale=0.1, size=n.flat.size)
+        batch = stacked_batch(4, n=64, seed=20)
+        loss, grad = td_loss_and_grads(stack_of(nets), stack_of(targets), *batch, discount=0.99)
+        q = mlp_forward(stack_of(nets), batch[0][:, 0])
+        assert loss.shape == (4,) and grad.shape == (4, nets[0].flat.size)
+        for k in range(4):
+            single = tuple(column[k] for column in batch)
+            loss_k, grad_k = td_loss_and_grads(nets[k], targets[k], *single, discount=0.99)
+            assert grad[k].tobytes() == grad_k.tobytes()
+            assert loss[k] == loss_k
+            assert q[k].tobytes() == mlp_forward(nets[k], single[0][0]).tobytes()
+
+    def test_stacked_adam_equals_per_agent_adam(self):
+        rng = np.random.default_rng(6)
+        params = rng.normal(size=(3, 50))
+        singles = [row.copy() for row in params]
+        state = AdamState.for_params(params)
+        single_states = [AdamState.for_params(p) for p in singles]
+        for _ in range(5):
+            grads = rng.normal(size=params.shape)
+            adam_update(params, grads, state, lr=1e-2)
+            for p, g, s in zip(singles, grads, single_states):
+                adam_update(p, g, s, lr=1e-2)
+        assert params.tobytes() == np.stack(singles).tobytes()
 
 
 class TestAdam:
