@@ -29,7 +29,7 @@ from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM
 from .network import (
     AdamState,
     QNetwork,
-    Scratch,
+    _Scratch,
     adam_update,
     mlp_forward,
     mlp_init,
@@ -175,7 +175,7 @@ def _train_step_arrays(
     discount: float,
     adam: AdamState,
     lr: float,
-    scratch: Scratch | None = None,
+    scratch: _Scratch | None = None,
 ) -> float | np.ndarray:
     """One Adam step on the minibatch TD loss; returns the pre-update loss.
 
@@ -251,7 +251,7 @@ def train_agents(
         net = net.stacked(len(penalties))
     target_net = net if cfg.target_sync_interval == 0 else net.clone()
     adam = AdamState.for_params(net.flat)
-    scratch = Scratch() if stack else None
+    scratch = _Scratch() if stack else None
     # the run pushes one transition per commit; a buffer that never fills
     # never evicts, so capping it there changes no sample (a run of 0
     # episodes still gets one slot)

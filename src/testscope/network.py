@@ -31,7 +31,6 @@ __all__ = [
     "mlp_init",
     "mlp_forward",
     "td_loss_and_grads",
-    "Scratch",
     "AdamState",
     "adam_update",
 ]
@@ -86,10 +85,9 @@ class QNetwork:
         # leading agent axes: () for one network, (K,) for a stack of K
         self.stack = flat.shape[:-1]
         self.weights, self.biases = _layer_views(flat, sizes)
-        # biases as added to a batch of activations: a stack's need an axis
-        # for the batch rows, and a plain (fan_out,) bias adds faster than a
-        # (1, fan_out) view
-        self._row_biases = [b[..., None, :] if self.stack else b for b in self.biases]
+        # biases as added to a batch of activations; the axis for the batch
+        # rows lets a stack's (K, fan_out) biases broadcast over (K, n, fan_out)
+        self._row_biases = [b[..., None, :] for b in self.biases]
 
     @classmethod
     def _owning(cls, flat: np.ndarray, sizes: tuple[int, ...]) -> "QNetwork":
@@ -168,7 +166,7 @@ def _as_batch(net: QNetwork, states: np.ndarray) -> tuple[np.ndarray, bool]:
     return states, single
 
 
-class Scratch:
+class _Scratch:
     """Work arrays reused from call to call, one per key.
 
     Lockstep training passes one to every ``td_loss_and_grads`` call, so the
@@ -193,7 +191,7 @@ class Scratch:
 
 
 def _forward_cached(
-    net: QNetwork, x: np.ndarray, scratch: Scratch | None, tag: str
+    net: QNetwork, x: np.ndarray, scratch: _Scratch | None, tag: str
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Q-values and each layer's input activation.
 
@@ -232,7 +230,7 @@ def td_loss_and_grads(
     next_states: np.ndarray,
     dones: np.ndarray,
     discount: float,
-    scratch: Scratch | None = None,
+    scratch: _Scratch | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared one-step TD error and its gradient w.r.t. ``net.flat``.
 
