@@ -35,7 +35,6 @@ from .baselines import (
 from .commits import (
     Commit,
     ObservedCommit,
-    generate_commit,
     generate_trace,
     observe,
     read_trace,

@@ -1,14 +1,17 @@
 """Comparison policies: always-full, diff-size heuristic, and a risk classifier.
 
 The classifier is a from-scratch logistic regression over the observable
-commit metadata, trained by full-batch gradient descent on labeled historical
-commits. Predicted risk maps to a test scope through two thresholds: very low
-risk skips tests, moderate risk runs the partial suite, everything else runs
-the full suite.
+commit metadata, fitted by damped Newton steps (IRLS) on labeled historical
+commits until the gradient of its L2-regularised log-loss is within tolerance;
+a fit that does not get there raises instead of returning a half-fitted model.
+Predicted risk maps to a test scope through two thresholds: very low risk
+skips tests, moderate risk runs the partial suite, everything else runs the
+full suite.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,50 +131,107 @@ def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float
     return float(np.clip(p, 1e-15, 1.0 - 1e-15))
 
 
+def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:
+    x = np.stack([commit_features(c, state_cfg) for c in commits])
+    y = np.array([float(c.has_bug) for c in commits])
+    return x, y
+
+
+def _objective(z: np.ndarray, y: np.ndarray, weights: np.ndarray, l2_penalty: float) -> float:
+    # mean log-loss from the logits z, log(1 + e^z) - y z, plus the L2 term
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return loss + 0.5 * l2_penalty * float(weights @ weights)
+
+
+def _not_converged(reason: str, iterations: int, grad_norm: float) -> ValueError:
+    return ValueError(
+        f"risk classifier fit did not converge: {reason}; "
+        f"{iterations} Newton iteration(s), gradient norm {grad_norm:.3e}"
+    )
+
+
+# step halvings before a Newton line search gives up (step scale 2**-40)
+_MAX_HALVINGS = 41
+
+
+def _newton_iterates(x: np.ndarray, y: np.ndarray, l2_penalty: float):
+    """Damped Newton (IRLS) iterates for the regularised log-loss, from zero.
+
+    Yields ``(weights, bias, grad_norm)`` at each iterate, the first being the
+    zero model. Each step solves ``H delta = g`` on the features with a column
+    of ones appended for the unpenalised bias, then halves the step until the
+    objective does not increase. Raises :class:`ValueError` when ``H`` is
+    singular or halving finds no such step.
+    """
+    n = len(y)
+    x = np.hstack([x, np.ones((n, 1))])
+    penalty = np.full(x.shape[1], l2_penalty)
+    penalty[-1] = 0.0
+    theta = np.zeros(x.shape[1])
+    z = x @ theta
+    objective = _objective(z, y, theta[:-1], l2_penalty)
+    for iteration in itertools.count():
+        p = _sigmoid(z)
+        grad = x.T @ (p - y) / n + penalty * theta
+        grad_norm = float(np.sqrt(grad @ grad))
+        yield theta[:-1], float(theta[-1]), grad_norm
+        hessian = (x.T * (p * (1.0 - p))) @ x / n + np.diag(penalty)
+        # H delta = g through H's eigenvalues, which also give its numerical
+        # rank (the tolerance numpy.linalg.matrix_rank uses)
+        curvature, axes = np.linalg.eigh(hessian)
+        if curvature[0] <= len(theta) * np.finfo(float).eps * curvature[-1]:
+            raise _not_converged("the Hessian is singular", iteration, grad_norm)
+        step = axes @ (axes.T @ grad / curvature)
+        for _ in range(_MAX_HALVINGS):
+            candidate = theta - step
+            z_candidate = x @ candidate
+            value = _objective(z_candidate, y, candidate[:-1], l2_penalty)
+            if value <= objective:
+                break
+            step = 0.5 * step
+        else:
+            raise _not_converged("the line search stalled", iteration, grad_norm)
+        theta, z, objective = candidate, z_candidate, value
+
+
 def train_classifier(
     commits: list[Commit],
     opts: ClassifierConfig | None = None,
     state_cfg: StateConfig | None = None,
 ) -> LogisticModel:
-    """Fit the risk model on labeled commits by full-batch gradient descent.
+    """Fit the risk model on labeled commits by damped Newton steps (IRLS).
 
-    Minimizes mean log-loss plus an L2 penalty on the weights with a fixed
-    step size, stopping at the gradient-norm tolerance or the iteration cap.
-    Deterministic: zero init, no sampling. Requires both classes present.
+    Minimizes mean log-loss plus ``0.5 * l2_penalty * |w|^2`` (the bias is
+    not penalised) and stops at the first iterate whose gradient norm is at
+    most ``opts.tolerance``. Raises :class:`ValueError` naming the iteration
+    count and gradient norm if ``opts.max_iterations`` Newton steps do not get
+    there, the Hessian is singular or the line search stalls. Deterministic:
+    zero init, no sampling. Requires both classes present.
     """
     opts = opts or ClassifierConfig()
     cfg = state_cfg or StateConfig()
     if len(commits) < 2:
         raise ValueError("need at least 2 labeled commits")
-    x = np.stack([commit_features(c, cfg) for c in commits])
-    y = np.array([float(c.has_bug) for c in commits])
+    x, y = _labeled_arrays(commits, cfg)
     if y.min() == y.max():
         raise ValueError("training set must contain both buggy and clean commits")
 
-    n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(opts.max_iterations):
-        p = _sigmoid(x @ w + b)
-        residual = p - y
-        grad_w = x.T @ residual / n + opts.l2_penalty * w
-        grad_b = float(residual.mean())
-        grad_norm = float(np.sqrt(np.sum(grad_w**2) + grad_b**2))
+    iterates = _newton_iterates(x, y, opts.l2_penalty)
+    for _ in range(opts.max_iterations + 1):
+        weights, bias, grad_norm = next(iterates)
         if grad_norm <= opts.tolerance:
-            break
-        w -= opts.learning_rate * grad_w
-        b -= opts.learning_rate * grad_b
-
-    return LogisticModel(weights=w, bias=b, feature_names=CLASSIFIER_FEATURES, state_cfg=cfg)
+            return LogisticModel(weights, bias, feature_names=CLASSIFIER_FEATURES, state_cfg=cfg)
+    raise _not_converged(
+        f"gradient norm above classifier.tolerance = {opts.tolerance:g} at classifier.max_iterations",
+        opts.max_iterations,
+        grad_norm,
+    )
 
 
 def log_loss(model: LogisticModel, commits: list[Commit], l2_penalty: float = 0.0) -> float:
     """Mean log-loss of the model on labeled commits (plus optional L2 term)."""
-    x = np.stack([commit_features(c, model.state_cfg) for c in commits])
-    y = np.array([float(c.has_bug) for c in commits])
-    p = np.clip(_sigmoid(x @ model.weights + model.bias), 1e-12, 1.0 - 1e-12)
-    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    return loss + 0.5 * l2_penalty * float(model.weights @ model.weights)
+    x, y = _labeled_arrays(commits, model.state_cfg)
+    return _objective(x @ model.weights + model.bias, y, model.weights, l2_penalty)
 
 
 @dataclass

@@ -227,6 +227,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg, seed = _load_experiment(args)
+    # fit the classifier first: a fit that does not converge fails in
+    # milliseconds instead of after the agent has trained
+    classifier = _make_policy("classifier", cfg, None)
     if args.weights is not None:
         net = load_policy(args.weights, expect_kind=KIND_QNETWORK)
         assert isinstance(net, QNetwork)
@@ -235,7 +238,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     policies = {
         "static": StaticPolicy(),
         "heuristic": HeuristicPolicy(),
-        "classifier": _make_policy("classifier", cfg, None),
+        "classifier": classifier,
         "rl": GreedyPolicy(net),
     }
     report, _ = compare_policies(

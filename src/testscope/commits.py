@@ -37,7 +37,6 @@ __all__ = [
     "ObservedCommit",
     "observe",
     "TRACE_COLUMNS",
-    "generate_commit",
     "generate_trace",
     "trace_to_text",
     "parse_trace_text",
@@ -181,7 +180,6 @@ def _build_commits(
     rng: np.random.Generator,
     n: int,
     adversarial: bool,
-    start_id: int,
 ) -> list[Commit]:
     gen = cfg.generator
     has_bug = rng.random(n) < cfg.bug_probability
@@ -200,7 +198,7 @@ def _build_commits(
 
     return [
         Commit(
-            id=start_id + i,
+            id=i,
             diff_size=int(diff[i]),
             files_changed=int(files[i]),
             source_fraction=float(source[i]),
@@ -211,11 +209,6 @@ def _build_commits(
         )
         for i in range(n)
     ]
-
-
-def generate_commit(rng: np.random.Generator, cfg: EnvConfig, commit_id: int = 0) -> Commit:
-    """Draw a single standard-mode commit from a caller-owned generator."""
-    return _build_commits(cfg, rng, 1, adversarial=False, start_id=commit_id)[0]
 
 
 def generate_trace(
@@ -231,7 +224,7 @@ def generate_trace(
     if mode not in ("standard", "adversarial"):
         raise ValueError(f"unknown trace mode {mode!r}")
     rng = np.random.default_rng(seed)
-    return _build_commits(cfg, rng, n, adversarial=(mode == "adversarial"), start_id=0)
+    return _build_commits(cfg, rng, n, adversarial=(mode == "adversarial"))
 
 
 # --------------------------------------------------------------------------

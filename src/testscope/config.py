@@ -111,7 +111,6 @@ class EnvConfig:
     build_minutes: float = 2.0
     deploy_minutes: float = 1.0
     commits_per_episode: int = 100
-    discount: float = 0.99
     trace_mode: str = "standard"
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     state: StateConfig = field(default_factory=StateConfig)
@@ -153,9 +152,8 @@ class ClassifierConfig:
     tau_partial: float = 0.30
     train_size: int = 5000
     train_seed: int = 77
-    learning_rate: float = 0.5
     l2_penalty: float = 1e-4
-    max_iterations: int = 10000
+    max_iterations: int = 50  # Newton steps
     tolerance: float = 1e-6
 
 
@@ -232,7 +230,6 @@ CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {
     "env.build_minutes": (("env", "build_minutes"), _parse_float),
     "env.deploy_minutes": (("env", "deploy_minutes"), _parse_float),
     "env.commits_per_episode": (("env", "commits_per_episode"), _parse_int),
-    "env.discount": (("env", "discount"), _parse_float),
     "env.trace_mode": (("env", "trace_mode"), _parse_choice("standard", "adversarial")),
     # commit generator
     "generator.clean_diff_log_mean": (("env", "generator", "clean_diff_log_mean"), _parse_float),
@@ -297,7 +294,6 @@ CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {
     "classifier.tau_partial": (("classifier", "tau_partial"), _parse_float),
     "classifier.train_size": (("classifier", "train_size"), _parse_int),
     "classifier.train_seed": (("classifier", "train_seed"), _parse_int),
-    "classifier.learning_rate": (("classifier", "learning_rate"), _parse_float),
     "classifier.l2_penalty": (("classifier", "l2_penalty"), _parse_float),
     "classifier.max_iterations": (("classifier", "max_iterations"), _parse_int),
     "classifier.tolerance": (("classifier", "tolerance"), _parse_float),
@@ -415,7 +411,6 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
                 "(a commit could take 0 minutes)",
             )
     _check(env.commits_per_episode >= 1, "env.commits_per_episode", "must be >= 1")
-    _check(0.0 < env.discount <= 1.0, "env.discount", "must be in (0, 1]")
     _check(env.trace_mode in ("standard", "adversarial"), "env.trace_mode", "invalid mode")
 
     _check(gen.diff_log_sigma > 0.0, "generator.diff_log_sigma", "must be > 0")
@@ -492,7 +487,6 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     )
     _check(clf.train_size >= 2, "classifier.train_size", "must be >= 2")
     _check(clf.train_seed >= 0, "classifier.train_seed", "must be >= 0")
-    _check(clf.learning_rate > 0.0, "classifier.learning_rate", "must be > 0")
     _check(clf.l2_penalty >= 0.0, "classifier.l2_penalty", "must be >= 0")
     _check(clf.max_iterations >= 1, "classifier.max_iterations", "must be >= 1")
     _check(clf.tolerance > 0.0, "classifier.tolerance", "must be > 0")

@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from testscope import baselines
 from testscope.baselines import (
     ClassifierThresholds,
     LogisticModel,
+    _labeled_arrays,
+    _newton_iterates,
     classifier_action,
+    commit_features,
     heuristic_action,
     log_loss,
     make_classifier,
@@ -18,7 +22,7 @@ from testscope.baselines import (
     train_classifier,
 )
 from testscope.commits import generate_trace
-from testscope.config import ClassifierConfig, EnvConfig
+from testscope.config import ClassifierConfig, EnvConfig, StateConfig
 from testscope.environment import Action
 
 from test_environment import make_commit
@@ -36,6 +40,29 @@ def brute_force_auc(scores, labels) -> float:
 
 def flat_model(bias: float = 0.0) -> LogisticModel:
     return LogisticModel(weights=np.zeros(5), bias=bias)
+
+
+def separable_toy_set():
+    # 200 commits labeled by diff_size > 50
+    rng = np.random.default_rng(5)
+    base = generate_trace(EnvConfig(), 200, seed=33)
+    return [
+        dataclasses.replace(c, diff_size=int(d), has_bug=bool(d > 50))
+        for c, d in zip(base, rng.integers(0, 501, 200))
+    ]
+
+
+def default_history():
+    opts = ClassifierConfig()
+    return generate_trace(EnvConfig(), opts.train_size, seed=opts.train_seed, mode="standard")
+
+
+def regularized_gradient(model: LogisticModel, commits, l2_penalty: float) -> np.ndarray:
+    """Gradient of mean log-loss + 0.5 * l2 * |w|^2 in (weights, bias)."""
+    x = np.stack([commit_features(c, model.state_cfg) for c in commits])
+    y = np.array([1.0 if c.has_bug else 0.0 for c in commits])
+    p = np.exp(-np.logaddexp(0.0, -(x @ model.weights + model.bias)))
+    return np.append(x.T @ (p - y) / len(y) + l2_penalty * model.weights, np.mean(p - y))
 
 
 class TestStaticPolicy:
@@ -100,14 +127,8 @@ class TestPredictRisk:
 
 class TestTrainClassifier:
     def test_separable_toy_set(self):
-        # 200 commits labeled by diff_size > 50: a convex problem any
-        # convergent optimizer separates almost perfectly
-        rng = np.random.default_rng(5)
-        base = generate_trace(EnvConfig(), 200, seed=33)
-        toy = [
-            dataclasses.replace(c, diff_size=int(d), has_bug=bool(d > 50))
-            for c, d in zip(base, rng.integers(0, 501, 200))
-        ]
+        # a convex problem any convergent optimizer separates almost perfectly
+        toy = separable_toy_set()
         model = train_classifier(toy, ClassifierConfig())
         accuracy = np.mean([(predict_risk(model, c) >= 0.5) == c.has_bug for c in toy])
         assert accuracy >= 0.99
@@ -129,17 +150,74 @@ class TestTrainClassifier:
         assert a.bias == b.bias
 
     def test_loss_decreases_monotonically(self):
-        # retrain from scratch with growing iteration caps; the fixed-step
-        # descent must never increase the regularized objective
-        opts = ClassifierConfig(tolerance=1e-300)
+        # the damped Newton iterates must never increase the regularized objective
+        opts = ClassifierConfig()
+        for commits in (generate_trace(EnvConfig(), 300, seed=8), separable_toy_set()):
+            losses = []
+            x, y = _labeled_arrays(commits, StateConfig())
+            for weights, bias, grad_norm in _newton_iterates(x, y, opts.l2_penalty):
+                model = LogisticModel(weights=weights, bias=bias)
+                losses.append(log_loss(model, commits, l2_penalty=opts.l2_penalty))
+                if grad_norm <= opts.tolerance:
+                    break
+            assert len(losses) >= 4
+            assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("history", [default_history, separable_toy_set])
+    def test_fit_is_stationary_within_ten_iterations(self, history):
+        # the fit raises unless it converges within max_iterations Newton steps
+        commits = history()
+        opts = dataclasses.replace(ClassifierConfig(), max_iterations=10)
+        model = train_classifier(commits, opts)
+        grad = regularized_gradient(model, commits, opts.l2_penalty)
+        assert np.linalg.norm(grad) <= opts.tolerance
+
+    def test_iteration_cap_raises_with_count_and_gradient_norm(self):
         commits = generate_trace(EnvConfig(), 300, seed=8)
-        losses = []
-        for iterations in range(1, 60, 3):
-            model = train_classifier(
-                commits, dataclasses.replace(opts, max_iterations=iterations)
-            )
-            losses.append(log_loss(model, commits, l2_penalty=opts.l2_penalty))
-        assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+        opts = dataclasses.replace(ClassifierConfig(), max_iterations=1)
+        with pytest.raises(ValueError, match=r"did not converge.*; 1 Newton iteration\(s\), gradient norm \d\.\d{3}e-\d+"):
+            train_classifier(commits, opts)
+
+    def test_singular_hessian_raises(self):
+        # identical features with mixed labels and no penalty: rank-1 Hessian
+        commits = [make_commit(has_bug=i % 3 == 0) for i in range(10)]
+        opts = dataclasses.replace(ClassifierConfig(), l2_penalty=0.0)
+        with pytest.raises(ValueError, match=r"Hessian is singular; 0 Newton iteration\(s\), gradient norm"):
+            train_classifier(commits, opts)
+
+    def test_rejected_step_is_halved(self, monkeypatch):
+        # the first full Newton step is made to look worse; its half is taken
+        objective, calls = baselines._objective, []
+
+        def worse_first_step(z, y, weights, l2_penalty):
+            calls.append(None)
+            value = objective(z, y, weights, l2_penalty)
+            return np.inf if len(calls) == 2 else value
+
+        commits = generate_trace(EnvConfig(), 300, seed=8)
+        monkeypatch.setattr(baselines, "_objective", worse_first_step)
+        iterates = _newton_iterates(*_labeled_arrays(commits, StateConfig()), 1e-4)
+        start, _, _ = next(iterates)
+        halved, _, _ = next(iterates)
+        monkeypatch.undo()
+        plain = _newton_iterates(*_labeled_arrays(commits, StateConfig()), 1e-4)
+        next(plain)
+        full, _, _ = next(plain)
+        assert not start.any()
+        np.testing.assert_array_equal(halved, 0.5 * full)
+        assert len(calls) == 3  # start, rejected full step, accepted half step
+
+    def test_stalled_line_search_raises(self, monkeypatch):
+        objective = baselines._objective
+        monkeypatch.setattr(baselines, "_objective", lambda z, y, w, l2: objective(z, y, w, l2) + float(np.any(w)))
+        with pytest.raises(ValueError, match=r"line search stalled; 0 Newton iteration\(s\)"):
+            train_classifier(generate_trace(EnvConfig(), 300, seed=8))
+
+    def test_log_loss_is_exact_for_confident_models(self):
+        # log(1 + e^z) - y z stays exact where a clipped probability saturates
+        commits = [make_commit(has_bug=True), make_commit(has_bug=False)]
+        assert log_loss(flat_model(bias=-800.0), commits) == 400.0
+        assert log_loss(flat_model(bias=0.0), commits) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_held_out_auc_band(self):
         # the generator must stay learnable but imperfect

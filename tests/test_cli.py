@@ -199,3 +199,13 @@ class TestErrors:
     def test_negative_seed(self, capsys):
         assert run_command(["trace-gen", "--seed", "-3", "--out", "/tmp/x"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_classifier_fit_that_does_not_converge(self, tmp_path, capsys):
+        config = tmp_path / "capped.cfg"
+        config.write_text(TINY_CONFIG + "classifier.max_iterations = 1\n")
+        out = tmp_path / "r"
+        assert run_command(["compare", "--config", str(config), "--seed", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: risk classifier fit did not converge")
+        assert "1 Newton iteration(s), gradient norm" in err
+        assert not out.exists()

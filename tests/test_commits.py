@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from testscope.commits import (
-    Commit,
-    generate_commit,
     generate_trace,
     parse_trace_text,
     trace_to_text,
@@ -43,12 +41,6 @@ class TestGenerateCommit:
             assert 0.0 <= c.developer_defect_rate <= 1.0
             assert 0.0 <= c.developer_experience <= 1.0
             assert 0.0 <= c.risk_score <= 1.0
-
-    def test_single_commit_draw(self):
-        rng = np.random.default_rng(0)
-        commit = generate_commit(rng, EnvConfig(), commit_id=17)
-        assert commit.id == 17
-        assert isinstance(commit, Commit)
 
     def test_ids_are_sequential(self):
         trace = generate_trace(EnvConfig(), 50, seed=5)

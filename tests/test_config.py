@@ -1,5 +1,7 @@
 """Config parsing, defaults, validation, and seed derivation."""
 
+import re
+
 import pytest
 
 from testscope.config import (
@@ -34,6 +36,7 @@ class TestDefaults:
         assert cfg.eval.penalties == (1.0, 3.0, 5.0, 10.0)
         assert cfg.classifier.tau_skip == 0.05
         assert cfg.classifier.tau_partial == 0.30
+        assert cfg.classifier.max_iterations == 50
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# a comment\n\n   \ntrain.episodes = 10\n")
@@ -135,6 +138,15 @@ class TestLoadConfig:
         path = tmp_path / "exp.cfg"
         path.write_text("train.episodes = 7\n# comment\n")
         assert load_config(path).train.episodes == 7
+
+    @pytest.mark.parametrize("key", ["env.discount", "classifier.learning_rate"])
+    def test_removed_keys_rejected_as_unknown(self, tmp_path, key):
+        # env.discount was never read (training uses train.discount); the
+        # classifier's Newton fit has no step size
+        path = tmp_path / "old.cfg"
+        path.write_text(f"train.episodes = 7\n{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key '{key}'")):
+            load_config(path)
 
     def test_file_errors_carry_path_and_line(self, tmp_path):
         path = tmp_path / "exp.cfg"
