@@ -74,8 +74,11 @@ from .evaluation import (
     compare_policies,
     compute_metrics,
     convergence_stats,
+    exploration_corrected_curve,
     penalty_sweep,
     run_episode,
+    run_episodes,
+    uniform_policy_reward,
 )
 from .network import AdamState, QNetwork, adam_update, mlp_forward, mlp_init
 from .persist import WeightFileError, load_policy, save_policy

@@ -127,8 +127,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float:
     """Predicted bug probability, strictly inside (0, 1)."""
     z = float(commit_features(commit, model.state_cfg) @ model.weights + model.bias)
-    p = float(_sigmoid(np.array([z]))[0])
-    return float(np.clip(p, 1e-15, 1.0 - 1e-15))
+    # _sigmoid on the scalar, with NumPy's exp: math.exp differs in the last bit
+    if z >= 0:
+        p = 1.0 / (1.0 + float(np.exp(-z)))
+    else:
+        ez = float(np.exp(z))
+        p = ez / (1.0 + ez)
+    return min(max(p, 1e-15), 1.0 - 1e-15)
 
 
 def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,11 @@ Features 6-10 default to 0 at the start of an episode. Features 6 and 9 are
 always equal: tests fail only on a caught bug (clean commits never fail),
 so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
+
+Features 1-5 depend on the commit alone, so :class:`PipelineEnv` encodes
+them for the whole trace in one pass when it is built; each step copies the
+next commit's row and writes features 6-10 from the history.
+:func:`encode_state` composes the same two helpers for one commit.
 """
 
 from __future__ import annotations
@@ -108,25 +113,28 @@ class PipelineHistory:
     def __init__(self, cfg: StateConfig):
         self._cfg = cfg
         self._recent: deque[bool] = deque(maxlen=cfg.history_window)  # tests failed?
+        self._failures = 0  # sum(self._recent), kept as the window moves
         self.prev_failed = False
         self.since_full_tests = 0
         self.prev_diff_size = 0
-        self._started = False
 
     def update(self, action: Action, detected: bool, commit: Commit) -> None:
         """Record one processed commit. ``detected`` implies its tests failed."""
-        self._recent.append(detected)
+        recent = self._recent
+        if recent and len(recent) == recent.maxlen:
+            self._failures -= recent[0]
+        recent.append(detected)
+        self._failures += detected
         self.prev_failed = detected
         self.since_full_tests = 0 if action == Action.FULL_TESTS else self.since_full_tests + 1
         self.prev_diff_size = commit.diff_size
-        self._started = True
 
     @property
     def failure_fraction(self) -> float:
         """Fraction of the recent window whose tests failed (0 when empty)."""
         if not self._recent:
             return 0.0
-        return sum(self._recent) / len(self._recent)
+        return self._failures / len(self._recent)
 
     @property
     def caught_fraction(self) -> float:
@@ -139,27 +147,44 @@ class PipelineHistory:
         return self.failure_fraction
 
 
+def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
+    """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
+    fields = [
+        (c.diff_size, c.files_changed, c.source_fraction, c.developer_defect_rate,
+         c.developer_experience)
+        for c in commits
+    ]
+    raw = np.array(fields, dtype=np.float64)
+    raw[:, 0] = np.minimum(raw[:, 0], cfg.diff_cap) / cfg.diff_cap
+    raw[:, 1] = np.minimum(raw[:, 1], cfg.files_cap) / cfg.files_cap
+    rows = np.zeros((len(commits), STATE_DIM))
+    rows[:, :5] = np.clip(raw, 0.0, 1.0)
+    return rows
+
+
+def _write_history(state: np.ndarray, history: PipelineHistory, cfg: StateConfig) -> None:
+    """Write features 6-10 of ``state`` from ``history``.
+
+    Each lands in [0, 1] without a clip: the window fractions and the gap are
+    bounded by construction, and a negative diff size clamps to 0.
+    """
+    state[5:] = (
+        history.failure_fraction,
+        1.0 if history.prev_failed else 0.0,
+        min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap,
+        history.caught_fraction,
+        max(min(history.prev_diff_size, cfg.diff_cap), 0) / cfg.diff_cap,
+    )
+
+
 def encode_state(commit: Commit, history: PipelineHistory, cfg: StateConfig) -> np.ndarray:
     """Encode a commit plus pipeline history into the 10-feature state vector.
 
     Pure in its inputs and independent of ``has_bug``/``risk_score``.
     """
-    features = np.array(
-        [
-            min(commit.diff_size, cfg.diff_cap) / cfg.diff_cap,
-            min(commit.files_changed, cfg.files_cap) / cfg.files_cap,
-            commit.source_fraction,
-            commit.developer_defect_rate,
-            commit.developer_experience,
-            history.failure_fraction,
-            1.0 if history.prev_failed else 0.0,
-            min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap,
-            history.caught_fraction,
-            min(history.prev_diff_size, cfg.diff_cap) / cfg.diff_cap,
-        ],
-        dtype=np.float64,
-    )
-    return np.clip(features, 0.0, 1.0)
+    state = _commit_rows([commit], cfg)[0]
+    _write_history(state, history, cfg)
+    return state
 
 
 class PipelineEnv:
@@ -176,6 +201,7 @@ class PipelineEnv:
         self._trace = trace
         self._cfg = cfg
         self._seed = seed
+        self._rows = _commit_rows(trace, cfg.state)
         self._rng = np.random.default_rng(seed)
         self._cursor = 0
         self._history = PipelineHistory(cfg.state)
@@ -190,19 +216,19 @@ class PipelineEnv:
     def cfg(self) -> EnvConfig:
         return self._cfg
 
-    def current_commit(self) -> Commit:
-        """The commit the next ``step`` will process."""
-        if self._done:
-            raise RuntimeError("episode is done")
-        return self._trace[self._cursor]
-
     def reset(self) -> np.ndarray:
         """Rewind to the first commit and return its state."""
         self._rng = np.random.default_rng(self._seed)
         self._cursor = 0
         self._history = PipelineHistory(self._cfg.state)
         self._done = False
-        return encode_state(self._trace[0], self._history, self._cfg.state)
+        return self._state()
+
+    def _state(self) -> np.ndarray:
+        # a fresh array: callers keep states across steps
+        state = self._rows[self._cursor].copy()
+        _write_history(state, self._history, self._cfg.state)
+        return state
 
     def step(self, action: Action, escape_penalty: float) -> tuple[StepOutcome, np.ndarray, bool]:
         """Process the current commit with the chosen test scope.
@@ -212,7 +238,8 @@ class PipelineEnv:
         """
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
-        action = Action(action)
+        if not isinstance(action, Action):
+            action = Action(action)
         cfg = self._cfg
         commit = self._trace[self._cursor]
 
@@ -232,10 +259,7 @@ class PipelineEnv:
         self._cursor += 1
         self._done = self._cursor >= len(self._trace)
 
-        if self._done:
-            next_state = np.zeros(STATE_DIM, dtype=np.float64)
-        else:
-            next_state = encode_state(self._trace[self._cursor], self._history, cfg.state)
+        next_state = np.zeros(STATE_DIM, dtype=np.float64) if self._done else self._state()
 
         outcome = StepOutcome(
             test_minutes=test_minutes,

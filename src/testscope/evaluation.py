@@ -15,7 +15,7 @@ always-full baseline computed on the same traces as the reference for
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .network import QNetwork
 __all__ = [
     "Policy",
     "EpisodeStats",
+    "run_episodes",
     "run_episode",
     "MetricStat",
     "RunMetrics",
@@ -46,6 +47,8 @@ __all__ = [
     "adversarial_eval",
     "ConvergenceReport",
     "convergence_stats",
+    "uniform_policy_reward",
+    "exploration_corrected_curve",
     "comparison_rows",
     "comparison_to_dict",
     "sweep_rows",
@@ -73,6 +76,53 @@ class EpisodeStats:
     actions_taken: tuple[int, ...] | None = None  # per-commit actions, when recorded
 
 
+def run_episodes(
+    policies: Sequence[Policy],
+    trace: list[Commit],
+    escape_penalty: float,
+    env_cfg: EnvConfig,
+    seed: int = 0,
+    record_actions: bool = False,
+) -> list[EpisodeStats]:
+    """Play one trace under every policy in one pass; one stats entry per policy.
+
+    Each commit is observed once and then stepped through every policy's own
+    environment, so each policy meets the same detection draws and sees the
+    same states as when played alone. Policies are called in turn on each
+    commit: one policy object passed twice sees those calls interleaved.
+    """
+    if len(trace) != env_cfg.commits_per_episode:
+        raise ValueError(
+            f"trace length {len(trace)} != commits_per_episode "
+            f"{env_cfg.commits_per_episode}"
+        )
+    envs = [PipelineEnv(trace, env_cfg, seed=seed) for _ in policies]
+    states = [env.reset() for env in envs]
+    stats = [EpisodeStats(len(trace), 0.0, 0.0, 0, 0, 0, (0, 0, 0), 0.0) for _ in policies]
+    counts = [[0, 0, 0] for _ in policies]
+    taken: list[list[int]] = [[] for _ in policies]
+    for commit in trace:
+        seen = observe(commit)
+        for i, policy in enumerate(policies):
+            action = policy(states[i], seen)
+            if not isinstance(action, Action):
+                action = Action(action)
+            outcome, states[i], _ = envs[i].step(action, escape_penalty)
+            episode = stats[i]
+            episode.total_pipeline_minutes += outcome.pipeline_minutes
+            episode.total_test_minutes += outcome.test_minutes
+            episode.bugs_introduced += int(commit.has_bug)
+            episode.bugs_caught += int(outcome.detected)
+            episode.bugs_escaped += int(outcome.escaped)
+            episode.total_reward += outcome.reward
+            counts[i][action] += 1
+            taken[i].append(int(action))
+    for episode, actions, counted in zip(stats, taken, counts):
+        episode.action_counts = (counted[0], counted[1], counted[2])
+        episode.actions_taken = tuple(actions) if record_actions else None
+    return stats
+
+
 def run_episode(
     policy: Policy,
     trace: list[Commit],
@@ -82,50 +132,7 @@ def run_episode(
     record_actions: bool = False,
 ) -> EpisodeStats:
     """Play one trace under ``policy`` and accumulate episode statistics."""
-    if len(trace) != env_cfg.commits_per_episode:
-        raise ValueError(
-            f"trace length {len(trace)} != commits_per_episode "
-            f"{env_cfg.commits_per_episode}"
-        )
-    env = PipelineEnv(trace, env_cfg, seed=seed)
-    state = env.reset()
-
-    pipeline_minutes = 0.0
-    test_minutes = 0.0
-    introduced = caught = escaped = 0
-    counts = [0, 0, 0]
-    total_reward = 0.0
-    taken: list[int] = []
-
-    done = False
-    index = 0
-    while not done:
-        commit = trace[index]
-        action = Action(policy(state, observe(commit)))
-        outcome, state, done = env.step(action, escape_penalty)
-
-        pipeline_minutes += outcome.pipeline_minutes
-        test_minutes += outcome.test_minutes
-        introduced += int(commit.has_bug)
-        caught += int(outcome.detected)
-        escaped += int(outcome.escaped)
-        counts[action] += 1
-        total_reward += outcome.reward
-        if record_actions:
-            taken.append(int(action))
-        index += 1
-
-    return EpisodeStats(
-        commits=len(trace),
-        total_pipeline_minutes=pipeline_minutes,
-        total_test_minutes=test_minutes,
-        bugs_introduced=introduced,
-        bugs_caught=caught,
-        bugs_escaped=escaped,
-        action_counts=(counts[0], counts[1], counts[2]),
-        total_reward=total_reward,
-        actions_taken=tuple(taken) if record_actions else None,
-    )
+    return run_episodes([policy], trace, escape_penalty, env_cfg, seed, record_actions)[0]
 
 
 @dataclass
@@ -238,33 +245,31 @@ def compare_policies(
 
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
-    a policy named ``"static"``).
+    a :class:`StaticPolicy` unless actions are recorded). Each run's trace
+    is played in one pass by :func:`run_episodes`, the reference and every
+    policy together, so one policy object given under two names sees its
+    calls interleaved commit by commit.
     """
     if not policies:
         raise ValueError("need at least one policy")
-    static = StaticPolicy()
+    played = [n for n, p in policies.items() if record_actions or not isinstance(p, StaticPolicy)]
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
-
     reference: list[EpisodeStats] = []
     all_stats: dict[str, list[EpisodeStats]] = {name: [] for name in policies}
-    for i, run_seed in enumerate(run_seeds):
+    for run_seed in run_seeds:
         trace = generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(run_seed, 0))
-        env_seed = derive_seed(run_seed, 1)
-        ref_stats = run_episode(static, trace, escape_penalty, env_cfg, seed=env_seed)
+        ref_stats, *stats = run_episodes(
+            [StaticPolicy(), *(policies[name] for name in played)],
+            trace,
+            escape_penalty,
+            env_cfg,
+            seed=derive_seed(run_seed, 1),
+            record_actions=record_actions,
+        )
         reference.append(ref_stats)
-        for name, policy in policies.items():
-            if isinstance(policy, StaticPolicy) and not record_actions:
-                stats = replace(ref_stats)
-            else:
-                stats = run_episode(
-                    policy,
-                    trace,
-                    escape_penalty,
-                    env_cfg,
-                    seed=env_seed,
-                    record_actions=record_actions,
-                )
-            all_stats[name].append(stats)
+        by_name = dict(zip(played, stats))
+        for name in policies:
+            all_stats[name].append(by_name[name] if name in by_name else replace(ref_stats))
 
     static_report = compute_metrics(reference, reference, run_seeds)
     reports = {
@@ -364,27 +369,21 @@ def adversarial_eval(
     partial tests, the behavior diff-based policies exhibit on these traces.
     """
     cfg = adversarial(env_cfg)
-    comparison, all_stats = compare_policies(
-        {"policy": policy},
-        cfg,
-        escape_penalty,
-        n_runs=n_runs,
-        base_seed=base_seed,
-        record_actions=True,
-    )
     cutoff = cfg.generator.streak_diff_max
+    low_total = low_partial = 0
 
-    low_total = 0
-    low_partial = 0
-    for i, stats in enumerate(all_stats["policy"]):
-        run_seed = comparison.run_seeds[i]
-        trace = generate_trace(cfg, cfg.commits_per_episode, seed=derive_seed(run_seed, 0))
-        assert stats.actions_taken is not None
-        for commit, action in zip(trace, stats.actions_taken):
-            if commit.diff_size <= cutoff:
-                low_total += 1
-                low_partial += int(action == Action.PARTIAL_TESTS)
+    def counting(state: np.ndarray, commit: ObservedCommit) -> Action:
+        # tallies the commits of the trace being played, as they are played
+        nonlocal low_total, low_partial
+        action = policy(state, commit)
+        if commit.diff_size <= cutoff:
+            low_total += 1
+            low_partial += int(action == Action.PARTIAL_TESTS)
+        return action
 
+    comparison, _ = compare_policies(
+        {"policy": counting}, cfg, escape_penalty, n_runs=n_runs, base_seed=base_seed
+    )
     fraction = low_partial / low_total if low_total else 0.0
     return AdversarialReport(
         metrics=comparison.reports["policy"],
@@ -423,6 +422,40 @@ def convergence_stats(
         if std / abs(mean) < threshold:
             return ConvergenceReport(converged_episode=end, window=window, threshold=threshold)
     return ConvergenceReport(converged_episode=None, window=window, threshold=threshold)
+
+
+def uniform_policy_reward(env_cfg: EnvConfig, escape_penalty: float) -> float:
+    """Expected episode reward of the policy that picks every action uniformly."""
+    per_commit = np.mean(
+        [
+            minutes + escape_penalty * env_cfg.bug_probability * (1.0 - rate)
+            for minutes, rate in zip(env_cfg.test_minutes, env_cfg.detection_rates)
+        ]
+    )
+    return -env_cfg.commits_per_episode * float(per_commit)
+
+
+def exploration_corrected_curve(
+    log: TrainingLog, uniform_reward: float, window: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moving average of the greedy-policy reward implied by each training episode.
+
+    An episode played at exploration rate eps earns, in expectation,
+    ``eps * U + (1 - eps) * G`` with ``U`` the uniform-random reward (see
+    :func:`uniform_policy_reward`) and ``G`` the greedy policy's: a commit's
+    reward depends only on that commit and the action taken. So
+    ``g = (R - eps * U) / (1 - eps)`` estimates ``G`` without the exploration
+    cost (episodes at eps = 1 carry no information about ``G`` and are
+    dropped). Returns ``(episodes, curve)``, where ``episodes[i]`` is the
+    1-based number of the last training episode averaged into ``curve[i]``,
+    a mean over ``window`` kept episodes.
+    """
+    episodes = np.array([r.episode for r in log.records]) + 1
+    epsilon = np.array([r.epsilon for r in log.records])
+    keep = epsilon < 1.0
+    greedy = (log.rewards()[keep] - epsilon[keep] * uniform_reward) / (1.0 - epsilon[keep])
+    curve = np.convolve(greedy, np.ones(window) / window, mode="valid")
+    return episodes[keep][window - 1 :], curve
 
 
 # --------------------------------------------------------------------------

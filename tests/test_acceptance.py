@@ -45,7 +45,9 @@ from testscope.evaluation import (
     adversarial_eval,
     compare_policies,
     convergence_stats,
+    exploration_corrected_curve,
     penalty_sweep,
+    uniform_policy_reward,
 )
 from testscope.network import (
     AdamState,
@@ -311,44 +313,10 @@ class TestCriterion8AdversarialRobustness:
         )
 
 
-def uniform_policy_reward(env_cfg: EnvConfig, escape_penalty: float) -> float:
-    """Expected episode reward of the policy that picks every action uniformly."""
-    per_commit = np.mean(
-        [
-            minutes + escape_penalty * env_cfg.bug_probability * (1.0 - rate)
-            for minutes, rate in zip(env_cfg.test_minutes, env_cfg.detection_rates)
-        ]
-    )
-    return -env_cfg.commits_per_episode * float(per_commit)
-
-
-def exploration_corrected_curve(
-    log: TrainingLog, uniform_reward: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moving average of the greedy-policy reward implied by each training episode.
-
-    An episode played at exploration rate eps earns, in expectation,
-    ``eps * U + (1 - eps) * G`` with ``U`` the uniform-random reward and ``G``
-    the greedy policy's: a commit's reward depends only on that commit and
-    the action taken. So ``g = (R - eps * U) / (1 - eps)`` estimates ``G``
-    without the exploration cost (episodes at eps = 1 carry no information
-    about ``G`` and are dropped). Returns ``(episodes, curve)``, where
-    ``episodes[i]`` is the 1-based number of the last training episode
-    averaged into ``curve[i]``.
-    """
-    episodes = np.array([r.episode for r in log.records]) + 1
-    epsilon = np.array([r.epsilon for r in log.records])
-    keep = epsilon < 1.0
-    greedy = (log.rewards()[keep] - epsilon[keep] * uniform_reward) / (1.0 - epsilon[keep])
-    window = CONVERGENCE_WINDOW
-    curve = np.convolve(greedy, np.ones(window) / window, mode="valid")
-    return episodes[keep][window - 1 :], curve
-
-
 def corrected_convergence_episode(log: TrainingLog, escape_penalty: float) -> int | None:
     """Training episode at which the corrected curve converges, if it does."""
     episodes, curve = exploration_corrected_curve(
-        log, uniform_policy_reward(EnvConfig(), escape_penalty)
+        log, uniform_policy_reward(EnvConfig(), escape_penalty), window=CONVERGENCE_WINDOW
     )
     report = convergence_stats(curve, window=CONVERGENCE_WINDOW, threshold=0.03)
     if report.converged_episode is None:
@@ -373,7 +341,7 @@ class TestCriterion9Convergence:
                 for k, eps in enumerate(schedule)
             ]
         )
-        _, curve = exploration_corrected_curve(synthetic, uniform)
+        _, curve = exploration_corrected_curve(synthetic, uniform, window=CONVERGENCE_WINDOW)
         worst = float(np.max(np.abs(curve - greedy)))
         synthetic_episode = corrected_convergence_episode(synthetic, penalty)
         assert worst <= 1e-9 and synthetic_episode == 2 * CONVERGENCE_WINDOW, (

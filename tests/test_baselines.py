@@ -12,6 +12,7 @@ from testscope.baselines import (
     LogisticModel,
     _labeled_arrays,
     _newton_iterates,
+    _sigmoid,
     classifier_action,
     commit_features,
     heuristic_action,
@@ -123,6 +124,22 @@ class TestPredictRisk:
             predict_risk(model, make_commit(diff_size=d)) for d in range(0, 600, 25)
         ]
         assert all(a <= b for a, b in zip(risks, risks[1:]))
+
+
+    def test_matches_the_array_sigmoid_bit_for_bit(self):
+        def array_path(z: float) -> float:
+            return float(np.clip(float(_sigmoid(np.array([z]))[0]), 1e-15, 1.0 - 1e-15))
+
+        commit = make_commit()
+        logits = np.concatenate(
+            [np.linspace(-40.0, 40.0, 20_001), [0.0, -0.0, 745.0, -745.0, 746.0, -746.0]]
+        )
+        for z in logits:
+            assert predict_risk(flat_model(bias=float(z)), commit) == array_path(float(z))
+        model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
+        for commit in generate_trace(EnvConfig(), 2000, seed=12, mode="adversarial"):
+            z = float(commit_features(commit) @ model.weights + model.bias)
+            assert predict_risk(model, commit) == array_path(z)
 
 
 class TestTrainClassifier:
@@ -259,6 +276,22 @@ class TestClassifierPolicy:
             classifier_action(model, ClassifierThresholds(0.1, 0.5), commit)
             == Action.FULL_TESTS
         )
+
+    def test_strict_thresholds_at_computed_risks(self):
+        # a risk equal to a threshold goes to the more thorough tier; one ulp
+        # above it goes to the less thorough one
+        model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
+        for commit in generate_trace(EnvConfig(), 50, seed=4):
+            risk = predict_risk(model, commit)
+            above = float(np.nextafter(risk, 1.0))
+            cases = [
+                (ClassifierThresholds(risk, risk), Action.FULL_TESTS),
+                (ClassifierThresholds(risk, 1.0), Action.PARTIAL_TESTS),
+                (ClassifierThresholds(above, above), Action.SKIP_TESTS),
+                (ClassifierThresholds(0.0, above), Action.PARTIAL_TESTS),
+            ]
+            for thresholds, expected in cases:
+                assert classifier_action(model, thresholds, commit) == expected
 
     def test_monotone_in_risk(self):
         th = ClassifierThresholds()

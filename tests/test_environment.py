@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from testscope.commits import Commit, generate_trace
 from testscope.config import EnvConfig, StateConfig
@@ -292,3 +292,96 @@ class TestPipelineEnv:
         while not done:
             outcome, _, done = env.step(Action(int(rng.integers(3))), 7.0)
             assert outcome.reward == -outcome.test_minutes - 7.0 * outcome.escaped
+
+
+def formula_state(commit: Commit, cfg: StateConfig, detections, actions, prev_diff) -> np.ndarray:
+    """The 10-feature state written out in one expression, clipped once.
+
+    ``detections`` and ``actions`` are the outcomes and actions of every
+    commit processed before ``commit``; ``prev_diff`` is the last one's diff.
+    """
+    recent = detections[max(0, len(detections) - cfg.history_window):]
+    fraction = sum(recent) / len(recent) if recent else 0.0
+    fulls = [k for k, a in enumerate(actions) if a == Action.FULL_TESTS]
+    since = len(actions) - 1 - fulls[-1] if fulls else len(actions)
+    features = np.array(
+        [
+            min(commit.diff_size, cfg.diff_cap) / cfg.diff_cap,
+            min(commit.files_changed, cfg.files_cap) / cfg.files_cap,
+            commit.source_fraction,
+            commit.developer_defect_rate,
+            commit.developer_experience,
+            fraction,
+            1.0 if detections and detections[-1] else 0.0,
+            min(since, cfg.full_test_gap_cap) / cfg.full_test_gap_cap,
+            fraction,
+            min(prev_diff, cfg.diff_cap) / cfg.diff_cap,
+        ],
+        dtype=np.float64,
+    )
+    return np.clip(features, 0.0, 1.0)
+
+
+out_of_range_commits = st.builds(
+    make_commit,
+    diff_size=st.one_of(st.integers(-50, 0), st.integers(1, 5000)),
+    files_changed=st.integers(-5, 100),
+    source_fraction=st.floats(-1.0, 2.0),
+    developer_defect_rate=st.floats(-1.0, 2.0),
+    developer_experience=st.floats(-1.0, 2.0),
+    has_bug=st.booleans(),
+)
+
+
+class TestEncodingIsBitIdentical:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trace_seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 40),
+        odd=out_of_range_commits,
+        odd_at=st.integers(0, 40),
+        state_cfg=st.builds(
+            StateConfig,
+            diff_cap=st.integers(1, 600),
+            files_cap=st.integers(1, 30),
+            history_window=st.integers(1, 6),
+            full_test_gap_cap=st.integers(1, 8),
+        ),
+        env_seed=st.integers(0, 2**32 - 1),
+        # Action members and plain ints, one per commit of the longest trace
+        choices=st.lists(
+            st.one_of(st.sampled_from(list(Action)), st.integers(0, 2)), min_size=41, max_size=41
+        ),
+    )
+    def test_every_state_matches_the_formula(
+        self, trace_seed, length, odd, odd_at, state_cfg, env_seed, choices
+    ):
+        cfg = dataclasses.replace(EnvConfig(), bug_probability=0.5, state=state_cfg)
+        trace = generate_trace(cfg, length, seed=trace_seed)
+        trace.insert(min(odd_at, length), odd)
+        env = PipelineEnv(trace, cfg, seed=env_seed)
+        history = PipelineHistory(state_cfg)
+        detections, actions, prev_diff = [], [], 0
+        state, done = env.reset(), False
+        for commit, action in zip(trace, choices):
+            expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
+            assert state.tobytes() == expected.tobytes()
+            assert encode_state(commit, history, state_cfg).tobytes() == expected.tobytes()
+            outcome, state, done = env.step(action, 5.0)
+            history.update(Action(action), outcome.detected, commit)
+            detections.append(outcome.detected)
+            actions.append(Action(action))
+            prev_diff = commit.diff_size
+        assert done and state.tobytes() == np.zeros(STATE_DIM).tobytes()
+
+    @given(
+        outcomes=st.lists(st.booleans(), min_size=20, max_size=60),
+        window=st.integers(1, 6),
+    )
+    def test_failure_fraction_is_the_window_mean(self, outcomes, window):
+        history = PipelineHistory(StateConfig(history_window=window))
+        for k, detected in enumerate(outcomes):
+            history.update(Action.PARTIAL_TESTS, detected, make_commit())
+            recent = outcomes[max(0, k + 1 - window) : k + 1]
+            assert history.failure_fraction == sum(recent) / len(recent)
+            assert history.caught_fraction == history.failure_fraction

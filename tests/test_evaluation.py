@@ -5,9 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from testscope.baselines import AlwaysPolicy, HeuristicPolicy, StaticPolicy
+from testscope.agent import GreedyPolicy
+from testscope.baselines import (
+    AlwaysPolicy,
+    ClassifierPolicy,
+    HeuristicPolicy,
+    LogisticModel,
+    StaticPolicy,
+)
 from testscope.commits import generate_trace
-from testscope.config import EnvConfig
+from testscope.config import EnvConfig, adversarial, derive_seed
 from testscope.environment import Action
 from testscope.evaluation import (
     adversarial_eval,
@@ -18,11 +25,24 @@ from testscope.evaluation import (
     penalty_sweep,
     rows_to_csv,
     run_episode,
+    run_episodes,
 )
+from testscope.network import mlp_init
 
 
 def zero_bug_cfg() -> EnvConfig:
     return dataclasses.replace(EnvConfig(), bug_probability=0.0)
+
+
+def four_policies():
+    """static, heuristic, a classifier that uses all three tiers, an untrained net."""
+    model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
+    return [
+        StaticPolicy(),
+        HeuristicPolicy(),
+        ClassifierPolicy(model),
+        GreedyPolicy(mlp_init((16, 16), seed=4)),
+    ]
 
 
 def episode(policy, cfg=None, trace_seed=1, env_seed=2, penalty=5.0, **kwargs):
@@ -85,6 +105,40 @@ class TestRunEpisode:
         a = episode(HeuristicPolicy())
         b = episode(HeuristicPolicy())
         assert a == b
+
+
+class TestRunEpisodes:
+    @pytest.mark.parametrize("record_actions", [False, True])
+    def test_one_pass_equals_separate_episodes(self, record_actions):
+        cfg = EnvConfig()
+        policies = four_policies()
+        for trace_seed, env_seed in ((1, 2), (7, 9), (30, 4)):
+            trace = generate_trace(cfg, cfg.commits_per_episode, seed=trace_seed)
+            together = run_episodes(
+                policies, trace, 5.0, cfg, seed=env_seed, record_actions=record_actions
+            )
+            alone = [
+                run_episode(p, trace, 5.0, cfg, seed=env_seed, record_actions=record_actions)
+                for p in policies
+            ]
+            assert [dataclasses.asdict(s) for s in together] == [
+                dataclasses.asdict(s) for s in alone
+            ]
+        # the classifier uses every tier, so interleaving had something to break
+        assert all(together[2].action_counts)
+
+    def test_each_commit_observed_once_for_all_policies(self):
+        seen = []
+
+        def probing_policy(state, commit):
+            seen.append(commit)
+            return Action.PARTIAL_TESTS
+
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
+        run_episodes([probing_policy, probing_policy], trace, 5.0, cfg)
+        assert [c.id for c in seen[::2]] == [c.id for c in trace]
+        assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
 
 
 class TestComputeMetrics:
@@ -210,6 +264,32 @@ class TestAdversarialEval:
         # partial tests miss ~30% of the streak bugs, so some leakage shows up
         report = adversarial_eval(HeuristicPolicy(), EnvConfig(), escape_penalty=5.0, n_runs=5)
         assert report.metrics.dmr.mean > 0.0
+
+    @pytest.mark.parametrize("index", [1, 2], ids=["heuristic", "classifier"])
+    def test_matches_a_recount_on_regenerated_traces(self, index):
+        policy = four_policies()[index]
+        cfg, n_runs, base_seed = EnvConfig(), 4, 21
+        report = adversarial_eval(policy, cfg, escape_penalty=5.0, n_runs=n_runs, base_seed=base_seed)
+
+        stress = adversarial(cfg)
+        low_total = low_partial = 0
+        for i in range(n_runs):
+            run_seed = derive_seed(base_seed, i)
+            trace = generate_trace(stress, stress.commits_per_episode, seed=derive_seed(run_seed, 0))
+            stats = run_episode(
+                policy, trace, 5.0, stress, seed=derive_seed(run_seed, 1), record_actions=True
+            )
+            for commit, action in zip(trace, stats.actions_taken):
+                if commit.diff_size <= report.low_diff_cutoff:
+                    low_total += 1
+                    low_partial += action == Action.PARTIAL_TESTS
+        assert low_total > 0
+        assert report.low_diff_partial_fraction == low_partial / low_total
+
+        comparison, _ = compare_policies(
+            {"policy": policy}, stress, 5.0, n_runs=n_runs, base_seed=base_seed, record_actions=True
+        )
+        assert report.metrics == comparison.reports["policy"]
 
 
 class TestPenaltySweep:
