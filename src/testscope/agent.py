@@ -215,8 +215,7 @@ def train_agent(env_cfg: EnvConfig, cfg: TrainConfig) -> tuple[QNetwork, Trainin
 
     Per episode: play one fresh trace with the scheduled epsilon, then run one
     minibatch update per collected step (once the buffer can fill a batch).
-    The target network hard-syncs every ``target_sync_interval`` episodes; an
-    interval of 0 disables it and bootstraps from the live network instead.
+    The target network hard-syncs every ``target_sync_interval`` episodes.
     Bit-reproducible for a fixed ``cfg.seed``. The single-agent case of
     :func:`train_agents`.
     """
@@ -249,7 +248,7 @@ def train_agents(
     net = mlp_init(cfg.hidden_sizes, seed=derive_seed(cfg.seed, _STREAM_NET))
     if stack:
         net = net.stacked(len(penalties))
-    target_net = net if cfg.target_sync_interval == 0 else net.clone()
+    target_net = net.clone()
     adam = AdamState.for_params(net.flat)
     scratch = _Scratch() if stack else None
     # the run pushes one transition per commit; a buffer that never fills
@@ -300,7 +299,7 @@ def train_agents(
                         net, target_net, arrays, cfg.discount, adam, cfg.learning_rate, scratch
                     )
                 )
-        if cfg.target_sync_interval and (episode + 1) % cfg.target_sync_interval == 0:
+        if (episode + 1) % cfg.target_sync_interval == 0:
             target_net = net.clone()
 
         # each agent's losses are averaged along their own contiguous row, as

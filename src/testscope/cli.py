@@ -34,6 +34,7 @@ from .baselines import (
 )
 from .commits import generate_trace, trace_to_text
 from .config import ConfigError, ExperimentConfig, config_items, load_config
+from .environment import N_ACTIONS, STATE_DIM
 from .evaluation import (
     compare_policies,
     comparison_rows,
@@ -159,6 +160,17 @@ def _json_report(command: str, cfg: ExperimentConfig, body: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _load_agent(weights: str) -> QNetwork:
+    net = load_policy(weights, expect_kind=KIND_QNETWORK)
+    assert isinstance(net, QNetwork)
+    if (net.input_dim, net.output_dim) != (STATE_DIM, N_ACTIONS):
+        raise WeightFileError(
+            f"{weights}: the network maps {net.input_dim} inputs to {net.output_dim} "
+            f"Q-values, expected {STATE_DIM} state features to {N_ACTIONS} actions"
+        )
+    return net
+
+
 def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
     if name == "static":
         return StaticPolicy()
@@ -175,9 +187,7 @@ def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
     if name == "rl":
         if weights is None:
             raise ConfigError("the rl policy needs --weights pointing at a trained agent")
-        net = load_policy(weights, expect_kind=KIND_QNETWORK)
-        assert isinstance(net, QNetwork)
-        return GreedyPolicy(net)
+        return GreedyPolicy(_load_agent(weights))
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -231,8 +241,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # milliseconds instead of after the agent has trained
     classifier = _make_policy("classifier", cfg, None)
     if args.weights is not None:
-        net = load_policy(args.weights, expect_kind=KIND_QNETWORK)
-        assert isinstance(net, QNetwork)
+        net = _load_agent(args.weights)
     else:
         net, _ = train_agent(cfg.env, cfg.train)
     policies = {

@@ -2,14 +2,16 @@
 
 Dataclasses with the default simulation and training parameters, a parser
 for the plain-text ``key = value`` config format, and deterministic seed
-derivation. Every numeric default can be overridden through a config file;
-unknown keys are rejected so typos fail loudly instead of silently using a
-default.
+derivation. Every field can be overridden through a config file: the keys
+are derived from the dataclass fields, so a new field is a new key. Unknown
+keys are rejected so typos fail loudly instead of silently using a default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial, reduce
 from pathlib import Path
 from typing import Any, Callable
 
@@ -128,9 +130,7 @@ class TrainConfig:
     buffer_capacity: int = 10000
     minibatch_size: int = 64
     hidden_sizes: tuple[int, ...] = (64, 64)  # one width per hidden layer
-    # episodes between hard target-network syncs; 0 disables the frozen
-    # target entirely (bootstrap targets come from the live network)
-    target_sync_interval: int = 10
+    target_sync_interval: int = 10  # episodes between hard target-network syncs
     escape_penalty: float = 5.0
     seed: int = 0
 
@@ -173,39 +173,25 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    value = int(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_choice(*choices: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {choices}, got {text!r}")
-        return text
-
-    return parse
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(parse_item: Callable[[str], Any], text: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
-        raise ValueError("expected one or more comma-separated integers")
-    return tuple(int(p) for p in parts)
+        raise ValueError("expected one or more comma-separated values")
+    return tuple(parse_item(p) for p in parts)
+
+
+# the parser of a scalar field, looked up by the type of its default value
+_PARSERS: dict[type, Callable[[str], Any]] = {float: _parse_float, int: int, str: str}
+
+# per-action tuple fields take one key per action, named by these patterns
+_ACTIONS = ("full", "partial", "skip")
+_ACTION_KEYS = {"test_minutes": "{}_test_minutes", "detection_rates": "{}_detection_rate"}
 
 
 def _format_value(value: Any) -> str:
@@ -216,125 +202,48 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-# key -> (attribute path under ExperimentConfig, parser)
-CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {
-    # pipeline environment
-    "env.bug_probability": (("env", "bug_probability"), _parse_float),
-    "env.full_test_minutes": (("env", "test_minutes", 0), _parse_float),
-    "env.partial_test_minutes": (("env", "test_minutes", 1), _parse_float),
-    "env.skip_test_minutes": (("env", "test_minutes", 2), _parse_float),
-    "env.full_detection_rate": (("env", "detection_rates", 0), _parse_float),
-    "env.partial_detection_rate": (("env", "detection_rates", 1), _parse_float),
-    "env.skip_detection_rate": (("env", "detection_rates", 2), _parse_float),
-    "env.escape_delay_minutes": (("env", "escape_delay_minutes"), _parse_float),
-    "env.build_minutes": (("env", "build_minutes"), _parse_float),
-    "env.deploy_minutes": (("env", "deploy_minutes"), _parse_float),
-    "env.commits_per_episode": (("env", "commits_per_episode"), _parse_int),
-    "env.trace_mode": (("env", "trace_mode"), _parse_choice("standard", "adversarial")),
-    # commit generator
-    "generator.clean_diff_log_mean": (("env", "generator", "clean_diff_log_mean"), _parse_float),
-    "generator.buggy_diff_log_mean": (("env", "generator", "buggy_diff_log_mean"), _parse_float),
-    "generator.diff_log_sigma": (("env", "generator", "diff_log_sigma"), _parse_float),
-    "generator.lines_per_file": (("env", "generator", "lines_per_file"), _parse_float),
-    "generator.defect_rate_alpha": (("env", "generator", "defect_rate_alpha"), _parse_float),
-    "generator.defect_rate_beta": (("env", "generator", "defect_rate_beta"), _parse_float),
-    "generator.buggy_defect_rate_shift": (
-        ("env", "generator", "buggy_defect_rate_shift"),
-        _parse_float,
-    ),
-    "generator.clean_source_alpha": (("env", "generator", "clean_source_alpha"), _parse_float),
-    "generator.clean_source_beta": (("env", "generator", "clean_source_beta"), _parse_float),
-    "generator.buggy_source_alpha": (("env", "generator", "buggy_source_alpha"), _parse_float),
-    "generator.buggy_source_beta": (("env", "generator", "buggy_source_beta"), _parse_float),
-    "generator.clean_experience_alpha": (
-        ("env", "generator", "clean_experience_alpha"),
-        _parse_float,
-    ),
-    "generator.clean_experience_beta": (
-        ("env", "generator", "clean_experience_beta"),
-        _parse_float,
-    ),
-    "generator.buggy_experience_alpha": (
-        ("env", "generator", "buggy_experience_alpha"),
-        _parse_float,
-    ),
-    "generator.buggy_experience_beta": (
-        ("env", "generator", "buggy_experience_beta"),
-        _parse_float,
-    ),
-    "generator.streak_length": (("env", "generator", "streak_length"), _parse_int),
-    "generator.burst_length": (("env", "generator", "burst_length"), _parse_int),
-    "generator.streak_diff_min": (("env", "generator", "streak_diff_min"), _parse_int),
-    "generator.streak_diff_max": (("env", "generator", "streak_diff_max"), _parse_int),
-    "generator.burst_diff_min": (("env", "generator", "burst_diff_min"), _parse_int),
-    "generator.burst_diff_max": (("env", "generator", "burst_diff_max"), _parse_int),
-    # state encoding
-    "state.diff_cap": (("env", "state", "diff_cap"), _parse_int),
-    "state.files_cap": (("env", "state", "files_cap"), _parse_int),
-    "state.history_window": (("env", "state", "history_window"), _parse_int),
-    "state.full_test_gap_cap": (("env", "state", "full_test_gap_cap"), _parse_int),
-    # training
-    "train.episodes": (("train", "episodes"), _parse_int),
-    "train.discount": (("train", "discount"), _parse_float),
-    "train.learning_rate": (("train", "learning_rate"), _parse_float),
-    "train.epsilon_start": (("train", "epsilon_start"), _parse_float),
-    "train.epsilon_end": (("train", "epsilon_end"), _parse_float),
-    "train.buffer_capacity": (("train", "buffer_capacity"), _parse_int),
-    "train.minibatch_size": (("train", "minibatch_size"), _parse_int),
-    "train.hidden_sizes": (("train", "hidden_sizes"), _parse_ints),
-    "train.target_sync_interval": (("train", "target_sync_interval"), _parse_int),
-    "train.escape_penalty": (("train", "escape_penalty"), _parse_float),
-    "train.seed": (("train", "seed"), _parse_int),
-    # evaluation
-    "eval.n_runs": (("eval", "n_runs"), _parse_int),
-    "eval.seed": (("eval", "seed"), _parse_int),
-    "eval.penalties": (("eval", "penalties"), _parse_floats),
-    # risk classifier
-    "classifier.tau_skip": (("classifier", "tau_skip"), _parse_float),
-    "classifier.tau_partial": (("classifier", "tau_partial"), _parse_float),
-    "classifier.train_size": (("classifier", "train_size"), _parse_int),
-    "classifier.train_seed": (("classifier", "train_seed"), _parse_int),
-    "classifier.l2_penalty": (("classifier", "l2_penalty"), _parse_float),
-    "classifier.max_iterations": (("classifier", "max_iterations"), _parse_int),
-    "classifier.tolerance": (("classifier", "tolerance"), _parse_float),
-    # output
-    "output_dir": (("output_dir",), _parse_str),
-}
+# (field path under ExperimentConfig, tuple index or None, parser)
+_Key = tuple[tuple[str, ...], int | None, Callable[[str], Any]]
 
 
-def _get_path(cfg: ExperimentConfig, path: tuple) -> Any:
-    node: Any = cfg
-    for part in path:
-        node = node[part] if isinstance(part, int) else getattr(node, part)
-    return node
+def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> dict[str, _Key]:
+    """One key per field in declaration order; a nested section prefixes its own name."""
+    keys: dict[str, _Key] = {}
+    for f in fields(section):
+        value, where = getattr(section, f.name), (*path, f.name)
+        if is_dataclass(value):
+            keys.update(_derive_keys(value, where, f"{f.name}."))
+        elif f.name in _ACTION_KEYS:
+            parse = _PARSERS[type(value[0])]
+            for i, action in enumerate(_ACTIONS):
+                keys[prefix + _ACTION_KEYS[f.name].format(action)] = (where, i, parse)
+        elif isinstance(value, tuple):
+            keys[prefix + f.name] = (where, None, partial(_parse_list, _PARSERS[type(value[0])]))
+        else:
+            keys[prefix + f.name] = (where, None, _PARSERS[type(value)])
+    return keys
 
 
-def _set_path(cfg: ExperimentConfig, path: tuple, value: Any) -> None:
-    node: Any = cfg
-    for part in path[:-1]:
-        if isinstance(part, int):
-            raise AssertionError("tuple elements must be path leaves")
-        node = getattr(node, part)
-    last = path[-1]
-    if isinstance(last, int):
-        raise AssertionError("tuple elements are set via _set_tuple_path")
-    setattr(node, last, value)
+CONFIG_KEYS: dict[str, _Key] = _derive_keys(ExperimentConfig())
 
 
-def _set_value(cfg: ExperimentConfig, path: tuple, value: Any) -> None:
-    if isinstance(path[-1], int):
-        # value is one entry of a tuple field (e.g. per-action test minutes)
-        holder_path, index = path[:-1], path[-1]
-        current = list(_get_path(cfg, holder_path))
-        current[index] = value
-        _set_path(cfg, holder_path, tuple(current))
-    else:
-        _set_path(cfg, path, value)
+def _get(cfg: ExperimentConfig, path: tuple[str, ...], index: int | None) -> Any:
+    value = reduce(getattr, path, cfg)
+    return value if index is None else value[index]
+
+
+def _set(cfg: ExperimentConfig, path: tuple[str, ...], index: int | None, value: Any) -> None:
+    owner = reduce(getattr, path[:-1], cfg)
+    if index is not None:
+        items = list(getattr(owner, path[-1]))
+        items[index] = value
+        value = tuple(items)
+    setattr(owner, path[-1], value)
 
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """All config keys with their current values, formatted for the file format."""
-    return [(key, _format_value(_get_path(cfg, path))) for key, (path, _) in CONFIG_KEYS.items()]
+    return [(key, _format_value(_get(cfg, path, i))) for key, (path, i, _) in CONFIG_KEYS.items()]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -355,12 +264,12 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        path, parser = CONFIG_KEYS[key]
+        path, index, parse = CONFIG_KEYS[key]
         try:
-            parsed = parser(value)
+            parsed = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
-        _set_value(cfg, path, parsed)
+        _set(cfg, path, index, parsed)
     validate_experiment(cfg)
     return cfg
 
@@ -411,7 +320,11 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
                 "(a commit could take 0 minutes)",
             )
     _check(env.commits_per_episode >= 1, "env.commits_per_episode", "must be >= 1")
-    _check(env.trace_mode in ("standard", "adversarial"), "env.trace_mode", "invalid mode")
+    _check(
+        env.trace_mode in ("standard", "adversarial"),
+        "env.trace_mode",
+        f"must be 'standard' or 'adversarial', got {env.trace_mode!r}",
+    )
 
     _check(gen.diff_log_sigma > 0.0, "generator.diff_log_sigma", "must be > 0")
     _check(gen.lines_per_file > 0.0, "generator.lines_per_file", "must be > 0")
@@ -467,11 +380,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         "need 1 <= minibatch_size <= buffer_capacity",
     )
     _check(all(h >= 1 for h in train.hidden_sizes), "train.hidden_sizes", "widths must be >= 1")
-    _check(
-        train.target_sync_interval >= 0,
-        "train.target_sync_interval",
-        "must be >= 0 (0 disables the target network)",
-    )
+    _check(train.target_sync_interval >= 1, "train.target_sync_interval", "must be >= 1")
     _check(train.escape_penalty >= 0.0, "train.escape_penalty", "must be >= 0")
     _check(train.seed >= 0, "train.seed", "must be >= 0")
 

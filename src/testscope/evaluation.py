@@ -73,7 +73,6 @@ class EpisodeStats:
     bugs_escaped: int
     action_counts: tuple[int, int, int]
     total_reward: float
-    actions_taken: tuple[int, ...] | None = None  # per-commit actions, when recorded
 
 
 def run_episodes(
@@ -82,7 +81,6 @@ def run_episodes(
     escape_penalty: float,
     env_cfg: EnvConfig,
     seed: int = 0,
-    record_actions: bool = False,
 ) -> list[EpisodeStats]:
     """Play one trace under every policy in one pass; one stats entry per policy.
 
@@ -100,7 +98,6 @@ def run_episodes(
     states = [env.reset() for env in envs]
     stats = [EpisodeStats(len(trace), 0.0, 0.0, 0, 0, 0, (0, 0, 0), 0.0) for _ in policies]
     counts = [[0, 0, 0] for _ in policies]
-    taken: list[list[int]] = [[] for _ in policies]
     for commit in trace:
         seen = observe(commit)
         for i, policy in enumerate(policies):
@@ -116,10 +113,8 @@ def run_episodes(
             episode.bugs_escaped += int(outcome.escaped)
             episode.total_reward += outcome.reward
             counts[i][action] += 1
-            taken[i].append(int(action))
-    for episode, actions, counted in zip(stats, taken, counts):
+    for episode, counted in zip(stats, counts):
         episode.action_counts = (counted[0], counted[1], counted[2])
-        episode.actions_taken = tuple(actions) if record_actions else None
     return stats
 
 
@@ -129,10 +124,9 @@ def run_episode(
     escape_penalty: float,
     env_cfg: EnvConfig,
     seed: int = 0,
-    record_actions: bool = False,
 ) -> EpisodeStats:
     """Play one trace under ``policy`` and accumulate episode statistics."""
-    return run_episodes([policy], trace, escape_penalty, env_cfg, seed, record_actions)[0]
+    return run_episodes([policy], trace, escape_penalty, env_cfg, seed)[0]
 
 
 @dataclass
@@ -239,20 +233,19 @@ def compare_policies(
     escape_penalty: float,
     n_runs: int = 5,
     base_seed: int = 1000,
-    record_actions: bool = False,
 ) -> tuple[ComparisonReport, dict[str, list[EpisodeStats]]]:
     """Evaluate every policy on the same seeded traces.
 
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
-    a :class:`StaticPolicy` unless actions are recorded). Each run's trace
+    every :class:`StaticPolicy`). Each run's trace
     is played in one pass by :func:`run_episodes`, the reference and every
     policy together, so one policy object given under two names sees its
     calls interleaved commit by commit.
     """
     if not policies:
         raise ValueError("need at least one policy")
-    played = [n for n, p in policies.items() if record_actions or not isinstance(p, StaticPolicy)]
+    played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
     reference: list[EpisodeStats] = []
     all_stats: dict[str, list[EpisodeStats]] = {name: [] for name in policies}
@@ -264,7 +257,6 @@ def compare_policies(
             escape_penalty,
             env_cfg,
             seed=derive_seed(run_seed, 1),
-            record_actions=record_actions,
         )
         reference.append(ref_stats)
         by_name = dict(zip(played, stats))

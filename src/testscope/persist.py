@@ -130,6 +130,8 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
         raise WeightFileError(f"cannot read weight file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise WeightFileError(f"{path} is not a valid weight file (truncated?): {exc}") from None
+    if not isinstance(document, dict):
+        raise WeightFileError(f"{path} is not a weight file: expected a JSON object")
 
     version = document.get("format_version")
     if version != WEIGHT_FORMAT_VERSION:
@@ -177,14 +179,12 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
             raise WeightFileError(
                 f"{path}: {weights.size} logistic weights, expected {len(CLASSIFIER_FEATURES)}"
             )
-        state_cfg = StateConfig(
-            diff_cap=int(document.get("diff_cap", StateConfig().diff_cap)),
-            files_cap=int(document.get("files_cap", StateConfig().files_cap)),
-        )
-        return LogisticModel(
-            weights=weights,
-            bias=bias,
-            state_cfg=state_cfg,
-        )
+        caps = {}
+        for name in ("diff_cap", "files_cap"):
+            cap = document.get(name, getattr(StateConfig(), name))
+            if type(cap) is not int or cap < 1:
+                raise WeightFileError(f"{path}: {name} must be an integer >= 1, got {cap!r}")
+            caps[name] = cap
+        return LogisticModel(weights=weights, bias=bias, state_cfg=StateConfig(**caps))
 
     raise WeightFileError(f"{path}: unknown model kind {kind!r}")

@@ -6,8 +6,8 @@ import pytest
 
 from testscope.cli import run_command
 from testscope.commits import read_trace
-from testscope.network import QNetwork
-from testscope.persist import load_policy
+from testscope.network import QNetwork, mlp_init
+from testscope.persist import load_policy, save_policy
 
 TINY_CONFIG = """\
 # small experiment for fast end-to-end runs
@@ -199,6 +199,25 @@ class TestErrors:
     def test_negative_seed(self, capsys):
         assert run_command(["trace-gen", "--seed", "-3", "--out", "/tmp/x"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes, command",
+        [
+            ({"input_dim": 5}, ["eval", "--policy", "rl"]),
+            ({"output_dim": 4}, ["eval", "--policy", "rl"]),
+            ({"input_dim": 5}, ["compare"]),
+        ],
+    )
+    def test_agent_of_the_wrong_shape(self, tmp_path, tiny_config, capsys, sizes, command):
+        weights = tmp_path / "odd.json"
+        save_policy(weights, mlp_init((8,), seed=0, **sizes))
+        out = tmp_path / "r"
+        argv = [*command, "--weights", str(weights), "--config", tiny_config, "--out", str(out)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {weights}: the network maps")
+        assert "expected 10 state features to 3 actions" in err
+        assert not out.exists()
 
     def test_classifier_fit_that_does_not_converge(self, tmp_path, capsys):
         config = tmp_path / "capped.cfg"

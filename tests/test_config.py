@@ -1,9 +1,11 @@
 """Config parsing, defaults, validation, and seed derivation."""
 
+import hashlib
 import re
 
 import pytest
 
+from testscope import cli
 from testscope.config import (
     CONFIG_KEYS,
     ConfigError,
@@ -14,6 +16,29 @@ from testscope.config import (
     parse_config_text,
     validate_experiment,
 )
+
+
+DEFAULT_ITEMS = config_items(ExperimentConfig())
+
+
+def changed_value(key: str, text: str) -> str:
+    """A valid value other than the default ``text``, in the file format.
+
+    Floats halve (0 becomes 0.5) and integers grow by one, element by element
+    for lists; each such change alone, or all of them together, validates.
+    """
+    if key == "env.trace_mode":
+        return "adversarial"
+    if key == "output_dir":
+        return text + "-elsewhere"
+
+    def change(part: str) -> str:
+        if "." in part or "e" in part:
+            value = float(part)
+            return repr(value / 2 if value else 0.5)
+        return str(int(part) + 1)
+
+    return ",".join(change(part) for part in text.split(","))
 
 
 class TestDefaults:
@@ -88,9 +113,50 @@ class TestParsing:
         text = "\n".join(f"{key} = {value}" for key, value in config_items(default))
         assert parse_config_text(text) == default
 
+    def test_every_changed_key_round_trips(self):
+        changed = [(key, changed_value(key, value)) for key, value in DEFAULT_ITEMS]
+        cfg = parse_config_text("\n".join(f"{key} = {value}" for key, value in changed))
+        assert config_items(cfg) == changed
+        assert all(value != default for (_, value), (_, default) in zip(changed, DEFAULT_ITEMS))
+
+    def test_each_key_sets_its_own_field(self):
+        # a key that wrote another key's field would change two snapshot lines
+        for key, value in DEFAULT_ITEMS:
+            cfg = parse_config_text(f"{key} = {changed_value(key, value)}\n")
+            moved = [k for (k, v), (_, d) in zip(config_items(cfg), DEFAULT_ITEMS) if v != d]
+            assert moved == [key]
+
     def test_snapshot_covers_every_key(self):
         keys = {key for key, _ in config_items(ExperimentConfig())}
         assert keys == set(CONFIG_KEYS)
+
+    def test_default_snapshot_is_pinned(self):
+        # reports embed these lines: any change of key order or value
+        # formatting changes every report's bytes
+        lines = cli._snapshot_lines("sweep", ExperimentConfig())
+        assert len(lines) == 60
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "77689367d36c159ce23d1bc12af66d7d3770b2516af4102cc1226c910d347de0"
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("train.learning_rate", "nan"),
+            ("train.learning_rate", "inf"),
+            ("train.learning_rate", "-inf"),
+            ("eval.penalties", "1,nan"),
+            ("eval.penalties", "inf,2"),
+            ("eval.penalties", "1,,2"),
+            ("eval.penalties", "1,2,"),
+        ],
+    )
+    def test_non_finite_floats_and_empty_list_parts_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=re.escape(f"<config>:2: bad value for {key}: ")):
+            parse_config_text(f"train.episodes = 3\n{key} = {text}\n")
+
+    def test_unknown_trace_mode_lists_the_modes(self):
+        with pytest.raises(ConfigError, match="env.trace_mode: must be 'standard' or 'adversarial'"):
+            parse_config_text("env.trace_mode = stress\n")
 
 
 class TestValidation:
@@ -105,6 +171,10 @@ class TestValidation:
     def test_thresholds_ordering(self):
         with pytest.raises(ConfigError, match="classifier.tau_skip"):
             parse_config_text("classifier.tau_skip = 0.5\nclassifier.tau_partial = 0.2\n")
+
+    def test_target_sync_interval_must_be_positive(self):
+        with pytest.raises(ConfigError, match=r"train.target_sync_interval: must be >= 1"):
+            parse_config_text("train.target_sync_interval = 0\n")
 
     def test_discount_range(self):
         with pytest.raises(ConfigError, match="train.discount"):

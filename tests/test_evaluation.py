@@ -45,6 +45,19 @@ def four_policies():
     ]
 
 
+class Recording:
+    """Plays ``policy`` and records every action it returns, in order."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.actions = []
+
+    def __call__(self, state, commit):
+        action = self.policy(state, commit)
+        self.actions.append(int(action))
+        return action
+
+
 def episode(policy, cfg=None, trace_seed=1, env_seed=2, penalty=5.0, **kwargs):
     cfg = cfg or EnvConfig()
     trace = generate_trace(cfg, cfg.commits_per_episode, seed=trace_seed)
@@ -95,10 +108,10 @@ class TestRunEpisode:
             assert not hasattr(commit, "risk_score")
 
     def test_recorded_actions(self):
-        stats = episode(HeuristicPolicy(), record_actions=True)
-        assert stats.actions_taken is not None
-        assert len(stats.actions_taken) == stats.commits
-        counted = tuple(stats.actions_taken.count(a) for a in range(3))
+        policy = Recording(HeuristicPolicy())
+        stats = episode(policy)
+        assert len(policy.actions) == stats.commits
+        counted = tuple(policy.actions.count(a) for a in range(3))
         assert counted == stats.action_counts
 
     def test_deterministic(self):
@@ -110,20 +123,22 @@ class TestRunEpisode:
 class TestRunEpisodes:
     @pytest.mark.parametrize("record_actions", [False, True])
     def test_one_pass_equals_separate_episodes(self, record_actions):
+        # recorded, the per-commit actions must agree as well as the totals
         cfg = EnvConfig()
         policies = four_policies()
+        wrap = Recording if record_actions else lambda policy: policy
         for trace_seed, env_seed in ((1, 2), (7, 9), (30, 4)):
             trace = generate_trace(cfg, cfg.commits_per_episode, seed=trace_seed)
-            together = run_episodes(
-                policies, trace, 5.0, cfg, seed=env_seed, record_actions=record_actions
-            )
-            alone = [
-                run_episode(p, trace, 5.0, cfg, seed=env_seed, record_actions=record_actions)
-                for p in policies
-            ]
+            played_together = [wrap(p) for p in policies]
+            played_alone = [wrap(p) for p in policies]
+            together = run_episodes(played_together, trace, 5.0, cfg, seed=env_seed)
+            alone = [run_episode(p, trace, 5.0, cfg, seed=env_seed) for p in played_alone]
             assert [dataclasses.asdict(s) for s in together] == [
                 dataclasses.asdict(s) for s in alone
             ]
+            if record_actions:
+                assert [p.actions for p in played_together] == [p.actions for p in played_alone]
+                assert all(len(p.actions) == cfg.commits_per_episode for p in played_together)
         # the classifier uses every tier, so interleaving had something to break
         assert all(together[2].action_counts)
 
@@ -276,10 +291,9 @@ class TestAdversarialEval:
         for i in range(n_runs):
             run_seed = derive_seed(base_seed, i)
             trace = generate_trace(stress, stress.commits_per_episode, seed=derive_seed(run_seed, 0))
-            stats = run_episode(
-                policy, trace, 5.0, stress, seed=derive_seed(run_seed, 1), record_actions=True
-            )
-            for commit, action in zip(trace, stats.actions_taken):
+            recording = Recording(policy)
+            run_episode(recording, trace, 5.0, stress, seed=derive_seed(run_seed, 1))
+            for commit, action in zip(trace, recording.actions, strict=True):
                 if commit.diff_size <= report.low_diff_cutoff:
                     low_total += 1
                     low_partial += action == Action.PARTIAL_TESTS
@@ -287,7 +301,7 @@ class TestAdversarialEval:
         assert report.low_diff_partial_fraction == low_partial / low_total
 
         comparison, _ = compare_policies(
-            {"policy": policy}, stress, 5.0, n_runs=n_runs, base_seed=base_seed, record_actions=True
+            {"policy": policy}, stress, 5.0, n_runs=n_runs, base_seed=base_seed
         )
         assert report.metrics == comparison.reports["policy"]
 

@@ -98,6 +98,26 @@ class TestGuards:
         with pytest.raises(WeightFileError, match="6 logistic weights, expected 5"):
             load_policy(path)
 
+    @pytest.mark.parametrize("name", ["diff_cap", "files_cap"])
+    @pytest.mark.parametrize("cap", [0, "abc", 2.5])
+    def test_logistic_caps_checked_at_load(self, tmp_path, name, cap):
+        # the caps divide the features at every prediction; the checksum
+        # covers only the arrays, so an edited cap reaches this check
+        path = tmp_path / "clf.json"
+        save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
+        document = json.loads(path.read_text())
+        document[name] = cap
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match=f"{name} must be an integer >= 1, got {cap!r}"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("document", [[1, 2], "q_network", 3, None])
+    def test_json_that_is_not_an_object(self, tmp_path, document):
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match="expected a JSON object"):
+            load_policy(path)
+
     def test_kind_mismatch(self, tmp_path, trained_net):
         path = tmp_path / "agent.json"
         save_policy(path, trained_net)
