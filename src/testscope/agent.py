@@ -3,7 +3,9 @@
 Training runs episode by episode. Each episode plays a freshly generated
 commit trace with epsilon-greedy actions, stores every transition, and then
 performs one minibatch update per collected step. A frozen copy of the
-network provides bootstrap targets and is re-synced every few episodes.
+network provides bootstrap targets and is re-synced every few episodes; the
+replay buffer keeps each transition's bootstrap value from one sync to the
+next, so an update runs no target forward pass.
 Everything is deterministic given the training seed.
 
 Agents that share a seed and differ only in the escape penalty draw the same
@@ -24,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commits import generate_trace
-from .config import EnvConfig, TrainConfig, derive_seed
+from .config import EnvConfig, TrainConfig, derive_seed, validate_env, validate_train
 from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM
 from .network import (
     AdamState,
     QNetwork,
     _Scratch,
     adam_update,
+    bootstrap_values,
     mlp_forward,
     mlp_init,
     td_loss_and_grads,
@@ -74,13 +77,19 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO store of transitions.
+    """Fixed-capacity FIFO store of transitions and their bootstrap values.
 
     Backed by preallocated column arrays so minibatch assembly is one take
     per column. Once full, every push overwrites the oldest entry. With
     ``stack=(K,)`` every column gains a leading agent axis: each push stores
     one transition per agent and each sample draws the same slots for all of
     them.
+
+    Besides the transition, each slot keeps the frozen target network's
+    ``bootstrap_values`` of its next state, which stays valid until the
+    target network changes. A push and ``mark_stale`` (called at every
+    target sync) leave slots stale; ``refill`` recomputes the stale ones, and
+    ``sample_batch`` refuses to sample while any slot is stale.
     """
 
     def __init__(self, capacity: int, state_dim: int = STATE_DIM, stack: tuple[int, ...] = ()):
@@ -92,6 +101,9 @@ class ReplayBuffer:
         self._rewards = np.zeros((*stack, capacity))
         self._next_states = np.zeros((*stack, capacity, state_dim))
         self._dones = np.zeros((*stack, capacity))
+        self._next_values = np.zeros((*stack, capacity))
+        self._stale = np.zeros(capacity, dtype=bool)  # shared by every agent
+        self._any_stale = False
         self._head = 0  # next write slot
         self._size = 0
 
@@ -105,24 +117,47 @@ class ReplayBuffer:
         self._rewards[..., i] = transition.reward
         self._next_states[..., i, :] = transition.next_state
         self._dones[..., i] = float(transition.done)
+        self._stale[i] = self._any_stale = True
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
+
+    def mark_stale(self) -> None:
+        """Mark every stored bootstrap value stale (the target network changed)."""
+        self._stale[: self._size] = self._any_stale = True
+
+    def refill(self, target_net: QNetwork, chunk: int) -> None:
+        """Recompute the stale slots' bootstrap values with ``target_net``.
+
+        The stale slots go through ``bootstrap_values`` in calls of exactly
+        ``chunk`` rows, the last one padded, so that with ``chunk`` equal to
+        the minibatch size every value has the bits that a forward pass over
+        a sampled minibatch would give it.
+        """
+        slots = np.flatnonzero(self._stale)
+        padded = np.resize(slots, -(-slots.size // chunk) * chunk)
+        for start in range(0, slots.size, chunk):
+            rows = slots[start : start + chunk]
+            next_states = self._next_states.take(padded[start : start + chunk], axis=-2)
+            self._next_values[..., rows] = bootstrap_values(target_net, next_states)[..., : rows.size]
+        self._stale[slots] = self._any_stale = False
 
     def sample_batch(
         self, k: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``k`` transitions drawn uniformly without replacement, as stacked
-        ``(states, actions, rewards, next_states, dones)`` column arrays."""
+        ``(states, actions, rewards, next_values, dones)`` column arrays."""
         if k < 0:
             raise ValueError(f"sample size must be >= 0, got {k}")
         if k > self._size:
             raise ValueError(f"cannot sample {k} transitions from a buffer of {self._size}")
+        if self._any_stale:
+            raise RuntimeError("the buffer holds stale bootstrap values; refill it first")
         slots = rng.choice(self._size, size=k, replace=False)
         return (
             self._states.take(slots, axis=-2),
             self._actions.take(slots, axis=-1),
             self._rewards.take(slots, axis=-1),
-            self._next_states.take(slots, axis=-2),
+            self._next_values.take(slots, axis=-1),
             self._dones.take(slots, axis=-1),
         )
 
@@ -170,18 +205,16 @@ def epsilon_schedule(episode: int, cfg: TrainConfig) -> float:
 
 def _train_step_arrays(
     net: QNetwork,
-    target_net: QNetwork,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     discount: float,
     adam: AdamState,
     lr: float,
     scratch: _Scratch | None = None,
 ) -> float | np.ndarray:
-    """One Adam step on the minibatch TD loss; returns the pre-update loss.
-
-    Only ``net`` moves; the target network stays frozen.
-    """
-    loss, grad = td_loss_and_grads(net, target_net, *arrays, discount=discount, scratch=scratch)
+    """One Adam step on the TD loss of a ``sample_batch`` minibatch; returns
+    the pre-update loss."""
+    states, actions, rewards, next_values, dones = arrays
+    loss, grad = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount, scratch)
     adam_update(net.flat, grad, adam, lr)
     return loss
 
@@ -234,8 +267,11 @@ def train_agents(
     traces, shares one exploration stream and one replay buffer with a
     leading agent axis, and makes one ``td_loss_and_grads`` and one
     ``adam_update`` call per update. A single penalty trains the plain
-    ``(P,)`` network. Penalties must be finite and >= 0.
+    ``(P,)`` network. Penalties must be finite and >= 0, and both configs
+    must pass their section checks (``ConfigError`` names the bad key).
     """
+    validate_env(env_cfg)
+    validate_train(cfg)
     penalties = tuple(float(p) for p in penalties)
     if not penalties:
         raise ValueError("need at least one escape penalty")
@@ -252,10 +288,9 @@ def train_agents(
     adam = AdamState.for_params(net.flat)
     scratch = _Scratch() if stack else None
     # the run pushes one transition per commit; a buffer that never fills
-    # never evicts, so capping it there changes no sample (a run of 0
-    # episodes still gets one slot)
+    # never evicts, so capping it there changes no sample
     capacity = min(cfg.buffer_capacity, cfg.episodes * env_cfg.commits_per_episode)
-    buffer = ReplayBuffer(max(capacity, 1), stack=stack)
+    buffer = ReplayBuffer(capacity, stack=stack)
     records: list[list[EpisodeRecord]] = [[] for _ in penalties]
 
     def joined(values: list):
@@ -292,15 +327,15 @@ def train_agents(
 
         losses = []
         if len(buffer) >= cfg.minibatch_size:
+            buffer.refill(target_net, cfg.minibatch_size)
             for _ in range(steps):
                 arrays = buffer.sample_batch(cfg.minibatch_size, rng)
                 losses.append(
-                    _train_step_arrays(
-                        net, target_net, arrays, cfg.discount, adam, cfg.learning_rate, scratch
-                    )
+                    _train_step_arrays(net, arrays, cfg.discount, adam, cfg.learning_rate, scratch)
                 )
         if (episode + 1) % cfg.target_sync_interval == 0:
             target_net = net.clone()
+            buffer.mark_stale()
 
         # each agent's losses are averaged along their own contiguous row, as
         # training that agent alone averages them

@@ -29,6 +29,10 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "config_items",
+    "validate_env",
+    "validate_train",
+    "validate_eval",
+    "validate_classifier",
     "validate_experiment",
     "derive_seed",
 ]
@@ -227,7 +231,7 @@ def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> 
 CONFIG_KEYS: dict[str, _Key] = _derive_keys(ExperimentConfig())
 
 
-def _get(cfg: ExperimentConfig, path: tuple[str, ...], index: int | None) -> Any:
+def _get(cfg: Any, path: tuple[str, ...], index: int | None) -> Any:
     value = reduce(getattr, path, cfg)
     return value if index is None else value[index]
 
@@ -291,11 +295,22 @@ def _check(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def validate_experiment(cfg: ExperimentConfig) -> None:
-    """Check every field invariant; error messages name the config key."""
-    env, gen, st = cfg.env, cfg.env.generator, cfg.env.state
-    train, ev, clf = cfg.train, cfg.eval, cfg.classifier
+def _check_finite(section: Any, name: str) -> None:
+    """Every float of the section ``name`` (given as ``section``) must be finite.
 
+    The keys come from ``CONFIG_KEYS``, so per-action and list items are
+    checked one by one and an error names the key as a config file spells it.
+    """
+    for key, (path, index, _) in CONFIG_KEYS.items():
+        if path[0] == name:
+            value = _get(section, path[1:], index)
+            values = value if isinstance(value, tuple) else (value,)
+            _check(all(math.isfinite(v) for v in values if isinstance(v, float)), key, "must be finite")
+
+
+def validate_env(env: EnvConfig) -> None:
+    """Check the ``env.``, ``generator.`` and ``state.`` keys; errors name the key."""
+    _check_finite(env, "env")
     _check(0.0 <= env.bug_probability <= 1.0, "env.bug_probability", "must be in [0, 1]")
     for i, name in enumerate(("full", "partial", "skip")):
         _check(env.test_minutes[i] >= 0.0, f"env.{name}_test_minutes", "must be >= 0")
@@ -326,6 +341,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         f"must be 'standard' or 'adversarial', got {env.trace_mode!r}",
     )
 
+    gen, st = env.generator, env.state
     _check(gen.diff_log_sigma > 0.0, "generator.diff_log_sigma", "must be > 0")
     _check(gen.lines_per_file > 0.0, "generator.lines_per_file", "must be > 0")
     for key in (
@@ -364,6 +380,10 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     _check(st.history_window >= 1, "state.history_window", "must be >= 1")
     _check(st.full_test_gap_cap >= 1, "state.full_test_gap_cap", "must be >= 1")
 
+
+def validate_train(train: TrainConfig) -> None:
+    """Check the ``train.`` keys; errors name the key."""
+    _check_finite(train, "train")
     _check(train.episodes >= 1, "train.episodes", "must be >= 1")
     _check(0.0 < train.discount <= 1.0, "train.discount", "must be in (0, 1]")
     _check(train.learning_rate > 0.0, "train.learning_rate", "must be > 0")
@@ -384,11 +404,19 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     _check(train.escape_penalty >= 0.0, "train.escape_penalty", "must be >= 0")
     _check(train.seed >= 0, "train.seed", "must be >= 0")
 
+
+def validate_eval(ev: EvalConfig) -> None:
+    """Check the ``eval.`` keys; errors name the key."""
+    _check_finite(ev, "eval")
     _check(ev.n_runs >= 1, "eval.n_runs", "must be >= 1")
     _check(ev.seed >= 0, "eval.seed", "must be >= 0")
     _check(len(ev.penalties) >= 1, "eval.penalties", "must be non-empty")
     _check(all(b >= 0.0 for b in ev.penalties), "eval.penalties", "must be >= 0")
 
+
+def validate_classifier(clf: ClassifierConfig) -> None:
+    """Check the ``classifier.`` keys; errors name the key."""
+    _check_finite(clf, "classifier")
     _check(
         0.0 <= clf.tau_skip <= clf.tau_partial <= 1.0,
         "classifier.tau_skip",
@@ -399,6 +427,14 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     _check(clf.l2_penalty >= 0.0, "classifier.l2_penalty", "must be >= 0")
     _check(clf.max_iterations >= 1, "classifier.max_iterations", "must be >= 1")
     _check(clf.tolerance > 0.0, "classifier.tolerance", "must be > 0")
+
+
+def validate_experiment(cfg: ExperimentConfig) -> None:
+    """Check every field invariant, section by section; error messages name the config key."""
+    validate_env(cfg.env)
+    validate_train(cfg.train)
+    validate_eval(cfg.eval)
+    validate_classifier(cfg.classifier)
 
 
 def adversarial(env_cfg: EnvConfig) -> EnvConfig:

@@ -30,6 +30,7 @@ __all__ = [
     "QNetwork",
     "mlp_init",
     "mlp_forward",
+    "bootstrap_values",
     "td_loss_and_grads",
     "AdamState",
     "adam_update",
@@ -221,25 +222,36 @@ def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     return q[..., 0, :] if single else q
 
 
+def bootstrap_values(target_net: QNetwork, next_states: np.ndarray) -> np.ndarray:
+    """``max_a Q_target(s', a)`` per state: one value per row of ``next_states``.
+
+    With NumPy's OpenBLAS, a row's value was found not to depend on the
+    other rows of a call of the same row count, but to differ in the last
+    bits between calls of different row counts (the BLAS kernel changes with
+    the shape). So a cache of these values computes them in calls of one
+    fixed row count (``tests/test_agent.py`` pins the weights this gives).
+    """
+    return mlp_forward(target_net, next_states).max(axis=-1)
+
+
 def td_loss_and_grads(
     net: QNetwork,
-    target_net: QNetwork,
+    next_values: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
-    next_states: np.ndarray,
     dones: np.ndarray,
     discount: float,
     scratch: _Scratch | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared one-step TD error and its gradient w.r.t. ``net.flat``.
 
-    Bootstrap targets ``r + discount * max_a Q_target(s', a)`` come from the
-    frozen target network; terminal transitions cut the bootstrap term. The
-    gradient is an array laid out like ``net.flat``: a new one, or with
-    ``scratch`` one that the next call with it overwrites. For a stack of K
-    networks every batch array has a leading agent axis, and the loss is one
-    value per agent.
+    Targets are ``r + discount * next_values`` with ``next_values`` the
+    frozen target network's ``bootstrap_values`` of each transition's next
+    state; terminal transitions cut the bootstrap term. The gradient is an
+    array laid out like ``net.flat``: a new one, or with ``scratch`` one that
+    the next call with it overwrites. For a stack of K networks every batch
+    array has a leading agent axis, and the loss is one value per agent.
     """
     x, _ = _as_batch(net, states)
     n = x.shape[-2]
@@ -250,9 +262,7 @@ def td_loss_and_grads(
     not_done = 1.0 - np.asarray(dones, dtype=np.float64)
 
     q, activations = _forward_cached(net, x, scratch, "online")
-    next_x, _ = _as_batch(target_net, next_states)
-    next_q, _ = _forward_cached(target_net, next_x, scratch, "target")
-    targets = rewards + discount * next_q.max(axis=-1) * not_done
+    targets = rewards + discount * np.asarray(next_values, dtype=np.float64) * not_done
 
     # gather and scatter the taken actions' entries through (rows, actions)
     # views, which works for any number of leading axes

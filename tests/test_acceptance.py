@@ -52,6 +52,7 @@ from testscope.evaluation import (
 from testscope.network import (
     AdamState,
     adam_update,
+    bootstrap_values,
     mlp_forward,
     mlp_init,
     td_loss_and_grads,
@@ -374,16 +375,18 @@ class TestCriterion10NumericalCorrectness:
             rng.random((8, 10)),
             (rng.random(8) < 0.3).astype(float),
         )
-        _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+        states, actions, rewards, next_states, dones = batch
+        args = (bootstrap_values(target, next_states), states, actions, rewards, dones)
+        _, grad = td_loss_and_grads(net, *args, discount=0.99)
         h = 1e-5
         worst = 0.0
         p = net.flat
         for i in range(p.size):
             saved = p[i]
             p[i] = saved + h
-            up, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
+            up, _ = td_loss_and_grads(net, *args, discount=0.99)
             p[i] = saved - h
-            down, _ = td_loss_and_grads(net, target, *batch, discount=0.99)
+            down, _ = td_loss_and_grads(net, *args, discount=0.99)
             p[i] = saved
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(grad[i]))

@@ -1,6 +1,7 @@
 """Agent mechanics: replay buffer, exploration, schedules, training loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from testscope.agent import (
     train_agent,
     train_agents,
 )
-from testscope.config import EnvConfig, TrainConfig
+from testscope.config import ConfigError, EnvConfig, TrainConfig
 from testscope.environment import Action
-from testscope.network import AdamState, mlp_forward, mlp_init
+from testscope.evaluation import penalty_sweep
+from testscope.network import AdamState, bootstrap_values, mlp_forward, mlp_init
 
 
 def make_transition(tag: float, done: bool = False) -> Transition:
@@ -30,6 +32,23 @@ def make_transition(tag: float, done: bool = False) -> Transition:
         next_state=np.full(10, tag + 0.5),
         done=done,
     )
+
+
+def first_feature_net(k: int = 0):
+    """A linear network whose bootstrap value of a state is ``max(state[0], 0)``, exactly.
+
+    With ``k`` it is a stack of ``k`` such networks.
+    """
+    net = mlp_init((), seed=0)
+    net.flat[:] = 0.0
+    net.weights[0][0, 0] = 1.0
+    return net.stacked(k) if k else net
+
+
+def refilled(buf: ReplayBuffer, k: int = 0) -> ReplayBuffer:
+    """``buf`` with every bootstrap value filled in by ``first_feature_net``."""
+    buf.refill(first_feature_net(k), chunk=4)
+    return buf
 
 
 def stored_rewards(buf: ReplayBuffer) -> list[float]:
@@ -56,9 +75,11 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4)
         original = make_transition(2.0, done=True)
         buf.push(original)
-        states, actions, rewards, next_states, dones = buf.sample_batch(1, np.random.default_rng(0))
+        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
+            1, np.random.default_rng(0)
+        )
         np.testing.assert_array_equal(states[0], original.state)
-        np.testing.assert_array_equal(next_states[0], original.next_state)
+        assert next_values[0] == original.next_state[0]
         assert actions[0] == original.action
         assert rewards[0] == original.reward
         assert dones[0] == 1.0
@@ -79,15 +100,17 @@ class TestReplayBuffer:
         buf = ReplayBuffer(8)
         for i in range(8):
             buf.push(make_transition(float(i)))
-        _, _, rewards, _, _ = buf.sample_batch(8, np.random.default_rng(0))
+        _, _, rewards, _, _ = refilled(buf).sample_batch(8, np.random.default_rng(0))
         assert sorted(rewards) == sorted(stored_rewards(buf))
 
     def test_empty_sample(self):
         buf = ReplayBuffer(8)
         buf.push(make_transition(1.0))
-        states, actions, rewards, next_states, dones = buf.sample_batch(0, np.random.default_rng(0))
-        assert states.shape == next_states.shape == (0, 10)
-        assert actions.shape == rewards.shape == dones.shape == (0,)
+        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
+            0, np.random.default_rng(0)
+        )
+        assert states.shape == (0, 10)
+        assert actions.shape == rewards.shape == next_values.shape == dones.shape == (0,)
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(8)
@@ -100,6 +123,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(10)
         for i in range(10):
             buf.push(make_transition(float(i)))
+        refilled(buf)
         rng = np.random.default_rng(11)
         counts = np.zeros(10)
         for _ in range(10_000):
@@ -119,14 +143,17 @@ class TestReplayBuffer:
                     done=i == 5,
                 )
             )
-        states, actions, rewards, next_states, dones = buf.sample_batch(4, np.random.default_rng(1))
-        assert states.shape == next_states.shape == (3, 4, 10)
-        assert actions.shape == rewards.shape == dones.shape == (3, 4)
+        states, actions, rewards, next_values, dones = refilled(buf, k=3).sample_batch(
+            4, np.random.default_rng(1)
+        )
+        assert states.shape == (3, 4, 10)
+        assert actions.shape == rewards.shape == next_values.shape == dones.shape == (3, 4)
         pushed = -rewards[0]
         assert sorted(pushed) == [2.0, 3.0, 4.0, 5.0]
         np.testing.assert_array_equal(rewards, -pushed - np.array([[0.0], [10.0], [20.0]]))
         np.testing.assert_array_equal(states[:, :, 0], pushed + np.arange(3)[:, None])
         np.testing.assert_array_equal(actions, (pushed + np.arange(3)[:, None]) % 3)
+        np.testing.assert_array_equal(next_values, np.broadcast_to(pushed + 0.5, (3, 4)))
         np.testing.assert_array_equal(dones, np.broadcast_to(pushed == 5.0, (3, 4)))
 
     def test_sample_batch_matches_sample_layout(self):
@@ -134,16 +161,115 @@ class TestReplayBuffer:
         buf = ReplayBuffer(6)
         for i in range(6):
             buf.push(make_transition(float(i), done=(i % 2 == 0)))
-        states, actions, rewards, next_states, dones = buf.sample_batch(
+        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
             4, np.random.default_rng(3)
         )
         assert len(set(rewards)) == 4
         for row, reward in enumerate(rewards):
             pushed = make_transition(-reward, done=(int(-reward) % 2 == 0))
             np.testing.assert_array_equal(states[row], pushed.state)
-            np.testing.assert_array_equal(next_states[row], pushed.next_state)
+            assert next_values[row] == pushed.next_state[0]
             assert actions[row] == pushed.action
             assert dones[row] == float(pushed.done)
+
+
+def random_transition(rng: np.random.Generator, k: int = 0) -> Transition:
+    lead = (k,) if k else ()
+    return Transition(
+        state=rng.random((*lead, 10)),
+        action=rng.integers(0, 3, lead) if k else Action(int(rng.integers(3))),
+        reward=rng.uniform(-10, 0, lead) if k else float(rng.uniform(-10, 0)),
+        next_state=rng.random((*lead, 10)),
+        done=bool(rng.random() < 0.1),
+    )
+
+
+def noisy_net(k: int = 0, seed: int = 0):
+    """A (64, 64) network, or a stack of ``k`` different ones, with non-zero biases."""
+    nets = [mlp_init((64, 64), seed=seed + a) for a in range(max(k, 1))]
+    for n in nets:
+        n.flat += np.random.default_rng(seed + 100).normal(scale=0.1, size=n.flat.size)
+    if not k:
+        return nets[0]
+    stacked = nets[0].stacked(k)
+    stacked.flat[...] = np.stack([n.flat for n in nets])
+    return stacked
+
+
+class TestBootstrapCache:
+    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("chunk", [16, 64])
+    def test_refill_matches_a_minibatch_sized_call_bit_for_bit(self, k, chunk):
+        rng = np.random.default_rng(k + chunk)
+        buf = ReplayBuffer(300, stack=(k,) if k else ())
+        for _ in range(250):
+            buf.push(random_transition(rng, k))
+        target = noisy_net(k)
+        buf.refill(target, chunk)
+        # every live slot, as a random row of a random minibatch-sized call
+        for slot in range(len(buf)):
+            rows = rng.choice(len(buf), size=chunk, replace=False)
+            rows[rng.integers(chunk)] = slot
+            position = int(np.flatnonzero(rows == slot)[0])
+            values = bootstrap_values(target, buf._next_states.take(rows, axis=-2))
+            assert values[..., position].tobytes() == buf._next_values[..., slot].tobytes(), slot
+
+    def test_refill_pads_the_last_chunk(self, monkeypatch):
+        calls = []
+
+        def recording(target_net, next_states):
+            calls.append(next_states.shape)
+            return bootstrap_values(target_net, next_states)
+
+        monkeypatch.setattr(agent, "bootstrap_values", recording)
+        buf = ReplayBuffer(50)
+        for i in range(37):
+            buf.push(make_transition(float(i)))
+        buf.refill(first_feature_net(), chunk=16)
+        assert calls == [(16, 10)] * 3
+        np.testing.assert_array_equal(buf._next_values[:37], np.arange(37) + 0.5)
+        np.testing.assert_array_equal(buf._next_values[37:], 0.0)  # never pushed
+
+    def test_pushes_after_a_refill_stay_stale_until_the_next(self):
+        buf = ReplayBuffer(10)
+        for i in range(4):
+            buf.push(make_transition(float(i)))
+        refilled(buf)
+        for i in range(4, 6):
+            buf.push(make_transition(float(i)))
+        np.testing.assert_array_equal(buf._stale[:6], [False] * 4 + [True] * 2)
+        np.testing.assert_array_equal(buf._next_values[4:6], 0.0)
+        with pytest.raises(RuntimeError, match="stale"):
+            buf.sample_batch(1, np.random.default_rng(0))
+        refilled(buf)
+        assert not buf._stale.any()
+        np.testing.assert_array_equal(buf._next_values[:6], np.arange(6) + 0.5)
+
+    def test_eviction_overwrites_the_slot_value(self):
+        buf = refilled(ReplayBuffer(3))
+        for i in range(3):
+            buf.push(make_transition(float(i)))
+        refilled(buf)
+        buf.push(make_transition(7.0))  # evicts slot 0
+        np.testing.assert_array_equal(buf._stale, [True, False, False])
+        refilled(buf)
+        np.testing.assert_array_equal(buf._next_values, [7.5, 1.5, 2.5])
+
+    def test_mark_stale_marks_every_live_slot(self):
+        buf = ReplayBuffer(10, stack=(2,))
+        rng = np.random.default_rng(1)
+        for _ in range(7):
+            buf.push(random_transition(rng, k=2))
+        first, second = noisy_net(2, seed=0), noisy_net(2, seed=5)
+        buf.refill(first, chunk=4)
+        before = buf._next_values.copy()
+        buf.mark_stale()
+        np.testing.assert_array_equal(buf._stale, [True] * 7 + [False] * 3)
+        buf.refill(second, chunk=4)
+        assert not buf._stale.any()
+        expected = bootstrap_values(second, buf._next_states[:, :7])
+        np.testing.assert_allclose(buf._next_values[:, :7], expected, rtol=1e-12)
+        assert not np.any(buf._next_values[:, :7] == before[:, :7])
 
 
 class TestActionSelection:
@@ -220,7 +346,7 @@ def column_batch(n: int) -> tuple[np.ndarray, ...]:
     buf = ReplayBuffer(4)
     for i in range(4):
         buf.push(make_transition(float(i)))
-    return buf.sample_batch(n, np.random.default_rng(0))
+    return refilled(buf).sample_batch(n, np.random.default_rng(0))
 
 
 class TestTdTrainStep:
@@ -228,16 +354,17 @@ class TestTdTrainStep:
         net = mlp_init((4, 4), seed=0)
         empty = column_batch(0)
         with pytest.raises(ValueError, match="non-empty"):
-            _train_step_arrays(net, net.clone(), empty, 0.99, AdamState.for_params(net.flat), 1e-3)
+            _train_step_arrays(net, empty, 0.99, AdamState.for_params(net.flat), 1e-3)
 
     def test_updates_only_online_network(self):
         net = mlp_init((4, 4), seed=0)
-        target = mlp_init((4, 4), seed=1)
-        target_before = target.flat.copy()
+        batch = column_batch(4)
+        batch_before = [column.copy() for column in batch]
         net_before = net.flat.copy()
-        _train_step_arrays(net, target, column_batch(4), 0.99, AdamState.for_params(net.flat), 1e-3)
+        _train_step_arrays(net, batch, 0.99, AdamState.for_params(net.flat), 1e-3)
         assert not np.array_equal(net_before, net.flat)
-        np.testing.assert_array_equal(target_before, target.flat)
+        for column, before in zip(batch, batch_before):
+            np.testing.assert_array_equal(column, before)
 
 
 def tiny_train_cfg(**kwargs) -> TrainConfig:
@@ -352,6 +479,25 @@ class TestTrainAgents:
         with pytest.raises(ValueError, match="finite and >= 0"):
             train_agents(tiny_env_cfg(), tiny_train_cfg(), (bad, 1.0))
 
+    @pytest.mark.parametrize(
+        "env_changes, train_changes, key",
+        [
+            ({}, {"target_sync_interval": 0}, "train.target_sync_interval: must be >= 1"),
+            ({}, {"learning_rate": float("inf")}, "train.learning_rate: must be finite"),
+            ({"bug_probability": float("nan")}, {}, "env.bug_probability: must be finite"),
+            ({"test_minutes": (10.0, float("inf"), 0.0)}, {}, "env.partial_test_minutes: must be finite"),
+        ],
+    )
+    def test_bad_configs_rejected_before_training(self, no_training, env_changes, train_changes, key):
+        env = dataclasses.replace(tiny_env_cfg(), **env_changes)
+        cfg = tiny_train_cfg(**train_changes)
+        with pytest.raises(ConfigError, match=key):
+            train_agent(env, cfg)
+        with pytest.raises(ConfigError, match=key):
+            train_agents(env, cfg, (1.0, 2.0))
+        with pytest.raises(ConfigError, match=key):
+            penalty_sweep(env, cfg, (1.0, 2.0))
+
     @pytest.mark.parametrize("capacity, expected", [(10_000, 60), (50, 50)])
     def test_buffer_sized_by_what_the_run_can_push(self, monkeypatch, capacity, expected):
         sizes = []
@@ -364,3 +510,72 @@ class TestTrainAgents:
         monkeypatch.setattr(agent, "ReplayBuffer", Recording)
         train_agents(tiny_env_cfg(), tiny_train_cfg(buffer_capacity=capacity), (1.0, 2.0))
         assert sizes == [expected]  # 3 episodes of 20 commits push 60 transitions
+
+
+# sha256 of the trained weights (every agent's ``flat``, in order) and of the
+# training log (episode, reward, epsilon, loss, action counts per record, as
+# float64), recorded before the bootstrap cache existed, when every update ran
+# its own target forward pass. 12 episodes of 23 commits into a 150-slot
+# buffer: the buffer evicts, and at minibatch 64 the first two episodes
+# cannot fill a batch. Row counts that are not multiples of 4 make a refill
+# in calls of any other row count than the minibatch's move these digests.
+PINNED_DIGESTS = {
+    ((5.0,), 16, 1): (
+        "9c08632845b8cea0dd15f4dc8376b6bb5a5d6d3ca57767e64f34e7f3733e238b",
+        "b7cd417662a6974312016dda4bfe6929fe94a0383f2d68c5ae2cc982a3330ab0",
+    ),
+    ((5.0,), 16, 10): (
+        "2fd6e267d01919cf9df109ab96f77f5187a6bdb3d63b6187d5ab5f8895f7ba0b",
+        "9df0fbd6d142026c4a170ddba4b01645ad9deab989ec779722d8fabd15a25a27",
+    ),
+    ((5.0,), 64, 1): (
+        "39b40df44c215d9ac796ea2bdd630d9a1cc06e003c1c83428d55872c8748b0f4",
+        "e6dc6add2273a6a58e7d9af5d223291eac756b061f2f2c2731489c79742e75b2",
+    ),
+    ((5.0,), 64, 10): (
+        "2e70692e8cc9ec72ac3cd0071157c28642ad8311776779987ca44641be907eb3",
+        "8ecc571113cf3388391e9ccfc07628575d51f3b3db62f10ea3a91feebf6182a9",
+    ),
+    (LOCKSTEP_PENALTIES, 16, 1): (
+        "18f6f6f44ef9973d47be710ea2e00a73a24f81df0f26dc1315d61b1142d56c11",
+        "f18c06b8d33c21836b55cd1dc7c6ece38e5242b3aa624a432f0d6ec0b5f606b3",
+    ),
+    (LOCKSTEP_PENALTIES, 16, 10): (
+        "e8073f7f86cd50b61a71a28686068bc8a1bc5808174b3b8541f8405e459a85c4",
+        "0a8179678734abd9a7bb87c2b6bbee2f574d907c467f9b31acb3629e1cd7eadf",
+    ),
+    (LOCKSTEP_PENALTIES, 64, 1): (
+        "4296adea135e3bde966d8e344c8bc68e17162176e49daa30cf462116da7ad631",
+        "a3e31be860318e56559b306784ea2c3bc1fce2920299edf293412dd5cd1d94d5",
+    ),
+    (LOCKSTEP_PENALTIES, 64, 10): (
+        "bb207dc7b6755db092b4da62f15bb28d77660b923820aa28c423e9d9c34c2a95",
+        "dc72384969719f19367b0177a8112f0dfaa3fe554139e6a016b04cae7d296f8b",
+    ),
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("penalties, minibatch, sync", list(PINNED_DIGESTS))
+    def test_weights_and_log_match_the_uncached_training(self, penalties, minibatch, sync):
+        env = dataclasses.replace(EnvConfig(), commits_per_episode=23)
+        cfg = tiny_train_cfg(
+            episodes=12,
+            buffer_capacity=150,
+            minibatch_size=minibatch,
+            hidden_sizes=(64, 64),
+            target_sync_interval=sync,
+        )
+        trained = train_agents(env, cfg, penalties)
+        weights = hashlib.sha256(b"".join(net.flat.tobytes() for net, _ in trained)).hexdigest()
+        table = np.array(
+            [
+                [r.episode, r.total_reward, r.epsilon, r.mean_td_loss, *r.action_counts]
+                for _, log in trained
+                for r in log.records
+            ],
+            dtype=np.float64,
+        )
+        assert table.shape == (12 * len(penalties), 7)
+        log = hashlib.sha256(table.tobytes()).hexdigest()
+        assert (weights, log) == PINNED_DIGESTS[(penalties, minibatch, sync)]

@@ -1,5 +1,6 @@
 """Config parsing, defaults, validation, and seed derivation."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -8,8 +9,13 @@ import pytest
 from testscope import cli
 from testscope.config import (
     CONFIG_KEYS,
+    ClassifierConfig,
     ConfigError,
+    EnvConfig,
+    EvalConfig,
     ExperimentConfig,
+    GeneratorConfig,
+    TrainConfig,
     config_items,
     derive_seed,
     load_config,
@@ -197,6 +203,27 @@ class TestValidation:
 
     def test_default_config_validates(self):
         validate_experiment(ExperimentConfig())
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"env": EnvConfig(test_minutes=(10.0, float("inf"), 0.0))}, "env.partial_test_minutes"),
+            (
+                {"env": EnvConfig(generator=GeneratorConfig(lines_per_file=float("inf")))},
+                "generator.lines_per_file",
+            ),
+            ({"train": TrainConfig(learning_rate=float("inf"))}, "train.learning_rate"),
+            ({"train": TrainConfig(discount=float("nan"))}, "train.discount"),
+            ({"eval": EvalConfig(penalties=(1.0, float("nan")))}, "eval.penalties"),
+            ({"classifier": ClassifierConfig(tolerance=float("inf"))}, "classifier.tolerance"),
+        ],
+    )
+    def test_code_built_non_finite_floats_rejected(self, changes, key):
+        # the parser rejects these at parse; a config built in code meets
+        # the same rule in the section checks
+        cfg = dataclasses.replace(ExperimentConfig(), **changes)
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: must be finite")):
+            validate_experiment(cfg)
 
 
 class TestLoadConfig:

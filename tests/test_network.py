@@ -7,6 +7,7 @@ from testscope.network import (
     AdamState,
     QNetwork,
     adam_update,
+    bootstrap_values,
     mlp_forward,
     mlp_init,
     td_loss_and_grads,
@@ -28,6 +29,13 @@ def random_batch(n=8, seed=0):
     next_states = rng.random((n, 10))
     dones = (rng.random(n) < 0.3).astype(float)
     return states, actions, rewards, next_states, dones
+
+
+def td_batch(target, batch):
+    """The arguments ``td_loss_and_grads`` takes after the network: the
+    target's bootstrap values of the next states, then the batch columns."""
+    states, actions, rewards, next_states, dones = batch
+    return bootstrap_values(target, next_states), states, actions, rewards, dones
 
 
 class TestInit:
@@ -135,7 +143,8 @@ def assert_gradients_match_central_differences(net, target, batch, discount=0.99
 
     For a stack, agent k's loss is differentiated w.r.t. agent k's parameters.
     """
-    _, grad = td_loss_and_grads(net, target, *batch, discount=discount)
+    args = td_batch(target, batch)
+    _, grad = td_loss_and_grads(net, *args, discount=discount)
     assert grad.shape == net.flat.shape
     p = net.flat
     worst = 0.0
@@ -143,9 +152,9 @@ def assert_gradients_match_central_differences(net, target, batch, discount=0.99
         agent = i[:-1]
         original = p[i]
         p[i] = original + h
-        up, _ = td_loss_and_grads(net, target, *batch, discount=discount)
+        up, _ = td_loss_and_grads(net, *args, discount=discount)
         p[i] = original - h
-        down, _ = td_loss_and_grads(net, target, *batch, discount=discount)
+        down, _ = td_loss_and_grads(net, *args, discount=discount)
         p[i] = original
         fd = (up[agent] - down[agent]) / (2 * h)
         scale = max(abs(fd), abs(grad[i]))
@@ -189,26 +198,24 @@ class TestGradients:
         dones = np.ones_like(rewards)
         q = mlp_forward(net, states)
         expected = float(np.mean((q[np.arange(len(actions)), actions] - rewards) ** 2))
-        loss, _ = td_loss_and_grads(
-            net, target, states, actions, rewards, next_states, dones, discount=0.99
-        )
+        next_values = bootstrap_values(target, next_states)
+        loss, _ = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount=0.99)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_zero_discount_ignores_bootstrap(self):
         net, target = tiny_net(seed=2), tiny_net(seed=9)
         states, actions, rewards, next_states, dones = random_batch(seed=6)
-        loss_a, _ = td_loss_and_grads(
-            net, target, states, actions, rewards, next_states, dones, discount=0.0
-        )
+        next_values = bootstrap_values(target, next_states)
+        loss_a, _ = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount=0.0)
         loss_b, _ = td_loss_and_grads(
-            net, target, states, actions, rewards, next_states, np.ones_like(dones), discount=0.0
+            net, next_values, states, actions, rewards, np.ones_like(dones), discount=0.0
         )
         assert loss_a == loss_b
 
     def test_empty_batch_rejected(self):
-        empty = (np.empty((0, 10)), np.empty(0, int), np.empty(0), np.empty((0, 10)), np.empty(0))
+        empty = (np.empty(0), np.empty((0, 10)), np.empty(0, int), np.empty(0), np.empty(0))
         with pytest.raises(ValueError):
-            td_loss_and_grads(tiny_net(), tiny_net(), *empty, discount=0.99)
+            td_loss_and_grads(tiny_net(), *empty, discount=0.99)
 
     def test_one_point_regression_converges(self):
         # fixed terminal transition: loss must fall monotonically below 1e-3
@@ -223,9 +230,10 @@ class TestGradients:
             rng.random((1, 10)),
             np.array([1.0]),
         )
+        args = td_batch(target, batch)
         losses = []
         for _ in range(2000):
-            loss, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            loss, grad = td_loss_and_grads(net, *args, discount=0.99)
             adam_update(net.flat, grad, adam, lr=1e-3)
             losses.append(loss)
         losses = np.array(losses)
@@ -241,7 +249,7 @@ class TestGradients:
         adam = AdamState.for_params(net.flat)
         batch = random_batch(seed=8)
         for _ in range(25):
-            _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            _, grad = td_loss_and_grads(net, *td_batch(target, batch), discount=0.99)
             adam_update(net.flat, grad, adam, lr=1e-3)
         np.testing.assert_array_equal(frozen, target.flat)
 
@@ -282,12 +290,15 @@ class TestStack:
         for n in nets + targets:  # distinct, non-zero biases
             n.flat += rng.normal(scale=0.1, size=n.flat.size)
         batch = stacked_batch(4, n=64, seed=20)
-        loss, grad = td_loss_and_grads(stack_of(nets), stack_of(targets), *batch, discount=0.99)
+        args = td_batch(stack_of(targets), batch)
+        loss, grad = td_loss_and_grads(stack_of(nets), *args, discount=0.99)
         q = mlp_forward(stack_of(nets), batch[0][:, 0])
         assert loss.shape == (4,) and grad.shape == (4, nets[0].flat.size)
         for k in range(4):
             single = tuple(column[k] for column in batch)
-            loss_k, grad_k = td_loss_and_grads(nets[k], targets[k], *single, discount=0.99)
+            single_args = td_batch(targets[k], single)
+            loss_k, grad_k = td_loss_and_grads(nets[k], *single_args, discount=0.99)
+            assert args[0][k].tobytes() == single_args[0].tobytes()
             assert grad[k].tobytes() == grad_k.tobytes()
             assert loss[k] == loss_k
             assert q[k].tobytes() == mlp_forward(nets[k], single[0][0]).tobytes()
@@ -415,7 +426,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(12)
         for step in range(1, 201):
             batch = random_batch(n=64, seed=int(rng.integers(2**31)))
-            _, grad = td_loss_and_grads(net, target, *batch, discount=0.99)
+            _, grad = td_loss_and_grads(net, *td_batch(target, batch), discount=0.99)
             adam_update(net.flat, grad, adam, lr=1e-3)
             grads = reference_td_grads(ref[0::2], ref[1::2], ref_target[0::2], ref_target[1::2], batch, 0.99)
             reference_adam(ref, grads, m_list, v_list, step, lr=1e-3)
