@@ -38,7 +38,6 @@ from .commits import (
     generate_trace,
     observe,
     read_trace,
-    write_trace,
 )
 from .config import (
     ClassifierConfig,

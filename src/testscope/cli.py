@@ -61,7 +61,6 @@ class _Outputs:
         self.command = command
         self.seed = seed
         self.counter = 0
-        self.written: list[Path] = []
 
     def path(self, ext: str) -> Path:
         path = self.dir / f"{self.command}-{self.seed}-{self.counter}.{ext}"
@@ -72,7 +71,6 @@ class _Outputs:
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.path(ext)
         atomic_write(path, data)
-        self.written.append(path)
         return path
 
 
@@ -212,7 +210,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out.dir.mkdir(parents=True, exist_ok=True)
     weight_path = out.path("json")
     save_policy(weight_path, net, cfg.train)
-    out.written.append(weight_path)
     log_path = out.write("csv", _training_log_csv(log, _snapshot_lines("train", cfg)))
     print(f"wrote {weight_path} and {log_path} ({len(log)} episodes)")
     return 0

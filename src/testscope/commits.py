@@ -30,7 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import EnvConfig, GeneratorConfig
-from .fileio import atomic_write
+
+# ``atomic_write`` is not called here, but perfbench traces it under this
+# module's name as well
+from .fileio import atomic_write  # noqa: F401
 
 __all__ = [
     "Commit",
@@ -40,7 +43,6 @@ __all__ = [
     "generate_trace",
     "trace_to_text",
     "parse_trace_text",
-    "write_trace",
     "read_trace",
 ]
 
@@ -265,10 +267,6 @@ def parse_trace_text(text: str) -> list[Commit]:
             )
         )
     return commits
-
-
-def write_trace(path: str | Path, commits: list[Commit]) -> None:
-    atomic_write(path, trace_to_text(commits))
 
 
 def read_trace(path: str | Path) -> list[Commit]:

@@ -5,6 +5,12 @@ for the plain-text ``key = value`` config format, and deterministic seed
 derivation. Every field can be overridden through a config file: the keys
 are derived from the dataclass fields, so a new field is a new key. Unknown
 keys are rejected so typos fail loudly instead of silently using a default.
+
+A field's range is declared on the field, next to its default, as
+``field(metadata=...)`` metadata, and ``CONFIG_KEYS`` carries it to each of
+the field's keys. The ``validate_*`` checks walk those keys (a float must
+be finite, an int field's value an integer, a bounded value inside its
+bound) and then state only the rules that relate two or more fields.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial, reduce
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +60,17 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
+def _bound(test: Callable[[Any], bool], message: str) -> dict[str, Any]:
+    """Field metadata declaring a range: every value (every item of a tuple) passes ``test``."""
+    return {"bound": (test, message)}
+
+
+_NON_NEGATIVE = _bound(lambda v: v >= 0, "must be >= 0")
+_POSITIVE = _bound(lambda v: v > 0, "must be > 0")
+_AT_LEAST_1 = _bound(lambda v: v >= 1, "must be >= 1")
+_UNIT = _bound(lambda v: 0 <= v <= 1, "must be in [0, 1]")
+
+
 @dataclass
 class GeneratorConfig:
     """Distribution parameters for synthetic commits.
@@ -66,29 +83,29 @@ class GeneratorConfig:
     # log-space diff size: exp(Normal(mean, sigma)), rounded to whole lines
     clean_diff_log_mean: float = 3.0
     buggy_diff_log_mean: float = 4.0
-    diff_log_sigma: float = 1.0
+    diff_log_sigma: float = field(default=1.0, metadata=_POSITIVE)
     # files_changed ~ 1 + Poisson(diff_size / lines_per_file)
-    lines_per_file: float = 40.0
+    lines_per_file: float = field(default=40.0, metadata=_POSITIVE)
     # developer_defect_rate ~ Beta(alpha, beta), shifted up for buggy commits
-    defect_rate_alpha: float = 2.0
-    defect_rate_beta: float = 8.0
-    buggy_defect_rate_shift: float = 0.1
+    defect_rate_alpha: float = field(default=2.0, metadata=_POSITIVE)
+    defect_rate_beta: float = field(default=8.0, metadata=_POSITIVE)
+    buggy_defect_rate_shift: float = field(default=0.1, metadata=_UNIT)
     # source_fraction ~ Beta per class
-    clean_source_alpha: float = 2.0
-    clean_source_beta: float = 2.0
-    buggy_source_alpha: float = 2.2
-    buggy_source_beta: float = 1.85
+    clean_source_alpha: float = field(default=2.0, metadata=_POSITIVE)
+    clean_source_beta: float = field(default=2.0, metadata=_POSITIVE)
+    buggy_source_alpha: float = field(default=2.2, metadata=_POSITIVE)
+    buggy_source_beta: float = field(default=1.85, metadata=_POSITIVE)
     # developer_experience ~ Beta per class (buggy commits skew junior)
-    clean_experience_alpha: float = 3.0
-    clean_experience_beta: float = 2.0
-    buggy_experience_alpha: float = 2.5
-    buggy_experience_beta: float = 2.2
+    clean_experience_alpha: float = field(default=3.0, metadata=_POSITIVE)
+    clean_experience_beta: float = field(default=2.0, metadata=_POSITIVE)
+    buggy_experience_alpha: float = field(default=2.5, metadata=_POSITIVE)
+    buggy_experience_beta: float = field(default=2.2, metadata=_POSITIVE)
     # stress-trace blocks: a streak of small diffs, then a burst of large ones
-    streak_length: int = 15
-    burst_length: int = 5
-    streak_diff_min: int = 1
+    streak_length: int = field(default=15, metadata=_AT_LEAST_1)
+    burst_length: int = field(default=5, metadata=_AT_LEAST_1)
+    streak_diff_min: int = field(default=1, metadata=_AT_LEAST_1)
     streak_diff_max: int = 19
-    burst_diff_min: int = 100
+    burst_diff_min: int = field(default=100, metadata=_AT_LEAST_1)
     burst_diff_max: int = 400
 
 
@@ -96,10 +113,10 @@ class GeneratorConfig:
 class StateConfig:
     """Normalization caps and window sizes for the 10-dimensional state."""
 
-    diff_cap: int = 500
-    files_cap: int = 20
-    history_window: int = 10
-    full_test_gap_cap: int = 20
+    diff_cap: int = field(default=500, metadata=_AT_LEAST_1)
+    files_cap: int = field(default=20, metadata=_AT_LEAST_1)
+    history_window: int = field(default=10, metadata=_AT_LEAST_1)
+    full_test_gap_cap: int = field(default=20, metadata=_AT_LEAST_1)
 
 
 @dataclass
@@ -110,13 +127,13 @@ class EnvConfig:
     (full, partial, skip).
     """
 
-    bug_probability: float = 0.15
-    test_minutes: tuple[float, float, float] = (10.0, 3.0, 0.0)
-    detection_rates: tuple[float, float, float] = (1.0, 0.7, 0.0)
-    escape_delay_minutes: float = 15.0
-    build_minutes: float = 2.0
-    deploy_minutes: float = 1.0
-    commits_per_episode: int = 100
+    bug_probability: float = field(default=0.15, metadata=_UNIT)
+    test_minutes: tuple[float, float, float] = field(default=(10.0, 3.0, 0.0), metadata=_NON_NEGATIVE)
+    detection_rates: tuple[float, float, float] = field(default=(1.0, 0.7, 0.0), metadata=_UNIT)
+    escape_delay_minutes: float = field(default=15.0, metadata=_NON_NEGATIVE)
+    build_minutes: float = field(default=2.0, metadata=_NON_NEGATIVE)
+    deploy_minutes: float = field(default=1.0, metadata=_NON_NEGATIVE)
+    commits_per_episode: int = field(default=100, metadata=_AT_LEAST_1)
     trace_mode: str = "standard"
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     state: StateConfig = field(default_factory=StateConfig)
@@ -126,39 +143,40 @@ class EnvConfig:
 class TrainConfig:
     """Q-learning hyperparameters."""
 
-    episodes: int = 2000
-    discount: float = 0.99
-    learning_rate: float = 1e-4
+    episodes: int = field(default=2000, metadata=_AT_LEAST_1)
+    discount: float = field(default=0.99, metadata=_bound(lambda v: 0 < v <= 1, "must be in (0, 1]"))
+    learning_rate: float = field(default=1e-4, metadata=_POSITIVE)
     epsilon_start: float = 1.0
     epsilon_end: float = 0.1
-    buffer_capacity: int = 10000
-    minibatch_size: int = 64
-    hidden_sizes: tuple[int, ...] = (64, 64)  # one width per hidden layer
-    target_sync_interval: int = 10  # episodes between hard target-network syncs
-    escape_penalty: float = 5.0
-    seed: int = 0
+    buffer_capacity: int = field(default=10000, metadata=_AT_LEAST_1)
+    minibatch_size: int = field(default=64, metadata=_AT_LEAST_1)
+    hidden_sizes: tuple[int, ...] = field(default=(64, 64), metadata=_AT_LEAST_1)  # one width per hidden layer
+    # episodes between hard target-network syncs
+    target_sync_interval: int = field(default=10, metadata=_AT_LEAST_1)
+    escape_penalty: float = field(default=5.0, metadata=_NON_NEGATIVE)
+    seed: int = field(default=0, metadata=_NON_NEGATIVE)
 
 
 @dataclass
 class EvalConfig:
     """Evaluation harness parameters. Run ``i`` uses ``derive_seed(seed, i)``."""
 
-    n_runs: int = 5
-    seed: int = 1000
-    penalties: tuple[float, ...] = (1.0, 3.0, 5.0, 10.0)
+    n_runs: int = field(default=5, metadata=_AT_LEAST_1)
+    seed: int = field(default=1000, metadata=_NON_NEGATIVE)
+    penalties: tuple[float, ...] = field(default=(1.0, 3.0, 5.0, 10.0), metadata=_NON_NEGATIVE)
 
 
 @dataclass
 class ClassifierConfig:
     """Risk-classifier training and decision thresholds."""
 
-    tau_skip: float = 0.05
-    tau_partial: float = 0.30
-    train_size: int = 5000
-    train_seed: int = 77
-    l2_penalty: float = 1e-4
-    max_iterations: int = 50  # Newton steps
-    tolerance: float = 1e-6
+    tau_skip: float = field(default=0.05, metadata=_UNIT)
+    tau_partial: float = field(default=0.30, metadata=_UNIT)
+    train_size: int = field(default=5000, metadata=_bound(lambda v: v >= 2, "must be >= 2"))
+    train_seed: int = field(default=77, metadata=_NON_NEGATIVE)
+    l2_penalty: float = field(default=1e-4, metadata=_NON_NEGATIVE)
+    max_iterations: int = field(default=50, metadata=_AT_LEAST_1)  # Newton steps
+    tolerance: float = field(default=1e-6, metadata=_POSITIVE)
 
 
 @dataclass
@@ -206,8 +224,12 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-# (field path under ExperimentConfig, tuple index or None, parser)
-_Key = tuple[tuple[str, ...], int | None, Callable[[str], Any]]
+class _Key(NamedTuple):
+    path: tuple[str, ...]  # field path under ExperimentConfig
+    index: int | None  # the item of a per-action tuple, or None
+    parse: Callable[[str], Any]
+    kind: type  # the type of the default value, or of its items for a tuple
+    bound: tuple[Callable[[Any], bool], str] | None  # the field's declared range
 
 
 def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> dict[str, _Key]:
@@ -217,14 +239,16 @@ def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> 
         value, where = getattr(section, f.name), (*path, f.name)
         if is_dataclass(value):
             keys.update(_derive_keys(value, where, f"{f.name}."))
-        elif f.name in _ACTION_KEYS:
-            parse = _PARSERS[type(value[0])]
+            continue
+        kind = type(value[0]) if isinstance(value, tuple) else type(value)
+        parse, bound = _PARSERS[kind], f.metadata.get("bound")
+        if f.name in _ACTION_KEYS:
             for i, action in enumerate(_ACTIONS):
-                keys[prefix + _ACTION_KEYS[f.name].format(action)] = (where, i, parse)
-        elif isinstance(value, tuple):
-            keys[prefix + f.name] = (where, None, partial(_parse_list, _PARSERS[type(value[0])]))
+                keys[prefix + _ACTION_KEYS[f.name].format(action)] = _Key(where, i, parse, kind, bound)
         else:
-            keys[prefix + f.name] = (where, None, _PARSERS[type(value)])
+            if isinstance(value, tuple):
+                parse = partial(_parse_list, parse)
+            keys[prefix + f.name] = _Key(where, None, parse, kind, bound)
     return keys
 
 
@@ -247,7 +271,7 @@ def _set(cfg: ExperimentConfig, path: tuple[str, ...], index: int | None, value:
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """All config keys with their current values, formatted for the file format."""
-    return [(key, _format_value(_get(cfg, path, i))) for key, (path, i, _) in CONFIG_KEYS.items()]
+    return [(key, _format_value(_get(cfg, k.path, k.index))) for key, k in CONFIG_KEYS.items()]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -268,12 +292,12 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        path, index, parse = CONFIG_KEYS[key]
+        k = CONFIG_KEYS[key]
         try:
-            parsed = parse(value)
+            parsed = k.parse(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
-        _set(cfg, path, index, parsed)
+        _set(cfg, k.path, k.index, parsed)
     validate_experiment(cfg)
     return cfg
 
@@ -295,37 +319,34 @@ def _check(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _check_finite(section: Any, name: str) -> None:
-    """Every float of the section ``name`` (given as ``section``) must be finite.
+def _check_fields(section: Any, name: str) -> None:
+    """Check every key of the section ``name`` (given as ``section``) on its own.
 
-    The keys come from ``CONFIG_KEYS``, so per-action and list items are
-    checked one by one and an error names the key as a config file spells it.
+    A float must be finite, a value of an int field a Python or NumPy
+    integer, and a value of a field that declares a bound inside it. The
+    keys come from ``CONFIG_KEYS``, so per-action and list items are checked
+    one by one and an error names the key as a config file spells it.
     """
-    for key, (path, index, _) in CONFIG_KEYS.items():
-        if path[0] == name:
-            value = _get(section, path[1:], index)
-            values = value if isinstance(value, tuple) else (value,)
-            _check(all(math.isfinite(v) for v in values if isinstance(v, float)), key, "must be finite")
+    for key, k in CONFIG_KEYS.items():
+        if k.path[0] != name:
+            continue
+        value = _get(section, k.path[1:], k.index)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key}: must be finite")
+            if k.kind is int and not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{key}: must be an integer, got {v!r}")
+            if k.bound is not None and not k.bound[0](v):
+                raise ConfigError(f"{key}: {k.bound[1]}")
 
 
 def validate_env(env: EnvConfig) -> None:
     """Check the ``env.``, ``generator.`` and ``state.`` keys; errors name the key."""
-    _check_finite(env, "env")
-    _check(0.0 <= env.bug_probability <= 1.0, "env.bug_probability", "must be in [0, 1]")
-    for i, name in enumerate(("full", "partial", "skip")):
-        _check(env.test_minutes[i] >= 0.0, f"env.{name}_test_minutes", "must be >= 0")
-        _check(
-            0.0 <= env.detection_rates[i] <= 1.0,
-            f"env.{name}_detection_rate",
-            "must be in [0, 1]",
-        )
-    _check(env.escape_delay_minutes >= 0.0, "env.escape_delay_minutes", "must be >= 0")
-    _check(env.build_minutes >= 0.0, "env.build_minutes", "must be >= 0")
-    _check(env.deploy_minutes >= 0.0, "env.deploy_minutes", "must be >= 0")
+    _check_fields(env, "env")
     # A commit takes build + test minutes, plus deploy minutes unless testing
     # catches a bug. If that can sum to 0, a run of such commits has infinite
     # throughput (commits per hour).
-    for i, name in enumerate(("full", "partial", "skip")):
+    for i, name in enumerate(_ACTIONS):
         if env.build_minutes + env.test_minutes[i] == 0.0:
             _check(
                 env.deploy_minutes > 0.0 and env.detection_rates[i] == 0.0,
@@ -334,99 +355,42 @@ def validate_env(env: EnvConfig) -> None:
                 f"env.deploy_minutes is 0 or env.{name}_detection_rate is > 0 "
                 "(a commit could take 0 minutes)",
             )
-    _check(env.commits_per_episode >= 1, "env.commits_per_episode", "must be >= 1")
     _check(
         env.trace_mode in ("standard", "adversarial"),
         "env.trace_mode",
         f"must be 'standard' or 'adversarial', got {env.trace_mode!r}",
     )
-
-    gen, st = env.generator, env.state
-    _check(gen.diff_log_sigma > 0.0, "generator.diff_log_sigma", "must be > 0")
-    _check(gen.lines_per_file > 0.0, "generator.lines_per_file", "must be > 0")
-    for key in (
-        "defect_rate_alpha",
-        "defect_rate_beta",
-        "clean_source_alpha",
-        "clean_source_beta",
-        "buggy_source_alpha",
-        "buggy_source_beta",
-        "clean_experience_alpha",
-        "clean_experience_beta",
-        "buggy_experience_alpha",
-        "buggy_experience_beta",
-    ):
-        _check(getattr(gen, key) > 0.0, f"generator.{key}", "must be > 0")
-    _check(
-        0.0 <= gen.buggy_defect_rate_shift <= 1.0,
-        "generator.buggy_defect_rate_shift",
-        "must be in [0, 1]",
-    )
-    _check(gen.streak_length >= 1, "generator.streak_length", "must be >= 1")
-    _check(gen.burst_length >= 1, "generator.burst_length", "must be >= 1")
-    _check(
-        1 <= gen.streak_diff_min <= gen.streak_diff_max,
-        "generator.streak_diff_min",
-        "need 1 <= min <= max",
-    )
-    _check(
-        1 <= gen.burst_diff_min <= gen.burst_diff_max,
-        "generator.burst_diff_min",
-        "need 1 <= min <= max",
-    )
-
-    _check(st.diff_cap >= 1, "state.diff_cap", "must be >= 1")
-    _check(st.files_cap >= 1, "state.files_cap", "must be >= 1")
-    _check(st.history_window >= 1, "state.history_window", "must be >= 1")
-    _check(st.full_test_gap_cap >= 1, "state.full_test_gap_cap", "must be >= 1")
+    gen = env.generator
+    _check(gen.streak_diff_min <= gen.streak_diff_max, "generator.streak_diff_min", "need 1 <= min <= max")
+    _check(gen.burst_diff_min <= gen.burst_diff_max, "generator.burst_diff_min", "need 1 <= min <= max")
 
 
 def validate_train(train: TrainConfig) -> None:
     """Check the ``train.`` keys; errors name the key."""
-    _check_finite(train, "train")
-    _check(train.episodes >= 1, "train.episodes", "must be >= 1")
-    _check(0.0 < train.discount <= 1.0, "train.discount", "must be in (0, 1]")
-    _check(train.learning_rate > 0.0, "train.learning_rate", "must be > 0")
+    _check_fields(train, "train")
     _check(
         train.epsilon_start >= train.epsilon_end > 0.0,
         "train.epsilon_start",
         "need epsilon_start >= epsilon_end > 0",
     )
     _check(train.epsilon_start <= 1.0, "train.epsilon_start", "must be <= 1")
-    _check(train.buffer_capacity >= 1, "train.buffer_capacity", "must be >= 1")
     _check(
-        1 <= train.minibatch_size <= train.buffer_capacity,
+        train.minibatch_size <= train.buffer_capacity,
         "train.minibatch_size",
         "need 1 <= minibatch_size <= buffer_capacity",
     )
-    _check(all(h >= 1 for h in train.hidden_sizes), "train.hidden_sizes", "widths must be >= 1")
-    _check(train.target_sync_interval >= 1, "train.target_sync_interval", "must be >= 1")
-    _check(train.escape_penalty >= 0.0, "train.escape_penalty", "must be >= 0")
-    _check(train.seed >= 0, "train.seed", "must be >= 0")
 
 
 def validate_eval(ev: EvalConfig) -> None:
     """Check the ``eval.`` keys; errors name the key."""
-    _check_finite(ev, "eval")
-    _check(ev.n_runs >= 1, "eval.n_runs", "must be >= 1")
-    _check(ev.seed >= 0, "eval.seed", "must be >= 0")
+    _check_fields(ev, "eval")
     _check(len(ev.penalties) >= 1, "eval.penalties", "must be non-empty")
-    _check(all(b >= 0.0 for b in ev.penalties), "eval.penalties", "must be >= 0")
 
 
 def validate_classifier(clf: ClassifierConfig) -> None:
     """Check the ``classifier.`` keys; errors name the key."""
-    _check_finite(clf, "classifier")
-    _check(
-        0.0 <= clf.tau_skip <= clf.tau_partial <= 1.0,
-        "classifier.tau_skip",
-        "need 0 <= tau_skip <= tau_partial <= 1",
-    )
-    _check(clf.train_size >= 2, "classifier.train_size", "must be >= 2")
-    _check(clf.train_seed >= 0, "classifier.train_seed", "must be >= 0")
-    _check(clf.l2_penalty >= 0.0, "classifier.l2_penalty", "must be >= 0")
-    _check(clf.max_iterations >= 1, "classifier.max_iterations", "must be >= 1")
-    _check(clf.tolerance > 0.0, "classifier.tolerance", "must be > 0")
+    _check_fields(clf, "classifier")
+    _check(clf.tau_skip <= clf.tau_partial, "classifier.tau_skip", "need 0 <= tau_skip <= tau_partial <= 1")
 
 
 def validate_experiment(cfg: ExperimentConfig) -> None:

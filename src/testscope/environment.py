@@ -136,16 +136,6 @@ class PipelineHistory:
             return 0.0
         return self._failures / len(self._recent)
 
-    @property
-    def caught_fraction(self) -> float:
-        """Fraction of the recent window with a caught bug.
-
-        Equal to :attr:`failure_fraction` while tests never fail on clean
-        commits; kept separate so the encoding stays correct if a flaky
-        failure mode is ever added.
-        """
-        return self.failure_fraction
-
 
 def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
     """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
@@ -168,11 +158,12 @@ def _write_history(state: np.ndarray, history: PipelineHistory, cfg: StateConfig
     Each lands in [0, 1] without a clip: the window fractions and the gap are
     bounded by construction, and a negative diff size clamps to 0.
     """
+    failed = history.failure_fraction
     state[5:] = (
-        history.failure_fraction,
+        failed,
         1.0 if history.prev_failed else 0.0,
         min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap,
-        history.caught_fraction,
+        failed,
         max(min(history.prev_diff_size, cfg.diff_cap), 0) / cfg.diff_cap,
     )
 
@@ -207,14 +198,6 @@ class PipelineEnv:
         self._history = PipelineHistory(cfg.state)
         self._done = False
         self.reset()
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def cfg(self) -> EnvConfig:
-        return self._cfg
 
     def reset(self) -> np.ndarray:
         """Rewind to the first commit and return its state."""

@@ -14,7 +14,7 @@ always-full baseline computed on the same traces as the reference for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .agent import GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy
 from .commits import Commit, ObservedCommit, generate_trace, observe
-from .config import EnvConfig, TrainConfig, adversarial, derive_seed
+from .config import EnvConfig, TrainConfig, adversarial, derive_seed, validate_env
 from .environment import Action, PipelineEnv
 from .network import QNetwork
 
@@ -241,8 +241,10 @@ def compare_policies(
     every :class:`StaticPolicy`). Each run's trace
     is played in one pass by :func:`run_episodes`, the reference and every
     policy together, so one policy object given under two names sees its
-    calls interleaved commit by commit.
+    calls interleaved commit by commit. ``env_cfg`` must pass
+    :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key).
     """
+    validate_env(env_cfg)
     if not policies:
         raise ValueError("need at least one policy")
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
@@ -458,33 +460,11 @@ REPORT_COLUMNS = ("policy", "beta", "run", "seed", "tp", "dmr", "tts", "si")
 
 
 def _metric_rows(policy: str, penalty: float, report: MetricsReport) -> list[dict]:
-    rows = []
-    for r in report.per_run:
-        rows.append(
-            {
-                "policy": policy,
-                "beta": penalty,
-                "run": r.run,
-                "seed": r.seed,
-                "tp": r.tp,
-                "dmr": r.dmr,
-                "tts": r.tts,
-                "si": r.si,
-            }
-        )
+    rows = [{"policy": policy, "beta": penalty, **asdict(r)} for r in report.per_run]
+    stats = {name: stat for name, stat in vars(report).items() if isinstance(stat, MetricStat)}
     for kind in ("mean", "std"):
-        rows.append(
-            {
-                "policy": policy,
-                "beta": penalty,
-                "run": kind,
-                "seed": "",
-                "tp": getattr(report.tp, kind),
-                "dmr": getattr(report.dmr, kind),
-                "tts": getattr(report.tts, kind),
-                "si": getattr(report.si, kind),
-            }
-        )
+        row = {name: getattr(stat, kind) for name, stat in stats.items()}
+        rows.append({"policy": policy, "beta": penalty, "run": kind, "seed": "", **row})
     return rows
 
 
@@ -496,26 +476,12 @@ def comparison_rows(report: ComparisonReport) -> list[dict]:
     return rows
 
 
-def _metrics_dict(report: MetricsReport) -> dict:
-    return {
-        "runs": report.runs,
-        "tp": {"mean": report.tp.mean, "std": report.tp.std},
-        "dmr": {"mean": report.dmr.mean, "std": report.dmr.std},
-        "tts": {"mean": report.tts.mean, "std": report.tts.std},
-        "si": {"mean": report.si.mean, "std": report.si.std},
-        "per_run": [
-            {"run": r.run, "seed": r.seed, "tp": r.tp, "dmr": r.dmr, "tts": r.tts, "si": r.si}
-            for r in report.per_run
-        ],
-    }
-
-
 def comparison_to_dict(report: ComparisonReport) -> dict:
     return {
         "beta": report.escape_penalty,
         "n_runs": report.n_runs,
         "run_seeds": list(report.run_seeds),
-        "policies": {name: _metrics_dict(rep) for name, rep in sorted(report.reports.items())},
+        "policies": {name: asdict(rep) for name, rep in sorted(report.reports.items())},
         "deltas_vs_static": {
             name: {
                 "tp_improvement_pct": d.tp_improvement_pct,

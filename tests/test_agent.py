@@ -498,6 +498,25 @@ class TestTrainAgents:
         with pytest.raises(ConfigError, match=key):
             penalty_sweep(env, cfg, (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"episodes": 2.5}, "train.episodes"),
+            ({"minibatch_size": 16.0}, "train.minibatch_size"),
+            ({"hidden_sizes": (8.5,)}, "train.hidden_sizes"),
+        ],
+    )
+    def test_non_integral_int_fields_rejected_before_training(self, no_training, changes, key):
+        # a config built in code meets no parser; training would fail later
+        # with a bare TypeError
+        with pytest.raises(ConfigError, match=f"{key}: must be an integer"):
+            train_agent(tiny_env_cfg(), tiny_train_cfg(**changes))
+
+    def test_numpy_integers_accepted(self):
+        cfg = tiny_train_cfg(episodes=np.int64(1), minibatch_size=np.int32(16), hidden_sizes=(np.int64(8),))
+        _, log = train_agent(tiny_env_cfg(), cfg)
+        assert len(log) == 1
+
     @pytest.mark.parametrize("capacity, expected", [(10_000, 60), (50, 50)])
     def test_buffer_sized_by_what_the_run_can_push(self, monkeypatch, capacity, expected):
         sizes = []

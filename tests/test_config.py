@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import re
 
 import pytest
@@ -224,6 +225,102 @@ class TestValidation:
         cfg = dataclasses.replace(ExperimentConfig(), **changes)
         with pytest.raises(ConfigError, match=re.escape(f"{key}: must be finite")):
             validate_experiment(cfg)
+
+
+# every key whose field declares a bound, with the message it fails with
+BOUNDS = {
+    "env.bug_probability": "must be in [0, 1]",
+    "env.full_test_minutes": "must be >= 0",
+    "env.partial_test_minutes": "must be >= 0",
+    "env.skip_test_minutes": "must be >= 0",
+    "env.full_detection_rate": "must be in [0, 1]",
+    "env.partial_detection_rate": "must be in [0, 1]",
+    "env.skip_detection_rate": "must be in [0, 1]",
+    "env.escape_delay_minutes": "must be >= 0",
+    "env.build_minutes": "must be >= 0",
+    "env.deploy_minutes": "must be >= 0",
+    "env.commits_per_episode": "must be >= 1",
+    "generator.diff_log_sigma": "must be > 0",
+    "generator.lines_per_file": "must be > 0",
+    "generator.defect_rate_alpha": "must be > 0",
+    "generator.defect_rate_beta": "must be > 0",
+    "generator.buggy_defect_rate_shift": "must be in [0, 1]",
+    "generator.clean_source_alpha": "must be > 0",
+    "generator.clean_source_beta": "must be > 0",
+    "generator.buggy_source_alpha": "must be > 0",
+    "generator.buggy_source_beta": "must be > 0",
+    "generator.clean_experience_alpha": "must be > 0",
+    "generator.clean_experience_beta": "must be > 0",
+    "generator.buggy_experience_alpha": "must be > 0",
+    "generator.buggy_experience_beta": "must be > 0",
+    "generator.streak_length": "must be >= 1",
+    "generator.burst_length": "must be >= 1",
+    "generator.streak_diff_min": "must be >= 1",
+    "generator.burst_diff_min": "must be >= 1",
+    "state.diff_cap": "must be >= 1",
+    "state.files_cap": "must be >= 1",
+    "state.history_window": "must be >= 1",
+    "state.full_test_gap_cap": "must be >= 1",
+    "train.episodes": "must be >= 1",
+    "train.discount": "must be in (0, 1]",
+    "train.learning_rate": "must be > 0",
+    "train.buffer_capacity": "must be >= 1",
+    "train.minibatch_size": "must be >= 1",
+    "train.hidden_sizes": "must be >= 1",
+    "train.target_sync_interval": "must be >= 1",
+    "train.escape_penalty": "must be >= 0",
+    "train.seed": "must be >= 0",
+    "eval.n_runs": "must be >= 1",
+    "eval.seed": "must be >= 0",
+    "eval.penalties": "must be >= 0",
+    "classifier.tau_skip": "must be in [0, 1]",
+    "classifier.tau_partial": "must be in [0, 1]",
+    "classifier.train_size": "must be >= 2",
+    "classifier.train_seed": "must be >= 0",
+    "classifier.l2_penalty": "must be >= 0",
+    "classifier.max_iterations": "must be >= 1",
+    "classifier.tolerance": "must be > 0",
+}
+
+TINY = 5e-324  # the smallest positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+# bound message -> (values at its edges, the first values past them)
+FLOAT_EDGES = {
+    "must be >= 0": ([0.0], [-TINY]),
+    "must be > 0": ([TINY], [0.0]),
+    "must be in [0, 1]": ([0.0, 1.0], [-TINY, ABOVE_ONE]),
+    "must be in (0, 1]": ([TINY, 1.0], [0.0, ABOVE_ONE]),
+}
+INT_EDGES = {"must be >= 0": ([0], [-1]), "must be >= 1": ([1], [0]), "must be >= 2": ([2], [1])}
+
+# other keys set so that an edge value breaks no rule across fields
+COMPANIONS = {
+    "classifier.tau_skip": "classifier.tau_partial = 1.0\n",
+    "classifier.tau_partial": "classifier.tau_skip = 0.0\n",
+    "train.buffer_capacity": "train.minibatch_size = 1\n",
+}
+
+
+class TestFieldBounds:
+    def test_bounded_keys_are_the_declared_ones(self):
+        assert {key for key, k in CONFIG_KEYS.items() if k.bound} == set(BOUNDS)
+        assert all(CONFIG_KEYS[key].bound[1] == message for key, message in BOUNDS.items())
+
+    @pytest.mark.parametrize("key", BOUNDS)
+    def test_edge_parses_and_the_value_past_it_is_rejected(self, key):
+        message = BOUNDS[key]
+        default = dict(DEFAULT_ITEMS)[key].split(",")
+        is_float = "." in default[0] or "e" in default[0]
+        edges, past = (FLOAT_EDGES if is_float else INT_EDGES)[message]
+        for item in range(len(default)):  # each item of a list key on its own
+            for value, ok in [(v, True) for v in edges] + [(v, False) for v in past]:
+                items = default[:item] + [repr(value)] + default[item + 1 :]
+                text = COMPANIONS.get(key, "") + f"{key} = {','.join(items)}\n"
+                if ok:
+                    parse_config_text(text)
+                else:
+                    with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
+                        parse_config_text(text)
 
 
 class TestLoadConfig:

@@ -384,4 +384,3 @@ class TestEncodingIsBitIdentical:
             history.update(Action.PARTIAL_TESTS, detected, make_commit())
             recent = outcomes[max(0, k + 1 - window) : k + 1]
             assert history.failure_fraction == sum(recent) / len(recent)
-            assert history.caught_fraction == history.failure_fraction

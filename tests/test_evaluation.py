@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from testscope import evaluation
 from testscope.agent import GreedyPolicy
 from testscope.baselines import (
     AlwaysPolicy,
@@ -14,7 +15,7 @@ from testscope.baselines import (
     StaticPolicy,
 )
 from testscope.commits import generate_trace
-from testscope.config import EnvConfig, adversarial, derive_seed
+from testscope.config import ConfigError, EnvConfig, adversarial, derive_seed
 from testscope.environment import Action
 from testscope.evaluation import (
     adversarial_eval,
@@ -248,6 +249,18 @@ class TestComparePolicies:
     def test_no_policies_rejected(self):
         with pytest.raises(ValueError):
             compare_policies({}, EnvConfig(), escape_penalty=5.0)
+
+    def test_bad_env_rejected_before_any_trace(self, monkeypatch):
+        # unchecked, the heuristic policy's runs report tts = -inf, std = nan
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace was generated")
+
+        monkeypatch.setattr(evaluation, "generate_trace", refuse)
+        env = EnvConfig(test_minutes=(10.0, float("inf"), 0.0))
+        with pytest.raises(ConfigError, match="env.partial_test_minutes: must be finite"):
+            compare_policies({"heuristic": HeuristicPolicy()}, env, escape_penalty=5.0, n_runs=2)
+        with pytest.raises(ConfigError, match="env.partial_test_minutes: must be finite"):
+            adversarial_eval(HeuristicPolicy(), env, escape_penalty=5.0, n_runs=2)
 
     def test_report_rows_schema(self):
         report, _ = compare_policies(
