@@ -11,7 +11,6 @@ from .agent import (
     EpisodeRecord,
     GreedyPolicy,
     ReplayBuffer,
-    Transition,
     TrainingLog,
     epsilon_schedule,
     greedy_action,
@@ -57,10 +56,8 @@ from .environment import (
     PipelineEnv,
     PipelineHistory,
     STATE_DIM,
-    StepOutcome,
-    compute_reward,
+    StepTable,
     encode_state,
-    sample_detection,
 )
 from .evaluation import (
     AdversarialReport,

@@ -40,7 +40,6 @@ from .network import (
 )
 
 __all__ = [
-    "Transition",
     "ReplayBuffer",
     "select_action",
     "greedy_action",
@@ -60,20 +59,7 @@ _STREAM_NET = 2
 _STREAM_TRACE = 3
 _STREAM_ENV = 4
 
-
-@dataclass
-class Transition:
-    """One step of experience: (state, action, reward, next state, done).
-
-    For a stack of agents, ``state``, ``action``, ``reward`` and
-    ``next_state`` hold one entry per agent along a leading axis.
-    """
-
-    state: np.ndarray
-    action: Action | np.ndarray
-    reward: float | np.ndarray
-    next_state: np.ndarray
-    done: bool
+_ACTIONS = tuple(Action)  # indexed by action value
 
 
 class ReplayBuffer:
@@ -110,13 +96,15 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, transition: Transition) -> None:
+    def push(self, state: np.ndarray, action, reward, next_state: np.ndarray, done: bool) -> None:
+        """Store one transition; for a stack, each column but ``done`` holds
+        one entry per agent along a leading axis."""
         i = self._head
-        self._states[..., i, :] = transition.state
-        self._actions[..., i] = transition.action
-        self._rewards[..., i] = transition.reward
-        self._next_states[..., i, :] = transition.next_state
-        self._dones[..., i] = float(transition.done)
+        self._states[..., i, :] = state
+        self._actions[..., i] = action
+        self._rewards[..., i] = reward
+        self._next_states[..., i, :] = next_state
+        self._dones[..., i] = float(done)
         self._stale[i] = self._any_stale = True
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -171,7 +159,7 @@ def greedy_action(net: QNetwork, state: np.ndarray) -> Action | np.ndarray:
     q = mlp_forward(net, state)
     if net.stack:
         return np.argmax(q, axis=-1)
-    return Action(int(np.argmax(q)))
+    return _ACTIONS[q.argmax()]
 
 
 def select_action(
@@ -185,7 +173,7 @@ def select_action(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if rng.random() < epsilon:
-        action = Action(int(rng.integers(N_ACTIONS)))
+        action = _ACTIONS[rng.integers(N_ACTIONS)]
         return np.full(net.stack, action, dtype=np.intp) if net.stack else action
     return greedy_action(net, state)
 
@@ -306,29 +294,22 @@ def train_agents(
         envs = [PipelineEnv(trace, env_cfg, seed=env_seed) for _ in penalties]
         state = joined([env.reset() for env in envs])
 
-        totals = [0.0] * len(penalties)
-        counts = [[0] * N_ACTIONS for _ in penalties]
-        steps = 0
-        done = False
-        while not done:
+        for _ in trace:
             action = select_action(net, state, epsilon, rng)
             actions = action.tolist() if stack else [action]
             next_states, rewards = [], []
-            for i, (env, a, penalty) in enumerate(zip(envs, actions, penalties)):
-                outcome, next_state, done = env.step(a, penalty)
+            for env, a, penalty in zip(envs, actions, penalties):
+                reward, next_state, done = env.step(a, penalty)
                 next_states.append(next_state)
-                rewards.append(outcome.reward)
-                totals[i] += outcome.reward
-                counts[i][a] += 1
+                rewards.append(reward)
             next_state = joined(next_states)
-            buffer.push(Transition(state, action, joined(rewards), next_state, done))
-            steps += 1
+            buffer.push(state, action, joined(rewards), next_state, done)
             state = next_state
 
         losses = []
         if len(buffer) >= cfg.minibatch_size:
             buffer.refill(target_net, cfg.minibatch_size)
-            for _ in range(steps):
+            for _ in range(len(trace)):  # one update per collected step
                 arrays = buffer.sample_batch(cfg.minibatch_size, rng)
                 losses.append(
                     _train_step_arrays(net, arrays, cfg.discount, adam, cfg.learning_rate, scratch)
@@ -340,14 +321,15 @@ def train_agents(
         # each agent's losses are averaged along their own contiguous row, as
         # training that agent alone averages them
         mean_losses = np.mean(np.stack(losses, axis=-1), axis=-1) if losses else np.zeros(stack)
-        for i, mean_loss in enumerate(mean_losses.reshape(-1)):
-            records[i].append(
+        for agent_records, env, mean_loss in zip(records, envs, mean_losses.reshape(-1)):
+            table = env.table
+            agent_records.append(
                 EpisodeRecord(
                     episode=episode,
-                    total_reward=totals[i],
+                    total_reward=table.total("reward"),
                     epsilon=epsilon,
                     mean_td_loss=float(mean_loss),
-                    action_counts=(counts[i][0], counts[i][1], counts[i][2]),
+                    action_counts=table.action_counts(),
                 )
             )
 

@@ -8,8 +8,8 @@ keys are rejected so typos fail loudly instead of silently using a default.
 
 A field's range is declared on the field, next to its default, as
 ``field(metadata=...)`` metadata, and ``CONFIG_KEYS`` carries it to each of
-the field's keys. The ``validate_*`` checks walk those keys (a float must
-be finite, an int field's value an integer, a bounded value inside its
+the field's keys. The ``validate_*`` checks walk those keys (a value of its
+field's kind and never a ``bool``, a float finite, a bounded value inside its
 bound) and then state only the rules that relate two or more fields.
 """
 
@@ -230,6 +230,7 @@ class _Key(NamedTuple):
     parse: Callable[[str], Any]
     kind: type  # the type of the default value, or of its items for a tuple
     bound: tuple[Callable[[Any], bool], str] | None  # the field's declared range
+    many: bool  # whether the field holds a tuple
 
 
 def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> dict[str, _Key]:
@@ -240,15 +241,16 @@ def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> 
         if is_dataclass(value):
             keys.update(_derive_keys(value, where, f"{f.name}."))
             continue
-        kind = type(value[0]) if isinstance(value, tuple) else type(value)
+        many = isinstance(value, tuple)
+        kind = type(value[0]) if many else type(value)
         parse, bound = _PARSERS[kind], f.metadata.get("bound")
         if f.name in _ACTION_KEYS:
             for i, action in enumerate(_ACTIONS):
-                keys[prefix + _ACTION_KEYS[f.name].format(action)] = _Key(where, i, parse, kind, bound)
+                keys[prefix + _ACTION_KEYS[f.name].format(action)] = _Key(where, i, parse, kind, bound, many)
         else:
-            if isinstance(value, tuple):
+            if many:
                 parse = partial(_parse_list, parse)
-            keys[prefix + f.name] = _Key(where, None, parse, kind, bound)
+            keys[prefix + f.name] = _Key(where, None, parse, kind, bound, many)
     return keys
 
 
@@ -319,23 +321,32 @@ def _check(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
+# the types and the name of what a field of each kind takes; never a bool
+_TYPES = {float: (int, float, np.integer, np.floating), int: (int, np.integer), str: str}
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
 def _check_fields(section: Any, name: str) -> None:
     """Check every key of the section ``name`` (given as ``section``) on its own.
 
-    A float must be finite, a value of an int field a Python or NumPy
-    integer, and a value of a field that declares a bound inside it. The
+    A tuple field must hold a tuple, and a value must be of its field's kind
+    (never a ``bool``), finite if a float, and inside its declared bound. The
     keys come from ``CONFIG_KEYS``, so per-action and list items are checked
     one by one and an error names the key as a config file spells it.
     """
     for key, k in CONFIG_KEYS.items():
         if k.path[0] != name:
             continue
-        value = _get(section, k.path[1:], k.index)
+        value = _get(section, k.path[1:], None)
+        if k.many and not isinstance(value, tuple):
+            raise ConfigError(f"{key}: must be a tuple, got {value!r}")
+        if k.index is not None:
+            value = value[k.index]
         for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, bool) or not isinstance(v, _TYPES[k.kind]):
+                raise ConfigError(f"{key}: must be {_KIND_NAMES[k.kind]}, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key}: must be finite")
-            if k.kind is int and not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{key}: must be an integer, got {v!r}")
             if k.bound is not None and not k.bound[0](v):
                 raise ConfigError(f"{key}: {k.bound[1]}")
 

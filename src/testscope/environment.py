@@ -31,17 +31,23 @@ always equal: tests fail only on a caught bug (clean commits never fail),
 so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
 
-Features 1-5 depend on the commit alone, so :class:`PipelineEnv` encodes
-them for the whole trace in one pass when it is built; each step copies the
-next commit's row and writes features 6-10 from the history.
-:func:`encode_state` composes the same two helpers for one commit.
+Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
+encodes them for the whole trace in one pass when it is built. A reset copies
+those rows into a new state array, and each step writes features 6-9 of the
+next commit's row from the history and returns that row. :func:`encode_state`
+composes the same helpers for one commit.
+
+A step returns ``(reward, next_state, done)`` and records the commit in the
+episode's :class:`StepTable`, one row per commit: action, detected, escaped,
+test minutes, pipeline minutes and reward.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +58,9 @@ __all__ = [
     "Action",
     "N_ACTIONS",
     "STATE_DIM",
-    "StepOutcome",
+    "StepTable",
     "PipelineHistory",
     "encode_state",
-    "sample_detection",
-    "compute_reward",
     "PipelineEnv",
 ]
 
@@ -73,46 +77,37 @@ N_ACTIONS = 3
 STATE_DIM = 10
 
 
-@dataclass
-class StepOutcome:
-    """What one commit cost and whether its bug (if any) got away."""
+class StepTable(NamedTuple):
+    """An episode's outcomes: entry t of every column belongs to the t-th step.
 
-    test_minutes: float
-    detected: bool
-    escaped: bool
-    pipeline_minutes: float
-    reward: float
-
-
-def compute_reward(test_minutes: float, escaped: bool, escape_penalty: float) -> float:
-    """Per-step reward: time spent testing plus a flat penalty per escaped bug."""
-    if escape_penalty < 0:
-        raise ValueError(f"escape_penalty must be >= 0, got {escape_penalty}")
-    if test_minutes < 0:
-        raise ValueError(f"test_minutes must be >= 0, got {test_minutes}")
-    return -test_minutes - (escape_penalty if escaped else 0.0)
-
-
-def sample_detection(
-    action: Action, has_bug: bool, rng: np.random.Generator, cfg: EnvConfig
-) -> bool:
-    """Whether the chosen test scope catches the commit's bug.
-
-    Clean commits never fail tests (no false positives). Buggy commits are
-    caught with the per-action detection rate; rates of exactly 1.0 and 0.0
-    detect always and never.
+    A commit had a bug exactly when it was detected or escaped, never both.
+    The reward is ``-test_minutes - escape_penalty * escaped``.
     """
-    if not has_bug:
-        return False
-    return rng.random() < cfg.detection_rates[action]
+
+    action: tuple[int, ...]
+    detected: tuple[bool, ...]
+    escaped: tuple[bool, ...]
+    test_minutes: tuple[float, ...]
+    pipeline_minutes: tuple[float, ...]
+    reward: tuple[float, ...]
+
+    def total(self, column: str) -> float:
+        """Sum of a float column, added in step order from 0.0 (``np.sum`` adds
+        pairwise and ``sum`` compensates on Python 3.12+)."""
+        return reduce(add, getattr(self, column), 0.0)
+
+    def action_counts(self) -> tuple[int, int, int]:
+        """Steps per action, indexed by action."""
+        count = self.action.count
+        return (count(0), count(1), count(2))
 
 
 class PipelineHistory:
     """Rolling record of recent step outcomes backing state features 6-10."""
 
     def __init__(self, cfg: StateConfig):
-        self._cfg = cfg
-        self._recent: deque[bool] = deque(maxlen=cfg.history_window)  # tests failed?
+        self._window = cfg.history_window
+        self._recent: list[bool] = []  # tests failed? oldest first
         self._failures = 0  # sum(self._recent), kept as the window moves
         self.prev_failed = False
         self.since_full_tests = 0
@@ -121,10 +116,10 @@ class PipelineHistory:
     def update(self, action: Action, detected: bool, commit: Commit) -> None:
         """Record one processed commit. ``detected`` implies its tests failed."""
         recent = self._recent
-        if recent and len(recent) == recent.maxlen:
-            self._failures -= recent[0]
         recent.append(detected)
         self._failures += detected
+        if len(recent) > self._window:
+            self._failures -= recent.pop(0)
         self.prev_failed = detected
         self.since_full_tests = 0 if action == Action.FULL_TESTS else self.since_full_tests + 1
         self.prev_diff_size = commit.diff_size
@@ -132,9 +127,8 @@ class PipelineHistory:
     @property
     def failure_fraction(self) -> float:
         """Fraction of the recent window whose tests failed (0 when empty)."""
-        if not self._recent:
-            return 0.0
-        return self._failures / len(self._recent)
+        recent = self._recent
+        return self._failures / len(recent) if recent else 0.0
 
 
 def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
@@ -152,20 +146,18 @@ def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
     return rows
 
 
-def _write_history(state: np.ndarray, history: PipelineHistory, cfg: StateConfig) -> None:
-    """Write features 6-10 of ``state`` from ``history``.
+def _write_history(cells: memoryview, at: int, history: PipelineHistory, cfg: StateConfig) -> None:
+    """Write features 6-9 of the state that starts at ``cells[at]`` from ``history``.
 
-    Each lands in [0, 1] without a clip: the window fractions and the gap are
-    bounded by construction, and a negative diff size clamps to 0.
+    ``cells`` is a flat float64 memoryview, which takes one float at a time
+    faster than an array does. Each feature lands in [0, 1] without a clip:
+    the window fractions and the gap are bounded by construction.
     """
     failed = history.failure_fraction
-    state[5:] = (
-        failed,
-        1.0 if history.prev_failed else 0.0,
-        min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap,
-        failed,
-        max(min(history.prev_diff_size, cfg.diff_cap), 0) / cfg.diff_cap,
-    )
+    cells[at + 5] = failed
+    cells[at + 6] = 1.0 if history.prev_failed else 0.0
+    cells[at + 7] = min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap
+    cells[at + 8] = failed
 
 
 def encode_state(commit: Commit, history: PipelineHistory, cfg: StateConfig) -> np.ndarray:
@@ -174,7 +166,8 @@ def encode_state(commit: Commit, history: PipelineHistory, cfg: StateConfig) -> 
     Pure in its inputs and independent of ``has_bug``/``risk_score``.
     """
     state = _commit_rows([commit], cfg)[0]
-    _write_history(state, history, cfg)
+    _write_history(memoryview(state), 0, history, cfg)
+    state[9] = max(min(history.prev_diff_size, cfg.diff_cap), 0) / cfg.diff_cap
     return state
 
 
@@ -184,19 +177,23 @@ class PipelineEnv:
     Stateful and single-threaded; independent instances never share state.
     ``reset`` restores the cursor, the history, and the detection RNG, so a
     reset environment replays identically under the same action sequence.
+    The states a step returns are rows of one array per episode: each is
+    written once, before it is returned, and a reset allocates a new array,
+    so callers may keep them.
     """
 
     def __init__(self, trace: list[Commit], cfg: EnvConfig, seed: int = 0):
         if not trace:
             raise ValueError("trace must contain at least one commit")
+        if min(cfg.test_minutes) < 0:
+            raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
         self._trace = trace
         self._cfg = cfg
         self._seed = seed
-        self._rows = _commit_rows(trace, cfg.state)
-        self._rng = np.random.default_rng(seed)
-        self._cursor = 0
-        self._history = PipelineHistory(cfg.state)
-        self._done = False
+        rows = _commit_rows(trace, cfg.state)
+        rows[1:, 9] = rows[:-1, 0]  # feature 10 is the previous commit's feature 1
+        # one row per commit, then the all-zero state that ends the episode
+        self._rows = np.vstack([rows, np.zeros(STATE_DIM)])
         self.reset()
 
     def reset(self) -> np.ndarray:
@@ -204,30 +201,38 @@ class PipelineEnv:
         self._rng = np.random.default_rng(self._seed)
         self._cursor = 0
         self._history = PipelineHistory(self._cfg.state)
-        self._done = False
-        return self._state()
+        self._states = self._rows.copy()
+        self._cells = memoryview(self._states.reshape(-1))
+        self._steps: list[tuple] = []
+        return self._states[0]
 
-    def _state(self) -> np.ndarray:
-        # a fresh array: callers keep states across steps
-        state = self._rows[self._cursor].copy()
-        _write_history(state, self._history, self._cfg.state)
-        return state
+    @property
+    def table(self) -> StepTable:
+        """The episode's steps so far, one entry per stepped commit in each column."""
+        return StepTable(*(tuple(zip(*self._steps)) or ((),) * len(StepTable._fields)))
 
-    def step(self, action: Action, escape_penalty: float) -> tuple[StepOutcome, np.ndarray, bool]:
+    def step(self, action: Action, escape_penalty: float) -> tuple[float, np.ndarray, bool]:
         """Process the current commit with the chosen test scope.
 
-        Returns the step outcome, the next state (zeros once the trace is
-        exhausted), and the done flag. Stepping a finished episode raises.
+        Returns the reward, the next state (zeros once the trace is
+        exhausted), and the done flag, and records the step in ``table``.
+        Stepping a finished episode raises.
         """
-        if self._done:
+        t = self._cursor
+        trace = self._trace
+        if t == len(trace):
             raise RuntimeError("episode is done; call reset() first")
-        if not isinstance(action, Action):
+        if action not in (0, 1, 2):
             action = Action(action)
+        if escape_penalty < 0:
+            raise ValueError(f"escape_penalty must be >= 0, got {escape_penalty}")
         cfg = self._cfg
-        commit = self._trace[self._cursor]
+        commit = trace[t]
 
         test_minutes = cfg.test_minutes[action]
-        detected = sample_detection(action, commit.has_bug, self._rng, cfg)
+        # clean commits never fail tests; a buggy one is caught at the
+        # action's rate (a rate of 1.0 always, 0.0 never)
+        detected = commit.has_bug and self._rng.random() < cfg.detection_rates[action]
         escaped = commit.has_bug and not detected
 
         pipeline_minutes = cfg.build_minutes + test_minutes
@@ -237,18 +242,12 @@ class PipelineEnv:
             if escaped:
                 pipeline_minutes += cfg.escape_delay_minutes
 
-        reward = compute_reward(test_minutes, escaped, escape_penalty)
-        self._history.update(action, detected, commit)
-        self._cursor += 1
-        self._done = self._cursor >= len(self._trace)
-
-        next_state = np.zeros(STATE_DIM, dtype=np.float64) if self._done else self._state()
-
-        outcome = StepOutcome(
-            test_minutes=test_minutes,
-            detected=detected,
-            escaped=escaped,
-            pipeline_minutes=pipeline_minutes,
-            reward=reward,
-        )
-        return outcome, next_state, self._done
+        reward = -test_minutes - (escape_penalty if escaped else 0.0)
+        self._steps.append((action, detected, escaped, test_minutes, pipeline_minutes, reward))
+        history = self._history
+        history.update(action, detected, commit)
+        self._cursor = t = t + 1
+        done = t == len(trace)
+        if not done:
+            _write_history(self._cells, t * STATE_DIM, history, cfg.state)
+        return reward, self._states[t], done

@@ -25,7 +25,7 @@ from .agent import GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa:
 from .baselines import StaticPolicy
 from .commits import Commit, ObservedCommit, generate_trace, observe
 from .config import EnvConfig, TrainConfig, adversarial, derive_seed, validate_env
-from .environment import Action, PipelineEnv
+from .environment import Action, PipelineEnv, StepTable
 from .network import QNetwork
 
 __all__ = [
@@ -74,6 +74,21 @@ class EpisodeStats:
     action_counts: tuple[int, int, int]
     total_reward: float
 
+    @classmethod
+    def from_table(cls, table: StepTable) -> "EpisodeStats":
+        """Reduce one episode's step table; totals add in step order."""
+        caught, escaped = table.detected.count(True), table.escaped.count(True)
+        return cls(
+            commits=len(table.action),
+            total_pipeline_minutes=table.total("pipeline_minutes"),
+            total_test_minutes=table.total("test_minutes"),
+            bugs_introduced=caught + escaped,
+            bugs_caught=caught,
+            bugs_escaped=escaped,
+            action_counts=table.action_counts(),
+            total_reward=table.total("reward"),
+        )
+
 
 def run_episodes(
     policies: Sequence[Policy],
@@ -96,26 +111,11 @@ def run_episodes(
         )
     envs = [PipelineEnv(trace, env_cfg, seed=seed) for _ in policies]
     states = [env.reset() for env in envs]
-    stats = [EpisodeStats(len(trace), 0.0, 0.0, 0, 0, 0, (0, 0, 0), 0.0) for _ in policies]
-    counts = [[0, 0, 0] for _ in policies]
     for commit in trace:
         seen = observe(commit)
         for i, policy in enumerate(policies):
-            action = policy(states[i], seen)
-            if not isinstance(action, Action):
-                action = Action(action)
-            outcome, states[i], _ = envs[i].step(action, escape_penalty)
-            episode = stats[i]
-            episode.total_pipeline_minutes += outcome.pipeline_minutes
-            episode.total_test_minutes += outcome.test_minutes
-            episode.bugs_introduced += int(commit.has_bug)
-            episode.bugs_caught += int(outcome.detected)
-            episode.bugs_escaped += int(outcome.escaped)
-            episode.total_reward += outcome.reward
-            counts[i][action] += 1
-    for episode, counted in zip(stats, counts):
-        episode.action_counts = (counted[0], counted[1], counted[2])
-    return stats
+            _, states[i], _ = envs[i].step(policy(states[i], seen), escape_penalty)
+    return [EpisodeStats.from_table(env.table) for env in envs]
 
 
 def run_episode(

@@ -89,6 +89,7 @@ class QNetwork:
         # biases as added to a batch of activations; the axis for the batch
         # rows lets a stack's (K, fan_out) biases broadcast over (K, n, fan_out)
         self._row_biases = [b[..., None, :] for b in self.biases]
+        self._layers = tuple(zip(self.weights, self._row_biases))
 
     @classmethod
     def _owning(cls, flat: np.ndarray, sizes: tuple[int, ...]) -> "QNetwork":
@@ -217,6 +218,16 @@ def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     A stack of K networks takes one state or batch per agent and returns
     ``(K, n_actions)`` or ``(K, n, n_actions)``.
     """
+    if not net.stack and type(states) is np.ndarray and states.shape == net.sizes[:1]:
+        # one state through one network: the (1, d) matmuls, bias adds and
+        # ReLUs of a batch of one, without the batch bookkeeping
+        x = states[None].astype(np.float64, copy=False)
+        for w, b in net._layers[:-1]:
+            x = x @ w
+            x += b
+            np.maximum(x, 0.0, out=x)
+        w, b = net._layers[-1]
+        return (x @ w + b)[0]
     x, single = _as_batch(net, states)
     q, _ = _forward_cached(net, x, None, "")
     return q[..., 0, :] if single else q

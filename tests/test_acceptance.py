@@ -58,6 +58,8 @@ from testscope.network import (
     td_loss_and_grads,
 )
 
+from test_environment import detected_column
+
 EVAL_RUNS = 5
 EVAL_SEED = 1000
 TRAIN_SEED = 0
@@ -483,15 +485,12 @@ class TestCriterion11Determinism:
 
 class TestCriterion12StatisticalConformance:
     def test_detection_rates_within_three_sigma(self):
-        from testscope.environment import sample_detection
-
         cfg = EnvConfig()
         n = 10_000
         details = []
         ok = True
         for action, rate in zip(Action, cfg.detection_rates):
-            rng = np.random.default_rng(15 + int(action))
-            hits = sum(sample_detection(action, True, rng, cfg) for _ in range(n))
+            hits = sum(detected_column(action, n, seed=15 + int(action)))
             sigma = np.sqrt(rate * (1.0 - rate) / n)
             ok = ok and abs(hits / n - rate) <= 3.0 * sigma + 1e-12
             details.append(f"{action.name.lower()}={hits / n:.4f}")

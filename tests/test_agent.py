@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from testscope import agent
 from testscope.agent import (
     ReplayBuffer,
-    Transition,
     _train_step_arrays,
     epsilon_schedule,
     greedy_action,
@@ -24,14 +23,9 @@ from testscope.evaluation import penalty_sweep
 from testscope.network import AdamState, bootstrap_values, mlp_forward, mlp_init
 
 
-def make_transition(tag: float, done: bool = False) -> Transition:
-    return Transition(
-        state=np.full(10, tag),
-        action=Action(int(tag) % 3),
-        reward=-tag,
-        next_state=np.full(10, tag + 0.5),
-        done=done,
-    )
+def make_transition(tag: float, done: bool = False) -> tuple:
+    """``(state, action, reward, next_state, done)``, as ``push`` takes them."""
+    return np.full(10, tag), Action(int(tag) % 3), -tag, np.full(10, tag + 0.5), done
 
 
 def first_feature_net(k: int = 0):
@@ -61,27 +55,27 @@ def stored_rewards(buf: ReplayBuffer) -> list[float]:
 class TestReplayBuffer:
     def test_push_one(self):
         buf = ReplayBuffer(5)
-        buf.push(make_transition(1.0))
+        buf.push(*make_transition(1.0))
         assert len(buf) == 1
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(3)
         for i in range(4):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         assert len(buf) == 3
         assert stored_rewards(buf) == [-1.0, -2.0, -3.0]  # the first push is gone
 
     def test_storage_fidelity(self):
         buf = ReplayBuffer(4)
-        original = make_transition(2.0, done=True)
-        buf.push(original)
+        state, action, reward, next_state, done = make_transition(2.0, done=True)
+        buf.push(state, action, reward, next_state, done)
         states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
             1, np.random.default_rng(0)
         )
-        np.testing.assert_array_equal(states[0], original.state)
-        assert next_values[0] == original.next_state[0]
-        assert actions[0] == original.action
-        assert rewards[0] == original.reward
+        np.testing.assert_array_equal(states[0], state)
+        assert next_values[0] == next_state[0]
+        assert actions[0] == action
+        assert rewards[0] == reward
         assert dones[0] == 1.0
 
     @settings(max_examples=50, deadline=None)
@@ -92,20 +86,20 @@ class TestReplayBuffer:
     def test_contents_equal_last_capacity_pushes_in_order(self, rewards, capacity):
         buf = ReplayBuffer(capacity)
         for r in rewards:
-            buf.push(make_transition(abs(r)))
+            buf.push(*make_transition(abs(r)))
         expected = [abs(r) for r in rewards[-capacity:]]
         assert [abs(r) for r in stored_rewards(buf)] == expected
 
     def test_exhaustive_sample_is_permutation(self):
         buf = ReplayBuffer(8)
         for i in range(8):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         _, _, rewards, _, _ = refilled(buf).sample_batch(8, np.random.default_rng(0))
         assert sorted(rewards) == sorted(stored_rewards(buf))
 
     def test_empty_sample(self):
         buf = ReplayBuffer(8)
-        buf.push(make_transition(1.0))
+        buf.push(*make_transition(1.0))
         states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
             0, np.random.default_rng(0)
         )
@@ -114,7 +108,7 @@ class TestReplayBuffer:
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(8)
-        buf.push(make_transition(1.0))
+        buf.push(*make_transition(1.0))
         with pytest.raises(ValueError):
             buf.sample_batch(2, np.random.default_rng(0))
 
@@ -122,7 +116,7 @@ class TestReplayBuffer:
         # k=1 draws over a 10-item buffer land on each item ~10% of the time
         buf = ReplayBuffer(10)
         for i in range(10):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         refilled(buf)
         rng = np.random.default_rng(11)
         counts = np.zeros(10)
@@ -135,13 +129,11 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4, stack=(3,))
         for i in range(6):  # wraps around, evicting the first two pushes
             buf.push(
-                Transition(
-                    state=np.full((3, 10), i) + np.arange(3)[:, None],
-                    action=np.array([i % 3, (i + 1) % 3, (i + 2) % 3]),
-                    reward=np.array([-i, -i - 10.0, -i - 20.0]),
-                    next_state=np.full((3, 10), i + 0.5),
-                    done=i == 5,
-                )
+                np.full((3, 10), i) + np.arange(3)[:, None],
+                np.array([i % 3, (i + 1) % 3, (i + 2) % 3]),
+                np.array([-i, -i - 10.0, -i - 20.0]),
+                np.full((3, 10), i + 0.5),
+                i == 5,
             )
         states, actions, rewards, next_values, dones = refilled(buf, k=3).sample_batch(
             4, np.random.default_rng(1)
@@ -160,27 +152,30 @@ class TestReplayBuffer:
         # every row of every column comes from one and the same pushed transition
         buf = ReplayBuffer(6)
         for i in range(6):
-            buf.push(make_transition(float(i), done=(i % 2 == 0)))
+            buf.push(*make_transition(float(i), done=(i % 2 == 0)))
         states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
             4, np.random.default_rng(3)
         )
         assert len(set(rewards)) == 4
         for row, reward in enumerate(rewards):
-            pushed = make_transition(-reward, done=(int(-reward) % 2 == 0))
-            np.testing.assert_array_equal(states[row], pushed.state)
-            assert next_values[row] == pushed.next_state[0]
-            assert actions[row] == pushed.action
-            assert dones[row] == float(pushed.done)
+            state, action, _, next_state, done = make_transition(
+                -reward, done=(int(-reward) % 2 == 0)
+            )
+            np.testing.assert_array_equal(states[row], state)
+            assert next_values[row] == next_state[0]
+            assert actions[row] == action
+            assert dones[row] == float(done)
 
 
-def random_transition(rng: np.random.Generator, k: int = 0) -> Transition:
+def random_transition(rng: np.random.Generator, k: int = 0) -> tuple:
+    """A random ``(state, action, reward, next_state, done)``, one entry per agent with ``k``."""
     lead = (k,) if k else ()
-    return Transition(
-        state=rng.random((*lead, 10)),
-        action=rng.integers(0, 3, lead) if k else Action(int(rng.integers(3))),
-        reward=rng.uniform(-10, 0, lead) if k else float(rng.uniform(-10, 0)),
-        next_state=rng.random((*lead, 10)),
-        done=bool(rng.random() < 0.1),
+    return (
+        rng.random((*lead, 10)),
+        rng.integers(0, 3, lead) if k else Action(int(rng.integers(3))),
+        rng.uniform(-10, 0, lead) if k else float(rng.uniform(-10, 0)),
+        rng.random((*lead, 10)),
+        bool(rng.random() < 0.1),
     )
 
 
@@ -203,7 +198,7 @@ class TestBootstrapCache:
         rng = np.random.default_rng(k + chunk)
         buf = ReplayBuffer(300, stack=(k,) if k else ())
         for _ in range(250):
-            buf.push(random_transition(rng, k))
+            buf.push(*random_transition(rng, k))
         target = noisy_net(k)
         buf.refill(target, chunk)
         # every live slot, as a random row of a random minibatch-sized call
@@ -224,7 +219,7 @@ class TestBootstrapCache:
         monkeypatch.setattr(agent, "bootstrap_values", recording)
         buf = ReplayBuffer(50)
         for i in range(37):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         buf.refill(first_feature_net(), chunk=16)
         assert calls == [(16, 10)] * 3
         np.testing.assert_array_equal(buf._next_values[:37], np.arange(37) + 0.5)
@@ -233,10 +228,10 @@ class TestBootstrapCache:
     def test_pushes_after_a_refill_stay_stale_until_the_next(self):
         buf = ReplayBuffer(10)
         for i in range(4):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         refilled(buf)
         for i in range(4, 6):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         np.testing.assert_array_equal(buf._stale[:6], [False] * 4 + [True] * 2)
         np.testing.assert_array_equal(buf._next_values[4:6], 0.0)
         with pytest.raises(RuntimeError, match="stale"):
@@ -248,9 +243,9 @@ class TestBootstrapCache:
     def test_eviction_overwrites_the_slot_value(self):
         buf = refilled(ReplayBuffer(3))
         for i in range(3):
-            buf.push(make_transition(float(i)))
+            buf.push(*make_transition(float(i)))
         refilled(buf)
-        buf.push(make_transition(7.0))  # evicts slot 0
+        buf.push(*make_transition(7.0))  # evicts slot 0
         np.testing.assert_array_equal(buf._stale, [True, False, False])
         refilled(buf)
         np.testing.assert_array_equal(buf._next_values, [7.5, 1.5, 2.5])
@@ -259,7 +254,7 @@ class TestBootstrapCache:
         buf = ReplayBuffer(10, stack=(2,))
         rng = np.random.default_rng(1)
         for _ in range(7):
-            buf.push(random_transition(rng, k=2))
+            buf.push(*random_transition(rng, k=2))
         first, second = noisy_net(2, seed=0), noisy_net(2, seed=5)
         buf.refill(first, chunk=4)
         before = buf._next_values.copy()
@@ -345,7 +340,7 @@ class TestEpsilonSchedule:
 def column_batch(n: int) -> tuple[np.ndarray, ...]:
     buf = ReplayBuffer(4)
     for i in range(4):
-        buf.push(make_transition(float(i)))
+        buf.push(*make_transition(float(i)))
     return refilled(buf).sample_batch(n, np.random.default_rng(0))
 
 

@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 
+import numpy as np
 import pytest
 
 from testscope import cli
@@ -21,7 +22,10 @@ from testscope.config import (
     derive_seed,
     load_config,
     parse_config_text,
+    validate_env,
+    validate_eval,
     validate_experiment,
+    validate_train,
 )
 
 
@@ -225,6 +229,38 @@ class TestValidation:
         cfg = dataclasses.replace(ExperimentConfig(), **changes)
         with pytest.raises(ConfigError, match=re.escape(f"{key}: must be finite")):
             validate_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "validate, section, message",
+        [
+            (validate_env, EnvConfig(build_minutes="2"), "env.build_minutes: must be a number, got '2'"),
+            (
+                validate_env,
+                EnvConfig(escape_delay_minutes=None),
+                "env.escape_delay_minutes: must be a number, got None",
+            ),
+            (
+                validate_env,
+                EnvConfig(test_minutes=[10.0, 3.0, 0.0]),
+                "env.full_test_minutes: must be a tuple, got [10.0, 3.0, 0.0]",
+            ),
+            (validate_train, TrainConfig(seed=True), "train.seed: must be an integer, got True"),
+            (
+                validate_train,
+                TrainConfig(hidden_sizes=[64, 64]),
+                "train.hidden_sizes: must be a tuple, got [64, 64]",
+            ),
+            (validate_eval, EvalConfig(penalties=(1.0, False)), "eval.penalties: must be a number, got False"),
+        ],
+    )
+    def test_code_built_values_of_the_wrong_type_rejected(self, validate, section, message):
+        # one type rule per field kind: a number for a float field, an
+        # integer for an int field (a bool is neither), a tuple for a tuple field
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate(section)
+
+    def test_ints_and_numpy_numbers_pass_as_floats(self):
+        validate_env(EnvConfig(build_minutes=2, escape_delay_minutes=np.float64(15.0)))
 
 
 # every key whose field declares a bound, with the message it fails with

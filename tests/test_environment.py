@@ -13,9 +13,8 @@ from testscope.environment import (
     PipelineEnv,
     PipelineHistory,
     STATE_DIM,
-    compute_reward,
+    StepTable,
     encode_state,
-    sample_detection,
 )
 
 
@@ -36,6 +35,21 @@ def make_commit(**kwargs) -> Commit:
 
 def fresh_history() -> PipelineHistory:
     return PipelineHistory(StateConfig())
+
+
+def played(commits: list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
+    """Step every commit under ``action``; returns the rewards and the step table."""
+    env = PipelineEnv(commits, cfg or EnvConfig(), seed=seed)
+    rewards = [env.step(action, penalty)[0] for _ in commits]
+    return rewards, env.table
+
+
+def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bool, ...]:
+    """Whether each of ``n`` commits, all buggy or all clean, is caught under ``action``.
+
+    Each buggy commit draws one number from the env's generator, seeded with ``seed``.
+    """
+    return played([make_commit(id=i, has_bug=has_bug) for i in range(n)], action, seed=seed)[1].detected
 
 
 class TestEncodeState:
@@ -97,65 +111,53 @@ class TestEncodeState:
         assert state[9] == 10 / cfg.diff_cap
 
 
-class TestSampleDetection:
+class TestDetection:
     def test_full_tests_always_catch(self):
-        cfg = EnvConfig()
-        rng = np.random.default_rng(0)
-        assert all(
-            sample_detection(Action.FULL_TESTS, True, rng, cfg) for _ in range(2000)
-        )
+        assert all(detected_column(Action.FULL_TESTS, 2000, seed=0))
 
     def test_skip_never_catches(self):
-        cfg = EnvConfig()
-        rng = np.random.default_rng(0)
-        assert not any(
-            sample_detection(Action.SKIP_TESTS, True, rng, cfg) for _ in range(2000)
-        )
+        assert not any(detected_column(Action.SKIP_TESTS, 2000, seed=0))
 
     def test_clean_commit_never_fails(self):
-        cfg = EnvConfig()
-        rng = np.random.default_rng(0)
         for action in Action:
-            assert not any(
-                sample_detection(action, False, rng, cfg) for _ in range(500)
-            )
+            assert not any(detected_column(action, 500, seed=0, has_bug=False))
 
     def test_partial_detection_rate(self):
         # Monte Carlo vs the 70% partial-suite detection rate
-        cfg = EnvConfig()
-        rng = np.random.default_rng(8)
-        hits = sum(
-            sample_detection(Action.PARTIAL_TESTS, True, rng, cfg) for _ in range(10_000)
-        )
+        hits = sum(detected_column(Action.PARTIAL_TESTS, 10_000, seed=8))
         assert abs(hits / 10_000 - 0.70) <= 0.02
 
     def test_three_sigma_binomial_bounds(self):
         cfg = EnvConfig()
         n = 10_000
         for action, rate in zip(Action, cfg.detection_rates):
-            rng = np.random.default_rng(15 + action)
-            hits = sum(sample_detection(action, True, rng, cfg) for _ in range(n))
+            hits = sum(detected_column(action, n, seed=15 + action))
             sigma = np.sqrt(rate * (1.0 - rate) / n)
             assert abs(hits / n - rate) <= 3.0 * sigma + 1e-12
 
 
-class TestComputeReward:
+class TestReward:
     def test_full_suite_cost(self):
-        assert compute_reward(10.0, False, 5.0) == -10.0
+        rewards, table = played([make_commit(has_bug=False)], Action.FULL_TESTS, 5.0)
+        assert rewards == list(table.reward) == [-10.0]
 
     def test_escaped_bug_penalty(self):
-        assert compute_reward(0.0, True, 5.0) == -5.0
+        rewards, table = played([make_commit(has_bug=True)], Action.SKIP_TESTS, 5.0)
+        assert rewards == list(table.reward) == [-5.0]
 
     def test_clean_skip_is_free(self):
-        assert compute_reward(0.0, False, 123.0) == 0.0
+        rewards, table = played([make_commit(has_bug=False)], Action.SKIP_TESTS, 123.0)
+        assert rewards == list(table.reward) == [0.0]
 
     def test_negative_penalty_rejected(self):
+        env = PipelineEnv([make_commit()], EnvConfig())
         with pytest.raises(ValueError):
-            compute_reward(1.0, False, -0.1)
+            env.step(Action.PARTIAL_TESTS, -0.1)
 
     def test_negative_test_minutes_rejected(self):
+        cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
         with pytest.raises(ValueError):
-            compute_reward(-1.0, False, 1.0)
+            PipelineEnv([make_commit()], cfg)
 
     @given(
         minutes=st.floats(0, 1e4, allow_nan=False),
@@ -163,7 +165,29 @@ class TestComputeReward:
         penalty=st.floats(0, 1e4, allow_nan=False),
     )
     def test_reward_identity(self, minutes, escaped, penalty):
-        assert compute_reward(minutes, escaped, penalty) == -minutes - penalty * escaped
+        # no action detects, so a buggy commit escapes
+        cfg = dataclasses.replace(
+            EnvConfig(), test_minutes=(minutes,) * 3, detection_rates=(0.0,) * 3
+        )
+        rewards, table = played([make_commit(has_bug=escaped)], Action.FULL_TESTS, penalty, cfg)
+        assert table.escaped == (escaped,) and table.test_minutes == (minutes,)
+        assert rewards == list(table.reward) == [-minutes - penalty * escaped]
+
+
+class TestStepTable:
+    def test_totals_add_in_step_order_from_zero(self):
+        # a running sum from 0.0 loses the first 1.0 to rounding; a pairwise
+        # or compensated sum would keep it
+        table = StepTable((0, 2, 1, 2), (False,) * 4, (False,) * 4, (), (-0.0,), (1e16, 1.0, -1e16, 1.0))
+        assert table.total("reward") == 1.0
+        assert table.total("test_minutes") == 0.0
+        assert np.copysign(1.0, table.total("pipeline_minutes")) == 1.0  # -0.0 adds to +0.0
+        assert table.action_counts() == (1, 1, 2)
+
+    def test_empty_episode(self):
+        env = PipelineEnv([make_commit()], EnvConfig())
+        assert env.table == StepTable((), (), (), (), (), ())
+        assert env.table.total("reward") == 0.0 and env.table.action_counts() == (0, 0, 0)
 
 
 class TestPipelineEnv:
@@ -185,6 +209,28 @@ class TestPipelineEnv:
         while not done:
             _, _, done = env.step(Action.PARTIAL_TESTS, 5.0)
         np.testing.assert_array_equal(initial, env.reset())
+
+    def test_returned_states_stay_valid(self):
+        # states are rows of one array per episode: later steps and a reset
+        # leave the ones already returned untouched
+        cfg = EnvConfig()
+        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, seed=1)
+        kept, copies, done = [env.reset()], [], False
+        while not done:
+            copies.append(kept[-1].copy())
+            _, state, done = env.step(Action(len(kept) % 3), 5.0)
+            kept.append(state)
+        copies.append(kept[-1].copy())
+        env.reset()
+        env.step(Action.SKIP_TESTS, 5.0)
+        for state, copy in zip(kept, copies):
+            assert state.tobytes() == copy.tobytes()
+
+    def test_invalid_action_rejected(self):
+        env = PipelineEnv([make_commit()], EnvConfig())
+        with pytest.raises(ValueError):
+            env.step(3, 5.0)
+        assert env.table.action == ()
 
     def test_single_commit_trace_finishes_in_one_step(self):
         trace = generate_trace(EnvConfig(), 1, seed=4)
@@ -220,43 +266,36 @@ class TestPipelineEnv:
         cfg = EnvConfig()
         env = PipelineEnv(generate_trace(cfg, cfg.commits_per_episode, seed=8), cfg, seed=3)
         rng = np.random.default_rng(0)
-        state, done, caught = env.reset(), False, 0
+        state, done = env.reset(), False
         while not done:
             assert state[5] == state[8]
-            outcome, state, done = env.step(Action(int(rng.integers(3))), 5.0)
-            caught += outcome.detected
-        assert caught > 0
+            _, state, done = env.step(Action(int(rng.integers(3))), 5.0)
+        assert any(env.table.detected)
 
     def test_detected_bug_rejected_before_deploy(self):
         # full tests on a buggy commit: no deploy time, no escape delay
         cfg = EnvConfig()
         trace = [make_commit(has_bug=True)]
-        env = PipelineEnv(trace, cfg, seed=0)
-        env.reset()
-        outcome, _, _ = env.step(Action.FULL_TESTS, 5.0)
-        assert outcome.detected and not outcome.escaped
-        assert outcome.pipeline_minutes == cfg.build_minutes + 10.0
-        assert outcome.reward == -10.0
+        rewards, table = played(trace, Action.FULL_TESTS, 5.0, cfg)
+        assert table.detected == (True,) and table.escaped == (False,)
+        assert table.pipeline_minutes == (cfg.build_minutes + 10.0,)
+        assert rewards == list(table.reward) == [-10.0]
 
     def test_escaped_bug_pays_delay(self):
         cfg = EnvConfig()
         trace = [make_commit(has_bug=True)]
-        env = PipelineEnv(trace, cfg, seed=0)
-        env.reset()
-        outcome, _, _ = env.step(Action.SKIP_TESTS, 5.0)
-        assert outcome.escaped and not outcome.detected
+        rewards, table = played(trace, Action.SKIP_TESTS, 5.0, cfg)
+        assert table.escaped == (True,) and table.detected == (False,)
         expected = cfg.build_minutes + 0.0 + cfg.deploy_minutes + cfg.escape_delay_minutes
-        assert outcome.pipeline_minutes == expected == 18.0
-        assert outcome.reward == -5.0
+        assert table.pipeline_minutes[0] == expected == 18.0
+        assert rewards == list(table.reward) == [-5.0]
 
     def test_clean_skip_pipeline_minutes(self):
         cfg = EnvConfig()
         trace = [make_commit(has_bug=False)]
-        env = PipelineEnv(trace, cfg, seed=0)
-        env.reset()
-        outcome, _, _ = env.step(Action.SKIP_TESTS, 5.0)
-        assert outcome.pipeline_minutes == 3.0
-        assert outcome.reward == 0.0
+        rewards, table = played(trace, Action.SKIP_TESTS, 5.0, cfg)
+        assert table.pipeline_minutes == (3.0,)
+        assert rewards == list(table.reward) == [0.0]
 
     def test_pipeline_minutes_cover_test_minutes(self):
         cfg = EnvConfig()
@@ -266,9 +305,14 @@ class TestPipelineEnv:
         rng = np.random.default_rng(1)
         done = False
         while not done:
-            outcome, _, done = env.step(Action(int(rng.integers(3))), 5.0)
-            assert outcome.pipeline_minutes >= outcome.test_minutes
-            assert not (outcome.detected and outcome.escaped)
+            _, _, done = env.step(Action(int(rng.integers(3))), 5.0)
+        table = env.table
+        assert len(table.action) == 100
+        for pipeline, test, detected, escaped in zip(
+            table.pipeline_minutes, table.test_minutes, table.detected, table.escaped
+        ):
+            assert pipeline >= test
+            assert not (detected and escaped)
 
     def test_replay_determinism(self):
         cfg = EnvConfig()
@@ -278,9 +322,13 @@ class TestPipelineEnv:
         def play():
             env = PipelineEnv(trace, cfg, seed=5)
             env.reset()
-            return [env.step(a, 5.0)[0] for a in actions]
+            return [env.step(a, 5.0) for a in actions], env.table
 
-        assert play() == play()
+        (first, first_table), (second, second_table) = play(), play()
+        assert first_table == second_table
+        for (reward, state, done), (again, again_state, again_done) in zip(first, second):
+            assert (reward, done) == (again, again_done)
+            assert state.tobytes() == again_state.tobytes()
 
     def test_reward_identity_every_step(self):
         cfg = EnvConfig()
@@ -288,10 +336,14 @@ class TestPipelineEnv:
         env = PipelineEnv(trace, cfg, seed=5)
         env.reset()
         rng = np.random.default_rng(3)
-        done = False
+        done, rewards = False, []
         while not done:
-            outcome, _, done = env.step(Action(int(rng.integers(3))), 7.0)
-            assert outcome.reward == -outcome.test_minutes - 7.0 * outcome.escaped
+            reward, _, done = env.step(Action(int(rng.integers(3))), 7.0)
+            rewards.append(reward)
+        table = env.table
+        assert rewards == list(table.reward)
+        for reward, minutes, escaped in zip(table.reward, table.test_minutes, table.escaped):
+            assert reward == -minutes - 7.0 * escaped
 
 
 def formula_state(commit: Commit, cfg: StateConfig, detections, actions, prev_diff) -> np.ndarray:
@@ -367,9 +419,10 @@ class TestEncodingIsBitIdentical:
             expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
             assert state.tobytes() == expected.tobytes()
             assert encode_state(commit, history, state_cfg).tobytes() == expected.tobytes()
-            outcome, state, done = env.step(action, 5.0)
-            history.update(Action(action), outcome.detected, commit)
-            detections.append(outcome.detected)
+            _, state, done = env.step(action, 5.0)
+            detected = env.table.detected[-1]
+            history.update(Action(action), detected, commit)
+            detections.append(detected)
             actions.append(Action(action))
             prev_diff = commit.diff_size
         assert done and state.tobytes() == np.zeros(STATE_DIM).tobytes()

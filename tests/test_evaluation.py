@@ -1,6 +1,7 @@
 """Evaluation harness: episode stats, metric aggregation, studies."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -368,3 +369,127 @@ class TestConvergenceStats:
         ]
         log = agent_mod.TrainingLog(records)
         assert convergence_stats(log, window=100).converged_episode == 100
+
+
+def mixed_policy(state, commit):
+    """A plain int that depends on the commit's diff, the history and the id."""
+    return int(7 * state[0] + 5 * state[5] + 3 * state[9] + commit.id) % 3
+
+
+def fractional_cfg(mode: str) -> EnvConfig:
+    """Minutes that are not whole numbers, so the order of every sum shows in its bits."""
+    return dataclasses.replace(
+        EnvConfig(),
+        test_minutes=(9.7, 3.1, 0.0),
+        build_minutes=1.9,
+        deploy_minutes=0.7,
+        escape_delay_minutes=15.3,
+        trace_mode=mode,
+    )
+
+
+def stats_digest(stats: list[evaluation.EpisodeStats]) -> str:
+    """sha256 of every field of every entry, as one float64 table."""
+    table = np.array(
+        [
+            [
+                s.commits,
+                s.total_pipeline_minutes,
+                s.total_test_minutes,
+                s.bugs_introduced,
+                s.bugs_caught,
+                s.bugs_escaped,
+                *s.action_counts,
+                s.total_reward,
+            ]
+            for s in stats
+        ],
+        dtype=np.float64,
+    )
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+# sha256 of the ``EpisodeStats`` of ``run_episodes`` over one trace and of
+# ``compare_policies`` over two runs (every policy, by name), per trace mode,
+# seed and number of policies, at escape penalty 4.9. Recorded before the
+# step table existed, when each loop added every step's outcome to its own
+# running totals.
+PINNED_EVAL_DIGESTS = {
+    ("standard", 0, 1): (
+        "3963ad67d89befb66c03fb8289816bdc7fa8141afaedbb7060ef1ce7b991bfb4",
+        "d7c9f406cccc25295b7fc838f1415481250c815bc48d0e1fe6fb8d8b1701d278",
+    ),
+    ("standard", 0, 4): (
+        "642d05dc6f536678934da84e661ba5dd9b2c27dbc143b33f5ccf7d1751d15862",
+        "6e78dd49df179a524f989cf574762b8be884e53bfdff4e57f959c72a5f23e4b5",
+    ),
+    ("standard", 1, 1): (
+        "39dea0ae6a6552e02239418994d906948167537a170318590ff3f19a753481ce",
+        "6667896c20009069eea4c3070d70ceb3f03e5bf6960726e1e50fd0fc5e0b751f",
+    ),
+    ("standard", 1, 4): (
+        "4968b6f0ed74656be0517f344ca5eaf63b9b39b3a4b7c3c96785848fae0d47b2",
+        "1fec89c295f2485e4226e4b0af1f7bebd875ffa54598bda9a8108c79812fa1d0",
+    ),
+    ("standard", 2, 1): (
+        "648532e816afd50a14be9764e72baf2141142cd87be39cd9fbc92cdf19aab664",
+        "31bb34de9f794bc42eb5bab956a17390dd3f2494e94b4a9d8a75310933a782e9",
+    ),
+    ("standard", 2, 4): (
+        "3909a45a5acdb6cc2859f8258ee11c98dff104768be25f7bce75932e16c906d0",
+        "8d6c3e0378bd93ddc81f6d7ba3bf3e08ee55edb9863d89101e8e1efa44c0eac9",
+    ),
+    ("standard", 3, 1): (
+        "680b88c4cad40ce7b8453cb5f3ba1fd87fbc66b458fb31bbf91670bba312721d",
+        "6ec2d9cfbec908dad17c9cc9e5da0c2f0ebba0e6a9fe4ef654ee0c6027105af7",
+    ),
+    ("standard", 3, 4): (
+        "0ef6207f25f2ed243441274c2b0e9aaffc0bd2691c4cbfe77bf9ecc3b5340c49",
+        "084caf0227225fdf7b188c1d89d72986555f0856b579b1aafc63d0f40277338b",
+    ),
+    ("adversarial", 0, 1): (
+        "4e261f73d5f8b705f99e9662961cb11b40b0d495f156fd23cb943f593d4a6c05",
+        "dc100e55e5cd6dd638d24b898968bb45ac3303020891d02c355daac30a853955",
+    ),
+    ("adversarial", 0, 4): (
+        "4e940110139b751a733971716027fba1248c735c601470354ec95b9d4cc2ecb0",
+        "a5494503b5bb834a3628a8bf65b83c97c0d48fcf0ddc19948b24d34a2bebdadc",
+    ),
+    ("adversarial", 1, 1): (
+        "15e43672c1845b44c65db61d8233db94833b130bc43e352d743e6e938a0cc19e",
+        "4940aa6a589576331412e9c4866e3938d7ba99815895c74bfcf69d2e3a32557f",
+    ),
+    ("adversarial", 1, 4): (
+        "43aca88dc5b401f616fa35855e86d9e6facb5414a8c62943cbe05657ea54dada",
+        "6818bff8d88af43b23e7b5290a1a9b81f3c11c8505cb3a6e8da40da03acc557d",
+    ),
+    ("adversarial", 2, 1): (
+        "0a68d66c9504e1356a47b35a216f4817f9086b06082f01844dba0d84b702bcca",
+        "2497dfc2669af43fb07ee55eff5ce2f8af951dee23fb07a508870c64f6a1e0ef",
+    ),
+    ("adversarial", 2, 4): (
+        "cd3860d957597ab5a7128c993f8a683fd3755a9629812ee88039a02a85c15c56",
+        "c229de3e2c898d52b19eab7b0cd654b8ff14ff8b5e4eda7be89ee1ec0bc706aa",
+    ),
+    ("adversarial", 3, 1): (
+        "943a7f1a281dcf3cdb52eddc7fe0cb82d634c4eb7e71a4889499a96b660bd1e6",
+        "8748cf3265aa6b7f832b7f4402a9ad4f9d49705586612a80a427493ebdfee420",
+    ),
+    ("adversarial", 3, 4): (
+        "356e872d58dddd8b5c0991ff13a83c3476ed96b5e9821dc5ab3a8b04b93034aa",
+        "2e8f12851605dd9e4c9cd5d7b93106403fe7433e7f5bc92e88ff5e31776de700",
+    ),
+}
+
+
+class TestPinnedStats:
+    @pytest.mark.parametrize("mode, seed, n_policies", list(PINNED_EVAL_DIGESTS))
+    def test_stats_match_the_running_totals(self, mode, seed, n_policies):
+        cfg = fractional_cfg(mode)
+        policies = [mixed_policy] if n_policies == 1 else four_policies()
+        trace = generate_trace(cfg, cfg.commits_per_episode, seed=seed)
+        episodes = stats_digest(run_episodes(policies, trace, 4.9, cfg, seed=seed + 10))
+        named = dict(zip("abcd", policies))
+        _, stats = compare_policies(named, cfg, 4.9, n_runs=2, base_seed=seed)
+        compared = stats_digest([s for name in sorted(stats) for s in stats[name]])
+        assert (episodes, compared) == PINNED_EVAL_DIGESTS[(mode, seed, n_policies)]

@@ -123,6 +123,20 @@ class TestForward:
         # batched and single-row BLAS paths may differ in the last ulp
         np.testing.assert_allclose(q[2], mlp_forward(net, states[2]), rtol=1e-12)
 
+    @pytest.mark.parametrize("hidden", DEPTHS)
+    def test_one_state_equals_a_batch_of_one_bit_for_bit(self, hidden):
+        # a single float64 state takes its own short path through the same
+        # (1, d) products; a list takes the general one
+        net = mlp_init(hidden, seed=3)
+        net.flat += np.random.default_rng(4).normal(scale=0.1, size=net.flat.size)
+        for state in np.random.default_rng(5).normal(size=(20, 10)):
+            q = mlp_forward(net, state)
+            assert q.shape == (3,)
+            assert q.tobytes() == mlp_forward(net, state[None])[0].tobytes()
+            assert q.tobytes() == mlp_forward(net, list(state)).tobytes()
+        ints = np.arange(10)
+        assert mlp_forward(net, ints).tobytes() == mlp_forward(net, ints.astype(float)).tobytes()
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mlp_forward(tiny_net(), np.ones(9))
