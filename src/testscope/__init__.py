@@ -36,7 +36,6 @@ from .commits import (
     ObservedCommit,
     generate_trace,
     observe,
-    read_trace,
 )
 from .config import (
     ClassifierConfig,

@@ -291,8 +291,8 @@ def train_agents(
             env_cfg, env_cfg.commits_per_episode, seed=derive_seed(cfg.seed, _STREAM_TRACE, episode)
         )
         env_seed = derive_seed(cfg.seed, _STREAM_ENV, episode)
-        envs = [PipelineEnv(trace, env_cfg, seed=env_seed) for _ in penalties]
-        state = joined([env.reset() for env in envs])
+        envs = PipelineEnv(trace, env_cfg, seed=env_seed).replicas(len(penalties))
+        state = joined([env.state for env in envs])
 
         for _ in trace:
             action = select_action(net, state, epsilon, rng)

@@ -35,7 +35,6 @@ __all__ = [
     "ClassifierPolicy",
     "AlwaysPolicy",
     "make_classifier",
-    "log_loss",
 ]
 
 CLASSIFIER_FEATURES = (
@@ -90,18 +89,19 @@ class AlwaysPolicy:
 # logistic risk model
 # --------------------------------------------------------------------------
 
+def _feature_values(commit: ObservedCommit | Commit, cfg: StateConfig) -> tuple[float, ...]:
+    return (
+        min(commit.diff_size, cfg.diff_cap) / cfg.diff_cap,
+        min(commit.files_changed, cfg.files_cap) / cfg.files_cap,
+        commit.source_fraction,
+        commit.developer_defect_rate,
+        commit.developer_experience,
+    )
+
+
 def commit_features(commit: ObservedCommit | Commit, state_cfg: StateConfig | None = None) -> np.ndarray:
     """Normalized metadata features in ``CLASSIFIER_FEATURES`` order."""
-    cfg = state_cfg or StateConfig()
-    return np.array(
-        [
-            min(commit.diff_size, cfg.diff_cap) / cfg.diff_cap,
-            min(commit.files_changed, cfg.files_cap) / cfg.files_cap,
-            commit.source_fraction,
-            commit.developer_defect_rate,
-            commit.developer_experience,
-        ]
-    )
+    return np.array(_feature_values(commit, state_cfg or StateConfig()))
 
 
 @dataclass
@@ -137,7 +137,7 @@ def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float
 
 
 def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([commit_features(c, state_cfg) for c in commits])
+    x = np.array([_feature_values(c, state_cfg) for c in commits])
     y = np.array([float(c.has_bug) for c in commits])
     return x, y
 
@@ -231,12 +231,6 @@ def train_classifier(
         opts.max_iterations,
         grad_norm,
     )
-
-
-def log_loss(model: LogisticModel, commits: list[Commit], l2_penalty: float = 0.0) -> float:
-    """Mean log-loss of the model on labeled commits (plus optional L2 term)."""
-    x, y = _labeled_arrays(commits, model.state_cfg)
-    return _objective(x @ model.weights + model.bias, y, model.weights, l2_penalty)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
     "TRACE_COLUMNS",
     "generate_trace",
     "trace_to_text",
-    "parse_trace_text",
-    "read_trace",
 ]
 
 TRACE_COLUMNS = (
@@ -77,8 +75,7 @@ class Commit:
     risk_score: float
 
 
-@dataclass(frozen=True)
-class ObservedCommit:
+class ObservedCommit(NamedTuple):
     """The policy-visible commit metadata: no ground truth, no risk oracle."""
 
     id: int
@@ -92,12 +89,12 @@ class ObservedCommit:
 def observe(commit: Commit) -> ObservedCommit:
     """Redact a commit down to what a policy is allowed to see."""
     return ObservedCommit(
-        id=commit.id,
-        diff_size=commit.diff_size,
-        files_changed=commit.files_changed,
-        source_fraction=commit.source_fraction,
-        developer_defect_rate=commit.developer_defect_rate,
-        developer_experience=commit.developer_experience,
+        commit.id,
+        commit.diff_size,
+        commit.files_changed,
+        commit.source_fraction,
+        commit.developer_defect_rate,
+        commit.developer_experience,
     )
 
 
@@ -198,19 +195,9 @@ def _build_commits(
     files = 1 + rng.poisson(diff / gen.lines_per_file)
     risk = risk_scores(gen, cfg.bug_probability, diff, defect_rate, source, experience)
 
-    return [
-        Commit(
-            id=i,
-            diff_size=int(diff[i]),
-            files_changed=int(files[i]),
-            source_fraction=float(source[i]),
-            developer_defect_rate=float(defect_rate[i]),
-            developer_experience=float(experience[i]),
-            has_bug=bool(has_bug[i]),
-            risk_score=float(risk[i]),
-        )
-        for i in range(n)
-    ]
+    # one tolist() per column gives plain Python ints, floats and bools
+    columns = (diff, files, source, defect_rate, experience, has_bug, risk)
+    return [Commit(*row) for row in zip(range(n), *(col.tolist() for col in columns))]
 
 
 def generate_trace(
@@ -244,30 +231,3 @@ def trace_to_text(commits: list[Commit]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def parse_trace_text(text: str) -> list[Commit]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-        raise ValueError("not a trace file: bad or missing header row")
-    commits = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
-            raise ValueError(f"bad trace record: {line!r}")
-        commits.append(
-            Commit(
-                id=int(parts[0]),
-                diff_size=int(parts[1]),
-                files_changed=int(parts[2]),
-                source_fraction=float(parts[3]),
-                developer_defect_rate=float(parts[4]),
-                developer_experience=float(parts[5]),
-                has_bug=bool(int(parts[6])),
-                risk_score=float(parts[7]),
-            )
-        )
-    return commits
-
-
-def read_trace(path: str | Path) -> list[Commit]:
-    return parse_trace_text(Path(path).read_text())

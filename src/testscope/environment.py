@@ -35,7 +35,10 @@ Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
 encodes them for the whole trace in one pass when it is built. A reset copies
 those rows into a new state array, and each step writes features 6-9 of the
 next commit's row from the history and returns that row. :func:`encode_state`
-composes the same helpers for one commit.
+composes the same helpers for one commit. The detection draws depend on the
+trace and the seed alone too, so they are drawn when the env is built, and
+:meth:`PipelineEnv.replicas` shares rows and draws among environments that
+play the same trace.
 
 A step returns ``(reward, next_state, done)`` and records the commit in the
 episode's :class:`StepTable`, one row per commit: action, detected, escaped,
@@ -44,6 +47,7 @@ test minutes, pipeline minutes and reward.
 
 from __future__ import annotations
 
+import copy
 from enum import IntEnum
 from functools import reduce
 from operator import add
@@ -124,12 +128,6 @@ class PipelineHistory:
         self.since_full_tests = 0 if action == Action.FULL_TESTS else self.since_full_tests + 1
         self.prev_diff_size = commit.diff_size
 
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of the recent window whose tests failed (0 when empty)."""
-        recent = self._recent
-        return self._failures / len(recent) if recent else 0.0
-
 
 def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
     """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
@@ -153,7 +151,9 @@ def _write_history(cells: memoryview, at: int, history: PipelineHistory, cfg: St
     faster than an array does. Each feature lands in [0, 1] without a clip:
     the window fractions and the gap are bounded by construction.
     """
-    failed = history.failure_fraction
+    # fraction of the recent window whose tests failed (0 when empty)
+    recent = history._recent
+    failed = history._failures / len(recent) if recent else 0.0
     cells[at + 5] = failed
     cells[at + 6] = 1.0 if history.prev_failed else 0.0
     cells[at + 7] = min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap
@@ -174,12 +174,14 @@ def encode_state(commit: Commit, history: PipelineHistory, cfg: StateConfig) -> 
 class PipelineEnv:
     """Steps a fixed commit trace through the simulated pipeline.
 
-    Stateful and single-threaded; independent instances never share state.
-    ``reset`` restores the cursor, the history, and the detection RNG, so a
-    reset environment replays identically under the same action sequence.
-    The states a step returns are rows of one array per episode: each is
-    written once, before it is returned, and a reset allocates a new array,
-    so callers may keep them.
+    Stateful and single-threaded. The encoded rows and the detection draws
+    are fixed when the env is built: the k-th buggy commit of the trace is
+    caught when the k-th number of ``default_rng(seed).random(n_buggy)`` is
+    below the action's detection rate. ``reset`` restores the cursor and the
+    history and replays the same draws, so a reset environment replays
+    identically under the same action sequence. The states a step returns
+    are rows of one array per episode: each is written once, before it is
+    returned, and a reset allocates a new array, so callers may keep them.
     """
 
     def __init__(self, trace: list[Commit], cfg: EnvConfig, seed: int = 0):
@@ -189,22 +191,39 @@ class PipelineEnv:
             raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
         self._trace = trace
         self._cfg = cfg
-        self._seed = seed
         rows = _commit_rows(trace, cfg.state)
         rows[1:, 9] = rows[:-1, 0]  # feature 10 is the previous commit's feature 1
         # one row per commit, then the all-zero state that ends the episode
         self._rows = np.vstack([rows, np.zeros(STATE_DIM)])
+        # the k-th buggy commit gets the k-th draw; clean commits draw none
+        draws = iter(np.random.default_rng(seed).random(sum(c.has_bug for c in trace)).tolist())
+        self._draws = [next(draws) if c.has_bug else None for c in trace]
         self.reset()
+
+    def replicas(self, k: int) -> list["PipelineEnv"]:
+        """``k`` reset environments over this one's trace, config and seed.
+
+        They share the encoded rows and the detection draws; each has its own
+        cursor, history, step table and state array.
+        """
+        envs = [copy.copy(self) for _ in range(k)]
+        for env in envs:
+            env.reset()
+        return envs
 
     def reset(self) -> np.ndarray:
         """Rewind to the first commit and return its state."""
-        self._rng = np.random.default_rng(self._seed)
         self._cursor = 0
         self._history = PipelineHistory(self._cfg.state)
         self._states = self._rows.copy()
         self._cells = memoryview(self._states.reshape(-1))
         self._steps: list[tuple] = []
         return self._states[0]
+
+    @property
+    def state(self) -> np.ndarray:
+        """The current commit's state, all zeros once the episode is done."""
+        return self._states[self._cursor]
 
     @property
     def table(self) -> StepTable:
@@ -232,7 +251,7 @@ class PipelineEnv:
         test_minutes = cfg.test_minutes[action]
         # clean commits never fail tests; a buggy one is caught at the
         # action's rate (a rate of 1.0 always, 0.0 never)
-        detected = commit.has_bug and self._rng.random() < cfg.detection_rates[action]
+        detected = commit.has_bug and self._draws[t] < cfg.detection_rates[action]
         escaped = commit.has_bug and not detected
 
         pipeline_minutes = cfg.build_minutes + test_minutes

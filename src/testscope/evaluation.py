@@ -109,8 +109,8 @@ def run_episodes(
             f"trace length {len(trace)} != commits_per_episode "
             f"{env_cfg.commits_per_episode}"
         )
-    envs = [PipelineEnv(trace, env_cfg, seed=seed) for _ in policies]
-    states = [env.reset() for env in envs]
+    envs = PipelineEnv(trace, env_cfg, seed=seed).replicas(len(policies))
+    states = [env.state for env in envs]
     for commit in trace:
         seen = observe(commit)
         for i, policy in enumerate(policies):

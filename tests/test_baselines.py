@@ -16,7 +16,6 @@ from testscope.baselines import (
     classifier_action,
     commit_features,
     heuristic_action,
-    log_loss,
     make_classifier,
     predict_risk,
     static_action,
@@ -173,8 +172,7 @@ class TestTrainClassifier:
             losses = []
             x, y = _labeled_arrays(commits, StateConfig())
             for weights, bias, grad_norm in _newton_iterates(x, y, opts.l2_penalty):
-                model = LogisticModel(weights=weights, bias=bias)
-                losses.append(log_loss(model, commits, l2_penalty=opts.l2_penalty))
+                losses.append(baselines._objective(x @ weights + bias, y, weights, opts.l2_penalty))
                 if grad_norm <= opts.tolerance:
                     break
             assert len(losses) >= 4
@@ -232,9 +230,22 @@ class TestTrainClassifier:
 
     def test_log_loss_is_exact_for_confident_models(self):
         # log(1 + e^z) - y z stays exact where a clipped probability saturates
-        commits = [make_commit(has_bug=True), make_commit(has_bug=False)]
-        assert log_loss(flat_model(bias=-800.0), commits) == 400.0
-        assert log_loss(flat_model(bias=0.0), commits) == pytest.approx(math.log(2.0), abs=1e-15)
+        x, y = _labeled_arrays([make_commit(has_bug=True), make_commit(has_bug=False)], StateConfig())
+        weights = np.zeros(5)
+        assert baselines._objective(x @ weights - 800.0, y, weights, 0.0) == 400.0
+        loss = baselines._objective(x @ weights, y, weights, 0.0)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_labeled_arrays_match_commit_features_bit_for_bit(self):
+        # small caps so that both clamps are hit
+        cfg = StateConfig(diff_cap=37, files_cap=3)
+        for mode in ("standard", "adversarial"):
+            commits = generate_trace(EnvConfig(), 500, seed=14, mode=mode)
+            x, y = _labeled_arrays(commits, cfg)
+            expected = np.stack([commit_features(c, cfg) for c in commits])
+            assert x.dtype == expected.dtype and x.shape == expected.shape
+            assert x.tobytes() == expected.tobytes()
+            assert y.tolist() == [float(c.has_bug) for c in commits]
 
     def test_held_out_auc_band(self):
         # the generator must stay learnable but imperfect

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from testscope.cli import run_command
-from testscope.commits import read_trace
 from testscope.network import QNetwork, mlp_init
 from testscope.persist import load_policy, save_policy
+
+from test_commits import parse_trace_text
 
 TINY_CONFIG = """\
 # small experiment for fast end-to-end runs
@@ -36,7 +37,7 @@ class TestTraceGen:
     def test_writes_named_trace(self, tmp_path):
         out = tmp_path / "results"
         assert run_command(["trace-gen", "--seed", "7", "--out", str(out), "--n", "25"]) == 0
-        trace = read_trace(out / "trace-gen-7-0.csv")
+        trace = parse_trace_text((out / "trace-gen-7-0.csv").read_text())
         assert len(trace) == 25
 
     def test_deterministic_reruns(self, tmp_path):
@@ -53,7 +54,7 @@ class TestTraceGen:
             )
             == 0
         )
-        trace = read_trace(out / "trace-gen-3-0.csv")
+        trace = parse_trace_text((out / "trace-gen-3-0.csv").read_text())
         assert max(c.diff_size for c in trace) >= 100
 
     def test_no_temp_files_left_behind(self, tmp_path):

@@ -1,20 +1,42 @@
 """Commit generator: distributions, determinism, stress traces, trace files."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from testscope.commits import (
-    generate_trace,
-    parse_trace_text,
-    trace_to_text,
-)
+from testscope.commits import TRACE_COLUMNS, Commit, generate_trace, trace_to_text
 from testscope.config import EnvConfig
 
 
 def make_cfg(**kwargs) -> EnvConfig:
     return dataclasses.replace(EnvConfig(), **kwargs)
+
+
+def parse_trace_text(text: str) -> list[Commit]:
+    """Read a trace back from its on-disk CSV form, checking header and record widths."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
+        raise ValueError("not a trace file: bad or missing header row")
+    commits = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(TRACE_COLUMNS):
+            raise ValueError(f"bad trace record: {line!r}")
+        commits.append(
+            Commit(
+                id=int(parts[0]),
+                diff_size=int(parts[1]),
+                files_changed=int(parts[2]),
+                source_fraction=float(parts[3]),
+                developer_defect_rate=float(parts[4]),
+                developer_experience=float(parts[5]),
+                has_bug=bool(int(parts[6])),
+                risk_score=float(parts[7]),
+            )
+        )
+    return commits
 
 
 class TestGenerateCommit:
@@ -130,6 +152,52 @@ class TestRiskScore:
         assert all(c.risk_score == 0.0 for c in zero)
         one = generate_trace(make_cfg(bug_probability=1.0), 100, seed=1)
         assert all(c.risk_score == 1.0 for c in one)
+
+
+# sha256 of trace_to_text(generate_trace(EnvConfig(), n, seed, mode)), recorded
+# before the generator built its commits column by column
+PINNED_TRACES = {
+    ("standard", 0, 1): "82b8c91577a0774d4c53d13ebed75f19d8a32eb9db54248b15526f78464072ab",
+    ("standard", 0, 100): "803b986587b3b06b151fd2e9bed0971ab83e39a9af86186b4e705070b8d59c1d",
+    ("standard", 0, 5000): "0da8452cd99138ece35340f831d7134fc7b8f2ed0bff3996442232709c7ee267",
+    ("standard", 1, 1): "18c49963e17b54bd5ea3e12b520055882b63f7f65d5b403d014760a41b11f0b1",
+    ("standard", 1, 100): "382d49e2abaf9cdcbef4ebddc0954f5ffbbdbbd1cdc279b2555836d62ee1d840",
+    ("standard", 1, 5000): "79403194bbd2d0e2aff505f7e5c4f250cf37f598c979f133a1bf1c8044fd1064",
+    ("standard", 7, 1): "81cf956c2dfd6d89babd5f6641c2fcf92580d2495bb3ab9485ecba61f8b57f7b",
+    ("standard", 7, 100): "42c60ebb8595fd0c4b9803d6879faddbadb4edb9f984ee02c707d337a42a2c73",
+    ("standard", 7, 5000): "102ad21fe851341157ad5f29a486a1de8090853a6a39b4f77a5d54f6a52d2125",
+    ("adversarial", 0, 1): "eff1610c29caf734a0878f1698e57ece4a0faf0eadcdbb976d063ad97f58f5a7",
+    ("adversarial", 0, 100): "b62a8d00b78d030243dc7a0cc23be51791ea14f1614b1fecf06239dc179cf06a",
+    ("adversarial", 0, 5000): "92d8289ccf017b53b903e541a91d1e8f7e7584e975af8d09f5da8d4a154e2969",
+    ("adversarial", 1, 1): "d8df1e06726ff04f6aedcdc4723eb24704e2211448df95f1eea9a36c9a89d5d2",
+    ("adversarial", 1, 100): "aef14e52b096750bafd1d4a1514f0c8b21c2cffad047c14a84aef2d3ed7787f6",
+    ("adversarial", 1, 5000): "a28e2f032fed47e1fc9588c260bb33706d4e2d75ad78b73521ccb1951233fe7c",
+    ("adversarial", 7, 1): "58202c2f3da5a1166822cfc01832e551cea520f5b82eb50028085a79fa01e7fe",
+    ("adversarial", 7, 100): "6cee372e737f8739efa5740e0d2577011e5d467509cd591c504b88ea7e5b1292",
+    ("adversarial", 7, 5000): "a1bd84f688f9d7ea45eb744152db0d85fb8165850e35cc94054f5a756053433b",
+}
+
+FIELD_TYPES = {
+    "id": int,
+    "diff_size": int,
+    "files_changed": int,
+    "source_fraction": float,
+    "developer_defect_rate": float,
+    "developer_experience": float,
+    "has_bug": bool,
+    "risk_score": float,
+}
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("mode, seed, n", sorted(PINNED_TRACES))
+    def test_trace_bytes_are_pinned(self, mode, seed, n):
+        trace = generate_trace(EnvConfig(), n, seed=seed, mode=mode)
+        digest = hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
+        assert digest == PINNED_TRACES[mode, seed, n]
+        # the text hides int vs NumPy int; the fields must be plain Python values
+        for c in trace:
+            assert {f: type(getattr(c, f)) for f in FIELD_TYPES} == FIELD_TYPES
 
 
 class TestTraceFiles:

@@ -346,6 +346,62 @@ class TestPipelineEnv:
             assert reward == -minutes - 7.0 * escaped
 
 
+class TestSharedDraws:
+    def test_detection_matches_a_scalar_draw_loop(self):
+        # the k-th buggy commit is judged by the k-th scalar draw of the seed's generator
+        cfg = EnvConfig()
+        for seed, mode in ((0, "standard"), (5, "standard"), (9, "adversarial")):
+            trace = generate_trace(cfg, 400, seed=seed + 100, mode=mode)
+            for action, rate in zip(Action, cfg.detection_rates):
+                rng = np.random.default_rng(seed)
+                expected = tuple(c.has_bug and rng.random() < rate for c in trace)
+                assert played(trace, action, cfg=cfg, seed=seed)[1].detected == expected
+                for env in PipelineEnv(trace, cfg, seed=seed).replicas(2):
+                    for _ in trace:
+                        env.step(action, 5.0)
+                    assert env.table.detected == expected
+
+    def test_reset_replays_the_same_draws(self):
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 100, seed=8)
+        actions = [Action(int(a)) for a in np.random.default_rng(4).integers(0, 3, 100)]
+        env = PipelineEnv(trace, cfg, seed=5)
+        tables = []
+        for played_actions in (actions, [Action.PARTIAL_TESTS] * 100, actions):
+            env.reset()
+            for a in played_actions:
+                env.step(a, 5.0)
+            tables.append(env.table)
+        assert tables[0] == tables[2]
+        assert any(tables[0].detected) and any(tables[0].escaped)
+        fresh = PipelineEnv(trace, cfg, seed=5)
+        for _ in trace:
+            fresh.step(Action.PARTIAL_TESTS, 5.0)
+        assert tables[1] == fresh.table
+
+    def test_stepping_one_replica_leaves_the_others_untouched(self):
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 60, seed=8)
+        rng = np.random.default_rng(6)
+        actions = [Action(int(a)) for a in rng.integers(0, 3, 60)]
+        first, second, third = PipelineEnv(trace, cfg, seed=2).replicas(3)
+        initial = third.state.copy()
+        kept = [second.state] + [second.step(a, 5.0)[1] for a in actions[:30]]
+        copies = [state.copy() for state in kept]
+        half_table = second.table
+        for a in reversed(actions):
+            first.step(a, 3.0)
+        assert second.table == half_table and third.table == StepTable((), (), (), (), (), ())
+        assert third.state.tobytes() == initial.tobytes()
+        assert all(state.tobytes() == copy.tobytes() for state, copy in zip(kept, copies))
+        # the interrupted replica finishes as an env played alone would
+        kept += [second.step(a, 5.0)[1] for a in actions[30:]]
+        alone = PipelineEnv(trace, cfg, seed=2)
+        states = [alone.state] + [alone.step(a, 5.0)[1] for a in actions]
+        assert alone.table == second.table
+        assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
+
+
 def formula_state(commit: Commit, cfg: StateConfig, detections, actions, prev_diff) -> np.ndarray:
     """The 10-feature state written out in one expression, clipped once.
 
@@ -432,8 +488,9 @@ class TestEncodingIsBitIdentical:
         window=st.integers(1, 6),
     )
     def test_failure_fraction_is_the_window_mean(self, outcomes, window):
-        history = PipelineHistory(StateConfig(history_window=window))
+        cfg = StateConfig(history_window=window)
+        history = PipelineHistory(cfg)
         for k, detected in enumerate(outcomes):
             history.update(Action.PARTIAL_TESTS, detected, make_commit())
             recent = outcomes[max(0, k + 1 - window) : k + 1]
-            assert history.failure_fraction == sum(recent) / len(recent)
+            assert encode_state(make_commit(), history, cfg)[5] == sum(recent) / len(recent)
