@@ -13,7 +13,6 @@ classifier trades more aggressively.
 
 from testscope import (
     ClassifierPolicy,
-    ClassifierThresholds,
     EnvConfig,
     HeuristicPolicy,
     StaticPolicy,
@@ -29,7 +28,7 @@ model = make_classifier(cfg)
 policies = {
     "static": StaticPolicy(),
     "heuristic": HeuristicPolicy(),
-    "classifier": ClassifierPolicy(model, ClassifierThresholds()),
+    "classifier": ClassifierPolicy(model),
 }
 
 report, _ = compare_policies(policies, cfg, escape_penalty=5.0, n_runs=5, base_seed=1000)

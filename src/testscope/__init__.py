@@ -20,15 +20,11 @@ from .agent import (
 )
 from .baselines import (
     ClassifierPolicy,
-    ClassifierThresholds,
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
-    classifier_action,
-    heuristic_action,
     make_classifier,
     predict_risk,
-    static_action,
     train_classifier,
 )
 from .commits import (

@@ -17,21 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commits import Commit, ObservedCommit, generate_trace
-from .config import ClassifierConfig, EnvConfig, StateConfig
+from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
 from .environment import Action
 
 __all__ = [
     "StaticPolicy",
     "HeuristicPolicy",
-    "static_action",
-    "heuristic_action",
     "CLASSIFIER_FEATURES",
     "commit_features",
     "LogisticModel",
     "predict_risk",
     "train_classifier",
-    "ClassifierThresholds",
-    "classifier_action",
     "ClassifierPolicy",
     "AlwaysPolicy",
     "make_classifier",
@@ -48,31 +44,21 @@ CLASSIFIER_FEATURES = (
 HEURISTIC_DIFF_CUTOFF = 20  # strictly below runs partial tests
 
 
-def static_action(commit: ObservedCommit | None = None) -> Action:
-    """The always-full baseline: run the entire suite on every commit."""
-    return Action.FULL_TESTS
-
-
-def heuristic_action(commit: ObservedCommit, cutoff: int = HEURISTIC_DIFF_CUTOFF) -> Action:
-    """Partial tests for small diffs, full tests otherwise; never skips."""
-    return Action.PARTIAL_TESTS if commit.diff_size < cutoff else Action.FULL_TESTS
-
-
 class StaticPolicy:
-    """Policy wrapper around :func:`static_action`."""
+    """The always-full baseline: run the entire suite on every commit."""
 
     def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return static_action(commit)
+        return Action.FULL_TESTS
 
 
 class HeuristicPolicy:
-    """Policy wrapper around :func:`heuristic_action`."""
+    """Partial tests for diffs below ``cutoff`` lines, full tests otherwise; never skips."""
 
     def __init__(self, cutoff: int = HEURISTIC_DIFF_CUTOFF):
         self.cutoff = cutoff
 
     def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return heuristic_action(commit, self.cutoff)
+        return Action.PARTIAL_TESTS if commit.diff_size < self.cutoff else Action.FULL_TESTS
 
 
 class AlwaysPolicy:
@@ -126,7 +112,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float:
     """Predicted bug probability, strictly inside (0, 1)."""
-    z = float(commit_features(commit, model.state_cfg) @ model.weights + model.bias)
+    z = float(np.dot(commit_features(commit, model.state_cfg), model.weights) + model.bias)
     # _sigmoid on the scalar, with NumPy's exp: math.exp differs in the last bit
     if z >= 0:
         p = 1.0 / (1.0 + float(np.exp(-z)))
@@ -233,42 +219,29 @@ def train_classifier(
     )
 
 
-@dataclass
-class ClassifierThresholds:
-    """Risk cut points: below ``tau_skip`` skip, below ``tau_partial`` partial."""
-
-    tau_skip: float = 0.05
-    tau_partial: float = 0.30
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau_skip <= self.tau_partial <= 1.0:
-            raise ValueError(
-                f"need 0 <= tau_skip <= tau_partial <= 1, got "
-                f"({self.tau_skip}, {self.tau_partial})"
-            )
-
-
-def classifier_action(
-    model: LogisticModel, thresholds: ClassifierThresholds, commit: ObservedCommit
-) -> Action:
-    """Map predicted risk to a test scope; boundaries go to the more thorough tier."""
-    risk = predict_risk(model, commit)
-    if risk < thresholds.tau_skip:
-        return Action.SKIP_TESTS
-    if risk < thresholds.tau_partial:
-        return Action.PARTIAL_TESTS
-    return Action.FULL_TESTS
-
-
 class ClassifierPolicy:
-    """Policy wrapper around :func:`classifier_action`."""
+    """Maps predicted risk to a test scope through ``cfg``'s two thresholds.
 
-    def __init__(self, model: LogisticModel, thresholds: ClassifierThresholds | None = None):
+    Risk below ``tau_skip`` skips the tests, below ``tau_partial`` runs the
+    partial suite, and anything else the full suite, so a risk on a threshold
+    goes to the more thorough tier. ``cfg`` defaults to ``ClassifierConfig()``
+    and must pass :func:`~testscope.config.validate_classifier`.
+    """
+
+    def __init__(self, model: LogisticModel, cfg: ClassifierConfig | None = None):
+        cfg = cfg or ClassifierConfig()
+        validate_classifier(cfg)
         self.model = model
-        self.thresholds = thresholds or ClassifierThresholds()
+        self.tau_skip = cfg.tau_skip
+        self.tau_partial = cfg.tau_partial
 
     def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return classifier_action(self.model, self.thresholds, commit)
+        risk = predict_risk(self.model, commit)
+        if risk < self.tau_skip:
+            return Action.SKIP_TESTS
+        if risk < self.tau_partial:
+            return Action.PARTIAL_TESTS
+        return Action.FULL_TESTS
 
 
 def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) -> LogisticModel:

@@ -26,7 +26,6 @@ from pathlib import Path
 from .agent import GreedyPolicy, TrainingLog, train_agent
 from .baselines import (
     ClassifierPolicy,
-    ClassifierThresholds,
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
@@ -180,8 +179,7 @@ def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
             assert isinstance(model, LogisticModel)
         else:
             model = make_classifier(cfg.env, cfg.classifier)
-        thresholds = ClassifierThresholds(cfg.classifier.tau_skip, cfg.classifier.tau_partial)
-        return ClassifierPolicy(model, thresholds)
+        return ClassifierPolicy(model, cfg.classifier)
     if name == "rl":
         if weights is None:
             raise ConfigError("the rl policy needs --weights pointing at a trained agent")

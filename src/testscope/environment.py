@@ -79,6 +79,7 @@ class Action(IntEnum):
 
 N_ACTIONS = 3
 STATE_DIM = 10
+_FULL_TESTS = Action.FULL_TESTS  # a module global reads faster than an enum member
 
 
 class StepTable(NamedTuple):
@@ -107,25 +108,23 @@ class StepTable(NamedTuple):
 
 
 class PipelineHistory:
-    """Rolling record of recent step outcomes backing state features 6-10."""
+    """Record of the episode's step outcomes backing state features 6-10."""
+
+    __slots__ = ("window", "fails", "prev_failed", "since_full_tests", "prev_diff_size")
 
     def __init__(self, cfg: StateConfig):
-        self._window = cfg.history_window
-        self._recent: list[bool] = []  # tests failed? oldest first
-        self._failures = 0  # sum(self._recent), kept as the window moves
+        self.window = cfg.history_window
+        self.fails = [0]  # fails[t]: commits among the first t whose tests failed
         self.prev_failed = False
         self.since_full_tests = 0
         self.prev_diff_size = 0
 
     def update(self, action: Action, detected: bool, commit: Commit) -> None:
         """Record one processed commit. ``detected`` implies its tests failed."""
-        recent = self._recent
-        recent.append(detected)
-        self._failures += detected
-        if len(recent) > self._window:
-            self._failures -= recent.pop(0)
+        fails = self.fails
+        fails.append(fails[-1] + detected)
         self.prev_failed = detected
-        self.since_full_tests = 0 if action == Action.FULL_TESTS else self.since_full_tests + 1
+        self.since_full_tests = 0 if action == _FULL_TESTS else self.since_full_tests + 1
         self.prev_diff_size = commit.diff_size
 
 
@@ -151,12 +150,19 @@ def _write_history(cells: memoryview, at: int, history: PipelineHistory, cfg: St
     faster than an array does. Each feature lands in [0, 1] without a clip:
     the window fractions and the gap are bounded by construction.
     """
-    # fraction of the recent window whose tests failed (0 when empty)
-    recent = history._recent
-    failed = history._failures / len(recent) if recent else 0.0
+    # fraction of the last min(t, window) commits whose tests failed (0 at t = 0)
+    fails = history.fails
+    t = len(fails) - 1
+    window = history.window
+    if t >= window:
+        failed = (fails[t] - fails[t - window]) / window
+    else:
+        failed = fails[t] / t if t else 0.0
     cells[at + 5] = failed
     cells[at + 6] = 1.0 if history.prev_failed else 0.0
-    cells[at + 7] = min(history.since_full_tests, cfg.full_test_gap_cap) / cfg.full_test_gap_cap
+    cap = cfg.full_test_gap_cap
+    since = history.since_full_tests
+    cells[at + 7] = (since if since < cap else cap) / cap  # min() costs a call
     cells[at + 8] = failed
 
 
@@ -198,6 +204,15 @@ class PipelineEnv:
         # the k-th buggy commit gets the k-th draw; clean commits draw none
         draws = iter(np.random.default_rng(seed).random(sum(c.has_bug for c in trace)).tolist())
         self._draws = [next(draws) if c.has_bug else None for c in trace]
+        # per action: test minutes, their cost as a reward, detection rates,
+        # and pipeline minutes when a bug is caught, the commit passes, or a
+        # bug escapes (only commits that pass testing reach deployment)
+        self._test_minutes = tuple(cfg.test_minutes)
+        self._costs = tuple(-m - 0.0 for m in cfg.test_minutes)  # floats, also for int minutes
+        self._rates = tuple(cfg.detection_rates)
+        self._caught_minutes = tuple(cfg.build_minutes + m for m in cfg.test_minutes)
+        self._passed_minutes = tuple(m + cfg.deploy_minutes for m in self._caught_minutes)
+        self._escaped_minutes = tuple(m + cfg.escape_delay_minutes for m in self._passed_minutes)
         self.reset()
 
     def replicas(self, k: int) -> list["PipelineEnv"]:
@@ -245,28 +260,29 @@ class PipelineEnv:
             action = Action(action)
         if escape_penalty < 0:
             raise ValueError(f"escape_penalty must be >= 0, got {escape_penalty}")
-        cfg = self._cfg
-        commit = trace[t]
-
-        test_minutes = cfg.test_minutes[action]
         # clean commits never fail tests; a buggy one is caught at the
         # action's rate (a rate of 1.0 always, 0.0 never)
-        detected = commit.has_bug and self._draws[t] < cfg.detection_rates[action]
-        escaped = commit.has_bug and not detected
+        draw = self._draws[t]
+        if draw is None:
+            detected = escaped = False
+            pipeline_minutes = self._passed_minutes[action]
+            reward = self._costs[action]
+        elif draw < self._rates[action]:
+            detected, escaped = True, False
+            pipeline_minutes = self._caught_minutes[action]
+            reward = self._costs[action]
+        else:
+            detected, escaped = False, True
+            pipeline_minutes = self._escaped_minutes[action]
+            reward = self._costs[action] - escape_penalty
 
-        pipeline_minutes = cfg.build_minutes + test_minutes
-        if not detected:
-            # only commits that pass testing reach deployment
-            pipeline_minutes += cfg.deploy_minutes
-            if escaped:
-                pipeline_minutes += cfg.escape_delay_minutes
-
-        reward = -test_minutes - (escape_penalty if escaped else 0.0)
-        self._steps.append((action, detected, escaped, test_minutes, pipeline_minutes, reward))
+        self._steps.append(
+            (action, detected, escaped, self._test_minutes[action], pipeline_minutes, reward)
+        )
         history = self._history
-        history.update(action, detected, commit)
+        history.update(action, detected, trace[t])
         self._cursor = t = t + 1
         done = t == len(trace)
         if not done:
-            _write_history(self._cells, t * STATE_DIM, history, cfg.state)
+            _write_history(self._cells, t * STATE_DIM, history, self._cfg.state)
         return reward, self._states[t], done

@@ -110,11 +110,13 @@ def run_episodes(
             f"{env_cfg.commits_per_episode}"
         )
     envs = PipelineEnv(trace, env_cfg, seed=seed).replicas(len(policies))
-    states = [env.state for env in envs]
+    # one [policy, bound step, current state] entry per player
+    players = [[policy, env.step, env.state] for policy, env in zip(policies, envs)]
     for commit in trace:
         seen = observe(commit)
-        for i, policy in enumerate(policies):
-            _, states[i], _ = envs[i].step(policy(states[i], seen), escape_penalty)
+        for player in players:
+            policy, step, state = player
+            _, player[2], _ = step(policy(state, seen), escape_penalty)
     return [EpisodeStats.from_table(env.table) for env in envs]
 
 

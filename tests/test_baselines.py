@@ -1,6 +1,7 @@
 """Baseline policies: static, diff heuristic, and the logistic risk classifier."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,21 +9,20 @@ import pytest
 
 from testscope import baselines
 from testscope.baselines import (
-    ClassifierThresholds,
+    ClassifierPolicy,
+    HeuristicPolicy,
     LogisticModel,
+    StaticPolicy,
     _labeled_arrays,
     _newton_iterates,
     _sigmoid,
-    classifier_action,
     commit_features,
-    heuristic_action,
     make_classifier,
     predict_risk,
-    static_action,
     train_classifier,
 )
 from testscope.commits import generate_trace
-from testscope.config import ClassifierConfig, EnvConfig, StateConfig
+from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
 from testscope.environment import Action
 
 from test_environment import make_commit
@@ -65,31 +65,39 @@ def regularized_gradient(model: LogisticModel, commits, l2_penalty: float) -> np
     return np.append(x.T @ (p - y) / len(y) + l2_penalty * model.weights, np.mean(p - y))
 
 
+def thresholds(tau_skip: float, tau_partial: float) -> ClassifierConfig:
+    return ClassifierConfig(tau_skip=tau_skip, tau_partial=tau_partial)
+
+
 class TestStaticPolicy:
     def test_always_full(self):
-        assert static_action(make_commit()) == Action.FULL_TESTS
+        assert StaticPolicy()(None, make_commit()) == Action.FULL_TESTS
 
     def test_zero_diff_still_full(self):
-        assert static_action(make_commit(diff_size=0)) == Action.FULL_TESTS
+        assert StaticPolicy()(None, make_commit(diff_size=0)) == Action.FULL_TESTS
 
     def test_full_on_every_adversarial_commit(self):
         trace = generate_trace(EnvConfig(), 100, seed=3, mode="adversarial")
-        assert all(static_action(c) == Action.FULL_TESTS for c in trace)
+        assert all(StaticPolicy()(None, c) == Action.FULL_TESTS for c in trace)
 
 
 class TestHeuristicPolicy:
     def test_small_diff_runs_partial(self):
-        assert heuristic_action(make_commit(diff_size=19)) == Action.PARTIAL_TESTS
+        assert HeuristicPolicy()(None, make_commit(diff_size=19)) == Action.PARTIAL_TESTS
 
     def test_cutoff_diff_runs_full(self):
-        assert heuristic_action(make_commit(diff_size=20)) == Action.FULL_TESTS
+        assert HeuristicPolicy()(None, make_commit(diff_size=20)) == Action.FULL_TESTS
 
     def test_zero_diff_runs_partial(self):
-        assert heuristic_action(make_commit(diff_size=0)) == Action.PARTIAL_TESTS
+        assert HeuristicPolicy()(None, make_commit(diff_size=0)) == Action.PARTIAL_TESTS
+
+    def test_cutoff_is_configurable(self):
+        assert HeuristicPolicy(cutoff=5)(None, make_commit(diff_size=4)) == Action.PARTIAL_TESTS
+        assert HeuristicPolicy(cutoff=5)(None, make_commit(diff_size=5)) == Action.FULL_TESTS
 
     def test_never_skips(self):
         trace = generate_trace(EnvConfig(), 1000, seed=4)
-        assert all(heuristic_action(c) != Action.SKIP_TESTS for c in trace)
+        assert all(HeuristicPolicy()(None, c) != Action.SKIP_TESTS for c in trace)
 
     def test_depends_on_diff_size_alone(self):
         base = make_commit(diff_size=10)
@@ -102,7 +110,7 @@ class TestHeuristicPolicy:
             has_bug=True,
             risk_score=0.99,
         )
-        assert heuristic_action(base) == heuristic_action(mutated)
+        assert HeuristicPolicy()(None, base) == HeuristicPolicy()(None, mutated)
 
 
 class TestPredictRisk:
@@ -139,6 +147,17 @@ class TestPredictRisk:
         for commit in generate_trace(EnvConfig(), 2000, seed=12, mode="adversarial"):
             z = float(commit_features(commit) @ model.weights + model.bias)
             assert predict_risk(model, commit) == array_path(z)
+
+    def test_pinned_risks(self):
+        # the bits of 5000 risks, 210 of them from a logit >= 0; a change to
+        # the feature products or the sigmoid moves this digest
+        model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
+        commits = generate_trace(EnvConfig(), 5000, seed=21)
+        risks = np.array([predict_risk(model, c) for c in commits])
+        assert int((risks >= 0.5).sum()) == 210
+        assert hashlib.sha256(risks.tobytes()).hexdigest() == (
+            "5d59c8d0bb91efecde570fb02fe81242976aed0605435f02d09c0a57c48ce321"
+        )
 
 
 class TestTrainClassifier:
@@ -268,25 +287,24 @@ class TestTrainClassifier:
 
 class TestClassifierPolicy:
     def test_default_thresholds(self):
-        th = ClassifierThresholds()
         low = flat_model(bias=math.log(0.01 / 0.99))  # risk ~ 0.01
         high = flat_model(bias=math.log(0.90 / 0.10))  # risk ~ 0.90
-        assert classifier_action(low, th, make_commit()) == Action.SKIP_TESTS
-        assert classifier_action(high, th, make_commit()) == Action.FULL_TESTS
+        assert ClassifierPolicy(low)(None, make_commit()) == Action.SKIP_TESTS
+        assert ClassifierPolicy(high)(None, make_commit()) == Action.FULL_TESTS
+
+    def test_thresholds_come_from_the_config(self):
+        defaults = ClassifierPolicy(flat_model())
+        assert (defaults.tau_skip, defaults.tau_partial) == (0.05, 0.30)
+        policy = ClassifierPolicy(flat_model(), thresholds(0.1, 0.4))
+        assert (policy.tau_skip, policy.tau_partial) == (0.1, 0.4)
 
     def test_boundary_goes_to_more_thorough_tier(self):
         # sigmoid(0) is exactly 0.5: at tau_skip the policy must not skip,
         # and at tau_partial it must go full
         commit = make_commit()
         model = flat_model(bias=0.0)
-        assert (
-            classifier_action(model, ClassifierThresholds(0.5, 0.8), commit)
-            == Action.PARTIAL_TESTS
-        )
-        assert (
-            classifier_action(model, ClassifierThresholds(0.1, 0.5), commit)
-            == Action.FULL_TESTS
-        )
+        assert ClassifierPolicy(model, thresholds(0.5, 0.8))(None, commit) == Action.PARTIAL_TESTS
+        assert ClassifierPolicy(model, thresholds(0.1, 0.5))(None, commit) == Action.FULL_TESTS
 
     def test_strict_thresholds_at_computed_risks(self):
         # a risk equal to a threshold goes to the more thorough tier; one ulp
@@ -296,28 +314,28 @@ class TestClassifierPolicy:
             risk = predict_risk(model, commit)
             above = float(np.nextafter(risk, 1.0))
             cases = [
-                (ClassifierThresholds(risk, risk), Action.FULL_TESTS),
-                (ClassifierThresholds(risk, 1.0), Action.PARTIAL_TESTS),
-                (ClassifierThresholds(above, above), Action.SKIP_TESTS),
-                (ClassifierThresholds(0.0, above), Action.PARTIAL_TESTS),
+                (thresholds(risk, risk), Action.FULL_TESTS),
+                (thresholds(risk, 1.0), Action.PARTIAL_TESTS),
+                (thresholds(above, above), Action.SKIP_TESTS),
+                (thresholds(0.0, above), Action.PARTIAL_TESTS),
             ]
-            for thresholds, expected in cases:
-                assert classifier_action(model, thresholds, commit) == expected
+            for cfg, expected in cases:
+                assert ClassifierPolicy(model, cfg)(None, commit) == expected
 
     def test_monotone_in_risk(self):
-        th = ClassifierThresholds()
         commit = make_commit()
         thoroughness = {Action.SKIP_TESTS: 0, Action.PARTIAL_TESTS: 1, Action.FULL_TESTS: 2}
         previous = -1
         for bias in np.linspace(-8, 8, 200):
-            action = classifier_action(flat_model(bias=float(bias)), th, commit)
+            action = ClassifierPolicy(flat_model(bias=float(bias)))(None, commit)
             assert thoroughness[action] >= previous
             previous = thoroughness[action]
 
     def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            ClassifierThresholds(0.5, 0.2)
-        with pytest.raises(ValueError):
-            ClassifierThresholds(-0.1, 0.2)
-        with pytest.raises(ValueError):
-            ClassifierThresholds(0.5, 1.2)
+        with pytest.raises(ConfigError, match="classifier.tau_skip"):
+            ClassifierPolicy(flat_model(), thresholds(0.5, 0.2))
+        with pytest.raises(ConfigError, match="classifier.tau_skip"):
+            ClassifierPolicy(flat_model(), thresholds(-0.1, 0.2))
+        with pytest.raises(ConfigError, match="classifier.tau_partial"):
+            ClassifierPolicy(flat_model(), thresholds(0.5, 1.2))
+        assert issubclass(ConfigError, ValueError)

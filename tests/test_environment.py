@@ -494,3 +494,36 @@ class TestEncodingIsBitIdentical:
             history.update(Action.PARTIAL_TESTS, detected, make_commit())
             recent = outcomes[max(0, k + 1 - window) : k + 1]
             assert encode_state(make_commit(), history, cfg)[5] == sum(recent) / len(recent)
+
+    @pytest.mark.parametrize("window", [1, 3, 10])
+    def test_window_fraction_before_at_and_past_a_full_window(self, window):
+        # outcomes that differ between consecutive windows, so a window off by
+        # one commit reads a different fraction
+        cfg = StateConfig(history_window=window)
+        outcomes = [k % 3 == 0 or k % 7 == 1 for k in range(3 * window + 5)]
+        history = PipelineHistory(cfg)
+        state = encode_state(make_commit(), history, cfg)
+        assert state[5] == state[8] == 0.0
+        for t, detected in enumerate(outcomes, start=1):
+            history.update(Action.PARTIAL_TESTS, detected, make_commit())
+            last = outcomes[:t][-window:]
+            assert len(last) == min(t, window)  # t < w, t = w and t > w all occur
+            state = encode_state(make_commit(), history, cfg)
+            assert state[5] == state[8] == sum(last) / len(last)
+
+    def test_env_states_equal_an_encode_state_replay_as_the_window_wraps(self):
+        cfg = dataclasses.replace(
+            EnvConfig(), bug_probability=0.5, state=StateConfig(history_window=3)
+        )
+        trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
+        actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
+        env = PipelineEnv(trace, cfg, seed=16)
+        history = PipelineHistory(cfg.state)
+        states = [env.state] + [env.step(a, 5.0)[1] for a in actions]
+        detected = env.table.detected
+        for state, commit, action, caught in zip(states, trace, actions, detected):
+            assert state.tobytes() == encode_state(commit, history, cfg.state).tobytes()
+            history.update(Action(action), caught, commit)
+        assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
+        # the window wrapped many times over both outcomes
+        assert 20 <= sum(detected) <= len(trace) - 20

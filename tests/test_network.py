@@ -123,18 +123,31 @@ class TestForward:
         # batched and single-row BLAS paths may differ in the last ulp
         np.testing.assert_allclose(q[2], mlp_forward(net, states[2]), rtol=1e-12)
 
-    @pytest.mark.parametrize("hidden", DEPTHS)
-    def test_one_state_equals_a_batch_of_one_bit_for_bit(self, hidden):
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            *((10, *h, 3) for h in DEPTHS),
+            *((10, w, 3) for w in (1, 3, 7, 128)),
+            (10, 7, 128, 3),
+            (1, 3, 3),
+            (10, 3, 1),
+            (1, 1, 1),
+            (1, 1),
+        ],
+        ids=lambda sizes: "-".join(map(str, sizes)),
+    )
+    def test_one_state_equals_a_batch_of_one_bit_for_bit(self, sizes):
         # a single float64 state takes its own short path through the same
-        # (1, d) products; a list takes the general one
-        net = mlp_init(hidden, seed=3)
+        # (1, d) products (np.dot); a list takes the general one (@)
+        input_dim, output_dim = sizes[0], sizes[-1]
+        net = mlp_init(sizes[1:-1], seed=3, input_dim=input_dim, output_dim=output_dim)
         net.flat += np.random.default_rng(4).normal(scale=0.1, size=net.flat.size)
-        for state in np.random.default_rng(5).normal(size=(20, 10)):
+        for state in np.random.default_rng(5).normal(size=(20, input_dim)):
             q = mlp_forward(net, state)
-            assert q.shape == (3,)
+            assert q.shape == (output_dim,)
             assert q.tobytes() == mlp_forward(net, state[None])[0].tobytes()
             assert q.tobytes() == mlp_forward(net, list(state)).tobytes()
-        ints = np.arange(10)
+        ints = np.arange(input_dim)
         assert mlp_forward(net, ints).tobytes() == mlp_forward(net, ints.astype(float)).tobytes()
 
     def test_dimension_mismatch_rejected(self):
