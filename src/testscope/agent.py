@@ -4,8 +4,8 @@ Training runs episode by episode. Each episode plays a freshly generated
 commit trace with epsilon-greedy actions, stores every transition, and then
 performs one minibatch update per collected step. A frozen copy of the
 network provides bootstrap targets and is re-synced every few episodes; the
-replay buffer keeps each transition's bootstrap value from one sync to the
-next, so an update runs no target forward pass.
+replay buffer keeps each transition's TD target from one sync to the next,
+so an update neither runs a target forward pass nor recomputes a target.
 Everything is deterministic given the training seed.
 
 Agents that share a seed and differ only in the escape penalty draw the same
@@ -63,7 +63,7 @@ _ACTIONS = tuple(Action)  # indexed by action value
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO store of transitions and their bootstrap values.
+    """Fixed-capacity FIFO store of transitions and their TD targets.
 
     Backed by preallocated column arrays so minibatch assembly is one take
     per column. Once full, every push overwrites the oldest entry. With
@@ -71,7 +71,8 @@ class ReplayBuffer:
     one transition per agent and each sample draws the same slots for all of
     them.
 
-    Besides the transition, each slot keeps the frozen target network's
+    Besides the transition, each slot keeps its TD target
+    ``r + discount * v * (1 - done)``, with ``v`` the frozen target network's
     ``bootstrap_values`` of its next state, which stays valid until the
     target network changes. A push and ``mark_stale`` (called at every
     target sync) leave slots stale; ``refill`` recomputes the stale ones, and
@@ -87,7 +88,7 @@ class ReplayBuffer:
         self._rewards = np.zeros((*stack, capacity))
         self._next_states = np.zeros((*stack, capacity, state_dim))
         self._dones = np.zeros((*stack, capacity))
-        self._next_values = np.zeros((*stack, capacity))
+        self._targets = np.zeros((*stack, capacity))
         self._stale = np.zeros(capacity, dtype=bool)  # shared by every agent
         self._any_stale = False
         self._head = 0  # next write slot
@@ -110,43 +111,45 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def mark_stale(self) -> None:
-        """Mark every stored bootstrap value stale (the target network changed)."""
+        """Mark every stored TD target stale (the target network changed)."""
         self._stale[: self._size] = self._any_stale = True
 
-    def refill(self, target_net: QNetwork, chunk: int) -> None:
-        """Recompute the stale slots' bootstrap values with ``target_net``.
+    def refill(self, target_net: QNetwork, chunk: int, discount: float) -> None:
+        """Recompute the stale slots' TD targets with ``target_net``.
 
         The stale slots go through ``bootstrap_values`` in calls of exactly
         ``chunk`` rows, the last one padded, so that with ``chunk`` equal to
         the minibatch size every value has the bits that a forward pass over
-        a sampled minibatch would give it.
+        a sampled minibatch would give it. Each target is then
+        ``r + discount * v * (1 - done)``, evaluated elementwise in that order.
         """
         slots = np.flatnonzero(self._stale)
         padded = np.resize(slots, -(-slots.size // chunk) * chunk)
         for start in range(0, slots.size, chunk):
             rows = slots[start : start + chunk]
             next_states = self._next_states.take(padded[start : start + chunk], axis=-2)
-            self._next_values[..., rows] = bootstrap_values(target_net, next_states)[..., : rows.size]
+            values = bootstrap_values(target_net, next_states)[..., : rows.size]
+            not_done = 1.0 - self._dones[..., rows]
+            self._targets[..., rows] = self._rewards[..., rows] + discount * values * not_done
         self._stale[slots] = self._any_stale = False
 
     def sample_batch(
         self, k: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``k`` transitions drawn uniformly without replacement, as stacked
-        ``(states, actions, rewards, next_values, dones)`` column arrays."""
+        ``(targets, states, actions)`` column arrays, the arguments that
+        ``td_loss_and_grads`` takes after the network."""
         if k < 0:
             raise ValueError(f"sample size must be >= 0, got {k}")
         if k > self._size:
             raise ValueError(f"cannot sample {k} transitions from a buffer of {self._size}")
         if self._any_stale:
-            raise RuntimeError("the buffer holds stale bootstrap values; refill it first")
+            raise RuntimeError("the buffer holds stale TD targets; refill it first")
         slots = rng.choice(self._size, size=k, replace=False)
         return (
+            self._targets.take(slots, axis=-1),
             self._states.take(slots, axis=-2),
             self._actions.take(slots, axis=-1),
-            self._rewards.take(slots, axis=-1),
-            self._next_values.take(slots, axis=-1),
-            self._dones.take(slots, axis=-1),
         )
 
 
@@ -189,22 +192,6 @@ def epsilon_schedule(episode: int, cfg: TrainConfig) -> float:
         return cfg.epsilon_start
     frac = episode / (cfg.episodes - 1)
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
-
-
-def _train_step_arrays(
-    net: QNetwork,
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    discount: float,
-    adam: AdamState,
-    lr: float,
-    scratch: _Scratch | None = None,
-) -> float | np.ndarray:
-    """One Adam step on the TD loss of a ``sample_batch`` minibatch; returns
-    the pre-update loss."""
-    states, actions, rewards, next_values, dones = arrays
-    loss, grad = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount, scratch)
-    adam_update(net.flat, grad, adam, lr)
-    return loss
 
 
 @dataclass
@@ -274,7 +261,7 @@ def train_agents(
         net = net.stacked(len(penalties))
     target_net = net.clone()
     adam = AdamState.for_params(net.flat)
-    scratch = _Scratch() if stack else None
+    scratch = _Scratch()
     # the run pushes one transition per commit; a buffer that never fills
     # never evicts, so capping it there changes no sample
     capacity = min(cfg.buffer_capacity, cfg.episodes * env_cfg.commits_per_episode)
@@ -308,12 +295,12 @@ def train_agents(
 
         losses = []
         if len(buffer) >= cfg.minibatch_size:
-            buffer.refill(target_net, cfg.minibatch_size)
+            buffer.refill(target_net, cfg.minibatch_size, cfg.discount)
             for _ in range(len(trace)):  # one update per collected step
-                arrays = buffer.sample_batch(cfg.minibatch_size, rng)
-                losses.append(
-                    _train_step_arrays(net, arrays, cfg.discount, adam, cfg.learning_rate, scratch)
-                )
+                batch = buffer.sample_batch(cfg.minibatch_size, rng)
+                loss, grad = td_loss_and_grads(net, *batch, scratch)
+                adam_update(net.flat, grad, adam, cfg.learning_rate)
+                losses.append(loss)
         if (episode + 1) % cfg.target_sync_interval == 0:
             target_net = net.clone()
             buffer.mark_stale()

@@ -60,6 +60,8 @@ __all__ = [
 # the latent bug flag and the generator's risk score never reach it
 Policy = Callable[[np.ndarray, ObservedCommit], Action]
 
+_PARTIAL_TESTS = Action.PARTIAL_TESTS  # a module global reads faster than an enum member
+
 
 @dataclass
 class EpisodeStats:
@@ -374,7 +376,7 @@ def adversarial_eval(
         action = policy(state, commit)
         if commit.diff_size <= cutoff:
             low_total += 1
-            low_partial += int(action == Action.PARTIAL_TESTS)
+            low_partial += int(action == _PARTIAL_TESTS)
         return action
 
     comparison, _ = compare_policies(

@@ -12,9 +12,9 @@ differences.
 
 ``flat`` may also be a ``(K, P)`` stack of K networks of one geometry (see
 ``QNetwork.stacked``), which lets K agents train in lockstep. Every pass
-then runs over the leading agent axis: states, actions, rewards, losses and
-gradients gain the same leading axis. NumPy computes a batched matmul as one
-2-D BLAS product per slice, and every other operation is elementwise or
+then runs over the leading agent axis: states, actions, TD targets, losses
+and gradients gain the same leading axis. NumPy computes a batched matmul as
+one 2-D BLAS product per slice, and every other operation is elementwise or
 reduces within one agent, so each agent's slice of a result equals, bit for
 bit, what its own ``(P,)`` network gives (``tests/test_network.py`` checks
 this).
@@ -90,6 +90,8 @@ class QNetwork:
         # rows lets a stack's (K, fan_out) biases broadcast over (K, n, fan_out)
         self._row_biases = [b[..., None, :] for b in self.biases]
         self._layers = tuple(zip(self.weights, self._row_biases))
+        # each weight matrix as the backward pass multiplies by it
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
 
     @classmethod
     def _owning(cls, flat: np.ndarray, sizes: tuple[int, ...]) -> "QNetwork":
@@ -171,15 +173,13 @@ def _as_batch(net: QNetwork, states: np.ndarray) -> tuple[np.ndarray, bool]:
 class _Scratch:
     """Work arrays reused from call to call, one per key.
 
-    Lockstep training passes one to every ``td_loss_and_grads`` call, so the
-    intermediate arrays of a stacked update are allocated once per run.
-    Allocated and freed on every call instead, they exceed the C
-    allocator's mmap threshold (128 KiB in glibc) at 4 agents of width 64
-    and are mapped and faulted in again each time, which costs more than
-    stacking saves. A single network's arrays are small enough that fresh
-    ones, which come back cache-hot from the heap, are faster than reuse.
-    An array handed out under a key is overwritten by the next request for
-    it.
+    Training passes one to every ``td_loss_and_grads`` call, so an update's
+    intermediate arrays and its gradient vector with its per-layer views are
+    built once per run; allocated and freed on every call, a stacked
+    update's arrays exceed the C allocator's mmap threshold (128 KiB in
+    glibc) at 4 agents of width 64 and are faulted in again each time. A
+    fresh ``_Scratch`` hands out new arrays; an array handed out under a key
+    is overwritten by the next request for it.
     """
 
     def __init__(self):
@@ -191,21 +191,34 @@ class _Scratch:
             arr = self._arrays[key] = np.empty(shape)
         return arr
 
+    def grad(self, net: QNetwork) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """A gradient vector laid out like ``net.flat`` and its weight and bias views."""
+        key = ("grad", net.flat.shape, net.sizes)
+        if key not in self._arrays:
+            grad = np.empty_like(net.flat)
+            self._arrays[key] = (grad, *_layer_views(grad, net.sizes))
+        return self._arrays[key]
+
+    def flat_rows(self, a: np.ndarray) -> np.ndarray:
+        """Flat index of each row's first entry in a C-contiguous array shaped like ``a``."""
+        key = ("rows", a.shape)
+        if key not in self._arrays:
+            self._arrays[key] = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1])
+        return self._arrays[key]
+
 
 def _forward_cached(
-    net: QNetwork, x: np.ndarray, scratch: _Scratch | None, tag: str
+    net: QNetwork, x: np.ndarray, scratch: _Scratch
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Q-values and each layer's input activation.
+    """Q-values and each layer's input activation, with layer outputs in ``scratch``.
 
-    Layer outputs go to new arrays, or with ``scratch`` to its arrays under
-    ``(tag, layer)``. ReLU runs in place, so a hidden activation is > 0
-    exactly where its pre-activation is.
+    ReLU runs in place, so a hidden activation is > 0 exactly where its
+    pre-activation is.
     """
     activations = [x]
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net._row_biases)):
-        out = None if scratch is None else scratch((tag, i), (*x.shape[:-1], w.shape[-1]))
-        z = np.matmul(activations[-1], w, out=out)
+    for i, (w, b) in enumerate(net._layers):
+        z = np.matmul(activations[-1], w, out=scratch(("z", i), (*x.shape[:-1], w.shape[-1])))
         z += b
         if i < last:
             activations.append(np.maximum(z, 0.0, out=z))
@@ -234,7 +247,7 @@ def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
         w, b = net._layers[-1]
         return (np.dot(x, w) + b)[0]
     x, single = _as_batch(net, states)
-    q, _ = _forward_cached(net, x, None, "")
+    q, _ = _forward_cached(net, x, _Scratch())
     return q[..., 0, :] if single else q
 
 
@@ -252,51 +265,47 @@ def bootstrap_values(target_net: QNetwork, next_states: np.ndarray) -> np.ndarra
 
 def td_loss_and_grads(
     net: QNetwork,
-    next_values: np.ndarray,
+    targets: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray,
-    rewards: np.ndarray,
-    dones: np.ndarray,
-    discount: float,
     scratch: _Scratch | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared one-step TD error and its gradient w.r.t. ``net.flat``.
 
-    Targets are ``r + discount * next_values`` with ``next_values`` the
-    frozen target network's ``bootstrap_values`` of each transition's next
-    state; terminal transitions cut the bootstrap term. The gradient is an
-    array laid out like ``net.flat``: a new one, or with ``scratch`` one that
-    the next call with it overwrites. For a stack of K networks every batch
-    array has a leading agent axis, and the loss is one value per agent.
+    ``targets`` are the TD targets ``r + discount * max_a Q_target(s', a)``
+    (the reward alone for a terminal transition), as ``ReplayBuffer`` caches
+    them, and ``actions`` an integer array of the same shape, one entry per
+    state. The error of a row is its taken action's Q-value minus its
+    target. The gradient is an array laid out like ``net.flat``: a new one,
+    or with ``scratch`` one that the next call with it overwrites. For a
+    stack of K networks every batch array has a leading agent axis, and the
+    loss is one value per agent.
     """
     x, _ = _as_batch(net, states)
-    n = x.shape[-2]
-    if n == 0:
-        raise ValueError("batch must be non-empty")
-    actions = np.asarray(actions, dtype=np.intp)
-    rewards = np.asarray(rewards, dtype=np.float64)
-    not_done = 1.0 - np.asarray(dones, dtype=np.float64)
+    rows, n = x.shape[:-1], x.shape[-2]
+    if n == 0 or targets.shape != rows or actions.shape != rows:
+        got = f"got {targets.shape} and {actions.shape}"
+        raise ValueError(f"batch must be non-empty, with targets and actions of shape {rows}; {got}")
+    scratch = scratch or _Scratch()
+    q, activations = _forward_cached(net, x, scratch)
 
-    q, activations = _forward_cached(net, x, scratch, "online")
-    targets = rewards + discount * np.asarray(next_values, dtype=np.float64) * not_done
+    # gather and scatter the taken actions' entries through flat indices
+    # into q, which works for any number of leading axes
+    picks = scratch.flat_rows(q) + actions
+    err = q.take(picks) - targets
+    loss = np.add.reduce(err**2, axis=-1) / n
 
-    # gather and scatter the taken actions' entries through (rows, actions)
-    # views, which works for any number of leading axes
-    picks = (np.arange(actions.size), actions.ravel())
-    err = q.reshape(-1, q.shape[-1])[picks].reshape(actions.shape) - targets
-    loss = np.mean(err**2, axis=-1)
+    delta = scratch("dq", q.shape)
+    delta.fill(0.0)
+    delta.put(picks, 2.0 * err / n)
 
-    delta = np.zeros_like(q)
-    delta.reshape(-1, q.shape[-1])[picks] = (2.0 * err / n).ravel()
-
-    grad = np.empty_like(net.flat) if scratch is None else scratch("grad", net.flat.shape)
-    grad_w, grad_b = _layer_views(grad, net.sizes)
+    grad, grad_w, grad_b = scratch.grad(net)
     for i in reversed(range(len(grad_w))):
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grad_w[i])
         np.add.reduce(delta, axis=-2, out=grad_b[i])
         if i:
-            out = None if scratch is None else scratch(("delta", i), activations[i].shape)
-            delta = np.matmul(delta, net.weights[i].swapaxes(-1, -2), out=out)
+            out = scratch(("delta", i), activations[i].shape)
+            delta = np.matmul(delta, net._weights_t[i], out=out)
             delta *= activations[i] > 0.0
     return loss, grad
 

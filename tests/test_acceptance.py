@@ -378,17 +378,18 @@ class TestCriterion10NumericalCorrectness:
             (rng.random(8) < 0.3).astype(float),
         )
         states, actions, rewards, next_states, dones = batch
-        args = (bootstrap_values(target, next_states), states, actions, rewards, dones)
-        _, grad = td_loss_and_grads(net, *args, discount=0.99)
+        targets = rewards + 0.99 * bootstrap_values(target, next_states) * (1.0 - dones)
+        args = (targets, states, actions)
+        _, grad = td_loss_and_grads(net, *args)
         h = 1e-5
         worst = 0.0
         p = net.flat
         for i in range(p.size):
             saved = p[i]
             p[i] = saved + h
-            up, _ = td_loss_and_grads(net, *args, discount=0.99)
+            up, _ = td_loss_and_grads(net, *args)
             p[i] = saved - h
-            down, _ = td_loss_and_grads(net, *args, discount=0.99)
+            down, _ = td_loss_and_grads(net, *args)
             p[i] = saved
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(grad[i]))

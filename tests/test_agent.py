@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from testscope import agent
 from testscope.agent import (
     ReplayBuffer,
-    _train_step_arrays,
     epsilon_schedule,
     greedy_action,
     select_action,
@@ -20,12 +19,27 @@ from testscope.agent import (
 from testscope.config import ConfigError, EnvConfig, TrainConfig
 from testscope.environment import Action
 from testscope.evaluation import penalty_sweep
-from testscope.network import AdamState, bootstrap_values, mlp_forward, mlp_init
+from testscope.network import (
+    AdamState,
+    adam_update,
+    bootstrap_values,
+    mlp_forward,
+    mlp_init,
+    td_loss_and_grads,
+)
+
+# a power of two keeps the TD targets of the hand-made transitions exact
+DISCOUNT = 0.5
 
 
 def make_transition(tag: float, done: bool = False) -> tuple:
     """``(state, action, reward, next_state, done)``, as ``push`` takes them."""
     return np.full(10, tag), Action(int(tag) % 3), -tag, np.full(10, tag + 0.5), done
+
+
+def made_target(tag, done=False):
+    """The TD target of ``make_transition(tag, done)`` under ``first_feature_net``."""
+    return -tag + DISCOUNT * (tag + 0.5) * (1.0 - np.asarray(done, dtype=float))
 
 
 def first_feature_net(k: int = 0):
@@ -40,8 +54,8 @@ def first_feature_net(k: int = 0):
 
 
 def refilled(buf: ReplayBuffer, k: int = 0) -> ReplayBuffer:
-    """``buf`` with every bootstrap value filled in by ``first_feature_net``."""
-    buf.refill(first_feature_net(k), chunk=4)
+    """``buf`` with every TD target filled in by ``first_feature_net``."""
+    buf.refill(first_feature_net(k), chunk=4, discount=DISCOUNT)
     return buf
 
 
@@ -69,14 +83,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4)
         state, action, reward, next_state, done = make_transition(2.0, done=True)
         buf.push(state, action, reward, next_state, done)
-        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
-            1, np.random.default_rng(0)
-        )
+        targets, states, actions = refilled(buf).sample_batch(1, np.random.default_rng(0))
         np.testing.assert_array_equal(states[0], state)
-        assert next_values[0] == next_state[0]
         assert actions[0] == action
-        assert rewards[0] == reward
-        assert dones[0] == 1.0
+        assert targets[0] == reward  # a terminal transition's target is its reward
+        np.testing.assert_array_equal(buf._next_states[0], next_state)
+        assert buf._rewards[0] == reward
+        assert buf._dones[0] == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -94,17 +107,16 @@ class TestReplayBuffer:
         buf = ReplayBuffer(8)
         for i in range(8):
             buf.push(*make_transition(float(i)))
-        _, _, rewards, _, _ = refilled(buf).sample_batch(8, np.random.default_rng(0))
-        assert sorted(rewards) == sorted(stored_rewards(buf))
+        targets, states, _ = refilled(buf).sample_batch(8, np.random.default_rng(0))
+        assert sorted(states[:, 0]) == list(range(8))
+        assert sorted(targets) == sorted(made_target(np.arange(8.0)))
 
     def test_empty_sample(self):
         buf = ReplayBuffer(8)
         buf.push(*make_transition(1.0))
-        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
-            0, np.random.default_rng(0)
-        )
+        targets, states, actions = refilled(buf).sample_batch(0, np.random.default_rng(0))
         assert states.shape == (0, 10)
-        assert actions.shape == rewards.shape == next_values.shape == dones.shape == (0,)
+        assert targets.shape == actions.shape == (0,)
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(8)
@@ -121,8 +133,8 @@ class TestReplayBuffer:
         rng = np.random.default_rng(11)
         counts = np.zeros(10)
         for _ in range(10_000):
-            _, _, rewards, _, _ = buf.sample_batch(1, rng)
-            counts[int(-rewards[0])] += 1
+            _, states, _ = buf.sample_batch(1, rng)
+            counts[int(states[0, 0])] += 1
         assert np.all(np.abs(counts / 10_000 - 0.1) <= 0.02)
 
     def test_stacked_buffer_samples_the_same_slots_for_every_agent(self):
@@ -135,36 +147,31 @@ class TestReplayBuffer:
                 np.full((3, 10), i + 0.5),
                 i == 5,
             )
-        states, actions, rewards, next_values, dones = refilled(buf, k=3).sample_batch(
-            4, np.random.default_rng(1)
-        )
+        targets, states, actions = refilled(buf, k=3).sample_batch(4, np.random.default_rng(1))
         assert states.shape == (3, 4, 10)
-        assert actions.shape == rewards.shape == next_values.shape == dones.shape == (3, 4)
-        pushed = -rewards[0]
+        assert targets.shape == actions.shape == (3, 4)
+        pushed = states[0, :, 0]
         assert sorted(pushed) == [2.0, 3.0, 4.0, 5.0]
-        np.testing.assert_array_equal(rewards, -pushed - np.array([[0.0], [10.0], [20.0]]))
         np.testing.assert_array_equal(states[:, :, 0], pushed + np.arange(3)[:, None])
         np.testing.assert_array_equal(actions, (pushed + np.arange(3)[:, None]) % 3)
-        np.testing.assert_array_equal(next_values, np.broadcast_to(pushed + 0.5, (3, 4)))
-        np.testing.assert_array_equal(dones, np.broadcast_to(pushed == 5.0, (3, 4)))
+        rewards = -pushed - np.array([[0.0], [10.0], [20.0]])
+        bootstrap = DISCOUNT * (pushed + 0.5) * (pushed != 5.0)  # the last push is terminal
+        np.testing.assert_array_equal(targets, rewards + bootstrap)
 
     def test_sample_batch_matches_sample_layout(self):
         # every row of every column comes from one and the same pushed transition
         buf = ReplayBuffer(6)
         for i in range(6):
             buf.push(*make_transition(float(i), done=(i % 2 == 0)))
-        states, actions, rewards, next_values, dones = refilled(buf).sample_batch(
-            4, np.random.default_rng(3)
-        )
-        assert len(set(rewards)) == 4
-        for row, reward in enumerate(rewards):
-            state, action, _, next_state, done = make_transition(
-                -reward, done=(int(-reward) % 2 == 0)
-            )
+        targets, states, actions = refilled(buf).sample_batch(4, np.random.default_rng(3))
+        tags = states[:, 0]
+        assert len(set(tags)) == 4
+        for row, tag in enumerate(tags):
+            done = int(tag) % 2 == 0
+            state, action, _, _, _ = make_transition(tag, done)
             np.testing.assert_array_equal(states[row], state)
-            assert next_values[row] == next_state[0]
             assert actions[row] == action
-            assert dones[row] == float(done)
+            assert targets[row] == made_target(tag, done)
 
 
 def random_transition(rng: np.random.Generator, k: int = 0) -> tuple:
@@ -191,6 +198,20 @@ def noisy_net(k: int = 0, seed: int = 0):
     return stacked
 
 
+def assert_targets_are_td_targets(buf: ReplayBuffer, target, chunk: int, rng) -> None:
+    """Each live slot's cached target equals, bit for bit,
+    ``r + discount * v * (1 - done)`` with ``v`` the slot's bootstrap value as
+    a random row of a random ``chunk``-row ``bootstrap_values`` call."""
+    for slot in range(len(buf)):
+        rows = rng.choice(len(buf), size=chunk, replace=False)
+        rows[rng.integers(chunk)] = slot
+        position = int(np.flatnonzero(rows == slot)[0])
+        values = bootstrap_values(target, buf._next_states.take(rows, axis=-2))
+        reward, done = buf._rewards[..., slot], buf._dones[..., slot]
+        expected = reward + DISCOUNT * values[..., position] * (1 - done)
+        assert expected.tobytes() == buf._targets[..., slot].tobytes(), slot
+
+
 class TestBootstrapCache:
     @pytest.mark.parametrize("k", [0, 4])
     @pytest.mark.parametrize("chunk", [16, 64])
@@ -200,14 +221,32 @@ class TestBootstrapCache:
         for _ in range(250):
             buf.push(*random_transition(rng, k))
         target = noisy_net(k)
-        buf.refill(target, chunk)
-        # every live slot, as a random row of a random minibatch-sized call
-        for slot in range(len(buf)):
-            rows = rng.choice(len(buf), size=chunk, replace=False)
-            rows[rng.integers(chunk)] = slot
-            position = int(np.flatnonzero(rows == slot)[0])
-            values = bootstrap_values(target, buf._next_states.take(rows, axis=-2))
-            assert values[..., position].tobytes() == buf._next_values[..., slot].tobytes(), slot
+        buf.refill(target, chunk, DISCOUNT)
+        assert_targets_are_td_targets(buf, target, chunk, rng)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_cached_target_is_the_td_target_after_each_kind_of_refill(self, k):
+        rng = np.random.default_rng(40 + k)
+        buf = ReplayBuffer(60, stack=(k,) if k else ())
+        for i in range(40):
+            state, action, reward, next_state, _ = random_transition(rng, k)
+            buf.push(state, action, reward, next_state, i % 5 == 0)
+        first = noisy_net(k, seed=1)
+        buf.refill(first, 16, DISCOUNT)  # every slot stale after its push
+        assert_targets_are_td_targets(buf, first, 16, rng)
+        for _ in range(10):  # ten more pushes; only their slots are stale
+            buf.push(*random_transition(rng, k))
+        np.testing.assert_array_equal(buf._stale[:50], [False] * 40 + [True] * 10)
+        buf.refill(first, 16, DISCOUNT)
+        assert_targets_are_td_targets(buf, first, 16, rng)
+        second = noisy_net(k, seed=2)
+        buf.mark_stale()  # a target sync
+        buf.refill(second, 16, DISCOUNT)
+        assert_targets_are_td_targets(buf, second, 16, rng)
+        terminal = buf._dones[..., : len(buf)] == 1.0
+        assert terminal.any()
+        live_rewards = buf._rewards[..., : len(buf)]
+        assert buf._targets[..., : len(buf)][terminal].tobytes() == live_rewards[terminal].tobytes()
 
     def test_refill_pads_the_last_chunk(self, monkeypatch):
         calls = []
@@ -220,10 +259,10 @@ class TestBootstrapCache:
         buf = ReplayBuffer(50)
         for i in range(37):
             buf.push(*make_transition(float(i)))
-        buf.refill(first_feature_net(), chunk=16)
+        buf.refill(first_feature_net(), chunk=16, discount=DISCOUNT)
         assert calls == [(16, 10)] * 3
-        np.testing.assert_array_equal(buf._next_values[:37], np.arange(37) + 0.5)
-        np.testing.assert_array_equal(buf._next_values[37:], 0.0)  # never pushed
+        np.testing.assert_array_equal(buf._targets[:37], made_target(np.arange(37.0)))
+        np.testing.assert_array_equal(buf._targets[37:], 0.0)  # never pushed
 
     def test_pushes_after_a_refill_stay_stale_until_the_next(self):
         buf = ReplayBuffer(10)
@@ -233,12 +272,12 @@ class TestBootstrapCache:
         for i in range(4, 6):
             buf.push(*make_transition(float(i)))
         np.testing.assert_array_equal(buf._stale[:6], [False] * 4 + [True] * 2)
-        np.testing.assert_array_equal(buf._next_values[4:6], 0.0)
+        np.testing.assert_array_equal(buf._targets[4:6], 0.0)
         with pytest.raises(RuntimeError, match="stale"):
             buf.sample_batch(1, np.random.default_rng(0))
         refilled(buf)
         assert not buf._stale.any()
-        np.testing.assert_array_equal(buf._next_values[:6], np.arange(6) + 0.5)
+        np.testing.assert_array_equal(buf._targets[:6], made_target(np.arange(6.0)))
 
     def test_eviction_overwrites_the_slot_value(self):
         buf = refilled(ReplayBuffer(3))
@@ -248,7 +287,7 @@ class TestBootstrapCache:
         buf.push(*make_transition(7.0))  # evicts slot 0
         np.testing.assert_array_equal(buf._stale, [True, False, False])
         refilled(buf)
-        np.testing.assert_array_equal(buf._next_values, [7.5, 1.5, 2.5])
+        np.testing.assert_array_equal(buf._targets, made_target(np.array([7.0, 1.0, 2.0])))
 
     def test_mark_stale_marks_every_live_slot(self):
         buf = ReplayBuffer(10, stack=(2,))
@@ -256,15 +295,19 @@ class TestBootstrapCache:
         for _ in range(7):
             buf.push(*random_transition(rng, k=2))
         first, second = noisy_net(2, seed=0), noisy_net(2, seed=5)
-        buf.refill(first, chunk=4)
-        before = buf._next_values.copy()
+        buf.refill(first, chunk=4, discount=0.99)
+        before = buf._targets.copy()
         buf.mark_stale()
         np.testing.assert_array_equal(buf._stale, [True] * 7 + [False] * 3)
-        buf.refill(second, chunk=4)
+        buf.refill(second, chunk=4, discount=0.99)
         assert not buf._stale.any()
-        expected = bootstrap_values(second, buf._next_states[:, :7])
-        np.testing.assert_allclose(buf._next_values[:, :7], expected, rtol=1e-12)
-        assert not np.any(buf._next_values[:, :7] == before[:, :7])
+        values = bootstrap_values(second, buf._next_states[:, :7])
+        not_done = 1.0 - buf._dones[:, :7]
+        expected = buf._rewards[:, :7] + 0.99 * values * not_done
+        np.testing.assert_allclose(buf._targets[:, :7], expected, rtol=1e-12)
+        # a terminal slot's target is its reward under either target network
+        changed = buf._targets[:, :7] != before[:, :7]
+        np.testing.assert_array_equal(changed, not_done == 1.0)
 
 
 class TestActionSelection:
@@ -344,19 +387,25 @@ def column_batch(n: int) -> tuple[np.ndarray, ...]:
     return refilled(buf).sample_batch(n, np.random.default_rng(0))
 
 
+def train_step(net, batch: tuple[np.ndarray, ...]) -> None:
+    """One Adam step on the TD loss of a ``sample_batch`` minibatch, as training makes it."""
+    _, grad = td_loss_and_grads(net, *batch)
+    adam_update(net.flat, grad, AdamState.for_params(net.flat), 1e-3)
+
+
 class TestTdTrainStep:
     def test_empty_batch_rejected(self):
         net = mlp_init((4, 4), seed=0)
         empty = column_batch(0)
         with pytest.raises(ValueError, match="non-empty"):
-            _train_step_arrays(net, empty, 0.99, AdamState.for_params(net.flat), 1e-3)
+            train_step(net, empty)
 
     def test_updates_only_online_network(self):
         net = mlp_init((4, 4), seed=0)
         batch = column_batch(4)
         batch_before = [column.copy() for column in batch]
         net_before = net.flat.copy()
-        _train_step_arrays(net, batch, 0.99, AdamState.for_params(net.flat), 1e-3)
+        train_step(net, batch)
         assert not np.array_equal(net_before, net.flat)
         for column, before in zip(batch, batch_before):
             np.testing.assert_array_equal(column, before)

@@ -31,11 +31,13 @@ def random_batch(n=8, seed=0):
     return states, actions, rewards, next_states, dones
 
 
-def td_batch(target, batch):
-    """The arguments ``td_loss_and_grads`` takes after the network: the
-    target's bootstrap values of the next states, then the batch columns."""
+def td_batch(target, batch, discount=0.99):
+    """The arguments ``td_loss_and_grads`` takes after the network: the TD
+    targets ``r + discount * max_a Q_target(s', a) * (1 - done)``, then the
+    states and actions."""
     states, actions, rewards, next_states, dones = batch
-    return bootstrap_values(target, next_states), states, actions, rewards, dones
+    targets = rewards + discount * bootstrap_values(target, next_states) * (1.0 - dones)
+    return targets, states, actions
 
 
 class TestInit:
@@ -170,8 +172,8 @@ def assert_gradients_match_central_differences(net, target, batch, discount=0.99
 
     For a stack, agent k's loss is differentiated w.r.t. agent k's parameters.
     """
-    args = td_batch(target, batch)
-    _, grad = td_loss_and_grads(net, *args, discount=discount)
+    args = td_batch(target, batch, discount)
+    _, grad = td_loss_and_grads(net, *args)
     assert grad.shape == net.flat.shape
     p = net.flat
     worst = 0.0
@@ -179,9 +181,9 @@ def assert_gradients_match_central_differences(net, target, batch, discount=0.99
         agent = i[:-1]
         original = p[i]
         p[i] = original + h
-        up, _ = td_loss_and_grads(net, *args, discount=discount)
+        up, _ = td_loss_and_grads(net, *args)
         p[i] = original - h
-        down, _ = td_loss_and_grads(net, *args, discount=discount)
+        down, _ = td_loss_and_grads(net, *args)
         p[i] = original
         fd = (up[agent] - down[agent]) / (2 * h)
         scale = max(abs(fd), abs(grad[i]))
@@ -225,24 +227,29 @@ class TestGradients:
         dones = np.ones_like(rewards)
         q = mlp_forward(net, states)
         expected = float(np.mean((q[np.arange(len(actions)), actions] - rewards) ** 2))
-        next_values = bootstrap_values(target, next_states)
-        loss, _ = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount=0.99)
+        args = td_batch(target, (states, actions, rewards, next_states, dones))
+        assert args[0].tobytes() == rewards.tobytes()  # the targets
+        loss, _ = td_loss_and_grads(net, *args)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_zero_discount_ignores_bootstrap(self):
         net, target = tiny_net(seed=2), tiny_net(seed=9)
-        states, actions, rewards, next_states, dones = random_batch(seed=6)
-        next_values = bootstrap_values(target, next_states)
-        loss_a, _ = td_loss_and_grads(net, next_values, states, actions, rewards, dones, discount=0.0)
-        loss_b, _ = td_loss_and_grads(
-            net, next_values, states, actions, rewards, np.ones_like(dones), discount=0.0
-        )
+        batch = random_batch(seed=6)
+        terminal = (*batch[:4], np.ones_like(batch[4]))
+        loss_a, _ = td_loss_and_grads(net, *td_batch(target, batch, discount=0.0))
+        loss_b, _ = td_loss_and_grads(net, *td_batch(target, terminal, discount=0.0))
         assert loss_a == loss_b
 
     def test_empty_batch_rejected(self):
-        empty = (np.empty(0), np.empty((0, 10)), np.empty(0, int), np.empty(0), np.empty(0))
+        empty = (np.empty(0), np.empty((0, 10)), np.empty(0, int))
         with pytest.raises(ValueError):
-            td_loss_and_grads(tiny_net(), *empty, discount=0.99)
+            td_loss_and_grads(tiny_net(), *empty)
+
+    def test_targets_and_actions_must_have_one_entry_per_state(self):
+        targets, states, actions = td_batch(tiny_net(seed=9), random_batch(n=6, seed=7))
+        for bad in ((targets, states, actions[:, None]), (targets[:5], states, actions)):
+            with pytest.raises(ValueError, match="shape"):
+                td_loss_and_grads(tiny_net(), *bad)
 
     def test_one_point_regression_converges(self):
         # fixed terminal transition: loss must fall monotonically below 1e-3
@@ -260,7 +267,7 @@ class TestGradients:
         args = td_batch(target, batch)
         losses = []
         for _ in range(2000):
-            loss, grad = td_loss_and_grads(net, *args, discount=0.99)
+            loss, grad = td_loss_and_grads(net, *args)
             adam_update(net.flat, grad, adam, lr=1e-3)
             losses.append(loss)
         losses = np.array(losses)
@@ -276,7 +283,7 @@ class TestGradients:
         adam = AdamState.for_params(net.flat)
         batch = random_batch(seed=8)
         for _ in range(25):
-            _, grad = td_loss_and_grads(net, *td_batch(target, batch), discount=0.99)
+            _, grad = td_loss_and_grads(net, *td_batch(target, batch))
             adam_update(net.flat, grad, adam, lr=1e-3)
         np.testing.assert_array_equal(frozen, target.flat)
 
@@ -318,13 +325,13 @@ class TestStack:
             n.flat += rng.normal(scale=0.1, size=n.flat.size)
         batch = stacked_batch(4, n=64, seed=20)
         args = td_batch(stack_of(targets), batch)
-        loss, grad = td_loss_and_grads(stack_of(nets), *args, discount=0.99)
+        loss, grad = td_loss_and_grads(stack_of(nets), *args)
         q = mlp_forward(stack_of(nets), batch[0][:, 0])
         assert loss.shape == (4,) and grad.shape == (4, nets[0].flat.size)
         for k in range(4):
             single = tuple(column[k] for column in batch)
             single_args = td_batch(targets[k], single)
-            loss_k, grad_k = td_loss_and_grads(nets[k], *single_args, discount=0.99)
+            loss_k, grad_k = td_loss_and_grads(nets[k], *single_args)
             assert args[0][k].tobytes() == single_args[0].tobytes()
             assert grad[k].tobytes() == grad_k.tobytes()
             assert loss[k] == loss_k
@@ -453,7 +460,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(12)
         for step in range(1, 201):
             batch = random_batch(n=64, seed=int(rng.integers(2**31)))
-            _, grad = td_loss_and_grads(net, *td_batch(target, batch), discount=0.99)
+            _, grad = td_loss_and_grads(net, *td_batch(target, batch))
             adam_update(net.flat, grad, adam, lr=1e-3)
             grads = reference_td_grads(ref[0::2], ref[1::2], ref_target[0::2], ref_target[1::2], batch, 0.99)
             reference_adam(ref, grads, m_list, v_list, step, lr=1e-3)

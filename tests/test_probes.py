@@ -8,8 +8,11 @@ tracer and changes nothing.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from testscope.network import td_loss_and_grads
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -39,3 +42,11 @@ def test_every_probe_binding_resolves():
             if not callable(vars(owner)[attr]):
                 missing.append(f"{name}: {binding} is not callable")
     assert not missing, "perfbench probes that no longer resolve:\n" + "\n".join(missing)
+
+
+def test_td_step_counter_reads_the_network_and_the_states():
+    # perfbench/layers.py counts a traced update's FLOPs from the positional
+    # arguments 0 (the network) and 2 (the states); a reordered signature
+    # would skew network.td_loss_and_grads.gflops without any error
+    names = list(inspect.signature(td_loss_and_grads).parameters)
+    assert (names[0], names[2]) == ("net", "states")
