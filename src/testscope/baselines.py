@@ -18,7 +18,7 @@ import numpy as np
 
 from .commits import Commit, ObservedCommit, generate_trace
 from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
-from .environment import Action
+from .environment import Action, metadata_features
 
 __all__ = [
     "StaticPolicy",
@@ -29,7 +29,6 @@ __all__ = [
     "predict_risk",
     "train_classifier",
     "ClassifierPolicy",
-    "AlwaysPolicy",
     "make_classifier",
 ]
 
@@ -54,42 +53,19 @@ class StaticPolicy:
 
 
 class HeuristicPolicy:
-    """Partial tests for diffs below ``cutoff`` lines, full tests otherwise; never skips."""
-
-    def __init__(self, cutoff: int = HEURISTIC_DIFF_CUTOFF):
-        self.cutoff = cutoff
+    """Partial tests for diffs under ``HEURISTIC_DIFF_CUTOFF`` lines, else full tests; never skips."""
 
     def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return _PARTIAL_TESTS if commit.diff_size < self.cutoff else _FULL_TESTS
-
-
-class AlwaysPolicy:
-    """Fixed-action policy; handy as an oracle in tests and reports."""
-
-    def __init__(self, action: Action):
-        self.action = Action(action)
-
-    def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return self.action
+        return _PARTIAL_TESTS if commit.diff_size < HEURISTIC_DIFF_CUTOFF else _FULL_TESTS
 
 
 # --------------------------------------------------------------------------
 # logistic risk model
 # --------------------------------------------------------------------------
 
-def _feature_values(commit: ObservedCommit | Commit, cfg: StateConfig) -> tuple[float, ...]:
-    return (
-        min(commit.diff_size, cfg.diff_cap) / cfg.diff_cap,
-        min(commit.files_changed, cfg.files_cap) / cfg.files_cap,
-        commit.source_fraction,
-        commit.developer_defect_rate,
-        commit.developer_experience,
-    )
-
-
 def commit_features(commit: ObservedCommit | Commit, state_cfg: StateConfig | None = None) -> np.ndarray:
-    """Normalized metadata features in ``CLASSIFIER_FEATURES`` order."""
-    return np.array(_feature_values(commit, state_cfg or StateConfig()))
+    """Features 1-5 of the commit's state, in ``CLASSIFIER_FEATURES`` order."""
+    return np.array(metadata_features(commit, state_cfg or StateConfig()))
 
 
 @dataclass
@@ -98,7 +74,6 @@ class LogisticModel:
 
     weights: np.ndarray
     bias: float
-    feature_names: tuple[str, ...] = CLASSIFIER_FEATURES
     state_cfg: StateConfig = field(default_factory=StateConfig)
 
 
@@ -125,7 +100,7 @@ def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float
 
 
 def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([_feature_values(c, state_cfg) for c in commits])
+    x = np.array([metadata_features(c, state_cfg) for c in commits])
     y = np.array([float(c.has_bug) for c in commits])
     return x, y
 
@@ -213,7 +188,7 @@ def train_classifier(
     for _ in range(opts.max_iterations + 1):
         weights, bias, grad_norm = next(iterates)
         if grad_norm <= opts.tolerance:
-            return LogisticModel(weights, bias, feature_names=CLASSIFIER_FEATURES, state_cfg=cfg)
+            return LogisticModel(weights, bias, state_cfg=cfg)
     raise _not_converged(
         f"gradient norm above classifier.tolerance = {opts.tolerance:g} at classifier.max_iterations",
         opts.max_iterations,

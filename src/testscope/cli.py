@@ -35,6 +35,7 @@ from .commits import generate_trace, trace_to_text
 from .config import ConfigError, ExperimentConfig, config_items, load_config
 from .environment import N_ACTIONS, STATE_DIM
 from .evaluation import (
+    ComparisonReport,
     compare_policies,
     comparison_rows,
     comparison_to_dict,
@@ -157,6 +158,20 @@ def _json_report(command: str, cfg: ExperimentConfig, body: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _write_reports(command: str, cfg: ExperimentConfig, seed: int, rows: list[dict], body: dict) -> str:
+    """Write a report as CSV and as JSON; returns the line that names both files."""
+    out = _Outputs(cfg.output_dir, command, seed)
+    csv_path = out.write("csv", rows_to_csv(rows, _snapshot_lines(command, cfg)))
+    json_path = out.write("json", _json_report(command, cfg, body))
+    return f"wrote {csv_path} and {json_path}"
+
+
+def _compare(cfg: ExperimentConfig, policies: dict) -> ComparisonReport:
+    return compare_policies(
+        policies, cfg.env, cfg.train.escape_penalty, cfg.eval.n_runs, cfg.eval.seed
+    )[0]
+
+
 def _load_agent(weights: str) -> QNetwork:
     net = load_policy(weights, expect_kind=KIND_QNETWORK)
     assert isinstance(net, QNetwork)
@@ -215,18 +230,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg, seed = _load_experiment(args)
-    policy = _make_policy(args.policy, cfg, args.weights)
-    report, _ = compare_policies(
-        {args.policy: policy},
-        cfg.env,
-        escape_penalty=cfg.train.escape_penalty,
-        n_runs=cfg.eval.n_runs,
-        base_seed=cfg.eval.seed,
-    )
-    out = _Outputs(cfg.output_dir, "eval", seed)
-    csv_path = out.write("csv", rows_to_csv(comparison_rows(report), _snapshot_lines("eval", cfg)))
-    json_path = out.write("json", _json_report("eval", cfg, comparison_to_dict(report)))
-    print(f"wrote {csv_path} and {json_path}")
+    report = _compare(cfg, {args.policy: _make_policy(args.policy, cfg, args.weights)})
+    print(_write_reports("eval", cfg, seed, comparison_rows(report), comparison_to_dict(report)))
     return 0
 
 
@@ -245,19 +250,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "classifier": classifier,
         "rl": GreedyPolicy(net),
     }
-    report, _ = compare_policies(
-        policies,
-        cfg.env,
-        escape_penalty=cfg.train.escape_penalty,
-        n_runs=cfg.eval.n_runs,
-        base_seed=cfg.eval.seed,
-    )
-    out = _Outputs(cfg.output_dir, "compare", seed)
-    csv_path = out.write(
-        "csv", rows_to_csv(comparison_rows(report), _snapshot_lines("compare", cfg))
-    )
-    json_path = out.write("json", _json_report("compare", cfg, comparison_to_dict(report)))
-    print(f"wrote {csv_path} and {json_path}")
+    report = _compare(cfg, policies)
+    print(_write_reports("compare", cfg, seed, comparison_rows(report), comparison_to_dict(report)))
     return 0
 
 
@@ -270,10 +264,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_runs=cfg.eval.n_runs,
         eval_seed=cfg.eval.seed,
     )
-    out = _Outputs(cfg.output_dir, "sweep", seed)
-    csv_path = out.write("csv", rows_to_csv(sweep_rows(sweep), _snapshot_lines("sweep", cfg)))
-    json_path = out.write("json", _json_report("sweep", cfg, sweep_to_dict(sweep)))
-    print(f"wrote {csv_path} and {json_path} ({len(sweep.entries)} penalty values)")
+    written = _write_reports("sweep", cfg, seed, sweep_rows(sweep), sweep_to_dict(sweep))
+    print(f"{written} ({len(sweep.entries)} penalty values)")
     return 0
 
 

@@ -31,6 +31,9 @@ always equal: tests fail only on a caught bug (clean commits never fail),
 so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
 
+Features 1-5 are also the risk classifier's features: :func:`metadata_features`
+encodes them for both, so the state and the classifier clip them alike.
+
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
 encodes them for the whole trace in one pass when it is built. A reset copies
 those rows into a new state array, and each step writes features 6-9 of the
@@ -55,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .commits import Commit
+from .commits import Commit, ObservedCommit
 from .config import EnvConfig, StateConfig
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "STATE_DIM",
     "StepTable",
     "PipelineHistory",
+    "metadata_features",
     "encode_state",
     "PipelineEnv",
 ]
@@ -128,18 +132,26 @@ class PipelineHistory:
         self.prev_diff_size = commit.diff_size
 
 
+def metadata_features(commit: Commit | ObservedCommit, cfg: StateConfig) -> tuple[float, ...]:
+    """Features 1-5 of ``commit``'s state: diff size and files changed capped and
+    scaled, then every feature clipped to [0, 1] with the bits of ``np.clip``."""
+    d, f, diff_cap, files_cap = commit.diff_size, commit.files_changed, cfg.diff_cap, cfg.files_cap
+    d = (diff_cap if d > diff_cap else d) / diff_cap
+    f = (files_cap if f > files_cap else f) / files_cap
+    s, r, e = commit.source_fraction, commit.developer_defect_rate, commit.developer_experience
+    return (  # conditional expressions: min() and max() cost a call each
+        0.0 if d < 0.0 else 1.0 if d > 1.0 else d,
+        0.0 if f < 0.0 else 1.0 if f > 1.0 else f,
+        0.0 if s < 0.0 else 1.0 if s > 1.0 else s,
+        0.0 if r < 0.0 else 1.0 if r > 1.0 else r,
+        0.0 if e < 0.0 else 1.0 if e > 1.0 else e,
+    )
+
+
 def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
     """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
-    fields = [
-        (c.diff_size, c.files_changed, c.source_fraction, c.developer_defect_rate,
-         c.developer_experience)
-        for c in commits
-    ]
-    raw = np.array(fields, dtype=np.float64)
-    raw[:, 0] = np.minimum(raw[:, 0], cfg.diff_cap) / cfg.diff_cap
-    raw[:, 1] = np.minimum(raw[:, 1], cfg.files_cap) / cfg.files_cap
     rows = np.zeros((len(commits), STATE_DIM))
-    rows[:, :5] = np.clip(raw, 0.0, 1.0)
+    rows[:, :5] = [metadata_features(c, cfg) for c in commits]
     return rows
 
 

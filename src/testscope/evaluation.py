@@ -5,7 +5,7 @@ Metrics (each reported as mean and sample standard deviation over runs):
 * ``tp``  - throughput, commits per hour of simulated pipeline time
 * ``dmr`` - defect miss rate, escaped bugs as a percent of introduced bugs
 * ``tts`` - test-time savings, percent reduction vs the always-full reference
-* ``si``  - sustainability impact, core-minutes of test compute saved
+* ``si``  - sustainability impact, core-minutes of test compute saved (one core a run)
 
 Every comparison replays the identical traces for every policy, with the
 always-full baseline computed on the same traces as the reference for
@@ -175,7 +175,6 @@ def compute_metrics(
     stats: list[EpisodeStats],
     reference: list[EpisodeStats],
     run_seeds: list[int] | None = None,
-    cores_per_run: float = 1.0,
 ) -> MetricsReport:
     """Aggregate per-run metrics against the always-full reference runs.
 
@@ -199,7 +198,7 @@ def compute_metrics(
             tts = 100.0 * (1.0 - s.total_test_minutes / ref.total_test_minutes)
         else:
             tts = 0.0
-        si = (ref.total_test_minutes - s.total_test_minutes) * cores_per_run
+        si = ref.total_test_minutes - s.total_test_minutes
         per_run.append(RunMetrics(run=i, seed=seeds[i], tp=tp, dmr=dmr, tts=tts, si=si))
 
     return MetricsReport(
@@ -409,8 +408,8 @@ def convergence_stats(
     with zero mean are treated as not converged at that point.
     """
     rewards = log.rewards() if isinstance(log, TrainingLog) else np.asarray(log, dtype=np.float64)
-    if rewards.size < window:
-        raise ValueError(f"log has {rewards.size} episodes, need at least {window}")
+    if not 1 <= window <= rewards.size:
+        raise ValueError(f"window {window} is outside 1..{rewards.size}, the log's episode count")
     for end in range(window, rewards.size + 1):
         chunk = rewards[end - window : end]
         mean = float(chunk.mean())
@@ -446,11 +445,13 @@ def exploration_corrected_curve(
     cost (episodes at eps = 1 carry no information about ``G`` and are
     dropped). Returns ``(episodes, curve)``, where ``episodes[i]`` is the
     1-based number of the last training episode averaged into ``curve[i]``,
-    a mean over ``window`` kept episodes.
+    a mean over ``window`` kept episodes; fewer kept raise :class:`ValueError`.
     """
     episodes = np.array([r.episode for r in log.records]) + 1
     epsilon = np.array([r.epsilon for r in log.records])
     keep = epsilon < 1.0
+    if not 1 <= window <= keep.sum():
+        raise ValueError(f"window {window} is outside 1..{keep.sum()}, the episodes at epsilon < 1")
     greedy = (log.rewards()[keep] - epsilon[keep] * uniform_reward) / (1.0 - epsilon[keep])
     curve = np.convolve(greedy, np.ones(window) / window, mode="valid")
     return episodes[keep][window - 1 :], curve

@@ -4,8 +4,8 @@ A weight file is a JSON document with a format version, a model-kind tag, the
 layer geometry, an optional training-config snapshot, every parameter array as
 base64-encoded little-endian float64 bytes in row-major order, and a SHA-256
 checksum over the raw parameter bytes. Loading verifies the version, the kind,
-and the checksum before any model object is constructed, and round-trips are
-bit-exact.
+the checksum and that every parameter is finite before any model object is
+constructed, and round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def save_policy(
             "model_kind": KIND_LOGISTIC,
             "byte_order": "little",
             "dtype": "float64",
-            "feature_names": list(model.feature_names),
+            "feature_names": list(CLASSIFIER_FEATURES),
             "diff_cap": model.state_cfg.diff_cap,
             "files_cap": model.state_cfg.files_cap,
         }
@@ -148,6 +148,10 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
     arrays = {name: _decode_array(entry, name) for name, entry in raw_arrays.items()}
     if _checksum(arrays) != document.get("checksum"):
         raise WeightFileError(f"{path}: checksum mismatch, file is corrupted")
+    # a diverged model would otherwise act: argmax of a NaN row is action 0
+    bad = sorted(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+    if bad:
+        raise WeightFileError(f"{path}: non-finite values in {', '.join(bad)}")
 
     if kind == KIND_QNETWORK:
         layer_sizes = document.get("layer_sizes")

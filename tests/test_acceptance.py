@@ -37,7 +37,7 @@ from testscope.agent import (
     epsilon_schedule,
     train_agents,
 )
-from testscope.baselines import AlwaysPolicy, HeuristicPolicy, StaticPolicy
+from testscope.baselines import HeuristicPolicy, StaticPolicy
 from testscope.commits import generate_trace
 from testscope.config import EnvConfig, TrainConfig
 from testscope.environment import Action
@@ -185,7 +185,7 @@ class TestCriterion4StaticOracle:
 class TestCriterion5AlwaysSkipOracle:
     def test_always_skip_exact_metrics(self):
         report, stats = compare_policies(
-            {"skip": AlwaysPolicy(Action.SKIP_TESTS)},
+            {"skip": lambda state, commit: Action.SKIP_TESTS},
             EnvConfig(),
             escape_penalty=5.0,
             n_runs=EVAL_RUNS,

@@ -23,7 +23,7 @@ from testscope.baselines import (
 )
 from testscope.commits import generate_trace
 from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
-from testscope.environment import Action
+from testscope.environment import Action, PipelineEnv
 
 from test_environment import make_commit
 
@@ -90,10 +90,6 @@ class TestHeuristicPolicy:
 
     def test_zero_diff_runs_partial(self):
         assert HeuristicPolicy()(None, make_commit(diff_size=0)) == Action.PARTIAL_TESTS
-
-    def test_cutoff_is_configurable(self):
-        assert HeuristicPolicy(cutoff=5)(None, make_commit(diff_size=4)) == Action.PARTIAL_TESTS
-        assert HeuristicPolicy(cutoff=5)(None, make_commit(diff_size=5)) == Action.FULL_TESTS
 
     def test_never_skips(self):
         trace = generate_trace(EnvConfig(), 1000, seed=4)
@@ -265,6 +261,23 @@ class TestTrainClassifier:
             assert x.dtype == expected.dtype and x.shape == expected.shape
             assert x.tobytes() == expected.tobytes()
             assert y.tolist() == [float(c.has_bug) for c in commits]
+
+    def test_out_of_range_commits_encode_as_in_the_state(self):
+        # the classifier sees features 1-5 of the state, clipped to [0, 1]
+        nan = float("nan")
+        commits = [
+            make_commit(diff_size=-7, source_fraction=1.5),
+            make_commit(files_changed=-2, developer_defect_rate=-0.25, developer_experience=3.0),
+            make_commit(diff_size=10**6, files_changed=10**4, source_fraction=-0.0),
+            make_commit(diff_size=nan, developer_defect_rate=nan, developer_experience=-nan),
+        ]
+        cfg = StateConfig(diff_cap=37, files_cap=3)
+        env = PipelineEnv(commits, dataclasses.replace(EnvConfig(), state=cfg))
+        states = [env.state] + [env.step(Action.FULL_TESTS, 5.0)[1] for _ in commits[1:]]
+        x, _ = _labeled_arrays(commits, cfg)
+        for state, row, commit in zip(states, x, commits, strict=True):
+            assert commit_features(commit, cfg).tobytes() == state[:5].tobytes() == row.tobytes()
+        assert states[0][:5].tolist() == [0.0, 1.0, 1.0, 0.2, 0.7]
 
     def test_held_out_auc_band(self):
         # the generator must stay learnable but imperfect

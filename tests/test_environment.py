@@ -15,6 +15,7 @@ from testscope.environment import (
     STATE_DIM,
     StepTable,
     encode_state,
+    metadata_features,
 )
 
 
@@ -482,6 +483,14 @@ class TestEncodingIsBitIdentical:
             actions.append(Action(action))
             prev_diff = commit.diff_size
         assert done and state.tobytes() == np.zeros(STATE_DIM).tobytes()
+
+    def test_nan_and_negative_zero_keep_the_bits_of_np_clip(self):
+        nan = float("nan")
+        commit = make_commit(
+            diff_size=nan, files_changed=-0.0, source_fraction=-nan, developer_defect_rate=-0.0
+        )
+        expected = formula_state(commit, StateConfig(), [], [], 0)[:5]
+        assert np.array(metadata_features(commit, StateConfig())).tobytes() == expected.tobytes()
 
     @given(
         outcomes=st.lists(st.booleans(), min_size=20, max_size=60),

@@ -9,7 +9,6 @@ import pytest
 from testscope import evaluation
 from testscope.agent import GreedyPolicy
 from testscope.baselines import (
-    AlwaysPolicy,
     ClassifierPolicy,
     HeuristicPolicy,
     LogisticModel,
@@ -24,6 +23,7 @@ from testscope.evaluation import (
     compute_metrics,
     convergence_stats,
     comparison_rows,
+    exploration_corrected_curve,
     penalty_sweep,
     rows_to_csv,
     run_episode,
@@ -45,6 +45,11 @@ def four_policies():
         ClassifierPolicy(model),
         GreedyPolicy(mlp_init((16, 16), seed=4)),
     ]
+
+
+def always(action):
+    """A policy that picks ``action`` on every commit."""
+    return lambda state, commit: action
 
 
 class Recording:
@@ -75,7 +80,7 @@ class TestRunEpisode:
         assert stats.action_counts == (100, 0, 0)
 
     def test_always_skip_misses_everything(self):
-        stats = episode(AlwaysPolicy(Action.SKIP_TESTS))
+        stats = episode(always(Action.SKIP_TESTS))
         assert stats.bugs_escaped == stats.bugs_introduced > 0
         assert stats.bugs_caught == 0
         assert stats.total_test_minutes == 0.0
@@ -168,7 +173,7 @@ class TestComputeMetrics:
 
     def test_skip_against_static(self):
         ref = [episode(StaticPolicy(), trace_seed=s, env_seed=s) for s in (1, 2)]
-        skip = [episode(AlwaysPolicy(Action.SKIP_TESTS), trace_seed=s, env_seed=s) for s in (1, 2)]
+        skip = [episode(always(Action.SKIP_TESTS), trace_seed=s, env_seed=s) for s in (1, 2)]
         report = compute_metrics(skip, ref)
         assert report.tts.mean == 100.0
         assert report.dmr.mean == 100.0
@@ -204,7 +209,7 @@ class TestComputeMetrics:
     def test_sample_std_over_runs(self):
         ref = [episode(StaticPolicy(), trace_seed=s, env_seed=s) for s in (1, 2, 3)]
         skip = [
-            episode(AlwaysPolicy(Action.SKIP_TESTS), trace_seed=s, env_seed=s) for s in (1, 2, 3)
+            episode(always(Action.SKIP_TESTS), trace_seed=s, env_seed=s) for s in (1, 2, 3)
         ]
         report = compute_metrics(skip, ref)
         tps = [r.tp for r in report.per_run]
@@ -226,7 +231,7 @@ class TestComparePolicies:
 
     def test_partial_everywhere_saves_seventy_percent(self):
         report, _ = compare_policies(
-            {"partial": AlwaysPolicy(Action.PARTIAL_TESTS)},
+            {"partial": always(Action.PARTIAL_TESTS)},
             EnvConfig(),
             escape_penalty=5.0,
             n_runs=3,
@@ -238,7 +243,7 @@ class TestComparePolicies:
     def test_trace_fairness(self):
         # every policy must see the identical commits in each run
         _, stats = compare_policies(
-            {"a": HeuristicPolicy(), "b": AlwaysPolicy(Action.SKIP_TESTS)},
+            {"a": HeuristicPolicy(), "b": always(Action.SKIP_TESTS)},
             EnvConfig(),
             escape_penalty=5.0,
             n_runs=4,
@@ -361,6 +366,12 @@ class TestConvergenceStats:
         with pytest.raises(ValueError):
             convergence_stats(np.zeros(50), window=100)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_empty_or_negative_window_rejected(self, window):
+        # a window of -3 would report convergence at episode -3
+        with pytest.raises(ValueError, match=f"window {window} is outside 1..300"):
+            convergence_stats(np.full(300, -42.0), window=window)
+
     def test_training_log_input(self):
         import testscope.agent as agent_mod
 
@@ -369,6 +380,19 @@ class TestConvergenceStats:
         ]
         log = agent_mod.TrainingLog(records)
         assert convergence_stats(log, window=100).converged_episode == 100
+
+
+class TestExplorationCorrectedCurve:
+    def test_fewer_kept_episodes_than_the_window_rejected(self):
+        # np.convolve swaps a kernel longer than the signal: 0 episodes, 71 values
+        import testscope.agent as agent_mod
+
+        records = [agent_mod.EpisodeRecord(i, -10.0, 0.5, 0.0, (1, 1, 1)) for i in range(30)]
+        log = agent_mod.TrainingLog(records)
+        with pytest.raises(ValueError, match="window 100 is outside 1..30"):
+            exploration_corrected_curve(log, -20.0, window=100)
+        episodes, curve = exploration_corrected_curve(log, -20.0, window=30)
+        assert episodes.tolist() == [30] and curve.tolist() == [0.0]
 
 
 def mixed_policy(state, commit):

@@ -75,7 +75,6 @@ class TestLogisticFiles:
         loaded = load_policy(path, expect_kind=KIND_LOGISTIC)
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
-        assert loaded.feature_names == model.feature_names
         assert loaded.state_cfg.diff_cap == 300
         assert loaded.state_cfg.files_cap == 10
 
@@ -89,6 +88,19 @@ class TestGuards:
         path.write_text(json.dumps(document))
         with pytest.raises(WeightFileError, match="feature_names"):
             load_policy(path)
+
+    @pytest.mark.parametrize("kind", [KIND_QNETWORK, KIND_LOGISTIC])
+    def test_non_finite_parameters_rejected_at_load(self, tmp_path, trained_net, kind):
+        # a NaN row's argmax is action 0, so a diverged agent would act as the static baseline
+        path = tmp_path / "diverged.json"
+        if kind == KIND_QNETWORK:
+            trained_net.biases[1][2] = np.nan
+            save_policy(path, trained_net)
+        else:
+            save_policy(path, LogisticModel(weights=np.zeros(5), bias=float("-inf")))
+        name = "b1" if kind == KIND_QNETWORK else "bias"
+        with pytest.raises(WeightFileError, match=f"non-finite values in {name}$"):
+            load_policy(path, expect_kind=kind)
 
     def test_logistic_weight_length_checked_at_load(self, tmp_path):
         path = tmp_path / "clf.json"

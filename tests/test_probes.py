@@ -1,20 +1,27 @@
-"""Every binding the benchmark's span tracer rebinds must still exist.
+"""Everything the benchmark reaches in ``src/`` by name must still exist.
 
 ``perfbench/spans.py`` wraps module attributes such as
-``testscope.evaluation:run_episode`` by name; a rename or deletion in
-``src/`` makes traced benchmark runs raise ``AttributeError``. This test
-loads that file by path and only resolves the bindings: it installs no
-tracer and changes nothing.
+``testscope.evaluation:run_episode`` by name, and ``perfbench/workloads.py``
+and ``perfbench/layers.py`` call the package through module attributes such
+as ``baselines.commit_features``; a rename or deletion in ``src/`` makes
+benchmark runs raise ``AttributeError``. These tests load or parse those
+files by path and only resolve the names: they install no tracer and change
+nothing.
 """
 
+import ast
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+from testscope.baselines import train_classifier
 from testscope.network import td_loss_and_grads
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+# the testscope modules that the workloads and the layer metrics import
+BENCH_MODULES = ("agent", "baselines", "cli", "config", "evaluation", "network", "persist")
 
 
 def load_spans():
@@ -50,3 +57,30 @@ def test_td_step_counter_reads_the_network_and_the_states():
     # would skew network.td_loss_and_grads.gflops without any error
     names = list(inspect.signature(td_loss_and_grads).parameters)
     assert (names[0], names[2]) == ("net", "states")
+
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    read = set()
+    for name in ("workloads.py", "layers.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in BENCH_MODULES
+            ):
+                read.add((node.value.id, node.attr))
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(read)
+        if not hasattr(importlib.import_module(f"testscope.{module}"), attr)
+    ]
+    assert not missing, "benchmark reads names that no longer exist: " + ", ".join(missing)
+    # the walk sees the calls it guards
+    assert {("baselines", "commit_features"), ("baselines", "StaticPolicy")} <= read
+
+
+def test_classifier_counter_reads_the_fit_arguments_by_position():
+    # perfbench/layers.py reads a traced fit's commits, options and state
+    # config from positional arguments 0, 1 and 2
+    names = list(inspect.signature(train_classifier).parameters)
+    assert names[:3] == ["commits", "opts", "state_cfg"]
