@@ -243,7 +243,9 @@ def train_agents(
     leading agent axis, and makes one ``td_loss_and_grads`` and one
     ``adam_update`` call per update. A single penalty trains the plain
     ``(P,)`` network. Penalties must be finite and >= 0, and both configs
-    must pass their section checks (``ConfigError`` names the bad key).
+    must pass their section checks (``ConfigError`` names the bad key). An
+    episode whose mean TD loss is not finite stops the run with a
+    :class:`ValueError` that names it.
     """
     validate_env(env_cfg)
     validate_train(cfg)
@@ -308,6 +310,11 @@ def train_agents(
         # each agent's losses are averaged along their own contiguous row, as
         # training that agent alone averages them
         mean_losses = np.mean(np.stack(losses, axis=-1), axis=-1) if losses else np.zeros(stack)
+        if not np.isfinite(mean_losses).all():
+            raise ValueError(
+                f"training diverged: mean TD loss {mean_losses.tolist()} in episode {episode} "
+                f"(escape penalties {list(penalties)})"
+            )
         for agent_records, env, mean_loss in zip(records, envs, mean_losses.reshape(-1)):
             table = env.table
             agent_records.append(

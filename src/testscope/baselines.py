@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commits import Commit, ObservedCommit, generate_trace
+from .commits import Commit, ObservedCommit, trace_columns
 from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
-from .environment import Action, metadata_features
+from .environment import Action, metadata_features, raw_metadata
+
+# ``generate_trace`` is not called here, but perfbench traces it under this
+# module's name as well
+from .commits import generate_trace  # noqa: F401
 
 __all__ = [
     "StaticPolicy",
@@ -65,7 +69,7 @@ class HeuristicPolicy:
 
 def commit_features(commit: ObservedCommit | Commit, state_cfg: StateConfig | None = None) -> np.ndarray:
     """Features 1-5 of the commit's state, in ``CLASSIFIER_FEATURES`` order."""
-    return np.array(metadata_features(commit, state_cfg or StateConfig()))
+    return metadata_features(raw_metadata([commit]), state_cfg or StateConfig())[0]
 
 
 @dataclass
@@ -87,9 +91,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float:
-    """Predicted bug probability, strictly inside (0, 1)."""
-    z = float(np.dot(commit_features(commit, model.state_cfg), model.weights) + model.bias)
+def predict_risk(model: LogisticModel, features: np.ndarray) -> float:
+    """Predicted bug probability of one commit's features 1-5, strictly inside (0, 1).
+
+    ``features`` must be encoded with ``model.state_cfg``'s caps, as
+    ``commit_features(commit, model.state_cfg)`` or a state's first five
+    entries under the same caps.
+    """
+    z = float(np.dot(features, model.weights) + model.bias)
     # _sigmoid on the scalar, with NumPy's exp: math.exp differs in the last bit
     if z >= 0:
         p = 1.0 / (1.0 + float(np.exp(-z)))
@@ -100,7 +109,7 @@ def predict_risk(model: LogisticModel, commit: ObservedCommit | Commit) -> float
 
 
 def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([metadata_features(c, state_cfg) for c in commits])
+    x = metadata_features(raw_metadata(commits), state_cfg)
     y = np.array([float(c.has_bug) for c in commits])
     return x, y
 
@@ -162,6 +171,28 @@ def _newton_iterates(x: np.ndarray, y: np.ndarray, l2_penalty: float):
         theta, z, objective = candidate, z_candidate, value
 
 
+def _fit_logistic(
+    x: np.ndarray, y: np.ndarray, opts: ClassifierConfig, state_cfg: StateConfig
+) -> LogisticModel:
+    """Fit the risk model on features ``x`` (encoded under ``state_cfg``) and
+    0/1 labels ``y``; see :func:`train_classifier`."""
+    if len(y) < 2:
+        raise ValueError("need at least 2 labeled commits")
+    if y.min() == y.max():
+        raise ValueError("training set must contain both buggy and clean commits")
+
+    iterates = _newton_iterates(x, y, opts.l2_penalty)
+    for _ in range(opts.max_iterations + 1):
+        weights, bias, grad_norm = next(iterates)
+        if grad_norm <= opts.tolerance:
+            return LogisticModel(weights, bias, state_cfg=state_cfg)
+    raise _not_converged(
+        f"gradient norm above classifier.tolerance = {opts.tolerance:g} at classifier.max_iterations",
+        opts.max_iterations,
+        grad_norm,
+    )
+
+
 def train_classifier(
     commits: list[Commit],
     opts: ClassifierConfig | None = None,
@@ -176,24 +207,8 @@ def train_classifier(
     there, the Hessian is singular or the line search stalls. Deterministic:
     zero init, no sampling. Requires both classes present.
     """
-    opts = opts or ClassifierConfig()
     cfg = state_cfg or StateConfig()
-    if len(commits) < 2:
-        raise ValueError("need at least 2 labeled commits")
-    x, y = _labeled_arrays(commits, cfg)
-    if y.min() == y.max():
-        raise ValueError("training set must contain both buggy and clean commits")
-
-    iterates = _newton_iterates(x, y, opts.l2_penalty)
-    for _ in range(opts.max_iterations + 1):
-        weights, bias, grad_norm = next(iterates)
-        if grad_norm <= opts.tolerance:
-            return LogisticModel(weights, bias, state_cfg=cfg)
-    raise _not_converged(
-        f"gradient norm above classifier.tolerance = {opts.tolerance:g} at classifier.max_iterations",
-        opts.max_iterations,
-        grad_norm,
-    )
+    return _fit_logistic(*_labeled_arrays(commits, cfg), opts or ClassifierConfig(), cfg)
 
 
 class ClassifierPolicy:
@@ -203,6 +218,10 @@ class ClassifierPolicy:
     partial suite, and anything else the full suite, so a risk on a threshold
     goes to the more thorough tier. ``cfg`` defaults to ``ClassifierConfig()``
     and must pass :func:`~testscope.config.validate_classifier`.
+
+    The risk is scored from features 1-5 of the state, which the environment
+    encodes under its ``state`` config; the model's ``state_cfg`` must have
+    the same ``diff_cap`` and ``files_cap``.
     """
 
     def __init__(self, model: LogisticModel, cfg: ClassifierConfig | None = None):
@@ -213,7 +232,7 @@ class ClassifierPolicy:
         self.tau_partial = cfg.tau_partial
 
     def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        risk = predict_risk(self.model, commit)
+        risk = predict_risk(self.model, state[:5])
         if risk < self.tau_skip:
             return _SKIP_TESTS
         if risk < self.tau_partial:
@@ -224,9 +243,13 @@ class ClassifierPolicy:
 def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) -> LogisticModel:
     """Train the risk model on a dedicated labeled history.
 
-    The training trace uses its own seed and standard mode regardless of the
-    evaluation trace mode, standing in for labeled historical commits.
+    The history is ``generate_trace(env_cfg, opts.train_size,
+    opts.train_seed, mode="standard")``, standing in for labeled historical
+    commits whatever the evaluation trace mode; its columns are drawn and
+    encoded without building commits, and the model equals
+    ``train_classifier`` on that trace bit for bit.
     """
     opts = opts or ClassifierConfig()
-    history = generate_trace(env_cfg, opts.train_size, seed=opts.train_seed, mode="standard")
-    return train_classifier(history, opts, env_cfg.state)
+    *raw, has_bug = trace_columns(env_cfg, opts.train_size, opts.train_seed, mode="standard")
+    x = metadata_features(np.column_stack(raw), env_cfg.state)
+    return _fit_logistic(x, has_bug.astype(np.float64), opts, env_cfg.state)

@@ -192,6 +192,14 @@ def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
         if weights is not None:
             model = load_policy(weights, expect_kind=KIND_LOGISTIC)
             assert isinstance(model, LogisticModel)
+            # the policy scores the state, which the env encodes under the config's caps
+            fitted, state = model.state_cfg, cfg.env.state
+            if (fitted.diff_cap, fitted.files_cap) != (state.diff_cap, state.files_cap):
+                raise ConfigError(
+                    f"{weights}: the classifier was fitted with diff_cap = {fitted.diff_cap} and "
+                    f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = "
+                    f"{state.diff_cap} and state.files_cap = {state.files_cap}"
+                )
         else:
             model = make_classifier(cfg.env, cfg.classifier)
         return ClassifierPolicy(model, cfg.classifier)

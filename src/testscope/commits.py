@@ -41,6 +41,7 @@ __all__ = [
     "observe",
     "TRACE_COLUMNS",
     "generate_trace",
+    "trace_columns",
     "trace_to_text",
 ]
 
@@ -124,15 +125,15 @@ def _draw_conditional_features(
     return log_diff, defect_rate, source, experience
 
 
-def _log_beta_pdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Elementwise log Beta density; -inf outside the open unit interval."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, -np.inf)
+def _log_beta_pdfs(x: np.ndarray, params: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Log Beta densities of the rows of ``x``, row ``i`` under ``params[i] = (alpha, beta)``;
+    -inf outside the open unit interval."""
+    alpha, beta = (np.array(p)[:, None] for p in zip(*params))
+    ln_norm = np.array([math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) for a, b in params])
     inside = (x > 0.0) & (x < 1.0)
-    ln_norm = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
-    xi = x[inside]
-    out[inside] = (alpha - 1.0) * np.log(xi) + (beta - 1.0) * np.log(1.0 - xi) - ln_norm
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pdf = (alpha - 1.0) * np.log(x) + (beta - 1.0) * np.log(1.0 - x) - ln_norm[:, None]
+    return np.where(inside, log_pdf, -np.inf)
 
 
 def risk_scores(
@@ -159,27 +160,33 @@ def risk_scores(
     two_var = 2.0 * gen.diff_log_sigma**2
     log_lr = ((x - gen.clean_diff_log_mean) ** 2 - (x - gen.buggy_diff_log_mean) ** 2) / two_var
 
-    shifted = np.asarray(defect_rate, dtype=np.float64) - gen.buggy_defect_rate_shift
-    log_lr += _log_beta_pdf(shifted, gen.defect_rate_alpha, gen.defect_rate_beta)
-    log_lr -= _log_beta_pdf(defect_rate, gen.defect_rate_alpha, gen.defect_rate_beta)
-
-    log_lr += _log_beta_pdf(source_fraction, gen.buggy_source_alpha, gen.buggy_source_beta)
-    log_lr -= _log_beta_pdf(source_fraction, gen.clean_source_alpha, gen.clean_source_beta)
-
-    log_lr += _log_beta_pdf(experience, gen.buggy_experience_alpha, gen.buggy_experience_beta)
-    log_lr -= _log_beta_pdf(experience, gen.clean_experience_alpha, gen.clean_experience_beta)
+    # buggy minus clean log density of each Beta-distributed field: the six
+    # densities in one pass, added in this order
+    defect_rate = np.asarray(defect_rate, dtype=np.float64)
+    shifted = defect_rate - gen.buggy_defect_rate_shift
+    fields = np.stack([shifted, defect_rate, source_fraction, source_fraction, experience, experience])
+    terms = _log_beta_pdfs(fields, (
+        (gen.defect_rate_alpha, gen.defect_rate_beta),
+        (gen.defect_rate_alpha, gen.defect_rate_beta),
+        (gen.buggy_source_alpha, gen.buggy_source_beta),
+        (gen.clean_source_alpha, gen.clean_source_beta),
+        (gen.buggy_experience_alpha, gen.buggy_experience_beta),
+        (gen.clean_experience_alpha, gen.clean_experience_beta),
+    ))
+    for buggy, clean in zip(terms[0::2], terms[1::2]):
+        log_lr += buggy
+        log_lr -= clean
 
     log_odds = math.log(bug_probability / (1.0 - bug_probability)) + log_lr
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-log_odds))
 
 
-def _build_commits(
-    cfg: EnvConfig,
-    rng: np.random.Generator,
-    n: int,
-    adversarial: bool,
-) -> list[Commit]:
+def _draw_columns(
+    cfg: EnvConfig, rng: np.random.Generator, n: int, adversarial: bool
+) -> tuple[np.ndarray, ...]:
+    """Draw ``n`` commits as the columns ``(diff_size, files_changed,
+    source_fraction, developer_defect_rate, developer_experience, has_bug)``."""
     gen = cfg.generator
     has_bug = rng.random(n) < cfg.bug_probability
     log_diff, defect_rate, source, experience = _draw_conditional_features(rng, gen, has_bug)
@@ -193,11 +200,21 @@ def _build_commits(
         diff = np.where(in_streak, streak_diff, burst_diff)
 
     files = 1 + rng.poisson(diff / gen.lines_per_file)
-    risk = risk_scores(gen, cfg.bug_probability, diff, defect_rate, source, experience)
+    return diff, files, source, defect_rate, experience, has_bug
 
-    # one tolist() per column gives plain Python ints, floats and bools
-    columns = (diff, files, source, defect_rate, experience, has_bug, risk)
-    return [Commit(*row) for row in zip(range(n), *(col.tolist() for col in columns))]
+
+def trace_columns(
+    cfg: EnvConfig, n: int, seed: int, mode: str | None = None
+) -> tuple[np.ndarray, ...]:
+    """The commits of ``generate_trace(cfg, n, seed, mode)`` as columns, without
+    their risk scores: ``(diff_size, files_changed, source_fraction,
+    developer_defect_rate, developer_experience, has_bug)``."""
+    if n < 1:
+        raise ValueError(f"trace length must be >= 1, got {n}")
+    mode = cfg.trace_mode if mode is None else mode
+    if mode not in ("standard", "adversarial"):
+        raise ValueError(f"unknown trace mode {mode!r}")
+    return _draw_columns(cfg, np.random.default_rng(seed), n, adversarial=(mode == "adversarial"))
 
 
 def generate_trace(
@@ -207,13 +224,11 @@ def generate_trace(
 
     ``mode`` defaults to ``cfg.trace_mode``.
     """
-    if n < 1:
-        raise ValueError(f"trace length must be >= 1, got {n}")
-    mode = cfg.trace_mode if mode is None else mode
-    if mode not in ("standard", "adversarial"):
-        raise ValueError(f"unknown trace mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    return _build_commits(cfg, rng, n, adversarial=(mode == "adversarial"))
+    diff, files, source, defect_rate, experience, has_bug = trace_columns(cfg, n, seed, mode)
+    risk = risk_scores(cfg.generator, cfg.bug_probability, diff, defect_rate, source, experience)
+    # one tolist() per column gives plain Python ints, floats and bools
+    columns = (diff, files, source, defect_rate, experience, has_bug, risk)
+    return [Commit(*row) for row in zip(range(n), *(col.tolist() for col in columns))]
 
 
 # --------------------------------------------------------------------------

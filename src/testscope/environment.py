@@ -32,7 +32,9 @@ so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
 
 Features 1-5 are also the risk classifier's features: :func:`metadata_features`
-encodes them for both, so the state and the classifier clip them alike.
+encodes them for both, from the raw fields that :func:`raw_metadata` reads off
+commits or that the generator draws as columns, so the state and the
+classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
 encodes them for the whole trace in one pass when it is built. A reset copies
@@ -53,7 +55,7 @@ from __future__ import annotations
 import copy
 from enum import IntEnum
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +70,7 @@ __all__ = [
     "StepTable",
     "PipelineHistory",
     "metadata_features",
+    "raw_metadata",
     "encode_state",
     "PipelineEnv",
 ]
@@ -132,26 +135,31 @@ class PipelineHistory:
         self.prev_diff_size = commit.diff_size
 
 
-def metadata_features(commit: Commit | ObservedCommit, cfg: StateConfig) -> tuple[float, ...]:
-    """Features 1-5 of ``commit``'s state: diff size and files changed capped and
-    scaled, then every feature clipped to [0, 1] with the bits of ``np.clip``."""
-    d, f, diff_cap, files_cap = commit.diff_size, commit.files_changed, cfg.diff_cap, cfg.files_cap
-    d = (diff_cap if d > diff_cap else d) / diff_cap
-    f = (files_cap if f > files_cap else f) / files_cap
-    s, r, e = commit.source_fraction, commit.developer_defect_rate, commit.developer_experience
-    return (  # conditional expressions: min() and max() cost a call each
-        0.0 if d < 0.0 else 1.0 if d > 1.0 else d,
-        0.0 if f < 0.0 else 1.0 if f > 1.0 else f,
-        0.0 if s < 0.0 else 1.0 if s > 1.0 else s,
-        0.0 if r < 0.0 else 1.0 if r > 1.0 else r,
-        0.0 if e < 0.0 else 1.0 if e > 1.0 else e,
-    )
+# the raw fields behind features 1-5, in feature order
+_metadata_fields = attrgetter(
+    "diff_size", "files_changed", "source_fraction", "developer_defect_rate", "developer_experience"
+)
+
+
+def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
+    """Features 1-5 of each row of ``raw``, an ``(n, 5)`` array of diff size,
+    files changed, source fraction, defect rate and experience: diff size and
+    files changed capped and scaled, then every feature clipped to [0, 1]."""
+    features = np.array(raw, dtype=np.float64)
+    features[:, 0] = np.minimum(features[:, 0], cfg.diff_cap) / cfg.diff_cap
+    features[:, 1] = np.minimum(features[:, 1], cfg.files_cap) / cfg.files_cap
+    return np.clip(features, 0.0, 1.0, out=features)
+
+
+def raw_metadata(commits: list[Commit] | list[ObservedCommit]) -> np.ndarray:
+    """The ``(n, 5)`` raw fields of ``commits`` that :func:`metadata_features` encodes."""
+    return np.array(list(map(_metadata_fields, commits)), dtype=np.float64).reshape(-1, 5)
 
 
 def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
     """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
     rows = np.zeros((len(commits), STATE_DIM))
-    rows[:, :5] = [metadata_features(c, cfg) for c in commits]
+    rows[:, :5] = metadata_features(raw_metadata(commits), cfg)
     return rows
 
 

@@ -66,6 +66,11 @@ def _checksum(arrays: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+def _non_finite(arrays: dict[str, np.ndarray]) -> str:
+    """The sorted names of the arrays holding a non-finite value, comma-separated."""
+    return ", ".join(sorted(name for name, arr in arrays.items() if not np.isfinite(arr).all()))
+
+
 def _train_snapshot(cfg: TrainConfig) -> dict:
     return {
         "beta": cfg.escape_penalty,
@@ -81,7 +86,11 @@ def save_policy(
     model: QNetwork | LogisticModel,
     train_cfg: TrainConfig | None = None,
 ) -> None:
-    """Write a model to a weight file atomically."""
+    """Write a model to a weight file atomically.
+
+    Raises :class:`ValueError` naming the arrays, and writes nothing, when a
+    parameter is not finite.
+    """
     if isinstance(model, QNetwork):
         arrays: dict[str, np.ndarray] = {}
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -108,6 +117,10 @@ def save_policy(
         }
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
+    # load_policy would reject the file, so do not write it
+    bad = _non_finite(arrays)
+    if bad:
+        raise ValueError(f"cannot save {path}: non-finite values in {bad}")
 
     if train_cfg is not None:
         document["train_config"] = _train_snapshot(train_cfg)
@@ -149,9 +162,9 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
     if _checksum(arrays) != document.get("checksum"):
         raise WeightFileError(f"{path}: checksum mismatch, file is corrupted")
     # a diverged model would otherwise act: argmax of a NaN row is action 0
-    bad = sorted(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+    bad = _non_finite(arrays)
     if bad:
-        raise WeightFileError(f"{path}: non-finite values in {', '.join(bad)}")
+        raise WeightFileError(f"{path}: non-finite values in {bad}")
 
     if kind == KIND_QNETWORK:
         layer_sizes = document.get("layer_sizes")

@@ -417,7 +417,7 @@ class TestCriterion10NumericalCorrectness:
         )
 
     def test_logistic_separable_accuracy(self):
-        from testscope.baselines import predict_risk, train_classifier
+        from testscope.baselines import commit_features, predict_risk, train_classifier
         from testscope.config import ClassifierConfig
 
         rng = np.random.default_rng(5)
@@ -427,9 +427,8 @@ class TestCriterion10NumericalCorrectness:
             for c, d in zip(base, rng.integers(0, 501, 200))
         ]
         model = train_classifier(toy, ClassifierConfig())
-        accuracy = float(
-            np.mean([(predict_risk(model, c) >= 0.5) == c.has_bug for c in toy])
-        )
+        risks = [predict_risk(model, commit_features(c, model.state_cfg)) for c in toy]
+        accuracy = float(np.mean([(r >= 0.5) == c.has_bug for r, c in zip(risks, toy)]))
         criterion(
             10,
             "logistic regression reaches >= 0.99 accuracy on a separable set",

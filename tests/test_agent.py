@@ -464,6 +464,26 @@ class TestTrainAgent:
         q = mlp_forward(net, np.random.default_rng(0).random((50, 10)))
         assert np.all(np.isfinite(q))
 
+    @pytest.mark.parametrize("penalties", [(5.0,), (1.0, 5.0)])
+    def test_non_finite_loss_names_its_episode(self, monkeypatch, penalties):
+        # every episode of 20 commits makes 20 updates; update 45 is in episode 2
+        real, calls = agent.td_loss_and_grads, []
+
+        def nan_from_update_45(*args):
+            calls.append(None)
+            loss, grad = real(*args)
+            return (loss * np.nan if len(calls) > 45 else loss), grad
+
+        monkeypatch.setattr(agent, "td_loss_and_grads", nan_from_update_45)
+        with pytest.raises(ValueError, match=r"training diverged: mean TD loss .*nan.* in episode 2 "):
+            train_agents(tiny_env_cfg(), tiny_train_cfg(episodes=5), penalties)
+        assert len(calls) == 60  # it stops when episode 2 ends
+
+    def test_overflowing_loss_stops_in_its_first_episode(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"mean TD loss inf in episode 0 "):
+                train_agent(tiny_env_cfg(), tiny_train_cfg(escape_penalty=1e300))
+
 
 LOCKSTEP_PENALTIES = (0.0, 1.0, 5.0, 500.0)
 

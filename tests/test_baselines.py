@@ -21,7 +21,7 @@ from testscope.baselines import (
     predict_risk,
     train_classifier,
 )
-from testscope.commits import generate_trace
+from testscope.commits import generate_trace, observe
 from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
 from testscope.environment import Action, PipelineEnv
 
@@ -40,6 +40,16 @@ def brute_force_auc(scores, labels) -> float:
 
 def flat_model(bias: float = 0.0) -> LogisticModel:
     return LogisticModel(weights=np.zeros(5), bias=bias)
+
+
+def risk(model: LogisticModel, commit) -> float:
+    """The commit form of ``predict_risk``."""
+    return predict_risk(model, commit_features(commit, model.state_cfg))
+
+
+def env_state(commit) -> np.ndarray:
+    """The state in which an environment at the default config shows ``commit`` first."""
+    return PipelineEnv([commit], EnvConfig()).state
 
 
 def separable_toy_set():
@@ -111,21 +121,19 @@ class TestHeuristicPolicy:
 
 class TestPredictRisk:
     def test_zero_model_predicts_half(self):
-        assert predict_risk(flat_model(), make_commit()) == 0.5
+        assert risk(flat_model(), make_commit()) == 0.5
 
     def test_saturated_bias(self):
-        assert predict_risk(flat_model(bias=30.0), make_commit()) > 0.999
+        assert risk(flat_model(bias=30.0), make_commit()) > 0.999
 
     def test_prediction_inside_open_interval(self):
         for bias in (-1000.0, 0.0, 1000.0):
-            p = predict_risk(flat_model(bias=bias), make_commit())
+            p = risk(flat_model(bias=bias), make_commit())
             assert 0.0 < p < 1.0
 
     def test_monotone_in_diff_with_positive_weight(self):
         model = LogisticModel(weights=np.array([2.0, 0, 0, 0, 0]), bias=-1.0)
-        risks = [
-            predict_risk(model, make_commit(diff_size=d)) for d in range(0, 600, 25)
-        ]
+        risks = [risk(model, make_commit(diff_size=d)) for d in range(0, 600, 25)]
         assert all(a <= b for a, b in zip(risks, risks[1:]))
 
 
@@ -138,18 +146,18 @@ class TestPredictRisk:
             [np.linspace(-40.0, 40.0, 20_001), [0.0, -0.0, 745.0, -745.0, 746.0, -746.0]]
         )
         for z in logits:
-            assert predict_risk(flat_model(bias=float(z)), commit) == array_path(float(z))
+            assert risk(flat_model(bias=float(z)), commit) == array_path(float(z))
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
         for commit in generate_trace(EnvConfig(), 2000, seed=12, mode="adversarial"):
             z = float(commit_features(commit) @ model.weights + model.bias)
-            assert predict_risk(model, commit) == array_path(z)
+            assert risk(model, commit) == array_path(z)
 
     def test_pinned_risks(self):
         # the bits of 5000 risks, 210 of them from a logit >= 0; a change to
         # the feature products or the sigmoid moves this digest
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
         commits = generate_trace(EnvConfig(), 5000, seed=21)
-        risks = np.array([predict_risk(model, c) for c in commits])
+        risks = np.array([risk(model, c) for c in commits])
         assert int((risks >= 0.5).sum()) == 210
         assert hashlib.sha256(risks.tobytes()).hexdigest() == (
             "5d59c8d0bb91efecde570fb02fe81242976aed0605435f02d09c0a57c48ce321"
@@ -161,7 +169,7 @@ class TestTrainClassifier:
         # a convex problem any convergent optimizer separates almost perfectly
         toy = separable_toy_set()
         model = train_classifier(toy, ClassifierConfig())
-        accuracy = np.mean([(predict_risk(model, c) >= 0.5) == c.has_bug for c in toy])
+        accuracy = np.mean([(risk(model, c) >= 0.5) == c.has_bug for c in toy])
         assert accuracy >= 0.99
 
     def test_single_class_rejected(self):
@@ -286,10 +294,32 @@ class TestTrainClassifier:
         held_out = generate_trace(cfg, 5000, seed=202)
         model = train_classifier(train, ClassifierConfig())
         auc = brute_force_auc(
-            [predict_risk(model, c) for c in held_out],
+            [risk(model, c) for c in held_out],
             [c.has_bug for c in held_out],
         )
         assert 0.70 <= auc <= 0.90
+
+    @pytest.mark.parametrize(
+        "env_cfg, opts",
+        [
+            (EnvConfig(), ClassifierConfig()),
+            (EnvConfig(), ClassifierConfig(train_size=300)),
+            (
+                dataclasses.replace(
+                    EnvConfig(), bug_probability=0.3, state=StateConfig(diff_cap=37, files_cap=3)
+                ),
+                ClassifierConfig(train_size=700, train_seed=5),
+            ),
+        ],
+    )
+    def test_make_classifier_equals_train_classifier_on_its_history(self, env_cfg, opts):
+        # make_classifier never builds the commits of its history; the model keeps every bit
+        history = generate_trace(env_cfg, opts.train_size, seed=opts.train_seed, mode="standard")
+        expected = train_classifier(history, opts, env_cfg.state)
+        model = make_classifier(dataclasses.replace(env_cfg, trace_mode="adversarial"), opts)
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(expected.bias).tobytes()
+        assert model.state_cfg == expected.state_cfg == env_cfg.state
 
     def test_make_classifier_uses_dedicated_history(self):
         model = make_classifier(EnvConfig(), ClassifierConfig(train_size=500, train_seed=7))
@@ -302,8 +332,9 @@ class TestClassifierPolicy:
     def test_default_thresholds(self):
         low = flat_model(bias=math.log(0.01 / 0.99))  # risk ~ 0.01
         high = flat_model(bias=math.log(0.90 / 0.10))  # risk ~ 0.90
-        assert ClassifierPolicy(low)(None, make_commit()) == Action.SKIP_TESTS
-        assert ClassifierPolicy(high)(None, make_commit()) == Action.FULL_TESTS
+        commit = make_commit()
+        assert ClassifierPolicy(low)(env_state(commit), commit) == Action.SKIP_TESTS
+        assert ClassifierPolicy(high)(env_state(commit), commit) == Action.FULL_TESTS
 
     def test_thresholds_come_from_the_config(self):
         defaults = ClassifierPolicy(flat_model())
@@ -315,34 +346,58 @@ class TestClassifierPolicy:
         # sigmoid(0) is exactly 0.5: at tau_skip the policy must not skip,
         # and at tau_partial it must go full
         commit = make_commit()
+        state = env_state(commit)
         model = flat_model(bias=0.0)
-        assert ClassifierPolicy(model, thresholds(0.5, 0.8))(None, commit) == Action.PARTIAL_TESTS
-        assert ClassifierPolicy(model, thresholds(0.1, 0.5))(None, commit) == Action.FULL_TESTS
+        assert ClassifierPolicy(model, thresholds(0.5, 0.8))(state, commit) == Action.PARTIAL_TESTS
+        assert ClassifierPolicy(model, thresholds(0.1, 0.5))(state, commit) == Action.FULL_TESTS
 
     def test_strict_thresholds_at_computed_risks(self):
         # a risk equal to a threshold goes to the more thorough tier; one ulp
         # above it goes to the less thorough one
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
         for commit in generate_trace(EnvConfig(), 50, seed=4):
-            risk = predict_risk(model, commit)
-            above = float(np.nextafter(risk, 1.0))
+            at = risk(model, commit)
+            above = float(np.nextafter(at, 1.0))
             cases = [
-                (thresholds(risk, risk), Action.FULL_TESTS),
-                (thresholds(risk, 1.0), Action.PARTIAL_TESTS),
+                (thresholds(at, at), Action.FULL_TESTS),
+                (thresholds(at, 1.0), Action.PARTIAL_TESTS),
                 (thresholds(above, above), Action.SKIP_TESTS),
                 (thresholds(0.0, above), Action.PARTIAL_TESTS),
             ]
             for cfg, expected in cases:
-                assert ClassifierPolicy(model, cfg)(None, commit) == expected
+                assert ClassifierPolicy(model, cfg)(env_state(commit), commit) == expected
 
     def test_monotone_in_risk(self):
         commit = make_commit()
+        state = env_state(commit)
         thoroughness = {Action.SKIP_TESTS: 0, Action.PARTIAL_TESTS: 1, Action.FULL_TESTS: 2}
         previous = -1
         for bias in np.linspace(-8, 8, 200):
-            action = ClassifierPolicy(flat_model(bias=float(bias)))(None, commit)
+            action = ClassifierPolicy(flat_model(bias=float(bias)))(state, commit)
             assert thoroughness[action] >= previous
             previous = thoroughness[action]
+
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    def test_state_scoring_equals_the_commit_form(self, mode):
+        # the policy scores features 1-5 of the env's state; the commit form
+        # encodes the commit again under the model's caps
+        cfg = dataclasses.replace(EnvConfig(), state=StateConfig(diff_cap=300, files_cap=8))
+        fitted = make_classifier(cfg, ClassifierConfig(train_size=1000))
+        hand_made = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0, cfg.state)
+        trace = generate_trace(cfg, 400, seed=23, mode=mode)
+        for model in (fitted, hand_made):
+            policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
+            env = PipelineEnv(trace, cfg, seed=24)
+            state, tiers = env.state, set()
+            for commit in trace:
+                at = risk(model, commit)
+                assert predict_risk(model, state[:5]) == at
+                tier = 0 if at < 0.1 else 1 if at < 0.3 else 2
+                action = policy(state, observe(commit))
+                assert action == (Action.SKIP_TESTS, Action.PARTIAL_TESTS, Action.FULL_TESTS)[tier]
+                tiers.add(action)
+                _, state, _ = env.step(action, 5.0)
+            assert len(tiers) == 3
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ConfigError, match="classifier.tau_skip"):

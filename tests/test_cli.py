@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from testscope.baselines import LogisticModel
 from testscope.cli import run_command
+from testscope.config import StateConfig
 from testscope.network import QNetwork, mlp_init
 from testscope.persist import load_policy, save_policy
 
@@ -229,3 +232,40 @@ class TestErrors:
         assert err.startswith("error: risk classifier fit did not converge")
         assert "1 Newton iteration(s), gradient norm" in err
         assert not out.exists()
+
+    def test_diverged_training_writes_no_weight_file(self, tmp_path, capsys):
+        config = tmp_path / "diverging.cfg"
+        config.write_text(TINY_CONFIG + "train.escape_penalty = 1e300\n")
+        out = tmp_path / "r"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(["train", "--config", str(config), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: mean TD loss inf in episode ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("caps", [{"diff_cap": 400}, {"files_cap": 30}])
+    def test_classifier_file_with_other_caps(self, tmp_path, tiny_config, capsys, caps):
+        # the classifier scores the env's state, so its caps must be the config's
+        fitted = StateConfig(**caps)
+        weights = tmp_path / "clf.json"
+        save_policy(weights, LogisticModel(weights=np.zeros(5), bias=0.0, state_cfg=fitted))
+        out = tmp_path / "r"
+        argv = ["eval", "--policy", "classifier", "--weights", str(weights), "--config", tiny_config]
+        assert run_command([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {weights}: the classifier was fitted with diff_cap = {fitted.diff_cap} and "
+            f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = 500 and "
+            "state.files_cap = 20\n"
+        )
+        assert not out.exists()
+
+    def test_classifier_file_with_the_config_caps(self, tmp_path):
+        config = tmp_path / "caps.cfg"
+        config.write_text(TINY_CONFIG + "state.diff_cap = 400\nstate.files_cap = 30\n")
+        weights = tmp_path / "clf.json"
+        caps = StateConfig(diff_cap=400, files_cap=30)
+        save_policy(weights, LogisticModel(weights=np.zeros(5), bias=0.0, state_cfg=caps))
+        out = tmp_path / "r"
+        argv = ["eval", "--policy", "classifier", "--weights", str(weights), "--config", str(config)]
+        assert run_command([*argv, "--out", str(out)]) == 0

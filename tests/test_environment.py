@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testscope.commits import Commit, generate_trace
+from testscope.commits import Commit, generate_trace, trace_columns
 from testscope.config import EnvConfig, StateConfig
 from testscope.environment import (
     Action,
@@ -16,6 +16,7 @@ from testscope.environment import (
     StepTable,
     encode_state,
     metadata_features,
+    raw_metadata,
 )
 
 
@@ -486,11 +487,30 @@ class TestEncodingIsBitIdentical:
 
     def test_nan_and_negative_zero_keep_the_bits_of_np_clip(self):
         nan = float("nan")
-        commit = make_commit(
-            diff_size=nan, files_changed=-0.0, source_fraction=-nan, developer_defect_rate=-0.0
-        )
-        expected = formula_state(commit, StateConfig(), [], [], 0)[:5]
-        assert np.array(metadata_features(commit, StateConfig())).tobytes() == expected.tobytes()
+        commits = [
+            make_commit(
+                diff_size=nan, files_changed=-0.0, source_fraction=-nan, developer_defect_rate=-0.0
+            ),
+            make_commit(diff_size=-0.0, files_changed=nan, developer_experience=-0.0),
+            make_commit(diff_size=-7, files_changed=-2, source_fraction=1.5, developer_experience=-nan),
+        ]
+        expected = np.stack([formula_state(c, StateConfig(), [], [], 0)[:5] for c in commits])
+        features = metadata_features(raw_metadata(commits), StateConfig())
+        assert features.tobytes() == expected.tobytes()
+        assert features[2, :4].tolist() == [0.0, 0.0, 1.0, 0.2]
+
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    @pytest.mark.parametrize("caps", [(500, 20), (37, 3)])
+    def test_encoder_matches_the_formula_on_generated_commits(self, mode, caps):
+        cfg = StateConfig(diff_cap=caps[0], files_cap=caps[1])
+        trace = generate_trace(EnvConfig(), 500, seed=31, mode=mode)
+        expected = np.stack([formula_state(c, cfg, [], [], 0)[:5] for c in trace])
+        features = metadata_features(raw_metadata(trace), cfg)
+        assert features.shape == (500, 5)
+        assert features.tobytes() == expected.tobytes()
+        # the generator's columns encode as its commits do
+        columns = np.column_stack(trace_columns(EnvConfig(), 500, seed=31, mode=mode)[:5])
+        assert metadata_features(columns, cfg).tobytes() == expected.tobytes()
 
     @given(
         outcomes=st.lists(st.booleans(), min_size=20, max_size=60),

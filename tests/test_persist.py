@@ -1,5 +1,7 @@
 """Weight files: bit-exact round trips, checksums, version and kind guards."""
 
+import base64
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +17,21 @@ from testscope.persist import (
     load_policy,
     save_policy,
 )
+
+
+def rewrite_array(path, name: str, values: np.ndarray) -> None:
+    """Replace one array of a weight file and its checksum, as a writer that
+    skipped the finiteness check would have written them."""
+    document = json.loads(path.read_text())
+    document["arrays"][name]["data"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    digest = hashlib.sha256()
+    for key in sorted(document["arrays"]):
+        entry = document["arrays"][key]
+        digest.update(key.encode())
+        digest.update(repr(tuple(entry["shape"])).encode())
+        digest.update(base64.b64decode(entry["data"]))
+    document["checksum"] = digest.hexdigest()
+    path.write_text(json.dumps(document))
 
 
 @pytest.fixture
@@ -94,13 +111,29 @@ class TestGuards:
         # a NaN row's argmax is action 0, so a diverged agent would act as the static baseline
         path = tmp_path / "diverged.json"
         if kind == KIND_QNETWORK:
-            trained_net.biases[1][2] = np.nan
             save_policy(path, trained_net)
+            bias = trained_net.biases[1].copy()
+            bias[2] = np.nan
+            rewrite_array(path, "b1", bias)
         else:
-            save_policy(path, LogisticModel(weights=np.zeros(5), bias=float("-inf")))
+            save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
+            rewrite_array(path, "bias", np.array([-np.inf]))
         name = "b1" if kind == KIND_QNETWORK else "bias"
         with pytest.raises(WeightFileError, match=f"non-finite values in {name}$"):
             load_policy(path, expect_kind=kind)
+
+    @pytest.mark.parametrize("kind", [KIND_QNETWORK, KIND_LOGISTIC])
+    def test_non_finite_parameters_rejected_at_save(self, tmp_path, trained_net, kind):
+        path = tmp_path / "diverged.json"
+        if kind == KIND_QNETWORK:
+            trained_net.weights[0][3, 1] = np.inf
+            trained_net.biases[1][2] = np.nan
+            model, names = trained_net, "b1, w0"
+        else:
+            model, names = LogisticModel(weights=np.full(5, np.nan), bias=0.0), "weights"
+        with pytest.raises(ValueError, match=f"non-finite values in {names}$"):
+            save_policy(path, model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_logistic_weight_length_checked_at_load(self, tmp_path):
         path = tmp_path / "clf.json"

@@ -6,7 +6,8 @@ and ``perfbench/layers.py`` call the package through module attributes such
 as ``baselines.commit_features``; a rename or deletion in ``src/`` makes
 benchmark runs raise ``AttributeError``. These tests load or parse those
 files by path and only resolve the names: they install no tracer and change
-nothing.
+nothing. The last one runs each workload once and counts the calls that the
+benchmark's stated sizes promise.
 """
 
 import ast
@@ -15,17 +16,21 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
+from testscope import agent, environment
 from testscope.baselines import train_classifier
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 # the testscope modules that the workloads and the layer metrics import
 BENCH_MODULES = ("agent", "baselines", "cli", "config", "evaluation", "network", "persist")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the file runs
     sys.modules[spec.name] = module
@@ -37,7 +42,7 @@ def load_spans():
 
 
 def test_every_probe_binding_resolves():
-    spans = load_spans()
+    spans = load_perfbench(SPANS)
     missing = []
     for name, bindings in spans.PROBES.items():
         for binding in bindings:
@@ -84,3 +89,29 @@ def test_classifier_counter_reads_the_fit_arguments_by_position():
     # config from positional arguments 0, 1 and 2
     names = list(inspect.signature(train_classifier).parameters)
     assert names[:3] == ["commits", "opts", "state_cfg"]
+
+
+@pytest.mark.parametrize("workload", ["train", "evaluate", "sweep"])
+def test_workload_sizes_match_the_calls_one_repetition_makes(monkeypatch, tmp_path, workload):
+    # commits_per_s divides by Job.commits, and traced runs check both sizes;
+    # a sweep trains its penalties in lockstep, one update call for all of
+    # them, so it makes at most the stated updates
+    job = load_perfbench(WORKLOADS).set_up(workload, 0, tmp_path)
+    counts = {"step": 0, "td": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(environment.PipelineEnv, "step", counted("step", environment.PipelineEnv.step))
+    monkeypatch.setattr(agent, "td_loss_and_grads", counted("td", agent.td_loss_and_grads))
+    outcome = job.run(tmp_path)
+    assert outcome.problems == []
+    assert counts["step"] == job.commits
+    if workload == "sweep":
+        assert 0 < counts["td"] <= job.td_updates
+    else:
+        assert counts["td"] == job.td_updates
