@@ -49,10 +49,8 @@ from .environment import (
     Action,
     N_ACTIONS,
     PipelineEnv,
-    PipelineHistory,
     STATE_DIM,
     StepTable,
-    encode_state,
 )
 from .evaluation import (
     AdversarialReport,

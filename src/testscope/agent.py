@@ -19,14 +19,15 @@ training it alone would.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .commits import generate_trace
-from .config import EnvConfig, TrainConfig, derive_seed, validate_env, validate_train
+from .config import (
+    EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
+)
 from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM
 from .network import (
     AdamState,
@@ -249,12 +250,9 @@ def train_agents(
     """
     validate_env(env_cfg)
     validate_train(cfg)
-    penalties = tuple(float(p) for p in penalties)
+    penalties = validate_penalties(penalties)
     if not penalties:
         raise ValueError("need at least one escape penalty")
-    bad = [p for p in penalties if not (math.isfinite(p) and p >= 0.0)]
-    if bad:
-        raise ValueError(f"escape penalties must be finite and >= 0, got {bad}")
     stack = (len(penalties),) if len(penalties) > 1 else ()
 
     rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_EXPLORE))

@@ -33,6 +33,7 @@ __all__ = [
     "predict_risk",
     "train_classifier",
     "ClassifierPolicy",
+    "check_classifier_caps",
     "make_classifier",
 ]
 
@@ -238,6 +239,20 @@ class ClassifierPolicy:
         if risk < self.tau_partial:
             return _PARTIAL_TESTS
         return _FULL_TESTS
+
+
+def check_classifier_caps(policy, state_cfg: StateConfig) -> None:
+    """Raise :class:`ValueError` if ``policy`` is a :class:`ClassifierPolicy` fitted
+    under other caps than ``state_cfg``, under which the env encodes the state it scores."""
+    if not isinstance(policy, ClassifierPolicy):
+        return
+    fitted = policy.model.state_cfg
+    if (fitted.diff_cap, fitted.files_cap) != (state_cfg.diff_cap, state_cfg.files_cap):
+        raise ValueError(
+            f"the classifier was fitted with diff_cap = {fitted.diff_cap} and "
+            f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = "
+            f"{state_cfg.diff_cap} and state.files_cap = {state_cfg.files_cap}"
+        )
 
 
 def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) -> LogisticModel:

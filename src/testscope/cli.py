@@ -29,6 +29,7 @@ from .baselines import (
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
+    check_classifier_caps,
     make_classifier,
 )
 from .commits import generate_trace, trace_to_text
@@ -189,20 +190,16 @@ def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
     if name == "heuristic":
         return HeuristicPolicy()
     if name == "classifier":
-        if weights is not None:
-            model = load_policy(weights, expect_kind=KIND_LOGISTIC)
-            assert isinstance(model, LogisticModel)
-            # the policy scores the state, which the env encodes under the config's caps
-            fitted, state = model.state_cfg, cfg.env.state
-            if (fitted.diff_cap, fitted.files_cap) != (state.diff_cap, state.files_cap):
-                raise ConfigError(
-                    f"{weights}: the classifier was fitted with diff_cap = {fitted.diff_cap} and "
-                    f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = "
-                    f"{state.diff_cap} and state.files_cap = {state.files_cap}"
-                )
-        else:
-            model = make_classifier(cfg.env, cfg.classifier)
-        return ClassifierPolicy(model, cfg.classifier)
+        if weights is None:
+            return ClassifierPolicy(make_classifier(cfg.env, cfg.classifier), cfg.classifier)
+        model = load_policy(weights, expect_kind=KIND_LOGISTIC)
+        assert isinstance(model, LogisticModel)
+        policy = ClassifierPolicy(model, cfg.classifier)
+        try:
+            check_classifier_caps(policy, cfg.env.state)
+        except ValueError as exc:
+            raise ConfigError(f"{weights}: {exc}") from None
+        return policy
     if name == "rl":
         if weights is None:
             raise ConfigError("the rl policy needs --weights pointing at a trained agent")

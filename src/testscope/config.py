@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial, reduce
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "validate_eval",
     "validate_classifier",
     "validate_experiment",
+    "validate_penalties",
     "derive_seed",
 ]
 
@@ -410,6 +411,16 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     validate_train(cfg.train)
     validate_eval(cfg.eval)
     validate_classifier(cfg.classifier)
+
+
+def validate_penalties(penalties: Iterable[float]) -> tuple[float, ...]:
+    """The escape penalties as floats; raises :class:`ValueError` unless each
+    is finite and >= 0 (NaN and infinity would poison every reward)."""
+    penalties = tuple(float(p) for p in penalties)
+    bad = [p for p in penalties if not (math.isfinite(p) and p >= 0.0)]
+    if bad:
+        raise ValueError(f"escape penalties must be finite and >= 0, got {bad}")
+    return penalties
 
 
 def adversarial(env_cfg: EnvConfig) -> EnvConfig:

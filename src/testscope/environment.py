@@ -37,10 +37,12 @@ commits or that the generator draws as columns, so the state and the
 classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
-encodes them for the whole trace in one pass when it is built. A reset copies
-those rows into a new state array, and each step writes features 6-9 of the
-next commit's row from the history and returns that row. :func:`encode_state`
-composes the same helpers for one commit. The detection draws depend on the
+encodes them for the whole trace in one pass when it is built. The episode
+history behind features 6-9 is the env's own state: running failure counts
+and the commits since the last full-suite run, which a reset clears and each
+step updates. A reset copies the trace's rows into a new state array, and
+each step writes features 6-9 of the next commit's row with
+:func:`encode_state` and returns that row. The detection draws depend on the
 trace and the seed alone too, so they are drawn when the env is built, and
 :meth:`PipelineEnv.replicas` shares rows and draws among environments that
 play the same trace.
@@ -68,7 +70,6 @@ __all__ = [
     "N_ACTIONS",
     "STATE_DIM",
     "StepTable",
-    "PipelineHistory",
     "metadata_features",
     "raw_metadata",
     "encode_state",
@@ -114,27 +115,6 @@ class StepTable(NamedTuple):
         return (count(0), count(1), count(2))
 
 
-class PipelineHistory:
-    """Record of the episode's step outcomes backing state features 6-10."""
-
-    __slots__ = ("window", "fails", "prev_failed", "since_full_tests", "prev_diff_size")
-
-    def __init__(self, cfg: StateConfig):
-        self.window = cfg.history_window
-        self.fails = [0]  # fails[t]: commits among the first t whose tests failed
-        self.prev_failed = False
-        self.since_full_tests = 0
-        self.prev_diff_size = 0
-
-    def update(self, action: Action, detected: bool, commit: Commit) -> None:
-        """Record one processed commit. ``detected`` implies its tests failed."""
-        fails = self.fails
-        fails.append(fails[-1] + detected)
-        self.prev_failed = detected
-        self.since_full_tests = 0 if action == _FULL_TESTS else self.since_full_tests + 1
-        self.prev_diff_size = commit.diff_size
-
-
 # the raw fields behind features 1-5, in feature order
 _metadata_fields = attrgetter(
     "diff_size", "files_changed", "source_fraction", "developer_defect_rate", "developer_experience"
@@ -156,45 +136,29 @@ def raw_metadata(commits: list[Commit] | list[ObservedCommit]) -> np.ndarray:
     return np.array(list(map(_metadata_fields, commits)), dtype=np.float64).reshape(-1, 5)
 
 
-def _commit_rows(commits: list[Commit], cfg: StateConfig) -> np.ndarray:
-    """States of ``commits`` with features 1-5 encoded and 6-10 left at 0."""
-    rows = np.zeros((len(commits), STATE_DIM))
-    rows[:, :5] = metadata_features(raw_metadata(commits), cfg)
-    return rows
-
-
-def _write_history(cells: memoryview, at: int, history: PipelineHistory, cfg: StateConfig) -> None:
-    """Write features 6-9 of the state that starts at ``cells[at]`` from ``history``.
-
-    ``cells`` is a flat float64 memoryview, which takes one float at a time
-    faster than an array does. Each feature lands in [0, 1] without a clip:
-    the window fractions and the gap are bounded by construction.
+def encode_state(
+    cells: memoryview, t: int, fails: list[int], since_full_tests: int, cfg: StateConfig
+) -> None:
+    """Write features 6-9 of row ``t >= 1`` of the flat float64 states ``cells``
+    (a memoryview takes one float faster than an array) from the history:
+    ``fails[k]`` failed commits among the first k, ``since_full_tests``
+    commits since the last full-suite run. The features need no clip: the
+    window fractions and the gap are bounded by construction.
+    :meth:`PipelineEnv.step` calls it through this module-level name, under
+    which the benchmark probes it.
     """
-    # fraction of the last min(t, window) commits whose tests failed (0 at t = 0)
-    fails = history.fails
-    t = len(fails) - 1
-    window = history.window
+    # fraction of the last min(t, window) commits whose tests failed
+    window = cfg.history_window
     if t >= window:
         failed = (fails[t] - fails[t - window]) / window
     else:
-        failed = fails[t] / t if t else 0.0
+        failed = fails[t] / t
+    at = t * STATE_DIM
     cells[at + 5] = failed
-    cells[at + 6] = 1.0 if history.prev_failed else 0.0
+    cells[at + 6] = fails[t] - fails[t - 1]  # an int 0 or 1 writes the bits of 0.0 or 1.0
     cap = cfg.full_test_gap_cap
-    since = history.since_full_tests
-    cells[at + 7] = (since if since < cap else cap) / cap  # min() costs a call
+    cells[at + 7] = (since_full_tests if since_full_tests < cap else cap) / cap  # no min() call
     cells[at + 8] = failed
-
-
-def encode_state(commit: Commit, history: PipelineHistory, cfg: StateConfig) -> np.ndarray:
-    """Encode a commit plus pipeline history into the 10-feature state vector.
-
-    Pure in its inputs and independent of ``has_bug``/``risk_score``.
-    """
-    state = _commit_rows([commit], cfg)[0]
-    _write_history(memoryview(state), 0, history, cfg)
-    state[9] = max(min(history.prev_diff_size, cfg.diff_cap), 0) / cfg.diff_cap
-    return state
 
 
 class PipelineEnv:
@@ -215,12 +179,14 @@ class PipelineEnv:
             raise ValueError("trace must contain at least one commit")
         if min(cfg.test_minutes) < 0:
             raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
-        self._trace = trace
-        self._cfg = cfg
-        rows = _commit_rows(trace, cfg.state)
-        rows[1:, 9] = rows[:-1, 0]  # feature 10 is the previous commit's feature 1
-        # one row per commit, then the all-zero state that ends the episode
-        self._rows = np.vstack([rows, np.zeros(STATE_DIM)])
+        self._n = len(trace)
+        self._state_cfg = cfg.state
+        # one row per commit, then the all-zero state that ends the episode;
+        # features 6-9 stay 0 until a step writes them
+        rows = np.zeros((self._n + 1, STATE_DIM))
+        rows[:-1, :5] = metadata_features(raw_metadata(trace), cfg.state)
+        rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
+        self._rows = rows
         # the k-th buggy commit gets the k-th draw; clean commits draw none
         draws = iter(np.random.default_rng(seed).random(sum(c.has_bug for c in trace)).tolist())
         self._draws = [next(draws) if c.has_bug else None for c in trace]
@@ -249,7 +215,8 @@ class PipelineEnv:
     def reset(self) -> np.ndarray:
         """Rewind to the first commit and return its state."""
         self._cursor = 0
-        self._history = PipelineHistory(self._cfg.state)
+        self._fails = [0]  # fails[t]: commits among the first t whose tests failed
+        self._since_full_tests = 0
         self._states = self._rows.copy()
         self._cells = memoryview(self._states.reshape(-1))
         self._steps: list[tuple] = []
@@ -273,12 +240,11 @@ class PipelineEnv:
         Stepping a finished episode raises.
         """
         t = self._cursor
-        trace = self._trace
-        if t == len(trace):
+        if t == self._n:
             raise RuntimeError("episode is done; call reset() first")
         if action not in (0, 1, 2):
             action = Action(action)
-        if escape_penalty < 0:
+        if not escape_penalty >= 0:  # NaN fails this too
             raise ValueError(f"escape_penalty must be >= 0, got {escape_penalty}")
         # clean commits never fail tests; a buggy one is caught at the
         # action's rate (a rate of 1.0 always, 0.0 never)
@@ -299,10 +265,11 @@ class PipelineEnv:
         self._steps.append(
             (action, detected, escaped, self._test_minutes[action], pipeline_minutes, reward)
         )
-        history = self._history
-        history.update(action, detected, trace[t])
+        fails = self._fails
+        fails.append(fails[t] + detected)
+        since = self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
         self._cursor = t = t + 1
-        done = t == len(trace)
+        done = t == self._n
         if not done:
-            _write_history(self._cells, t * STATE_DIM, history, self._cfg.state)
+            encode_state(self._cells, t, fails, since, self._state_cfg)
         return reward, self._states[t], done

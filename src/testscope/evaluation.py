@@ -22,9 +22,11 @@ import numpy as np
 # ``train_agent`` is not called here, but perfbench traces it under this
 # module's name as well
 from .agent import GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
-from .baselines import StaticPolicy
+from .baselines import StaticPolicy, check_classifier_caps
 from .commits import Commit, ObservedCommit, generate_trace, observe
-from .config import EnvConfig, TrainConfig, adversarial, derive_seed, validate_env
+from .config import (
+    EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
+)
 from .environment import Action, PipelineEnv, StepTable
 from .network import QNetwork
 
@@ -245,11 +247,16 @@ def compare_policies(
     is played in one pass by :func:`run_episodes`, the reference and every
     policy together, so one policy object given under two names sees its
     calls interleaved commit by commit. ``env_cfg`` must pass
-    :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key).
+    :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
+    and the penalty and every policy the checks of ``validate_penalties`` and
+    ``check_classifier_caps`` (``ValueError``).
     """
     validate_env(env_cfg)
+    validate_penalties((escape_penalty,))
     if not policies:
         raise ValueError("need at least one policy")
+    for policy in policies.values():
+        check_classifier_caps(policy, env_cfg.state)
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
     reference: list[EpisodeStats] = []
@@ -364,7 +371,9 @@ def adversarial_eval(
 
     Also reports the fraction of small-diff (streak) commits that received
     partial tests, the behavior diff-based policies exhibit on these traces.
+    The checks of :func:`compare_policies` apply.
     """
+    check_classifier_caps(policy, env_cfg.state)  # the tallying wrapper would hide it
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
     low_total = low_partial = 0

@@ -11,7 +11,6 @@ from testscope.config import EnvConfig, StateConfig
 from testscope.environment import (
     Action,
     PipelineEnv,
-    PipelineHistory,
     STATE_DIM,
     StepTable,
     encode_state,
@@ -35,10 +34,6 @@ def make_commit(**kwargs) -> Commit:
     return Commit(**base)
 
 
-def fresh_history() -> PipelineHistory:
-    return PipelineHistory(StateConfig())
-
-
 def played(commits: list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
     """Step every commit under ``action``; returns the rewards and the step table."""
     env = PipelineEnv(commits, cfg or EnvConfig(), seed=seed)
@@ -54,59 +49,99 @@ def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bo
     return played([make_commit(id=i, has_bug=has_bug) for i in range(n)], action, seed=seed)[1].detected
 
 
+def first_state(commit: Commit, cfg: StateConfig | None = None) -> np.ndarray:
+    """The state the environment shows for ``commit`` at the start of an episode."""
+    return PipelineEnv([commit], dataclasses.replace(EnvConfig(), state=cfg or StateConfig())).state
+
+
+def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarray]:
+    """The states of an all-buggy trace whose t-th commit is caught exactly
+    when ``outcomes[t]``: state t follows the first t outcomes.
+
+    On such a trace the action decides each outcome: full tests catch every
+    bug (rate 1.0) and skipping catches none (rate 0.0).
+    """
+    cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, state=state_cfg)
+    trace = generate_trace(cfg, len(outcomes) + 1, seed=0)
+    assert all(c.has_bug for c in trace)
+    env = PipelineEnv(trace, cfg)
+    actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
+    states = [env.state] + [env.step(a, 5.0)[1] for a in actions]
+    assert env.table.detected == tuple(outcomes)
+    return states
+
+
 class TestEncodeState:
     def test_zero_diff_gives_zero_feature(self):
-        state = encode_state(make_commit(diff_size=0), fresh_history(), StateConfig())
-        assert state[0] == 0.0
+        assert first_state(make_commit(diff_size=0))[0] == 0.0
 
     def test_diff_at_cap_saturates(self):
         cfg = StateConfig()
         for diff in (cfg.diff_cap, cfg.diff_cap + 1, 10 * cfg.diff_cap):
-            state = encode_state(make_commit(diff_size=diff), fresh_history(), cfg)
-            assert state[0] == 1.0
+            assert first_state(make_commit(diff_size=diff), cfg)[0] == 1.0
 
     def test_empty_history_neutral_defaults(self):
-        state = encode_state(make_commit(), fresh_history(), StateConfig())
+        state = first_state(make_commit())
         assert tuple(state[5:]) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_dimensions_and_bounds(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
-        history = fresh_history()
-        for commit in trace:
-            state = encode_state(commit, history, cfg.state)
+        env = PipelineEnv(trace, cfg, seed=3)
+        states = [env.state] + [env.step(Action(c.id % 3), 5.0)[1] for c in trace[:-1]]
+        assert any(env.table.detected)
+        for state in states:
             assert state.shape == (STATE_DIM,)
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
             assert np.all(np.isfinite(state))
-            history.update(Action(commit.id % 3), commit.has_bug, commit)
 
     def test_independent_of_latent_bug_flag(self):
-        commit = make_commit(has_bug=False)
-        flipped = dataclasses.replace(commit, has_bug=True, risk_score=0.99)
-        a = encode_state(commit, fresh_history(), StateConfig())
-        b = encode_state(flipped, fresh_history(), StateConfig())
-        np.testing.assert_array_equal(a, b)
+        # skipped tests catch nothing, so flipping every bug flag and risk
+        # score changes no outcome, and must change no state either
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 50, seed=5)
+        flipped = [
+            dataclasses.replace(c, has_bug=not c.has_bug, risk_score=1.0 - c.risk_score)
+            for c in trace
+        ]
+        states = []
+        for commits in (trace, flipped):
+            env = PipelineEnv(commits, cfg, seed=1)
+            states.append([env.state] + [env.step(Action.SKIP_TESTS, 5.0)[1] for _ in commits])
+        assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
-        history = fresh_history()
-        history.update(Action.SKIP_TESTS, True, make_commit(diff_size=300))
-        commit = make_commit()
-        a = encode_state(commit, history, StateConfig())
-        b = encode_state(commit, history, StateConfig())
-        np.testing.assert_array_equal(a, b)
+        # the encoder writes row t from its arguments alone and changes none of them
+        cfg = StateConfig()
+        fails = [0, 1, 1, 2]
+        written = []
+        for _ in range(2):
+            states = np.zeros((5, STATE_DIM))
+            encode_state(memoryview(states.reshape(-1)), 3, fails, 2, cfg)
+            written.append(states.tobytes())
+        assert written[0] == written[1] and fails == [0, 1, 1, 2]
+        assert states[3, 5:9].tolist() == [2 / 3, 1.0, 2 / cfg.full_test_gap_cap, 2 / 3]
+        assert not states[[0, 1, 2, 4]].any() and not states[3, [0, 1, 2, 3, 4, 9]].any()
+
+    def test_gap_saturates_at_its_cap(self):
+        # full tests reset the gap, skipped ones extend it up to the cap
+        states = states_after([True] + [False] * 7 + [True], StateConfig(full_test_gap_cap=4))
+        assert [s[7] for s in states] == [0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0, 0.0]
 
     def test_history_features_after_updates(self):
         cfg = StateConfig()
-        history = fresh_history()
-        history.update(Action.PARTIAL_TESTS, True, make_commit(diff_size=250))
-        state = encode_state(make_commit(), history, cfg)
+        trace = [make_commit(diff_size=250, has_bug=True), make_commit(diff_size=10), make_commit()]
+        env = PipelineEnv(trace, EnvConfig())
+        # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
+        _, state, _ = env.step(Action.PARTIAL_TESTS, 5.0)
+        assert env.table.detected == (True,)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
         assert state[8] == 1.0
         assert state[9] == 250 / cfg.diff_cap
-        history.update(Action.FULL_TESTS, False, make_commit(diff_size=10))
-        state = encode_state(make_commit(), history, cfg)
+        _, state, _ = env.step(Action.FULL_TESTS, 5.0)
+        assert env.table.detected == (True, False)
         assert state[5] == 0.5
         assert state[6] == 0.0
         assert state[7] == 0.0  # full tests reset the gap counter
@@ -153,8 +188,9 @@ class TestReward:
 
     def test_negative_penalty_rejected(self):
         env = PipelineEnv([make_commit()], EnvConfig())
-        with pytest.raises(ValueError):
-            env.step(Action.PARTIAL_TESTS, -0.1)
+        for penalty in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                env.step(Action.PARTIAL_TESTS, penalty)
 
     def test_negative_test_minutes_rejected(self):
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
@@ -470,16 +506,13 @@ class TestEncodingIsBitIdentical:
         trace = generate_trace(cfg, length, seed=trace_seed)
         trace.insert(min(odd_at, length), odd)
         env = PipelineEnv(trace, cfg, seed=env_seed)
-        history = PipelineHistory(state_cfg)
         detections, actions, prev_diff = [], [], 0
         state, done = env.reset(), False
         for commit, action in zip(trace, choices):
             expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
             assert state.tobytes() == expected.tobytes()
-            assert encode_state(commit, history, state_cfg).tobytes() == expected.tobytes()
             _, state, done = env.step(action, 5.0)
             detected = env.table.detected[-1]
-            history.update(Action(action), detected, commit)
             detections.append(detected)
             actions.append(Action(action))
             prev_diff = commit.diff_size
@@ -517,42 +550,37 @@ class TestEncodingIsBitIdentical:
         window=st.integers(1, 6),
     )
     def test_failure_fraction_is_the_window_mean(self, outcomes, window):
-        cfg = StateConfig(history_window=window)
-        history = PipelineHistory(cfg)
-        for k, detected in enumerate(outcomes):
-            history.update(Action.PARTIAL_TESTS, detected, make_commit())
-            recent = outcomes[max(0, k + 1 - window) : k + 1]
-            assert encode_state(make_commit(), history, cfg)[5] == sum(recent) / len(recent)
+        states = states_after(outcomes, StateConfig(history_window=window))
+        for t, state in enumerate(states[1:], start=1):
+            recent = outcomes[max(0, t - window) : t]
+            assert state[5] == sum(recent) / len(recent)
 
     @pytest.mark.parametrize("window", [1, 3, 10])
     def test_window_fraction_before_at_and_past_a_full_window(self, window):
         # outcomes that differ between consecutive windows, so a window off by
         # one commit reads a different fraction
-        cfg = StateConfig(history_window=window)
         outcomes = [k % 3 == 0 or k % 7 == 1 for k in range(3 * window + 5)]
-        history = PipelineHistory(cfg)
-        state = encode_state(make_commit(), history, cfg)
-        assert state[5] == state[8] == 0.0
-        for t, detected in enumerate(outcomes, start=1):
-            history.update(Action.PARTIAL_TESTS, detected, make_commit())
+        states = states_after(outcomes, StateConfig(history_window=window))
+        assert states[0][5] == states[0][8] == 0.0
+        for t, state in enumerate(states[1:], start=1):
             last = outcomes[:t][-window:]
             assert len(last) == min(t, window)  # t < w, t = w and t > w all occur
-            state = encode_state(make_commit(), history, cfg)
             assert state[5] == state[8] == sum(last) / len(last)
+            assert state[6] == float(outcomes[t - 1])
 
-    def test_env_states_equal_an_encode_state_replay_as_the_window_wraps(self):
+    def test_env_states_equal_the_formula_as_the_window_wraps(self):
         cfg = dataclasses.replace(
             EnvConfig(), bug_probability=0.5, state=StateConfig(history_window=3)
         )
         trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
         env = PipelineEnv(trace, cfg, seed=16)
-        history = PipelineHistory(cfg.state)
         states = [env.state] + [env.step(a, 5.0)[1] for a in actions]
         detected = env.table.detected
-        for state, commit, action, caught in zip(states, trace, actions, detected):
-            assert state.tobytes() == encode_state(commit, history, cfg.state).tobytes()
-            history.update(Action(action), caught, commit)
+        for t, (state, commit) in enumerate(zip(states, trace)):
+            prev_diff = trace[t - 1].diff_size if t else 0
+            expected = formula_state(commit, cfg.state, detected[:t], actions[:t], prev_diff)
+            assert state.tobytes() == expected.tobytes()
         assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
         # the window wrapped many times over both outcomes
         assert 20 <= sum(detected) <= len(trace) - 20

@@ -13,9 +13,10 @@ from testscope.baselines import (
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
+    make_classifier,
 )
 from testscope.commits import generate_trace
-from testscope.config import ConfigError, EnvConfig, adversarial, derive_seed
+from testscope.config import ConfigError, EnvConfig, StateConfig, adversarial, derive_seed
 from testscope.environment import Action
 from testscope.evaluation import (
     adversarial_eval,
@@ -30,6 +31,10 @@ from testscope.evaluation import (
     run_episodes,
 )
 from testscope.network import mlp_init
+
+
+def refuse_traces(*args, **kwargs):
+    raise AssertionError("a trace was generated")
 
 
 def zero_bug_cfg() -> EnvConfig:
@@ -258,15 +263,37 @@ class TestComparePolicies:
 
     def test_bad_env_rejected_before_any_trace(self, monkeypatch):
         # unchecked, the heuristic policy's runs report tts = -inf, std = nan
-        def refuse(*args, **kwargs):
-            raise AssertionError("a trace was generated")
-
-        monkeypatch.setattr(evaluation, "generate_trace", refuse)
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
         env = EnvConfig(test_minutes=(10.0, float("inf"), 0.0))
         with pytest.raises(ConfigError, match="env.partial_test_minutes: must be finite"):
             compare_policies({"heuristic": HeuristicPolicy()}, env, escape_penalty=5.0, n_runs=2)
         with pytest.raises(ConfigError, match="env.partial_test_minutes: must be finite"):
             adversarial_eval(HeuristicPolicy(), env, escape_penalty=5.0, n_runs=2)
+
+    def test_classifier_fitted_under_other_caps_rejected(self, monkeypatch):
+        # unchecked, the model scores states encoded under caps it was not
+        # fitted on and reports a dmr of 0.0
+        policy = ClassifierPolicy(make_classifier(EnvConfig()))
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
+        env = dataclasses.replace(EnvConfig(), state=StateConfig(diff_cap=50, files_cap=3))
+        message = (
+            "the classifier was fitted with diff_cap = 500 and files_cap = 20, but the "
+            "config sets state.diff_cap = 50 and state.files_cap = 3"
+        )
+        with pytest.raises(ValueError, match=message):
+            compare_policies({"classifier": policy}, env, 5.0, n_runs=3, base_seed=1)
+        with pytest.raises(ValueError, match=message):
+            adversarial_eval(policy, env, 5.0, n_runs=3, base_seed=1)
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, monkeypatch, penalty):
+        # unchecked, a NaN penalty reports beta NaN, which json.dumps writes as NaN
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
+        match = "escape penalties must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"heuristic": HeuristicPolicy()}, EnvConfig(), penalty, n_runs=2)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(HeuristicPolicy(), EnvConfig(), penalty, n_runs=2)
 
     def test_report_rows_schema(self):
         report, _ = compare_policies(

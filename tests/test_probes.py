@@ -20,6 +20,8 @@ import pytest
 
 from testscope import agent, environment
 from testscope.baselines import train_classifier
+from testscope.commits import generate_trace
+from testscope.config import EnvConfig
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,6 +91,26 @@ def test_classifier_counter_reads_the_fit_arguments_by_position():
     # config from positional arguments 0, 1 and 2
     names = list(inspect.signature(train_classifier).parameters)
     assert names[:3] == ["commits", "opts", "state_cfg"]
+
+
+def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
+    # perfbench times the per-step encoding by rebinding
+    # testscope.environment.encode_state; a step that stopped calling it
+    # through that name would read 0 there without any error
+    calls = []
+    encode = environment.encode_state
+
+    def counted(*args):
+        calls.append(args[1])
+        return encode(*args)
+
+    monkeypatch.setattr(environment, "encode_state", counted)
+    cfg = EnvConfig()
+    trace = generate_trace(cfg, 25, seed=3)
+    env = environment.PipelineEnv(trace, cfg, seed=1)
+    for _ in trace:
+        env.step(environment.Action.PARTIAL_TESTS, 5.0)
+    assert calls == list(range(1, len(trace)))
 
 
 @pytest.mark.parametrize("workload", ["train", "evaluate", "sweep"])
