@@ -278,15 +278,15 @@ def train_agents(
             env_cfg, env_cfg.commits_per_episode, seed=derive_seed(cfg.seed, _STREAM_TRACE, episode)
         )
         env_seed = derive_seed(cfg.seed, _STREAM_ENV, episode)
-        envs = PipelineEnv(trace, env_cfg, seed=env_seed).replicas(len(penalties))
+        envs = PipelineEnv(trace, env_cfg, penalties[0], seed=env_seed).replicas(penalties)
         state = joined([env.state for env in envs])
 
         for _ in trace:
             action = select_action(net, state, epsilon, rng)
             actions = action.tolist() if stack else [action]
             next_states, rewards = [], []
-            for env, a, penalty in zip(envs, actions, penalties):
-                reward, next_state, done = env.step(a, penalty)
+            for env, a in zip(envs, actions):
+                reward, next_state, done = env.step(a)
                 next_states.append(next_state)
                 rewards.append(reward)
             next_state = joined(next_states)

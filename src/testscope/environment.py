@@ -45,11 +45,11 @@ each step writes features 6-9 of the next commit's row with
 :func:`encode_state` and returns that row. The detection draws depend on the
 trace and the seed alone too, so they are drawn when the env is built, and
 :meth:`PipelineEnv.replicas` shares rows and draws among environments that
-play the same trace.
+play the same trace, each with its own escape penalty.
 
-A step returns ``(reward, next_state, done)`` and records the commit in the
-episode's :class:`StepTable`, one row per commit: action, detected, escaped,
-test minutes, pipeline minutes and reward.
+An env is priced once, when it is built: each action gets a clean, a caught
+and an escaped :class:`StepTable` row. A step picks one by the commit's draw,
+records it in the episode's table and returns ``(reward, next_state, done)``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .commits import Commit, ObservedCommit
-from .config import EnvConfig, StateConfig
+from .config import EnvConfig, StateConfig, validate_penalties
 
 __all__ = [
     "Action",
@@ -164,8 +164,9 @@ def encode_state(
 class PipelineEnv:
     """Steps a fixed commit trace through the simulated pipeline.
 
-    Stateful and single-threaded. The encoded rows and the detection draws
-    are fixed when the env is built: the k-th buggy commit of the trace is
+    Stateful and single-threaded. The encoded rows, the step rows (priced
+    with an escape penalty that :func:`validate_penalties` checks) and the
+    detection draws are fixed when the env is built: the k-th buggy commit is
     caught when the k-th number of ``default_rng(seed).random(n_buggy)`` is
     below the action's detection rate. ``reset`` restores the cursor and the
     history and replays the same draws, so a reset environment replays
@@ -174,13 +175,13 @@ class PipelineEnv:
     returned, and a reset allocates a new array, so callers may keep them.
     """
 
-    def __init__(self, trace: list[Commit], cfg: EnvConfig, seed: int = 0):
+    def __init__(self, trace: list[Commit], cfg: EnvConfig, escape_penalty: float, seed: int = 0):
         if not trace:
             raise ValueError("trace must contain at least one commit")
         if min(cfg.test_minutes) < 0:
             raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
         self._n = len(trace)
-        self._state_cfg = cfg.state
+        self._cfg = cfg
         # one row per commit, then the all-zero state that ends the episode;
         # features 6-9 stay 0 until a step writes them
         rows = np.zeros((self._n + 1, STATE_DIM))
@@ -190,25 +191,36 @@ class PipelineEnv:
         # the k-th buggy commit gets the k-th draw; clean commits draw none
         draws = iter(np.random.default_rng(seed).random(sum(c.has_bug for c in trace)).tolist())
         self._draws = [next(draws) if c.has_bug else None for c in trace]
-        # per action: test minutes, their cost as a reward, detection rates,
-        # and pipeline minutes when a bug is caught, the commit passes, or a
-        # bug escapes (only commits that pass testing reach deployment)
-        self._test_minutes = tuple(cfg.test_minutes)
-        self._costs = tuple(-m - 0.0 for m in cfg.test_minutes)  # floats, also for int minutes
         self._rates = tuple(cfg.detection_rates)
-        self._caught_minutes = tuple(cfg.build_minutes + m for m in cfg.test_minutes)
-        self._passed_minutes = tuple(m + cfg.deploy_minutes for m in self._caught_minutes)
-        self._escaped_minutes = tuple(m + cfg.escape_delay_minutes for m in self._passed_minutes)
+        self._price(escape_penalty)
         self.reset()
 
-    def replicas(self, k: int) -> list["PipelineEnv"]:
-        """``k`` reset environments over this one's trace, config and seed.
+    def _price(self, escape_penalty: float) -> None:
+        """Check the penalty and build each action's clean, caught and escaped step rows."""
+        (escape_penalty,) = validate_penalties((escape_penalty,))
+        cfg = self._cfg
+        self._step_rows = []
+        for action, minutes in zip(Action, cfg.test_minutes):
+            cost = -minutes - 0.0  # a float, also for int minutes
+            caught = cfg.build_minutes + minutes
+            passed = caught + cfg.deploy_minutes  # only commits that pass testing deploy
+            escaped = passed + cfg.escape_delay_minutes
+            self._step_rows.append((
+                (action, False, False, minutes, passed, cost),
+                (action, True, False, minutes, caught, cost),
+                (action, False, True, minutes, escaped, cost - escape_penalty),
+            ))
+
+    def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
+        """One reset environment per escape penalty, over this one's trace,
+        config and seed.
 
         They share the encoded rows and the detection draws; each has its own
-        cursor, history, step table and state array.
+        step rows, cursor, history, step table and state array.
         """
-        envs = [copy.copy(self) for _ in range(k)]
-        for env in envs:
+        envs = [copy.copy(self) for _ in penalties]
+        for env, penalty in zip(envs, penalties):
+            env._price(penalty)
             env.reset()
         return envs
 
@@ -232,7 +244,7 @@ class PipelineEnv:
         """The episode's steps so far, one entry per stepped commit in each column."""
         return StepTable(*(tuple(zip(*self._steps)) or ((),) * len(StepTable._fields)))
 
-    def step(self, action: Action, escape_penalty: float) -> tuple[float, np.ndarray, bool]:
+    def step(self, action: Action) -> tuple[float, np.ndarray, bool]:
         """Process the current commit with the chosen test scope.
 
         Returns the reward, the next state (zeros once the trace is
@@ -244,32 +256,17 @@ class PipelineEnv:
             raise RuntimeError("episode is done; call reset() first")
         if action not in (0, 1, 2):
             action = Action(action)
-        if not escape_penalty >= 0:  # NaN fails this too
-            raise ValueError(f"escape_penalty must be >= 0, got {escape_penalty}")
         # clean commits never fail tests; a buggy one is caught at the
         # action's rate (a rate of 1.0 always, 0.0 never)
+        clean, caught, escaped = self._step_rows[action]
         draw = self._draws[t]
-        if draw is None:
-            detected = escaped = False
-            pipeline_minutes = self._passed_minutes[action]
-            reward = self._costs[action]
-        elif draw < self._rates[action]:
-            detected, escaped = True, False
-            pipeline_minutes = self._caught_minutes[action]
-            reward = self._costs[action]
-        else:
-            detected, escaped = False, True
-            pipeline_minutes = self._escaped_minutes[action]
-            reward = self._costs[action] - escape_penalty
-
-        self._steps.append(
-            (action, detected, escaped, self._test_minutes[action], pipeline_minutes, reward)
-        )
+        row = clean if draw is None else caught if draw < self._rates[action] else escaped
+        self._steps.append(row)
         fails = self._fails
-        fails.append(fails[t] + detected)
+        fails.append(fails[t] + row[1])  # row[1]: detected
         since = self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
         self._cursor = t = t + 1
         done = t == self._n
         if not done:
-            encode_state(self._cells, t, fails, since, self._state_cfg)
-        return reward, self._states[t], done
+            encode_state(self._cells, t, fails, since, self._cfg.state)
+        return row[5], self._states[t], done

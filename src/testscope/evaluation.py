@@ -113,14 +113,15 @@ def run_episodes(
             f"trace length {len(trace)} != commits_per_episode "
             f"{env_cfg.commits_per_episode}"
         )
-    envs = PipelineEnv(trace, env_cfg, seed=seed).replicas(len(policies))
+    penalties = [escape_penalty] * len(policies)
+    envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
     # one [policy, bound step, current state] entry per player
     players = [[policy, env.step, env.state] for policy, env in zip(policies, envs)]
     for commit in trace:
         seen = observe(commit)
         for player in players:
             policy, step, state = player
-            _, player[2], _ = step(policy(state, seen), escape_penalty)
+            _, player[2], _ = step(policy(state, seen))
     return [EpisodeStats.from_table(env.table) for env in envs]
 
 

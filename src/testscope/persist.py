@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,13 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 def _decode_array(entry: dict, name: str) -> np.ndarray:
     try:
-        raw = base64.b64decode(entry["data"].encode("ascii"), validate=True)
+        raw = base64.b64decode(entry["data"], validate=True)  # a str, else TypeError
         shape = tuple(int(s) for s in entry["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WeightFileError(f"malformed array {name!r}: {exc}") from None
-    expected = int(np.prod(shape)) * 8
+    if any(s < 0 for s in shape):
+        raise WeightFileError(f"malformed array {name!r}: negative dimension in {shape}")
+    expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise WeightFileError(
             f"array {name!r} has {len(raw)} bytes, expected {expected} for shape {shape}"
@@ -168,7 +171,7 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
 
     if kind == KIND_QNETWORK:
         layer_sizes = document.get("layer_sizes")
-        if not layer_sizes or len(layer_sizes) < 2:
+        if not isinstance(layer_sizes, list) or len(layer_sizes) < 2:
             raise WeightFileError(f"{path}: bad layer_sizes {layer_sizes!r}")
         n_layers = len(layer_sizes) - 1
         try:

@@ -49,7 +49,7 @@ def risk(model: LogisticModel, commit) -> float:
 
 def env_state(commit) -> np.ndarray:
     """The state in which an environment at the default config shows ``commit`` first."""
-    return PipelineEnv([commit], EnvConfig()).state
+    return PipelineEnv([commit], EnvConfig(), 5.0).state
 
 
 def separable_toy_set():
@@ -280,8 +280,8 @@ class TestTrainClassifier:
             make_commit(diff_size=nan, developer_defect_rate=nan, developer_experience=-nan),
         ]
         cfg = StateConfig(diff_cap=37, files_cap=3)
-        env = PipelineEnv(commits, dataclasses.replace(EnvConfig(), state=cfg))
-        states = [env.state] + [env.step(Action.FULL_TESTS, 5.0)[1] for _ in commits[1:]]
+        env = PipelineEnv(commits, dataclasses.replace(EnvConfig(), state=cfg), 5.0)
+        states = [env.state] + [env.step(Action.FULL_TESTS)[1] for _ in commits[1:]]
         x, _ = _labeled_arrays(commits, cfg)
         for state, row, commit in zip(states, x, commits, strict=True):
             assert commit_features(commit, cfg).tobytes() == state[:5].tobytes() == row.tobytes()
@@ -387,7 +387,7 @@ class TestClassifierPolicy:
         trace = generate_trace(cfg, 400, seed=23, mode=mode)
         for model in (fitted, hand_made):
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
-            env = PipelineEnv(trace, cfg, seed=24)
+            env = PipelineEnv(trace, cfg, 5.0, seed=24)
             state, tiers = env.state, set()
             for commit in trace:
                 at = risk(model, commit)
@@ -396,7 +396,7 @@ class TestClassifierPolicy:
                 action = policy(state, observe(commit))
                 assert action == (Action.SKIP_TESTS, Action.PARTIAL_TESTS, Action.FULL_TESTS)[tier]
                 tiers.add(action)
-                _, state, _ = env.step(action, 5.0)
+                _, state, _ = env.step(action)
             assert len(tiers) == 3
 
     def test_invalid_thresholds_rejected(self):

@@ -36,8 +36,8 @@ def make_commit(**kwargs) -> Commit:
 
 def played(commits: list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
     """Step every commit under ``action``; returns the rewards and the step table."""
-    env = PipelineEnv(commits, cfg or EnvConfig(), seed=seed)
-    rewards = [env.step(action, penalty)[0] for _ in commits]
+    env = PipelineEnv(commits, cfg or EnvConfig(), penalty, seed=seed)
+    rewards = [env.step(action)[0] for _ in commits]
     return rewards, env.table
 
 
@@ -51,7 +51,8 @@ def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bo
 
 def first_state(commit: Commit, cfg: StateConfig | None = None) -> np.ndarray:
     """The state the environment shows for ``commit`` at the start of an episode."""
-    return PipelineEnv([commit], dataclasses.replace(EnvConfig(), state=cfg or StateConfig())).state
+    env_cfg = dataclasses.replace(EnvConfig(), state=cfg or StateConfig())
+    return PipelineEnv([commit], env_cfg, 5.0).state
 
 
 def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarray]:
@@ -64,9 +65,9 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, state=state_cfg)
     trace = generate_trace(cfg, len(outcomes) + 1, seed=0)
     assert all(c.has_bug for c in trace)
-    env = PipelineEnv(trace, cfg)
+    env = PipelineEnv(trace, cfg, 5.0)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
-    states = [env.state] + [env.step(a, 5.0)[1] for a in actions]
+    states = [env.state] + [env.step(a)[1] for a in actions]
     assert env.table.detected == tuple(outcomes)
     return states
 
@@ -87,8 +88,8 @@ class TestEncodeState:
     def test_dimensions_and_bounds(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
-        env = PipelineEnv(trace, cfg, seed=3)
-        states = [env.state] + [env.step(Action(c.id % 3), 5.0)[1] for c in trace[:-1]]
+        env = PipelineEnv(trace, cfg, 5.0, seed=3)
+        states = [env.state] + [env.step(Action(c.id % 3))[1] for c in trace[:-1]]
         assert any(env.table.detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
@@ -106,8 +107,8 @@ class TestEncodeState:
         ]
         states = []
         for commits in (trace, flipped):
-            env = PipelineEnv(commits, cfg, seed=1)
-            states.append([env.state] + [env.step(Action.SKIP_TESTS, 5.0)[1] for _ in commits])
+            env = PipelineEnv(commits, cfg, 5.0, seed=1)
+            states.append([env.state] + [env.step(Action.SKIP_TESTS)[1] for _ in commits])
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
@@ -131,16 +132,16 @@ class TestEncodeState:
     def test_history_features_after_updates(self):
         cfg = StateConfig()
         trace = [make_commit(diff_size=250, has_bug=True), make_commit(diff_size=10), make_commit()]
-        env = PipelineEnv(trace, EnvConfig())
+        env = PipelineEnv(trace, EnvConfig(), 5.0)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
-        _, state, _ = env.step(Action.PARTIAL_TESTS, 5.0)
+        _, state, _ = env.step(Action.PARTIAL_TESTS)
         assert env.table.detected == (True,)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
         assert state[8] == 1.0
         assert state[9] == 250 / cfg.diff_cap
-        _, state, _ = env.step(Action.FULL_TESTS, 5.0)
+        _, state, _ = env.step(Action.FULL_TESTS)
         assert env.table.detected == (True, False)
         assert state[5] == 0.5
         assert state[6] == 0.0
@@ -187,15 +188,38 @@ class TestReward:
         assert rewards == list(table.reward) == [0.0]
 
     def test_negative_penalty_rejected(self):
-        env = PipelineEnv([make_commit()], EnvConfig())
-        for penalty in (-0.1, float("nan")):
+        # an env, or a replica, is priced when it is built, so a bad penalty
+        # fails there, before any step
+        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
+        for penalty in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                env.step(Action.PARTIAL_TESTS, penalty)
+                PipelineEnv([make_commit()], EnvConfig(), penalty)
+            with pytest.raises(ValueError):
+                env.replicas([5.0, penalty])
+        assert env.table.action == ()
+
+    def test_each_replica_is_charged_its_own_penalty(self):
+        # skipping catches half the bugs here, so the shared draws decide
+        # which commits escape, and each escape costs the replica's penalty
+        cfg = dataclasses.replace(
+            EnvConfig(), bug_probability=1.0, detection_rates=(1.0, 0.7, 0.5)
+        )
+        trace = generate_trace(cfg, 40, seed=3)
+        assert all(c.has_bug for c in trace)
+        free, costly = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([0.0, 7.0])
+        for env in (free, costly):
+            for _ in trace:
+                env.step(Action.SKIP_TESTS)
+        assert free.table.detected == costly.table.detected
+        assert free.table.escaped == costly.table.escaped
+        assert any(free.table.detected) and any(free.table.escaped)
+        assert free.table.reward == tuple(-0.0 * e for e in free.table.escaped)
+        assert costly.table.reward == tuple(-7.0 * e for e in costly.table.escaped)
 
     def test_negative_test_minutes_rejected(self):
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
         with pytest.raises(ValueError):
-            PipelineEnv([make_commit()], cfg)
+            PipelineEnv([make_commit()], cfg, 5.0)
 
     @given(
         minutes=st.floats(0, 1e4, allow_nan=False),
@@ -223,7 +247,7 @@ class TestStepTable:
         assert table.action_counts() == (1, 1, 2)
 
     def test_empty_episode(self):
-        env = PipelineEnv([make_commit()], EnvConfig())
+        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
         assert env.table == StepTable((), (), (), (), (), ())
         assert env.table.total("reward") == 0.0 and env.table.action_counts() == (0, 0, 0)
 
@@ -231,70 +255,70 @@ class TestStepTable:
 class TestPipelineEnv:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            PipelineEnv([], EnvConfig())
+            PipelineEnv([], EnvConfig(), 5.0)
 
     def test_reset_is_idempotent(self):
         trace = generate_trace(EnvConfig(), 10, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), seed=1)
+        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
         first = env.reset()
         np.testing.assert_array_equal(first, env.reset())
 
     def test_reset_clears_history(self):
         trace = generate_trace(EnvConfig(), 10, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), seed=1)
+        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
         initial = env.reset()
         done = False
         while not done:
-            _, _, done = env.step(Action.PARTIAL_TESTS, 5.0)
+            _, _, done = env.step(Action.PARTIAL_TESTS)
         np.testing.assert_array_equal(initial, env.reset())
 
     def test_returned_states_stay_valid(self):
         # states are rows of one array per episode: later steps and a reset
         # leave the ones already returned untouched
         cfg = EnvConfig()
-        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, seed=1)
+        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, 5.0, seed=1)
         kept, copies, done = [env.reset()], [], False
         while not done:
             copies.append(kept[-1].copy())
-            _, state, done = env.step(Action(len(kept) % 3), 5.0)
+            _, state, done = env.step(Action(len(kept) % 3))
             kept.append(state)
         copies.append(kept[-1].copy())
         env.reset()
-        env.step(Action.SKIP_TESTS, 5.0)
+        env.step(Action.SKIP_TESTS)
         for state, copy in zip(kept, copies):
             assert state.tobytes() == copy.tobytes()
 
     def test_invalid_action_rejected(self):
-        env = PipelineEnv([make_commit()], EnvConfig())
+        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
         with pytest.raises(ValueError):
-            env.step(3, 5.0)
+            env.step(3)
         assert env.table.action == ()
 
     def test_single_commit_trace_finishes_in_one_step(self):
         trace = generate_trace(EnvConfig(), 1, seed=4)
         cfg = dataclasses.replace(EnvConfig(), commits_per_episode=1)
-        env = PipelineEnv(trace, cfg, seed=1)
+        env = PipelineEnv(trace, cfg, 5.0, seed=1)
         env.reset()
-        _, _, done = env.step(Action.FULL_TESTS, 5.0)
+        _, _, done = env.step(Action.FULL_TESTS)
         assert done
 
     def test_stepping_done_episode_raises(self):
         trace = generate_trace(EnvConfig(), 1, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), seed=1)
+        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
         env.reset()
-        env.step(Action.FULL_TESTS, 5.0)
+        env.step(Action.FULL_TESTS)
         with pytest.raises(RuntimeError):
-            env.step(Action.FULL_TESTS, 5.0)
+            env.step(Action.FULL_TESTS)
 
     def test_episode_emits_exactly_trace_length_steps(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=6)
-        env = PipelineEnv(trace, cfg, seed=2)
+        env = PipelineEnv(trace, cfg, 5.0, seed=2)
         env.reset()
         steps = 0
         done = False
         while not done:
-            _, _, done = env.step(Action.SKIP_TESTS, 5.0)
+            _, _, done = env.step(Action.SKIP_TESTS)
             steps += 1
         assert steps == cfg.commits_per_episode
 
@@ -302,12 +326,12 @@ class TestPipelineEnv:
         # tests fail only on a caught bug, so the failure and caught
         # fractions are one signal
         cfg = EnvConfig()
-        env = PipelineEnv(generate_trace(cfg, cfg.commits_per_episode, seed=8), cfg, seed=3)
+        env = PipelineEnv(generate_trace(cfg, cfg.commits_per_episode, seed=8), cfg, 5.0, seed=3)
         rng = np.random.default_rng(0)
         state, done = env.reset(), False
         while not done:
             assert state[5] == state[8]
-            _, state, done = env.step(Action(int(rng.integers(3))), 5.0)
+            _, state, done = env.step(Action(int(rng.integers(3))))
         assert any(env.table.detected)
 
     def test_detected_bug_rejected_before_deploy(self):
@@ -338,12 +362,12 @@ class TestPipelineEnv:
     def test_pipeline_minutes_cover_test_minutes(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
-        env = PipelineEnv(trace, cfg, seed=3)
+        env = PipelineEnv(trace, cfg, 5.0, seed=3)
         env.reset()
         rng = np.random.default_rng(1)
         done = False
         while not done:
-            _, _, done = env.step(Action(int(rng.integers(3))), 5.0)
+            _, _, done = env.step(Action(int(rng.integers(3))))
         table = env.table
         assert len(table.action) == 100
         for pipeline, test, detected, escaped in zip(
@@ -358,9 +382,9 @@ class TestPipelineEnv:
         actions = [Action(int(a)) for a in np.random.default_rng(2).integers(0, 3, 100)]
 
         def play():
-            env = PipelineEnv(trace, cfg, seed=5)
+            env = PipelineEnv(trace, cfg, 5.0, seed=5)
             env.reset()
-            return [env.step(a, 5.0) for a in actions], env.table
+            return [env.step(a) for a in actions], env.table
 
         (first, first_table), (second, second_table) = play(), play()
         assert first_table == second_table
@@ -371,12 +395,12 @@ class TestPipelineEnv:
     def test_reward_identity_every_step(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
-        env = PipelineEnv(trace, cfg, seed=5)
+        env = PipelineEnv(trace, cfg, 7.0, seed=5)
         env.reset()
         rng = np.random.default_rng(3)
         done, rewards = False, []
         while not done:
-            reward, _, done = env.step(Action(int(rng.integers(3))), 7.0)
+            reward, _, done = env.step(Action(int(rng.integers(3))))
             rewards.append(reward)
         table = env.table
         assert rewards == list(table.reward)
@@ -394,27 +418,27 @@ class TestSharedDraws:
                 rng = np.random.default_rng(seed)
                 expected = tuple(c.has_bug and rng.random() < rate for c in trace)
                 assert played(trace, action, cfg=cfg, seed=seed)[1].detected == expected
-                for env in PipelineEnv(trace, cfg, seed=seed).replicas(2):
+                for env in PipelineEnv(trace, cfg, 5.0, seed=seed).replicas([5.0, 5.0]):
                     for _ in trace:
-                        env.step(action, 5.0)
+                        env.step(action)
                     assert env.table.detected == expected
 
     def test_reset_replays_the_same_draws(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
         actions = [Action(int(a)) for a in np.random.default_rng(4).integers(0, 3, 100)]
-        env = PipelineEnv(trace, cfg, seed=5)
+        env = PipelineEnv(trace, cfg, 5.0, seed=5)
         tables = []
         for played_actions in (actions, [Action.PARTIAL_TESTS] * 100, actions):
             env.reset()
             for a in played_actions:
-                env.step(a, 5.0)
+                env.step(a)
             tables.append(env.table)
         assert tables[0] == tables[2]
         assert any(tables[0].detected) and any(tables[0].escaped)
-        fresh = PipelineEnv(trace, cfg, seed=5)
+        fresh = PipelineEnv(trace, cfg, 5.0, seed=5)
         for _ in trace:
-            fresh.step(Action.PARTIAL_TESTS, 5.0)
+            fresh.step(Action.PARTIAL_TESTS)
         assert tables[1] == fresh.table
 
     def test_stepping_one_replica_leaves_the_others_untouched(self):
@@ -422,20 +446,20 @@ class TestSharedDraws:
         trace = generate_trace(cfg, 60, seed=8)
         rng = np.random.default_rng(6)
         actions = [Action(int(a)) for a in rng.integers(0, 3, 60)]
-        first, second, third = PipelineEnv(trace, cfg, seed=2).replicas(3)
+        first, second, third = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([3.0, 5.0, 5.0])
         initial = third.state.copy()
-        kept = [second.state] + [second.step(a, 5.0)[1] for a in actions[:30]]
+        kept = [second.state] + [second.step(a)[1] for a in actions[:30]]
         copies = [state.copy() for state in kept]
         half_table = second.table
         for a in reversed(actions):
-            first.step(a, 3.0)
+            first.step(a)
         assert second.table == half_table and third.table == StepTable((), (), (), (), (), ())
         assert third.state.tobytes() == initial.tobytes()
         assert all(state.tobytes() == copy.tobytes() for state, copy in zip(kept, copies))
         # the interrupted replica finishes as an env played alone would
-        kept += [second.step(a, 5.0)[1] for a in actions[30:]]
-        alone = PipelineEnv(trace, cfg, seed=2)
-        states = [alone.state] + [alone.step(a, 5.0)[1] for a in actions]
+        kept += [second.step(a)[1] for a in actions[30:]]
+        alone = PipelineEnv(trace, cfg, 5.0, seed=2)
+        states = [alone.state] + [alone.step(a)[1] for a in actions]
         assert alone.table == second.table
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
 
@@ -505,13 +529,13 @@ class TestEncodingIsBitIdentical:
         cfg = dataclasses.replace(EnvConfig(), bug_probability=0.5, state=state_cfg)
         trace = generate_trace(cfg, length, seed=trace_seed)
         trace.insert(min(odd_at, length), odd)
-        env = PipelineEnv(trace, cfg, seed=env_seed)
+        env = PipelineEnv(trace, cfg, 5.0, seed=env_seed)
         detections, actions, prev_diff = [], [], 0
         state, done = env.reset(), False
         for commit, action in zip(trace, choices):
             expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
             assert state.tobytes() == expected.tobytes()
-            _, state, done = env.step(action, 5.0)
+            _, state, done = env.step(action)
             detected = env.table.detected[-1]
             detections.append(detected)
             actions.append(Action(action))
@@ -574,8 +598,8 @@ class TestEncodingIsBitIdentical:
         )
         trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
-        env = PipelineEnv(trace, cfg, seed=16)
-        states = [env.state] + [env.step(a, 5.0)[1] for a in actions]
+        env = PipelineEnv(trace, cfg, 5.0, seed=16)
+        states = [env.state] + [env.step(a)[1] for a in actions]
         detected = env.table.detected
         for t, (state, commit) in enumerate(zip(states, trace)):
             prev_diff = trace[t - 1].diff_size if t else 0

@@ -214,3 +214,32 @@ class TestGuards:
         path.write_text(json.dumps(document))
         with pytest.raises(WeightFileError):
             load_policy(path)
+
+    def test_array_data_that_is_not_a_string(self, tmp_path, trained_net):
+        path = tmp_path / "agent.json"
+        save_policy(path, trained_net)
+        document = json.loads(path.read_text())
+        document["arrays"]["w0"]["data"] = 12
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match="malformed array 'w0'"):
+            load_policy(path)
+
+    def test_negative_dimensions(self, tmp_path, trained_net):
+        # the byte count matches the product of the dimensions, (-10) * (-16)
+        path = tmp_path / "agent.json"
+        save_policy(path, trained_net)
+        document = json.loads(path.read_text())
+        assert document["arrays"]["w0"]["shape"] == [10, 16]
+        document["arrays"]["w0"]["shape"] = [-10, -16]
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match="negative dimension"):
+            load_policy(path)
+
+    def test_layer_sizes_that_are_not_a_list(self, tmp_path, trained_net):
+        path = tmp_path / "agent.json"
+        save_policy(path, trained_net)
+        document = json.loads(path.read_text())
+        document["layer_sizes"] = 3
+        path.write_text(json.dumps(document))
+        with pytest.raises(WeightFileError, match="bad layer_sizes 3"):
+            load_policy(path)

@@ -107,9 +107,9 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     monkeypatch.setattr(environment, "encode_state", counted)
     cfg = EnvConfig()
     trace = generate_trace(cfg, 25, seed=3)
-    env = environment.PipelineEnv(trace, cfg, seed=1)
+    env = environment.PipelineEnv(trace, cfg, 5.0, seed=1)
     for _ in trace:
-        env.step(environment.Action.PARTIAL_TESTS, 5.0)
+        env.step(environment.Action.PARTIAL_TESTS)
     assert calls == list(range(1, len(trace)))
 
 
