@@ -27,7 +27,6 @@ from .commits import generate_trace  # noqa: F401
 __all__ = [
     "StaticPolicy",
     "HeuristicPolicy",
-    "CLASSIFIER_FEATURES",
     "commit_features",
     "LogisticModel",
     "predict_risk",
@@ -36,14 +35,6 @@ __all__ = [
     "check_classifier_caps",
     "make_classifier",
 ]
-
-CLASSIFIER_FEATURES = (
-    "diff_size",
-    "files_changed",
-    "source_fraction",
-    "developer_defect_rate",
-    "developer_experience",
-)
 
 HEURISTIC_DIFF_CUTOFF = 20  # strictly below runs partial tests
 
@@ -69,7 +60,7 @@ class HeuristicPolicy:
 # --------------------------------------------------------------------------
 
 def commit_features(commit: ObservedCommit | Commit, state_cfg: StateConfig | None = None) -> np.ndarray:
-    """Features 1-5 of the commit's state, in ``CLASSIFIER_FEATURES`` order."""
+    """Features 1-5 of the commit's state, in ``METADATA_FIELDS`` order."""
     return metadata_features(raw_metadata([commit]), state_cfg or StateConfig())[0]
 
 

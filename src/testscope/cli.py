@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .agent import GreedyPolicy, TrainingLog, train_agent
+from .agent import GreedyPolicy, train_agent
 from .baselines import (
     ClassifierPolicy,
     HeuristicPolicy,
@@ -36,6 +36,7 @@ from .commits import generate_trace, trace_to_text
 from .config import ConfigError, ExperimentConfig, config_items, load_config
 from .environment import N_ACTIONS, STATE_DIM
 from .evaluation import (
+    TRAINING_LOG_COLUMNS,
     ComparisonReport,
     compare_policies,
     comparison_rows,
@@ -44,6 +45,7 @@ from .evaluation import (
     rows_to_csv,
     sweep_rows,
     sweep_to_dict,
+    training_log_rows,
 )
 from .fileio import atomic_write
 from .network import QNetwork
@@ -138,17 +140,6 @@ def _snapshot_lines(command: str, cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _training_log_csv(log: TrainingLog, comments: list[str]) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append("episode,total_reward,epsilon,mean_td_loss,full_tests,partial_tests,skip_tests")
-    for r in log.records:
-        lines.append(
-            f"{r.episode},{r.total_reward!r},{r.epsilon!r},{r.mean_td_loss!r},"
-            f"{r.action_counts[0]},{r.action_counts[1]},{r.action_counts[2]}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _json_report(command: str, cfg: ExperimentConfig, body: dict) -> str:
     document = {
         "format_version": 1,
@@ -185,6 +176,8 @@ def _load_agent(weights: str) -> QNetwork:
 
 
 def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
+    if weights is not None and name in ("static", "heuristic"):
+        raise ConfigError(f"--weights applies to the rl and classifier policies only, not to {name}")
     if name == "static":
         return StaticPolicy()
     if name == "heuristic":
@@ -228,7 +221,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out.dir.mkdir(parents=True, exist_ok=True)
     weight_path = out.path("json")
     save_policy(weight_path, net, cfg.train)
-    log_path = out.write("csv", _training_log_csv(log, _snapshot_lines("train", cfg)))
+    log_csv = rows_to_csv(training_log_rows(log), _snapshot_lines("train", cfg), TRAINING_LOG_COLUMNS)
+    log_path = out.write("csv", log_csv)
     print(f"wrote {weight_path} and {log_path} ({len(log)} episodes)")
     return 0
 

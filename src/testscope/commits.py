@@ -24,7 +24,8 @@ small risky diffs are *marked* low-risk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -39,23 +40,12 @@ __all__ = [
     "Commit",
     "ObservedCommit",
     "observe",
+    "METADATA_FIELDS",
     "TRACE_COLUMNS",
     "generate_trace",
     "trace_columns",
     "trace_to_text",
 ]
-
-TRACE_COLUMNS = (
-    "id",
-    "diff_size",
-    "files_changed",
-    "source_fraction",
-    "developer_defect_rate",
-    "developer_experience",
-    "has_bug",
-    "risk_score",
-)
-
 
 @dataclass
 class Commit:
@@ -87,16 +77,18 @@ class ObservedCommit(NamedTuple):
     developer_experience: float
 
 
+# a trace file's columns, in record order
+TRACE_COLUMNS = tuple(f.name for f in fields(Commit))
+# the observable metadata that the state's features 1-5 and the risk classifier encode
+METADATA_FIELDS = ObservedCommit._fields[1:]
+
+_observed_fields = attrgetter(*ObservedCommit._fields)
+
+
 def observe(commit: Commit) -> ObservedCommit:
     """Redact a commit down to what a policy is allowed to see."""
-    return ObservedCommit(
-        commit.id,
-        commit.diff_size,
-        commit.files_changed,
-        commit.source_fraction,
-        commit.developer_defect_rate,
-        commit.developer_experience,
-    )
+    # tuple.__new__ skips the named constructor's argument binding
+    return tuple.__new__(ObservedCommit, _observed_fields(commit))
 
 
 # --------------------------------------------------------------------------
@@ -164,8 +156,8 @@ def risk_scores(
     # densities in one pass, added in this order
     defect_rate = np.asarray(defect_rate, dtype=np.float64)
     shifted = defect_rate - gen.buggy_defect_rate_shift
-    fields = np.stack([shifted, defect_rate, source_fraction, source_fraction, experience, experience])
-    terms = _log_beta_pdfs(fields, (
+    values = np.stack([shifted, defect_rate, source_fraction, source_fraction, experience, experience])
+    terms = _log_beta_pdfs(values, (
         (gen.defect_rate_alpha, gen.defect_rate_beta),
         (gen.defect_rate_alpha, gen.defect_rate_beta),
         (gen.buggy_source_alpha, gen.buggy_source_beta),
@@ -235,14 +227,13 @@ def generate_trace(
 # trace files: one CSV record per commit, header row first
 # --------------------------------------------------------------------------
 
+def _trace_cell(value) -> str:
+    """Floats keep their repr, the rest (ints and the bug flag) print as integers."""
+    return repr(value) if isinstance(value, float) else str(int(value))
+
+
 def trace_to_text(commits: list[Commit]) -> str:
     """Render a trace in its on-disk CSV form (floats keep full precision)."""
     lines = [",".join(TRACE_COLUMNS)]
-    for c in commits:
-        lines.append(
-            f"{c.id},{c.diff_size},{c.files_changed},{c.source_fraction!r},"
-            f"{c.developer_defect_rate!r},{c.developer_experience!r},"
-            f"{int(c.has_bug)},{c.risk_score!r}"
-        )
+    lines.extend(",".join(map(_trace_cell, vars(c).values())) for c in commits)
     return "\n".join(lines) + "\n"
-

@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .commits import Commit, ObservedCommit
+from .commits import METADATA_FIELDS, Commit, ObservedCommit
 from .config import EnvConfig, StateConfig, validate_penalties
 
 __all__ = [
@@ -116,9 +116,7 @@ class StepTable(NamedTuple):
 
 
 # the raw fields behind features 1-5, in feature order
-_metadata_fields = attrgetter(
-    "diff_size", "files_changed", "source_fraction", "developer_defect_rate", "developer_experience"
-)
+_metadata_fields = attrgetter(*METADATA_FIELDS)
 
 
 def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:

@@ -14,14 +14,14 @@ always-full baseline computed on the same traces as the reference for
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 # ``train_agent`` is not called here, but perfbench traces it under this
 # module's name as well
-from .agent import GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
+from .agent import EpisodeRecord, GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy, check_classifier_caps
 from .commits import Commit, ObservedCommit, generate_trace, observe
 from .config import (
@@ -55,6 +55,8 @@ __all__ = [
     "comparison_to_dict",
     "sweep_rows",
     "sweep_to_dict",
+    "TRAINING_LOG_COLUMNS",
+    "training_log_rows",
     "rows_to_csv",
 ]
 
@@ -471,7 +473,13 @@ def exploration_corrected_curve(
 # report serialization: tabular rows and JSON-ready dicts
 # --------------------------------------------------------------------------
 
-REPORT_COLUMNS = ("policy", "beta", "run", "seed", "tp", "dmr", "tts", "si")
+# the columns of a report CSV and of a training log: each record type's
+# fields in order, so a new field is a new column
+REPORT_COLUMNS = ("policy", "beta", *(f.name for f in fields(RunMetrics)))
+_ACTION_COLUMNS = tuple(a.name.lower() for a in Action)
+TRAINING_LOG_COLUMNS = tuple(
+    c for f in fields(EpisodeRecord) for c in (_ACTION_COLUMNS if f.name == "action_counts" else (f.name,))
+)
 
 
 def _metric_rows(policy: str, penalty: float, report: MetricsReport) -> list[dict]:
@@ -497,13 +505,7 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
         "n_runs": report.n_runs,
         "run_seeds": list(report.run_seeds),
         "policies": {name: asdict(rep) for name, rep in sorted(report.reports.items())},
-        "deltas_vs_static": {
-            name: {
-                "tp_improvement_pct": d.tp_improvement_pct,
-                "dmr_delta_pp": d.dmr_delta_pp,
-            }
-            for name, d in sorted(report.deltas.items())
-        },
+        "deltas_vs_static": {name: asdict(d) for name, d in sorted(report.deltas.items())},
     }
 
 
@@ -526,16 +528,24 @@ def sweep_to_dict(sweep: SweepReport) -> dict:
     }
 
 
+def training_log_rows(log: TrainingLog) -> list[dict]:
+    """One row per episode record, its action counts spread over one column per action."""
+    return [{**vars(r), **dict(zip(_ACTION_COLUMNS, r.action_counts))} for r in log.records]
+
+
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def rows_to_csv(rows: list[dict], header_comments: list[str] | None = None) -> str:
-    """Render report rows as CSV text with optional ``#`` header comments."""
+def rows_to_csv(
+    rows: list[dict], header_comments: list[str] | None = None, columns: Sequence[str] = REPORT_COLUMNS
+) -> str:
+    """Render rows as CSV text under a ``columns`` header, with optional ``#``
+    header comments; floats keep their repr."""
     lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(",".join(REPORT_COLUMNS))
+    lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in REPORT_COLUMNS))
+        lines.append(",".join(_format_cell(row[c]) for c in columns))
     return "\n".join(lines) + "\n"

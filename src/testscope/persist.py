@@ -4,7 +4,8 @@ A weight file is a JSON document with a format version, a model-kind tag, the
 layer geometry, an optional training-config snapshot, every parameter array as
 base64-encoded little-endian float64 bytes in row-major order, and a SHA-256
 checksum over the raw parameter bytes. Loading verifies the version, the kind,
-the checksum and that every parameter is finite before any model object is
+the checksum, that every parameter is finite and that the arrays are exactly
+the ones the kind's layout names, with its shapes, before any model object is
 constructed, and round-trips are bit-exact.
 """
 
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import CLASSIFIER_FEATURES, LogisticModel
+from .baselines import LogisticModel
+from .commits import METADATA_FIELDS
 from .config import StateConfig, TrainConfig
 from .fileio import atomic_write
 from .network import QNetwork
@@ -43,20 +45,33 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry: dict, name: str) -> np.ndarray:
+def _decode_array(entry: dict, name: str, path: Path) -> np.ndarray:
     try:
         raw = base64.b64decode(entry["data"], validate=True)  # a str, else TypeError
         shape = tuple(int(s) for s in entry["shape"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise WeightFileError(f"malformed array {name!r}: {exc}") from None
+        raise WeightFileError(f"{path}: malformed array {name!r}: {exc}") from None
     if any(s < 0 for s in shape):
-        raise WeightFileError(f"malformed array {name!r}: negative dimension in {shape}")
+        raise WeightFileError(f"{path}: malformed array {name!r}: negative dimension in {shape}")
     expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise WeightFileError(
-            f"array {name!r} has {len(raw)} bytes, expected {expected} for shape {shape}"
+            f"{path}: array {name!r} has {len(raw)} bytes, expected {expected} for shape {shape}"
         )
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _layout_arrays(
+    arrays: dict[str, np.ndarray], names: list[str], kind: str, path: Path
+) -> list[np.ndarray]:
+    """The arrays a kind's layout names, in its order; a missing or an unnamed array raises."""
+    unnamed = sorted(arrays.keys() - set(names))
+    if unnamed:
+        raise WeightFileError(f"{path}: arrays {', '.join(unnamed)} are not in the {kind} layout")
+    try:
+        return [arrays[name] for name in names]
+    except KeyError as exc:
+        raise WeightFileError(f"{path}: missing array {exc}") from None
 
 
 def _checksum(arrays: dict[str, np.ndarray]) -> str:
@@ -114,7 +129,7 @@ def save_policy(
             "model_kind": KIND_LOGISTIC,
             "byte_order": "little",
             "dtype": "float64",
-            "feature_names": list(CLASSIFIER_FEATURES),
+            "feature_names": list(METADATA_FIELDS),
             "diff_cap": model.state_cfg.diff_cap,
             "files_cap": model.state_cfg.files_cap,
         }
@@ -161,7 +176,7 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
     raw_arrays = document.get("arrays")
     if not isinstance(raw_arrays, dict):
         raise WeightFileError(f"{path}: missing parameter arrays")
-    arrays = {name: _decode_array(entry, name) for name, entry in raw_arrays.items()}
+    arrays = {name: _decode_array(entry, name, path) for name, entry in raw_arrays.items()}
     if _checksum(arrays) != document.get("checksum"):
         raise WeightFileError(f"{path}: checksum mismatch, file is corrupted")
     # a diverged model would otherwise act: argmax of a NaN row is action 0
@@ -174,30 +189,26 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
         if not isinstance(layer_sizes, list) or len(layer_sizes) < 2:
             raise WeightFileError(f"{path}: bad layer_sizes {layer_sizes!r}")
         n_layers = len(layer_sizes) - 1
-        try:
-            weights = [arrays[f"w{i}"] for i in range(n_layers)]
-            biases = [arrays[f"b{i}"] for i in range(n_layers)]
-        except KeyError as exc:
-            raise WeightFileError(f"{path}: missing array {exc}") from None
+        names = [f"{p}{i}" for p in "wb" for i in range(n_layers)]
+        params = _layout_arrays(arrays, names, kind, path)
+        weights, biases = params[:n_layers], params[n_layers:]
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (layer_sizes[i], layer_sizes[i + 1]) or b.shape != (layer_sizes[i + 1],):
                 raise WeightFileError(f"{path}: layer {i} shape mismatch")
         return QNetwork(weights=weights, biases=biases)
 
     if kind == KIND_LOGISTIC:
-        try:
-            weights = arrays["weights"]
-            bias = float(arrays["bias"][0])
-        except (KeyError, IndexError):
-            raise WeightFileError(f"{path}: missing logistic parameters") from None
+        weights, bias = _layout_arrays(arrays, ["weights", "bias"], kind, path)
+        if bias.shape != (1,):
+            raise WeightFileError(f"{path}: logistic bias has shape {bias.shape}, expected (1,)")
         feature_names = tuple(document.get("feature_names", ()))
-        if feature_names != CLASSIFIER_FEATURES:
+        if feature_names != METADATA_FIELDS:
             raise WeightFileError(
-                f"{path}: feature_names {list(feature_names)} differ from {list(CLASSIFIER_FEATURES)}"
+                f"{path}: feature_names {list(feature_names)} differ from {list(METADATA_FIELDS)}"
             )
-        if weights.shape != (len(CLASSIFIER_FEATURES),):
+        if weights.shape != (len(METADATA_FIELDS),):
             raise WeightFileError(
-                f"{path}: {weights.size} logistic weights, expected {len(CLASSIFIER_FEATURES)}"
+                f"{path}: {weights.size} logistic weights, expected {len(METADATA_FIELDS)}"
             )
         caps = {}
         for name in ("diff_cap", "files_cap"):
@@ -205,6 +216,6 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
             if type(cap) is not int or cap < 1:
                 raise WeightFileError(f"{path}: {name} must be an integer >= 1, got {cap!r}")
             caps[name] = cap
-        return LogisticModel(weights=weights, bias=bias, state_cfg=StateConfig(**caps))
+        return LogisticModel(weights=weights, bias=float(bias[0]), state_cfg=StateConfig(**caps))
 
     raise WeightFileError(f"{path}: unknown model kind {kind!r}")

@@ -80,7 +80,9 @@ class TestTrain:
             for line in (out / "train-5-1.csv").read_text().splitlines()
             if line and not line.startswith("#")
         ]
-        assert log_lines[0].startswith("episode,total_reward,epsilon")
+        assert log_lines[0] == (
+            "episode,total_reward,epsilon,mean_td_loss,full_tests,partial_tests,skip_tests"
+        )
         assert len(log_lines) == 1 + 1  # header plus one record
 
     def test_deterministic_reruns(self, tmp_path, tiny_config):
@@ -257,6 +259,17 @@ class TestErrors:
             f"error: {weights}: the classifier was fitted with diff_cap = {fitted.diff_cap} and "
             f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = 500 and "
             "state.files_cap = 20\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["static", "heuristic"])
+    def test_weights_for_a_policy_that_takes_none(self, tmp_path, tiny_config, capsys, policy):
+        # the flag would otherwise be ignored, and the file never even opened
+        out = tmp_path / "r"
+        argv = ["eval", "--policy", policy, "--weights", str(tmp_path / "none.json")]
+        assert run_command([*argv, "--config", tiny_config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --weights applies to the rl and classifier policies only, not to {policy}\n"
         )
         assert not out.exists()
 

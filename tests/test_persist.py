@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from testscope.persist import (
 
 
 def rewrite_array(path, name: str, values: np.ndarray) -> None:
-    """Replace one array of a weight file and its checksum, as a writer that
-    skipped the finiteness check would have written them."""
+    """Replace or add one array of a weight file and rewrite its checksum, as
+    a writer that skipped the load checks would have written them."""
     document = json.loads(path.read_text())
-    document["arrays"][name]["data"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    document["arrays"][name] = {
+        "shape": list(values.shape),
+        "data": base64.b64encode(values.astype("<f8").tobytes()).decode(),
+    }
     digest = hashlib.sha256()
     for key in sorted(document["arrays"]):
         entry = document["arrays"][key]
@@ -212,7 +216,8 @@ class TestGuards:
         document = json.loads(path.read_text())
         document["arrays"]["w0"]["shape"] = [1, 1]
         path.write_text(json.dumps(document))
-        with pytest.raises(WeightFileError):
+        match = f"^{re.escape(str(path))}: array 'w0' has 1280 bytes, expected 8 for shape"
+        with pytest.raises(WeightFileError, match=match):
             load_policy(path)
 
     def test_array_data_that_is_not_a_string(self, tmp_path, trained_net):
@@ -221,7 +226,7 @@ class TestGuards:
         document = json.loads(path.read_text())
         document["arrays"]["w0"]["data"] = 12
         path.write_text(json.dumps(document))
-        with pytest.raises(WeightFileError, match="malformed array 'w0'"):
+        with pytest.raises(WeightFileError, match=f"^{re.escape(str(path))}: malformed array 'w0'"):
             load_policy(path)
 
     def test_negative_dimensions(self, tmp_path, trained_net):
@@ -232,7 +237,24 @@ class TestGuards:
         assert document["arrays"]["w0"]["shape"] == [10, 16]
         document["arrays"]["w0"]["shape"] = [-10, -16]
         path.write_text(json.dumps(document))
-        with pytest.raises(WeightFileError, match="negative dimension"):
+        match = f"^{re.escape(str(path))}: malformed array 'w0': negative dimension"
+        with pytest.raises(WeightFileError, match=match):
+            load_policy(path)
+
+    def test_logistic_bias_of_more_than_one_value(self, tmp_path):
+        # the model would otherwise load and use the first value alone
+        path = tmp_path / "clf.json"
+        save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
+        rewrite_array(path, "bias", np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(WeightFileError, match=r"logistic bias has shape \(3,\), expected \(1,\)"):
+            load_policy(path)
+
+    def test_array_that_the_layout_does_not_name(self, tmp_path, trained_net):
+        # its three layers name w0-w2 and b0-b2 only; a w7 would otherwise be ignored
+        path = tmp_path / "agent.json"
+        save_policy(path, trained_net)
+        rewrite_array(path, "w7", np.zeros((3, 3)))
+        with pytest.raises(WeightFileError, match="arrays w7 are not in the q_network layout"):
             load_policy(path)
 
     def test_layer_sizes_that_are_not_a_list(self, tmp_path, trained_net):
