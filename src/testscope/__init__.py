@@ -30,8 +30,10 @@ from .baselines import (
 from .commits import (
     Commit,
     ObservedCommit,
+    Trace,
     generate_trace,
     observe,
+    trace_records,
 )
 from .config import (
     ClassifierConfig,

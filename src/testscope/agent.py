@@ -281,7 +281,7 @@ def train_agents(
         envs = PipelineEnv(trace, env_cfg, penalties[0], seed=env_seed).replicas(penalties)
         state = joined([env.state for env in envs])
 
-        for _ in trace:
+        for _ in range(len(trace)):
             action = select_action(net, state, epsilon, rng)
             actions = action.tolist() if stack else [action]
             next_states, rewards = [], []

@@ -16,13 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commits import Commit, ObservedCommit, trace_columns
+from .commits import Commit, ObservedCommit, generate_trace
 from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
 from .environment import Action, metadata_features, raw_metadata
-
-# ``generate_trace`` is not called here, but perfbench traces it under this
-# module's name as well
-from .commits import generate_trace  # noqa: F401
 
 __all__ = [
     "StaticPolicy",
@@ -249,13 +245,13 @@ def check_classifier_caps(policy, state_cfg: StateConfig) -> None:
 def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) -> LogisticModel:
     """Train the risk model on a dedicated labeled history.
 
-    The history is ``generate_trace(env_cfg, opts.train_size,
-    opts.train_seed, mode="standard")``, standing in for labeled historical
-    commits whatever the evaluation trace mode; its columns are drawn and
-    encoded without building commits, and the model equals
-    ``train_classifier`` on that trace bit for bit.
+    The history is a standard-mode trace of ``opts.train_size`` commits
+    drawn with ``opts.train_seed``, standing in for labeled historical
+    commits whatever the evaluation trace mode. Its columns are encoded
+    without building commit records, and the model equals
+    ``train_classifier`` on that trace's records bit for bit.
     """
     opts = opts or ClassifierConfig()
-    *raw, has_bug = trace_columns(env_cfg, opts.train_size, opts.train_seed, mode="standard")
-    x = metadata_features(np.column_stack(raw), env_cfg.state)
-    return _fit_logistic(x, has_bug.astype(np.float64), opts, env_cfg.state)
+    history = generate_trace(env_cfg, opts.train_size, opts.train_seed, mode="standard")
+    x = metadata_features(history.metadata(), env_cfg.state)
+    return _fit_logistic(x, history.has_bug.astype(np.float64), opts, env_cfg.state)

@@ -32,7 +32,7 @@ from .baselines import (
     check_classifier_caps,
     make_classifier,
 )
-from .commits import generate_trace, trace_to_text
+from .commits import generate_trace, trace_records, trace_to_text
 from .config import ConfigError, ExperimentConfig, config_items, load_config
 from .environment import N_ACTIONS, STATE_DIM
 from .evaluation import (
@@ -205,7 +205,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else cfg.env.commits_per_episode
     trace = generate_trace(cfg.env, n, seed=seed, mode=args.mode)
     out = _Outputs(cfg.output_dir, "trace-gen", seed)
-    path = out.write("csv", trace_to_text(trace))
+    path = out.write("csv", trace_to_text(trace_records(trace, cfg.env)))
     print(f"wrote {path} ({n} commits)")
     return 0
 

@@ -7,6 +7,11 @@ distributions, so metadata predicts defects imperfectly: large diffs by
 authors with poor track records are more likely to be buggy, but small clean
 looking commits still break things sometimes.
 
+:func:`generate_trace` draws a trace as a :class:`Trace` of NumPy columns,
+which the simulator runs on. :func:`observe` turns it into the per-commit
+views a policy sees, and :func:`trace_records` into :class:`Commit` records
+for trace files and diagnostics.
+
 Two trace modes exist:
 
 * ``standard``  - independent commits, defect probability ``bug_probability``.
@@ -16,7 +21,8 @@ Two trace modes exist:
 
 ``risk_score`` is the generator's own posterior bug probability given the
 observable features, computed from the class-conditional densities. It exists
-for diagnostics and histograms only; policies never see it. Adversarial
+for diagnostics and histograms only, so only :func:`trace_records` computes
+it; the simulator never does, and policies never see it. Adversarial
 traces reuse the standard-mode scorer unchanged, which is the point: their
 small risky diffs are *marked* low-risk.
 """
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -39,11 +44,12 @@ from .fileio import atomic_write  # noqa: F401
 __all__ = [
     "Commit",
     "ObservedCommit",
+    "Trace",
     "observe",
     "METADATA_FIELDS",
     "TRACE_COLUMNS",
     "generate_trace",
-    "trace_columns",
+    "trace_records",
     "trace_to_text",
 ]
 
@@ -82,13 +88,40 @@ TRACE_COLUMNS = tuple(f.name for f in fields(Commit))
 # the observable metadata that the state's features 1-5 and the risk classifier encode
 METADATA_FIELDS = ObservedCommit._fields[1:]
 
-_observed_fields = attrgetter(*ObservedCommit._fields)
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """An ordered trace of commits as NumPy columns: entry ``i`` of each
+    column belongs to commit ``i``, whose id is ``i``.
 
-def observe(commit: Commit) -> ObservedCommit:
-    """Redact a commit down to what a policy is allowed to see."""
-    # tuple.__new__ skips the named constructor's argument binding
-    return tuple.__new__(ObservedCommit, _observed_fields(commit))
+    This is what the simulator runs on. ``has_bug`` is ground truth that
+    policies never read: :func:`observe` gives their per-commit view, and
+    :func:`trace_records` the full records with risk scores. A trace is not
+    iterable; loop over ``observe(trace)`` or ``range(len(trace))``.
+    """
+
+    diff_size: np.ndarray
+    files_changed: np.ndarray
+    source_fraction: np.ndarray
+    developer_defect_rate: np.ndarray
+    developer_experience: np.ndarray
+    has_bug: np.ndarray
+
+    def __post_init__(self):
+        lengths = {name: len(column) for name, column in vars(self).items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"trace columns differ in length: {lengths}")
+
+    def __len__(self) -> int:
+        return len(self.has_bug)
+
+    def __iter__(self):
+        raise TypeError("a Trace is columns; loop over observe(trace) or range(len(trace))")
+
+    def metadata(self) -> np.ndarray:
+        """The ``(n, 5)`` raw fields that the state's features 1-5 encode, in
+        ``METADATA_FIELDS`` order."""
+        return np.column_stack([getattr(self, name) for name in METADATA_FIELDS])
 
 
 # --------------------------------------------------------------------------
@@ -174,17 +207,24 @@ def risk_scores(
         return 1.0 / (1.0 + np.exp(-log_odds))
 
 
-def _draw_columns(
-    cfg: EnvConfig, rng: np.random.Generator, n: int, adversarial: bool
-) -> tuple[np.ndarray, ...]:
-    """Draw ``n`` commits as the columns ``(diff_size, files_changed,
-    source_fraction, developer_defect_rate, developer_experience, has_bug)``."""
+def generate_trace(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> Trace:
+    """Generate an ordered trace of ``n`` commits, deterministic given ``seed``.
+
+    ``mode`` defaults to ``cfg.trace_mode``. The trace holds no risk scores:
+    :func:`trace_records` adds them.
+    """
+    if n < 1:
+        raise ValueError(f"trace length must be >= 1, got {n}")
+    mode = cfg.trace_mode if mode is None else mode
+    if mode not in ("standard", "adversarial"):
+        raise ValueError(f"unknown trace mode {mode!r}")
+    rng = np.random.default_rng(seed)
     gen = cfg.generator
     has_bug = rng.random(n) < cfg.bug_probability
     log_diff, defect_rate, source, experience = _draw_conditional_features(rng, gen, has_bug)
     diff = np.maximum(np.rint(np.exp(log_diff)), 0.0).astype(np.int64)
 
-    if adversarial:
+    if mode == "adversarial":
         period = gen.streak_length + gen.burst_length
         in_streak = (np.arange(n) % period) < gen.streak_length
         streak_diff = rng.integers(gen.streak_diff_min, gen.streak_diff_max + 1, n)
@@ -192,35 +232,26 @@ def _draw_columns(
         diff = np.where(in_streak, streak_diff, burst_diff)
 
     files = 1 + rng.poisson(diff / gen.lines_per_file)
-    return diff, files, source, defect_rate, experience, has_bug
+    return Trace(diff, files, source, defect_rate, experience, has_bug)
 
 
-def trace_columns(
-    cfg: EnvConfig, n: int, seed: int, mode: str | None = None
-) -> tuple[np.ndarray, ...]:
-    """The commits of ``generate_trace(cfg, n, seed, mode)`` as columns, without
-    their risk scores: ``(diff_size, files_changed, source_fraction,
-    developer_defect_rate, developer_experience, has_bug)``."""
-    if n < 1:
-        raise ValueError(f"trace length must be >= 1, got {n}")
-    mode = cfg.trace_mode if mode is None else mode
-    if mode not in ("standard", "adversarial"):
-        raise ValueError(f"unknown trace mode {mode!r}")
-    return _draw_columns(cfg, np.random.default_rng(seed), n, adversarial=(mode == "adversarial"))
+def observe(trace: Trace) -> list[ObservedCommit]:
+    """Redact a trace down to what a policy is allowed to see, one view per commit."""
+    # one tolist() per column gives plain Python ints and floats
+    columns = [getattr(trace, name).tolist() for name in METADATA_FIELDS]
+    return list(map(ObservedCommit._make, zip(range(len(trace)), *columns)))
 
 
-def generate_trace(
-    cfg: EnvConfig, n: int, seed: int, mode: str | None = None
-) -> list[Commit]:
-    """Generate an ordered trace of ``n`` commits, deterministic given ``seed``.
-
-    ``mode`` defaults to ``cfg.trace_mode``.
-    """
-    diff, files, source, defect_rate, experience, has_bug = trace_columns(cfg, n, seed, mode)
-    risk = risk_scores(cfg.generator, cfg.bug_probability, diff, defect_rate, source, experience)
-    # one tolist() per column gives plain Python ints, floats and bools
-    columns = (diff, files, source, defect_rate, experience, has_bug, risk)
-    return [Commit(*row) for row in zip(range(n), *(col.tolist() for col in columns))]
+def trace_records(trace: Trace, cfg: EnvConfig) -> list[Commit]:
+    """The commits of ``trace`` as records, with the generator's risk scores
+    under ``cfg``: for trace files and diagnostics, never for a policy."""
+    risk = risk_scores(
+        cfg.generator, cfg.bug_probability, trace.diff_size, trace.developer_defect_rate,
+        trace.source_fraction, trace.developer_experience,
+    )
+    # the record columns between the id and the risk score are the trace's
+    columns = [*(getattr(trace, name) for name in TRACE_COLUMNS[1:-1]), risk]
+    return [Commit(*row) for row in zip(range(len(trace)), *(col.tolist() for col in columns))]
 
 
 # --------------------------------------------------------------------------

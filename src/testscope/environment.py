@@ -32,9 +32,9 @@ so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
 
 Features 1-5 are also the risk classifier's features: :func:`metadata_features`
-encodes them for both, from the raw fields that :func:`raw_metadata` reads off
-commits or that the generator draws as columns, so the state and the
-classifier clip them alike.
+encodes them for both, from a trace's columns (:meth:`Trace.metadata`) or
+from the raw fields that :func:`raw_metadata` reads off commit records, so
+the state and the classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
 encodes them for the whole trace in one pass when it is built. The episode
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .commits import METADATA_FIELDS, Commit, ObservedCommit
+from .commits import METADATA_FIELDS, Commit, ObservedCommit, Trace
 from .config import EnvConfig, StateConfig, validate_penalties
 
 __all__ = [
@@ -173,7 +173,7 @@ class PipelineEnv:
     returned, and a reset allocates a new array, so callers may keep them.
     """
 
-    def __init__(self, trace: list[Commit], cfg: EnvConfig, escape_penalty: float, seed: int = 0):
+    def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
         if not trace:
             raise ValueError("trace must contain at least one commit")
         if min(cfg.test_minutes) < 0:
@@ -183,12 +183,13 @@ class PipelineEnv:
         # one row per commit, then the all-zero state that ends the episode;
         # features 6-9 stay 0 until a step writes them
         rows = np.zeros((self._n + 1, STATE_DIM))
-        rows[:-1, :5] = metadata_features(raw_metadata(trace), cfg.state)
+        rows[:-1, :5] = metadata_features(trace.metadata(), cfg.state)
         rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
         self._rows = rows
         # the k-th buggy commit gets the k-th draw; clean commits draw none
-        draws = iter(np.random.default_rng(seed).random(sum(c.has_bug for c in trace)).tolist())
-        self._draws = [next(draws) if c.has_bug else None for c in trace]
+        has_bug = trace.has_bug.tolist()
+        draws = iter(np.random.default_rng(seed).random(sum(has_bug)).tolist())
+        self._draws = [next(draws) if bug else None for bug in has_bug]
         self._rates = tuple(cfg.detection_rates)
         self._price(escape_penalty)
         self.reset()

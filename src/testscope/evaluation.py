@@ -23,7 +23,7 @@ import numpy as np
 # module's name as well
 from .agent import EpisodeRecord, GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy, check_classifier_caps
-from .commits import Commit, ObservedCommit, generate_trace, observe
+from .commits import ObservedCommit, Trace, generate_trace, observe
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
@@ -98,17 +98,18 @@ class EpisodeStats:
 
 def run_episodes(
     policies: Sequence[Policy],
-    trace: list[Commit],
+    trace: Trace,
     escape_penalty: float,
     env_cfg: EnvConfig,
     seed: int = 0,
 ) -> list[EpisodeStats]:
     """Play one trace under every policy in one pass; one stats entry per policy.
 
-    Each commit is observed once and then stepped through every policy's own
-    environment, so each policy meets the same detection draws and sees the
-    same states as when played alone. Policies are called in turn on each
-    commit: one policy object passed twice sees those calls interleaved.
+    The trace is observed once, and each commit is stepped through every
+    policy's own environment, so each policy meets the same detection draws
+    and sees the same states as when played alone. Policies are called in
+    turn on each commit: one policy object passed twice sees those calls
+    interleaved.
     """
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
@@ -119,8 +120,7 @@ def run_episodes(
     envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
     # one [policy, bound step, current state] entry per player
     players = [[policy, env.step, env.state] for policy, env in zip(policies, envs)]
-    for commit in trace:
-        seen = observe(commit)
+    for seen in observe(trace):
         for player in players:
             policy, step, state = player
             _, player[2], _ = step(policy(state, seen))
@@ -129,7 +129,7 @@ def run_episodes(
 
 def run_episode(
     policy: Policy,
-    trace: list[Commit],
+    trace: Trace,
     escape_penalty: float,
     env_cfg: EnvConfig,
     seed: int = 0,

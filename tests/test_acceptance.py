@@ -38,7 +38,7 @@ from testscope.agent import (
     train_agents,
 )
 from testscope.baselines import HeuristicPolicy, StaticPolicy
-from testscope.commits import generate_trace
+from testscope.commits import generate_trace, trace_records
 from testscope.config import EnvConfig, TrainConfig
 from testscope.environment import Action
 from testscope.evaluation import (
@@ -421,7 +421,7 @@ class TestCriterion10NumericalCorrectness:
         from testscope.config import ClassifierConfig
 
         rng = np.random.default_rng(5)
-        base = generate_trace(EnvConfig(), 200, seed=33)
+        base = trace_records(generate_trace(EnvConfig(), 200, seed=33), EnvConfig())
         toy = [
             dataclasses.replace(c, diff_size=int(d), has_bug=bool(d > 50))
             for c, d in zip(base, rng.integers(0, 501, 200))
@@ -503,7 +503,7 @@ class TestCriterion12StatisticalConformance:
 
     def test_bug_rate_at_scale(self):
         trace = generate_trace(EnvConfig(), 100_000, seed=7)
-        rate = float(np.mean([c.has_bug for c in trace]))
+        rate = float(trace.has_bug.mean())
         criterion(
             12,
             "generated bug rate is 0.15 +/- 0.01 at N=100000",

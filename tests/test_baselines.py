@@ -26,6 +26,7 @@ from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConf
 from testscope.environment import Action, PipelineEnv
 
 from test_environment import make_commit
+from trace_helpers import as_trace, records
 
 
 def brute_force_auc(scores, labels) -> float:
@@ -49,13 +50,13 @@ def risk(model: LogisticModel, commit) -> float:
 
 def env_state(commit) -> np.ndarray:
     """The state in which an environment at the default config shows ``commit`` first."""
-    return PipelineEnv([commit], EnvConfig(), 5.0).state
+    return PipelineEnv(as_trace([commit]), EnvConfig(), 5.0).state
 
 
 def separable_toy_set():
     # 200 commits labeled by diff_size > 50
     rng = np.random.default_rng(5)
-    base = generate_trace(EnvConfig(), 200, seed=33)
+    base = records(EnvConfig(), 200, seed=33)
     return [
         dataclasses.replace(c, diff_size=int(d), has_bug=bool(d > 50))
         for c, d in zip(base, rng.integers(0, 501, 200))
@@ -64,7 +65,7 @@ def separable_toy_set():
 
 def default_history():
     opts = ClassifierConfig()
-    return generate_trace(EnvConfig(), opts.train_size, seed=opts.train_seed, mode="standard")
+    return records(EnvConfig(), opts.train_size, seed=opts.train_seed, mode="standard")
 
 
 def regularized_gradient(model: LogisticModel, commits, l2_penalty: float) -> np.ndarray:
@@ -88,7 +89,7 @@ class TestStaticPolicy:
 
     def test_full_on_every_adversarial_commit(self):
         trace = generate_trace(EnvConfig(), 100, seed=3, mode="adversarial")
-        assert all(StaticPolicy()(None, c) == Action.FULL_TESTS for c in trace)
+        assert all(StaticPolicy()(None, c) == Action.FULL_TESTS for c in observe(trace))
 
 
 class TestHeuristicPolicy:
@@ -103,7 +104,7 @@ class TestHeuristicPolicy:
 
     def test_never_skips(self):
         trace = generate_trace(EnvConfig(), 1000, seed=4)
-        assert all(HeuristicPolicy()(None, c) != Action.SKIP_TESTS for c in trace)
+        assert all(HeuristicPolicy()(None, c) != Action.SKIP_TESTS for c in observe(trace))
 
     def test_depends_on_diff_size_alone(self):
         base = make_commit(diff_size=10)
@@ -148,7 +149,7 @@ class TestPredictRisk:
         for z in logits:
             assert risk(flat_model(bias=float(z)), commit) == array_path(float(z))
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
-        for commit in generate_trace(EnvConfig(), 2000, seed=12, mode="adversarial"):
+        for commit in observe(generate_trace(EnvConfig(), 2000, seed=12, mode="adversarial")):
             z = float(commit_features(commit) @ model.weights + model.bias)
             assert risk(model, commit) == array_path(z)
 
@@ -156,7 +157,7 @@ class TestPredictRisk:
         # the bits of 5000 risks, 210 of them from a logit >= 0; a change to
         # the feature products or the sigmoid moves this digest
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
-        commits = generate_trace(EnvConfig(), 5000, seed=21)
+        commits = observe(generate_trace(EnvConfig(), 5000, seed=21))
         risks = np.array([risk(model, c) for c in commits])
         assert int((risks >= 0.5).sum()) == 210
         assert hashlib.sha256(risks.tobytes()).hexdigest() == (
@@ -182,7 +183,7 @@ class TestTrainClassifier:
             train_classifier([make_commit()], ClassifierConfig())
 
     def test_deterministic(self):
-        commits = generate_trace(EnvConfig(), 300, seed=8)
+        commits = records(EnvConfig(), 300, seed=8)
         a = train_classifier(commits, ClassifierConfig())
         b = train_classifier(commits, ClassifierConfig())
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -191,7 +192,7 @@ class TestTrainClassifier:
     def test_loss_decreases_monotonically(self):
         # the damped Newton iterates must never increase the regularized objective
         opts = ClassifierConfig()
-        for commits in (generate_trace(EnvConfig(), 300, seed=8), separable_toy_set()):
+        for commits in (records(EnvConfig(), 300, seed=8), separable_toy_set()):
             losses = []
             x, y = _labeled_arrays(commits, StateConfig())
             for weights, bias, grad_norm in _newton_iterates(x, y, opts.l2_penalty):
@@ -211,7 +212,7 @@ class TestTrainClassifier:
         assert np.linalg.norm(grad) <= opts.tolerance
 
     def test_iteration_cap_raises_with_count_and_gradient_norm(self):
-        commits = generate_trace(EnvConfig(), 300, seed=8)
+        commits = records(EnvConfig(), 300, seed=8)
         opts = dataclasses.replace(ClassifierConfig(), max_iterations=1)
         with pytest.raises(ValueError, match=r"did not converge.*; 1 Newton iteration\(s\), gradient norm \d\.\d{3}e-\d+"):
             train_classifier(commits, opts)
@@ -232,7 +233,7 @@ class TestTrainClassifier:
             value = objective(z, y, weights, l2_penalty)
             return np.inf if len(calls) == 2 else value
 
-        commits = generate_trace(EnvConfig(), 300, seed=8)
+        commits = records(EnvConfig(), 300, seed=8)
         monkeypatch.setattr(baselines, "_objective", worse_first_step)
         iterates = _newton_iterates(*_labeled_arrays(commits, StateConfig()), 1e-4)
         start, _, _ = next(iterates)
@@ -249,7 +250,7 @@ class TestTrainClassifier:
         objective = baselines._objective
         monkeypatch.setattr(baselines, "_objective", lambda z, y, w, l2: objective(z, y, w, l2) + float(np.any(w)))
         with pytest.raises(ValueError, match=r"line search stalled; 0 Newton iteration\(s\)"):
-            train_classifier(generate_trace(EnvConfig(), 300, seed=8))
+            train_classifier(records(EnvConfig(), 300, seed=8))
 
     def test_log_loss_is_exact_for_confident_models(self):
         # log(1 + e^z) - y z stays exact where a clipped probability saturates
@@ -263,7 +264,7 @@ class TestTrainClassifier:
         # small caps so that both clamps are hit
         cfg = StateConfig(diff_cap=37, files_cap=3)
         for mode in ("standard", "adversarial"):
-            commits = generate_trace(EnvConfig(), 500, seed=14, mode=mode)
+            commits = records(EnvConfig(), 500, seed=14, mode=mode)
             x, y = _labeled_arrays(commits, cfg)
             expected = np.stack([commit_features(c, cfg) for c in commits])
             assert x.dtype == expected.dtype and x.shape == expected.shape
@@ -280,7 +281,7 @@ class TestTrainClassifier:
             make_commit(diff_size=nan, developer_defect_rate=nan, developer_experience=-nan),
         ]
         cfg = StateConfig(diff_cap=37, files_cap=3)
-        env = PipelineEnv(commits, dataclasses.replace(EnvConfig(), state=cfg), 5.0)
+        env = PipelineEnv(as_trace(commits), dataclasses.replace(EnvConfig(), state=cfg), 5.0)
         states = [env.state] + [env.step(Action.FULL_TESTS)[1] for _ in commits[1:]]
         x, _ = _labeled_arrays(commits, cfg)
         for state, row, commit in zip(states, x, commits, strict=True):
@@ -290,8 +291,8 @@ class TestTrainClassifier:
     def test_held_out_auc_band(self):
         # the generator must stay learnable but imperfect
         cfg = EnvConfig()
-        train = generate_trace(cfg, 5000, seed=101)
-        held_out = generate_trace(cfg, 5000, seed=202)
+        train = records(cfg, 5000, seed=101)
+        held_out = records(cfg, 5000, seed=202)
         model = train_classifier(train, ClassifierConfig())
         auc = brute_force_auc(
             [risk(model, c) for c in held_out],
@@ -313,8 +314,8 @@ class TestTrainClassifier:
         ],
     )
     def test_make_classifier_equals_train_classifier_on_its_history(self, env_cfg, opts):
-        # make_classifier never builds the commits of its history; the model keeps every bit
-        history = generate_trace(env_cfg, opts.train_size, seed=opts.train_seed, mode="standard")
+        # make_classifier never builds the commit records of its history; the model keeps every bit
+        history = records(env_cfg, opts.train_size, seed=opts.train_seed, mode="standard")
         expected = train_classifier(history, opts, env_cfg.state)
         model = make_classifier(dataclasses.replace(env_cfg, trace_mode="adversarial"), opts)
         assert model.weights.tobytes() == expected.weights.tobytes()
@@ -355,7 +356,7 @@ class TestClassifierPolicy:
         # a risk equal to a threshold goes to the more thorough tier; one ulp
         # above it goes to the less thorough one
         model = LogisticModel(weights=np.array([6.0, 1.0, 0.8, 5.0, -1.8]), bias=-3.0)
-        for commit in generate_trace(EnvConfig(), 50, seed=4):
+        for commit in records(EnvConfig(), 50, seed=4):
             at = risk(model, commit)
             above = float(np.nextafter(at, 1.0))
             cases = [
@@ -389,11 +390,11 @@ class TestClassifierPolicy:
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
             env = PipelineEnv(trace, cfg, 5.0, seed=24)
             state, tiers = env.state, set()
-            for commit in trace:
+            for commit in observe(trace):
                 at = risk(model, commit)
                 assert predict_risk(model, state[:5]) == at
                 tier = 0 if at < 0.1 else 1 if at < 0.3 else 2
-                action = policy(state, observe(commit))
+                action = policy(state, commit)
                 assert action == (Action.SKIP_TESTS, Action.PARTIAL_TESTS, Action.FULL_TESTS)[tier]
                 tiers.add(action)
                 _, state, _ = env.step(action)

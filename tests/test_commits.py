@@ -6,8 +6,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from testscope.commits import TRACE_COLUMNS, Commit, generate_trace, trace_to_text
+from testscope.commits import (
+    TRACE_COLUMNS, Commit, ObservedCommit, Trace, generate_trace, observe, trace_records, trace_to_text
+)
 from testscope.config import EnvConfig
+from trace_helpers import records
 
 
 def make_cfg(**kwargs) -> EnvConfig:
@@ -42,42 +45,74 @@ def parse_trace_text(text: str) -> list[Commit]:
 class TestGenerateCommit:
     def test_zero_bug_probability_never_buggy(self):
         trace = generate_trace(make_cfg(bug_probability=0.0), 500, seed=1)
-        assert not any(c.has_bug for c in trace)
+        assert not trace.has_bug.any()
 
     def test_unit_bug_probability_always_buggy(self):
         trace = generate_trace(make_cfg(bug_probability=1.0), 500, seed=1)
-        assert all(c.has_bug for c in trace)
+        assert trace.has_bug.all()
 
     def test_bug_rate_matches_configured_probability(self):
         # Monte Carlo check of the Bernoulli(0.15) marginal at N=100,000
         trace = generate_trace(EnvConfig(), 100_000, seed=7)
-        rate = np.mean([c.has_bug for c in trace])
-        assert abs(rate - 0.15) <= 0.01
+        assert abs(trace.has_bug.mean() - 0.15) <= 0.01
 
     def test_field_invariants(self):
         trace = generate_trace(EnvConfig(), 20_000, seed=3)
-        for c in trace:
-            assert c.diff_size >= 0
-            assert c.files_changed >= 1
-            assert 0.0 <= c.source_fraction <= 1.0
-            assert 0.0 <= c.developer_defect_rate <= 1.0
-            assert 0.0 <= c.developer_experience <= 1.0
-            assert 0.0 <= c.risk_score <= 1.0
+        assert len(trace) == 20_000
+        assert (trace.diff_size >= 0).all()
+        assert (trace.files_changed >= 1).all()
+        for fraction in (trace.source_fraction, trace.developer_defect_rate, trace.developer_experience):
+            assert ((0.0 <= fraction) & (fraction <= 1.0)).all()
+        risk = np.array([c.risk_score for c in trace_records(trace, EnvConfig())])
+        assert ((0.0 <= risk) & (risk <= 1.0)).all()
 
     def test_ids_are_sequential(self):
         trace = generate_trace(EnvConfig(), 50, seed=5)
-        assert [c.id for c in trace] == list(range(50))
+        assert [c.id for c in trace_records(trace, EnvConfig())] == list(range(50))
+        assert [c.id for c in observe(trace)] == list(range(50))
+
+
+class TestTrace:
+    def test_columns_of_different_lengths_rejected(self):
+        columns = [np.zeros(3) for _ in range(5)]
+        with pytest.raises(ValueError, match="'diff_size': 3.*'has_bug': 2"):
+            Trace(*columns, has_bug=np.zeros(2, dtype=bool))
+
+    def test_length_is_the_commit_count_and_the_columns_are_not_walked(self):
+        trace = generate_trace(EnvConfig(), 7, seed=2)
+        assert len(trace) == 7
+        with pytest.raises(TypeError):
+            list(trace)
+        with pytest.raises(TypeError):
+            for _ in trace:
+                pass
+
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    def test_observe_is_the_policy_view_of_each_record(self, mode):
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 300, seed=17, mode=mode)
+        seen = observe(trace)
+        # each record's policy-visible fields, read one commit at a time
+        expected = [
+            tuple(getattr(c, name) for name in ObservedCommit._fields)
+            for c in trace_records(trace, cfg)
+        ]
+        assert len(seen) == len(expected) == 300
+        for view, fields in zip(seen, expected):
+            assert type(view) is ObservedCommit and view._fields == ObservedCommit._fields
+            assert [(type(v), v) for v in view] == [(type(v), v) for v in fields]
+            assert not hasattr(view, "has_bug") and not hasattr(view, "risk_score")
 
 
 class TestDeterminism:
     def test_same_seed_identical_trace(self):
-        a = generate_trace(EnvConfig(), 100, seed=42)
-        b = generate_trace(EnvConfig(), 100, seed=42)
+        a = records(EnvConfig(), 100, seed=42)
+        b = records(EnvConfig(), 100, seed=42)
         assert trace_to_text(a) == trace_to_text(b)
 
     def test_different_seed_differs(self):
-        a = generate_trace(EnvConfig(), 100, seed=42)
-        b = generate_trace(EnvConfig(), 100, seed=43)
+        a = records(EnvConfig(), 100, seed=42)
+        b = records(EnvConfig(), 100, seed=43)
         assert trace_to_text(a) != trace_to_text(b)
 
     def test_zero_length_rejected(self):
@@ -95,33 +130,30 @@ class TestAdversarialTraces:
         gen = cfg.generator
         trace = generate_trace(cfg, 100, seed=9, mode="adversarial")
         period = gen.streak_length + gen.burst_length
-        for i, c in enumerate(trace):
+        for i, diff in enumerate(trace.diff_size.tolist()):
             if i % period < gen.streak_length:
-                assert gen.streak_diff_min <= c.diff_size <= gen.streak_diff_max
+                assert gen.streak_diff_min <= diff <= gen.streak_diff_max
             else:
-                assert gen.burst_diff_min <= c.diff_size <= gen.burst_diff_max
+                assert gen.burst_diff_min <= diff <= gen.burst_diff_max
 
     def test_contains_low_diff_buggy_commit(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=9, mode="adversarial")
-        low_buggy = [
-            c for c in trace if c.diff_size <= cfg.generator.streak_diff_max and c.has_bug
-        ]
-        assert low_buggy, "stress trace must hide bugs inside small diffs"
+        low_buggy = (trace.diff_size <= cfg.generator.streak_diff_max) & trace.has_bug
+        assert low_buggy.any(), "stress trace must hide bugs inside small diffs"
 
     def test_burst_block_mean_diff_exceeds_streak_block(self):
         cfg = EnvConfig()
         gen = cfg.generator
         trace = generate_trace(cfg, 100, seed=9, mode="adversarial")
         period = gen.streak_length + gen.burst_length
-        streak = [c.diff_size for i, c in enumerate(trace) if i % period < gen.streak_length]
-        burst = [c.diff_size for i, c in enumerate(trace) if i % period >= gen.streak_length]
-        assert np.mean(burst) > np.mean(streak)
+        streak = np.arange(len(trace)) % period < gen.streak_length
+        assert trace.diff_size[~streak].mean() > trace.diff_size[streak].mean()
 
     def test_low_diff_buggy_commits_are_marked_low_risk(self):
         # the nominal risk scorer must underrate small risky diffs
         cfg = EnvConfig()
-        trace = generate_trace(cfg, 2000, seed=11, mode="adversarial")
+        trace = records(cfg, 2000, seed=11, mode="adversarial")
         low_buggy = [
             c.risk_score
             for c in trace
@@ -133,12 +165,12 @@ class TestAdversarialTraces:
 
 class TestRiskScore:
     def test_mean_risk_matches_bug_rate(self):
-        trace = generate_trace(EnvConfig(), 50_000, seed=13)
+        trace = records(EnvConfig(), 50_000, seed=13)
         assert abs(np.mean([c.risk_score for c in trace]) - 0.15) <= 0.01
 
     def test_risk_is_calibrated(self):
         # commits binned by risk score show matching empirical bug rates
-        trace = generate_trace(EnvConfig(), 50_000, seed=13)
+        trace = records(EnvConfig(), 50_000, seed=13)
         risk = np.array([c.risk_score for c in trace])
         bugs = np.array([c.has_bug for c in trace], dtype=float)
         for lo, hi in [(0.0, 0.05), (0.05, 0.15), (0.15, 0.3), (0.3, 0.5), (0.5, 1.0)]:
@@ -148,14 +180,14 @@ class TestRiskScore:
             assert abs(bugs[mask].mean() - risk[mask].mean()) < 0.03
 
     def test_degenerate_probabilities(self):
-        zero = generate_trace(make_cfg(bug_probability=0.0), 100, seed=1)
+        zero = records(make_cfg(bug_probability=0.0), 100, seed=1)
         assert all(c.risk_score == 0.0 for c in zero)
-        one = generate_trace(make_cfg(bug_probability=1.0), 100, seed=1)
+        one = records(make_cfg(bug_probability=1.0), 100, seed=1)
         assert all(c.risk_score == 1.0 for c in one)
 
 
-# sha256 of trace_to_text(generate_trace(EnvConfig(), n, seed, mode)), recorded
-# before the generator built its commits column by column
+# sha256 of trace_to_text(trace_records(generate_trace(EnvConfig(), n, seed, mode),
+# EnvConfig())), recorded before the generator built its commits column by column
 PINNED_TRACES = {
     ("standard", 0, 1): "82b8c91577a0774d4c53d13ebed75f19d8a32eb9db54248b15526f78464072ab",
     ("standard", 0, 100): "803b986587b3b06b151fd2e9bed0971ab83e39a9af86186b4e705070b8d59c1d",
@@ -192,7 +224,7 @@ FIELD_TYPES = {
 class TestPinnedTraces:
     @pytest.mark.parametrize("mode, seed, n", sorted(PINNED_TRACES))
     def test_trace_bytes_are_pinned(self, mode, seed, n):
-        trace = generate_trace(EnvConfig(), n, seed=seed, mode=mode)
+        trace = trace_records(generate_trace(EnvConfig(), n, seed=seed, mode=mode), EnvConfig())
         digest = hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
         assert digest == PINNED_TRACES[mode, seed, n]
         # the text hides int vs NumPy int; the fields must be plain Python values
@@ -202,13 +234,13 @@ class TestPinnedTraces:
 
 class TestTraceFiles:
     def test_round_trip_exact(self):
-        trace = generate_trace(EnvConfig(), 200, seed=21)
+        trace = records(EnvConfig(), 200, seed=21)
         text = trace_to_text(trace)
         assert parse_trace_text(text) == trace
         assert trace_to_text(parse_trace_text(text)) == text
 
     def test_header_row_present(self):
-        text = trace_to_text(generate_trace(EnvConfig(), 5, seed=1))
+        text = trace_to_text(records(EnvConfig(), 5, seed=1))
         assert text.splitlines()[0] == (
             "id,diff_size,files_changed,source_fraction,developer_defect_rate,"
             "developer_experience,has_bug,risk_score"
@@ -219,7 +251,7 @@ class TestTraceFiles:
             parse_trace_text("id,diff\n1,2\n")
 
     def test_truncated_record_rejected(self):
-        text = trace_to_text(generate_trace(EnvConfig(), 5, seed=1))
+        text = trace_to_text(records(EnvConfig(), 5, seed=1))
         lines = text.splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0]
         with pytest.raises(ValueError):

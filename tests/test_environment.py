@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testscope.commits import Commit, generate_trace, trace_columns
+from testscope.commits import Commit, ObservedCommit, Trace, generate_trace, observe, trace_records
 from testscope.config import EnvConfig, StateConfig
 from testscope.environment import (
     Action,
@@ -17,6 +17,7 @@ from testscope.environment import (
     metadata_features,
     raw_metadata,
 )
+from trace_helpers import as_trace, records
 
 
 def make_commit(**kwargs) -> Commit:
@@ -34,10 +35,12 @@ def make_commit(**kwargs) -> Commit:
     return Commit(**base)
 
 
-def played(commits: list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
-    """Step every commit under ``action``; returns the rewards and the step table."""
-    env = PipelineEnv(commits, cfg or EnvConfig(), penalty, seed=seed)
-    rewards = [env.step(action)[0] for _ in commits]
+def played(trace: Trace | list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
+    """Step every commit of a trace or of a list of records under ``action``;
+    returns the rewards and the step table."""
+    trace = trace if isinstance(trace, Trace) else as_trace(trace)
+    env = PipelineEnv(trace, cfg or EnvConfig(), penalty, seed=seed)
+    rewards = [env.step(action)[0] for _ in range(len(trace))]
     return rewards, env.table
 
 
@@ -52,7 +55,7 @@ def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bo
 def first_state(commit: Commit, cfg: StateConfig | None = None) -> np.ndarray:
     """The state the environment shows for ``commit`` at the start of an episode."""
     env_cfg = dataclasses.replace(EnvConfig(), state=cfg or StateConfig())
-    return PipelineEnv([commit], env_cfg, 5.0).state
+    return PipelineEnv(as_trace([commit]), env_cfg, 5.0).state
 
 
 def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarray]:
@@ -64,7 +67,7 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     """
     cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, state=state_cfg)
     trace = generate_trace(cfg, len(outcomes) + 1, seed=0)
-    assert all(c.has_bug for c in trace)
+    assert trace.has_bug.all()
     env = PipelineEnv(trace, cfg, 5.0)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
     states = [env.state] + [env.step(a)[1] for a in actions]
@@ -89,7 +92,7 @@ class TestEncodeState:
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
         env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        states = [env.state] + [env.step(Action(c.id % 3))[1] for c in trace[:-1]]
+        states = [env.state] + [env.step(Action(t % 3))[1] for t in range(len(trace) - 1)]
         assert any(env.table.detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
@@ -97,18 +100,15 @@ class TestEncodeState:
             assert np.all(np.isfinite(state))
 
     def test_independent_of_latent_bug_flag(self):
-        # skipped tests catch nothing, so flipping every bug flag and risk
-        # score changes no outcome, and must change no state either
+        # skipped tests catch nothing, so flipping every bug flag changes no
+        # outcome, and must change no state either
         cfg = EnvConfig()
         trace = generate_trace(cfg, 50, seed=5)
-        flipped = [
-            dataclasses.replace(c, has_bug=not c.has_bug, risk_score=1.0 - c.risk_score)
-            for c in trace
-        ]
+        flipped = dataclasses.replace(trace, has_bug=~trace.has_bug)
         states = []
-        for commits in (trace, flipped):
-            env = PipelineEnv(commits, cfg, 5.0, seed=1)
-            states.append([env.state] + [env.step(Action.SKIP_TESTS)[1] for _ in commits])
+        for played_trace in (trace, flipped):
+            env = PipelineEnv(played_trace, cfg, 5.0, seed=1)
+            states.append([env.state] + [env.step(Action.SKIP_TESTS)[1] for _ in range(len(trace))])
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
@@ -131,7 +131,9 @@ class TestEncodeState:
 
     def test_history_features_after_updates(self):
         cfg = StateConfig()
-        trace = [make_commit(diff_size=250, has_bug=True), make_commit(diff_size=10), make_commit()]
+        trace = as_trace(
+            [make_commit(diff_size=250, has_bug=True), make_commit(diff_size=10), make_commit()]
+        )
         env = PipelineEnv(trace, EnvConfig(), 5.0)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
         _, state, _ = env.step(Action.PARTIAL_TESTS)
@@ -190,10 +192,11 @@ class TestReward:
     def test_negative_penalty_rejected(self):
         # an env, or a replica, is priced when it is built, so a bad penalty
         # fails there, before any step
-        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
+        trace = as_trace([make_commit()])
+        env = PipelineEnv(trace, EnvConfig(), 5.0)
         for penalty in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                PipelineEnv([make_commit()], EnvConfig(), penalty)
+                PipelineEnv(trace, EnvConfig(), penalty)
             with pytest.raises(ValueError):
                 env.replicas([5.0, penalty])
         assert env.table.action == ()
@@ -205,10 +208,10 @@ class TestReward:
             EnvConfig(), bug_probability=1.0, detection_rates=(1.0, 0.7, 0.5)
         )
         trace = generate_trace(cfg, 40, seed=3)
-        assert all(c.has_bug for c in trace)
+        assert trace.has_bug.all()
         free, costly = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([0.0, 7.0])
         for env in (free, costly):
-            for _ in trace:
+            for _ in range(len(trace)):
                 env.step(Action.SKIP_TESTS)
         assert free.table.detected == costly.table.detected
         assert free.table.escaped == costly.table.escaped
@@ -219,7 +222,7 @@ class TestReward:
     def test_negative_test_minutes_rejected(self):
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
         with pytest.raises(ValueError):
-            PipelineEnv([make_commit()], cfg, 5.0)
+            PipelineEnv(as_trace([make_commit()]), cfg, 5.0)
 
     @given(
         minutes=st.floats(0, 1e4, allow_nan=False),
@@ -247,15 +250,17 @@ class TestStepTable:
         assert table.action_counts() == (1, 1, 2)
 
     def test_empty_episode(self):
-        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
+        env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
         assert env.table == StepTable((), (), (), (), (), ())
         assert env.table.total("reward") == 0.0 and env.table.action_counts() == (0, 0, 0)
 
 
 class TestPipelineEnv:
     def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineEnv([], EnvConfig(), 5.0)
+        empty = as_trace([])
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="trace must contain at least one commit"):
+            PipelineEnv(empty, EnvConfig(), 5.0)
 
     def test_reset_is_idempotent(self):
         trace = generate_trace(EnvConfig(), 10, seed=4)
@@ -289,7 +294,7 @@ class TestPipelineEnv:
             assert state.tobytes() == copy.tobytes()
 
     def test_invalid_action_rejected(self):
-        env = PipelineEnv([make_commit()], EnvConfig(), 5.0)
+        env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
         with pytest.raises(ValueError):
             env.step(3)
         assert env.table.action == ()
@@ -416,10 +421,10 @@ class TestSharedDraws:
             trace = generate_trace(cfg, 400, seed=seed + 100, mode=mode)
             for action, rate in zip(Action, cfg.detection_rates):
                 rng = np.random.default_rng(seed)
-                expected = tuple(c.has_bug and rng.random() < rate for c in trace)
+                expected = tuple(bug and rng.random() < rate for bug in trace.has_bug.tolist())
                 assert played(trace, action, cfg=cfg, seed=seed)[1].detected == expected
                 for env in PipelineEnv(trace, cfg, 5.0, seed=seed).replicas([5.0, 5.0]):
-                    for _ in trace:
+                    for _ in range(len(trace)):
                         env.step(action)
                     assert env.table.detected == expected
 
@@ -437,7 +442,7 @@ class TestSharedDraws:
         assert tables[0] == tables[2]
         assert any(tables[0].detected) and any(tables[0].escaped)
         fresh = PipelineEnv(trace, cfg, 5.0, seed=5)
-        for _ in trace:
+        for _ in range(len(trace)):
             fresh.step(Action.PARTIAL_TESTS)
         assert tables[1] == fresh.table
 
@@ -464,7 +469,9 @@ class TestSharedDraws:
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
 
 
-def formula_state(commit: Commit, cfg: StateConfig, detections, actions, prev_diff) -> np.ndarray:
+def formula_state(
+    commit: Commit | ObservedCommit, cfg: StateConfig, detections, actions, prev_diff
+) -> np.ndarray:
     """The 10-feature state written out in one expression, clipped once.
 
     ``detections`` and ``actions`` are the outcomes and actions of every
@@ -527,9 +534,9 @@ class TestEncodingIsBitIdentical:
         self, trace_seed, length, odd, odd_at, state_cfg, env_seed, choices
     ):
         cfg = dataclasses.replace(EnvConfig(), bug_probability=0.5, state=state_cfg)
-        trace = generate_trace(cfg, length, seed=trace_seed)
+        trace = records(cfg, length, seed=trace_seed)
         trace.insert(min(odd_at, length), odd)
-        env = PipelineEnv(trace, cfg, 5.0, seed=env_seed)
+        env = PipelineEnv(as_trace(trace), cfg, 5.0, seed=env_seed)
         detections, actions, prev_diff = [], [], 0
         state, done = env.reset(), False
         for commit, action in zip(trace, choices):
@@ -561,13 +568,13 @@ class TestEncodingIsBitIdentical:
     def test_encoder_matches_the_formula_on_generated_commits(self, mode, caps):
         cfg = StateConfig(diff_cap=caps[0], files_cap=caps[1])
         trace = generate_trace(EnvConfig(), 500, seed=31, mode=mode)
-        expected = np.stack([formula_state(c, cfg, [], [], 0)[:5] for c in trace])
-        features = metadata_features(raw_metadata(trace), cfg)
+        commits = trace_records(trace, EnvConfig())
+        expected = np.stack([formula_state(c, cfg, [], [], 0)[:5] for c in commits])
+        features = metadata_features(raw_metadata(commits), cfg)
         assert features.shape == (500, 5)
         assert features.tobytes() == expected.tobytes()
-        # the generator's columns encode as its commits do
-        columns = np.column_stack(trace_columns(EnvConfig(), 500, seed=31, mode=mode)[:5])
-        assert metadata_features(columns, cfg).tobytes() == expected.tobytes()
+        # the trace's columns encode as its commit records do
+        assert metadata_features(trace.metadata(), cfg).tobytes() == expected.tobytes()
 
     @given(
         outcomes=st.lists(st.booleans(), min_size=20, max_size=60),
@@ -601,8 +608,9 @@ class TestEncodingIsBitIdentical:
         env = PipelineEnv(trace, cfg, 5.0, seed=16)
         states = [env.state] + [env.step(a)[1] for a in actions]
         detected = env.table.detected
-        for t, (state, commit) in enumerate(zip(states, trace)):
-            prev_diff = trace[t - 1].diff_size if t else 0
+        commits = observe(trace)
+        for t, (state, commit) in enumerate(zip(states, commits)):
+            prev_diff = commits[t - 1].diff_size if t else 0
             expected = formula_state(commit, cfg.state, detected[:t], actions[:t], prev_diff)
             assert state.tobytes() == expected.tobytes()
         assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()

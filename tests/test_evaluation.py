@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from testscope import evaluation
-from testscope.agent import GreedyPolicy
+from testscope import commits, evaluation
+from testscope.agent import GreedyPolicy, train_agents
 from testscope.baselines import (
     ClassifierPolicy,
     HeuristicPolicy,
@@ -15,8 +15,10 @@ from testscope.baselines import (
     StaticPolicy,
     make_classifier,
 )
-from testscope.commits import generate_trace
-from testscope.config import ConfigError, EnvConfig, StateConfig, adversarial, derive_seed
+from testscope.commits import generate_trace, observe
+from testscope.config import (
+    ConfigError, EnvConfig, StateConfig, TrainConfig, adversarial, derive_seed
+)
 from testscope.environment import Action
 from testscope.evaluation import (
     adversarial_eval,
@@ -164,8 +166,28 @@ class TestRunEpisodes:
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
         run_episodes([probing_policy, probing_policy], trace, 5.0, cfg)
-        assert [c.id for c in seen[::2]] == [c.id for c in trace]
+        assert seen[::2] == observe(trace)
         assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
+
+    def test_simulation_builds_no_records_and_scores_no_risk(self, monkeypatch):
+        # policies play and agents train on a trace's columns: no commit
+        # record is built and no risk score computed, so neither can reach a policy
+        def refuse(*args, **kwargs):
+            raise AssertionError("a commit record or a risk score was computed")
+
+        monkeypatch.setattr(commits, "risk_scores", refuse)
+        monkeypatch.setattr(commits.Commit, "__init__", refuse)
+        cfg = EnvConfig()
+        names = ("static", "heuristic", "classifier", "rl")
+        policies = dict(zip(names, four_policies()))
+        policies["classifier"] = ClassifierPolicy(make_classifier(cfg))
+        report, stats = compare_policies(policies, cfg, 5.0, n_runs=2, base_seed=3)
+        assert sorted(report.reports) == sorted(names)
+        assert all(len(runs) == 2 for runs in stats.values())
+        adversarial_report = adversarial_eval(policies["classifier"], cfg, 5.0, n_runs=2)
+        assert adversarial_report.metrics.runs == 2
+        ((_, log),) = train_agents(cfg, TrainConfig(episodes=2, seed=1), (5.0,))
+        assert len(log) == 2 and log.records[1].mean_td_loss > 0.0
 
 
 class TestComputeMetrics:
@@ -339,8 +361,8 @@ class TestAdversarialEval:
             trace = generate_trace(stress, stress.commits_per_episode, seed=derive_seed(run_seed, 0))
             recording = Recording(policy)
             run_episode(recording, trace, 5.0, stress, seed=derive_seed(run_seed, 1))
-            for commit, action in zip(trace, recording.actions, strict=True):
-                if commit.diff_size <= report.low_diff_cutoff:
+            for diff, action in zip(trace.diff_size.tolist(), recording.actions, strict=True):
+                if diff <= report.low_diff_cutoff:
                     low_total += 1
                     low_partial += action == Action.PARTIAL_TESTS
         assert low_total > 0

@@ -108,7 +108,7 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     cfg = EnvConfig()
     trace = generate_trace(cfg, 25, seed=3)
     env = environment.PipelineEnv(trace, cfg, 5.0, seed=1)
-    for _ in trace:
+    for _ in range(len(trace)):
         env.step(environment.Action.PARTIAL_TESTS)
     assert calls == list(range(1, len(trace)))
 
