@@ -26,7 +26,7 @@ sweep = penalty_sweep(
 )
 
 print(f"\n{'penalty':>8} {'tp (commits/h)':>15} {'dmr %':>8} {'tts %':>8} {'tp vs static':>14}")
-for entry in sweep.entries:
+for entry in sweep:
     r = entry.comparison.reports["rl"]
     delta = entry.comparison.deltas["rl"].tp_improvement_pct
     print(

@@ -45,7 +45,7 @@ net, log = train_agent(env_cfg, train_cfg)
 
 print("\nlast five training episodes:")
 print(f"{'ep':>4} {'reward':>10} {'epsilon':>8} {'td loss':>10}  actions (full/partial/skip)")
-for r in log.records[-5:]:
+for r in log[-5:]:
     counts = "/".join(str(c) for c in r.action_counts)
     print(f"{r.episode:>4} {r.total_reward:>10.1f} {r.epsilon:>8.3f} {r.mean_td_loss:>10.4f}  {counts}")
 

@@ -11,7 +11,6 @@ from .agent import (
     EpisodeRecord,
     GreedyPolicy,
     ReplayBuffer,
-    TrainingLog,
     epsilon_schedule,
     greedy_action,
     select_action,
@@ -60,7 +59,6 @@ from .evaluation import (
     ConvergenceReport,
     EpisodeStats,
     MetricsReport,
-    SweepReport,
     adversarial_eval,
     compare_policies,
     compute_metrics,

@@ -46,7 +46,6 @@ __all__ = [
     "greedy_action",
     "epsilon_schedule",
     "EpisodeRecord",
-    "TrainingLog",
     "train_agent",
     "train_agents",
     "GreedyPolicy",
@@ -206,21 +205,9 @@ class EpisodeRecord:
     action_counts: tuple[int, int, int]
 
 
-@dataclass
-class TrainingLog:
-    """One record per completed training episode."""
-
-    records: list[EpisodeRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def rewards(self) -> np.ndarray:
-        return np.array([r.total_reward for r in self.records])
-
-
-def train_agent(env_cfg: EnvConfig, cfg: TrainConfig) -> tuple[QNetwork, TrainingLog]:
-    """Train a Q-network over seeded episodes; returns the net and the log.
+def train_agent(env_cfg: EnvConfig, cfg: TrainConfig) -> tuple[QNetwork, list[EpisodeRecord]]:
+    """Train a Q-network over seeded episodes; returns the net and its
+    training log, one record per episode.
 
     Per episode: play one fresh trace with the scheduled epsilon, then run one
     minibatch update per collected step (once the buffer can fill a batch).
@@ -234,7 +221,7 @@ def train_agent(env_cfg: EnvConfig, cfg: TrainConfig) -> tuple[QNetwork, Trainin
 
 def train_agents(
     env_cfg: EnvConfig, cfg: TrainConfig, penalties: Iterable[float]
-) -> list[tuple[QNetwork, TrainingLog]]:
+) -> list[tuple[QNetwork, list[EpisodeRecord]]]:
     """Train one agent per escape penalty in lockstep; ``cfg.escape_penalty`` is unused.
 
     Returns one ``(net, log)`` per penalty, in order, each bit-identical to
@@ -326,7 +313,7 @@ def train_agents(
             )
 
     nets = net.unstack() if stack else [net]
-    return [(n, TrainingLog(r)) for n, r in zip(nets, records)]
+    return list(zip(nets, records))
 
 
 class GreedyPolicy:

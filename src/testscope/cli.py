@@ -19,7 +19,6 @@ full configuration snapshot in its header.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -36,18 +35,18 @@ from .commits import generate_trace, trace_records, trace_to_text
 from .config import ConfigError, ExperimentConfig, config_items, load_config
 from .environment import N_ACTIONS, STATE_DIM
 from .evaluation import (
+    REPORT_COLUMNS,
     TRAINING_LOG_COLUMNS,
     ComparisonReport,
     compare_policies,
     comparison_rows,
     comparison_to_dict,
     penalty_sweep,
-    rows_to_csv,
     sweep_rows,
     sweep_to_dict,
     training_log_rows,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, json_text, rows_to_csv
 from .network import QNetwork
 from .persist import KIND_LOGISTIC, KIND_QNETWORK, WeightFileError, load_policy, save_policy
 
@@ -147,13 +146,13 @@ def _json_report(command: str, cfg: ExperimentConfig, body: dict) -> str:
         "config": dict(_snapshot_items(cfg)),
         "report": body,
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json_text(document)
 
 
 def _write_reports(command: str, cfg: ExperimentConfig, seed: int, rows: list[dict], body: dict) -> str:
     """Write a report as CSV and as JSON; returns the line that names both files."""
     out = _Outputs(cfg.output_dir, command, seed)
-    csv_path = out.write("csv", rows_to_csv(rows, _snapshot_lines(command, cfg)))
+    csv_path = out.write("csv", rows_to_csv(rows, REPORT_COLUMNS, _snapshot_lines(command, cfg)))
     json_path = out.write("json", _json_report(command, cfg, body))
     return f"wrote {csv_path} and {json_path}"
 
@@ -221,7 +220,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out.dir.mkdir(parents=True, exist_ok=True)
     weight_path = out.path("json")
     save_policy(weight_path, net, cfg.train)
-    log_csv = rows_to_csv(training_log_rows(log), _snapshot_lines("train", cfg), TRAINING_LOG_COLUMNS)
+    log_csv = rows_to_csv(training_log_rows(log), TRAINING_LOG_COLUMNS, _snapshot_lines("train", cfg))
     log_path = out.write("csv", log_csv)
     print(f"wrote {weight_path} and {log_path} ({len(log)} episodes)")
     return 0
@@ -264,7 +263,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         eval_seed=cfg.eval.seed,
     )
     written = _write_reports("sweep", cfg, seed, sweep_rows(sweep), sweep_to_dict(sweep))
-    print(f"{written} ({len(sweep.entries)} penalty values)")
+    print(f"{written} ({len(sweep)} penalty values)")
     return 0
 
 

@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import EnvConfig, GeneratorConfig
+from .fileio import rows_to_csv
 
 # ``atomic_write`` is not called here, but perfbench traces it under this
 # module's name as well
@@ -258,13 +259,6 @@ def trace_records(trace: Trace, cfg: EnvConfig) -> list[Commit]:
 # trace files: one CSV record per commit, header row first
 # --------------------------------------------------------------------------
 
-def _trace_cell(value) -> str:
-    """Floats keep their repr, the rest (ints and the bug flag) print as integers."""
-    return repr(value) if isinstance(value, float) else str(int(value))
-
-
 def trace_to_text(commits: list[Commit]) -> str:
     """Render a trace in its on-disk CSV form (floats keep full precision)."""
-    lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(",".join(map(_trace_cell, vars(c).values())) for c in commits)
-    return "\n".join(lines) + "\n"
+    return rows_to_csv(map(vars, commits), TRACE_COLUMNS)

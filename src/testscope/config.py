@@ -23,6 +23,8 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .fileio import format_value
+
 __all__ = [
     "ConfigError",
     "GeneratorConfig",
@@ -217,14 +219,6 @@ _ACTIONS = ("full", "partial", "skip")
 _ACTION_KEYS = {"test_minutes": "{}_test_minutes", "detection_rates": "{}_detection_rate"}
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 class _Key(NamedTuple):
     path: tuple[str, ...]  # field path under ExperimentConfig
     index: int | None  # the item of a per-action tuple, or None
@@ -274,7 +268,7 @@ def _set(cfg: ExperimentConfig, path: tuple[str, ...], index: int | None, value:
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """All config keys with their current values, formatted for the file format."""
-    return [(key, _format_value(_get(cfg, k.path, k.index))) for key, k in CONFIG_KEYS.items()]
+    return [(key, format_value(_get(cfg, k.path, k.index))) for key, k in CONFIG_KEYS.items()]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

@@ -21,7 +21,7 @@ import numpy as np
 
 # ``train_agent`` is not called here, but perfbench traces it under this
 # module's name as well
-from .agent import EpisodeRecord, GreedyPolicy, TrainingLog, train_agent, train_agents  # noqa: F401
+from .agent import EpisodeRecord, GreedyPolicy, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy, check_classifier_caps
 from .commits import ObservedCommit, Trace, generate_trace, observe
 from .config import (
@@ -43,7 +43,6 @@ __all__ = [
     "ComparisonReport",
     "compare_policies",
     "SweepEntry",
-    "SweepReport",
     "penalty_sweep",
     "AdversarialReport",
     "adversarial_eval",
@@ -55,9 +54,9 @@ __all__ = [
     "comparison_to_dict",
     "sweep_rows",
     "sweep_to_dict",
+    "REPORT_COLUMNS",
     "TRAINING_LOG_COLUMNS",
     "training_log_rows",
-    "rows_to_csv",
 ]
 
 # a policy maps (state vector, redacted commit metadata) to an action;
@@ -103,13 +102,11 @@ def run_episodes(
     env_cfg: EnvConfig,
     seed: int = 0,
 ) -> list[EpisodeStats]:
-    """Play one trace under every policy in one pass; one stats entry per policy.
+    """Play one trace under every policy; one stats entry per policy.
 
-    The trace is observed once, and each commit is stepped through every
-    policy's own environment, so each policy meets the same detection draws
-    and sees the same states as when played alone. Policies are called in
-    turn on each commit: one policy object passed twice sees those calls
-    interleaved.
+    The trace is observed once, and each policy plays it to the end in turn
+    through its own environment, so each policy meets the same detection
+    draws and sees the same states as when played alone.
     """
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
@@ -118,12 +115,11 @@ def run_episodes(
         )
     penalties = [escape_penalty] * len(policies)
     envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
-    # one [policy, bound step, current state] entry per player
-    players = [[policy, env.step, env.state] for policy, env in zip(policies, envs)]
-    for seen in observe(trace):
-        for player in players:
-            policy, step, state = player
-            _, player[2], _ = step(policy(state, seen))
+    seen = observe(trace)
+    for policy, env in zip(policies, envs):
+        step, state = env.step, env.state
+        for commit in seen:
+            _, state, _ = step(policy(state, commit))
     return [EpisodeStats.from_table(env.table) for env in envs]
 
 
@@ -246,10 +242,9 @@ def compare_policies(
 
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
-    every :class:`StaticPolicy`). Each run's trace
-    is played in one pass by :func:`run_episodes`, the reference and every
-    policy together, so one policy object given under two names sees its
-    calls interleaved commit by commit. ``env_cfg`` must pass
+    every :class:`StaticPolicy`). Each run's trace is played by
+    :func:`run_episodes`, the reference and every policy together.
+    ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty and every policy the checks of ``validate_penalties`` and
     ``check_classifier_caps`` (``ValueError``).
@@ -306,21 +301,8 @@ class SweepEntry:
 
     escape_penalty: float
     net: QNetwork
-    log: TrainingLog
+    log: list[EpisodeRecord]
     comparison: ComparisonReport
-
-
-@dataclass
-class SweepReport:
-    """Escape-penalty sweep results, one entry per requested penalty."""
-
-    entries: list[SweepEntry]
-
-    def entry(self, escape_penalty: float) -> SweepEntry:
-        for e in self.entries:
-            if e.escape_penalty == escape_penalty:
-                return e
-        raise KeyError(f"no sweep entry for penalty {escape_penalty}")
 
 
 def penalty_sweep(
@@ -329,8 +311,9 @@ def penalty_sweep(
     penalties: tuple[float, ...] = (1.0, 3.0, 5.0, 10.0),
     n_runs: int = 5,
     eval_seed: int = 1000,
-) -> SweepReport:
-    """Train one agent per escape penalty and evaluate each on identical traces.
+) -> list[SweepEntry]:
+    """Train one agent per escape penalty and evaluate each on identical traces;
+    one entry per penalty, in order.
 
     Each agent trains with the same seed and differs only in the penalty, so
     the sweep isolates the speed-vs-safety trade-off. All agents train in
@@ -351,7 +334,7 @@ def penalty_sweep(
         entries.append(
             SweepEntry(escape_penalty=penalty, net=net, log=log, comparison=comparison)
         )
-    return SweepReport(entries=entries)
+    return entries
 
 
 @dataclass
@@ -411,7 +394,7 @@ class ConvergenceReport:
 
 
 def convergence_stats(
-    log: TrainingLog | np.ndarray, window: int = 100, threshold: float = 0.03
+    rewards: np.ndarray, window: int = 100, threshold: float = 0.03
 ) -> ConvergenceReport:
     """Find the first episode whose trailing-window rewards look converged.
 
@@ -419,7 +402,7 @@ def convergence_stats(
     the last ``window`` episode rewards drops below ``threshold``. Windows
     with zero mean are treated as not converged at that point.
     """
-    rewards = log.rewards() if isinstance(log, TrainingLog) else np.asarray(log, dtype=np.float64)
+    rewards = np.asarray(rewards, dtype=np.float64)
     if not 1 <= window <= rewards.size:
         raise ValueError(f"window {window} is outside 1..{rewards.size}, the log's episode count")
     for end in range(window, rewards.size + 1):
@@ -445,7 +428,7 @@ def uniform_policy_reward(env_cfg: EnvConfig, escape_penalty: float) -> float:
 
 
 def exploration_corrected_curve(
-    log: TrainingLog, uniform_reward: float, window: int = 100
+    log: list[EpisodeRecord], uniform_reward: float, window: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving average of the greedy-policy reward implied by each training episode.
 
@@ -459,12 +442,13 @@ def exploration_corrected_curve(
     1-based number of the last training episode averaged into ``curve[i]``,
     a mean over ``window`` kept episodes; fewer kept raise :class:`ValueError`.
     """
-    episodes = np.array([r.episode for r in log.records]) + 1
-    epsilon = np.array([r.epsilon for r in log.records])
+    episodes = np.array([r.episode for r in log]) + 1
+    epsilon = np.array([r.epsilon for r in log])
+    rewards = np.array([r.total_reward for r in log])
     keep = epsilon < 1.0
     if not 1 <= window <= keep.sum():
         raise ValueError(f"window {window} is outside 1..{keep.sum()}, the episodes at epsilon < 1")
-    greedy = (log.rewards()[keep] - epsilon[keep] * uniform_reward) / (1.0 - epsilon[keep])
+    greedy = (rewards[keep] - epsilon[keep] * uniform_reward) / (1.0 - epsilon[keep])
     curve = np.convolve(greedy, np.ones(window) / window, mode="valid")
     return episodes[keep][window - 1 :], curve
 
@@ -509,43 +493,19 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
     }
 
 
-def sweep_rows(sweep: SweepReport) -> list[dict]:
-    rows = []
-    for entry in sweep.entries:
-        rows.extend(comparison_rows(entry.comparison))
-    return rows
+def sweep_rows(entries: list[SweepEntry]) -> list[dict]:
+    return [row for e in entries for row in comparison_rows(e.comparison)]
 
 
-def sweep_to_dict(sweep: SweepReport) -> dict:
+def sweep_to_dict(entries: list[SweepEntry]) -> dict:
     return {
         "entries": [
-            {
-                "beta": e.escape_penalty,
-                "comparison": comparison_to_dict(e.comparison),
-            }
-            for e in sweep.entries
+            {"beta": e.escape_penalty, "comparison": comparison_to_dict(e.comparison)}
+            for e in entries
         ]
     }
 
 
-def training_log_rows(log: TrainingLog) -> list[dict]:
+def training_log_rows(log: list[EpisodeRecord]) -> list[dict]:
     """One row per episode record, its action counts spread over one column per action."""
-    return [{**vars(r), **dict(zip(_ACTION_COLUMNS, r.action_counts))} for r in log.records]
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def rows_to_csv(
-    rows: list[dict], header_comments: list[str] | None = None, columns: Sequence[str] = REPORT_COLUMNS
-) -> str:
-    """Render rows as CSV text under a ``columns`` header, with optional ``#``
-    header comments; floats keep their repr."""
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return [{**vars(r), **dict(zip(_ACTION_COLUMNS, r.action_counts))} for r in log]

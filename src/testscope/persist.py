@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import LogisticModel
 from .commits import METADATA_FIELDS
 from .config import StateConfig, TrainConfig
-from .fileio import atomic_write
+from .fileio import atomic_write, json_text
 from .network import QNetwork
 
 __all__ = ["WeightFileError", "WEIGHT_FORMAT_VERSION", "save_policy", "load_policy"]
@@ -144,7 +144,7 @@ def save_policy(
         document["train_config"] = _train_snapshot(train_cfg)
     document["arrays"] = {name: _encode_array(arr) for name, arr in arrays.items()}
     document["checksum"] = _checksum(arrays)
-    atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json_text(document))
 
 
 def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | LogisticModel:

@@ -33,7 +33,6 @@ import pytest
 from testscope.agent import (
     EpisodeRecord,
     GreedyPolicy,
-    TrainingLog,
     epsilon_schedule,
     train_agents,
 )
@@ -86,7 +85,7 @@ def progress(message: str) -> None:
 @pytest.fixture(scope="session")
 def sweep_result():
     """Agents at penalties 1, 3, 5, 10 and ``LEAK_CHECK_PENALTY``, trained in
-    lockstep (2000 episodes) and each evaluated on the same traces."""
+    lockstep (2000 episodes) and each evaluated on the same traces, by penalty."""
     penalties = (1.0, 3.0, 5.0, 10.0, LEAK_CHECK_PENALTY)
     progress(f"training agents for penalties {penalties} in lockstep, 2000 episodes...")
     sweep = penalty_sweep(
@@ -97,19 +96,19 @@ def sweep_result():
         eval_seed=EVAL_SEED,
     )
     progress("sweep done")
-    return sweep
+    return {entry.escape_penalty: entry for entry in sweep}
 
 
 @pytest.fixture(scope="session")
 def default_entry(sweep_result):
     """The default-penalty agent (escape penalty 5, 2000 episodes)."""
-    return sweep_result.entry(5.0)
+    return sweep_result[5.0]
 
 
 @pytest.fixture(scope="session")
 def leak_check_entry(sweep_result):
     """The agent trained and evaluated at ``LEAK_CHECK_PENALTY`` (2000 episodes)."""
-    return sweep_result.entry(LEAK_CHECK_PENALTY)
+    return sweep_result[LEAK_CHECK_PENALTY]
 
 
 @pytest.fixture(scope="session")
@@ -257,7 +256,7 @@ def spearman(x, y) -> float:
 class TestCriterion7SweepDirection:
     def test_endpoint_monotonicity(self, sweep_result):
         by_penalty = {
-            e.escape_penalty: e.comparison.reports["rl"] for e in sweep_result.entries
+            e.escape_penalty: e.comparison.reports["rl"] for e in sweep_result.values()
         }
         trend = {
             p: (r.dmr.mean, 100.0 - r.tts.mean) for p, r in sorted(by_penalty.items())
@@ -316,7 +315,7 @@ class TestCriterion8AdversarialRobustness:
         )
 
 
-def corrected_convergence_episode(log: TrainingLog, escape_penalty: float) -> int | None:
+def corrected_convergence_episode(log: list[EpisodeRecord], escape_penalty: float) -> int | None:
     """Training episode at which the corrected curve converges, if it does."""
     episodes, curve = exploration_corrected_curve(
         log, uniform_policy_reward(EnvConfig(), escape_penalty), window=CONVERGENCE_WINDOW
@@ -338,19 +337,17 @@ class TestCriterion9Convergence:
         greedy = -77.0  # about the default agent's greedy cost per episode
         cfg = TrainConfig()
         schedule = [epsilon_schedule(k, cfg) for k in range(cfg.episodes)]
-        synthetic = TrainingLog(
-            [
-                EpisodeRecord(k, eps * uniform + (1.0 - eps) * greedy, eps, 0.0, (0, 0, 0))
-                for k, eps in enumerate(schedule)
-            ]
-        )
+        synthetic = [
+            EpisodeRecord(k, eps * uniform + (1.0 - eps) * greedy, eps, 0.0, (0, 0, 0))
+            for k, eps in enumerate(schedule)
+        ]
         _, curve = exploration_corrected_curve(synthetic, uniform, window=CONVERGENCE_WINDOW)
         worst = float(np.max(np.abs(curve - greedy)))
         synthetic_episode = corrected_convergence_episode(synthetic, penalty)
         assert worst <= 1e-9 and synthetic_episode == 2 * CONVERGENCE_WINDOW, (
             f"synthetic log: max deviation {worst:.2e}, converged at {synthetic_episode}"
         )
-        early = TrainingLog(default_entry.log.records[:1000])
+        early = default_entry.log[:1000]
         early_episode = corrected_convergence_episode(early, penalty)
         assert early_episode is None, f"first 1000 episodes converged at {early_episode}"
 

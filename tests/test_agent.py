@@ -432,12 +432,12 @@ class TestTrainAgent:
     def test_single_episode_single_record(self):
         _, log = train_agent(tiny_env_cfg(), tiny_train_cfg(episodes=1))
         assert len(log) == 1
-        assert log.records[0].episode == 0
+        assert log[0].episode == 0
 
     def test_log_structure(self):
         env = tiny_env_cfg()
         _, log = train_agent(env, tiny_train_cfg())
-        for i, record in enumerate(log.records):
+        for i, record in enumerate(log):
             assert record.episode == i
             assert sum(record.action_counts) == env.commits_per_episode
             assert np.isfinite(record.total_reward)
@@ -496,7 +496,7 @@ def assert_lockstep_matches_sequential(env: EnvConfig, cfg: TrainConfig) -> None
         alone_net, alone_log = train_agent(env, dataclasses.replace(cfg, escape_penalty=penalty))
         assert net.flat.shape == alone_net.flat.shape
         assert net.flat.tobytes() == alone_net.flat.tobytes(), penalty
-        assert log.records == alone_log.records, penalty
+        assert log == alone_log, penalty
 
 
 class TestTrainAgents:
@@ -515,12 +515,12 @@ class TestTrainAgents:
         env = dataclasses.replace(EnvConfig(), commits_per_episode=12)
         cfg = tiny_train_cfg(episodes=3, minibatch_size=16)
         _, log = train_agent(env, cfg)
-        assert log.records[0].mean_td_loss == 0.0 and log.records[1].mean_td_loss > 0.0
+        assert log[0].mean_td_loss == 0.0 and log[1].mean_td_loss > 0.0
         assert_lockstep_matches_sequential(env, cfg)
 
     def test_agents_differ_by_penalty(self):
         (_, cheap), (_, costly) = train_agents(tiny_env_cfg(), tiny_train_cfg(), (0.0, 500.0))
-        assert cheap.records != costly.records
+        assert cheap != costly
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -655,7 +655,7 @@ class TestPinnedDigests:
             [
                 [r.episode, r.total_reward, r.epsilon, r.mean_td_loss, *r.action_counts]
                 for _, log in trained
-                for r in log.records
+                for r in log
             ],
             dtype=np.float64,
         )

@@ -21,6 +21,7 @@ from testscope.config import (
 )
 from testscope.environment import Action
 from testscope.evaluation import (
+    REPORT_COLUMNS,
     adversarial_eval,
     compare_policies,
     compute_metrics,
@@ -28,10 +29,10 @@ from testscope.evaluation import (
     comparison_rows,
     exploration_corrected_curve,
     penalty_sweep,
-    rows_to_csv,
     run_episode,
     run_episodes,
 )
+from testscope.fileio import rows_to_csv
 from testscope.network import mlp_init
 
 
@@ -153,21 +154,30 @@ class TestRunEpisodes:
             if record_actions:
                 assert [p.actions for p in played_together] == [p.actions for p in played_alone]
                 assert all(len(p.actions) == cfg.commits_per_episode for p in played_together)
-        # the classifier uses every tier, so interleaving had something to break
+        # the classifier uses every tier, so playing together had something to break
         assert all(together[2].action_counts)
 
-    def test_each_commit_observed_once_for_all_policies(self):
-        seen = []
+    def test_each_commit_observed_once_for_all_policies(self, monkeypatch):
+        observed = []
 
-        def probing_policy(state, commit):
-            seen.append(commit)
-            return Action.PARTIAL_TESTS
+        def observe_once(trace):
+            observed.append(observe(trace))
+            return observed[-1]
 
+        def probing(seen):
+            def policy(state, commit):
+                seen.append(commit)
+                return Action.PARTIAL_TESTS
+            return policy
+
+        monkeypatch.setattr(evaluation, "observe", observe_once)
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
-        run_episodes([probing_policy, probing_policy], trace, 5.0, cfg)
-        assert seen[::2] == observe(trace)
-        assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
+        first, second = [], []
+        run_episodes([probing(first), probing(second)], trace, 5.0, cfg)
+        assert len(observed) == 1 and observed[0] == observe(trace)
+        assert len(first) == len(second) == len(trace)
+        assert all(a is b is c for a, b, c in zip(observed[0], first, second))
 
     def test_simulation_builds_no_records_and_scores_no_risk(self, monkeypatch):
         # policies play and agents train on a trace's columns: no commit
@@ -187,7 +197,7 @@ class TestRunEpisodes:
         adversarial_report = adversarial_eval(policies["classifier"], cfg, 5.0, n_runs=2)
         assert adversarial_report.metrics.runs == 2
         ((_, log),) = train_agents(cfg, TrainConfig(episodes=2, seed=1), (5.0,))
-        assert len(log) == 2 and log.records[1].mean_td_loss > 0.0
+        assert len(log) == 2 and log[1].mean_td_loss > 0.0
 
 
 class TestComputeMetrics:
@@ -325,7 +335,7 @@ class TestComparePolicies:
         # 2 runs + mean + std
         assert len(rows) == 4
         assert [r["run"] for r in rows] == [0, 1, "mean", "std"]
-        csv_text = rows_to_csv(rows, ["snapshot line"])
+        csv_text = rows_to_csv(rows, REPORT_COLUMNS, ["snapshot line"])
         lines = csv_text.strip().splitlines()
         assert lines[0] == "# snapshot line"
         assert lines[1] == "policy,beta,run,seed,tp,dmr,tts,si"
@@ -383,10 +393,7 @@ class TestPenaltySweep:
             episodes=3, minibatch_size=8, buffer_capacity=100, hidden_sizes=(8, 8), seed=1
         )
         sweep = penalty_sweep(env, train, penalties=(5.0,), n_runs=2, eval_seed=4)
-        assert len(sweep.entries) == 1
-        assert sweep.entry(5.0).escape_penalty == 5.0
-        with pytest.raises(KeyError):
-            sweep.entry(3.0)
+        assert [entry.escape_penalty for entry in sweep] == [5.0]
 
     def test_empty_penalties_rejected(self):
         from testscope.config import TrainConfig
@@ -427,8 +434,8 @@ class TestConvergenceStats:
         records = [
             agent_mod.EpisodeRecord(i, -10.0, 0.5, 0.0, (1, 1, 1)) for i in range(120)
         ]
-        log = agent_mod.TrainingLog(records)
-        assert convergence_stats(log, window=100).converged_episode == 100
+        rewards = [r.total_reward for r in records]
+        assert convergence_stats(rewards, window=100).converged_episode == 100
 
 
 class TestExplorationCorrectedCurve:
@@ -437,10 +444,9 @@ class TestExplorationCorrectedCurve:
         import testscope.agent as agent_mod
 
         records = [agent_mod.EpisodeRecord(i, -10.0, 0.5, 0.0, (1, 1, 1)) for i in range(30)]
-        log = agent_mod.TrainingLog(records)
         with pytest.raises(ValueError, match="window 100 is outside 1..30"):
-            exploration_corrected_curve(log, -20.0, window=100)
-        episodes, curve = exploration_corrected_curve(log, -20.0, window=30)
+            exploration_corrected_curve(records, -20.0, window=100)
+        episodes, curve = exploration_corrected_curve(records, -20.0, window=30)
         assert episodes.tolist() == [30] and curve.tolist() == [0.0]
 
 
