@@ -7,6 +7,13 @@ a fit that does not get there raises instead of returning a half-fitted model.
 Predicted risk maps to a test scope through two thresholds: very low risk
 skips tests, moderate risk runs the partial suite, everything else runs the
 full suite.
+
+Each baseline's action depends on the commit's metadata alone, so each
+*plans* a whole trace at once: ``plan(metadata, features)`` returns the
+``(T,)`` actions of a trace from ``metadata``, its raw ``(T, 5)`` observable
+columns (:meth:`~testscope.commits.Trace.metadata`), and ``features``, their
+encoding as features 1-5 of the state (:attr:`PipelineEnv.features`).
+Neither array holds the bug flag or the generator's risk score.
 """
 
 from __future__ import annotations
@@ -34,21 +41,25 @@ __all__ = [
 
 HEURISTIC_DIFF_CUTOFF = 20  # strictly below runs partial tests
 
-_FULL_TESTS, _PARTIAL_TESTS, _SKIP_TESTS = Action  # module globals read faster than members
+_FULL_TESTS, _PARTIAL_TESTS, _SKIP_TESTS = Action
+
+# a risk within this of a threshold is scored again by predict_risk: far
+# wider than the last-bit difference between the batched and per-row product
+_RESCORE_MARGIN = 1e-9
 
 
 class StaticPolicy:
     """The always-full baseline: run the entire suite on every commit."""
 
-    def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return _FULL_TESTS
+    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return np.full(len(metadata), _FULL_TESTS)
 
 
 class HeuristicPolicy:
     """Partial tests for diffs under ``HEURISTIC_DIFF_CUTOFF`` lines, else full tests; never skips."""
 
-    def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        return _PARTIAL_TESTS if commit.diff_size < HEURISTIC_DIFF_CUTOFF else _FULL_TESTS
+    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return np.where(metadata[:, 0] < HEURISTIC_DIFF_CUTOFF, _PARTIAL_TESTS, _FULL_TESTS)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +220,8 @@ class ClassifierPolicy:
 
     The risk is scored from features 1-5 of the state, which the environment
     encodes under its ``state`` config; the model's ``state_cfg`` must have
-    the same ``diff_cap`` and ``files_cap``.
+    the same ``diff_cap`` and ``files_cap``. Every action equals the tier of
+    the commit's :func:`predict_risk`.
     """
 
     def __init__(self, model: LogisticModel, cfg: ClassifierConfig | None = None):
@@ -219,13 +231,17 @@ class ClassifierPolicy:
         self.tau_skip = cfg.tau_skip
         self.tau_partial = cfg.tau_partial
 
-    def __call__(self, state: np.ndarray, commit: ObservedCommit) -> Action:
-        risk = predict_risk(self.model, state[:5])
-        if risk < self.tau_skip:
-            return _SKIP_TESTS
-        if risk < self.tau_partial:
-            return _PARTIAL_TESTS
-        return _FULL_TESTS
+    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+        model = self.model
+        risk = np.clip(_sigmoid(features @ model.weights + model.bias), 1e-15, 1.0 - 1e-15)
+        # the product differs from predict_risk's per-row np.dot in the last
+        # bits, so a risk that near a threshold is scored again row by row
+        near = np.abs(risk - self.tau_skip) <= _RESCORE_MARGIN
+        near |= np.abs(risk - self.tau_partial) <= _RESCORE_MARGIN
+        for i in np.flatnonzero(near).tolist():
+            risk[i] = predict_risk(model, features[i])
+        partial_or_full = np.where(risk < self.tau_partial, _PARTIAL_TESTS, _FULL_TESTS)
+        return np.where(risk < self.tau_skip, _SKIP_TESTS, partial_or_full)
 
 
 def check_classifier_caps(policy, state_cfg: StateConfig) -> None:

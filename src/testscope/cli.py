@@ -12,13 +12,16 @@ Every command accepts ``--config`` (path to a key=value file, or ``default``
 for built-in defaults), ``--seed`` (overrides both the training and the
 evaluation seed), and ``--out`` (output directory). Outputs are written
 atomically and named ``<command>-<seed>-<counter>.<ext>`` with no timestamps,
-so identical invocations produce byte-identical files. Each report embeds the
-full configuration snapshot in its header.
+so identical invocations produce byte-identical files. The counter goes on
+after the highest one that the command at that seed left in the directory,
+so a second run adds files instead of replacing the first's. Each report
+embeds the full configuration snapshot in its header.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -56,13 +59,16 @@ POLICY_CHOICES = ("static", "heuristic", "classifier", "rl")
 
 
 class _Outputs:
-    """Names output files ``<command>-<seed>-<counter>.<ext>`` in order."""
+    """Names output files ``<command>-<seed>-<counter>.<ext>`` in order, the
+    counter starting after the highest such file already in ``out_dir``."""
 
     def __init__(self, out_dir: str, command: str, seed: int):
         self.dir = Path(out_dir)
         self.command = command
         self.seed = seed
-        self.counter = 0
+        pattern = re.compile(rf"{re.escape(command)}-{seed}-(\d+)\.[^.]+", re.ASCII)
+        found = [pattern.fullmatch(p.name) for p in self.dir.iterdir()] if self.dir.is_dir() else []
+        self.counter = max((int(m[1]) + 1 for m in found if m), default=0)
 
     def path(self, ext: str) -> Path:
         path = self.dir / f"{self.command}-{self.seed}-{self.counter}.{ext}"

@@ -37,15 +37,16 @@ from the raw fields that :func:`raw_metadata` reads off commit records, so
 the state and the classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
-encodes them for the whole trace in one pass when it is built. The episode
-history behind features 6-9 is the env's own state: running failure counts
-and the commits since the last full-suite run, which a reset clears and each
-step updates. A reset copies the trace's rows into a new state array, and
-each step writes features 6-9 of the next commit's row with
-:func:`encode_state` and returns that row. The detection draws depend on the
-trace and the seed alone too, so they are drawn when the env is built, and
-:meth:`PipelineEnv.replicas` shares rows and draws among environments that
-play the same trace, each with its own escape penalty.
+encodes them for the whole trace in one pass when it is built; the
+baselines plan an episode's actions from :attr:`PipelineEnv.features`. The
+episode history behind features 6-9 is the env's own state: running failure
+counts and the commits since the last full-suite run, which a reset clears
+and each step updates. A reset copies the trace's rows into a new state
+array, and each step writes features 6-9 of the next commit's row with
+:func:`encode_state` and returns that row. The detection draws depend on
+the trace and the seed alone too, so they are drawn when the env is built,
+and :meth:`PipelineEnv.replicas` shares rows and draws among environments
+that play the same trace, each with its own escape penalty.
 
 An env is priced once, when it is built: each action gets a clean, a caught
 and an escaped :class:`StepTable` row. A step picks one by the commit's draw,
@@ -232,6 +233,14 @@ class PipelineEnv:
         self._cells = memoryview(self._states.reshape(-1))
         self._steps: list[tuple] = []
         return self._states[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """Features 1-5 of every commit, a read-only ``(n, 5)`` view of the
+        encoded rows: the states' first five entries, which no step changes."""
+        view = self._rows[:-1, :5]
+        view.flags.writeable = False
+        return view
 
     @property
     def state(self) -> np.ndarray:

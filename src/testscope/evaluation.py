@@ -10,12 +10,19 @@ Metrics (each reported as mean and sample standard deviation over runs):
 Every comparison replays the identical traces for every policy, with the
 always-full baseline computed on the same traces as the reference for
 ``tts``/``si``.
+
+A policy is either a planner, whose ``plan(metadata, features)`` gives a
+whole trace's actions at once from its observable columns (the baselines),
+or a closed-loop callable ``policy(state, commit)`` that picks each action
+from the state the previous step returned (:class:`GreedyPolicy`). Either
+way every action goes through one :meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .environment import Action, PipelineEnv, StepTable
 from .network import QNetwork
 
 __all__ = [
+    "Planner",
     "Policy",
     "EpisodeStats",
     "run_episodes",
@@ -59,9 +67,17 @@ __all__ = [
     "training_log_rows",
 ]
 
-# a policy maps (state vector, redacted commit metadata) to an action;
-# the latent bug flag and the generator's risk score never reach it
-Policy = Callable[[np.ndarray, ObservedCommit], Action]
+class Planner(Protocol):
+    """An open-loop policy: the ``(T,)`` actions of a trace from its raw
+    ``(T, 5)`` observable columns and their encoding as features 1-5."""
+
+    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray: ...
+
+
+# a policy plans a trace's actions, or maps (state vector, redacted commit
+# metadata) to one action; the latent bug flag and the generator's risk
+# score reach neither
+Policy = Planner | Callable[[np.ndarray, ObservedCommit], Action]
 
 _PARTIAL_TESTS = Action.PARTIAL_TESTS  # a module global reads faster than an enum member
 
@@ -104,9 +120,13 @@ def run_episodes(
 ) -> list[EpisodeStats]:
     """Play one trace under every policy; one stats entry per policy.
 
-    The trace is observed once, and each policy plays it to the end in turn
-    through its own environment, so each policy meets the same detection
-    draws and sees the same states as when played alone.
+    Each policy plays the trace to the end in turn through its own
+    environment, so each meets the same detection draws and sees the same
+    states as when played alone. A planner plans the trace's actions once,
+    from ``trace.metadata()`` and the env's :attr:`PipelineEnv.features`; a
+    closed-loop policy picks each action from the state, and the trace is
+    observed once for all of them. Either way each action is one
+    :meth:`PipelineEnv.step` call.
     """
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
@@ -115,11 +135,18 @@ def run_episodes(
         )
     penalties = [escape_penalty] * len(policies)
     envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
-    seen = observe(trace)
-    for policy, env in zip(policies, envs):
-        step, state = env.step, env.state
-        for commit in seen:
-            _, state, _ = step(policy(state, commit))
+    metadata, features = trace.metadata(), envs[0].features
+    closed_loop = [not hasattr(policy, "plan") for policy in policies]
+    seen = observe(trace) if any(closed_loop) else None
+    for policy, env, closed in zip(policies, envs, closed_loop):
+        step = env.step
+        if closed:
+            state = env.state
+            for commit in seen:
+                _, state, _ = step(policy(state, commit))
+        else:
+            for action in policy.plan(metadata, features).tolist():
+                step(action)
     return [EpisodeStats.from_table(env.table) for env in envs]
 
 
@@ -243,7 +270,8 @@ def compare_policies(
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
     every :class:`StaticPolicy`). Each run's trace is played by
-    :func:`run_episodes`, the reference and every policy together.
+    :func:`run_episodes`, the reference and every policy together: a planner
+    plans each trace once, a closed-loop policy acts commit by commit.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty and every policy the checks of ``validate_penalties`` and
@@ -359,12 +387,23 @@ def adversarial_eval(
     partial tests, the behavior diff-based policies exhibit on these traces.
     The checks of :func:`compare_policies` apply.
     """
-    check_classifier_caps(policy, env_cfg.state)  # the tallying wrapper would hide it
+    # compare_policies sees the tallying wrapper, not the policy, so the
+    # caps check that it runs on every policy has to run here
+    check_classifier_caps(policy, env_cfg.state)
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
     low_total = low_partial = 0
 
-    def counting(state: np.ndarray, commit: ObservedCommit) -> Action:
+    def plan(metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+        # tallies the commits of the trace about to be played
+        nonlocal low_total, low_partial
+        actions = policy.plan(metadata, features)
+        low = metadata[:, 0] <= cutoff
+        low_total += int(np.count_nonzero(low))
+        low_partial += int(np.count_nonzero(actions[low] == _PARTIAL_TESTS))
+        return actions
+
+    def step(state: np.ndarray, commit: ObservedCommit) -> Action:
         # tallies the commits of the trace being played, as they are played
         nonlocal low_total, low_partial
         action = policy(state, commit)
@@ -373,6 +412,7 @@ def adversarial_eval(
             low_partial += int(action == _PARTIAL_TESTS)
         return action
 
+    counting = SimpleNamespace(plan=plan) if hasattr(policy, "plan") else step
     comparison, _ = compare_policies(
         {"policy": counting}, cfg, escape_penalty, n_runs=n_runs, base_seed=base_seed
     )

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testscope import baselines
 from testscope.baselines import (
+    HEURISTIC_DIFF_CUTOFF,
     ClassifierPolicy,
     HeuristicPolicy,
     LogisticModel,
@@ -21,7 +23,7 @@ from testscope.baselines import (
     predict_risk,
     train_classifier,
 )
-from testscope.commits import generate_trace, observe
+from testscope.commits import Trace, generate_trace, observe
 from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
 from testscope.environment import Action, PipelineEnv
 
@@ -48,9 +50,26 @@ def risk(model: LogisticModel, commit) -> float:
     return predict_risk(model, commit_features(commit, model.state_cfg))
 
 
-def env_state(commit) -> np.ndarray:
-    """The state in which an environment at the default config shows ``commit`` first."""
-    return PipelineEnv(as_trace([commit]), EnvConfig(), 5.0).state
+def planned(policy, commits) -> list[int]:
+    """The actions ``policy`` plans for a trace, or for the trace of a list
+    of records, from the arrays an environment at the default config shows it."""
+    trace = commits if isinstance(commits, Trace) else as_trace(commits)
+    return policy.plan(trace.metadata(), PipelineEnv(trace, EnvConfig(), 5.0).features).tolist()
+
+
+def per_row_action(policy, state: np.ndarray, commit) -> Action:
+    """The decision a baseline's plan must make for one commit, from the
+    commit's state and metadata: the reference for the array form."""
+    if isinstance(policy, StaticPolicy):
+        return Action.FULL_TESTS
+    if isinstance(policy, HeuristicPolicy):
+        return Action.PARTIAL_TESTS if commit.diff_size < HEURISTIC_DIFF_CUTOFF else Action.FULL_TESTS
+    risk = predict_risk(policy.model, state[:5])
+    if risk < policy.tau_skip:
+        return Action.SKIP_TESTS
+    if risk < policy.tau_partial:
+        return Action.PARTIAL_TESTS
+    return Action.FULL_TESTS
 
 
 def separable_toy_set():
@@ -82,29 +101,29 @@ def thresholds(tau_skip: float, tau_partial: float) -> ClassifierConfig:
 
 class TestStaticPolicy:
     def test_always_full(self):
-        assert StaticPolicy()(None, make_commit()) == Action.FULL_TESTS
+        assert planned(StaticPolicy(), [make_commit()]) == [Action.FULL_TESTS]
 
     def test_zero_diff_still_full(self):
-        assert StaticPolicy()(None, make_commit(diff_size=0)) == Action.FULL_TESTS
+        assert planned(StaticPolicy(), [make_commit(diff_size=0)]) == [Action.FULL_TESTS]
 
     def test_full_on_every_adversarial_commit(self):
         trace = generate_trace(EnvConfig(), 100, seed=3, mode="adversarial")
-        assert all(StaticPolicy()(None, c) == Action.FULL_TESTS for c in observe(trace))
+        assert planned(StaticPolicy(), trace) == [Action.FULL_TESTS] * 100
 
 
 class TestHeuristicPolicy:
     def test_small_diff_runs_partial(self):
-        assert HeuristicPolicy()(None, make_commit(diff_size=19)) == Action.PARTIAL_TESTS
+        assert planned(HeuristicPolicy(), [make_commit(diff_size=19)]) == [Action.PARTIAL_TESTS]
 
     def test_cutoff_diff_runs_full(self):
-        assert HeuristicPolicy()(None, make_commit(diff_size=20)) == Action.FULL_TESTS
+        assert planned(HeuristicPolicy(), [make_commit(diff_size=20)]) == [Action.FULL_TESTS]
 
     def test_zero_diff_runs_partial(self):
-        assert HeuristicPolicy()(None, make_commit(diff_size=0)) == Action.PARTIAL_TESTS
+        assert planned(HeuristicPolicy(), [make_commit(diff_size=0)]) == [Action.PARTIAL_TESTS]
 
     def test_never_skips(self):
-        trace = generate_trace(EnvConfig(), 1000, seed=4)
-        assert all(HeuristicPolicy()(None, c) != Action.SKIP_TESTS for c in observe(trace))
+        actions = planned(HeuristicPolicy(), generate_trace(EnvConfig(), 1000, seed=4))
+        assert len(actions) == 1000 and Action.SKIP_TESTS not in actions
 
     def test_depends_on_diff_size_alone(self):
         base = make_commit(diff_size=10)
@@ -117,7 +136,7 @@ class TestHeuristicPolicy:
             has_bug=True,
             risk_score=0.99,
         )
-        assert HeuristicPolicy()(None, base) == HeuristicPolicy()(None, mutated)
+        assert planned(HeuristicPolicy(), [base]) == planned(HeuristicPolicy(), [mutated])
 
 
 class TestPredictRisk:
@@ -334,8 +353,8 @@ class TestClassifierPolicy:
         low = flat_model(bias=math.log(0.01 / 0.99))  # risk ~ 0.01
         high = flat_model(bias=math.log(0.90 / 0.10))  # risk ~ 0.90
         commit = make_commit()
-        assert ClassifierPolicy(low)(env_state(commit), commit) == Action.SKIP_TESTS
-        assert ClassifierPolicy(high)(env_state(commit), commit) == Action.FULL_TESTS
+        assert planned(ClassifierPolicy(low), [commit]) == [Action.SKIP_TESTS]
+        assert planned(ClassifierPolicy(high), [commit]) == [Action.FULL_TESTS]
 
     def test_thresholds_come_from_the_config(self):
         defaults = ClassifierPolicy(flat_model())
@@ -347,10 +366,9 @@ class TestClassifierPolicy:
         # sigmoid(0) is exactly 0.5: at tau_skip the policy must not skip,
         # and at tau_partial it must go full
         commit = make_commit()
-        state = env_state(commit)
         model = flat_model(bias=0.0)
-        assert ClassifierPolicy(model, thresholds(0.5, 0.8))(state, commit) == Action.PARTIAL_TESTS
-        assert ClassifierPolicy(model, thresholds(0.1, 0.5))(state, commit) == Action.FULL_TESTS
+        assert planned(ClassifierPolicy(model, thresholds(0.5, 0.8)), [commit]) == [Action.PARTIAL_TESTS]
+        assert planned(ClassifierPolicy(model, thresholds(0.1, 0.5)), [commit]) == [Action.FULL_TESTS]
 
     def test_strict_thresholds_at_computed_risks(self):
         # a risk equal to a threshold goes to the more thorough tier; one ulp
@@ -366,15 +384,14 @@ class TestClassifierPolicy:
                 (thresholds(0.0, above), Action.PARTIAL_TESTS),
             ]
             for cfg, expected in cases:
-                assert ClassifierPolicy(model, cfg)(env_state(commit), commit) == expected
+                assert planned(ClassifierPolicy(model, cfg), [commit]) == [expected]
 
     def test_monotone_in_risk(self):
         commit = make_commit()
-        state = env_state(commit)
         thoroughness = {Action.SKIP_TESTS: 0, Action.PARTIAL_TESTS: 1, Action.FULL_TESTS: 2}
         previous = -1
         for bias in np.linspace(-8, 8, 200):
-            action = ClassifierPolicy(flat_model(bias=float(bias)))(state, commit)
+            (action,) = planned(ClassifierPolicy(flat_model(bias=float(bias))), [commit])
             assert thoroughness[action] >= previous
             previous = thoroughness[action]
 
@@ -389,16 +406,15 @@ class TestClassifierPolicy:
         for model in (fitted, hand_made):
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
             env = PipelineEnv(trace, cfg, 5.0, seed=24)
-            state, tiers = env.state, set()
-            for commit in observe(trace):
+            actions = policy.plan(trace.metadata(), env.features).tolist()
+            state = env.state
+            for commit, action in zip(observe(trace), actions, strict=True):
                 at = risk(model, commit)
                 assert predict_risk(model, state[:5]) == at
                 tier = 0 if at < 0.1 else 1 if at < 0.3 else 2
-                action = policy(state, commit)
                 assert action == (Action.SKIP_TESTS, Action.PARTIAL_TESTS, Action.FULL_TESTS)[tier]
-                tiers.add(action)
                 _, state, _ = env.step(action)
-            assert len(tiers) == 3
+            assert len(set(actions)) == 3
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ConfigError, match="classifier.tau_skip"):
@@ -408,3 +424,62 @@ class TestClassifierPolicy:
         with pytest.raises(ConfigError, match="classifier.tau_partial"):
             ClassifierPolicy(flat_model(), thresholds(0.5, 1.2))
         assert issubclass(ConfigError, ValueError)
+
+
+# (env config, trace mode) of each kind of trace a plan is checked on
+TRACE_KINDS = {
+    "standard": (EnvConfig(), "standard"),
+    "adversarial": (EnvConfig(), "adversarial"),
+    "all-buggy": (dataclasses.replace(EnvConfig(), bug_probability=1.0), "standard"),
+    "all-clean": (dataclasses.replace(EnvConfig(), bug_probability=0.0), "standard"),
+}
+
+
+class TestPlans:
+    @pytest.mark.parametrize("kind", list(TRACE_KINDS))
+    @settings(max_examples=10, deadline=None)
+    @given(
+        trace_seed=st.integers(0, 2**32 - 1),
+        env_seed=st.integers(0, 2**32 - 1),
+        taus=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    )
+    def test_plan_equals_the_per_row_decision_from_each_state(self, kind, trace_seed, env_seed, taus):
+        cfg, mode = TRACE_KINDS[kind]
+        trace = generate_trace(cfg, cfg.commits_per_episode, trace_seed, mode)
+        hand_made = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0)
+        policies = [
+            StaticPolicy(),
+            HeuristicPolicy(),
+            ClassifierPolicy(hand_made, thresholds(0.1, 0.3)),
+            ClassifierPolicy(hand_made, thresholds(*taus)),
+        ]
+        for policy in policies:
+            env = PipelineEnv(trace, cfg, 5.0, seed=env_seed)
+            actions = policy.plan(trace.metadata(), env.features)
+            assert actions.shape == (len(trace),)
+            for commit, action in zip(observe(trace), actions.tolist(), strict=True):
+                assert action == per_row_action(policy, env.state, commit)
+                env.step(action)
+
+    def test_a_risk_on_a_threshold_is_decided_by_the_exact_risk(self):
+        # tau_partial is one row's exact risk, which the batched product puts
+        # an ulp or so below it: the plan must still run that row's full suite
+        model = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0)
+        trace = generate_trace(EnvConfig(), 100, seed=12)
+        features = PipelineEnv(trace, EnvConfig(), 5.0).features
+        batched = np.clip(_sigmoid(features @ model.weights + model.bias), 1e-15, 1.0 - 1e-15)
+        exact = np.array([predict_risk(model, row) for row in features])
+        (below, *_) = np.flatnonzero(batched < exact)
+        policy = ClassifierPolicy(model, thresholds(0.0, float(exact[below])))
+        actions = policy.plan(trace.metadata(), features).tolist()
+        assert actions[below] == Action.FULL_TESTS
+        assert actions == [per_row_action(policy, row, None) for row in features]
+        assert Action.PARTIAL_TESTS in actions
+
+    def test_env_features_are_the_first_five_entries_of_each_state(self):
+        trace = generate_trace(EnvConfig(), 100, seed=5, mode="adversarial")
+        env = PipelineEnv(trace, EnvConfig(), 5.0)
+        states = [env.state] + [env.step(Action.PARTIAL_TESTS)[1] for _ in range(99)]
+        assert env.features.tobytes() == np.stack(states)[:, :5].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            env.features[0, 0] = 1.0

@@ -65,6 +65,19 @@ class TestTraceGen:
         run_command(["trace-gen", "--seed", "1", "--out", str(out)])
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
+    def test_numbering_goes_on_after_this_commands_files_at_this_seed(self, tmp_path):
+        # files of other commands or seeds, or not named by the CLI, move nothing
+        out = tmp_path / "r"
+        out.mkdir()
+        for name in ("trace-gen-31-7.csv", "eval-3-5.json", "trace-gen-3-x.csv", "trace-gen-3-8.csv.tmp"):
+            (out / name).write_text("")
+        for mode in ("standard", "adversarial", "standard"):
+            argv = ["trace-gen", "--seed", "3", "--out", str(out), "--n", "30", "--mode", mode]
+            assert run_command(argv) == 0
+        written = [parse_trace_text((out / f"trace-gen-3-{k}.csv").read_text()) for k in range(3)]
+        assert written[0] == written[2] != written[1]
+        assert len(list(out.iterdir())) == 7
+
 
 class TestTrain:
     def test_single_episode_outputs(self, tmp_path, tiny_config):
@@ -151,6 +164,18 @@ class TestEvalCommand:
             ["eval", "--policy", "classifier", "--config", tiny_config, "--seed", "2", "--out", str(out)]
         )
         assert code == 0
+
+    def test_a_second_run_into_one_directory_keeps_the_first_runs_files(self, tmp_path, tiny_config):
+        out = tmp_path / "r"
+        for policy in ("static", "heuristic"):
+            argv = ["eval", "--policy", policy, "--config", tiny_config, "--seed", "9", "--out", str(out)]
+            assert run_command(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "eval-9-0.csv", "eval-9-1.json", "eval-9-2.csv", "eval-9-3.json"
+        ]
+        first, second = (json.loads((out / name).read_text()) for name in ("eval-9-1.json", "eval-9-3.json"))
+        assert list(first["report"]["policies"]) == ["static"]
+        assert list(second["report"]["policies"]) == ["heuristic"]
 
 
 class TestCompare:

@@ -61,7 +61,7 @@ def always(action):
 
 
 class Recording:
-    """Plays ``policy`` and records every action it returns, in order."""
+    """Plays the closed-loop ``policy`` and records every action it returns, in order."""
 
     def __init__(self, policy):
         self.policy = policy
@@ -71,6 +71,20 @@ class Recording:
         action = self.policy(state, commit)
         self.actions.append(int(action))
         return action
+
+
+class RecordingPlans(Recording):
+    """Plans with ``policy`` and records the actions of every plan, in order."""
+
+    def plan(self, metadata, features):
+        actions = self.policy.plan(metadata, features)
+        self.actions.extend(actions.tolist())
+        return actions
+
+
+def recording(policy):
+    """A recorder of ``policy``'s actions that plans when ``policy`` does."""
+    return RecordingPlans(policy) if hasattr(policy, "plan") else Recording(policy)
 
 
 def episode(policy, cfg=None, trace_seed=1, env_seed=2, penalty=5.0, **kwargs):
@@ -123,7 +137,7 @@ class TestRunEpisode:
             assert not hasattr(commit, "risk_score")
 
     def test_recorded_actions(self):
-        policy = Recording(HeuristicPolicy())
+        policy = recording(HeuristicPolicy())
         stats = episode(policy)
         assert len(policy.actions) == stats.commits
         counted = tuple(policy.actions.count(a) for a in range(3))
@@ -141,7 +155,7 @@ class TestRunEpisodes:
         # recorded, the per-commit actions must agree as well as the totals
         cfg = EnvConfig()
         policies = four_policies()
-        wrap = Recording if record_actions else lambda policy: policy
+        wrap = recording if record_actions else lambda policy: policy
         for trace_seed, env_seed in ((1, 2), (7, 9), (30, 4)):
             trace = generate_trace(cfg, cfg.commits_per_episode, seed=trace_seed)
             played_together = [wrap(p) for p in policies]
@@ -178,6 +192,17 @@ class TestRunEpisodes:
         assert len(observed) == 1 and observed[0] == observe(trace)
         assert len(first) == len(second) == len(trace)
         assert all(a is b is c for a, b, c in zip(observed[0], first, second))
+
+    def test_planners_alone_observe_nothing(self, monkeypatch):
+        # the baselines plan from the trace's arrays: no per-commit view is built
+        def refuse(trace):
+            raise AssertionError("the trace was observed")
+
+        monkeypatch.setattr(evaluation, "observe", refuse)
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
+        stats = run_episodes(four_policies()[:3], trace, 5.0, cfg)
+        assert [s.commits for s in stats] == [len(trace)] * 3
 
     def test_simulation_builds_no_records_and_scores_no_risk(self, monkeypatch):
         # policies play and agents train on a trace's columns: no commit
@@ -358,7 +383,7 @@ class TestAdversarialEval:
         report = adversarial_eval(HeuristicPolicy(), EnvConfig(), escape_penalty=5.0, n_runs=5)
         assert report.metrics.dmr.mean > 0.0
 
-    @pytest.mark.parametrize("index", [1, 2], ids=["heuristic", "classifier"])
+    @pytest.mark.parametrize("index", [1, 2, 3], ids=["heuristic", "classifier", "greedy"])
     def test_matches_a_recount_on_regenerated_traces(self, index):
         policy = four_policies()[index]
         cfg, n_runs, base_seed = EnvConfig(), 4, 21
@@ -369,9 +394,9 @@ class TestAdversarialEval:
         for i in range(n_runs):
             run_seed = derive_seed(base_seed, i)
             trace = generate_trace(stress, stress.commits_per_episode, seed=derive_seed(run_seed, 0))
-            recording = Recording(policy)
-            run_episode(recording, trace, 5.0, stress, seed=derive_seed(run_seed, 1))
-            for diff, action in zip(trace.diff_size.tolist(), recording.actions, strict=True):
+            recorder = recording(policy)
+            run_episode(recorder, trace, 5.0, stress, seed=derive_seed(run_seed, 1))
+            for diff, action in zip(trace.diff_size.tolist(), recorder.actions, strict=True):
                 if diff <= report.low_diff_cutoff:
                     low_total += 1
                     low_partial += action == Action.PARTIAL_TESTS
