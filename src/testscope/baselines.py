@@ -9,11 +9,11 @@ skips tests, moderate risk runs the partial suite, everything else runs the
 full suite.
 
 Each baseline's action depends on the commit's metadata alone, so each
-*plans* a whole trace at once: ``plan(metadata, features)`` returns the
-``(T,)`` actions of a trace from ``metadata``, its raw ``(T, 5)`` observable
-columns (:meth:`~testscope.commits.Trace.metadata`), and ``features``, their
-encoding as features 1-5 of the state (:attr:`PipelineEnv.features`).
-Neither array holds the bug flag or the generator's risk score.
+*plans* a whole trace at once: ``plan(metadata)`` returns the ``(T,)``
+actions of a trace from its raw ``(T, 5)`` observable columns
+(:meth:`~testscope.commits.Trace.metadata`), which hold neither the bug flag
+nor the generator's risk score. The classifier encodes those columns itself,
+under the caps of the ``state_cfg`` it was fitted with.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "predict_risk",
     "train_classifier",
     "ClassifierPolicy",
-    "check_classifier_caps",
     "make_classifier",
 ]
 
@@ -51,14 +50,14 @@ _RESCORE_MARGIN = 1e-9
 class StaticPolicy:
     """The always-full baseline: run the entire suite on every commit."""
 
-    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def plan(self, metadata: np.ndarray) -> np.ndarray:
         return np.full(len(metadata), _FULL_TESTS)
 
 
 class HeuristicPolicy:
     """Partial tests for diffs under ``HEURISTIC_DIFF_CUTOFF`` lines, else full tests; never skips."""
 
-    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def plan(self, metadata: np.ndarray) -> np.ndarray:
         return np.where(metadata[:, 0] < HEURISTIC_DIFF_CUTOFF, _PARTIAL_TESTS, _FULL_TESTS)
 
 
@@ -94,8 +93,8 @@ def predict_risk(model: LogisticModel, features: np.ndarray) -> float:
     """Predicted bug probability of one commit's features 1-5, strictly inside (0, 1).
 
     ``features`` must be encoded with ``model.state_cfg``'s caps, as
-    ``commit_features(commit, model.state_cfg)`` or a state's first five
-    entries under the same caps.
+    ``commit_features(commit, model.state_cfg)`` or a row of
+    ``metadata_features(metadata, model.state_cfg)``.
     """
     z = float(np.dot(features, model.weights) + model.bias)
     # _sigmoid on the scalar, with NumPy's exp: math.exp differs in the last bit
@@ -218,10 +217,9 @@ class ClassifierPolicy:
     goes to the more thorough tier. ``cfg`` defaults to ``ClassifierConfig()``
     and must pass :func:`~testscope.config.validate_classifier`.
 
-    The risk is scored from features 1-5 of the state, which the environment
-    encodes under its ``state`` config; the model's ``state_cfg`` must have
-    the same ``diff_cap`` and ``files_cap``. Every action equals the tier of
-    the commit's :func:`predict_risk`.
+    The risk is scored from the trace's columns encoded under the model's own
+    ``state_cfg``, whatever caps the environment encodes its state under.
+    Every action equals the tier of the commit's :func:`predict_risk`.
     """
 
     def __init__(self, model: LogisticModel, cfg: ClassifierConfig | None = None):
@@ -231,8 +229,9 @@ class ClassifierPolicy:
         self.tau_skip = cfg.tau_skip
         self.tau_partial = cfg.tau_partial
 
-    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def plan(self, metadata: np.ndarray) -> np.ndarray:
         model = self.model
+        features = metadata_features(metadata, model.state_cfg)
         risk = np.clip(_sigmoid(features @ model.weights + model.bias), 1e-15, 1.0 - 1e-15)
         # the product differs from predict_risk's per-row np.dot in the last
         # bits, so a risk that near a threshold is scored again row by row
@@ -242,20 +241,6 @@ class ClassifierPolicy:
             risk[i] = predict_risk(model, features[i])
         partial_or_full = np.where(risk < self.tau_partial, _PARTIAL_TESTS, _FULL_TESTS)
         return np.where(risk < self.tau_skip, _SKIP_TESTS, partial_or_full)
-
-
-def check_classifier_caps(policy, state_cfg: StateConfig) -> None:
-    """Raise :class:`ValueError` if ``policy`` is a :class:`ClassifierPolicy` fitted
-    under other caps than ``state_cfg``, under which the env encodes the state it scores."""
-    if not isinstance(policy, ClassifierPolicy):
-        return
-    fitted = policy.model.state_cfg
-    if (fitted.diff_cap, fitted.files_cap) != (state_cfg.diff_cap, state_cfg.files_cap):
-        raise ValueError(
-            f"the classifier was fitted with diff_cap = {fitted.diff_cap} and "
-            f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = "
-            f"{state_cfg.diff_cap} and state.files_cap = {state_cfg.files_cap}"
-        )
 
 
 def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) -> LogisticModel:

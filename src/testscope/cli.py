@@ -31,7 +31,6 @@ from .baselines import (
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
-    check_classifier_caps,
     make_classifier,
 )
 from .commits import generate_trace, trace_records, trace_to_text
@@ -192,12 +191,7 @@ def _make_policy(name: str, cfg: ExperimentConfig, weights: str | None):
             return ClassifierPolicy(make_classifier(cfg.env, cfg.classifier), cfg.classifier)
         model = load_policy(weights, expect_kind=KIND_LOGISTIC)
         assert isinstance(model, LogisticModel)
-        policy = ClassifierPolicy(model, cfg.classifier)
-        try:
-            check_classifier_caps(policy, cfg.env.state)
-        except ValueError as exc:
-            raise ConfigError(f"{weights}: {exc}") from None
-        return policy
+        return ClassifierPolicy(model, cfg.classifier)
     if name == "rl":
         if weights is None:
             raise ConfigError("the rl policy needs --weights pointing at a trained agent")

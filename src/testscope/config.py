@@ -324,7 +324,8 @@ _KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
 def _check_fields(section: Any, name: str) -> None:
     """Check every key of the section ``name`` (given as ``section``) on its own.
 
-    A tuple field must hold a tuple, and a value must be of its field's kind
+    A tuple field must hold a tuple, a per-action tuple one value per action,
+    and a value must be of its field's kind
     (never a ``bool``), finite if a float, and inside its declared bound. The
     keys come from ``CONFIG_KEYS``, so per-action and list items are checked
     one by one and an error names the key as a config file spells it.
@@ -336,6 +337,11 @@ def _check_fields(section: Any, name: str) -> None:
         if k.many and not isinstance(value, tuple):
             raise ConfigError(f"{key}: must be a tuple, got {value!r}")
         if k.index is not None:
+            if len(value) != len(_ACTIONS):
+                raise ConfigError(
+                    f"{'.'.join(k.path)}: must hold one value per action "
+                    f"({', '.join(_ACTIONS)}), got {value!r}"
+                )
             value = value[k.index]
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, bool) or not isinstance(v, _TYPES[k.kind]):

@@ -11,8 +11,8 @@ Every comparison replays the identical traces for every policy, with the
 always-full baseline computed on the same traces as the reference for
 ``tts``/``si``.
 
-A policy is either a planner, whose ``plan(metadata, features)`` gives a
-whole trace's actions at once from its observable columns (the baselines),
+A policy is either a planner, whose ``plan(metadata)`` gives a whole
+trace's actions at once from its raw observable columns (the baselines),
 or a closed-loop callable ``policy(state, commit)`` that picks each action
 from the state the previous step returned (:class:`GreedyPolicy`). Either
 way every action goes through one :meth:`PipelineEnv.step` call.
@@ -29,7 +29,7 @@ import numpy as np
 # ``train_agent`` is not called here, but perfbench traces it under this
 # module's name as well
 from .agent import EpisodeRecord, GreedyPolicy, train_agent, train_agents  # noqa: F401
-from .baselines import StaticPolicy, check_classifier_caps
+from .baselines import StaticPolicy
 from .commits import ObservedCommit, Trace, generate_trace, observe
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
@@ -69,9 +69,9 @@ __all__ = [
 
 class Planner(Protocol):
     """An open-loop policy: the ``(T,)`` actions of a trace from its raw
-    ``(T, 5)`` observable columns and their encoding as features 1-5."""
+    ``(T, 5)`` observable columns, :meth:`Trace.metadata`."""
 
-    def plan(self, metadata: np.ndarray, features: np.ndarray) -> np.ndarray: ...
+    def plan(self, metadata: np.ndarray) -> np.ndarray: ...
 
 
 # a policy plans a trace's actions, or maps (state vector, redacted commit
@@ -123,10 +123,9 @@ def run_episodes(
     Each policy plays the trace to the end in turn through its own
     environment, so each meets the same detection draws and sees the same
     states as when played alone. A planner plans the trace's actions once,
-    from ``trace.metadata()`` and the env's :attr:`PipelineEnv.features`; a
-    closed-loop policy picks each action from the state, and the trace is
-    observed once for all of them. Either way each action is one
-    :meth:`PipelineEnv.step` call.
+    from ``trace.metadata()``; a closed-loop policy picks each action from
+    the state, and the trace is observed once for all of them. Either way
+    each action is one :meth:`PipelineEnv.step` call.
     """
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
@@ -135,7 +134,7 @@ def run_episodes(
         )
     penalties = [escape_penalty] * len(policies)
     envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
-    metadata, features = trace.metadata(), envs[0].features
+    metadata = trace.metadata()
     closed_loop = [not hasattr(policy, "plan") for policy in policies]
     seen = observe(trace) if any(closed_loop) else None
     for policy, env, closed in zip(policies, envs, closed_loop):
@@ -145,7 +144,7 @@ def run_episodes(
             for commit in seen:
                 _, state, _ = step(policy(state, commit))
         else:
-            for action in policy.plan(metadata, features).tolist():
+            for action in policy.plan(metadata).tolist():
                 step(action)
     return [EpisodeStats.from_table(env.table) for env in envs]
 
@@ -274,15 +273,12 @@ def compare_policies(
     plans each trace once, a closed-loop policy acts commit by commit.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
-    and the penalty and every policy the checks of ``validate_penalties`` and
-    ``check_classifier_caps`` (``ValueError``).
+    and the penalty the checks of ``validate_penalties`` (``ValueError``).
     """
     validate_env(env_cfg)
     validate_penalties((escape_penalty,))
     if not policies:
         raise ValueError("need at least one policy")
-    for policy in policies.values():
-        check_classifier_caps(policy, env_cfg.state)
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
     reference: list[EpisodeStats] = []
@@ -387,17 +383,14 @@ def adversarial_eval(
     partial tests, the behavior diff-based policies exhibit on these traces.
     The checks of :func:`compare_policies` apply.
     """
-    # compare_policies sees the tallying wrapper, not the policy, so the
-    # caps check that it runs on every policy has to run here
-    check_classifier_caps(policy, env_cfg.state)
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
     low_total = low_partial = 0
 
-    def plan(metadata: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def plan(metadata: np.ndarray) -> np.ndarray:
         # tallies the commits of the trace about to be played
         nonlocal low_total, low_partial
-        actions = policy.plan(metadata, features)
+        actions = policy.plan(metadata)
         low = metadata[:, 0] <= cutoff
         low_total += int(np.count_nonzero(low))
         low_partial += int(np.count_nonzero(actions[low] == _PARTIAL_TESTS))

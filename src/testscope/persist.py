@@ -201,10 +201,10 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
         weights, bias = _layout_arrays(arrays, ["weights", "bias"], kind, path)
         if bias.shape != (1,):
             raise WeightFileError(f"{path}: logistic bias has shape {bias.shape}, expected (1,)")
-        feature_names = tuple(document.get("feature_names", ()))
-        if feature_names != METADATA_FIELDS:
+        feature_names = document.get("feature_names", [])
+        if not isinstance(feature_names, list) or tuple(feature_names) != METADATA_FIELDS:
             raise WeightFileError(
-                f"{path}: feature_names {list(feature_names)} differ from {list(METADATA_FIELDS)}"
+                f"{path}: feature_names must be {list(METADATA_FIELDS)}, got {feature_names!r}"
             )
         if weights.shape != (len(METADATA_FIELDS),):
             raise WeightFileError(

@@ -25,7 +25,7 @@ from testscope.baselines import (
 )
 from testscope.commits import Trace, generate_trace, observe
 from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
-from testscope.environment import Action, PipelineEnv
+from testscope.environment import Action, PipelineEnv, metadata_features
 
 from test_environment import make_commit
 from trace_helpers import as_trace, records
@@ -52,22 +52,22 @@ def risk(model: LogisticModel, commit) -> float:
 
 def planned(policy, commits) -> list[int]:
     """The actions ``policy`` plans for a trace, or for the trace of a list
-    of records, from the arrays an environment at the default config shows it."""
+    of records, from the trace's raw columns."""
     trace = commits if isinstance(commits, Trace) else as_trace(commits)
-    return policy.plan(trace.metadata(), PipelineEnv(trace, EnvConfig(), 5.0).features).tolist()
+    return policy.plan(trace.metadata()).tolist()
 
 
-def per_row_action(policy, state: np.ndarray, commit) -> Action:
+def per_row_action(policy, commit) -> Action:
     """The decision a baseline's plan must make for one commit, from the
-    commit's state and metadata: the reference for the array form."""
+    commit's metadata: the reference for the array form."""
     if isinstance(policy, StaticPolicy):
         return Action.FULL_TESTS
     if isinstance(policy, HeuristicPolicy):
         return Action.PARTIAL_TESTS if commit.diff_size < HEURISTIC_DIFF_CUTOFF else Action.FULL_TESTS
-    risk = predict_risk(policy.model, state[:5])
-    if risk < policy.tau_skip:
+    at = risk(policy.model, commit)
+    if at < policy.tau_skip:
         return Action.SKIP_TESTS
-    if risk < policy.tau_partial:
+    if at < policy.tau_partial:
         return Action.PARTIAL_TESTS
     return Action.FULL_TESTS
 
@@ -397,8 +397,8 @@ class TestClassifierPolicy:
 
     @pytest.mark.parametrize("mode", ["standard", "adversarial"])
     def test_state_scoring_equals_the_commit_form(self, mode):
-        # the policy scores features 1-5 of the env's state; the commit form
-        # encodes the commit again under the model's caps
+        # the policy encodes the trace's columns under the model's caps, as
+        # the env encodes its state's features 1-5 and the commit form the commit
         cfg = dataclasses.replace(EnvConfig(), state=StateConfig(diff_cap=300, files_cap=8))
         fitted = make_classifier(cfg, ClassifierConfig(train_size=1000))
         hand_made = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0, cfg.state)
@@ -406,7 +406,7 @@ class TestClassifierPolicy:
         for model in (fitted, hand_made):
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
             env = PipelineEnv(trace, cfg, 5.0, seed=24)
-            actions = policy.plan(trace.metadata(), env.features).tolist()
+            actions = policy.plan(trace.metadata()).tolist()
             state = env.state
             for commit, action in zip(observe(trace), actions, strict=True):
                 at = risk(model, commit)
@@ -440,10 +440,9 @@ class TestPlans:
     @settings(max_examples=10, deadline=None)
     @given(
         trace_seed=st.integers(0, 2**32 - 1),
-        env_seed=st.integers(0, 2**32 - 1),
         taus=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
     )
-    def test_plan_equals_the_per_row_decision_from_each_state(self, kind, trace_seed, env_seed, taus):
+    def test_plan_equals_the_per_row_decision_on_each_commit(self, kind, trace_seed, taus):
         cfg, mode = TRACE_KINDS[kind]
         trace = generate_trace(cfg, cfg.commits_per_episode, trace_seed, mode)
         hand_made = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0)
@@ -454,32 +453,21 @@ class TestPlans:
             ClassifierPolicy(hand_made, thresholds(*taus)),
         ]
         for policy in policies:
-            env = PipelineEnv(trace, cfg, 5.0, seed=env_seed)
-            actions = policy.plan(trace.metadata(), env.features)
+            actions = policy.plan(trace.metadata())
             assert actions.shape == (len(trace),)
-            for commit, action in zip(observe(trace), actions.tolist(), strict=True):
-                assert action == per_row_action(policy, env.state, commit)
-                env.step(action)
+            assert actions.tolist() == [per_row_action(policy, c) for c in observe(trace)]
 
     def test_a_risk_on_a_threshold_is_decided_by_the_exact_risk(self):
         # tau_partial is one row's exact risk, which the batched product puts
         # an ulp or so below it: the plan must still run that row's full suite
         model = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0)
         trace = generate_trace(EnvConfig(), 100, seed=12)
-        features = PipelineEnv(trace, EnvConfig(), 5.0).features
+        features = metadata_features(trace.metadata(), model.state_cfg)
         batched = np.clip(_sigmoid(features @ model.weights + model.bias), 1e-15, 1.0 - 1e-15)
         exact = np.array([predict_risk(model, row) for row in features])
         (below, *_) = np.flatnonzero(batched < exact)
         policy = ClassifierPolicy(model, thresholds(0.0, float(exact[below])))
-        actions = policy.plan(trace.metadata(), features).tolist()
+        actions = policy.plan(trace.metadata()).tolist()
         assert actions[below] == Action.FULL_TESTS
-        assert actions == [per_row_action(policy, row, None) for row in features]
+        assert actions == [per_row_action(policy, c) for c in observe(trace)]
         assert Action.PARTIAL_TESTS in actions
-
-    def test_env_features_are_the_first_five_entries_of_each_state(self):
-        trace = generate_trace(EnvConfig(), 100, seed=5, mode="adversarial")
-        env = PipelineEnv(trace, EnvConfig(), 5.0)
-        states = [env.state] + [env.step(Action.PARTIAL_TESTS)[1] for _ in range(99)]
-        assert env.features.tobytes() == np.stack(states)[:, :5].tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            env.features[0, 0] = 1.0

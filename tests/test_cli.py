@@ -270,22 +270,30 @@ class TestErrors:
         assert err.startswith("error: training diverged: mean TD loss inf in episode ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("caps", [{"diff_cap": 400}, {"files_cap": 30}])
-    def test_classifier_file_with_other_caps(self, tmp_path, tiny_config, capsys, caps):
-        # the classifier scores the env's state, so its caps must be the config's
-        fitted = StateConfig(**caps)
-        weights = tmp_path / "clf.json"
-        save_policy(weights, LogisticModel(weights=np.zeros(5), bias=0.0, state_cfg=fitted))
-        out = tmp_path / "r"
-        argv = ["eval", "--policy", "classifier", "--weights", str(weights), "--config", tiny_config]
-        assert run_command([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: {weights}: the classifier was fitted with diff_cap = {fitted.diff_cap} and "
-            f"files_cap = {fitted.files_cap}, but the config sets state.diff_cap = 500 and "
-            "state.files_cap = 20\n"
-        )
-        assert not out.exists()
+    def test_classifier_file_with_other_caps(self, tmp_path, tiny_config):
+        # the classifier encodes each trace under the caps it was fitted
+        # with, so the config's state caps do not change its report
+        matching = tmp_path / "caps.cfg"
+        matching.write_text(TINY_CONFIG + "state.diff_cap = 400\nstate.files_cap = 30\n")
+        reports = []
+        for caps, config in [
+            (StateConfig(diff_cap=400, files_cap=30), tiny_config),
+            (StateConfig(diff_cap=400, files_cap=30), str(matching)),
+            (StateConfig(), tiny_config),
+        ]:
+            weights = tmp_path / "clf.json"
+            # a one-file commit scores 0.36 (full tests) under files_cap 20
+            # and 0.25 (partial tests) under files_cap 30
+            model = LogisticModel(np.array([0.0, 30.0, 0.0, 0.0, 0.0]), -2.1, state_cfg=caps)
+            save_policy(weights, model)
+            out = tmp_path / f"r{len(reports)}"
+            argv = ["eval", "--policy", "classifier", "--weights", str(weights), "--config", config]
+            assert run_command([*argv, "--out", str(out)]) == 0
+            (path,) = out.glob("*.json")
+            reports.append(json.loads(path.read_text())["report"])
+        assert reports[0] == reports[1]
+        # the same weights under the config's caps play another way
+        assert reports[2] != reports[0]
 
     @pytest.mark.parametrize("policy", ["static", "heuristic"])
     def test_weights_for_a_policy_that_takes_none(self, tmp_path, tiny_config, capsys, policy):

@@ -259,6 +259,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             validate(section)
 
+    @pytest.mark.parametrize("name", ["test_minutes", "detection_rates"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_per_action_tuple_of_the_wrong_length_rejected(self, name, length):
+        # unchecked, 2 values raise IndexError and a 4th is ignored by the env
+        # but averaged over by uniform_policy_reward
+        values = (1.0, 0.7, 0.0, 0.5)[:length]
+        message = f"env.{name}: must hold one value per action (full, partial, skip), got {values!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_env(EnvConfig(**{name: values}))
+
     def test_ints_and_numpy_numbers_pass_as_floats(self):
         validate_env(EnvConfig(build_minutes=2, escape_delay_minutes=np.float64(15.0)))
 

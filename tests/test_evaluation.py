@@ -13,7 +13,9 @@ from testscope.baselines import (
     HeuristicPolicy,
     LogisticModel,
     StaticPolicy,
+    commit_features,
     make_classifier,
+    predict_risk,
 )
 from testscope.commits import generate_trace, observe
 from testscope.config import (
@@ -76,8 +78,8 @@ class Recording:
 class RecordingPlans(Recording):
     """Plans with ``policy`` and records the actions of every plan, in order."""
 
-    def plan(self, metadata, features):
-        actions = self.policy.plan(metadata, features)
+    def plan(self, metadata):
+        actions = self.policy.plan(metadata)
         self.actions.extend(actions.tolist())
         return actions
 
@@ -327,20 +329,36 @@ class TestComparePolicies:
         with pytest.raises(ConfigError, match="env.partial_test_minutes: must be finite"):
             adversarial_eval(HeuristicPolicy(), env, escape_penalty=5.0, n_runs=2)
 
-    def test_classifier_fitted_under_other_caps_rejected(self, monkeypatch):
-        # unchecked, the model scores states encoded under caps it was not
-        # fitted on and reports a dmr of 0.0
-        policy = ClassifierPolicy(make_classifier(EnvConfig()))
-        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
-        env = dataclasses.replace(EnvConfig(), state=StateConfig(diff_cap=50, files_cap=3))
-        message = (
-            "the classifier was fitted with diff_cap = 500 and files_cap = 20, but the "
-            "config sets state.diff_cap = 50 and state.files_cap = 3"
-        )
-        with pytest.raises(ValueError, match=message):
-            compare_policies({"classifier": policy}, env, 5.0, n_runs=3, base_seed=1)
-        with pytest.raises(ValueError, match=message):
-            adversarial_eval(policy, env, 5.0, n_runs=3, base_seed=1)
+    def test_classifier_fitted_under_other_caps_scores_under_its_own(self):
+        # the env encodes its state under the default caps; the classifier
+        # encodes each trace's columns under the caps it was fitted with
+        fitted = StateConfig(diff_cap=50, files_cap=3)
+        model = make_classifier(dataclasses.replace(EnvConfig(), state=fitted))
+        policy = ClassifierPolicy(model)
+        env = EnvConfig()
+
+        def tier(features) -> int:
+            at = predict_risk(model, features)
+            return Action.SKIP_TESTS if at < policy.tau_skip else (
+                Action.PARTIAL_TESTS if at < policy.tau_partial else Action.FULL_TESTS
+            )
+
+        for cfg, play in [
+            (env, lambda p: compare_policies({"classifier": p}, env, 5.0, n_runs=2, base_seed=1)),
+            (adversarial(env), lambda p: adversarial_eval(p, env, 5.0, n_runs=2, base_seed=1)),
+        ]:
+            recorder = recording(policy)
+            play(recorder)
+            seen = [
+                c
+                for i in range(2)
+                for c in observe(generate_trace(
+                    cfg, cfg.commits_per_episode, seed=derive_seed(derive_seed(1, i), 0)
+                ))
+            ]
+            assert recorder.actions == [tier(commit_features(c, fitted)) for c in seen]
+            # under the env's caps some commit would get another tier
+            assert recorder.actions != [tier(commit_features(c, env.state)) for c in seen]
 
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
     def test_non_finite_penalty_rejected(self, monkeypatch, penalty):

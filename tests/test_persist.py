@@ -105,10 +105,12 @@ class TestGuards:
         path = tmp_path / "clf.json"
         save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
         document = json.loads(path.read_text())
-        document["feature_names"] = ["diff_size", "files_changed", "source_fraction", "a", "b"]
-        path.write_text(json.dumps(document))
-        with pytest.raises(WeightFileError, match="feature_names"):
-            load_policy(path)
+        # a list of other names, and values that are no list at all
+        for names in (["diff_size", "files_changed", "source_fraction", "a", "b"], None, 5):
+            document["feature_names"] = names
+            path.write_text(json.dumps(document))
+            with pytest.raises(WeightFileError, match=f"{re.escape(str(path))}: feature_names"):
+                load_policy(path)
 
     @pytest.mark.parametrize("kind", [KIND_QNETWORK, KIND_LOGISTIC])
     def test_non_finite_parameters_rejected_at_load(self, tmp_path, trained_net, kind):
