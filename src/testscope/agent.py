@@ -273,8 +273,8 @@ def train_agents(
             actions = action.tolist() if stack else [action]
             next_states, rewards = [], []
             for env, a in zip(envs, actions):
-                reward, next_state, done = env.step(a)
-                next_states.append(next_state)
+                reward, done = env.step(a)
+                next_states.append(env.state)
                 rewards.append(reward)
             next_state = joined(next_states)
             buffer.push(state, action, joined(rewards), next_state, done)

@@ -42,8 +42,11 @@ baselines never read that encoding: they plan an episode's actions from the
 trace's raw columns. The episode history behind features 6-9 is the env's
 own state: running failure counts and the commits since the last
 full-suite run, which a reset clears and each step updates. A reset copies
-the trace's rows into a new state array, and each step writes features 6-9
-of the next commit's row with :func:`encode_state` and returns that row.
+the trace's rows into a new state array. A step records its outcome and
+updates the history; it encodes nothing. Reading :attr:`PipelineEnv.state`
+writes features 6-9 of the current commit's row with :func:`encode_state`
+and returns that row, so an episode whose states no one reads (a planned
+baseline's) never runs the encoder.
 The detection draws depend on the trace and the seed alone too, so they are
 drawn when the env is built, and :meth:`PipelineEnv.replicas` shares rows
 and draws among environments that play the same trace, each with its own
@@ -51,7 +54,7 @@ escape penalty.
 
 An env is priced once, when it is built: each action gets a clean, a caught
 and an escaped :class:`StepTable` row. A step picks one by the commit's draw,
-records it in the episode's table and returns ``(reward, next_state, done)``.
+records it in the episode's table and returns ``(reward, done)``.
 """
 
 from __future__ import annotations
@@ -144,8 +147,8 @@ def encode_state(
     ``fails[k]`` failed commits among the first k, ``since_full_tests``
     commits since the last full-suite run. The features need no clip: the
     window fractions and the gap are bounded by construction.
-    :meth:`PipelineEnv.step` calls it through this module-level name, under
-    which the benchmark probes it.
+    Reading :attr:`PipelineEnv.state` calls it through this module-level
+    name, under which the benchmark probes it.
     """
     # fraction of the last min(t, window) commits whose tests failed
     window = cfg.history_window
@@ -170,9 +173,10 @@ class PipelineEnv:
     caught when the k-th number of ``default_rng(seed).random(n_buggy)`` is
     below the action's detection rate. ``reset`` restores the cursor and the
     history and replays the same draws, so a reset environment replays
-    identically under the same action sequence. The states a step returns
-    are rows of one array per episode: each is written once, before it is
-    returned, and a reset allocates a new array, so callers may keep them.
+    identically under the same action sequence. The states ``state`` returns
+    are rows of one array per episode: a row is written when it is read, the
+    same bits on every read while the cursor stays on it, and a reset
+    allocates a new array, so callers may keep them.
     """
 
     def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
@@ -183,7 +187,7 @@ class PipelineEnv:
         self._n = len(trace)
         self._cfg = cfg
         # one row per commit, then the all-zero state that ends the episode;
-        # features 6-9 stay 0 until a step writes them
+        # features 6-9 stay 0 until a read of ``state`` writes them
         rows = np.zeros((self._n + 1, STATE_DIM))
         rows[:-1, :5] = metadata_features(trace.metadata(), cfg.state)
         rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
@@ -237,37 +241,43 @@ class PipelineEnv:
 
     @property
     def state(self) -> np.ndarray:
-        """The current commit's state, all zeros once the episode is done."""
-        return self._states[self._cursor]
+        """The current commit's state, all zeros once the episode is done; a
+        read writes its features 6-9 from the history, the same bits at one cursor."""
+        t = self._cursor
+        if 0 < t < self._n:
+            encode_state(self._cells, t, self._fails, self._since_full_tests, self._cfg.state)
+        return self._states[t]
 
     @property
     def table(self) -> StepTable:
         """The episode's steps so far, one entry per stepped commit in each column."""
         return StepTable(*(tuple(zip(*self._steps)) or ((),) * len(StepTable._fields)))
 
-    def step(self, action: Action) -> tuple[float, np.ndarray, bool]:
+    def step(self, action: Action) -> tuple[float, bool]:
         """Process the current commit with the chosen test scope.
 
-        Returns the reward, the next state (zeros once the trace is
-        exhausted), and the done flag, and records the step in ``table``.
-        Stepping a finished episode raises.
+        Records the step in ``table``, updates the history and returns the
+        reward and the done flag; ``state`` then reads the next commit's
+        state (zeros once the trace is exhausted). Stepping a finished
+        episode, or an action that is not an integer in 0..2, raises before
+        anything changes.
         """
         t = self._cursor
         if t == self._n:
             raise RuntimeError("episode is done; call reset() first")
         if action not in (0, 1, 2):
             action = Action(action)
+        try:
+            clean, caught, escaped = self._step_rows[action]
+        except TypeError:  # a float equal to 0, 1 or 2 passes the guard above
+            raise ValueError(f"action must be an integer in 0..2, got {action!r}") from None
         # clean commits never fail tests; a buggy one is caught at the
         # action's rate (a rate of 1.0 always, 0.0 never)
-        clean, caught, escaped = self._step_rows[action]
         draw = self._draws[t]
         row = clean if draw is None else caught if draw < self._rates[action] else escaped
         self._steps.append(row)
         fails = self._fails
         fails.append(fails[t] + row[1])  # row[1]: detected
-        since = self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
+        self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
         self._cursor = t = t + 1
-        done = t == self._n
-        if not done:
-            encode_state(self._cells, t, fails, since, self._cfg.state)
-        return row[5], self._states[t], done
+        return row[5], t == self._n

@@ -14,8 +14,8 @@ always-full baseline computed on the same traces as the reference for
 A policy is either a planner, whose ``plan(metadata)`` gives a whole
 trace's actions at once from its raw observable columns (the baselines),
 or a closed-loop callable ``policy(state, commit)`` that picks each action
-from the state the previous step returned (:class:`GreedyPolicy`). Either
-way every action goes through one :meth:`PipelineEnv.step` call.
+from the env's current state (:class:`GreedyPolicy`). Either way every
+action goes through one :meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def run_episodes(
     environment, so each meets the same detection draws and sees the same
     states as when played alone. A planner plans the trace's actions once,
     from ``trace.metadata()``; a closed-loop policy picks each action from
-    the state, and the trace is observed once for all of them. Either way
-    each action is one :meth:`PipelineEnv.step` call.
+    ``env.state``, and the trace is observed once for all of them. Either
+    way each action is one :meth:`PipelineEnv.step` call. Only a state read
+    runs the history encoder, so a planner's steps encode nothing.
     """
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
@@ -140,9 +141,8 @@ def run_episodes(
     for policy, env, closed in zip(policies, envs, closed_loop):
         step = env.step
         if closed:
-            state = env.state
             for commit in seen:
-                _, state, _ = step(policy(state, commit))
+                step(policy(env.state, commit))
         else:
             for action in policy.plan(metadata).tolist():
                 step(action)

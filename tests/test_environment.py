@@ -1,6 +1,7 @@
 """Pipeline environment: state encoding, detection, reward, step mechanics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from testscope.environment import (
     metadata_features,
     raw_metadata,
 )
-from trace_helpers import as_trace, records
+from trace_helpers import as_trace, next_state, records
 
 
 def make_commit(**kwargs) -> Commit:
@@ -70,7 +71,7 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     assert trace.has_bug.all()
     env = PipelineEnv(trace, cfg, 5.0)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
-    states = [env.state] + [env.step(a)[1] for a in actions]
+    states = [env.state] + [next_state(env, a) for a in actions]
     assert env.table.detected == tuple(outcomes)
     return states
 
@@ -92,7 +93,7 @@ class TestEncodeState:
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
         env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        states = [env.state] + [env.step(Action(t % 3))[1] for t in range(len(trace) - 1)]
+        states = [env.state] + [next_state(env, Action(t % 3)) for t in range(len(trace) - 1)]
         assert any(env.table.detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
@@ -108,7 +109,7 @@ class TestEncodeState:
         states = []
         for played_trace in (trace, flipped):
             env = PipelineEnv(played_trace, cfg, 5.0, seed=1)
-            states.append([env.state] + [env.step(Action.SKIP_TESTS)[1] for _ in range(len(trace))])
+            states.append([env.state] + [next_state(env, Action.SKIP_TESTS) for _ in range(len(trace))])
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
@@ -136,14 +137,14 @@ class TestEncodeState:
         )
         env = PipelineEnv(trace, EnvConfig(), 5.0)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
-        _, state, _ = env.step(Action.PARTIAL_TESTS)
+        state = next_state(env, Action.PARTIAL_TESTS)
         assert env.table.detected == (True,)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
         assert state[8] == 1.0
         assert state[9] == 250 / cfg.diff_cap
-        _, state, _ = env.step(Action.FULL_TESTS)
+        state = next_state(env, Action.FULL_TESTS)
         assert env.table.detected == (True, False)
         assert state[5] == 0.5
         assert state[6] == 0.0
@@ -274,7 +275,7 @@ class TestPipelineEnv:
         initial = env.reset()
         done = False
         while not done:
-            _, _, done = env.step(Action.PARTIAL_TESTS)
+            _, done = env.step(Action.PARTIAL_TESTS)
         np.testing.assert_array_equal(initial, env.reset())
 
     def test_returned_states_stay_valid(self):
@@ -285,8 +286,8 @@ class TestPipelineEnv:
         kept, copies, done = [env.reset()], [], False
         while not done:
             copies.append(kept[-1].copy())
-            _, state, done = env.step(Action(len(kept) % 3))
-            kept.append(state)
+            _, done = env.step(Action(len(kept) % 3))
+            kept.append(env.state)
         copies.append(kept[-1].copy())
         env.reset()
         env.step(Action.SKIP_TESTS)
@@ -299,12 +300,30 @@ class TestPipelineEnv:
             env.step(3)
         assert env.table.action == ()
 
+    @pytest.mark.parametrize("action", [1.0, np.float64(2.0), 1.5])
+    def test_non_integer_action_rejected_before_any_change(self, action):
+        # 1.0 == 1, so a float can pass a membership test and then fail as
+        # a list index; it must fail as a bad action, with nothing changed
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 5, seed=4)
+        env = PipelineEnv(trace, cfg, 5.0, seed=1)
+        env.step(Action.PARTIAL_TESTS)
+        table, state = env.table, env.state.copy()
+        with pytest.raises(ValueError, match=re.escape(str(action))):
+            env.step(action)
+        assert env.table == table and env.state.tobytes() == state.tobytes()
+        steps, done = 0, False
+        while not done:
+            _, done = env.step(Action.SKIP_TESTS)
+            steps += 1
+        assert steps == len(trace) - 1
+
     def test_single_commit_trace_finishes_in_one_step(self):
         trace = generate_trace(EnvConfig(), 1, seed=4)
         cfg = dataclasses.replace(EnvConfig(), commits_per_episode=1)
         env = PipelineEnv(trace, cfg, 5.0, seed=1)
         env.reset()
-        _, _, done = env.step(Action.FULL_TESTS)
+        _, done = env.step(Action.FULL_TESTS)
         assert done
 
     def test_stepping_done_episode_raises(self):
@@ -323,7 +342,7 @@ class TestPipelineEnv:
         steps = 0
         done = False
         while not done:
-            _, _, done = env.step(Action.SKIP_TESTS)
+            _, done = env.step(Action.SKIP_TESTS)
             steps += 1
         assert steps == cfg.commits_per_episode
 
@@ -336,7 +355,8 @@ class TestPipelineEnv:
         state, done = env.reset(), False
         while not done:
             assert state[5] == state[8]
-            _, state, done = env.step(Action(int(rng.integers(3))))
+            _, done = env.step(Action(int(rng.integers(3))))
+            state = env.state
         assert any(env.table.detected)
 
     def test_detected_bug_rejected_before_deploy(self):
@@ -372,7 +392,7 @@ class TestPipelineEnv:
         rng = np.random.default_rng(1)
         done = False
         while not done:
-            _, _, done = env.step(Action(int(rng.integers(3))))
+            _, done = env.step(Action(int(rng.integers(3))))
         table = env.table
         assert len(table.action) == 100
         for pipeline, test, detected, escaped in zip(
@@ -389,11 +409,11 @@ class TestPipelineEnv:
         def play():
             env = PipelineEnv(trace, cfg, 5.0, seed=5)
             env.reset()
-            return [env.step(a) for a in actions], env.table
+            return [(*env.step(a), env.state) for a in actions], env.table
 
         (first, first_table), (second, second_table) = play(), play()
         assert first_table == second_table
-        for (reward, state, done), (again, again_state, again_done) in zip(first, second):
+        for (reward, done, state), (again, again_done, again_state) in zip(first, second):
             assert (reward, done) == (again, again_done)
             assert state.tobytes() == again_state.tobytes()
 
@@ -405,7 +425,7 @@ class TestPipelineEnv:
         rng = np.random.default_rng(3)
         done, rewards = False, []
         while not done:
-            reward, _, done = env.step(Action(int(rng.integers(3))))
+            reward, done = env.step(Action(int(rng.integers(3))))
             rewards.append(reward)
         table = env.table
         assert rewards == list(table.reward)
@@ -453,7 +473,7 @@ class TestSharedDraws:
         actions = [Action(int(a)) for a in rng.integers(0, 3, 60)]
         first, second, third = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([3.0, 5.0, 5.0])
         initial = third.state.copy()
-        kept = [second.state] + [second.step(a)[1] for a in actions[:30]]
+        kept = [second.state] + [next_state(second, a) for a in actions[:30]]
         copies = [state.copy() for state in kept]
         half_table = second.table
         for a in reversed(actions):
@@ -462,11 +482,50 @@ class TestSharedDraws:
         assert third.state.tobytes() == initial.tobytes()
         assert all(state.tobytes() == copy.tobytes() for state, copy in zip(kept, copies))
         # the interrupted replica finishes as an env played alone would
-        kept += [second.step(a)[1] for a in actions[30:]]
+        kept += [next_state(second, a) for a in actions[30:]]
         alone = PipelineEnv(trace, cfg, 5.0, seed=2)
-        states = [alone.state] + [alone.step(a)[1] for a in actions]
+        states = [alone.state] + [next_state(alone, a) for a in actions]
         assert alone.table == second.table
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
+
+
+class TestStateReads:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+        ),
+        trace_seed=st.integers(0, 2**32 - 1),
+        env_seed=st.integers(0, 2**32 - 1),
+        actions=st.lists(st.integers(0, 2), min_size=1, max_size=60),
+        # how often the state is read before each step, and after the last
+        reads=st.lists(st.integers(0, 2), min_size=61, max_size=61),
+    )
+    def test_the_order_of_reads_does_not_matter(self, kind, trace_seed, env_seed, actions, reads):
+        mode, bug_probability = kind
+        cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability)
+        trace = generate_trace(cfg, len(actions), seed=trace_seed, mode=mode)
+        if bug_probability in (0.0, 1.0):
+            assert trace.has_bug.all() == bool(bug_probability) == trace.has_bug.any()
+        unread, every, some = (PipelineEnv(trace, cfg, 5.0, seed=env_seed) for _ in range(3))
+        states, kept, outcomes = [every.state], [], []
+        for t, action in enumerate([*actions, None]):
+            for _ in range(reads[t]):
+                state = some.state
+                kept.append((t, state, state.copy()))
+            if action is not None:
+                outcomes.append((unread.step(action), every.step(action), some.step(action)))
+                states.append(every.state)
+        # an episode whose states are never read steps as one whose every state is
+        assert unread.table == every.table == some.table
+        assert all(first == second == third for first, second, third in outcomes)
+        for t, state, copy in kept:
+            # a state read at some steps only, or twice, has the bytes of the
+            # state at that step when every state is read
+            assert copy.tobytes() == states[t].tobytes()
+            # and a kept state keeps them after later steps
+            assert state.tobytes() == copy.tobytes()
+        assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
 
 
 def formula_state(
@@ -542,7 +601,8 @@ class TestEncodingIsBitIdentical:
         for commit, action in zip(trace, choices):
             expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
             assert state.tobytes() == expected.tobytes()
-            _, state, done = env.step(action)
+            _, done = env.step(action)
+            state = env.state
             detected = env.table.detected[-1]
             detections.append(detected)
             actions.append(Action(action))
@@ -606,7 +666,7 @@ class TestEncodingIsBitIdentical:
         trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
         env = PipelineEnv(trace, cfg, 5.0, seed=16)
-        states = [env.state] + [env.step(a)[1] for a in actions]
+        states = [env.state] + [next_state(env, a) for a in actions]
         detected = env.table.detected
         commits = observe(trace)
         for t, (state, commit) in enumerate(zip(states, commits)):

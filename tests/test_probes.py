@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 from testscope import agent, environment
-from testscope.baselines import train_classifier
+from testscope.baselines import StaticPolicy, train_classifier
 from testscope.commits import generate_trace
 from testscope.config import EnvConfig
+from testscope.evaluation import run_episodes
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -94,9 +95,11 @@ def test_classifier_counter_reads_the_fit_arguments_by_position():
 
 
 def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
-    # perfbench times the per-step encoding by rebinding
-    # testscope.environment.encode_state; a step that stopped calling it
-    # through that name would read 0 there without any error
+    # perfbench times the encoding by rebinding
+    # testscope.environment.encode_state; a state read that stopped calling
+    # it through that name would read 0 there without any error. A step
+    # encodes nothing: only reading ``state`` does, so a planner's episode
+    # makes no call and a closed-loop one a call per commit after the first
     calls = []
     encode = environment.encode_state
 
@@ -105,11 +108,17 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
         return encode(*args)
 
     monkeypatch.setattr(environment, "encode_state", counted)
-    cfg = EnvConfig()
+    cfg = EnvConfig(commits_per_episode=25)
     trace = generate_trace(cfg, 25, seed=3)
     env = environment.PipelineEnv(trace, cfg, 5.0, seed=1)
     for _ in range(len(trace)):
         env.step(environment.Action.PARTIAL_TESTS)
+        env.state
+    assert calls == list(range(1, len(trace)))
+    calls.clear()
+    run_episodes([StaticPolicy()], trace, 5.0, cfg, seed=1)
+    assert calls == []
+    run_episodes([lambda state, commit: environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
     assert calls == list(range(1, len(trace)))
 
 

@@ -1,4 +1,5 @@
-"""Traces built from commit records, for tests that make or edit commits one by one."""
+"""Traces built from commit records, for tests that make or edit commits one
+by one, and the state an env shows after a step."""
 
 from dataclasses import fields
 
@@ -6,6 +7,7 @@ import numpy as np
 
 from testscope.commits import Commit, Trace, generate_trace, trace_records
 from testscope.config import EnvConfig
+from testscope.environment import PipelineEnv
 
 
 def as_trace(commits) -> Trace:
@@ -17,3 +19,9 @@ def as_trace(commits) -> Trace:
 def records(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> list[Commit]:
     """The records of ``generate_trace(cfg, n, seed, mode)``, risk scores included."""
     return trace_records(generate_trace(cfg, n, seed, mode), cfg)
+
+
+def next_state(env: PipelineEnv, action) -> np.ndarray:
+    """Step ``env`` under ``action``, then read the state it moved to."""
+    env.step(action)
+    return env.state
