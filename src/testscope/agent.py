@@ -79,14 +79,14 @@ class ReplayBuffer:
     ``sample_batch`` refuses to sample while any slot is stale.
     """
 
-    def __init__(self, capacity: int, state_dim: int = STATE_DIM, stack: tuple[int, ...] = ()):
+    def __init__(self, capacity: int, stack: tuple[int, ...] = ()):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._states = np.zeros((*stack, capacity, state_dim))
+        self._states = np.zeros((*stack, capacity, STATE_DIM))
         self._actions = np.zeros((*stack, capacity), dtype=np.intp)
         self._rewards = np.zeros((*stack, capacity))
-        self._next_states = np.zeros((*stack, capacity, state_dim))
+        self._next_states = np.zeros((*stack, capacity, STATE_DIM))
         self._dones = np.zeros((*stack, capacity))
         self._targets = np.zeros((*stack, capacity))
         self._stale = np.zeros(capacity, dtype=bool)  # shared by every agent
@@ -317,10 +317,10 @@ def train_agents(
 
 
 class GreedyPolicy:
-    """Deployment-mode policy: pure argmax over the trained Q-network."""
+    """Deployment-mode policy: the trained Q-network's argmax action for a state."""
 
     def __init__(self, net: QNetwork):
         self.net = net
 
-    def __call__(self, state: np.ndarray, commit) -> Action:
+    def __call__(self, state: np.ndarray) -> Action:
         return greedy_action(self.net, state)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .commits import Commit, ObservedCommit, generate_trace
+from .commits import METADATA_FIELDS, Commit, ObservedCommit, generate_trace
 from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
-from .environment import Action, metadata_features, raw_metadata
+from .environment import Action, metadata_features
 
 __all__ = [
     "StaticPolicy",
@@ -65,9 +66,15 @@ class HeuristicPolicy:
 # logistic risk model
 # --------------------------------------------------------------------------
 
+def _raw_metadata(commits: list[Commit] | list[ObservedCommit]) -> np.ndarray:
+    """The ``(n, 5)`` raw fields of ``commits`` that :func:`metadata_features` encodes."""
+    raw_fields = attrgetter(*METADATA_FIELDS)
+    return np.array(list(map(raw_fields, commits)), dtype=np.float64).reshape(-1, 5)
+
+
 def commit_features(commit: ObservedCommit | Commit, state_cfg: StateConfig | None = None) -> np.ndarray:
     """Features 1-5 of the commit's state, in ``METADATA_FIELDS`` order."""
-    return metadata_features(raw_metadata([commit]), state_cfg or StateConfig())[0]
+    return metadata_features(_raw_metadata([commit]), state_cfg or StateConfig())[0]
 
 
 @dataclass
@@ -107,7 +114,7 @@ def predict_risk(model: LogisticModel, features: np.ndarray) -> float:
 
 
 def _labeled_arrays(commits: list[Commit], state_cfg: StateConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = metadata_features(raw_metadata(commits), state_cfg)
+    x = metadata_features(_raw_metadata(commits), state_cfg)
     y = np.array([float(c.has_bug) for c in commits])
     return x, y
 

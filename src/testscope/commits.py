@@ -7,10 +7,10 @@ distributions, so metadata predicts defects imperfectly: large diffs by
 authors with poor track records are more likely to be buggy, but small clean
 looking commits still break things sometimes.
 
-:func:`generate_trace` draws a trace as a :class:`Trace` of NumPy columns,
-which the simulator runs on. :func:`observe` turns it into the per-commit
-views a policy sees, and :func:`trace_records` into :class:`Commit` records
-for trace files and diagnostics.
+:func:`generate_trace` draws a trace as a :class:`Trace` of NumPy columns:
+the simulator runs on them, and policies read the observable ones.
+:func:`trace_records` turns it into :class:`Commit` records for trace files
+and diagnostics, and :func:`observe` into redacted per-commit views.
 
 Two trace modes exist:
 
@@ -59,8 +59,7 @@ class Commit:
     """One code change entering the pipeline.
 
     ``has_bug`` and ``risk_score`` are generator-internal: simulation ground
-    truth and diagnostics. Policies only ever receive the
-    :class:`ObservedCommit` view.
+    truth and diagnostics, never read by a policy.
     """
 
     id: int
@@ -74,7 +73,7 @@ class Commit:
 
 
 class ObservedCommit(NamedTuple):
-    """The policy-visible commit metadata: no ground truth, no risk oracle."""
+    """A commit's observable metadata: no ground truth, no risk oracle."""
 
     id: int
     diff_size: int
@@ -96,7 +95,7 @@ class Trace:
     column belongs to commit ``i``, whose id is ``i``.
 
     This is what the simulator runs on. ``has_bug`` is ground truth that
-    policies never read: :func:`observe` gives their per-commit view, and
+    policies never read: :meth:`metadata` gives the observable columns, and
     :func:`trace_records` the full records with risk scores. A trace is not
     iterable; loop over ``observe(trace)`` or ``range(len(trace))``.
     """
@@ -237,7 +236,7 @@ def generate_trace(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -
 
 
 def observe(trace: Trace) -> list[ObservedCommit]:
-    """Redact a trace down to what a policy is allowed to see, one view per commit."""
+    """Redact a trace down to its observable metadata, one view per commit."""
     # one tolist() per column gives plain Python ints and floats
     columns = [getattr(trace, name).tolist() for name in METADATA_FIELDS]
     return list(map(ObservedCommit._make, zip(range(len(trace)), *columns)))

@@ -32,9 +32,8 @@ so they carry one signal, kept twice to match the paper's 10-feature
 state. The latent bug flag never enters the state.
 
 Features 1-5 are also the risk classifier's features: :func:`metadata_features`
-encodes them for both, from a trace's columns (:meth:`Trace.metadata`) or
-from the raw fields that :func:`raw_metadata` reads off commit records, so
-the state and the classifier clip them alike.
+encodes them for both from the same raw columns (:meth:`Trace.metadata`),
+so the state and the classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
 encodes them for the whole trace in one pass when it is built. The
@@ -62,12 +61,12 @@ from __future__ import annotations
 import copy
 from enum import IntEnum
 from functools import reduce
-from operator import add, attrgetter
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .commits import METADATA_FIELDS, Commit, ObservedCommit, Trace
+from .commits import Trace
 from .config import EnvConfig, StateConfig, validate_penalties
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "STATE_DIM",
     "StepTable",
     "metadata_features",
-    "raw_metadata",
     "encode_state",
     "PipelineEnv",
 ]
@@ -120,10 +118,6 @@ class StepTable(NamedTuple):
         return (count(0), count(1), count(2))
 
 
-# the raw fields behind features 1-5, in feature order
-_metadata_fields = attrgetter(*METADATA_FIELDS)
-
-
 def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
     """Features 1-5 of each row of ``raw``, an ``(n, 5)`` array of diff size,
     files changed, source fraction, defect rate and experience: diff size and
@@ -132,11 +126,6 @@ def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
     features[:, 0] = np.minimum(features[:, 0], cfg.diff_cap) / cfg.diff_cap
     features[:, 1] = np.minimum(features[:, 1], cfg.files_cap) / cfg.files_cap
     return np.clip(features, 0.0, 1.0, out=features)
-
-
-def raw_metadata(commits: list[Commit] | list[ObservedCommit]) -> np.ndarray:
-    """The ``(n, 5)`` raw fields of ``commits`` that :func:`metadata_features` encodes."""
-    return np.array(list(map(_metadata_fields, commits)), dtype=np.float64).reshape(-1, 5)
 
 
 def encode_state(

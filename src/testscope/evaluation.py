@@ -13,24 +13,24 @@ always-full baseline computed on the same traces as the reference for
 
 A policy is either a planner, whose ``plan(metadata)`` gives a whole
 trace's actions at once from its raw observable columns (the baselines),
-or a closed-loop callable ``policy(state, commit)`` that picks each action
-from the env's current state (:class:`GreedyPolicy`). Either way every
+or a closed-loop callable ``policy(state)`` that picks each action from the
+env's current state vector alone (:class:`GreedyPolicy`). Either way every
 action goes through one :meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from types import SimpleNamespace
-from typing import Callable, Mapping, Protocol, Sequence
+from itertools import compress
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-# ``train_agent`` is not called here, but perfbench traces it under this
-# module's name as well
+# ``train_agent`` and ``observe`` are not called here, but perfbench traces
+# them under this module's name as well
 from .agent import EpisodeRecord, GreedyPolicy, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy
-from .commits import ObservedCommit, Trace, generate_trace, observe
+from .commits import Trace, generate_trace, observe  # noqa: F401
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
@@ -74,10 +74,10 @@ class Planner(Protocol):
     def plan(self, metadata: np.ndarray) -> np.ndarray: ...
 
 
-# a policy plans a trace's actions, or maps (state vector, redacted commit
-# metadata) to one action; the latent bug flag and the generator's risk
-# score reach neither
-Policy = Planner | Callable[[np.ndarray, ObservedCommit], Action]
+# a policy plans a trace's actions from its raw observable columns, or maps
+# the env's state vector to one action; the latent bug flag and the
+# generator's risk score reach neither
+Policy = Planner | Callable[[np.ndarray], Action]
 
 _PARTIAL_TESTS = Action.PARTIAL_TESTS  # a module global reads faster than an enum member
 
@@ -124,10 +124,17 @@ def run_episodes(
     environment, so each meets the same detection draws and sees the same
     states as when played alone. A planner plans the trace's actions once,
     from ``trace.metadata()``; a closed-loop policy picks each action from
-    ``env.state``, and the trace is observed once for all of them. Either
-    way each action is one :meth:`PipelineEnv.step` call. Only a state read
-    runs the history encoder, so a planner's steps encode nothing.
+    ``env.state`` alone. Either way each action is one
+    :meth:`PipelineEnv.step` call. Only a state read runs the history
+    encoder, so a planner's steps encode nothing.
     """
+    return list(map(EpisodeStats.from_table, _play(policies, trace, escape_penalty, env_cfg, seed)))
+
+
+def _play(
+    policies: Sequence[Policy], trace: Trace, escape_penalty: float, env_cfg: EnvConfig, seed: int
+) -> list[StepTable]:
+    """The step table of each policy's episode over ``trace``; see :func:`run_episodes`."""
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
             f"trace length {len(trace)} != commits_per_episode "
@@ -136,17 +143,15 @@ def run_episodes(
     penalties = [escape_penalty] * len(policies)
     envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
     metadata = trace.metadata()
-    closed_loop = [not hasattr(policy, "plan") for policy in policies]
-    seen = observe(trace) if any(closed_loop) else None
-    for policy, env, closed in zip(policies, envs, closed_loop):
+    for policy, env in zip(policies, envs):
         step = env.step
-        if closed:
-            for commit in seen:
-                step(policy(env.state, commit))
-        else:
+        if hasattr(policy, "plan"):
             for action in policy.plan(metadata).tolist():
                 step(action)
-    return [EpisodeStats.from_table(env.table) for env in envs]
+        else:
+            for _ in range(len(trace)):
+                step(policy(env.state))
+    return [env.table for env in envs]
 
 
 def run_episode(
@@ -257,6 +262,21 @@ class ComparisonReport:
     deltas: dict[str, PolicyDelta]
 
 
+def _runs(
+    policies: Sequence[Policy], env_cfg: EnvConfig, escape_penalty: float, n_runs: int, base_seed: int
+) -> Iterator[tuple[int, Trace, list[StepTable]]]:
+    """``(run_seed, trace, tables)`` per seeded run: the step tables of the
+    always-full reference, then of each policy, on the run's trace. Checks
+    ``env_cfg`` and the penalty before any trace is generated."""
+    validate_env(env_cfg)
+    validate_penalties((escape_penalty,))
+    players = [StaticPolicy(), *policies]
+    for i in range(n_runs):
+        run_seed = derive_seed(base_seed, i)
+        trace = generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(run_seed, 0))
+        yield run_seed, trace, _play(players, trace, escape_penalty, env_cfg, derive_seed(run_seed, 1))
+
+
 def compare_policies(
     policies: Mapping[str, Policy],
     env_cfg: EnvConfig,
@@ -269,29 +289,22 @@ def compare_policies(
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
     every :class:`StaticPolicy`). Each run's trace is played by
-    :func:`run_episodes`, the reference and every policy together: a planner
-    plans each trace once, a closed-loop policy acts commit by commit.
+    :func:`run_episodes`' loop, the reference and every policy together: a
+    planner plans each trace once, a closed-loop policy acts commit by commit.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``).
     """
-    validate_env(env_cfg)
-    validate_penalties((escape_penalty,))
     if not policies:
         raise ValueError("need at least one policy")
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
-    run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
+    runs = _runs([policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed)
+    run_seeds: list[int] = []
     reference: list[EpisodeStats] = []
     all_stats: dict[str, list[EpisodeStats]] = {name: [] for name in policies}
-    for run_seed in run_seeds:
-        trace = generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(run_seed, 0))
-        ref_stats, *stats = run_episodes(
-            [StaticPolicy(), *(policies[name] for name in played)],
-            trace,
-            escape_penalty,
-            env_cfg,
-            seed=derive_seed(run_seed, 1),
-        )
+    for run_seed, _, tables in runs:
+        ref_stats, *stats = map(EpisodeStats.from_table, tables)
+        run_seeds.append(run_seed)
         reference.append(ref_stats)
         by_name = dict(zip(played, stats))
         for name in policies:
@@ -380,38 +393,25 @@ def adversarial_eval(
     """Evaluate a policy on adversarial traces.
 
     Also reports the fraction of small-diff (streak) commits that received
-    partial tests, the behavior diff-based policies exhibit on these traces.
-    The checks of :func:`compare_policies` apply.
+    partial tests, the behavior diff-based policies exhibit on these traces,
+    counted from each played episode's actions. The runs and the checks are
+    those of :func:`compare_policies`, so ``metrics`` equals its report of
+    ``policy`` on the adversarial config.
     """
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
     low_total = low_partial = 0
-
-    def plan(metadata: np.ndarray) -> np.ndarray:
-        # tallies the commits of the trace about to be played
-        nonlocal low_total, low_partial
-        actions = policy.plan(metadata)
-        low = metadata[:, 0] <= cutoff
-        low_total += int(np.count_nonzero(low))
-        low_partial += int(np.count_nonzero(actions[low] == _PARTIAL_TESTS))
-        return actions
-
-    def step(state: np.ndarray, commit: ObservedCommit) -> Action:
-        # tallies the commits of the trace being played, as they are played
-        nonlocal low_total, low_partial
-        action = policy(state, commit)
-        if commit.diff_size <= cutoff:
-            low_total += 1
-            low_partial += int(action == _PARTIAL_TESTS)
-        return action
-
-    counting = SimpleNamespace(plan=plan) if hasattr(policy, "plan") else step
-    comparison, _ = compare_policies(
-        {"policy": counting}, cfg, escape_penalty, n_runs=n_runs, base_seed=base_seed
-    )
+    run_seeds, reference, stats = [], [], []
+    for run_seed, trace, (ref_table, table) in _runs([policy], cfg, escape_penalty, n_runs, base_seed):
+        low = (trace.diff_size <= cutoff).tolist()
+        low_total += sum(low)
+        low_partial += list(compress(table.action, low)).count(_PARTIAL_TESTS)
+        run_seeds.append(run_seed)
+        reference.append(EpisodeStats.from_table(ref_table))
+        stats.append(EpisodeStats.from_table(table))
     fraction = low_partial / low_total if low_total else 0.0
     return AdversarialReport(
-        metrics=comparison.reports["policy"],
+        metrics=compute_metrics(stats, reference, run_seeds),
         low_diff_partial_fraction=fraction,
         low_diff_cutoff=cutoff,
     )

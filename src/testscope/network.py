@@ -330,20 +330,19 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_update(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """One Adam step with bias correction, applied to ``params`` in place.
 
     Computes ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g**2``
-    and ``params -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`` in that order, with
-    every intermediate written into ``state.work``. Purely elementwise: one
+    and ``params -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`` in that order
+    (``beta1`` 0.9, ``beta2`` 0.999, ``eps`` 1e-8), with every intermediate
+    written into ``state.work``. Purely elementwise: one
     call on a flat vector gives bit for bit what one call per parameter
     array would, and one call on a ``(K, P)`` stack what one call per agent
     would.
@@ -351,19 +350,19 @@ def adam_update(
     if params.shape != grads.shape or state.m.shape != params.shape:
         raise ValueError("params, grads and Adam moments must have matching shapes")
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - _BETA1**state.t
+    bc2 = 1.0 - _BETA2**state.t
     m, v = state.m, state.v
     step, denom = state.work
-    m *= beta1
-    m += np.multiply(grads, 1.0 - beta1, out=step)
-    v *= beta2
+    m *= _BETA1
+    m += np.multiply(grads, 1.0 - _BETA1, out=step)
+    v *= _BETA2
     np.square(grads, out=step)
-    step *= 1.0 - beta2
+    step *= 1.0 - _BETA2
     v += step
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += _EPS
     np.divide(m, bc1, out=step)
     step *= lr
     step /= denom

@@ -4,9 +4,10 @@ A weight file is a JSON document with a format version, a model-kind tag, the
 layer geometry, an optional training-config snapshot, every parameter array as
 base64-encoded little-endian float64 bytes in row-major order, and a SHA-256
 checksum over the raw parameter bytes. Loading verifies the version, the kind,
-the checksum, that every parameter is finite and that the arrays are exactly
-the ones the kind's layout names, with its shapes, before any model object is
-constructed, and round-trips are bit-exact.
+the checksum, that every parameter is finite, that layer widths are integers
+>= 1 and that the arrays are exactly the ones the kind's layout names, with
+its shapes, before any model object is constructed, and round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
 
     if kind == KIND_QNETWORK:
         layer_sizes = document.get("layer_sizes")
-        if not isinstance(layer_sizes, list) or len(layer_sizes) < 2:
+        # widths as mlp_init takes them: a zero-width layer would ignore the state
+        sizes_ok = isinstance(layer_sizes, list) and len(layer_sizes) >= 2
+        if not sizes_ok or not all(type(size) is int and size >= 1 for size in layer_sizes):
             raise WeightFileError(f"{path}: bad layer_sizes {layer_sizes!r}")
         n_layers = len(layer_sizes) - 1
         names = [f"{p}{i}" for p in "wb" for i in range(n_layers)]

@@ -16,7 +16,6 @@ from testscope.environment import (
     StepTable,
     encode_state,
     metadata_features,
-    raw_metadata,
 )
 from trace_helpers import as_trace, next_state, records
 
@@ -619,7 +618,7 @@ class TestEncodingIsBitIdentical:
             make_commit(diff_size=-7, files_changed=-2, source_fraction=1.5, developer_experience=-nan),
         ]
         expected = np.stack([formula_state(c, StateConfig(), [], [], 0)[:5] for c in commits])
-        features = metadata_features(raw_metadata(commits), StateConfig())
+        features = metadata_features(as_trace(commits).metadata(), StateConfig())
         assert features.tobytes() == expected.tobytes()
         assert features[2, :4].tolist() == [0.0, 0.0, 1.0, 0.2]
 
@@ -630,7 +629,7 @@ class TestEncodingIsBitIdentical:
         trace = generate_trace(EnvConfig(), 500, seed=31, mode=mode)
         commits = trace_records(trace, EnvConfig())
         expected = np.stack([formula_state(c, cfg, [], [], 0)[:5] for c in commits])
-        features = metadata_features(raw_metadata(commits), cfg)
+        features = metadata_features(as_trace(commits).metadata(), cfg)
         assert features.shape == (500, 5)
         assert features.tobytes() == expected.tobytes()
         # the trace's columns encode as its commit records do

@@ -59,7 +59,7 @@ def four_policies():
 
 def always(action):
     """A policy that picks ``action`` on every commit."""
-    return lambda state, commit: action
+    return lambda state: action
 
 
 class Recording:
@@ -69,8 +69,8 @@ class Recording:
         self.policy = policy
         self.actions = []
 
-    def __call__(self, state, commit):
-        action = self.policy(state, commit)
+    def __call__(self, state):
+        action = self.policy(state)
         self.actions.append(int(action))
         return action
 
@@ -118,7 +118,7 @@ class TestRunEpisode:
     def test_conservation_invariants(self):
         rng = np.random.default_rng(0)
 
-        def random_policy(state, commit):
+        def random_policy(state):
             return Action(int(rng.integers(3)))
 
         stats = episode(random_policy, env_seed=9)
@@ -126,17 +126,21 @@ class TestRunEpisode:
         assert sum(stats.action_counts) == stats.commits == 100
 
     def test_policies_never_see_ground_truth(self):
+        # a closed-loop policy gets one argument, the env's state vector,
+        # which holds neither the bug flag nor the risk score
         seen = []
 
-        def probing_policy(state, commit):
-            seen.append(commit)
+        def probing_policy(*args, **kwargs):
+            seen.append((args, kwargs))
             return Action.FULL_TESTS
 
         episode(probing_policy)
         assert len(seen) == 100
-        for commit in seen:
-            assert not hasattr(commit, "has_bug")
-            assert not hasattr(commit, "risk_score")
+        for args, kwargs in seen:
+            assert len(args) == 1 and not kwargs
+            (state,) = args
+            assert type(state) is np.ndarray
+            assert state.shape == (10,) and state.dtype == np.float64
 
     def test_recorded_actions(self):
         policy = recording(HeuristicPolicy())
@@ -173,38 +177,18 @@ class TestRunEpisodes:
         # the classifier uses every tier, so playing together had something to break
         assert all(together[2].action_counts)
 
-    def test_each_commit_observed_once_for_all_policies(self, monkeypatch):
-        observed = []
-
-        def observe_once(trace):
-            observed.append(observe(trace))
-            return observed[-1]
-
-        def probing(seen):
-            def policy(state, commit):
-                seen.append(commit)
-                return Action.PARTIAL_TESTS
-            return policy
-
-        monkeypatch.setattr(evaluation, "observe", observe_once)
-        cfg = EnvConfig()
-        trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
-        first, second = [], []
-        run_episodes([probing(first), probing(second)], trace, 5.0, cfg)
-        assert len(observed) == 1 and observed[0] == observe(trace)
-        assert len(first) == len(second) == len(trace)
-        assert all(a is b is c for a, b, c in zip(observed[0], first, second))
-
-    def test_planners_alone_observe_nothing(self, monkeypatch):
-        # the baselines plan from the trace's arrays: no per-commit view is built
+    def test_no_policy_observes_the_trace(self, monkeypatch):
+        # planners plan from the trace's arrays and closed-loop policies act
+        # on the state: no per-commit view is built
         def refuse(trace):
             raise AssertionError("the trace was observed")
 
         monkeypatch.setattr(evaluation, "observe", refuse)
+        monkeypatch.setattr(commits, "observe", refuse)
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
-        stats = run_episodes(four_policies()[:3], trace, 5.0, cfg)
-        assert [s.commits for s in stats] == [len(trace)] * 3
+        stats = run_episodes(four_policies(), trace, 5.0, cfg)
+        assert [s.commits for s in stats] == [len(trace)] * 4
 
     def test_simulation_builds_no_records_and_scores_no_risk(self, monkeypatch):
         # policies play and agents train on a trace's columns: no commit
@@ -259,7 +243,7 @@ class TestComputeMetrics:
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
 
-        def random_policy(state, commit):
+        def random_policy(state):
             return Action(int(rng.integers(3)))
 
         ref = [episode(StaticPolicy(), trace_seed=s, env_seed=s) for s in (1, 2, 3)]
@@ -493,9 +477,18 @@ class TestExplorationCorrectedCurve:
         assert episodes.tolist() == [30] and curve.tolist() == [0.0]
 
 
-def mixed_policy(state, commit):
-    """A plain int that depends on the commit's diff, the history and the id."""
-    return int(7 * state[0] + 5 * state[5] + 3 * state[9] + commit.id) % 3
+class MixedPolicy:
+    """A plain int that depends on the commit's diff, the history and its
+    position in the episode, counted from the calls."""
+
+    def __init__(self, commits_per_episode: int):
+        self.commits_per_episode = commits_per_episode
+        self.calls = 0
+
+    def __call__(self, state):
+        position = self.calls % self.commits_per_episode
+        self.calls += 1
+        return int(7 * state[0] + 5 * state[5] + 3 * state[9] + position) % 3
 
 
 def fractional_cfg(mode: str) -> EnvConfig:
@@ -608,7 +601,7 @@ class TestPinnedStats:
     @pytest.mark.parametrize("mode, seed, n_policies", list(PINNED_EVAL_DIGESTS))
     def test_stats_match_the_running_totals(self, mode, seed, n_policies):
         cfg = fractional_cfg(mode)
-        policies = [mixed_policy] if n_policies == 1 else four_policies()
+        policies = [MixedPolicy(cfg.commits_per_episode)] if n_policies == 1 else four_policies()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=seed)
         episodes = stats_digest(run_episodes(policies, trace, 4.9, cfg, seed=seed + 10))
         named = dict(zip("abcd", policies))

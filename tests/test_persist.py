@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from testscope.baselines import LogisticModel
+from testscope.cli import run_command
 from testscope.config import StateConfig, TrainConfig
 from testscope.network import mlp_forward, mlp_init
 from testscope.persist import (
@@ -36,6 +37,20 @@ def rewrite_array(path, name: str, values: np.ndarray) -> None:
         digest.update(base64.b64decode(entry["data"]))
     document["checksum"] = digest.hexdigest()
     path.write_text(json.dumps(document))
+
+
+def write_layers(path, layer_sizes) -> None:
+    """Write a q_network file that declares ``layer_sizes`` and, when they are
+    a list, holds zero arrays of exactly the shapes they name."""
+    save_policy(path, mlp_init((8,), seed=0))
+    document = json.loads(path.read_text())
+    document["layer_sizes"] = layer_sizes
+    path.write_text(json.dumps(document))
+    if isinstance(layer_sizes, list):
+        sizes = [int(s) for s in layer_sizes]
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            rewrite_array(path, f"w{i}", np.zeros((fan_in, fan_out)))
+            rewrite_array(path, f"b{i}", np.zeros(fan_out))
 
 
 @pytest.fixture
@@ -259,11 +274,20 @@ class TestGuards:
         with pytest.raises(WeightFileError, match="arrays w7 are not in the q_network layout"):
             load_policy(path)
 
-    def test_layer_sizes_that_are_not_a_list(self, tmp_path, trained_net):
+    @pytest.mark.parametrize(
+        "layer_sizes", [3, [10, 0, 3], [10.0, 64, 3]], ids=["int", "zero-width", "float-width"]
+    )
+    def test_layer_sizes_that_are_not_a_list(self, tmp_path, layer_sizes):
+        # a zero-width layer would load as a network whose Q-values ignore the state
         path = tmp_path / "agent.json"
-        save_policy(path, trained_net)
-        document = json.loads(path.read_text())
-        document["layer_sizes"] = 3
-        path.write_text(json.dumps(document))
-        with pytest.raises(WeightFileError, match="bad layer_sizes 3"):
+        write_layers(path, layer_sizes)
+        with pytest.raises(WeightFileError, match=re.escape(f"bad layer_sizes {layer_sizes!r}")):
             load_policy(path)
+
+    def test_cli_refuses_a_zero_width_layer(self, tmp_path, capsys):
+        path = tmp_path / "agent.json"
+        write_layers(path, [10, 0, 3])
+        out = tmp_path / "r"
+        assert run_command(["eval", "--policy", "rl", "--weights", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: bad layer_sizes [10, 0, 3]\n"
+        assert not out.exists()

@@ -26,6 +26,7 @@ from testscope.evaluation import run_episodes
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "testscope"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 # the testscope modules that the workloads and the layer metrics import
@@ -57,6 +58,44 @@ def test_every_probe_binding_resolves():
             if not callable(vars(owner)[attr]):
                 missing.append(f"{name}: {binding} is not callable")
     assert not missing, "perfbench probes that no longer resolve:\n" + "\n".join(missing)
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """The names that the module-level imports of ``tree`` bind and the module never reads."""
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_probe_only_imports_are_the_ones_the_benchmark_binds():
+    # a module imports a name it never calls only so that perfbench can
+    # rebind it there; once no probe binds it, the import is dead code
+    sample = "import os, sys.path\nfrom a import b as c, d\nprint(sys, d)"
+    assert unused_imports(ast.parse(sample)) == {"os", "c"}
+    spans = load_perfbench(SPANS)
+    probed = {
+        tuple(binding.removeprefix("testscope.").split(":"))
+        for bindings in spans.PROBES.values()
+        for binding in bindings
+    }
+    stray = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in sorted(unused_imports(ast.parse(path.read_text())))
+        if (path.stem, name) not in probed
+    ]
+    assert not stray, "imported but never used, and bound by no perfbench probe: " + ", ".join(stray)
 
 
 def test_td_step_counter_reads_the_network_and_the_states():
@@ -118,7 +157,7 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     calls.clear()
     run_episodes([StaticPolicy()], trace, 5.0, cfg, seed=1)
     assert calls == []
-    run_episodes([lambda state, commit: environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
+    run_episodes([lambda state: environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
     assert calls == list(range(1, len(trace)))
 
 
