@@ -28,7 +28,7 @@ from .commits import generate_trace
 from .config import (
     EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
 )
-from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM
+from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM, step_envs
 from .network import (
     AdamState,
     QNetwork,
@@ -270,12 +270,7 @@ def train_agents(
 
         for _ in range(len(trace)):
             action = select_action(net, state, epsilon, rng)
-            actions = action.tolist() if stack else [action]
-            next_states, rewards = [], []
-            for env, a in zip(envs, actions):
-                reward, done = env.step(a)
-                next_states.append(env.state)
-                rewards.append(reward)
+            rewards, next_states, done = step_envs(envs, action.tolist() if stack else [action])
             next_state = joined(next_states)
             buffer.push(state, action, joined(rewards), next_state, done)
             state = next_state
@@ -317,10 +312,17 @@ def train_agents(
 
 
 class GreedyPolicy:
-    """Deployment-mode policy: the trained Q-network's argmax action for a state."""
+    """Deployment-mode policy: the trained Q-network's argmax action for each state.
+
+    Takes a ``(B, 10)`` float64 array, one state per run played in lockstep,
+    and returns B action indices; ties break toward the more thorough (lower)
+    action. The states go through the network as a ``(B, 1, 10)`` batch of
+    one-state batches, one forward for all B, so each run gets the action that
+    :func:`greedy_action` gives for its state alone.
+    """
 
     def __init__(self, net: QNetwork):
         self.net = net
 
-    def __call__(self, state: np.ndarray) -> Action:
-        return greedy_action(self.net, state)
+    def __call__(self, states: np.ndarray) -> list[int]:
+        return mlp_forward(self.net, states[:, None]).argmax(-1).ravel().tolist()

@@ -77,6 +77,7 @@ __all__ = [
     "metadata_features",
     "encode_state",
     "PipelineEnv",
+    "step_envs",
 ]
 
 
@@ -270,3 +271,17 @@ class PipelineEnv:
         self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
         self._cursor = t = t + 1
         return row[5], t == self._n
+
+
+def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], list[np.ndarray], bool]:
+    """Step each env by its action, in order; returns their rewards, their
+    next states and the done flag. The envs play traces of one length, so
+    they finish together. Training steps its agents' envs with it, and
+    evaluation a closed-loop policy's envs, one per run.
+    """
+    rewards, states = [], []
+    for env, action in zip(envs, actions):
+        reward, done = env.step(action)
+        rewards.append(reward)
+        states.append(env.state)
+    return rewards, states, done

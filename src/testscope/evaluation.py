@@ -13,9 +13,12 @@ always-full baseline computed on the same traces as the reference for
 
 A policy is either a planner, whose ``plan(metadata)`` gives a whole
 trace's actions at once from its raw observable columns (the baselines),
-or a closed-loop callable ``policy(state)`` that picks each action from the
-env's current state vector alone (:class:`GreedyPolicy`). Either way every
-action goes through one :meth:`PipelineEnv.step` call.
+or a closed-loop callable ``policy(states)`` that maps a ``(B, 10)`` float64
+array of env states to B actions (:class:`GreedyPolicy`). A closed-loop
+policy plays all of an evaluation's runs in lockstep: at each commit index
+it gets the current state of every run's env at once and picks each run's
+action from that run's state alone. Planners play run by run. Either way
+every action goes through one :meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .commits import Trace, generate_trace, observe  # noqa: F401
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
-from .environment import Action, PipelineEnv, StepTable
+from .environment import Action, PipelineEnv, StepTable, step_envs
 from .network import QNetwork
 
 __all__ = [
@@ -75,9 +78,9 @@ class Planner(Protocol):
 
 
 # a policy plans a trace's actions from its raw observable columns, or maps
-# the env's state vector to one action; the latent bug flag and the
-# generator's risk score reach neither
-Policy = Planner | Callable[[np.ndarray], Action]
+# a (B, 10) array of env states, one per run played in lockstep, to B
+# actions; the latent bug flag and the generator's risk score reach neither
+Policy = Planner | Callable[[np.ndarray], Sequence[Action | int]]
 
 _PARTIAL_TESTS = Action.PARTIAL_TESTS  # a module global reads faster than an enum member
 
@@ -123,35 +126,67 @@ def run_episodes(
     Each policy plays the trace to the end in turn through its own
     environment, so each meets the same detection draws and sees the same
     states as when played alone. A planner plans the trace's actions once,
-    from ``trace.metadata()``; a closed-loop policy picks each action from
-    ``env.state`` alone. Either way each action is one
-    :meth:`PipelineEnv.step` call. Only a state read runs the history
-    encoder, so a planner's steps encode nothing.
+    from ``trace.metadata()``; a closed-loop policy gets each state as a
+    ``(1, 10)`` array, the one-run case of the lockstep that
+    :func:`compare_policies` plays, and returns one action. Either way each
+    action is one :meth:`PipelineEnv.step` call. Only a state read runs the
+    history encoder, so a planner's steps encode nothing.
     """
-    return list(map(EpisodeStats.from_table, _play(policies, trace, escape_penalty, env_cfg, seed)))
-
-
-def _play(
-    policies: Sequence[Policy], trace: Trace, escape_penalty: float, env_cfg: EnvConfig, seed: int
-) -> list[StepTable]:
-    """The step table of each policy's episode over ``trace``; see :func:`run_episodes`."""
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
             f"trace length {len(trace)} != commits_per_episode "
             f"{env_cfg.commits_per_episode}"
         )
-    penalties = [escape_penalty] * len(policies)
-    envs = PipelineEnv(trace, env_cfg, escape_penalty, seed=seed).replicas(penalties)
-    metadata = trace.metadata()
-    for policy, env in zip(policies, envs):
-        step = env.step
-        if hasattr(policy, "plan"):
-            for action in policy.plan(metadata).tolist():
-                step(action)
-        else:
-            for _ in range(len(trace)):
-                step(policy(env.state))
-    return [env.table for env in envs]
+    (tables,) = _play(policies, [trace], [seed], escape_penalty, env_cfg)
+    return list(map(EpisodeStats.from_table, tables))
+
+
+def _play(
+    policies: Sequence[Policy],
+    traces: Sequence[Trace],
+    seeds: Sequence[int],
+    escape_penalty: float,
+    env_cfg: EnvConfig,
+) -> Iterator[list[StepTable]]:
+    """Per trace, the step table of each policy's episode over it, from an
+    env built with the trace's seed; see :func:`run_episodes`. Every trace
+    has ``env_cfg.commits_per_episode`` commits.
+
+    The closed-loop policies play first, each over every trace in lockstep,
+    one env per trace: at each commit index one call maps the envs'
+    ``(B, 10)`` states to B actions, and :func:`step_envs` steps the envs by
+    them. The planners then play trace by trace as the tables are yielded,
+    so only the closed-loop envs live across traces. The envs of a trace are
+    replicas of one, sharing its rows and draws.
+    """
+    looped = [p for p in policies if not hasattr(p, "plan")]
+    # [trace][k]: the env of the k-th closed-loop policy
+    loop_envs = [
+        PipelineEnv(t, env_cfg, escape_penalty, seed=s).replicas([escape_penalty] * len(looped))
+        for t, s in zip(traces, seeds)
+    ] if looped else []
+    for k, policy in enumerate(looped):
+        envs = [run_envs[k] for run_envs in loop_envs]
+        states, done = [env.state for env in envs], False
+        while not done:
+            _, states, done = step_envs(envs, policy(np.array(states)))
+    for run, (trace, seed) in enumerate(zip(traces, seeds)):
+        closed = iter(loop_envs[run] if looped else ())
+        # replicas reset their copies, so a played env serves as well as a new one
+        source = loop_envs[run][0] if looped else PipelineEnv(trace, env_cfg, escape_penalty, seed=seed)
+        planned = iter(source.replicas([escape_penalty] * (len(policies) - len(looped))))
+        metadata = trace.metadata()
+        tables = []
+        for policy in policies:
+            if hasattr(policy, "plan"):
+                env = next(planned)
+                step = env.step
+                for action in policy.plan(metadata).tolist():
+                    step(action)
+            else:
+                env = next(closed)
+            tables.append(env.table)
+        yield tables
 
 
 def run_episode(
@@ -267,14 +302,21 @@ def _runs(
 ) -> Iterator[tuple[int, Trace, list[StepTable]]]:
     """``(run_seed, trace, tables)`` per seeded run: the step tables of the
     always-full reference, then of each policy, on the run's trace. Checks
-    ``env_cfg`` and the penalty before any trace is generated."""
+    ``env_cfg``, the penalty and ``n_runs`` before any trace is generated,
+    then generates every run's trace, so that closed-loop policies play all
+    runs in lockstep (see :func:`_play`)."""
     validate_env(env_cfg)
     validate_penalties((escape_penalty,))
+    if n_runs < 1:
+        raise ValueError("need at least one run")
+    run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
+    traces = [
+        generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(s, 0))
+        for s in run_seeds
+    ]
+    env_seeds = [derive_seed(s, 1) for s in run_seeds]
     players = [StaticPolicy(), *policies]
-    for i in range(n_runs):
-        run_seed = derive_seed(base_seed, i)
-        trace = generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(run_seed, 0))
-        yield run_seed, trace, _play(players, trace, escape_penalty, env_cfg, derive_seed(run_seed, 1))
+    return zip(run_seeds, traces, _play(players, traces, env_seeds, escape_penalty, env_cfg))
 
 
 def compare_policies(
@@ -288,9 +330,10 @@ def compare_policies(
 
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
-    every :class:`StaticPolicy`). Each run's trace is played by
-    :func:`run_episodes`' loop, the reference and every policy together: a
-    planner plans each trace once, a closed-loop policy acts commit by commit.
+    every :class:`StaticPolicy`). A planner plans each run's trace once; a
+    closed-loop policy plays all ``n_runs`` runs in lockstep, one call per
+    commit index that maps the runs' ``(n_runs, 10)`` states to one action
+    per run, and gets the same episodes as when each run is played alone.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``).

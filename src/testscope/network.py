@@ -231,21 +231,31 @@ _ZERO = np.zeros(())
 def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     """Q-values for one state ``(n_actions,)`` or a batch ``(n, n_actions)``.
 
-    A stack of K networks takes one state or batch per agent and returns
-    ``(K, n_actions)`` or ``(K, n, n_actions)``.
+    A single network also takes a ``(B, 1, d)`` stack of one-state batches
+    and returns ``(B, 1, n_actions)``: ``np.matmul`` broadcasts the weights
+    over B and runs one ``(1, d)`` product per state, so each row has the
+    bits that forwarding its state alone gives (a plain ``(B, d)`` batch
+    differs in the last bits). A stack of K networks takes one state or
+    batch per agent and returns ``(K, n_actions)`` or ``(K, n, n_actions)``.
     """
-    if not net.stack and type(states) is np.ndarray and states.shape == net.sizes[:1]:
-        # one state through one network: the (1, d) products, bias adds and
-        # ReLUs of a batch of one, without the batch bookkeeping; np.dot is
-        # the same BLAS call as @, and a 0-d zero the same operand as 0.0,
-        # each with less dispatch per call
-        x = states[None].astype(np.float64, copy=False)
+    if not net.stack and type(states) is np.ndarray and states.shape[-1:] == net.sizes[:1] and (
+        states.ndim == 1 or states.ndim == 3 and states.shape[1] == 1
+    ):
+        # the (1, d) products, bias adds and ReLUs of a batch of one per
+        # state, without the batch bookkeeping; on one state np.dot is the
+        # same BLAS call as @ (np.dot of a 3-d array is not), and a 0-d zero
+        # the same operand as 0.0, each with less dispatch per call
+        one = states.ndim == 1
+        product = np.dot if one else np.matmul
+        x = (states[None] if one else states).astype(np.float64, copy=False)
         for w, b in net._layers[:-1]:
-            x = np.dot(x, w)
+            x = product(x, w)
             x += b
             np.maximum(x, _ZERO, out=x)
         w, b = net._layers[-1]
-        return (np.dot(x, w) + b)[0]
+        x = product(x, w)
+        x += b
+        return x[0] if one else x
     x, single = _as_batch(net, states)
     q, _ = _forward_cached(net, x, _Scratch())
     return q[..., 0, :] if single else q

@@ -191,6 +191,15 @@ def load_policy(path: str | Path, expect_kind: str | None = None) -> QNetwork | 
         sizes_ok = isinstance(layer_sizes, list) and len(layer_sizes) >= 2
         if not sizes_ok or not all(type(size) is int and size >= 1 for size in layer_sizes):
             raise WeightFileError(f"{path}: bad layer_sizes {layer_sizes!r}")
+        # the checksum covers the arrays alone, so an edit of either key
+        # would otherwise pass; a 64.0 equals 64 but is no width
+        hidden = document.get("hidden_sizes")
+        if not isinstance(hidden, list) or hidden != layer_sizes[1:-1] or (
+            not all(type(size) is int for size in hidden)
+        ):
+            raise WeightFileError(
+                f"{path}: hidden_sizes {hidden!r} do not match layer_sizes {layer_sizes!r}"
+            )
         n_layers = len(layer_sizes) - 1
         names = [f"{p}{i}" for p in "wb" for i in range(n_layers)]
         params = _layout_arrays(arrays, names, kind, path)

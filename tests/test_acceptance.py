@@ -184,7 +184,7 @@ class TestCriterion4StaticOracle:
 class TestCriterion5AlwaysSkipOracle:
     def test_always_skip_exact_metrics(self):
         report, stats = compare_policies(
-            {"skip": lambda state: Action.SKIP_TESTS},
+            {"skip": lambda states: [Action.SKIP_TESTS] * len(states)},
             EnvConfig(),
             escape_penalty=5.0,
             n_runs=EVAL_RUNS,

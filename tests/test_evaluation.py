@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from testscope import commits, evaluation
-from testscope.agent import GreedyPolicy, train_agents
+from testscope import agent, commits, evaluation
+from testscope.agent import GreedyPolicy, greedy_action, train_agents
 from testscope.baselines import (
     ClassifierPolicy,
     HeuristicPolicy,
@@ -21,7 +21,7 @@ from testscope.commits import generate_trace, observe
 from testscope.config import (
     ConfigError, EnvConfig, StateConfig, TrainConfig, adversarial, derive_seed
 )
-from testscope.environment import Action
+from testscope.environment import Action, PipelineEnv
 from testscope.evaluation import (
     REPORT_COLUMNS,
     adversarial_eval,
@@ -58,21 +58,22 @@ def four_policies():
 
 
 def always(action):
-    """A policy that picks ``action`` on every commit."""
-    return lambda state: action
+    """A policy that picks ``action`` on every commit of every run."""
+    return lambda states: [action] * len(states)
 
 
 class Recording:
-    """Plays the closed-loop ``policy`` and records every action it returns, in order."""
+    """Plays the closed-loop ``policy`` and records every action it returns,
+    in order: each call's actions, one per run, row by row."""
 
     def __init__(self, policy):
         self.policy = policy
         self.actions = []
 
-    def __call__(self, state):
-        action = self.policy(state)
-        self.actions.append(int(action))
-        return action
+    def __call__(self, states):
+        actions = self.policy(states)
+        self.actions.extend(map(int, actions))
+        return actions
 
 
 class RecordingPlans(Recording):
@@ -118,29 +119,34 @@ class TestRunEpisode:
     def test_conservation_invariants(self):
         rng = np.random.default_rng(0)
 
-        def random_policy(state):
-            return Action(int(rng.integers(3)))
+        def random_policy(states):
+            return rng.integers(3, size=len(states)).tolist()
 
         stats = episode(random_policy, env_seed=9)
         assert stats.bugs_caught + stats.bugs_escaped == stats.bugs_introduced
         assert sum(stats.action_counts) == stats.commits == 100
 
-    def test_policies_never_see_ground_truth(self):
-        # a closed-loop policy gets one argument, the env's state vector,
-        # which holds neither the bug flag nor the risk score
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_policies_never_see_ground_truth(self, n_runs):
+        # a closed-loop policy gets one argument per commit index, the
+        # (n_runs, 10) states of the runs' envs, which hold neither the bug
+        # flag nor the risk score
         seen = []
 
         def probing_policy(*args, **kwargs):
             seen.append((args, kwargs))
-            return Action.FULL_TESTS
+            return [Action.FULL_TESTS] * len(args[0])
 
-        episode(probing_policy)
+        if n_runs == 1:
+            episode(probing_policy)
+        else:
+            compare_policies({"probe": probing_policy}, EnvConfig(), 5.0, n_runs=n_runs)
         assert len(seen) == 100
         for args, kwargs in seen:
             assert len(args) == 1 and not kwargs
-            (state,) = args
-            assert type(state) is np.ndarray
-            assert state.shape == (10,) and state.dtype == np.float64
+            (states,) = args
+            assert type(states) is np.ndarray
+            assert states.shape == (n_runs, 10) and states.dtype == np.float64
 
     def test_recorded_actions(self):
         policy = recording(HeuristicPolicy())
@@ -211,6 +217,54 @@ class TestRunEpisodes:
         assert len(log) == 2 and log[1].mean_td_loss > 0.0
 
 
+def three_action_net():
+    """A random network whose greedy policy picks every action on these traces."""
+    net = mlp_init((64, 64), seed=2)
+    net.biases[-1][:] = np.random.default_rng(2).normal(scale=0.1, size=3)
+    return net
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    @pytest.mark.parametrize("n_runs", [1, 2, 7, 30])
+    @pytest.mark.parametrize("net_kind", ["random", "three_actions"])
+    def test_lockstep_equals_per_run_play(self, mode, n_runs, net_kind):
+        # the reference plays each run alone, one single-state forward per commit
+        cfg = dataclasses.replace(EnvConfig(), trace_mode=mode)
+        net = three_action_net() if net_kind == "three_actions" else mlp_init((64, 64), seed=n_runs)
+        base_seed = 40 + n_runs
+        run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
+        traces = [generate_trace(cfg, 100, seed=derive_seed(s, 0)) for s in run_seeds]
+        env_seeds = [derive_seed(s, 1) for s in run_seeds]
+        alone = []
+        for trace, seed in zip(traces, env_seeds):
+            env = PipelineEnv(trace, cfg, 5.0, seed=seed)
+            for _ in range(len(trace)):
+                env.step(greedy_action(net, env.state))
+            alone.append(env.table)
+
+        together = [t for (t,) in evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)]
+        assert together == alone
+        _, stats = compare_policies({"rl": GreedyPolicy(net)}, cfg, 5.0, n_runs, base_seed)
+        assert stats["rl"] == [evaluation.EpisodeStats.from_table(t) for t in alone]
+        if net_kind == "three_actions":
+            assert all(sum(column) for column in zip(*(s.action_counts for s in stats["rl"])))
+
+    def test_one_forward_per_commit_index(self, monkeypatch):
+        # five runs in lockstep: one batched forward per commit, not one per run and commit
+        calls = []
+        forward = agent.mlp_forward
+
+        def counted(net, states):
+            calls.append(states.shape)
+            return forward(net, states)
+
+        monkeypatch.setattr(agent, "mlp_forward", counted)
+        cfg = EnvConfig()
+        compare_policies({"rl": GreedyPolicy(three_action_net())}, cfg, 5.0, n_runs=5)
+        assert calls == [(5, 1, 10)] * cfg.commits_per_episode
+
+
 class TestComputeMetrics:
     def test_static_against_itself(self):
         ref = [episode(StaticPolicy(), trace_seed=s, env_seed=s) for s in (1, 2, 3)]
@@ -243,8 +297,8 @@ class TestComputeMetrics:
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
 
-        def random_policy(state):
-            return Action(int(rng.integers(3)))
+        def random_policy(states):
+            return rng.integers(3, size=len(states)).tolist()
 
         ref = [episode(StaticPolicy(), trace_seed=s, env_seed=s) for s in (1, 2, 3)]
         mixed = [episode(random_policy, trace_seed=s, env_seed=s) for s in (1, 2, 3)]
@@ -478,17 +532,17 @@ class TestExplorationCorrectedCurve:
 
 
 class MixedPolicy:
-    """A plain int that depends on the commit's diff, the history and its
-    position in the episode, counted from the calls."""
+    """Plain ints that depend on each commit's diff, the history and its
+    position in the episode, counted from the calls (one per commit index)."""
 
     def __init__(self, commits_per_episode: int):
         self.commits_per_episode = commits_per_episode
         self.calls = 0
 
-    def __call__(self, state):
+    def __call__(self, states):
         position = self.calls % self.commits_per_episode
         self.calls += 1
-        return int(7 * state[0] + 5 * state[5] + 3 * state[9] + position) % 3
+        return [int(7 * s[0] + 5 * s[5] + 3 * s[9] + position) % 3 for s in states]
 
 
 def fractional_cfg(mode: str) -> EnvConfig:

@@ -152,6 +152,21 @@ class TestForward:
         ints = np.arange(input_dim)
         assert mlp_forward(net, ints).tobytes() == mlp_forward(net, ints.astype(float)).tobytes()
 
+    @pytest.mark.parametrize("hidden", [*DEPTHS, (64, 64)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 64])
+    def test_each_one_state_batch_equals_its_state_alone_bit_for_bit(self, hidden, n):
+        # evaluation forwards the states of n runs as an (n, 1, d) stack; a
+        # plain (n, d) batch would differ from the single-state path in the last bits
+        net = mlp_init(hidden, seed=3)
+        net.flat += np.random.default_rng(4).normal(scale=0.1, size=net.flat.size)
+        states = np.random.default_rng(n).random((n, 10))
+        q = mlp_forward(net, states[:, None])
+        assert q.shape == (n, 1, 3)
+        for row, state in zip(q, states):
+            assert row[0].tobytes() == mlp_forward(net, state).tobytes()
+        with pytest.raises(ValueError):
+            mlp_forward(net, np.ones((n, 2, 10)))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mlp_forward(tiny_net(), np.ones(9))

@@ -284,6 +284,25 @@ class TestGuards:
         with pytest.raises(WeightFileError, match=re.escape(f"bad layer_sizes {layer_sizes!r}")):
             load_policy(path)
 
+    @pytest.mark.parametrize(
+        "hidden", [[8, 8], [], [8.0], "8", None], ids=["extra", "empty", "float", "str", "missing"]
+    )
+    def test_hidden_sizes_must_match_layer_sizes(self, tmp_path, hidden):
+        # the checksum covers only the arrays, so a plain JSON edit of the
+        # second copy of the geometry would pass it
+        path = tmp_path / "agent.json"
+        save_policy(path, mlp_init((8,), seed=0))
+        document = json.loads(path.read_text())
+        assert document["hidden_sizes"] == [8] and document["layer_sizes"] == [10, 8, 3]
+        if hidden is None:
+            del document["hidden_sizes"]
+        else:
+            document["hidden_sizes"] = hidden
+        path.write_text(json.dumps(document))
+        match = re.escape(f"hidden_sizes {hidden!r} do not match layer_sizes [10, 8, 3]")
+        with pytest.raises(WeightFileError, match=match):
+            load_policy(path)
+
     def test_cli_refuses_a_zero_width_layer(self, tmp_path, capsys):
         path = tmp_path / "agent.json"
         write_layers(path, [10, 0, 3])

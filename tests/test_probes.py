@@ -157,7 +157,7 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     calls.clear()
     run_episodes([StaticPolicy()], trace, 5.0, cfg, seed=1)
     assert calls == []
-    run_episodes([lambda state: environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
+    run_episodes([lambda states: [environment.Action.PARTIAL_TESTS]], trace, 5.0, cfg, seed=1)
     assert calls == list(range(1, len(trace)))
 
 
