@@ -270,8 +270,8 @@ def train_agents(
 
         for _ in range(len(trace)):
             action = select_action(net, state, epsilon, rng)
-            rewards, next_states, done = step_envs(envs, action.tolist() if stack else [action])
-            next_state = joined(next_states)
+            rewards, done = step_envs(envs, action.tolist() if stack else [action])
+            next_state = joined([env.state for env in envs])
             buffer.push(state, action, joined(rewards), next_state, done)
             state = next_state
 

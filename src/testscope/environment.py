@@ -40,12 +40,11 @@ encodes them for the whole trace in one pass when it is built. The
 baselines never read that encoding: they plan an episode's actions from the
 trace's raw columns. The episode history behind features 6-9 is the env's
 own state: running failure counts and the commits since the last
-full-suite run, which a reset clears and each step updates. A reset copies
-the trace's rows into a new state array. A step records its outcome and
-updates the history; it encodes nothing. Reading :attr:`PipelineEnv.state`
-writes features 6-9 of the current commit's row with :func:`encode_state`
-and returns that row, so an episode whose states no one reads (a planned
-baseline's) never runs the encoder.
+full-suite run, which a reset clears and each step updates. A step records
+its outcome and updates the history; it encodes nothing. Reading
+:attr:`PipelineEnv.state` copies the current commit's row and writes its
+features 6-9 with :func:`encode_state`, so an episode whose states no one
+reads (a planned baseline's) never runs the encoder.
 The detection draws depend on the trace and the seed alone too, so they are
 drawn when the env is built, and :meth:`PipelineEnv.replicas` shares rows
 and draws among environments that play the same trace, each with its own
@@ -130,13 +129,12 @@ def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
 
 
 def encode_state(
-    cells: memoryview, t: int, fails: list[int], since_full_tests: int, cfg: StateConfig
+    state: np.ndarray, t: int, fails: list[int], since_full_tests: int, cfg: StateConfig
 ) -> None:
-    """Write features 6-9 of row ``t >= 1`` of the flat float64 states ``cells``
-    (a memoryview takes one float faster than an array) from the history:
-    ``fails[k]`` failed commits among the first k, ``since_full_tests``
-    commits since the last full-suite run. The features need no clip: the
-    window fractions and the gap are bounded by construction.
+    """Write features 6-9 of ``state``, the state of commit ``t >= 1``, from
+    the history: ``fails[k]`` failed commits among the first k,
+    ``since_full_tests`` commits since the last full-suite run. The features
+    need no clip: the window fractions and the gap are bounded by construction.
     Reading :attr:`PipelineEnv.state` calls it through this module-level
     name, under which the benchmark probes it.
     """
@@ -146,12 +144,11 @@ def encode_state(
         failed = (fails[t] - fails[t - window]) / window
     else:
         failed = fails[t] / t
-    at = t * STATE_DIM
-    cells[at + 5] = failed
-    cells[at + 6] = fails[t] - fails[t - 1]  # an int 0 or 1 writes the bits of 0.0 or 1.0
+    state[5] = failed
+    state[6] = fails[t] - fails[t - 1]  # an int 0 or 1 writes the bits of 0.0 or 1.0
     cap = cfg.full_test_gap_cap
-    cells[at + 7] = (since_full_tests if since_full_tests < cap else cap) / cap  # no min() call
-    cells[at + 8] = failed
+    state[7] = (since_full_tests if since_full_tests < cap else cap) / cap  # no min() call
+    state[8] = failed
 
 
 class PipelineEnv:
@@ -163,10 +160,9 @@ class PipelineEnv:
     caught when the k-th number of ``default_rng(seed).random(n_buggy)`` is
     below the action's detection rate. ``reset`` restores the cursor and the
     history and replays the same draws, so a reset environment replays
-    identically under the same action sequence. The states ``state`` returns
-    are rows of one array per episode: a row is written when it is read, the
-    same bits on every read while the cursor stays on it, and a reset
-    allocates a new array, so callers may keep them.
+    identically under the same action sequence. Each read of ``state``
+    returns a new array, the same bits on every read while the cursor stays
+    on a commit, so callers may keep and change them.
     """
 
     def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
@@ -177,7 +173,7 @@ class PipelineEnv:
         self._n = len(trace)
         self._cfg = cfg
         # one row per commit, then the all-zero state that ends the episode;
-        # features 6-9 stay 0 until a read of ``state`` writes them
+        # features 6-9 stay 0 here, a read of ``state`` writes them in its copy
         rows = np.zeros((self._n + 1, STATE_DIM))
         rows[:-1, :5] = metadata_features(trace.metadata(), cfg.state)
         rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
@@ -211,7 +207,7 @@ class PipelineEnv:
         config and seed.
 
         They share the encoded rows and the detection draws; each has its own
-        step rows, cursor, history, step table and state array.
+        step rows, cursor, history and step table.
         """
         envs = [copy.copy(self) for _ in penalties]
         for env, penalty in zip(envs, penalties):
@@ -224,19 +220,18 @@ class PipelineEnv:
         self._cursor = 0
         self._fails = [0]  # fails[t]: commits among the first t whose tests failed
         self._since_full_tests = 0
-        self._states = self._rows.copy()
-        self._cells = memoryview(self._states.reshape(-1))
         self._steps: list[tuple] = []
-        return self._states[0]
+        return self.state
 
     @property
     def state(self) -> np.ndarray:
-        """The current commit's state, all zeros once the episode is done; a
-        read writes its features 6-9 from the history, the same bits at one cursor."""
+        """A new array holding the current commit's state, all zeros once the
+        episode is done; its features 6-9 are encoded from the history."""
         t = self._cursor
+        state = self._rows[t].copy()
         if 0 < t < self._n:
-            encode_state(self._cells, t, self._fails, self._since_full_tests, self._cfg.state)
-        return self._states[t]
+            encode_state(state, t, self._fails, self._since_full_tests, self._cfg.state)
+        return state
 
     @property
     def table(self) -> StepTable:
@@ -273,15 +268,18 @@ class PipelineEnv:
         return row[5], t == self._n
 
 
-def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], list[np.ndarray], bool]:
-    """Step each env by its action, in order; returns their rewards, their
-    next states and the done flag. The envs play traces of one length, so
-    they finish together. Training steps its agents' envs with it, and
-    evaluation a closed-loop policy's envs, one per run.
+def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
+    """Step each env by its action, in order; returns their rewards and the
+    done flag. The envs play traces of one length, so they finish together.
+    Callers read the next states they need. Training steps its agents' envs
+    with it, and evaluation each policy's envs, one per run. A count of
+    actions other than one per env raises :class:`ValueError` before any
+    env is stepped.
     """
-    rewards, states = [], []
+    if len(actions) != len(envs):
+        raise ValueError(f"got {len(actions)} actions for {len(envs)} environments")
+    rewards = []
     for env, action in zip(envs, actions):
         reward, done = env.step(action)
         rewards.append(reward)
-        states.append(env.state)
-    return rewards, states, done
+    return rewards, done

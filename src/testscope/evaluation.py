@@ -14,11 +14,11 @@ always-full baseline computed on the same traces as the reference for
 A policy is either a planner, whose ``plan(metadata)`` gives a whole
 trace's actions at once from its raw observable columns (the baselines),
 or a closed-loop callable ``policy(states)`` that maps a ``(B, 10)`` float64
-array of env states to B actions (:class:`GreedyPolicy`). A closed-loop
-policy plays all of an evaluation's runs in lockstep: at each commit index
-it gets the current state of every run's env at once and picks each run's
-action from that run's state alone. Planners play run by run. Either way
-every action goes through one :meth:`PipelineEnv.step` call.
+array of env states to B actions (:class:`GreedyPolicy`). A policy plays
+all of an evaluation's runs in lockstep: at each commit index a planner
+takes that index of each run's plan, and a closed-loop policy gets every
+run's state at once and picks each run's action from that run's state
+alone. Either way every action goes through one :meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def run_episodes(
 
     Each policy plays the trace to the end in turn through its own
     environment, so each meets the same detection draws and sees the same
-    states as when played alone. A planner plans the trace's actions once,
-    from ``trace.metadata()``; a closed-loop policy gets each state as a
-    ``(1, 10)`` array, the one-run case of the lockstep that
+    states as when played alone. A planner plans the trace's ``(T,)``
+    actions once, from ``trace.metadata()``; a closed-loop policy gets each
+    state as a ``(1, 10)`` array, the one-run case of the lockstep that
     :func:`compare_policies` plays, and returns one action. Either way each
     action is one :meth:`PipelineEnv.step` call. Only a state read runs the
     history encoder, so a planner's steps encode nothing.
@@ -152,41 +152,33 @@ def _play(
     env built with the trace's seed; see :func:`run_episodes`. Every trace
     has ``env_cfg.commits_per_episode`` commits.
 
-    The closed-loop policies play first, each over every trace in lockstep,
-    one env per trace: at each commit index one call maps the envs'
-    ``(B, 10)`` states to B actions, and :func:`step_envs` steps the envs by
-    them. The planners then play trace by trace as the tables are yielded,
-    so only the closed-loop envs live across traces. The envs of a trace are
-    replicas of one, sharing its rows and draws.
+    Each policy in turn plays every trace in lockstep, one env per trace: at
+    each commit index a planner takes that index of each trace's plan, a
+    closed-loop policy makes one call that maps the envs' ``(B, 10)`` states
+    to B actions, and :func:`step_envs` steps the envs by them. A trace's
+    envs are replicas of one, sharing its rows and draws.
     """
-    looped = [p for p in policies if not hasattr(p, "plan")]
-    # [trace][k]: the env of the k-th closed-loop policy
-    loop_envs = [
-        PipelineEnv(t, env_cfg, escape_penalty, seed=s).replicas([escape_penalty] * len(looped))
+    n = env_cfg.commits_per_episode
+    # [trace][k]: the env of the k-th policy
+    trace_envs = [
+        PipelineEnv(t, env_cfg, escape_penalty, seed=s).replicas([escape_penalty] * len(policies))
         for t, s in zip(traces, seeds)
-    ] if looped else []
-    for k, policy in enumerate(looped):
-        envs = [run_envs[k] for run_envs in loop_envs]
-        states, done = [env.state for env in envs], False
-        while not done:
-            _, states, done = step_envs(envs, policy(np.array(states)))
-    for run, (trace, seed) in enumerate(zip(traces, seeds)):
-        closed = iter(loop_envs[run] if looped else ())
-        # replicas reset their copies, so a played env serves as well as a new one
-        source = loop_envs[run][0] if looped else PipelineEnv(trace, env_cfg, escape_penalty, seed=seed)
-        planned = iter(source.replicas([escape_penalty] * (len(policies) - len(looped))))
-        metadata = trace.metadata()
-        tables = []
-        for policy in policies:
-            if hasattr(policy, "plan"):
-                env = next(planned)
-                step = env.step
-                for action in policy.plan(metadata).tolist():
-                    step(action)
-            else:
-                env = next(closed)
-            tables.append(env.table)
-        yield tables
+    ]
+    metadata = [trace.metadata() for trace in traces]
+    for k, policy in enumerate(policies):
+        envs = [run_envs[k] for run_envs in trace_envs]
+        if hasattr(policy, "plan"):
+            plans = [np.asarray(policy.plan(m)) for m in metadata]
+            bad = [plan.shape for plan in plans if plan.shape != (n,)]
+            if bad:
+                raise ValueError(f"{type(policy).__name__}.plan gave shape {bad[0]}, not ({n},)")
+            # the t-th entry holds each trace's action at commit t
+            actions_at = zip(*(plan.tolist() for plan in plans))
+        else:
+            actions_at = (policy(np.array([env.state for env in envs])) for _ in range(n))
+        for actions in actions_at:
+            step_envs(envs, actions)
+    return ([env.table for env in run_envs] for run_envs in trace_envs)
 
 
 def run_episode(
@@ -303,8 +295,8 @@ def _runs(
     """``(run_seed, trace, tables)`` per seeded run: the step tables of the
     always-full reference, then of each policy, on the run's trace. Checks
     ``env_cfg``, the penalty and ``n_runs`` before any trace is generated,
-    then generates every run's trace, so that closed-loop policies play all
-    runs in lockstep (see :func:`_play`)."""
+    then generates every run's trace, so that each policy plays all runs in
+    lockstep (see :func:`_play`)."""
     validate_env(env_cfg)
     validate_penalties((escape_penalty,))
     if n_runs < 1:
@@ -330,10 +322,13 @@ def compare_policies(
 
     Returns the report and the raw per-policy episode stats. The always-full
     reference is computed internally on the identical traces (and reused for
-    every :class:`StaticPolicy`). A planner plans each run's trace once; a
-    closed-loop policy plays all ``n_runs`` runs in lockstep, one call per
-    commit index that maps the runs' ``(n_runs, 10)`` states to one action
-    per run, and gets the same episodes as when each run is played alone.
+    every :class:`StaticPolicy`). Each policy plays all ``n_runs`` runs in
+    lockstep, one commit index at a time, and gets the same episodes as when
+    each run is played alone: a planner plans each run's trace once, a
+    closed-loop policy makes one call per commit index that maps the runs'
+    ``(n_runs, 10)`` states to one action per run. A plan of other than one
+    action per commit, or a call that returns other than one action per
+    run, raises :class:`ValueError`.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``).

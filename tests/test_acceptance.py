@@ -6,7 +6,7 @@ The expensive artifacts (a penalty sweep of five 2000-episode agents, the
 leak-check penalty among them, and two 500-episode agents for the
 degenerate penalties, each group trained in lockstep) are session fixtures
 shared across criteria; the whole module takes about six and a half minutes
-on one CPU core.
+on one CPU core. The tests that use them are marked ``slow``.
 
 Two criteria measure something other than the default agent's raw numbers,
 because no correct agent can meet them there:
@@ -132,6 +132,7 @@ def safety_dominant_agent(degenerate_agents):
 
 
 class TestCriterion1Throughput:
+    @pytest.mark.slow
     def test_throughput_gain_vs_static(self, default_entry):
         delta = default_entry.comparison.deltas["rl"].tp_improvement_pct
         criterion(
@@ -143,12 +144,14 @@ class TestCriterion1Throughput:
 
 
 class TestCriterion2TestTimeSavings:
+    @pytest.mark.slow
     def test_mean_test_time_savings(self, default_entry):
         tts = default_entry.comparison.reports["rl"].tts.mean
         criterion(2, "mean test-time savings >= 15%", tts >= 15.0, f"measured {tts:.1f}%")
 
 
 class TestCriterion3DefectLeakage:
+    @pytest.mark.slow
     def test_mean_defect_miss_rate(self, leak_check_entry):
         report = leak_check_entry.comparison.reports["rl"]
         delta = leak_check_entry.comparison.deltas["rl"].tp_improvement_pct
@@ -202,6 +205,7 @@ class TestCriterion5AlwaysSkipOracle:
 
 
 class TestCriterion6DegeneratePenalties:
+    @pytest.mark.slow
     def test_zero_penalty_agent_skips(self, skip_dominant_agent):
         _, stats = compare_policies(
             {"rl": GreedyPolicy(skip_dominant_agent)},
@@ -219,6 +223,7 @@ class TestCriterion6DegeneratePenalties:
             f"skip fraction {fraction:.3f}",
         )
 
+    @pytest.mark.slow
     def test_huge_penalty_agent_runs_full_on_risky_states(self, safety_dominant_agent):
         rng = np.random.default_rng(42)
         n = 200
@@ -254,6 +259,7 @@ def spearman(x, y) -> float:
 
 
 class TestCriterion7SweepDirection:
+    @pytest.mark.slow
     def test_endpoint_monotonicity(self, sweep_result):
         by_penalty = {
             e.escape_penalty: e.comparison.reports["rl"] for e in sweep_result.values()
@@ -282,6 +288,7 @@ class TestCriterion7SweepDirection:
 
 
 class TestCriterion8AdversarialRobustness:
+    @pytest.mark.slow
     def test_agent_dmr_stable_on_stress_traces(self, default_entry):
         standard_dmr = default_entry.comparison.reports["rl"].dmr.mean
         adversarial = adversarial_eval(
@@ -327,6 +334,7 @@ def corrected_convergence_episode(log: list[EpisodeRecord], escape_penalty: floa
 
 
 class TestCriterion9Convergence:
+    @pytest.mark.slow
     def test_training_reward_converges(self, default_entry):
         # The statistic must measure the greedy reward and must be able to
         # fail: a constant greedy reward is recovered exactly from the epsilon
@@ -463,6 +471,7 @@ class TestCriterion11Determinism:
             f"{len(outputs[0])} files compared",
         )
 
+    @pytest.mark.slow
     def test_weight_round_trip_bit_exact(self, tmp_path, default_entry):
         from testscope.persist import load_policy, save_policy
 

@@ -16,6 +16,7 @@ from testscope.environment import (
     StepTable,
     encode_state,
     metadata_features,
+    step_envs,
 )
 from trace_helpers import as_trace, next_state, records
 
@@ -112,17 +113,18 @@ class TestEncodeState:
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
-        # the encoder writes row t from its arguments alone and changes none of them
+        # the encoder writes features 6-9 of the one state it is given, for
+        # commit t, from its arguments alone and changes none of them
         cfg = StateConfig()
         fails = [0, 1, 1, 2]
         written = []
         for _ in range(2):
-            states = np.zeros((5, STATE_DIM))
-            encode_state(memoryview(states.reshape(-1)), 3, fails, 2, cfg)
-            written.append(states.tobytes())
+            state = np.zeros(STATE_DIM)
+            encode_state(state, 3, fails, 2, cfg)
+            written.append(state.tobytes())
         assert written[0] == written[1] and fails == [0, 1, 1, 2]
-        assert states[3, 5:9].tolist() == [2 / 3, 1.0, 2 / cfg.full_test_gap_cap, 2 / 3]
-        assert not states[[0, 1, 2, 4]].any() and not states[3, [0, 1, 2, 3, 4, 9]].any()
+        assert state[5:9].tolist() == [2 / 3, 1.0, 2 / cfg.full_test_gap_cap, 2 / 3]
+        assert not state[[0, 1, 2, 3, 4, 9]].any()
 
     def test_gap_saturates_at_its_cap(self):
         # full tests reset the gap, skipped ones extend it up to the cap
@@ -525,6 +527,56 @@ class TestStateReads:
             # and a kept state keeps them after later steps
             assert state.tobytes() == copy.tobytes()
         assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
+
+    def test_each_read_returns_a_new_array(self):
+        # two reads at one cursor give equal bytes in distinct arrays, so a
+        # caller that writes into one changes neither the other nor the env
+        cfg = EnvConfig()
+        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, 5.0, seed=1)
+        for t in range(31):
+            first, second = env.state, env.state
+            assert first.tobytes() == second.tobytes()
+            assert not np.shares_memory(first, second)
+            first[:] = -1.0
+            assert env.state.tobytes() == second.tobytes()
+            if t < 30:
+                env.step(Action(t % 3))
+
+
+class TestStepEnvs:
+    def test_steps_each_env_once_in_order_as_single_steps_do(self, monkeypatch):
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 40, seed=8)
+        penalties = [0.0, 5.0, 50.0]
+        envs = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
+        alone = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
+        step, order = PipelineEnv.step, []
+
+        def recorded(env, action):
+            order.append(env)
+            return step(env, action)
+
+        monkeypatch.setattr(PipelineEnv, "step", recorded)
+        for actions in np.random.default_rng(3).integers(0, 3, (len(trace), 3)).tolist():
+            order.clear()
+            rewards, done = step_envs(envs, actions)
+            assert order == envs
+            expected = [step(env, action) for env, action in zip(alone, actions)]
+            assert rewards == [reward for reward, _ in expected]
+            assert all(done == flag for _, flag in expected)
+        assert done
+        assert [env.table for env in envs] == [env.table for env in alone]
+        # the penalties priced some step apart
+        assert len({env.table.total("reward") for env in envs}) == len(penalties)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_a_wrong_number_of_actions_steps_no_env(self, count):
+        # unchecked, zip stepped only the envs that got an action
+        cfg = EnvConfig()
+        envs = PipelineEnv(generate_trace(cfg, 10, seed=8), cfg, 5.0, seed=2).replicas([5.0] * 3)
+        with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
+            step_envs(envs, [Action.SKIP_TESTS] * count)
+        assert all(env.table.action == () for env in envs)
 
 
 def formula_state(

@@ -85,6 +85,16 @@ class RecordingPlans(Recording):
         return actions
 
 
+class FixedPlan:
+    """A planner that plans the same ``actions`` for every trace."""
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def plan(self, metadata):
+        return self.actions
+
+
 def recording(policy):
     """A recorder of ``policy``'s actions that plans when ``policy`` does."""
     return RecordingPlans(policy) if hasattr(policy, "plan") else Recording(policy)
@@ -263,6 +273,25 @@ class TestLockstep:
         cfg = EnvConfig()
         compare_policies({"rl": GreedyPolicy(three_action_net())}, cfg, 5.0, n_runs=5)
         assert calls == [(5, 1, 10)] * cfg.commits_per_episode
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_a_call_with_the_wrong_number_of_actions_rejected(self, count):
+        # unchecked, one action for three runs stepped the first run alone:
+        # commits [20, 0, 0], and tp mean inf with std nan
+        cfg = EnvConfig(commits_per_episode=20)
+        with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
+            compare_policies({"one": lambda states: [1] * count}, cfg, 5.0, n_runs=3)
+
+    @pytest.mark.parametrize("length", [15, 25])
+    def test_a_plan_of_the_wrong_length_rejected(self, length):
+        # unchecked, a 15-action plan played 15 of 20 commits per run
+        cfg = EnvConfig(commits_per_episode=20)
+        planner = FixedPlan(np.full(length, Action.PARTIAL_TESTS))
+        with pytest.raises(ValueError, match=rf"FixedPlan.plan gave shape \({length},\), not \(20,\)"):
+            compare_policies({"fixed": planner}, cfg, 5.0, n_runs=2)
+        trace = generate_trace(cfg, 20, seed=1)
+        with pytest.raises(ValueError, match=rf"shape \({length},\)"):
+            run_episodes([planner], trace, 5.0, cfg)
 
 
 class TestComputeMetrics:
