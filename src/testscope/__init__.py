@@ -66,7 +66,6 @@ from .evaluation import (
     exploration_corrected_curve,
     penalty_sweep,
     run_episode,
-    run_episodes,
     uniform_policy_reward,
 )
 from .network import AdamState, QNetwork, adam_update, mlp_forward, mlp_init

@@ -25,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from .commits import METADATA_FIELDS, Commit, ObservedCommit, generate_trace
-from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier
+from .config import ClassifierConfig, EnvConfig, StateConfig, validate_classifier, validate_env
 from .environment import Action, metadata_features
 
 __all__ = [
@@ -212,8 +212,10 @@ def train_classifier(
     there, the Hessian is singular or the line search stalls. Deterministic:
     zero init, no sampling. Requires both classes present.
     """
+    opts = opts or ClassifierConfig()
+    validate_classifier(opts)
     cfg = state_cfg or StateConfig()
-    return _fit_logistic(*_labeled_arrays(commits, cfg), opts or ClassifierConfig(), cfg)
+    return _fit_logistic(*_labeled_arrays(commits, cfg), opts, cfg)
 
 
 class ClassifierPolicy:
@@ -260,6 +262,8 @@ def make_classifier(env_cfg: EnvConfig, opts: ClassifierConfig | None = None) ->
     ``train_classifier`` on that trace's records bit for bit.
     """
     opts = opts or ClassifierConfig()
+    validate_env(env_cfg)
+    validate_classifier(opts)
     history = generate_trace(env_cfg, opts.train_size, opts.train_seed, mode="standard")
     x = metadata_features(history.metadata(), env_cfg.state)
     return _fit_logistic(x, history.has_bug.astype(np.float64), opts, env_cfg.state)

@@ -44,7 +44,6 @@ __all__ = [
     "Planner",
     "Policy",
     "EpisodeStats",
-    "run_episodes",
     "run_episode",
     "MetricStat",
     "RunMetrics",
@@ -82,9 +81,6 @@ class Planner(Protocol):
 # actions; the latent bug flag and the generator's risk score reach neither
 Policy = Planner | Callable[[np.ndarray], Sequence[Action | int]]
 
-_PARTIAL_TESTS = Action.PARTIAL_TESTS  # a module global reads faster than an enum member
-
-
 @dataclass
 class EpisodeStats:
     """Accumulated outcomes of one full episode."""
@@ -114,33 +110,6 @@ class EpisodeStats:
         )
 
 
-def run_episodes(
-    policies: Sequence[Policy],
-    trace: Trace,
-    escape_penalty: float,
-    env_cfg: EnvConfig,
-    seed: int = 0,
-) -> list[EpisodeStats]:
-    """Play one trace under every policy; one stats entry per policy.
-
-    Each policy plays the trace to the end in turn through its own
-    environment, so each meets the same detection draws and sees the same
-    states as when played alone. A planner plans the trace's ``(T,)``
-    actions once, from ``trace.metadata()``; a closed-loop policy gets each
-    state as a ``(1, 10)`` array, the one-run case of the lockstep that
-    :func:`compare_policies` plays, and returns one action. Either way each
-    action is one :meth:`PipelineEnv.step` call. Only a state read runs the
-    history encoder, so a planner's steps encode nothing.
-    """
-    if len(trace) != env_cfg.commits_per_episode:
-        raise ValueError(
-            f"trace length {len(trace)} != commits_per_episode "
-            f"{env_cfg.commits_per_episode}"
-        )
-    (tables,) = _play(policies, [trace], [seed], escape_penalty, env_cfg)
-    return list(map(EpisodeStats.from_table, tables))
-
-
 def _play(
     policies: Sequence[Policy],
     traces: Sequence[Trace],
@@ -149,14 +118,17 @@ def _play(
     env_cfg: EnvConfig,
 ) -> Iterator[list[StepTable]]:
     """Per trace, the step table of each policy's episode over it, from an
-    env built with the trace's seed; see :func:`run_episodes`. Every trace
-    has ``env_cfg.commits_per_episode`` commits.
+    env built with the trace's seed. Every trace has
+    ``env_cfg.commits_per_episode`` commits.
 
     Each policy in turn plays every trace in lockstep, one env per trace: at
     each commit index a planner takes that index of each trace's plan, a
     closed-loop policy makes one call that maps the envs' ``(B, 10)`` states
     to B actions, and :func:`step_envs` steps the envs by them. A trace's
-    envs are replicas of one, sharing its rows and draws.
+    envs are replicas of one, sharing its rows and draws, so each policy
+    meets the same detection draws and sees the same states as when played
+    alone. Only a state read runs the history encoder, so a planner's steps
+    encode nothing.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -188,8 +160,17 @@ def run_episode(
     env_cfg: EnvConfig,
     seed: int = 0,
 ) -> EpisodeStats:
-    """Play one trace under ``policy`` and accumulate episode statistics."""
-    return run_episodes([policy], trace, escape_penalty, env_cfg, seed)[0]
+    """Play one trace under ``policy``, from an env built with ``seed``, and
+    accumulate episode statistics: the one-run case of :func:`_play`. A
+    planner plans the trace once; a closed-loop policy gets each state as a
+    ``(1, 10)`` array and returns one action."""
+    if len(trace) != env_cfg.commits_per_episode:
+        raise ValueError(
+            f"trace length {len(trace)} != commits_per_episode "
+            f"{env_cfg.commits_per_episode}"
+        )
+    ((table,),) = _play([policy], [trace], [seed], escape_penalty, env_cfg)
+    return EpisodeStats.from_table(table)
 
 
 @dataclass
@@ -350,11 +331,12 @@ def compare_policies(
 
     static_report = compute_metrics(reference, reference, run_seeds)
     reports = {
-        name: compute_metrics(stats, reference, run_seeds) for name, stats in all_stats.items()
+        name: compute_metrics(stats, reference, run_seeds) if name in played else static_report
+        for name, stats in all_stats.items()
     }
+    tp_ref = static_report.tp.mean
     deltas = {}
     for name, report in reports.items():
-        tp_ref = static_report.tp.mean
         deltas[name] = PolicyDelta(
             tp_improvement_pct=100.0 * (report.tp.mean - tp_ref) / tp_ref if tp_ref else 0.0,
             dmr_delta_pp=report.dmr.mean - static_report.dmr.mean,
@@ -443,7 +425,7 @@ def adversarial_eval(
     for run_seed, trace, (ref_table, table) in _runs([policy], cfg, escape_penalty, n_runs, base_seed):
         low = (trace.diff_size <= cutoff).tolist()
         low_total += sum(low)
-        low_partial += list(compress(table.action, low)).count(_PARTIAL_TESTS)
+        low_partial += list(compress(table.action, low)).count(Action.PARTIAL_TESTS)
         run_seeds.append(run_seed)
         reference.append(EpisodeStats.from_table(ref_table))
         stats.append(EpisodeStats.from_table(table))

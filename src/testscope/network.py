@@ -10,6 +10,12 @@ pass and a target-network sync is one copy. Gradients are computed
 analytically; the test suite checks them against central finite
 differences.
 
+Every forward pass runs one loop, ``_forward``: a matmul, a bias add and an
+in-place ReLU per layer. ``mlp_forward`` and ``bootstrap_values`` run it on
+the states as ``_as_batch`` shapes them, one state being a batch of one;
+``td_loss_and_grads`` runs it with its layer outputs in reused scratch
+arrays and keeps each layer's input activation for the backward pass.
+
 ``flat`` may also be a ``(K, P)`` stack of K networks of one geometry (see
 ``QNetwork.stacked``), which lets K agents train in lockstep. Every pass
 then runs over the leading agent axis: states, actions, TD targets, losses
@@ -157,15 +163,24 @@ def mlp_init(
 
 
 def _as_batch(net: QNetwork, states: np.ndarray) -> tuple[np.ndarray, bool]:
-    """States as ``stack + (n, input_dim)``; also whether one state per agent was given."""
+    """The states as a float64 batch, and whether one state per agent was given.
+
+    The one shape rule: ``stack + ([n,] input_dim)``, where one state per
+    agent becomes a batch of one, and for a single network also a ``(B, 1,
+    input_dim)`` stack of one-state batches, which only the forward takes.
+    Anything else raises :class:`ValueError`.
+    """
     states = np.asarray(states, dtype=np.float64)
     single = states.ndim == net.flat.ndim
     if single:
         states = states[..., None, :]
     shape = states.shape
-    if len(shape) != net.flat.ndim + 1 or shape[:-2] != net.stack or shape[-1] != net.input_dim:
+    rows = len(shape) == net.flat.ndim + 1 and shape[:-2] == net.stack
+    one_state_batches = not net.stack and len(shape) == 3 and shape[1] == 1
+    if not (rows or one_state_batches) or shape[-1] != net.input_dim:
+        also = "" if net.stack else f" or (B, 1, {net.input_dim})"
         raise ValueError(
-            f"expected states of shape {net.stack} + ([n,] {net.input_dim}), got {states.shape}"
+            f"expected states of shape {net.stack} + ([n,] {net.input_dim}){also}, got {shape}"
         )
     return states, single
 
@@ -207,30 +222,31 @@ class _Scratch:
         return self._arrays[key]
 
 
-def _forward_cached(
-    net: QNetwork, x: np.ndarray, scratch: _Scratch
+def _forward(
+    net: QNetwork, x: np.ndarray, scratch: _Scratch | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Q-values and each layer's input activation, with layer outputs in ``scratch``.
+    """Q-values of a batch from :func:`_as_batch` and each layer's input activation.
 
-    ReLU runs in place, so a hidden activation is > 0 exactly where its
-    pre-activation is.
+    Each layer is one matmul, a bias add and, for a hidden layer, an in-place
+    ReLU, so a hidden activation is > 0 exactly where its pre-activation is.
+    With ``scratch`` the layer outputs go into its arrays, which the next
+    call with it overwrites; without, they are new arrays.
     """
     activations = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(net._layers):
-        z = np.matmul(activations[-1], w, out=scratch(("z", i), (*x.shape[:-1], w.shape[-1])))
+        out = None if scratch is None else scratch(("z", i), (*x.shape[:-1], w.shape[-1]))
+        z = np.matmul(activations[-1], w, out=out)
         z += b
         if i < last:
             activations.append(np.maximum(z, 0.0, out=z))
     return z, activations
 
 
-_ZERO = np.zeros(())
-
-
 def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     """Q-values for one state ``(n_actions,)`` or a batch ``(n, n_actions)``.
 
+    Every shape runs through :func:`_forward`, one state as a batch of one.
     A single network also takes a ``(B, 1, d)`` stack of one-state batches
     and returns ``(B, 1, n_actions)``: ``np.matmul`` broadcasts the weights
     over B and runs one ``(1, d)`` product per state, so each row has the
@@ -238,26 +254,8 @@ def mlp_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     differs in the last bits). A stack of K networks takes one state or
     batch per agent and returns ``(K, n_actions)`` or ``(K, n, n_actions)``.
     """
-    if not net.stack and type(states) is np.ndarray and states.shape[-1:] == net.sizes[:1] and (
-        states.ndim == 1 or states.ndim == 3 and states.shape[1] == 1
-    ):
-        # the (1, d) products, bias adds and ReLUs of a batch of one per
-        # state, without the batch bookkeeping; on one state np.dot is the
-        # same BLAS call as @ (np.dot of a 3-d array is not), and a 0-d zero
-        # the same operand as 0.0, each with less dispatch per call
-        one = states.ndim == 1
-        product = np.dot if one else np.matmul
-        x = (states[None] if one else states).astype(np.float64, copy=False)
-        for w, b in net._layers[:-1]:
-            x = product(x, w)
-            x += b
-            np.maximum(x, _ZERO, out=x)
-        w, b = net._layers[-1]
-        x = product(x, w)
-        x += b
-        return x[0] if one else x
     x, single = _as_batch(net, states)
-    q, _ = _forward_cached(net, x, _Scratch())
+    q, _ = _forward(net, x)
     return q[..., 0, :] if single else q
 
 
@@ -292,12 +290,14 @@ def td_loss_and_grads(
     loss is one value per agent.
     """
     x, _ = _as_batch(net, states)
+    if x.shape[:-2] != net.stack:
+        raise ValueError(f"a TD batch is {net.stack} + (n, {net.input_dim}) states, got {x.shape}")
     rows, n = x.shape[:-1], x.shape[-2]
     if n == 0 or targets.shape != rows or actions.shape != rows:
         got = f"got {targets.shape} and {actions.shape}"
         raise ValueError(f"batch must be non-empty, with targets and actions of shape {rows}; {got}")
     scratch = scratch or _Scratch()
-    q, activations = _forward_cached(net, x, scratch)
+    q, activations = _forward(net, x, scratch)
 
     # gather and scatter the taken actions' entries through flat indices
     # into q, which works for any number of leading axes

@@ -108,9 +108,12 @@ def save_policy(
     """Write a model to a weight file atomically.
 
     Raises :class:`ValueError` naming the arrays, and writes nothing, when a
-    parameter is not finite.
+    parameter is not finite or ``model`` is a stack of networks (a file holds
+    one network; save each of ``model.unstack()``).
     """
     if isinstance(model, QNetwork):
+        if model.stack:
+            raise ValueError(f"cannot save {path}: a stack of {model.stack[0]} networks, not one")
         arrays: dict[str, np.ndarray] = {}
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             arrays[f"w{i}"] = w

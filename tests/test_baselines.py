@@ -243,6 +243,27 @@ class TestTrainClassifier:
         with pytest.raises(ValueError, match=r"Hessian is singular; 0 Newton iteration\(s\), gradient norm"):
             train_classifier(commits, opts)
 
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ({"train_size": 2.5}, "classifier.train_size"),
+            ({"l2_penalty": math.inf}, "classifier.l2_penalty"),
+            ({"tolerance": 0.0}, "classifier.tolerance"),
+        ],
+        ids=["train_size", "l2_penalty", "tolerance"],
+    )
+    def test_options_checked_at_entry(self, bad, key):
+        # unchecked, train_size 2.5 ended in a bare TypeError from NumPy and
+        # an infinite l2_penalty in RuntimeWarnings, then "the line search stalled"
+        opts = dataclasses.replace(ClassifierConfig(train_size=300), **bad)
+        commits = records(EnvConfig(), 300, seed=8)
+        with pytest.raises(ConfigError, match=key):
+            train_classifier(commits, opts)
+        with pytest.raises(ConfigError, match=key):
+            make_classifier(EnvConfig(), opts)
+        with pytest.raises(ConfigError, match="env.bug_probability"):
+            make_classifier(dataclasses.replace(EnvConfig(), bug_probability=1.5))
+
     def test_rejected_step_is_halved(self, monkeypatch):
         # the first full Newton step is made to look worse; its half is taken
         objective, calls = baselines._objective, []

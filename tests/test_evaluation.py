@@ -32,7 +32,6 @@ from testscope.evaluation import (
     exploration_corrected_curve,
     penalty_sweep,
     run_episode,
-    run_episodes,
 )
 from testscope.fileio import rows_to_csv
 from testscope.network import mlp_init
@@ -172,27 +171,6 @@ class TestRunEpisode:
 
 
 class TestRunEpisodes:
-    @pytest.mark.parametrize("record_actions", [False, True])
-    def test_one_pass_equals_separate_episodes(self, record_actions):
-        # recorded, the per-commit actions must agree as well as the totals
-        cfg = EnvConfig()
-        policies = four_policies()
-        wrap = recording if record_actions else lambda policy: policy
-        for trace_seed, env_seed in ((1, 2), (7, 9), (30, 4)):
-            trace = generate_trace(cfg, cfg.commits_per_episode, seed=trace_seed)
-            played_together = [wrap(p) for p in policies]
-            played_alone = [wrap(p) for p in policies]
-            together = run_episodes(played_together, trace, 5.0, cfg, seed=env_seed)
-            alone = [run_episode(p, trace, 5.0, cfg, seed=env_seed) for p in played_alone]
-            assert [dataclasses.asdict(s) for s in together] == [
-                dataclasses.asdict(s) for s in alone
-            ]
-            if record_actions:
-                assert [p.actions for p in played_together] == [p.actions for p in played_alone]
-                assert all(len(p.actions) == cfg.commits_per_episode for p in played_together)
-        # the classifier uses every tier, so playing together had something to break
-        assert all(together[2].action_counts)
-
     def test_no_policy_observes_the_trace(self, monkeypatch):
         # planners plan from the trace's arrays and closed-loop policies act
         # on the state: no per-commit view is built
@@ -203,7 +181,7 @@ class TestRunEpisodes:
         monkeypatch.setattr(commits, "observe", refuse)
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=3)
-        stats = run_episodes(four_policies(), trace, 5.0, cfg)
+        stats = [run_episode(p, trace, 5.0, cfg) for p in four_policies()]
         assert [s.commits for s in stats] == [len(trace)] * 4
 
     def test_simulation_builds_no_records_and_scores_no_risk(self, monkeypatch):
@@ -291,7 +269,7 @@ class TestLockstep:
             compare_policies({"fixed": planner}, cfg, 5.0, n_runs=2)
         trace = generate_trace(cfg, 20, seed=1)
         with pytest.raises(ValueError, match=rf"shape \({length},\)"):
-            run_episodes([planner], trace, 5.0, cfg)
+            run_episode(planner, trace, 5.0, cfg)
 
 
 class TestComputeMetrics:
@@ -607,11 +585,11 @@ def stats_digest(stats: list[evaluation.EpisodeStats]) -> str:
     return hashlib.sha256(table.tobytes()).hexdigest()
 
 
-# sha256 of the ``EpisodeStats`` of ``run_episodes`` over one trace and of
-# ``compare_policies`` over two runs (every policy, by name), per trace mode,
-# seed and number of policies, at escape penalty 4.9. Recorded before the
-# step table existed, when each loop added every step's outcome to its own
-# running totals.
+# sha256 of the ``EpisodeStats`` of ``run_episode`` over one trace (each
+# policy in turn) and of ``compare_policies`` over two runs (every policy, by
+# name), per trace mode, seed and number of policies, at escape penalty 4.9.
+# Recorded before the step table existed, when each loop added every step's
+# outcome to its own running totals.
 PINNED_EVAL_DIGESTS = {
     ("standard", 0, 1): (
         "3963ad67d89befb66c03fb8289816bdc7fa8141afaedbb7060ef1ce7b991bfb4",
@@ -686,7 +664,7 @@ class TestPinnedStats:
         cfg = fractional_cfg(mode)
         policies = [MixedPolicy(cfg.commits_per_episode)] if n_policies == 1 else four_policies()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=seed)
-        episodes = stats_digest(run_episodes(policies, trace, 4.9, cfg, seed=seed + 10))
+        episodes = stats_digest([run_episode(p, trace, 4.9, cfg, seed=seed + 10) for p in policies])
         named = dict(zip("abcd", policies))
         _, stats = compare_policies(named, cfg, 4.9, n_runs=2, base_seed=seed)
         compared = stats_digest([s for name in sorted(stats) for s in stats[name]])

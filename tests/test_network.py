@@ -139,8 +139,8 @@ class TestForward:
         ids=lambda sizes: "-".join(map(str, sizes)),
     )
     def test_one_state_equals_a_batch_of_one_bit_for_bit(self, sizes):
-        # a single float64 state takes its own short path through the same
-        # (1, d) products (np.dot); a list takes the general one (@)
+        # one state runs as a batch of one through the same forward loop,
+        # whether it comes as a float64 array, a list or integers
         input_dim, output_dim = sizes[0], sizes[-1]
         net = mlp_init(sizes[1:-1], seed=3, input_dim=input_dim, output_dim=output_dim)
         net.flat += np.random.default_rng(4).normal(scale=0.1, size=net.flat.size)
@@ -168,8 +168,39 @@ class TestForward:
             mlp_forward(net, np.ones((n, 2, 10)))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mlp_forward(tiny_net(), np.ones(9))
+        # the one shape rule: stack + ([n,] d), and (B, 1, d) for a single
+        # network; None marks a shape that must be rejected
+        single, stack = tiny_net(), tiny_net().stacked(3)
+        table = [
+            (single, (10,), (3,)),
+            (single, (5, 10), (5, 3)),
+            (single, (4, 1, 10), (4, 1, 3)),
+            (single, (9,), None),
+            (single, (5, 9), None),
+            (single, (4, 2, 10), None),
+            (single, (4, 1, 9), None),
+            (single, (2, 1, 1, 10), None),
+            (single, (), None),
+            (stack, (3, 10), (3, 3)),
+            (stack, (3, 5, 10), (3, 5, 3)),
+            (stack, (3, 1, 10), (3, 1, 3)),
+            (stack, (10,), None),
+            (stack, (4, 10), None),
+            (stack, (2, 5, 10), None),
+            (stack, (5, 1, 10), None),
+            (stack, (3, 5, 9), None),
+            (stack, (3, 1, 1, 10), None),
+        ]
+        for net, shape, out in table:
+            states = np.ones(shape)
+            if out is None:
+                with pytest.raises(ValueError, match="expected states of shape"):
+                    mlp_forward(net, states)
+            else:
+                assert mlp_forward(net, states).shape == out, (net.stack, shape)
+        # the TD pass takes plain batches only
+        with pytest.raises(ValueError, match="a TD batch is"):
+            td_loss_and_grads(single, np.zeros((4, 1)), np.ones((4, 1, 10)), np.zeros((4, 1), int))
 
     def test_adding_constant_to_output_biases_keeps_argmax(self):
         rng = np.random.default_rng(9)

@@ -156,6 +156,17 @@ class TestGuards:
             save_policy(path, model)
         assert list(tmp_path.iterdir()) == []
 
+    def test_stacked_network_rejected_at_save(self, tmp_path):
+        # unchecked, the file held (3, 10, 4) weights that load_policy refused
+        # with "layer 0 shape mismatch"
+        stack = mlp_init((4, 4)).stacked(3)
+        with pytest.raises(ValueError, match="a stack of 3 networks, not one"):
+            save_policy(tmp_path / "stack.json", stack)
+        assert list(tmp_path.iterdir()) == []
+        for i, net in enumerate(stack.unstack()):
+            save_policy(tmp_path / f"agent{i}.json", net)
+            assert load_policy(tmp_path / f"agent{i}.json").flat.tobytes() == net.flat.tobytes()
+
     def test_logistic_weight_length_checked_at_load(self, tmp_path):
         path = tmp_path / "clf.json"
         # the checksum covers the arrays, so a well-formed file with six

@@ -22,7 +22,7 @@ from testscope import agent, environment
 from testscope.baselines import StaticPolicy, train_classifier
 from testscope.commits import generate_trace
 from testscope.config import EnvConfig
-from testscope.evaluation import run_episodes
+from testscope.evaluation import run_episode
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -155,9 +155,9 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
         env.state
     assert calls == list(range(1, len(trace)))
     calls.clear()
-    run_episodes([StaticPolicy()], trace, 5.0, cfg, seed=1)
+    run_episode(StaticPolicy(), trace, 5.0, cfg, seed=1)
     assert calls == []
-    run_episodes([lambda states: [environment.Action.PARTIAL_TESTS]], trace, 5.0, cfg, seed=1)
+    run_episode(lambda states: [environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
     assert calls == list(range(1, len(trace)))
 
 
