@@ -9,11 +9,12 @@ skips tests, moderate risk runs the partial suite, everything else runs the
 full suite.
 
 Each baseline's action depends on the commit's metadata alone, so each
-*plans* a whole trace at once: ``plan(metadata)`` returns the ``(T,)``
-actions of a trace from its raw ``(T, 5)`` observable columns
-(:meth:`~testscope.commits.Trace.metadata`), which hold neither the bug flag
-nor the generator's risk score. The classifier encodes those columns itself,
-under the caps of the ``state_cfg`` it was fitted with.
+*plans* whole traces at once: ``plan(metadata)`` maps a ``(..., T, 5)``
+stack of raw observable columns, one :meth:`~testscope.commits.Trace.metadata`
+per trace, to the ``(..., T)`` actions of every trace. The columns hold
+neither the bug flag nor the generator's risk score, and each commit's action
+is the one it gets when its trace is planned alone. The classifier encodes
+those columns itself, under the caps of the ``state_cfg`` it was fitted with.
 """
 
 from __future__ import annotations
@@ -52,14 +53,14 @@ class StaticPolicy:
     """The always-full baseline: run the entire suite on every commit."""
 
     def plan(self, metadata: np.ndarray) -> np.ndarray:
-        return np.full(len(metadata), _FULL_TESTS)
+        return np.full(metadata.shape[:-1], _FULL_TESTS)
 
 
 class HeuristicPolicy:
     """Partial tests for diffs under ``HEURISTIC_DIFF_CUTOFF`` lines, else full tests; never skips."""
 
     def plan(self, metadata: np.ndarray) -> np.ndarray:
-        return np.where(metadata[:, 0] < HEURISTIC_DIFF_CUTOFF, _PARTIAL_TESTS, _FULL_TESTS)
+        return np.where(metadata[..., 0] < HEURISTIC_DIFF_CUTOFF, _PARTIAL_TESTS, _FULL_TESTS)
 
 
 # --------------------------------------------------------------------------
@@ -243,11 +244,13 @@ class ClassifierPolicy:
         features = metadata_features(metadata, model.state_cfg)
         risk = np.clip(_sigmoid(features @ model.weights + model.bias), 1e-15, 1.0 - 1e-15)
         # the product differs from predict_risk's per-row np.dot in the last
-        # bits, so a risk that near a threshold is scored again row by row
-        near = np.abs(risk - self.tau_skip) <= _RESCORE_MARGIN
-        near |= np.abs(risk - self.tau_partial) <= _RESCORE_MARGIN
+        # bits, so a risk that near a threshold is scored again row by row,
+        # through flat views of the commits of every trace
+        flat_risk, flat_features = risk.reshape(-1), features.reshape(-1, 5)
+        near = np.abs(flat_risk - self.tau_skip) <= _RESCORE_MARGIN
+        near |= np.abs(flat_risk - self.tau_partial) <= _RESCORE_MARGIN
         for i in np.flatnonzero(near).tolist():
-            risk[i] = predict_risk(model, features[i])
+            flat_risk[i] = predict_risk(model, flat_features[i])
         partial_or_full = np.where(risk < self.tau_partial, _PARTIAL_TESTS, _FULL_TESTS)
         return np.where(risk < self.tau_skip, _SKIP_TESTS, partial_or_full)
 

@@ -251,6 +251,13 @@ def _derive_keys(section: Any, path: tuple[str, ...] = (), prefix: str = "") -> 
 
 CONFIG_KEYS: dict[str, _Key] = _derive_keys(ExperimentConfig())
 
+# each section's keys in CONFIG_KEYS order, by the section's field name,
+# each with its field path inside the section
+_SECTION_KEYS: dict[str, list[tuple[str, _Key, tuple[str, ...]]]] = {
+    f.name: [(key, k, k.path[1:]) for key, k in CONFIG_KEYS.items() if k.path[0] == f.name]
+    for f in fields(ExperimentConfig)
+}
+
 
 def _get(cfg: Any, path: tuple[str, ...], index: int | None) -> Any:
     value = reduce(getattr, path, cfg)
@@ -330,10 +337,8 @@ def _check_fields(section: Any, name: str) -> None:
     keys come from ``CONFIG_KEYS``, so per-action and list items are checked
     one by one and an error names the key as a config file spells it.
     """
-    for key, k in CONFIG_KEYS.items():
-        if k.path[0] != name:
-            continue
-        value = _get(section, k.path[1:], None)
+    for key, k, path in _SECTION_KEYS[name]:
+        value = reduce(getattr, path, section)
         if k.many and not isinstance(value, tuple):
             raise ConfigError(f"{key}: must be a tuple, got {value!r}")
         if k.index is not None:

@@ -48,7 +48,7 @@ reads (a planned baseline's) never runs the encoder.
 The detection draws depend on the trace and the seed alone too, so they are
 drawn when the env is built, and :meth:`PipelineEnv.replicas` shares rows
 and draws among environments that play the same trace, each with its own
-escape penalty.
+escape penalty (and the step rows too where that penalty is the source's).
 
 An env is priced once, when it is built: each action gets a clean, a caught
 and an escaped :class:`StepTable` row. A step picks one by the commit's draw,
@@ -58,6 +58,7 @@ records it in the episode's table and returns ``(reward, done)``.
 from __future__ import annotations
 
 import copy
+import math
 from enum import IntEnum
 from functools import reduce
 from operator import add
@@ -119,12 +120,12 @@ class StepTable(NamedTuple):
 
 
 def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
-    """Features 1-5 of each row of ``raw``, an ``(n, 5)`` array of diff size,
+    """Features 1-5 of each row of ``raw``, an ``(..., 5)`` array of diff size,
     files changed, source fraction, defect rate and experience: diff size and
     files changed capped and scaled, then every feature clipped to [0, 1]."""
     features = np.array(raw, dtype=np.float64)
-    features[:, 0] = np.minimum(features[:, 0], cfg.diff_cap) / cfg.diff_cap
-    features[:, 1] = np.minimum(features[:, 1], cfg.files_cap) / cfg.files_cap
+    features[..., 0] = np.minimum(features[..., 0], cfg.diff_cap) / cfg.diff_cap
+    features[..., 1] = np.minimum(features[..., 1], cfg.files_cap) / cfg.files_cap
     return np.clip(features, 0.0, 1.0, out=features)
 
 
@@ -189,6 +190,7 @@ class PipelineEnv:
     def _price(self, escape_penalty: float) -> None:
         """Check the penalty and build each action's clean, caught and escaped step rows."""
         (escape_penalty,) = validate_penalties((escape_penalty,))
+        self._escape_penalty = escape_penalty
         cfg = self._cfg
         self._step_rows = []
         for action, minutes in zip(Action, cfg.test_minutes):
@@ -207,11 +209,16 @@ class PipelineEnv:
         config and seed.
 
         They share the encoded rows and the detection draws; each has its own
-        step rows, cursor, history and step table.
+        cursor, history and step table. A replica whose penalty equals this
+        env's in value and sign shares its step rows; any other is checked
+        and priced anew (``-0.0`` and ``0.0`` give escaped-skip rewards that
+        differ in the sign of zero).
         """
+        own = self._escape_penalty
         envs = [copy.copy(self) for _ in penalties]
         for env, penalty in zip(envs, penalties):
-            env._price(penalty)
+            if not (penalty == own and math.copysign(1.0, penalty) == math.copysign(1.0, own)):
+                env._price(penalty)
             env.reset()
         return envs
 

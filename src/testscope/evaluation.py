@@ -11,14 +11,16 @@ Every comparison replays the identical traces for every policy, with the
 always-full baseline computed on the same traces as the reference for
 ``tts``/``si``.
 
-A policy is either a planner, whose ``plan(metadata)`` gives a whole
-trace's actions at once from its raw observable columns (the baselines),
-or a closed-loop callable ``policy(states)`` that maps a ``(B, 10)`` float64
-array of env states to B actions (:class:`GreedyPolicy`). A policy plays
-all of an evaluation's runs in lockstep: at each commit index a planner
-takes that index of each run's plan, and a closed-loop policy gets every
-run's state at once and picks each run's action from that run's state
-alone. Either way every action goes through one :meth:`PipelineEnv.step` call.
+A policy is either a planner, whose ``plan(metadata)`` gives every trace's
+actions at once from a ``(..., T, 5)`` stack of their raw observable
+columns (the baselines), or a closed-loop callable ``policy(states)`` that
+maps a ``(B, 10)`` float64 array of env states to B actions
+(:class:`GreedyPolicy`). A policy plays all of an evaluation's runs in
+lockstep: a planner makes one ``plan`` call for all B runs and at each commit
+index gives each run that index of its row of the ``(B, T)`` plan, and a
+closed-loop policy gets every run's state at once and picks each run's action
+from that run's state alone. Either way every action goes through one
+:meth:`PipelineEnv.step` call.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ __all__ = [
 ]
 
 class Planner(Protocol):
-    """An open-loop policy: the ``(T,)`` actions of a trace from its raw
-    ``(T, 5)`` observable columns, :meth:`Trace.metadata`."""
+    """An open-loop policy: the ``(..., T)`` actions of a ``(..., T, 5)``
+    stack of traces' raw observable columns, one :meth:`Trace.metadata` per
+    trace. Each trace's actions are those it gets when planned alone."""
 
     def plan(self, metadata: np.ndarray) -> np.ndarray: ...
 
 
-# a policy plans a trace's actions from its raw observable columns, or maps
+# a policy plans traces' actions from their raw observable columns, or maps
 # a (B, 10) array of env states, one per run played in lockstep, to B
 # actions; the latent bug flag and the generator's risk score reach neither
 Policy = Planner | Callable[[np.ndarray], Sequence[Action | int]]
@@ -121,14 +124,16 @@ def _play(
     env built with the trace's seed. Every trace has
     ``env_cfg.commits_per_episode`` commits.
 
-    Each policy in turn plays every trace in lockstep, one env per trace: at
-    each commit index a planner takes that index of each trace's plan, a
-    closed-loop policy makes one call that maps the envs' ``(B, 10)`` states
-    to B actions, and :func:`step_envs` steps the envs by them. A trace's
-    envs are replicas of one, sharing its rows and draws, so each policy
-    meets the same detection draws and sees the same states as when played
-    alone. Only a state read runs the history encoder, so a planner's steps
-    encode nothing.
+    Each policy in turn plays every trace in lockstep, one env per trace: a
+    planner makes one ``plan`` call on the traces' ``(B, T, 5)`` stacked
+    columns and at each commit index gives each trace that index of its row
+    of the ``(B, T)`` plan, a closed-loop policy makes one call per commit
+    index that maps the envs' ``(B, 10)`` states to B actions, and
+    :func:`step_envs` steps the envs by them. A plan of any other shape
+    raises :class:`ValueError`. A trace's envs are replicas of one, sharing
+    its rows, draws and step rows, so each policy meets the same detection
+    draws and sees the same states as when played alone. Only a state read
+    runs the history encoder, so a planner's steps encode nothing.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -136,16 +141,17 @@ def _play(
         PipelineEnv(t, env_cfg, escape_penalty, seed=s).replicas([escape_penalty] * len(policies))
         for t, s in zip(traces, seeds)
     ]
-    metadata = [trace.metadata() for trace in traces]
+    metadata = np.stack([trace.metadata() for trace in traces])
     for k, policy in enumerate(policies):
         envs = [run_envs[k] for run_envs in trace_envs]
         if hasattr(policy, "plan"):
-            plans = [np.asarray(policy.plan(m)) for m in metadata]
-            bad = [plan.shape for plan in plans if plan.shape != (n,)]
-            if bad:
-                raise ValueError(f"{type(policy).__name__}.plan gave shape {bad[0]}, not ({n},)")
-            # the t-th entry holds each trace's action at commit t
-            actions_at = zip(*(plan.tolist() for plan in plans))
+            plan = np.asarray(policy.plan(metadata))
+            if plan.shape != (len(envs), n):
+                raise ValueError(
+                    f"{type(policy).__name__}.plan gave shape {plan.shape}, not {(len(envs), n)}"
+                )
+            # the t-th row holds each trace's action at commit t
+            actions_at = plan.T.tolist()
         else:
             actions_at = (policy(np.array([env.state for env in envs])) for _ in range(n))
         for actions in actions_at:
@@ -162,8 +168,9 @@ def run_episode(
 ) -> EpisodeStats:
     """Play one trace under ``policy``, from an env built with ``seed``, and
     accumulate episode statistics: the one-run case of :func:`_play`. A
-    planner plans the trace once; a closed-loop policy gets each state as a
-    ``(1, 10)`` array and returns one action."""
+    planner plans the trace once, as a ``(1, T, 5)`` stack whose plan is
+    ``(1, T)``; a closed-loop policy gets each state as a ``(1, 10)`` array
+    and returns one action."""
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
             f"trace length {len(trace)} != commits_per_episode "
@@ -305,11 +312,12 @@ def compare_policies(
     reference is computed internally on the identical traces (and reused for
     every :class:`StaticPolicy`). Each policy plays all ``n_runs`` runs in
     lockstep, one commit index at a time, and gets the same episodes as when
-    each run is played alone: a planner plans each run's trace once, a
-    closed-loop policy makes one call per commit index that maps the runs'
-    ``(n_runs, 10)`` states to one action per run. A plan of other than one
-    action per commit, or a call that returns other than one action per
-    run, raises :class:`ValueError`.
+    each run is played alone: a planner makes one ``plan`` call that maps
+    the runs' ``(n_runs, T, 5)`` stacked columns to ``(n_runs, T)`` actions,
+    a closed-loop policy makes one call per commit index that maps the runs'
+    ``(n_runs, 10)`` states to one action per run. A plan of any other
+    shape, or a call that returns other than one action per run, raises
+    :class:`ValueError`.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``).

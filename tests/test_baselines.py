@@ -24,7 +24,7 @@ from testscope.baselines import (
     train_classifier,
 )
 from testscope.commits import Trace, generate_trace, observe
-from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig
+from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig, derive_seed
 from testscope.environment import Action, PipelineEnv, metadata_features
 
 from test_environment import make_commit
@@ -493,3 +493,41 @@ class TestPlans:
         assert actions[below] == Action.FULL_TESTS
         assert actions == [per_row_action(policy, c) for c in observe(trace)]
         assert Action.PARTIAL_TESTS in actions
+
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    @pytest.mark.parametrize("n_traces", [1, 2, 30])
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        row=st.integers(0, 2**16),
+        taus=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    )
+    def test_a_stack_plans_each_trace_as_when_planned_alone(self, mode, n_traces, seed, row, taus):
+        # one plan of the traces' (B, T, 5) stacked columns equals the B
+        # per-trace plans, stacked; two classifiers put a threshold on one
+        # row's exact risk, which the batched product may miss by an ulp
+        cfg = EnvConfig()
+        traces = [
+            generate_trace(cfg, cfg.commits_per_episode, derive_seed(seed, i), mode)
+            for i in range(n_traces)
+        ]
+        metadata = np.stack([trace.metadata() for trace in traces])
+        model = LogisticModel(np.array([6.0, 1.0, 0.8, 5.0, -1.8]), -3.0)
+        rows = metadata_features(metadata, model.state_cfg).reshape(-1, 5)
+        row %= len(rows)
+        on_row = predict_risk(model, rows[row])
+        policies = [
+            StaticPolicy(),
+            HeuristicPolicy(),
+            ClassifierPolicy(model, thresholds(0.1, 0.3)),
+            ClassifierPolicy(model, thresholds(*taus)),
+            ClassifierPolicy(model, thresholds(0.0, on_row)),
+            ClassifierPolicy(model, thresholds(on_row, on_row)),
+        ]
+        for policy in policies:
+            stacked = policy.plan(metadata)
+            assert stacked.shape == (n_traces, cfg.commits_per_episode)
+            alone = np.stack([policy.plan(trace.metadata()) for trace in traces])
+            assert stacked.tolist() == alone.tolist()
+        for policy in policies[-2:]:
+            assert policy.plan(metadata).reshape(-1)[row] == Action.FULL_TESTS

@@ -489,6 +489,32 @@ class TestSharedDraws:
         assert alone.table == second.table
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
 
+    def test_a_replica_at_its_sources_penalty_shares_the_step_rows(self):
+        # a replica at the source's penalty in value and sign keeps its step
+        # rows; a 0.0 replica of a -0.0 env (or the reverse) is priced anew,
+        # as its escaped skips earn 0.0 where the source's earn -0.0. Each
+        # replica plays the table of an env built at its own penalty.
+        cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, detection_rates=(1.0, 0.7, 0.5))
+        trace = generate_trace(cfg, 60, seed=3)
+        actions = np.random.default_rng(7).integers(0, 3, len(trace)).tolist()
+        for source, penalties, shared in [
+            (5.0, [5.0, 5, 7.0], [True, True, False]),
+            (-0.0, [-0.0, 0.0], [True, False]),
+            (0.0, [0.0, -0.0], [True, False]),
+        ]:
+            env = PipelineEnv(trace, cfg, source, seed=2)
+            replicas = env.replicas(penalties)
+            assert [r._step_rows is env._step_rows for r in replicas] == shared
+            for replica, penalty in zip(replicas, penalties):
+                fresh = PipelineEnv(trace, cfg, penalty, seed=2)
+                for action in actions:
+                    replica.step(action)
+                    fresh.step(action)
+                assert repr(replica.table) == repr(fresh.table)
+            if source == 0.0:
+                # the signs of zero show in the escaped skips' rewards
+                assert repr(replicas[0].table) != repr(replicas[1].table)
+
 
 class TestStateReads:
     @settings(max_examples=60, deadline=None)

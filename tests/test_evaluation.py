@@ -76,11 +76,17 @@ class Recording:
 
 
 class RecordingPlans(Recording):
-    """Plans with ``policy`` and records the actions of every plan, in order."""
+    """Plans with ``policy`` and records the shape of every call's stacked
+    columns and the actions of its plan, trace by trace, in order."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.shapes = []
 
     def plan(self, metadata):
         actions = self.policy.plan(metadata)
-        self.actions.extend(actions.tolist())
+        self.shapes.append(metadata.shape)
+        self.actions.extend(actions.reshape(-1).tolist())
         return actions
 
 
@@ -91,7 +97,14 @@ class FixedPlan:
         self.actions = actions
 
     def plan(self, metadata):
-        return self.actions
+        return np.tile(self.actions, (*metadata.shape[:-2], 1))
+
+
+class DropsARun:
+    """A planner that plans every trace but the first."""
+
+    def plan(self, metadata):
+        return HeuristicPolicy().plan(metadata)[1:]
 
 
 def recording(policy):
@@ -160,6 +173,7 @@ class TestRunEpisode:
     def test_recorded_actions(self):
         policy = recording(HeuristicPolicy())
         stats = episode(policy)
+        assert policy.shapes == [(1, stats.commits, 5)]
         assert len(policy.actions) == stats.commits
         counted = tuple(policy.actions.count(a) for a in range(3))
         assert counted == stats.action_counts
@@ -265,11 +279,39 @@ class TestLockstep:
         # unchecked, a 15-action plan played 15 of 20 commits per run
         cfg = EnvConfig(commits_per_episode=20)
         planner = FixedPlan(np.full(length, Action.PARTIAL_TESTS))
-        with pytest.raises(ValueError, match=rf"FixedPlan.plan gave shape \({length},\), not \(20,\)"):
+        match = rf"FixedPlan.plan gave shape \(2, {length}\), not \(2, 20\)"
+        with pytest.raises(ValueError, match=match):
             compare_policies({"fixed": planner}, cfg, 5.0, n_runs=2)
         trace = generate_trace(cfg, 20, seed=1)
-        with pytest.raises(ValueError, match=rf"shape \({length},\)"):
+        with pytest.raises(ValueError, match=rf"shape \(1, {length}\), not \(1, 20\)"):
             run_episode(planner, trace, 5.0, cfg)
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_a_plan_with_the_wrong_run_count_rejected(self, n_runs):
+        # a plan one run short is refused for its shape before any env steps
+        cfg = EnvConfig(commits_per_episode=20)
+        match = rf"DropsARun.plan gave shape \({n_runs - 1}, 20\), not \({n_runs}, 20\)"
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"short": DropsARun()}, cfg, 5.0, n_runs=n_runs)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(DropsARun(), cfg, 5.0, n_runs=n_runs)
+
+    def test_one_plan_call_per_planner(self, monkeypatch):
+        # each planner, the always-full reference among them, plans all runs
+        # in one call on their stacked columns
+        reference = []
+        static_plan = StaticPolicy.plan
+
+        def recorded(self, metadata):
+            reference.append(metadata.shape)
+            return static_plan(self, metadata)
+
+        monkeypatch.setattr(StaticPolicy, "plan", recorded)
+        cfg = EnvConfig()
+        heuristic, classifier = map(recording, four_policies()[1:3])
+        compare_policies({"heuristic": heuristic, "classifier": classifier}, cfg, 5.0, n_runs=3)
+        shape = (3, cfg.commits_per_episode, 5)
+        assert reference == heuristic.shapes == classifier.shapes == [shape]
 
 
 class TestComputeMetrics:
