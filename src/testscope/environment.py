@@ -36,23 +36,28 @@ encodes them for both from the same raw columns (:meth:`Trace.metadata`),
 so the state and the classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
-encodes them for the whole trace in one pass when it is built. The
-baselines never read that encoding: they plan an episode's actions from the
-trace's raw columns. The episode history behind features 6-9 is the env's
-own state: running failure counts and the commits since the last
-full-suite run, which a reset clears and each step updates. A step records
-its outcome and updates the history; it encodes nothing. Reading
-:attr:`PipelineEnv.state` copies the current commit's row and writes its
-features 6-9 with :func:`encode_state`, so an episode whose states no one
-reads (a planned baseline's) never runs the encoder.
-The detection draws depend on the trace and the seed alone too, so they are
-drawn when the env is built, and :meth:`PipelineEnv.replicas` shares rows
-and draws among environments that play the same trace, each with its own
-escape penalty (and the step rows too where that penalty is the source's).
+encodes them for the whole trace in one pass, on the first read of its
+state; replicas share that encoding, so it is built at most once per trace.
+The baselines never read it: they plan an episode's actions from the trace's
+raw columns, so an env that only a planner plays encodes no row.
 
-An env is priced once, when it is built: each action gets a clean, a caught
-and an escaped :class:`StepTable` row. A step picks one by the commit's draw,
-records it in the episode's table and returns ``(reward, done)``.
+The detection draws depend on the trace and the seed alone too, so each
+commit's outcome under each action is fixed when the env is built, and
+:meth:`PipelineEnv.replicas` shares the draws and the rows among
+environments that play the same trace, each with its own escape penalty
+(and the step rows too where that penalty is the source's). An env is
+priced once, when it is built: each action gets a clean, a caught and an
+escaped :class:`StepTable` row. A step records only the outcome's code,
+``3 * action + kind`` (kind 0 clean, 1 caught, 2 escaped), and returns
+``(reward, done)`` with the reward of that code.
+
+The episode history behind features 6-9 (running failure counts and the
+commits since the last full-suite run) is the env's own state, which a
+reset clears. A step does not update it: reading :attr:`PipelineEnv.state`
+first brings it up to date from the codes stepped since the last read, then
+copies the current commit's row and writes its features 6-9 with
+:func:`encode_state`. :attr:`PipelineEnv.table` derives the step table from
+the codes when it is read.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ class Action(IntEnum):
 
 N_ACTIONS = 3
 STATE_DIM = 10
-_FULL_TESTS = Action.FULL_TESTS  # a module global reads faster than an enum member
+_CLEAN = (0, 3, 6)  # each action's code for a clean commit
+_FAILED = (0, 1, 0) * 3  # per code, 1 where the tests failed (kind 1, a caught bug)
 
 
 class StepTable(NamedTuple):
@@ -155,15 +161,16 @@ def encode_state(
 class PipelineEnv:
     """Steps a fixed commit trace through the simulated pipeline.
 
-    Stateful and single-threaded. The encoded rows, the step rows (priced
-    with an escape penalty that :func:`validate_penalties` checks) and the
-    detection draws are fixed when the env is built: the k-th buggy commit is
-    caught when the k-th number of ``default_rng(seed).random(n_buggy)`` is
-    below the action's detection rate. ``reset`` restores the cursor and the
-    history and replays the same draws, so a reset environment replays
-    identically under the same action sequence. Each read of ``state``
-    returns a new array, the same bits on every read while the cursor stays
-    on a commit, so callers may keep and change them.
+    Stateful and single-threaded. The step rows (priced with an escape
+    penalty that :func:`validate_penalties` checks) and the detection draws
+    are fixed when the env is built: the k-th buggy commit is caught when the
+    k-th number of ``default_rng(seed).random(n_buggy)`` is below the
+    action's detection rate. A step records one outcome code, from which
+    ``table`` and the history behind ``state`` are derived. ``reset``
+    restores the cursor and the history and replays the same draws, so a
+    reset environment replays identically under the same action sequence.
+    Each read of ``state`` returns a new array, the same bits on every read
+    while the cursor stays on a commit, so callers may keep and change them.
     """
 
     def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
@@ -173,86 +180,126 @@ class PipelineEnv:
             raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
         self._n = len(trace)
         self._cfg = cfg
-        # one row per commit, then the all-zero state that ends the episode;
-        # features 6-9 stay 0 here, a read of ``state`` writes them in its copy
-        rows = np.zeros((self._n + 1, STATE_DIM))
-        rows[:-1, :5] = metadata_features(trace.metadata(), cfg.state)
-        rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
-        self._rows = rows
+        self._trace = trace
+        self._rows = [None]  # the encoded rows once a state is read; replicas share the holder
         # the k-th buggy commit gets the k-th draw; clean commits draw none
         has_bug = trace.has_bug.tolist()
         draws = iter(np.random.default_rng(seed).random(sum(has_bug)).tolist())
-        self._draws = [next(draws) if bug else None for bug in has_bug]
-        self._rates = tuple(cfg.detection_rates)
+        draws = [next(draws) if bug else None for bug in has_bug]
+        # [t][action]: the step's code. Clean commits never fail tests; a
+        # buggy one is caught (kind 1) when its draw is below the action's
+        # rate (a rate of 1.0 always, 0.0 never) and escapes (kind 2) otherwise
+        full, partial, skip = cfg.detection_rates
+        self._outcomes = [
+            _CLEAN if d is None else (2 - (d < full), 5 - (d < partial), 8 - (d < skip))
+            for d in draws
+        ]
         self._price(escape_penalty)
-        self.reset()
+        self._rewind()
 
     def _price(self, escape_penalty: float) -> None:
-        """Check the penalty and build each action's clean, caught and escaped step rows."""
+        """Check the penalty and build the step row and the reward of each code."""
         (escape_penalty,) = validate_penalties((escape_penalty,))
         self._escape_penalty = escape_penalty
         cfg = self._cfg
-        self._step_rows = []
+        rows = []
         for action, minutes in zip(Action, cfg.test_minutes):
             cost = -minutes - 0.0  # a float, also for int minutes
             caught = cfg.build_minutes + minutes
             passed = caught + cfg.deploy_minutes  # only commits that pass testing deploy
             escaped = passed + cfg.escape_delay_minutes
-            self._step_rows.append((
+            rows += [
                 (action, False, False, minutes, passed, cost),
                 (action, True, False, minutes, caught, cost),
                 (action, False, True, minutes, escaped, cost - escape_penalty),
-            ))
+            ]
+        self._step_rows = tuple(rows)
+        self._rewards = tuple(row[5] for row in rows)
+
+    def _encode_rows(self) -> np.ndarray:
+        """One row per commit, then the all-zero state that ends the episode;
+        features 6-9 stay 0 here, a read of ``state`` writes them in its copy."""
+        rows = np.zeros((self._n + 1, STATE_DIM))
+        rows[:-1, :5] = metadata_features(self._trace.metadata(), self._cfg.state)
+        rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
+        self._rows[0] = rows
+        return rows
 
     def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
         """One reset environment per escape penalty, over this one's trace,
         config and seed.
 
-        They share the encoded rows and the detection draws; each has its own
-        cursor, history and step table. A replica whose penalty equals this
-        env's in value and sign shares its step rows; any other is checked
-        and priced anew (``-0.0`` and ``0.0`` give escaped-skip rewards that
-        differ in the sign of zero).
+        They share the detection draws and the holder of the encoded rows, so
+        the rows are built once, on the first state read of any of them; each
+        has its own cursor, codes and history. A replica whose penalty equals
+        this env's in value and sign shares its step rows; any other is
+        checked and priced anew (``-0.0`` and ``0.0`` give escaped-skip
+        rewards that differ in the sign of zero).
         """
         own = self._escape_penalty
         envs = [copy.copy(self) for _ in penalties]
         for env, penalty in zip(envs, penalties):
             if not (penalty == own and math.copysign(1.0, penalty) == math.copysign(1.0, own)):
                 env._price(penalty)
-            env.reset()
+            env._rewind()
         return envs
+
+    def _rewind(self) -> None:
+        """Rewind to the first commit without reading its state."""
+        self._cursor = 0
+        self._codes: list[int] = []
+        self._fails = [0]  # fails[t]: commits among the first t whose tests failed
+        self._since_full_tests = 0
 
     def reset(self) -> np.ndarray:
         """Rewind to the first commit and return its state."""
-        self._cursor = 0
-        self._fails = [0]  # fails[t]: commits among the first t whose tests failed
-        self._since_full_tests = 0
-        self._steps: list[tuple] = []
+        self._rewind()
         return self.state
 
     @property
     def state(self) -> np.ndarray:
         """A new array holding the current commit's state, all zeros once the
-        episode is done; its features 6-9 are encoded from the history."""
+        episode is done; its features 6-9 are encoded from the history, which
+        a read first brings up to date from the codes stepped since the last."""
         t = self._cursor
-        state = self._rows[t].copy()
+        rows = self._rows[0]
+        if rows is None:
+            rows = self._encode_rows()
+        state = rows[t].copy()
         if 0 < t < self._n:
-            encode_state(state, t, self._fails, self._since_full_tests, self._cfg.state)
+            fails = self._fails
+            for code in self._codes[len(fails) - 1 : t]:
+                fails.append(fails[-1] + _FAILED[code])
+                # codes 0-2 ran the full suite
+                self._since_full_tests = 0 if code < 3 else self._since_full_tests + 1
+            encode_state(state, t, fails, self._since_full_tests, self._cfg.state)
         return state
+
+    @property
+    def codes(self) -> bytes:
+        """The outcome code of each step so far, ``3 * action + kind``, one
+        byte per step."""
+        return bytes(self._codes)
+
+    @property
+    def step_rows(self) -> tuple[tuple, ...]:
+        """The step row of each outcome code, in the order of the
+        :class:`StepTable` columns."""
+        return self._step_rows
 
     @property
     def table(self) -> StepTable:
         """The episode's steps so far, one entry per stepped commit in each column."""
-        return StepTable(*(tuple(zip(*self._steps)) or ((),) * len(StepTable._fields)))
+        rows = [self._step_rows[code] for code in self._codes]
+        return StepTable(*(tuple(zip(*rows)) or ((),) * len(StepTable._fields)))
 
     def step(self, action: Action) -> tuple[float, bool]:
         """Process the current commit with the chosen test scope.
 
-        Records the step in ``table``, updates the history and returns the
-        reward and the done flag; ``state`` then reads the next commit's
-        state (zeros once the trace is exhausted). Stepping a finished
-        episode, or an action that is not an integer in 0..2, raises before
-        anything changes.
+        Records the step's outcome code and returns its reward and the done
+        flag; ``state`` then reads the next commit's state (zeros once the
+        trace is exhausted). Stepping a finished episode, or an action that
+        is not an integer in 0..2, raises before anything changes.
         """
         t = self._cursor
         if t == self._n:
@@ -260,19 +307,12 @@ class PipelineEnv:
         if action not in (0, 1, 2):
             action = Action(action)
         try:
-            clean, caught, escaped = self._step_rows[action]
+            code = self._outcomes[t][action]
         except TypeError:  # a float equal to 0, 1 or 2 passes the guard above
             raise ValueError(f"action must be an integer in 0..2, got {action!r}") from None
-        # clean commits never fail tests; a buggy one is caught at the
-        # action's rate (a rate of 1.0 always, 0.0 never)
-        draw = self._draws[t]
-        row = clean if draw is None else caught if draw < self._rates[action] else escaped
-        self._steps.append(row)
-        fails = self._fails
-        fails.append(fails[t] + row[1])  # row[1]: detected
-        self._since_full_tests = 0 if action == _FULL_TESTS else self._since_full_tests + 1
+        self._codes.append(code)
         self._cursor = t = t + 1
-        return row[5], t == self._n
+        return self._rewards[code], t == self._n
 
 
 def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
@@ -283,6 +323,8 @@ def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
     actions other than one per env raises :class:`ValueError` before any
     env is stepped.
     """
+    if not envs:
+        raise ValueError("need at least one environment")
     if len(actions) != len(envs):
         raise ValueError(f"got {len(actions)} actions for {len(envs)} environments")
     rewards = []

@@ -26,8 +26,8 @@ from that run's state alone. Either way every action goes through one
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import compress
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from itertools import chain
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -39,13 +39,14 @@ from .commits import Trace, generate_trace, observe  # noqa: F401
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
-from .environment import Action, PipelineEnv, StepTable, step_envs
+from .environment import Action, PipelineEnv, step_envs
 from .network import QNetwork
 
 __all__ = [
     "Planner",
     "Policy",
     "EpisodeStats",
+    "episode_stats",
     "run_episode",
     "MetricStat",
     "RunMetrics",
@@ -97,20 +98,54 @@ class EpisodeStats:
     action_counts: tuple[int, int, int]
     total_reward: float
 
-    @classmethod
-    def from_table(cls, table: StepTable) -> "EpisodeStats":
-        """Reduce one episode's step table; totals add in step order."""
-        caught, escaped = table.detected.count(True), table.escaped.count(True)
-        return cls(
-            commits=len(table.action),
-            total_pipeline_minutes=table.total("pipeline_minutes"),
-            total_test_minutes=table.total("test_minutes"),
+
+def _code_array(envs: Sequence[PipelineEnv]) -> np.ndarray:
+    """The ``(B, T)`` outcome codes of B envs that stepped T commits each."""
+    codes = [env.codes for env in envs]
+    lengths = [len(c) for c in codes]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"need envs that stepped equally many commits, got {lengths}")
+    return np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(len(codes), -1)
+
+
+def episode_stats(envs: Sequence[PipelineEnv]) -> list[EpisodeStats]:
+    """The stats of each env's episode so far, for envs that stepped equally
+    many commits, from one ``(B, T)`` array of their outcome codes.
+
+    Each total is the left fold of its step-table column from 0.0, in step
+    order (``np.sum`` adds pairwise and ``sum`` compensates on Python 3.12+):
+    ``np.add.accumulate`` adds along the step axis from a leading 0.0 row,
+    so a column of -0.0 totals +0.0 as the fold does.
+    """
+    codes = _code_array(envs)
+    runs, steps = codes.shape
+    # row 9 * run + code: the test minutes, pipeline minutes and reward of
+    # that run's outcome
+    priced = np.fromiter(
+        chain.from_iterable(row[3:] for env in envs for row in env.step_rows), float, 27 * runs
+    ).reshape(-1, 3)
+    index = codes.T + 9 * np.arange(runs)  # [t, run]: the row of that run's step t
+    columns = np.empty((steps + 1, runs, 3))
+    columns[0] = 0.0
+    np.take(priced, index, axis=0, out=columns[1:])
+    totals = np.add.accumulate(columns, out=columns)[-1].tolist()
+    # [run, action, kind]: steps with that outcome code
+    tally = np.bincount(index.ravel(), minlength=9 * runs).reshape(runs, 3, 3)
+    return [
+        EpisodeStats(
+            commits=steps,
+            total_pipeline_minutes=pipeline,
+            total_test_minutes=test,
             bugs_introduced=caught + escaped,
             bugs_caught=caught,
             bugs_escaped=escaped,
-            action_counts=table.action_counts(),
-            total_reward=table.total("reward"),
+            action_counts=tuple(actions),
+            total_reward=reward,
         )
+        for (test, pipeline, reward), (_, caught, escaped), actions in zip(
+            totals, tally.sum(1).tolist(), tally.sum(2).tolist()
+        )
+    ]
 
 
 def _play(
@@ -119,9 +154,9 @@ def _play(
     seeds: Sequence[int],
     escape_penalty: float,
     env_cfg: EnvConfig,
-) -> Iterator[list[StepTable]]:
-    """Per trace, the step table of each policy's episode over it, from an
-    env built with the trace's seed. Every trace has
+) -> list[list[PipelineEnv]]:
+    """Per policy, the env of its episode over each trace, built with the
+    trace's seed and played to the end. Every trace has
     ``env_cfg.commits_per_episode`` commits.
 
     Each policy in turn plays every trace in lockstep, one env per trace: a
@@ -131,9 +166,11 @@ def _play(
     index that maps the envs' ``(B, 10)`` states to B actions, and
     :func:`step_envs` steps the envs by them. A plan of any other shape
     raises :class:`ValueError`. A trace's envs are replicas of one, sharing
-    its rows, draws and step rows, so each policy meets the same detection
-    draws and sees the same states as when played alone. Only a state read
-    runs the history encoder, so a planner's steps encode nothing.
+    its draws, step rows and encoded rows, so each policy meets the same
+    detection draws and sees the same states as when played alone. A step
+    records an outcome code and nothing more: only a state read encodes the
+    trace's rows (once per trace) and the history, so a planner's episode
+    never does. :func:`episode_stats` reduces each policy's envs.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -142,6 +179,7 @@ def _play(
         for t, s in zip(traces, seeds)
     ]
     metadata = np.stack([trace.metadata() for trace in traces])
+    played = []
     for k, policy in enumerate(policies):
         envs = [run_envs[k] for run_envs in trace_envs]
         if hasattr(policy, "plan"):
@@ -156,7 +194,8 @@ def _play(
             actions_at = (policy(np.array([env.state for env in envs])) for _ in range(n))
         for actions in actions_at:
             step_envs(envs, actions)
-    return ([env.table for env in run_envs] for run_envs in trace_envs)
+        played.append(envs)
+    return played
 
 
 def run_episode(
@@ -176,8 +215,9 @@ def run_episode(
             f"trace length {len(trace)} != commits_per_episode "
             f"{env_cfg.commits_per_episode}"
         )
-    ((table,),) = _play([policy], [trace], [seed], escape_penalty, env_cfg)
-    return EpisodeStats.from_table(table)
+    ((env,),) = _play([policy], [trace], [seed], escape_penalty, env_cfg)
+    (stats,) = episode_stats([env])
+    return stats
 
 
 @dataclass
@@ -279,12 +319,12 @@ class ComparisonReport:
 
 def _runs(
     policies: Sequence[Policy], env_cfg: EnvConfig, escape_penalty: float, n_runs: int, base_seed: int
-) -> Iterator[tuple[int, Trace, list[StepTable]]]:
-    """``(run_seed, trace, tables)`` per seeded run: the step tables of the
-    always-full reference, then of each policy, on the run's trace. Checks
-    ``env_cfg``, the penalty and ``n_runs`` before any trace is generated,
-    then generates every run's trace, so that each policy plays all runs in
-    lockstep (see :func:`_play`)."""
+) -> tuple[list[int], list[Trace], list[list[PipelineEnv]]]:
+    """``(run_seeds, traces, played)`` of the seeded runs: ``played`` holds
+    the played envs of the always-full reference, then of each policy, one
+    per run. Checks ``env_cfg``, the penalty and ``n_runs`` before any trace
+    is generated, then generates every run's trace, so that each policy
+    plays all runs in lockstep (see :func:`_play`)."""
     validate_env(env_cfg)
     validate_penalties((escape_penalty,))
     if n_runs < 1:
@@ -296,7 +336,7 @@ def _runs(
     ]
     env_seeds = [derive_seed(s, 1) for s in run_seeds]
     players = [StaticPolicy(), *policies]
-    return zip(run_seeds, traces, _play(players, traces, env_seeds, escape_penalty, env_cfg))
+    return run_seeds, traces, _play(players, traces, env_seeds, escape_penalty, env_cfg)
 
 
 def compare_policies(
@@ -325,17 +365,13 @@ def compare_policies(
     if not policies:
         raise ValueError("need at least one policy")
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
-    runs = _runs([policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed)
-    run_seeds: list[int] = []
-    reference: list[EpisodeStats] = []
-    all_stats: dict[str, list[EpisodeStats]] = {name: [] for name in policies}
-    for run_seed, _, tables in runs:
-        ref_stats, *stats = map(EpisodeStats.from_table, tables)
-        run_seeds.append(run_seed)
-        reference.append(ref_stats)
-        by_name = dict(zip(played, stats))
-        for name in policies:
-            all_stats[name].append(by_name[name] if name in by_name else replace(ref_stats))
+    run_seeds, _, envs = _runs([policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed)
+    reference, *stats = map(episode_stats, envs)
+    by_name = dict(zip(played, stats))
+    all_stats = {
+        name: by_name[name] if name in by_name else [replace(s) for s in reference]
+        for name in policies
+    }
 
     static_report = compute_metrics(reference, reference, run_seeds)
     reports = {
@@ -428,18 +464,14 @@ def adversarial_eval(
     """
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
-    low_total = low_partial = 0
-    run_seeds, reference, stats = [], [], []
-    for run_seed, trace, (ref_table, table) in _runs([policy], cfg, escape_penalty, n_runs, base_seed):
-        low = (trace.diff_size <= cutoff).tolist()
-        low_total += sum(low)
-        low_partial += list(compress(table.action, low)).count(Action.PARTIAL_TESTS)
-        run_seeds.append(run_seed)
-        reference.append(EpisodeStats.from_table(ref_table))
-        stats.append(EpisodeStats.from_table(table))
+    run_seeds, traces, (reference, envs) = _runs([policy], cfg, escape_penalty, n_runs, base_seed)
+    low = np.array([trace.diff_size for trace in traces]) <= cutoff
+    actions = _code_array(envs) // 3
+    low_total = int(np.count_nonzero(low))
+    low_partial = int(np.count_nonzero(low & (actions == Action.PARTIAL_TESTS)))
     fraction = low_partial / low_total if low_total else 0.0
     return AdversarialReport(
-        metrics=compute_metrics(stats, reference, run_seeds),
+        metrics=compute_metrics(episode_stats(envs), episode_stats(reference), run_seeds),
         low_diff_partial_fraction=fraction,
         low_diff_cutoff=cutoff,
     )

@@ -554,6 +554,34 @@ class TestStateReads:
             assert state.tobytes() == copy.tobytes()
         assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+        ),
+        trace_seed=st.integers(0, 2**32 - 1),
+        env_seed=st.integers(0, 2**32 - 1),
+        actions=st.lists(st.integers(0, 2), min_size=1, max_size=80),
+        gaps=st.lists(st.integers(1, 25), min_size=1, max_size=80),
+    )
+    def test_a_read_after_unread_steps_equals_a_read_after_every_step(
+        self, kind, trace_seed, env_seed, actions, gaps
+    ):
+        # a read brings the history up to date from the k steps since the
+        # last read at once; the state must be the one read step by step
+        mode, bug_probability = kind
+        cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability)
+        trace = generate_trace(cfg, len(actions), seed=trace_seed, mode=mode)
+        every, lazy = (PipelineEnv(trace, cfg, 5.0, seed=env_seed) for _ in range(2))
+        states = [every.state, *(next_state(every, a) for a in actions)]
+        t = 0
+        for k in gaps:
+            for action in actions[t : t + k]:
+                lazy.step(action)
+            t = min(t + k, len(actions))
+            assert lazy.state.tobytes() == states[t].tobytes()
+        assert lazy.codes == every.codes[:t]
+
     def test_each_read_returns_a_new_array(self):
         # two reads at one cursor give equal bytes in distinct arrays, so a
         # caller that writes into one changes neither the other nor the env
@@ -594,6 +622,11 @@ class TestStepEnvs:
         assert [env.table for env in envs] == [env.table for env in alone]
         # the penalties priced some step apart
         assert len({env.table.total("reward") for env in envs}) == len(penalties)
+
+    def test_no_envs_rejected(self):
+        # unchecked, the loop never ran and the done flag was never bound
+        with pytest.raises(ValueError, match="need at least one environment"):
+            step_envs([], [])
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_a_wrong_number_of_actions_steps_no_env(self, count):

@@ -5,8 +5,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from testscope import agent, commits, evaluation
+from testscope import agent, commits, environment, evaluation
 from testscope.agent import GreedyPolicy, greedy_action, train_agents
 from testscope.baselines import (
     ClassifierPolicy,
@@ -29,12 +30,15 @@ from testscope.evaluation import (
     compute_metrics,
     convergence_stats,
     comparison_rows,
+    episode_stats,
     exploration_corrected_curve,
     penalty_sweep,
     run_episode,
 )
 from testscope.fileio import rows_to_csv
 from testscope.network import mlp_init
+
+from trace_helpers import folded_stats
 
 
 def refuse_traces(*args, **kwargs):
@@ -245,10 +249,10 @@ class TestLockstep:
                 env.step(greedy_action(net, env.state))
             alone.append(env.table)
 
-        together = [t for (t,) in evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)]
-        assert together == alone
+        (envs,) = evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)
+        assert [env.table for env in envs] == alone
         _, stats = compare_policies({"rl": GreedyPolicy(net)}, cfg, 5.0, n_runs, base_seed)
-        assert stats["rl"] == [evaluation.EpisodeStats.from_table(t) for t in alone]
+        assert stats["rl"] == [folded_stats(t) for t in alone]
         if net_kind == "three_actions":
             assert all(sum(column) for column in zip(*(s.action_counts for s in stats["rl"])))
 
@@ -312,6 +316,88 @@ class TestLockstep:
         compare_policies({"heuristic": heuristic, "classifier": classifier}, cfg, 5.0, n_runs=3)
         shape = (3, cfg.commits_per_episode, 5)
         assert reference == heuristic.shapes == classifier.shapes == [shape]
+
+
+def field_bits(stats: evaluation.EpisodeStats) -> list:
+    """Each field's type and value, a float by its hex digits (so -0.0 and
+    0.0 differ)."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(stats)
+    ]
+
+
+class TestEpisodeStats:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+        ),
+        runs=st.sampled_from([1, 2, 7, 30]),
+        length=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_run_equals_a_left_fold_over_its_table(self, kind, runs, length, seed):
+        # runs priced at different penalties, a signed zero among them, over
+        # fractional minutes, so a sum in another order shows in its bits
+        mode, bug_probability = kind
+        cfg = dataclasses.replace(fractional_cfg(mode), bug_probability=bug_probability)
+        rng = np.random.default_rng(seed)
+        actions = rng.integers(0, 3, (runs, length)).tolist()
+        envs = []
+        for i, penalty in enumerate(rng.choice([4.9, 0.0, -0.0, 1e16], runs).tolist()):
+            trace = generate_trace(cfg, length, seed=derive_seed(seed, i))
+            if bug_probability in (0.0, 1.0):
+                assert trace.has_bug.all() == bool(bug_probability) == trace.has_bug.any()
+            envs.append(PipelineEnv(trace, cfg, penalty, seed=derive_seed(seed, i, 1)))
+        for step_actions in zip(*actions):
+            environment.step_envs(envs, step_actions)
+        stats = episode_stats(envs)
+        assert [field_bits(s) for s in stats] == [field_bits(folded_stats(e.table)) for e in envs]
+
+    def test_an_all_skip_clean_episode_earns_positive_zero(self):
+        # every step's reward is -0.0 (no test minutes, no escape); a fold
+        # from 0.0 gives +0.0, which np.sum over the column would not
+        cfg = dataclasses.replace(zero_bug_cfg(), test_minutes=(10.0, 3.0, 0.0))
+        envs = [
+            PipelineEnv(generate_trace(cfg, 50, seed=s), cfg, 5.0, seed=s) for s in range(3)
+        ]
+        for _ in range(50):
+            environment.step_envs(envs, [Action.SKIP_TESTS] * 3)
+        assert all(r == -0.0 for env in envs for r in env.table.reward)
+        for stats, env in zip(episode_stats(envs), envs):
+            assert stats.total_reward.hex() == stats.total_test_minutes.hex() == (0.0).hex()
+            assert field_bits(stats) == field_bits(folded_stats(env.table))
+            assert stats.action_counts == (0, 0, 50) and stats.bugs_introduced == 0
+
+    def test_envs_of_unequal_length_rejected(self):
+        # codes of 3 and 1 steps would fill a (2, 2) array without the check
+        cfg = EnvConfig()
+        envs = [PipelineEnv(generate_trace(cfg, 5, seed=s), cfg, 5.0, seed=s) for s in range(2)]
+        for action in (0, 1, 2):
+            envs[0].step(action)
+        envs[1].step(0)
+        with pytest.raises(ValueError, match=r"equally many commits, got \[3, 1\]"):
+            episode_stats(envs)
+        with pytest.raises(ValueError, match=r"got \[\]"):
+            episode_stats([])
+
+    def test_a_planner_only_evaluation_encodes_no_rows(self, monkeypatch):
+        # an env encodes the trace's rows on the first state read, once per
+        # trace for all of its replicas, so a planner's episode encodes none
+        calls = []
+        features = environment.metadata_features
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return features(*args)
+
+        monkeypatch.setattr(environment, "metadata_features", counted)
+        cfg = EnvConfig()
+        adversarial_eval(HeuristicPolicy(), cfg, 5.0, n_runs=3)
+        compare_policies({"heuristic": HeuristicPolicy(), "static": StaticPolicy()}, cfg, 5.0, n_runs=3)
+        assert calls == []
+        compare_policies({"a": always(1), "b": always(2)}, cfg, 5.0, n_runs=3)
+        assert calls == [(cfg.commits_per_episode, 5)] * 3
 
 
 class TestComputeMetrics:
