@@ -35,11 +35,12 @@ Features 1-5 are also the risk classifier's features: :func:`metadata_features`
 encodes them for both from the same raw columns (:meth:`Trace.metadata`),
 so the state and the classifier clip them alike.
 
-Features 1-5 and 10 depend on the trace alone, so :class:`PipelineEnv`
-encodes them for the whole trace in one pass, on the first read of its
-state; replicas share that encoding, so it is built at most once per trace.
-The baselines never read it: they plan an episode's actions from the trace's
-raw columns, so an env that only a planner plays encodes no row.
+Features 1-5 and 10 depend on the trace alone, so :func:`encode_rows`
+encodes them for a whole trace, or a ``(B, T, 5)`` stack of traces, in one
+pass. :class:`PipelineEnv` calls it on its own trace on the first read of
+its state; replicas share that encoding, so it is built at most once per
+trace. The baselines never read it: they plan an episode's actions from the
+trace's raw columns, so an env that only a planner plays encodes no row.
 
 The detection draws depend on the trace and the seed alone too, so each
 commit's outcome under each action is fixed when the env is built, and
@@ -52,12 +53,22 @@ escaped :class:`StepTable` row. A step records only the outcome's code,
 ``(reward, done)`` with the reward of that code.
 
 The episode history behind features 6-9 (running failure counts and the
-commits since the last full-suite run) is the env's own state, which a
-reset clears. A step does not update it: reading :attr:`PipelineEnv.state`
-first brings it up to date from the codes stepped since the last read, then
-copies the current commit's row and writes its features 6-9 with
-:func:`encode_state`. :attr:`PipelineEnv.table` derives the step table from
-the codes when it is read.
+commits since the last full-suite run, capped at ``full_test_gap_cap``) is
+the env's own state, which a reset clears. A step does not update it:
+reading :attr:`PipelineEnv.state` first brings it up to date from the codes
+stepped since the last read, then copies the current commit's row and
+writes its features 6-9 with :func:`encode_state`.
+:attr:`PipelineEnv.table` derives the step table from the codes when it is
+read.
+
+B envs that play B traces of one length in lockstep, one step each per
+commit index, can have their states read in one array pass instead:
+:func:`lockstep_states` keeps the B histories as arrays, updates them from
+each env's last code, and yields each commit index's ``(B, 10)`` states,
+each row the bits of that env's own ``state`` read, with features 6-9
+written by one :func:`encode_state` call for all B. Evaluation reads its
+closed-loop runs' states so; training, one trace per step, reads
+``state``.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ import math
 from enum import IntEnum
 from functools import reduce
 from operator import add
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,9 +91,11 @@ __all__ = [
     "STATE_DIM",
     "StepTable",
     "metadata_features",
+    "encode_rows",
     "encode_state",
     "PipelineEnv",
     "step_envs",
+    "lockstep_states",
 ]
 
 
@@ -135,15 +148,38 @@ def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
     return np.clip(features, 0.0, 1.0, out=features)
 
 
+def encode_rows(metadata: np.ndarray, cfg: StateConfig) -> np.ndarray:
+    """The ``(..., T + 1, 10)`` state rows of a ``(..., T, 5)`` stack of
+    traces' raw columns (:meth:`Trace.metadata` per trace): features 1-5 and
+    10 of each commit, then the all-zero state that ends the episode.
+    Features 6-9 stay 0 here; a state read writes them in its copy."""
+    *lead, n, _ = metadata.shape
+    rows = np.zeros((*lead, n + 1, STATE_DIM))
+    rows[..., :-1, :5] = metadata_features(metadata, cfg)
+    rows[..., 1:-1, 9] = rows[..., :-2, 0]  # feature 10 is the previous commit's feature 1
+    return rows
+
+
 def encode_state(
-    state: np.ndarray, t: int, fails: list[int], since_full_tests: int, cfg: StateConfig
+    state: np.ndarray,
+    t: int,
+    fails: list[int] | np.ndarray,
+    since_full_tests: int | np.ndarray,
+    cfg: StateConfig,
 ) -> None:
     """Write features 6-9 of ``state``, the state of commit ``t >= 1``, from
-    the history: ``fails[k]`` failed commits among the first k,
-    ``since_full_tests`` commits since the last full-suite run. The features
-    need no clip: the window fractions and the gap are bounded by construction.
-    Reading :attr:`PipelineEnv.state` calls it through this module-level
-    name, under which the benchmark probes it.
+    the history: ``fails[k]`` failed commits among the first k, and
+    ``since_full_tests`` commits since the last full-suite run, already
+    capped at ``cfg.full_test_gap_cap``. The features need no clip: the
+    window fractions and the capped gap are bounded by construction.
+
+    One state is a ``(10,)`` array with a list of int counts and an int gap.
+    B states played in lockstep are the ``(10, B)`` transposed view of their
+    ``(B, 10)`` array, with a ``(T + 1, B)`` int array of counts and a
+    ``(B,)`` int array of gaps: the same arithmetic on int64 gives each run
+    the bits that Python ints give it alone. :attr:`PipelineEnv.state` and
+    :func:`lockstep_states` call it through this module-level name, under
+    which the benchmark probes it.
     """
     # fraction of the last min(t, window) commits whose tests failed
     window = cfg.history_window
@@ -153,8 +189,7 @@ def encode_state(
         failed = fails[t] / t
     state[5] = failed
     state[6] = fails[t] - fails[t - 1]  # an int 0 or 1 writes the bits of 0.0 or 1.0
-    cap = cfg.full_test_gap_cap
-    state[7] = (since_full_tests if since_full_tests < cap else cap) / cap  # no min() call
+    state[7] = since_full_tests / cfg.full_test_gap_cap
     state[8] = failed
 
 
@@ -216,15 +251,6 @@ class PipelineEnv:
         self._step_rows = tuple(rows)
         self._rewards = tuple(row[5] for row in rows)
 
-    def _encode_rows(self) -> np.ndarray:
-        """One row per commit, then the all-zero state that ends the episode;
-        features 6-9 stay 0 here, a read of ``state`` writes them in its copy."""
-        rows = np.zeros((self._n + 1, STATE_DIM))
-        rows[:-1, :5] = metadata_features(self._trace.metadata(), self._cfg.state)
-        rows[1:-1, 9] = rows[:-2, 0]  # feature 10 is the previous commit's feature 1
-        self._rows[0] = rows
-        return rows
-
     def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
         """One reset environment per escape penalty, over this one's trace,
         config and seed.
@@ -264,15 +290,18 @@ class PipelineEnv:
         t = self._cursor
         rows = self._rows[0]
         if rows is None:
-            rows = self._encode_rows()
+            rows = self._rows[0] = encode_rows(self._trace.metadata(), self._cfg.state)
         state = rows[t].copy()
         if 0 < t < self._n:
             fails = self._fails
+            cfg = self._cfg.state
+            since, cap = self._since_full_tests, cfg.full_test_gap_cap
             for code in self._codes[len(fails) - 1 : t]:
                 fails.append(fails[-1] + _FAILED[code])
-                # codes 0-2 ran the full suite
-                self._since_full_tests = 0 if code < 3 else self._since_full_tests + 1
-            encode_state(state, t, fails, self._since_full_tests, self._cfg.state)
+                # codes 0-2 ran the full suite; the gap stops at its cap
+                since = 0 if code < 3 else since + (since < cap)
+            self._since_full_tests = since
+            encode_state(state, t, fails, since, cfg)
         return state
 
     @property
@@ -332,3 +361,42 @@ def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
         reward, done = env.step(action)
         rewards.append(reward)
     return rewards, done
+
+
+def lockstep_states(
+    envs: Sequence[PipelineEnv], rows: np.ndarray, cfg: StateConfig
+) -> Iterator[np.ndarray]:
+    """The states of B reset envs that play B traces of one length T in
+    lockstep: at each commit index, a new ``(B, 10)`` array whose row b holds
+    the bits that ``envs[b].state`` reads there.
+
+    ``rows`` holds the traces' ``(B, T + 1, 10)`` :func:`encode_rows`, under
+    ``cfg``, the envs' state config. The history is a ``(T + 1, B)`` array of
+    failure counts and a ``(B,)`` array of capped gaps, brought up to date
+    from each env's last code before each state after the first; features
+    6-9 are then written by one :func:`encode_state` call on the ``(10, B)``
+    view. Each env must be stepped exactly once between two states, and
+    once after the last: otherwise the next read raises :class:`ValueError`.
+    """
+    n = rows.shape[-2] - 1
+    if rows.shape != (len(envs), n + 1, STATE_DIM) or any(env._n != n for env in envs):
+        raise ValueError(f"rows of shape {rows.shape} do not fit {len(envs)} envs of one length")
+    fails = np.zeros((n + 1, len(envs)), dtype=np.int64)
+    since = np.zeros(len(envs), dtype=np.int64)
+    failed, cap = np.array(_FAILED), cfg.full_test_gap_cap
+    for t in range(n + 1):
+        codes = [env._codes for env in envs]
+        if any(len(c) != t for c in codes):
+            raise ValueError(
+                f"each env must step once per state; before commit {t} they stepped "
+                f"{[len(c) for c in codes]} commits"
+            )
+        if t == n:
+            return
+        states = rows[:, t].copy()
+        if t:
+            last = np.array([c[-1] for c in codes])
+            np.add(fails[t - 1], failed[last], out=fails[t])
+            since = np.where(last < 3, 0, since + (since < cap))
+            encode_state(states.T, t, fails, since, cfg)
+        yield states

@@ -19,7 +19,10 @@ maps a ``(B, 10)`` float64 array of env states to B actions
 lockstep: a planner makes one ``plan`` call for all B runs and at each commit
 index gives each run that index of its row of the ``(B, T)`` plan, and a
 closed-loop policy gets every run's state at once and picks each run's action
-from that run's state alone. Either way every action goes through one
+from that run's state alone. Those states come from
+:func:`~testscope.environment.lockstep_states`, which encodes features 6-9
+of all B runs in one array pass from rows encoded once for the runs'
+stacked columns. Either way every action goes through one
 :meth:`PipelineEnv.step` call.
 """
 
@@ -39,7 +42,7 @@ from .commits import Trace, generate_trace, observe  # noqa: F401
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
-from .environment import Action, PipelineEnv, step_envs
+from .environment import Action, PipelineEnv, encode_rows, lockstep_states, step_envs
 from .network import QNetwork
 
 __all__ = [
@@ -166,11 +169,13 @@ def _play(
     index that maps the envs' ``(B, 10)`` states to B actions, and
     :func:`step_envs` steps the envs by them. A plan of any other shape
     raises :class:`ValueError`. A trace's envs are replicas of one, sharing
-    its draws, step rows and encoded rows, so each policy meets the same
-    detection draws and sees the same states as when played alone. A step
-    records an outcome code and nothing more: only a state read encodes the
-    trace's rows (once per trace) and the history, so a planner's episode
-    never does. :func:`episode_stats` reduces each policy's envs.
+    its draws and step rows, so each policy meets the same detection draws
+    as when played alone. A closed-loop policy reads its states from
+    :func:`lockstep_states`, which gives each run the bits of its env's own
+    state reads; the first such policy encodes the stack's ``(B, T + 1, 10)``
+    rows in one :func:`encode_rows` call, which every later one reuses. A
+    step records an outcome code and nothing more, so a planner-only play
+    encodes no row. :func:`episode_stats` reduces each policy's envs.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -179,6 +184,7 @@ def _play(
         for t, s in zip(traces, seeds)
     ]
     metadata = np.stack([trace.metadata() for trace in traces])
+    rows = None  # the traces' encoded rows, once a closed-loop policy plays
     played = []
     for k, policy in enumerate(policies):
         envs = [run_envs[k] for run_envs in trace_envs]
@@ -191,7 +197,9 @@ def _play(
             # the t-th row holds each trace's action at commit t
             actions_at = plan.T.tolist()
         else:
-            actions_at = (policy(np.array([env.state for env in envs])) for _ in range(n))
+            if rows is None:
+                rows = encode_rows(metadata, env_cfg.state)
+            actions_at = map(policy, lockstep_states(envs, rows, env_cfg.state))
         for actions in actions_at:
             step_envs(envs, actions)
         played.append(envs)

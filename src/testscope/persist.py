@@ -49,9 +49,15 @@ def _encode_array(arr: np.ndarray) -> dict:
 def _decode_array(entry: dict, name: str, path: Path) -> np.ndarray:
     try:
         raw = base64.b64decode(entry["data"], validate=True)  # a str, else TypeError
-        shape = tuple(int(s) for s in entry["shape"])
+        shape = entry["shape"]
     except (KeyError, TypeError, ValueError) as exc:
         raise WeightFileError(f"{path}: malformed array {name!r}: {exc}") from None
+    # a 10.7, "10" or true is no dimension, though int() reads them as 10, 10 and 1
+    if not isinstance(shape, list) or not all(type(s) is int for s in shape):
+        raise WeightFileError(
+            f"{path}: malformed array {name!r}: shape {shape!r} is not a list of ints"
+        )
+    shape = tuple(shape)
     if any(s < 0 for s in shape):
         raise WeightFileError(f"{path}: malformed array {name!r}: negative dimension in {shape}")
     expected = math.prod(shape) * 8

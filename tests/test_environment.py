@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testscope.commits import Commit, ObservedCommit, Trace, generate_trace, observe, trace_records
-from testscope.config import EnvConfig, StateConfig
+from testscope.config import EnvConfig, StateConfig, derive_seed
 from testscope.environment import (
     Action,
     PipelineEnv,
     STATE_DIM,
     StepTable,
+    encode_rows,
     encode_state,
+    lockstep_states,
     metadata_features,
     step_envs,
 )
@@ -636,6 +638,93 @@ class TestStepEnvs:
         with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
             step_envs(envs, [Action.SKIP_TESTS] * count)
         assert all(env.table.action == () for env in envs)
+
+
+lockstep_kinds = st.sampled_from(
+    [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+)
+
+
+def lockstep_runs(kind, runs: int, length: int, state_cfg: StateConfig, seed: int):
+    """``(cfg, lockstep, alone, rows)``: two equal sets of ``runs`` reset envs
+    over traces of ``length`` commits, and the traces' encoded rows."""
+    mode, bug_probability = kind
+    cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability, state=state_cfg)
+    traces = [generate_trace(cfg, length, seed=derive_seed(seed, i), mode=mode) for i in range(runs)]
+    if bug_probability in (0.0, 1.0):
+        assert all(t.has_bug.all() == bool(bug_probability) == t.has_bug.any() for t in traces)
+    lockstep, alone = (
+        [PipelineEnv(t, cfg, 5.0, seed=derive_seed(seed, i, 1)) for i, t in enumerate(traces)]
+        for _ in range(2)
+    )
+    return cfg, lockstep, alone, encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
+
+
+class TestLockstepStates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=lockstep_kinds,
+        runs=st.sampled_from([1, 2, 7, 30]),
+        # episodes shorter than the window as well as longer ones
+        length=st.integers(1, 40),
+        window=st.integers(1, 12),
+        cap=st.integers(1, 8),
+        # a run of skips, up to well past the gap's cap, from a random commit
+        streak=st.tuples(st.integers(0, 39), st.integers(0, 25)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_state_equals_the_envs_own_reads(
+        self, kind, runs, length, window, cap, streak, seed
+    ):
+        state_cfg = StateConfig(history_window=window, full_test_gap_cap=cap)
+        cfg, lockstep, alone, rows = lockstep_runs(kind, runs, length, state_cfg, seed)
+        actions = np.random.default_rng(seed).integers(0, 3, (length, runs))
+        start, count = streak
+        actions[start : start + count] = Action.SKIP_TESTS
+        read = 0
+        for t, states in enumerate(lockstep_states(lockstep, rows, cfg.state)):
+            assert states.shape == (runs, STATE_DIM)
+            assert states.tobytes() == np.stack([env.state for env in alone]).tobytes()
+            step_envs(lockstep, actions[t].tolist())
+            step_envs(alone, actions[t].tolist())
+            read += 1
+        assert read == length
+        assert [env.codes for env in lockstep] == [env.codes for env in alone]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=lockstep_kinds,
+        runs=st.sampled_from([1, 2, 7, 30]),
+        length=st.integers(1, 30),
+        fault=st.tuples(st.integers(0, 29), st.integers(0, 29), st.sampled_from([0, 2])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_env_not_stepped_once_between_states_raises(self, kind, runs, length, fault, seed):
+        # run ``b`` steps ``steps`` times, not once, after state ``t``; the
+        # last state's step is checked when the reader is exhausted
+        cfg, envs, _, rows = lockstep_runs(kind, runs, length, StateConfig(), seed)
+        t, b, steps = fault[0] % length, fault[1] % runs, fault[2]
+        if steps == 2 and t == length - 1:
+            steps = 0  # a finished episode cannot step twice
+        reader = lockstep_states(envs, rows, cfg.state)
+        for _ in range(t):
+            next(reader)
+            step_envs(envs, [Action.PARTIAL_TESTS] * runs)
+        next(reader)
+        for k, env in enumerate(envs):
+            for _ in range(steps if k == b else 1):
+                env.step(Action.FULL_TESTS)
+        stepped = [t + 1] * runs
+        stepped[b] = t + steps
+        match = re.escape(f"before commit {t + 1} they stepped {stepped} commits")
+        with pytest.raises(ValueError, match=match):
+            next(reader)
+
+    def test_rows_that_do_not_fit_the_envs_rejected(self):
+        cfg, envs, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
+        for bad in (rows[:2], rows[:, :-1]):
+            with pytest.raises(ValueError, match="do not fit 3 envs of one length"):
+                next(lockstep_states(envs, bad, cfg.state))
 
 
 def formula_state(

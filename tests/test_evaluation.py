@@ -382,8 +382,9 @@ class TestEpisodeStats:
             episode_stats([])
 
     def test_a_planner_only_evaluation_encodes_no_rows(self, monkeypatch):
-        # an env encodes the trace's rows on the first state read, once per
-        # trace for all of its replicas, so a planner's episode encodes none
+        # the rows are encoded when the first closed-loop policy plays, once
+        # for all runs' stacked columns and every later policy, so a
+        # planner's episode encodes none
         calls = []
         features = environment.metadata_features
 
@@ -397,7 +398,7 @@ class TestEpisodeStats:
         compare_policies({"heuristic": HeuristicPolicy(), "static": StaticPolicy()}, cfg, 5.0, n_runs=3)
         assert calls == []
         compare_policies({"a": always(1), "b": always(2)}, cfg, 5.0, n_runs=3)
-        assert calls == [(cfg.commits_per_episode, 5)] * 3
+        assert calls == [(3, cfg.commits_per_episode, 5)]
 
 
 class TestComputeMetrics:

@@ -269,6 +269,23 @@ class TestGuards:
         with pytest.raises(WeightFileError, match=match):
             load_policy(path)
 
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("w0", [10.7, 16]), ("w0", ["10", 16]), ("bias", [True])],
+        ids=["float", "str", "bool"],
+    )
+    def test_shape_entries_that_are_not_ints(self, tmp_path, trained_net, name, shape):
+        # each passed through int() once, so these loaded as (10, 16) and (1,),
+        # the shapes that the checksum and the byte count were computed for
+        path = tmp_path / "model.json"
+        save_policy(path, trained_net if name == "w0" else LogisticModel(np.zeros(5), 0.0))
+        document = json.loads(path.read_text())
+        document["arrays"][name]["shape"] = shape
+        path.write_text(json.dumps(document))
+        match = re.escape(f"{path}: malformed array {name!r}: shape {shape!r} is not a list of ints")
+        with pytest.raises(WeightFileError, match=f"^{match}$"):
+            load_policy(path)
+
     def test_logistic_bias_of_more_than_one_value(self, tmp_path):
         # the model would otherwise load and use the first value alone
         path = tmp_path / "clf.json"
