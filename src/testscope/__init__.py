@@ -48,16 +48,15 @@ from .config import (
 )
 from .environment import (
     Action,
+    EpisodeStats,
     N_ACTIONS,
     PipelineEnv,
     STATE_DIM,
-    StepTable,
 )
 from .evaluation import (
     AdversarialReport,
     ComparisonReport,
     ConvergenceReport,
-    EpisodeStats,
     MetricsReport,
     adversarial_eval,
     compare_policies,

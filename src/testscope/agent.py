@@ -28,7 +28,7 @@ from .commits import generate_trace
 from .config import (
     EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
 )
-from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM, step_envs
+from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM, episode_stats, step_envs
 from .network import (
     AdamState,
     QNetwork,
@@ -295,15 +295,16 @@ def train_agents(
                 f"training diverged: mean TD loss {mean_losses.tolist()} in episode {episode} "
                 f"(escape penalties {list(penalties)})"
             )
-        for agent_records, env, mean_loss in zip(records, envs, mean_losses.reshape(-1)):
-            table = env.table
+        for agent_records, stats, mean_loss in zip(
+            records, episode_stats(envs), mean_losses.reshape(-1)
+        ):
             agent_records.append(
                 EpisodeRecord(
                     episode=episode,
-                    total_reward=table.total("reward"),
+                    total_reward=stats.total_reward,
                     epsilon=epsilon,
                     mean_td_loss=float(mean_loss),
-                    action_counts=table.action_counts(),
+                    action_counts=stats.action_counts,
                 )
             )
 

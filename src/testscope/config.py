@@ -420,7 +420,12 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
 
 def validate_penalties(penalties: Iterable[float]) -> tuple[float, ...]:
     """The escape penalties as floats; raises :class:`ValueError` unless each
-    is finite and >= 0 (NaN and infinity would poison every reward)."""
+    is a number as a float key takes one (never a ``bool`` or a ``str``),
+    finite and >= 0 (NaN and infinity would poison every reward)."""
+    penalties = tuple(penalties)
+    bad = [p for p in penalties if isinstance(p, bool) or not isinstance(p, _TYPES[float])]
+    if bad:
+        raise ValueError(f"escape penalties must be numbers, got {bad}")
     penalties = tuple(float(p) for p in penalties)
     bad = [p for p in penalties if not (math.isfinite(p) and p >= 0.0)]
     if bad:

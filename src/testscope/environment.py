@@ -46,11 +46,13 @@ The detection draws depend on the trace and the seed alone too, so each
 commit's outcome under each action is fixed when the env is built, and
 :meth:`PipelineEnv.replicas` shares the draws and the rows among
 environments that play the same trace, each with its own escape penalty
-(and the step rows too where that penalty is the source's). An env is
-priced once, when it is built: each action gets a clean, a caught and an
-escaped :class:`StepTable` row. A step records only the outcome's code,
-``3 * action + kind`` (kind 0 clean, 1 caught, 2 escaped), and returns
-``(reward, done)`` with the reward of that code.
+(and the prices too where that penalty is the source's). A step records
+only the outcome's code, ``3 * action + kind`` (kind 0 clean, 1 caught,
+2 escaped), and returns ``(reward, done)`` with the reward of that code.
+An env is priced once, when it is built: each code gets its test minutes,
+pipeline minutes and reward. The code itself holds the rest: the action is
+``code // 3``, and the commit was caught when ``code % 3 == 1`` and escaped
+when ``code % 3 == 2``.
 
 The episode history behind features 6-9 (running failure counts and the
 commits since the last full-suite run, capped at ``full_test_gap_cap``) is
@@ -58,8 +60,9 @@ the env's own state, which a reset clears. A step does not update it:
 reading :attr:`PipelineEnv.state` first brings it up to date from the codes
 stepped since the last read, then copies the current commit's row and
 writes its features 6-9 with :func:`encode_state`.
-:attr:`PipelineEnv.table` derives the step table from the codes when it is
-read.
+
+:func:`episode_stats` totals B envs' episodes, in training and in
+evaluation alike, from one ``(B, T)`` array of their codes and their prices.
 
 B envs that play B traces of one length in lockstep, one step each per
 commit index, can have their states read in one array pass instead:
@@ -75,10 +78,10 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
 from enum import IntEnum
-from functools import reduce
-from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,13 +92,15 @@ __all__ = [
     "Action",
     "N_ACTIONS",
     "STATE_DIM",
-    "StepTable",
     "metadata_features",
     "encode_rows",
     "encode_state",
     "PipelineEnv",
     "step_envs",
     "lockstep_states",
+    "EpisodeStats",
+    "code_array",
+    "episode_stats",
 ]
 
 
@@ -111,31 +116,6 @@ N_ACTIONS = 3
 STATE_DIM = 10
 _CLEAN = (0, 3, 6)  # each action's code for a clean commit
 _FAILED = (0, 1, 0) * 3  # per code, 1 where the tests failed (kind 1, a caught bug)
-
-
-class StepTable(NamedTuple):
-    """An episode's outcomes: entry t of every column belongs to the t-th step.
-
-    A commit had a bug exactly when it was detected or escaped, never both.
-    The reward is ``-test_minutes - escape_penalty * escaped``.
-    """
-
-    action: tuple[int, ...]
-    detected: tuple[bool, ...]
-    escaped: tuple[bool, ...]
-    test_minutes: tuple[float, ...]
-    pipeline_minutes: tuple[float, ...]
-    reward: tuple[float, ...]
-
-    def total(self, column: str) -> float:
-        """Sum of a float column, added in step order from 0.0 (``np.sum`` adds
-        pairwise and ``sum`` compensates on Python 3.12+)."""
-        return reduce(add, getattr(self, column), 0.0)
-
-    def action_counts(self) -> tuple[int, int, int]:
-        """Steps per action, indexed by action."""
-        count = self.action.count
-        return (count(0), count(1), count(2))
 
 
 def metadata_features(raw: np.ndarray, cfg: StateConfig) -> np.ndarray:
@@ -196,14 +176,15 @@ def encode_state(
 class PipelineEnv:
     """Steps a fixed commit trace through the simulated pipeline.
 
-    Stateful and single-threaded. The step rows (priced with an escape
-    penalty that :func:`validate_penalties` checks) and the detection draws
-    are fixed when the env is built: the k-th buggy commit is caught when the
-    k-th number of ``default_rng(seed).random(n_buggy)`` is below the
-    action's detection rate. A step records one outcome code, from which
-    ``table`` and the history behind ``state`` are derived. ``reset``
-    restores the cursor and the history and replays the same draws, so a
-    reset environment replays identically under the same action sequence.
+    Stateful and single-threaded. The prices (with an escape penalty that
+    :func:`validate_penalties` checks) and the detection draws are fixed
+    when the env is built: the k-th buggy commit is caught when the k-th
+    number of ``default_rng(seed).random(n_buggy)`` is below the action's
+    detection rate. A step records one outcome code, from which the history
+    behind ``state`` and the totals of :func:`episode_stats` are derived.
+    ``reset`` restores the cursor and the history and replays the same
+    draws, so a reset environment replays identically under the same action
+    sequence.
     Each read of ``state`` returns a new array, the same bits on every read
     while the cursor stays on a commit, so callers may keep and change them.
     """
@@ -229,27 +210,28 @@ class PipelineEnv:
             _CLEAN if d is None else (2 - (d < full), 5 - (d < partial), 8 - (d < skip))
             for d in draws
         ]
+        (escape_penalty,) = validate_penalties((escape_penalty,))
         self._price(escape_penalty)
         self._rewind()
 
     def _price(self, escape_penalty: float) -> None:
-        """Check the penalty and build the step row and the reward of each code."""
-        (escape_penalty,) = validate_penalties((escape_penalty,))
+        """Price each code under a checked penalty: its ``(test_minutes,
+        pipeline_minutes, reward)``."""
         self._escape_penalty = escape_penalty
         cfg = self._cfg
-        rows = []
-        for action, minutes in zip(Action, cfg.test_minutes):
+        prices = []
+        for minutes in cfg.test_minutes:
             cost = -minutes - 0.0  # a float, also for int minutes
             caught = cfg.build_minutes + minutes
             passed = caught + cfg.deploy_minutes  # only commits that pass testing deploy
             escaped = passed + cfg.escape_delay_minutes
-            rows += [
-                (action, False, False, minutes, passed, cost),
-                (action, True, False, minutes, caught, cost),
-                (action, False, True, minutes, escaped, cost - escape_penalty),
+            prices += [
+                (minutes, passed, cost),
+                (minutes, caught, cost),
+                (minutes, escaped, cost - escape_penalty),
             ]
-        self._step_rows = tuple(rows)
-        self._rewards = tuple(row[5] for row in rows)
+        self._prices = tuple(prices)
+        self._rewards = tuple(price[2] for price in prices)
 
     def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
         """One reset environment per escape penalty, over this one's trace,
@@ -257,11 +239,13 @@ class PipelineEnv:
 
         They share the detection draws and the holder of the encoded rows, so
         the rows are built once, on the first state read of any of them; each
-        has its own cursor, codes and history. A replica whose penalty equals
-        this env's in value and sign shares its step rows; any other is
-        checked and priced anew (``-0.0`` and ``0.0`` give escaped-skip
-        rewards that differ in the sign of zero).
+        has its own cursor, codes and history. Every penalty is checked
+        first, as the env's own was. A replica whose penalty equals this
+        env's in value and sign shares its prices; any other is priced anew
+        (``-0.0`` and ``0.0`` give escaped-skip rewards that differ in the
+        sign of zero).
         """
+        penalties = validate_penalties(penalties)
         own = self._escape_penalty
         envs = [copy.copy(self) for _ in penalties]
         for env, penalty in zip(envs, penalties):
@@ -309,18 +293,6 @@ class PipelineEnv:
         """The outcome code of each step so far, ``3 * action + kind``, one
         byte per step."""
         return bytes(self._codes)
-
-    @property
-    def step_rows(self) -> tuple[tuple, ...]:
-        """The step row of each outcome code, in the order of the
-        :class:`StepTable` columns."""
-        return self._step_rows
-
-    @property
-    def table(self) -> StepTable:
-        """The episode's steps so far, one entry per stepped commit in each column."""
-        rows = [self._step_rows[code] for code in self._codes]
-        return StepTable(*(tuple(zip(*rows)) or ((),) * len(StepTable._fields)))
 
     def step(self, action: Action) -> tuple[float, bool]:
         """Process the current commit with the chosen test scope.
@@ -400,3 +372,66 @@ def lockstep_states(
             since = np.where(last < 3, 0, since + (since < cap))
             encode_state(states.T, t, fails, since, cfg)
         yield states
+
+
+@dataclass
+class EpisodeStats:
+    """Accumulated outcomes of one full episode."""
+
+    commits: int
+    total_pipeline_minutes: float
+    total_test_minutes: float
+    bugs_introduced: int
+    bugs_caught: int
+    bugs_escaped: int
+    action_counts: tuple[int, int, int]
+    total_reward: float
+
+
+def code_array(envs: Sequence[PipelineEnv]) -> np.ndarray:
+    """The ``(B, T)`` outcome codes of B envs that stepped T commits each."""
+    codes = [env.codes for env in envs]
+    lengths = [len(c) for c in codes]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"need envs that stepped equally many commits, got {lengths}")
+    return np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(len(codes), -1)
+
+
+def episode_stats(envs: Sequence[PipelineEnv]) -> list[EpisodeStats]:
+    """The stats of each env's episode so far, for envs that stepped equally
+    many commits, from one ``(B, T)`` array of their outcome codes.
+
+    Each total is the left fold of its steps' prices from 0.0, in step
+    order (``np.sum`` adds pairwise and ``math.fsum`` exactly):
+    ``np.add.accumulate`` adds along the step axis from a leading 0.0 row,
+    so steps that each cost -0.0 total +0.0 as the fold does.
+    """
+    codes = code_array(envs)
+    runs, steps = codes.shape
+    # row 9 * run + code: the test minutes, pipeline minutes and reward of
+    # that run's outcome
+    priced = np.fromiter(
+        chain.from_iterable(price for env in envs for price in env._prices), float, 27 * runs
+    ).reshape(-1, 3)
+    index = codes.T + 9 * np.arange(runs)  # [t, run]: the row of that run's step t
+    columns = np.empty((steps + 1, runs, 3))
+    columns[0] = 0.0
+    np.take(priced, index, axis=0, out=columns[1:])
+    totals = np.add.accumulate(columns, out=columns)[-1].tolist()
+    # [run, action, kind]: steps with that outcome code
+    tally = np.bincount(index.ravel(), minlength=9 * runs).reshape(runs, 3, 3)
+    return [
+        EpisodeStats(
+            commits=steps,
+            total_pipeline_minutes=pipeline,
+            total_test_minutes=test,
+            bugs_introduced=caught + escaped,
+            bugs_caught=caught,
+            bugs_escaped=escaped,
+            action_counts=tuple(actions),
+            total_reward=reward,
+        )
+        for (test, pipeline, reward), (_, caught, escaped), actions in zip(
+            totals, tally.sum(1).tolist(), tally.sum(2).tolist()
+        )
+    ]

@@ -23,13 +23,14 @@ from that run's state alone. Those states come from
 :func:`~testscope.environment.lockstep_states`, which encodes features 6-9
 of all B runs in one array pass from rows encoded once for the runs'
 stacked columns. Either way every action goes through one
-:meth:`PipelineEnv.step` call.
+:meth:`PipelineEnv.step` call, and
+:func:`~testscope.environment.episode_stats`, which training shares, totals
+each policy's episodes from their outcome codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -42,14 +43,15 @@ from .commits import Trace, generate_trace, observe  # noqa: F401
 from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
-from .environment import Action, PipelineEnv, encode_rows, lockstep_states, step_envs
+from .environment import (
+    Action, EpisodeStats, PipelineEnv, code_array, encode_rows, episode_stats, lockstep_states,
+    step_envs,
+)
 from .network import QNetwork
 
 __all__ = [
     "Planner",
     "Policy",
-    "EpisodeStats",
-    "episode_stats",
     "run_episode",
     "MetricStat",
     "RunMetrics",
@@ -88,69 +90,6 @@ class Planner(Protocol):
 # actions; the latent bug flag and the generator's risk score reach neither
 Policy = Planner | Callable[[np.ndarray], Sequence[Action | int]]
 
-@dataclass
-class EpisodeStats:
-    """Accumulated outcomes of one full episode."""
-
-    commits: int
-    total_pipeline_minutes: float
-    total_test_minutes: float
-    bugs_introduced: int
-    bugs_caught: int
-    bugs_escaped: int
-    action_counts: tuple[int, int, int]
-    total_reward: float
-
-
-def _code_array(envs: Sequence[PipelineEnv]) -> np.ndarray:
-    """The ``(B, T)`` outcome codes of B envs that stepped T commits each."""
-    codes = [env.codes for env in envs]
-    lengths = [len(c) for c in codes]
-    if len(set(lengths)) != 1:
-        raise ValueError(f"need envs that stepped equally many commits, got {lengths}")
-    return np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(len(codes), -1)
-
-
-def episode_stats(envs: Sequence[PipelineEnv]) -> list[EpisodeStats]:
-    """The stats of each env's episode so far, for envs that stepped equally
-    many commits, from one ``(B, T)`` array of their outcome codes.
-
-    Each total is the left fold of its step-table column from 0.0, in step
-    order (``np.sum`` adds pairwise and ``sum`` compensates on Python 3.12+):
-    ``np.add.accumulate`` adds along the step axis from a leading 0.0 row,
-    so a column of -0.0 totals +0.0 as the fold does.
-    """
-    codes = _code_array(envs)
-    runs, steps = codes.shape
-    # row 9 * run + code: the test minutes, pipeline minutes and reward of
-    # that run's outcome
-    priced = np.fromiter(
-        chain.from_iterable(row[3:] for env in envs for row in env.step_rows), float, 27 * runs
-    ).reshape(-1, 3)
-    index = codes.T + 9 * np.arange(runs)  # [t, run]: the row of that run's step t
-    columns = np.empty((steps + 1, runs, 3))
-    columns[0] = 0.0
-    np.take(priced, index, axis=0, out=columns[1:])
-    totals = np.add.accumulate(columns, out=columns)[-1].tolist()
-    # [run, action, kind]: steps with that outcome code
-    tally = np.bincount(index.ravel(), minlength=9 * runs).reshape(runs, 3, 3)
-    return [
-        EpisodeStats(
-            commits=steps,
-            total_pipeline_minutes=pipeline,
-            total_test_minutes=test,
-            bugs_introduced=caught + escaped,
-            bugs_caught=caught,
-            bugs_escaped=escaped,
-            action_counts=tuple(actions),
-            total_reward=reward,
-        )
-        for (test, pipeline, reward), (_, caught, escaped), actions in zip(
-            totals, tally.sum(1).tolist(), tally.sum(2).tolist()
-        )
-    ]
-
-
 def _play(
     policies: Sequence[Policy],
     traces: Sequence[Trace],
@@ -167,10 +106,11 @@ def _play(
     columns and at each commit index gives each trace that index of its row
     of the ``(B, T)`` plan, a closed-loop policy makes one call per commit
     index that maps the envs' ``(B, 10)`` states to B actions, and
-    :func:`step_envs` steps the envs by them. A plan of any other shape
-    raises :class:`ValueError`. A trace's envs are replicas of one, sharing
-    its draws and step rows, so each policy meets the same detection draws
-    as when played alone. A closed-loop policy reads its states from
+    :func:`step_envs` steps the envs by them. A plan of any other shape, or
+    of any dtype but an integer one (a boolean plan included), raises
+    :class:`ValueError` before any env steps. A trace's envs are replicas of
+    one, sharing its draws and prices, so each policy meets the same
+    detection draws as when played alone. A closed-loop policy reads its states from
     :func:`lockstep_states`, which gives each run the bits of its env's own
     state reads; the first such policy encodes the stack's ``(B, T + 1, 10)``
     rows in one :func:`encode_rows` call, which every later one reuses. A
@@ -190,10 +130,11 @@ def _play(
         envs = [run_envs[k] for run_envs in trace_envs]
         if hasattr(policy, "plan"):
             plan = np.asarray(policy.plan(metadata))
+            name = type(policy).__name__
             if plan.shape != (len(envs), n):
-                raise ValueError(
-                    f"{type(policy).__name__}.plan gave shape {plan.shape}, not {(len(envs), n)}"
-                )
+                raise ValueError(f"{name}.plan gave shape {plan.shape}, not {(len(envs), n)}")
+            if not np.issubdtype(plan.dtype, np.integer):
+                raise ValueError(f"{name}.plan gave {plan.dtype} actions, not integers")
             # the t-th row holds each trace's action at commit t
             actions_at = plan.T.tolist()
         else:
@@ -364,8 +305,8 @@ def compare_policies(
     the runs' ``(n_runs, T, 5)`` stacked columns to ``(n_runs, T)`` actions,
     a closed-loop policy makes one call per commit index that maps the runs'
     ``(n_runs, 10)`` states to one action per run. A plan of any other
-    shape, or a call that returns other than one action per run, raises
-    :class:`ValueError`.
+    shape or of a non-integer dtype, or a call that returns other than one
+    action per run, raises :class:`ValueError`.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``).
@@ -474,7 +415,7 @@ def adversarial_eval(
     cutoff = cfg.generator.streak_diff_max
     run_seeds, traces, (reference, envs) = _runs([policy], cfg, escape_penalty, n_runs, base_seed)
     low = np.array([trace.diff_size for trace in traces]) <= cutoff
-    actions = _code_array(envs) // 3
+    actions = code_array(envs) // 3
     low_total = int(np.count_nonzero(low))
     low_partial = int(np.count_nonzero(low & (actions == Action.PARTIAL_TESTS)))
     fraction = low_partial / low_total if low_total else 0.0

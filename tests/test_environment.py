@@ -1,6 +1,7 @@
 """Pipeline environment: state encoding, detection, reward, step mechanics."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -11,16 +12,17 @@ from testscope.commits import Commit, ObservedCommit, Trace, generate_trace, obs
 from testscope.config import EnvConfig, StateConfig, derive_seed
 from testscope.environment import (
     Action,
+    EpisodeStats,
     PipelineEnv,
     STATE_DIM,
-    StepTable,
     encode_rows,
     encode_state,
+    episode_stats,
     lockstep_states,
     metadata_features,
     step_envs,
 )
-from trace_helpers import as_trace, next_state, records
+from trace_helpers import EMPTY_TABLE, as_trace, next_state, records, step_table
 
 
 def make_commit(**kwargs) -> Commit:
@@ -44,7 +46,7 @@ def played(trace: Trace | list[Commit], action, penalty: float = 5.0, cfg=None, 
     trace = trace if isinstance(trace, Trace) else as_trace(trace)
     env = PipelineEnv(trace, cfg or EnvConfig(), penalty, seed=seed)
     rewards = [env.step(action)[0] for _ in range(len(trace))]
-    return rewards, env.table
+    return rewards, step_table(env)
 
 
 def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bool, ...]:
@@ -74,7 +76,7 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     env = PipelineEnv(trace, cfg, 5.0)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
     states = [env.state] + [next_state(env, a) for a in actions]
-    assert env.table.detected == tuple(outcomes)
+    assert step_table(env).detected == tuple(outcomes)
     return states
 
 
@@ -96,7 +98,7 @@ class TestEncodeState:
         trace = generate_trace(cfg, 500, seed=2)
         env = PipelineEnv(trace, cfg, 5.0, seed=3)
         states = [env.state] + [next_state(env, Action(t % 3)) for t in range(len(trace) - 1)]
-        assert any(env.table.detected)
+        assert any(step_table(env).detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
@@ -141,14 +143,14 @@ class TestEncodeState:
         env = PipelineEnv(trace, EnvConfig(), 5.0)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
         state = next_state(env, Action.PARTIAL_TESTS)
-        assert env.table.detected == (True,)
+        assert step_table(env).detected == (True,)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
         assert state[8] == 1.0
         assert state[9] == 250 / cfg.diff_cap
         state = next_state(env, Action.FULL_TESTS)
-        assert env.table.detected == (True, False)
+        assert step_table(env).detected == (True, False)
         assert state[5] == 0.5
         assert state[6] == 0.0
         assert state[7] == 0.0  # full tests reset the gap counter
@@ -203,7 +205,7 @@ class TestReward:
                 PipelineEnv(trace, EnvConfig(), penalty)
             with pytest.raises(ValueError):
                 env.replicas([5.0, penalty])
-        assert env.table.action == ()
+        assert step_table(env).action == ()
 
     def test_each_replica_is_charged_its_own_penalty(self):
         # skipping catches half the bugs here, so the shared draws decide
@@ -217,11 +219,12 @@ class TestReward:
         for env in (free, costly):
             for _ in range(len(trace)):
                 env.step(Action.SKIP_TESTS)
-        assert free.table.detected == costly.table.detected
-        assert free.table.escaped == costly.table.escaped
-        assert any(free.table.detected) and any(free.table.escaped)
-        assert free.table.reward == tuple(-0.0 * e for e in free.table.escaped)
-        assert costly.table.reward == tuple(-7.0 * e for e in costly.table.escaped)
+        free, costly = step_table(free), step_table(costly)
+        assert free.detected == costly.detected
+        assert free.escaped == costly.escaped
+        assert any(free.detected) and any(free.escaped)
+        assert free.reward == tuple(-0.0 * e for e in free.escaped)
+        assert costly.reward == tuple(-7.0 * e for e in costly.escaped)
 
     def test_negative_test_minutes_rejected(self):
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
@@ -243,20 +246,29 @@ class TestReward:
         assert rewards == list(table.reward) == [-minutes - penalty * escaped]
 
 
-class TestStepTable:
+class TestEpisodeTotals:
     def test_totals_add_in_step_order_from_zero(self):
-        # a running sum from 0.0 loses the first 1.0 to rounding; a pairwise
-        # or compensated sum would keep it
-        table = StepTable((0, 2, 1, 2), (False,) * 4, (False,) * 4, (), (-0.0,), (1e16, 1.0, -1e16, 1.0))
-        assert table.total("reward") == 1.0
-        assert table.total("test_minutes") == 0.0
-        assert np.copysign(1.0, table.total("pipeline_minutes")) == 1.0  # -0.0 adds to +0.0
-        assert table.action_counts() == (1, 1, 2)
+        # a running sum from 0.0 loses both -1.0 rewards to rounding next to
+        # -1e16; an exact or compensated sum would keep them
+        cfg = dataclasses.replace(EnvConfig(), test_minutes=(1.0, 3.0, 0.0))
+        trace = as_trace([make_commit(), make_commit(has_bug=True), make_commit()])
+        env = PipelineEnv(trace, cfg, 1e16)
+        for action in (Action.FULL_TESTS, Action.SKIP_TESTS, Action.FULL_TESTS):
+            env.step(action)
+        rewards = step_table(env).reward
+        assert rewards == (-1.0, -1e16, -1.0)
+        (stats,) = episode_stats([env])
+        assert stats.total_reward == -1e16 != math.fsum(rewards)
+        assert stats.total_test_minutes == 2.0
+        assert stats.action_counts == (2, 0, 1) and stats.bugs_escaped == 1
 
     def test_empty_episode(self):
         env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
-        assert env.table == StepTable((), (), (), (), (), ())
-        assert env.table.total("reward") == 0.0 and env.table.action_counts() == (0, 0, 0)
+        assert step_table(env) == EMPTY_TABLE
+        (stats,) = episode_stats([env])
+        assert stats == EpisodeStats(0, 0.0, 0.0, 0, 0, 0, (0, 0, 0), 0.0)
+        totals = (stats.total_pipeline_minutes, stats.total_test_minutes, stats.total_reward)
+        assert [math.copysign(1.0, total) for total in totals] == [1.0] * 3
 
 
 class TestPipelineEnv:
@@ -301,7 +313,7 @@ class TestPipelineEnv:
         env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
         with pytest.raises(ValueError):
             env.step(3)
-        assert env.table.action == ()
+        assert step_table(env).action == ()
 
     @pytest.mark.parametrize("action", [1.0, np.float64(2.0), 1.5])
     def test_non_integer_action_rejected_before_any_change(self, action):
@@ -311,10 +323,10 @@ class TestPipelineEnv:
         trace = generate_trace(cfg, 5, seed=4)
         env = PipelineEnv(trace, cfg, 5.0, seed=1)
         env.step(Action.PARTIAL_TESTS)
-        table, state = env.table, env.state.copy()
+        table, state = step_table(env), env.state.copy()
         with pytest.raises(ValueError, match=re.escape(str(action))):
             env.step(action)
-        assert env.table == table and env.state.tobytes() == state.tobytes()
+        assert step_table(env) == table and env.state.tobytes() == state.tobytes()
         steps, done = 0, False
         while not done:
             _, done = env.step(Action.SKIP_TESTS)
@@ -360,7 +372,7 @@ class TestPipelineEnv:
             assert state[5] == state[8]
             _, done = env.step(Action(int(rng.integers(3))))
             state = env.state
-        assert any(env.table.detected)
+        assert any(step_table(env).detected)
 
     def test_detected_bug_rejected_before_deploy(self):
         # full tests on a buggy commit: no deploy time, no escape delay
@@ -396,7 +408,7 @@ class TestPipelineEnv:
         done = False
         while not done:
             _, done = env.step(Action(int(rng.integers(3))))
-        table = env.table
+        table = step_table(env)
         assert len(table.action) == 100
         for pipeline, test, detected, escaped in zip(
             table.pipeline_minutes, table.test_minutes, table.detected, table.escaped
@@ -412,7 +424,7 @@ class TestPipelineEnv:
         def play():
             env = PipelineEnv(trace, cfg, 5.0, seed=5)
             env.reset()
-            return [(*env.step(a), env.state) for a in actions], env.table
+            return [(*env.step(a), env.state) for a in actions], step_table(env)
 
         (first, first_table), (second, second_table) = play(), play()
         assert first_table == second_table
@@ -430,7 +442,7 @@ class TestPipelineEnv:
         while not done:
             reward, done = env.step(Action(int(rng.integers(3))))
             rewards.append(reward)
-        table = env.table
+        table = step_table(env)
         assert rewards == list(table.reward)
         for reward, minutes, escaped in zip(table.reward, table.test_minutes, table.escaped):
             assert reward == -minutes - 7.0 * escaped
@@ -449,7 +461,7 @@ class TestSharedDraws:
                 for env in PipelineEnv(trace, cfg, 5.0, seed=seed).replicas([5.0, 5.0]):
                     for _ in range(len(trace)):
                         env.step(action)
-                    assert env.table.detected == expected
+                    assert step_table(env).detected == expected
 
     def test_reset_replays_the_same_draws(self):
         cfg = EnvConfig()
@@ -461,13 +473,13 @@ class TestSharedDraws:
             env.reset()
             for a in played_actions:
                 env.step(a)
-            tables.append(env.table)
+            tables.append(step_table(env))
         assert tables[0] == tables[2]
         assert any(tables[0].detected) and any(tables[0].escaped)
         fresh = PipelineEnv(trace, cfg, 5.0, seed=5)
         for _ in range(len(trace)):
             fresh.step(Action.PARTIAL_TESTS)
-        assert tables[1] == fresh.table
+        assert tables[1] == step_table(fresh)
 
     def test_stepping_one_replica_leaves_the_others_untouched(self):
         cfg = EnvConfig()
@@ -478,17 +490,17 @@ class TestSharedDraws:
         initial = third.state.copy()
         kept = [second.state] + [next_state(second, a) for a in actions[:30]]
         copies = [state.copy() for state in kept]
-        half_table = second.table
+        half_table = step_table(second)
         for a in reversed(actions):
             first.step(a)
-        assert second.table == half_table and third.table == StepTable((), (), (), (), (), ())
+        assert step_table(second) == half_table and step_table(third) == EMPTY_TABLE
         assert third.state.tobytes() == initial.tobytes()
         assert all(state.tobytes() == copy.tobytes() for state, copy in zip(kept, copies))
         # the interrupted replica finishes as an env played alone would
         kept += [next_state(second, a) for a in actions[30:]]
         alone = PipelineEnv(trace, cfg, 5.0, seed=2)
         states = [alone.state] + [next_state(alone, a) for a in actions]
-        assert alone.table == second.table
+        assert step_table(alone) == step_table(second)
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
 
     def test_a_replica_at_its_sources_penalty_shares_the_step_rows(self):
@@ -506,16 +518,16 @@ class TestSharedDraws:
         ]:
             env = PipelineEnv(trace, cfg, source, seed=2)
             replicas = env.replicas(penalties)
-            assert [r._step_rows is env._step_rows for r in replicas] == shared
+            assert [r._prices is env._prices for r in replicas] == shared
             for replica, penalty in zip(replicas, penalties):
                 fresh = PipelineEnv(trace, cfg, penalty, seed=2)
                 for action in actions:
                     replica.step(action)
                     fresh.step(action)
-                assert repr(replica.table) == repr(fresh.table)
+                assert repr(step_table(replica)) == repr(step_table(fresh))
             if source == 0.0:
                 # the signs of zero show in the escaped skips' rewards
-                assert repr(replicas[0].table) != repr(replicas[1].table)
+                assert repr(step_table(replicas[0])) != repr(step_table(replicas[1]))
 
 
 class TestStateReads:
@@ -546,7 +558,7 @@ class TestStateReads:
                 outcomes.append((unread.step(action), every.step(action), some.step(action)))
                 states.append(every.state)
         # an episode whose states are never read steps as one whose every state is
-        assert unread.table == every.table == some.table
+        assert step_table(unread) == step_table(every) == step_table(some)
         assert all(first == second == third for first, second, third in outcomes)
         for t, state, copy in kept:
             # a state read at some steps only, or twice, has the bytes of the
@@ -621,9 +633,9 @@ class TestStepEnvs:
             assert rewards == [reward for reward, _ in expected]
             assert all(done == flag for _, flag in expected)
         assert done
-        assert [env.table for env in envs] == [env.table for env in alone]
+        assert [step_table(env) for env in envs] == [step_table(env) for env in alone]
         # the penalties priced some step apart
-        assert len({env.table.total("reward") for env in envs}) == len(penalties)
+        assert len({stats.total_reward for stats in episode_stats(envs)}) == len(penalties)
 
     def test_no_envs_rejected(self):
         # unchecked, the loop never ran and the done flag was never bound
@@ -637,7 +649,7 @@ class TestStepEnvs:
         envs = PipelineEnv(generate_trace(cfg, 10, seed=8), cfg, 5.0, seed=2).replicas([5.0] * 3)
         with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
             step_envs(envs, [Action.SKIP_TESTS] * count)
-        assert all(env.table.action == () for env in envs)
+        assert all(step_table(env).action == () for env in envs)
 
 
 lockstep_kinds = st.sampled_from(
@@ -802,7 +814,7 @@ class TestEncodingIsBitIdentical:
             assert state.tobytes() == expected.tobytes()
             _, done = env.step(action)
             state = env.state
-            detected = env.table.detected[-1]
+            detected = step_table(env).detected[-1]
             detections.append(detected)
             actions.append(Action(action))
             prev_diff = commit.diff_size
@@ -866,7 +878,7 @@ class TestEncodingIsBitIdentical:
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
         env = PipelineEnv(trace, cfg, 5.0, seed=16)
         states = [env.state] + [next_state(env, a) for a in actions]
-        detected = env.table.detected
+        detected = step_table(env).detected
         commits = observe(trace)
         for t, (state, commit) in enumerate(zip(states, commits)):
             prev_diff = commits[t - 1].diff_size if t else 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from testscope.commits import generate_trace, observe
 from testscope.config import (
     ConfigError, EnvConfig, StateConfig, TrainConfig, adversarial, derive_seed
 )
-from testscope.environment import Action, PipelineEnv
+from testscope.environment import Action, PipelineEnv, episode_stats
 from testscope.evaluation import (
     REPORT_COLUMNS,
     adversarial_eval,
@@ -30,7 +31,6 @@ from testscope.evaluation import (
     compute_metrics,
     convergence_stats,
     comparison_rows,
-    episode_stats,
     exploration_corrected_curve,
     penalty_sweep,
     run_episode,
@@ -38,7 +38,7 @@ from testscope.evaluation import (
 from testscope.fileio import rows_to_csv
 from testscope.network import mlp_init
 
-from trace_helpers import folded_stats
+from trace_helpers import folded_stats, step_table
 
 
 def refuse_traces(*args, **kwargs):
@@ -247,10 +247,10 @@ class TestLockstep:
             env = PipelineEnv(trace, cfg, 5.0, seed=seed)
             for _ in range(len(trace)):
                 env.step(greedy_action(net, env.state))
-            alone.append(env.table)
+            alone.append(step_table(env))
 
         (envs,) = evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)
-        assert [env.table for env in envs] == alone
+        assert [step_table(env) for env in envs] == alone
         _, stats = compare_policies({"rl": GreedyPolicy(net)}, cfg, 5.0, n_runs, base_seed)
         assert stats["rl"] == [folded_stats(t) for t in alone]
         if net_kind == "three_actions":
@@ -290,6 +290,27 @@ class TestLockstep:
         with pytest.raises(ValueError, match=rf"shape \(1, {length}\), not \(1, 20\)"):
             run_episode(planner, trace, 5.0, cfg)
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64, object])
+    def test_a_plan_that_is_not_integers_rejected(self, monkeypatch, dtype):
+        # unchecked, a boolean plan played True as partial tests and False as
+        # full tests: this planner's tts read 28.35 on 2 runs
+        class SmallDiffs:
+            def plan(self, metadata):
+                return (metadata[..., 0] < 20).astype(dtype)
+
+        cfg = EnvConfig(commits_per_episode=20)
+        match = rf"SmallDiffs.plan gave {np.dtype(dtype)} actions, not integers"
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"small": SmallDiffs()}, cfg, 5.0, n_runs=2)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(SmallDiffs(), cfg, 5.0, n_runs=2)
+        # the plan is refused before any of its envs steps
+        steps = []
+        monkeypatch.setattr(PipelineEnv, "step", lambda env, action: steps.append(action))
+        with pytest.raises(ValueError, match=match):
+            run_episode(SmallDiffs(), generate_trace(cfg, 20, seed=1), 5.0, cfg)
+        assert steps == []
+
     @pytest.mark.parametrize("n_runs", [1, 3])
     def test_a_plan_with_the_wrong_run_count_rejected(self, n_runs):
         # a plan one run short is refused for its shape before any env steps
@@ -318,7 +339,7 @@ class TestLockstep:
         assert reference == heuristic.shapes == classifier.shapes == [shape]
 
 
-def field_bits(stats: evaluation.EpisodeStats) -> list:
+def field_bits(stats: environment.EpisodeStats) -> list:
     """Each field's type and value, a float by its hex digits (so -0.0 and
     0.0 differ)."""
     return [
@@ -351,8 +372,8 @@ class TestEpisodeStats:
             envs.append(PipelineEnv(trace, cfg, penalty, seed=derive_seed(seed, i, 1)))
         for step_actions in zip(*actions):
             environment.step_envs(envs, step_actions)
-        stats = episode_stats(envs)
-        assert [field_bits(s) for s in stats] == [field_bits(folded_stats(e.table)) for e in envs]
+        folded = [field_bits(folded_stats(step_table(env))) for env in envs]
+        assert [field_bits(s) for s in episode_stats(envs)] == folded
 
     def test_an_all_skip_clean_episode_earns_positive_zero(self):
         # every step's reward is -0.0 (no test minutes, no escape); a fold
@@ -363,10 +384,10 @@ class TestEpisodeStats:
         ]
         for _ in range(50):
             environment.step_envs(envs, [Action.SKIP_TESTS] * 3)
-        assert all(r == -0.0 for env in envs for r in env.table.reward)
+        assert all(r == -0.0 for env in envs for r in step_table(env).reward)
         for stats, env in zip(episode_stats(envs), envs):
             assert stats.total_reward.hex() == stats.total_test_minutes.hex() == (0.0).hex()
-            assert field_bits(stats) == field_bits(folded_stats(env.table))
+            assert field_bits(stats) == field_bits(folded_stats(step_table(env)))
             assert stats.action_counts == (0, 0, 50) and stats.bugs_introduced == 0
 
     def test_envs_of_unequal_length_rejected(self):
@@ -544,6 +565,38 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match=match):
             adversarial_eval(HeuristicPolicy(), EnvConfig(), penalty, n_runs=2)
 
+    @pytest.mark.parametrize("penalty", [True, False, np.True_, "5", "5.0", None])
+    def test_a_penalty_that_is_not_a_number_rejected(self, monkeypatch, penalty):
+        # unchecked, float() priced True as 1.0 and "5" as 5.0, and such a
+        # penalty trained and evaluated; a replica at the source's penalty
+        # in value, as True is of 1.0, was not checked at all
+        cfg = EnvConfig(commits_per_episode=20)
+        trace = generate_trace(cfg, 20, seed=1)
+        monkeypatch.setattr(agent, "generate_trace", refuse_traces)
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
+        match = "escape penalties must be numbers, got " + re.escape(repr([penalty]))
+        with pytest.raises(ValueError, match=match):
+            PipelineEnv(trace, cfg, penalty)
+        for source in (0.0, 1.0):
+            with pytest.raises(ValueError, match=match):
+                PipelineEnv(trace, cfg, source).replicas([source, penalty])
+        with pytest.raises(ValueError, match=match):
+            train_agents(cfg, TrainConfig(), (1.0, penalty))
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"heuristic": HeuristicPolicy()}, cfg, penalty, n_runs=2)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(HeuristicPolicy(), cfg, penalty, n_runs=2)
+
+    def test_an_int_penalty_plays_as_its_float(self):
+        cfg = EnvConfig(commits_per_episode=20)
+        train_cfg = TrainConfig(episodes=3, minibatch_size=8, hidden_sizes=(8,), seed=4)
+        (as_int,), (as_float,) = (train_agents(cfg, train_cfg, (p,)) for p in (500, 500.0))
+        assert as_int[0].flat.tobytes() == as_float[0].flat.tobytes()
+        assert as_int[1] == as_float[1]
+        policies = {"heuristic": HeuristicPolicy(), "rl": GreedyPolicy(as_int[0])}
+        (_, by_int), (_, by_float) = (compare_policies(policies, cfg, p, n_runs=2) for p in (7, 7.0))
+        assert by_int == by_float
+
     def test_report_rows_schema(self):
         report, _ = compare_policies(
             {"static": StaticPolicy()}, EnvConfig(), escape_penalty=5.0, n_runs=2, base_seed=3
@@ -693,7 +746,7 @@ def fractional_cfg(mode: str) -> EnvConfig:
     )
 
 
-def stats_digest(stats: list[evaluation.EpisodeStats]) -> str:
+def stats_digest(stats: list[environment.EpisodeStats]) -> str:
     """sha256 of every field of every entry, as one float64 table."""
     table = np.array(
         [

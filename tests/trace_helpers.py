@@ -1,17 +1,17 @@
 """Traces built from commit records, for tests that make or edit commits one
-by one, the state an env shows after a step, and an episode's stats folded
-from its step table."""
+by one, the state an env shows after a step, an episode's step table read
+from its outcome codes, and its stats folded from that table."""
 
 from dataclasses import fields
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
 from testscope.commits import Commit, Trace, generate_trace, trace_records
 from testscope.config import EnvConfig
-from testscope.environment import Action, PipelineEnv, StepTable
-from testscope.evaluation import EpisodeStats
+from testscope.environment import Action, EpisodeStats, PipelineEnv
 
 
 def as_trace(commits) -> Trace:
@@ -29,6 +29,38 @@ def next_state(env: PipelineEnv, action) -> np.ndarray:
     """Step ``env`` under ``action``, then read the state it moved to."""
     env.step(action)
     return env.state
+
+
+class StepTable(NamedTuple):
+    """An episode's outcomes: entry t of every column belongs to the t-th step.
+
+    A commit had a bug exactly when it was detected or escaped, never both.
+    The reward is ``-test_minutes - escape_penalty * escaped``.
+    """
+
+    action: tuple[int, ...]
+    detected: tuple[bool, ...]
+    escaped: tuple[bool, ...]
+    test_minutes: tuple[float, ...]
+    pipeline_minutes: tuple[float, ...]
+    reward: tuple[float, ...]
+
+
+EMPTY_TABLE = StepTable((), (), (), (), (), ())
+
+
+def step_table(env: PipelineEnv) -> StepTable:
+    """The step table of ``env``'s episode so far, read step by step from its
+    outcome codes, ``3 * action + kind`` (kind 0 clean, 1 caught, 2
+    escaped), and the price the env put on each code."""
+    codes = env.codes
+    prices = tuple(zip(*(env._prices[code] for code in codes))) or ((), (), ())
+    return StepTable(
+        tuple(code // 3 for code in codes),
+        tuple(code % 3 == 1 for code in codes),
+        tuple(code % 3 == 2 for code in codes),
+        *prices,
+    )
 
 
 def folded_stats(table: StepTable) -> EpisodeStats:
