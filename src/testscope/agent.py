@@ -28,7 +28,10 @@ from .commits import generate_trace
 from .config import (
     EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
 )
-from .environment import Action, N_ACTIONS, PipelineEnv, STATE_DIM, episode_stats, step_envs
+from .environment import (
+    Action, N_ACTIONS, PipelineEnv, STATE_DIM, encode_rows, episode_stats, lockstep_states,
+    step_envs,
+)
 from .network import (
     AdamState,
     QNetwork,
@@ -255,9 +258,10 @@ def train_agents(
     buffer = ReplayBuffer(capacity, stack=stack)
     records: list[list[EpisodeRecord]] = [[] for _ in penalties]
 
-    def joined(values: list):
-        """Per-agent values as the network and buffer take them."""
-        return np.array(values) if stack else values[0]
+    def joined(values):
+        """Per-agent values, a list or an array with a leading agent axis,
+        as the network and buffer take them."""
+        return np.asarray(values) if stack else values[0]
 
     for episode in range(cfg.episodes):
         epsilon = epsilon_schedule(episode, cfg)
@@ -266,12 +270,17 @@ def train_agents(
         )
         env_seed = derive_seed(cfg.seed, _STREAM_ENV, episode)
         envs = PipelineEnv(trace, env_cfg, penalties[0], seed=env_seed).replicas(penalties)
-        state = joined([env.state for env in envs])
+        # every agent plays the trace: its rows, one view per agent, end in
+        # the all-zero state after the last step
+        rows = encode_rows(trace.metadata(), env_cfg.state)
+        rows = np.broadcast_to(rows, (len(envs), *rows.shape))
+        states = lockstep_states(envs, rows, env_cfg.state)
+        state, end = joined(next(states)), rows[:, -1]
 
         for _ in range(len(trace)):
             action = select_action(net, state, epsilon, rng)
             rewards, done = step_envs(envs, action.tolist() if stack else [action])
-            next_state = joined([env.state for env in envs])
+            next_state = joined(next(states, end))
             buffer.push(state, action, joined(rewards), next_state, done)
             state = next_state
 

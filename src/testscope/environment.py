@@ -37,41 +37,33 @@ so the state and the classifier clip them alike.
 
 Features 1-5 and 10 depend on the trace alone, so :func:`encode_rows`
 encodes them for a whole trace, or a ``(B, T, 5)`` stack of traces, in one
-pass. :class:`PipelineEnv` calls it on its own trace on the first read of
-its state; replicas share that encoding, so it is built at most once per
-trace. The baselines never read it: they plan an episode's actions from the
-trace's raw columns, so an env that only a planner plays encodes no row.
+pass. The baselines never read them: they plan an episode's actions from
+the trace's raw columns, so an episode that only a planner plays encodes no
+row.
 
 The detection draws depend on the trace and the seed alone too, so each
 commit's outcome under each action is fixed when the env is built, and
-:meth:`PipelineEnv.replicas` shares the draws and the rows among
-environments that play the same trace, each with its own escape penalty
-(and the prices too where that penalty is the source's). A step records
-only the outcome's code, ``3 * action + kind`` (kind 0 clean, 1 caught,
-2 escaped), and returns ``(reward, done)`` with the reward of that code.
-An env is priced once, when it is built: each code gets its test minutes,
-pipeline minutes and reward. The code itself holds the rest: the action is
-``code // 3``, and the commit was caught when ``code % 3 == 1`` and escaped
-when ``code % 3 == 2``.
+:meth:`PipelineEnv.replicas` shares the draws among environments that play
+the same trace, each with its own escape penalty (and the prices too where
+that penalty is the source's). A step records only the outcome's code,
+``3 * action + kind`` (kind 0 clean, 1 caught, 2 escaped), and returns
+``(reward, done)`` with the reward of that code. An env is priced once,
+when it is built: each code gets its test minutes, pipeline minutes and
+reward. The code itself holds the rest: the action is ``code // 3``, and
+the commit was caught when ``code % 3 == 1`` and escaped when
+``code % 3 == 2``. The codes are all an env keeps of its episode.
 
-The episode history behind features 6-9 (running failure counts and the
-commits since the last full-suite run, capped at ``full_test_gap_cap``) is
-the env's own state, which a reset clears. A step does not update it:
-reading :attr:`PipelineEnv.state` first brings it up to date from the codes
-stepped since the last read, then copies the current commit's row and
-writes its features 6-9 with :func:`encode_state`.
+:func:`lockstep_states` is the one way to read states, in training and in
+evaluation alike. B envs play B traces of one length in lockstep, one step
+each per commit index; the reader keeps the episode history behind
+features 6-9 (running failure counts and the commits since the last
+full-suite run, capped at ``full_test_gap_cap``), updates it from each
+env's last code, and yields each commit index's ``(B, 10)`` states, with
+features 6-9 written by one :func:`encode_state` call. One run keeps its
+history as Python ints, B runs as arrays; both give each run the same bits.
 
 :func:`episode_stats` totals B envs' episodes, in training and in
 evaluation alike, from one ``(B, T)`` array of their codes and their prices.
-
-B envs that play B traces of one length in lockstep, one step each per
-commit index, can have their states read in one array pass instead:
-:func:`lockstep_states` keeps the B histories as arrays, updates them from
-each env's last code, and yields each commit index's ``(B, 10)`` states,
-each row the bits of that env's own ``state`` read, with features 6-9
-written by one :func:`encode_state` call for all B. Evaluation reads its
-closed-loop runs' states so; training, one trace per step, reads
-``state``.
 """
 
 from __future__ import annotations
@@ -157,9 +149,9 @@ def encode_state(
     B states played in lockstep are the ``(10, B)`` transposed view of their
     ``(B, 10)`` array, with a ``(T + 1, B)`` int array of counts and a
     ``(B,)`` int array of gaps: the same arithmetic on int64 gives each run
-    the bits that Python ints give it alone. :attr:`PipelineEnv.state` and
-    :func:`lockstep_states` call it through this module-level name, under
-    which the benchmark probes it.
+    the bits that Python ints give it alone. :func:`lockstep_states` calls
+    it through this module-level name, under which the benchmark probes it,
+    once per commit index after the first.
     """
     # fraction of the last min(t, window) commits whose tests failed
     window = cfg.history_window
@@ -180,13 +172,10 @@ class PipelineEnv:
     :func:`validate_penalties` checks) and the detection draws are fixed
     when the env is built: the k-th buggy commit is caught when the k-th
     number of ``default_rng(seed).random(n_buggy)`` is below the action's
-    detection rate. A step records one outcome code, from which the history
-    behind ``state`` and the totals of :func:`episode_stats` are derived.
-    ``reset`` restores the cursor and the history and replays the same
-    draws, so a reset environment replays identically under the same action
-    sequence.
-    Each read of ``state`` returns a new array, the same bits on every read
-    while the cursor stays on a commit, so callers may keep and change them.
+    detection rate. A step records one outcome code, and the codes are all
+    the env keeps of its episode: :func:`lockstep_states` reads the states
+    from them and :func:`episode_stats` the totals. :meth:`replicas` gives
+    fresh envs that replay the same draws.
     """
 
     def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
@@ -196,8 +185,6 @@ class PipelineEnv:
             raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
         self._n = len(trace)
         self._cfg = cfg
-        self._trace = trace
-        self._rows = [None]  # the encoded rows once a state is read; replicas share the holder
         # the k-th buggy commit gets the k-th draw; clean commits draw none
         has_bug = trace.has_bug.tolist()
         draws = iter(np.random.default_rng(seed).random(sum(has_bug)).tolist())
@@ -234,16 +221,14 @@ class PipelineEnv:
         self._rewards = tuple(price[2] for price in prices)
 
     def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
-        """One reset environment per escape penalty, over this one's trace,
+        """One fresh environment per escape penalty, over this one's trace,
         config and seed.
 
-        They share the detection draws and the holder of the encoded rows, so
-        the rows are built once, on the first state read of any of them; each
-        has its own cursor, codes and history. Every penalty is checked
-        first, as the env's own was. A replica whose penalty equals this
-        env's in value and sign shares its prices; any other is priced anew
-        (``-0.0`` and ``0.0`` give escaped-skip rewards that differ in the
-        sign of zero).
+        They share the detection draws; each has its own cursor and codes.
+        Every penalty is checked first, as the env's own was. A replica whose
+        penalty equals this env's in value and sign shares its prices; any
+        other is priced anew (``-0.0`` and ``0.0`` give escaped-skip rewards
+        that differ in the sign of zero).
         """
         penalties = validate_penalties(penalties)
         own = self._escape_penalty
@@ -255,38 +240,9 @@ class PipelineEnv:
         return envs
 
     def _rewind(self) -> None:
-        """Rewind to the first commit without reading its state."""
+        """Rewind to the first commit, with no step recorded."""
         self._cursor = 0
         self._codes: list[int] = []
-        self._fails = [0]  # fails[t]: commits among the first t whose tests failed
-        self._since_full_tests = 0
-
-    def reset(self) -> np.ndarray:
-        """Rewind to the first commit and return its state."""
-        self._rewind()
-        return self.state
-
-    @property
-    def state(self) -> np.ndarray:
-        """A new array holding the current commit's state, all zeros once the
-        episode is done; its features 6-9 are encoded from the history, which
-        a read first brings up to date from the codes stepped since the last."""
-        t = self._cursor
-        rows = self._rows[0]
-        if rows is None:
-            rows = self._rows[0] = encode_rows(self._trace.metadata(), self._cfg.state)
-        state = rows[t].copy()
-        if 0 < t < self._n:
-            fails = self._fails
-            cfg = self._cfg.state
-            since, cap = self._since_full_tests, cfg.full_test_gap_cap
-            for code in self._codes[len(fails) - 1 : t]:
-                fails.append(fails[-1] + _FAILED[code])
-                # codes 0-2 ran the full suite; the gap stops at its cap
-                since = 0 if code < 3 else since + (since < cap)
-            self._since_full_tests = since
-            encode_state(state, t, fails, since, cfg)
-        return state
 
     @property
     def codes(self) -> bytes:
@@ -298,13 +254,12 @@ class PipelineEnv:
         """Process the current commit with the chosen test scope.
 
         Records the step's outcome code and returns its reward and the done
-        flag; ``state`` then reads the next commit's state (zeros once the
-        trace is exhausted). Stepping a finished episode, or an action that
-        is not an integer in 0..2, raises before anything changes.
+        flag. Stepping a finished episode, or an action that is not an
+        integer in 0..2, raises before anything changes.
         """
         t = self._cursor
         if t == self._n:
-            raise RuntimeError("episode is done; call reset() first")
+            raise RuntimeError("episode is done")
         if action not in (0, 1, 2):
             action = Action(action)
         try:
@@ -338,24 +293,35 @@ def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
 def lockstep_states(
     envs: Sequence[PipelineEnv], rows: np.ndarray, cfg: StateConfig
 ) -> Iterator[np.ndarray]:
-    """The states of B reset envs that play B traces of one length T in
-    lockstep: at each commit index, a new ``(B, 10)`` array whose row b holds
-    the bits that ``envs[b].state`` reads there.
+    """The states of B fresh envs that play B traces of one length T in
+    lockstep: at each commit index, a new ``(B, 10)`` array whose row b is
+    the state of ``envs[b]``'s commit there.
 
     ``rows`` holds the traces' ``(B, T + 1, 10)`` :func:`encode_rows`, under
-    ``cfg``, the envs' state config. The history is a ``(T + 1, B)`` array of
-    failure counts and a ``(B,)`` array of capped gaps, brought up to date
-    from each env's last code before each state after the first; features
-    6-9 are then written by one :func:`encode_state` call on the ``(10, B)``
-    view. Each env must be stepped exactly once between two states, and
-    once after the last: otherwise the next read raises :class:`ValueError`.
+    ``cfg``, the envs' state config; its last row, all zeros, is the state
+    after the last step, which the reader does not yield. The history is
+    brought up to date from each env's last code before each state after
+    the first, and features 6-9 are then written by one :func:`encode_state`
+    call. One run keeps a list of failure counts and an int gap and writes
+    its ``(10,)`` row; B runs keep a ``(T + 1, B)`` array of counts and a
+    ``(B,)`` array of gaps and write the ``(10, B)`` view. Row b of a B-run
+    read has the bits of ``envs[b]`` read alone. Each env must be stepped
+    exactly once between two states, and once after the last: otherwise the
+    next read raises :class:`ValueError`.
     """
     n = rows.shape[-2] - 1
     if rows.shape != (len(envs), n + 1, STATE_DIM) or any(env._n != n for env in envs):
         raise ValueError(f"rows of shape {rows.shape} do not fit {len(envs)} envs of one length")
-    fails = np.zeros((n + 1, len(envs)), dtype=np.int64)
-    since = np.zeros(len(envs), dtype=np.int64)
-    failed, cap = np.array(_FAILED), cfg.full_test_gap_cap
+    # fails[t]: commits among the first t whose tests failed; since: commits
+    # since the last full-suite run (codes 0-2), stopped at its cap. One run
+    # keeps them as Python ints, which cost less per step than arrays
+    cap, one = cfg.full_test_gap_cap, len(envs) == 1
+    if one:
+        fails, since = [0], 0
+    else:
+        fails = np.zeros((n + 1, len(envs)), dtype=np.int64)
+        since = np.zeros(len(envs), dtype=np.int64)
+        failed = np.array(_FAILED)
     for t in range(n + 1):
         codes = [env._codes for env in envs]
         if any(len(c) != t for c in codes):
@@ -366,7 +332,12 @@ def lockstep_states(
         if t == n:
             return
         states = rows[:, t].copy()
-        if t:
+        if t and one:
+            last = codes[0][-1]
+            fails.append(fails[-1] + _FAILED[last])
+            since = 0 if last < 3 else since + (since < cap)
+            encode_state(states[0], t, fails, since, cfg)
+        elif t:
             last = np.array([c[-1] for c in codes])
             np.add(fails[t - 1], failed[last], out=fails[t])
             since = np.where(last < 3, 0, since + (since < cap))

@@ -110,12 +110,13 @@ def _play(
     of any dtype but an integer one (a boolean plan included), raises
     :class:`ValueError` before any env steps. A trace's envs are replicas of
     one, sharing its draws and prices, so each policy meets the same
-    detection draws as when played alone. A closed-loop policy reads its states from
-    :func:`lockstep_states`, which gives each run the bits of its env's own
-    state reads; the first such policy encodes the stack's ``(B, T + 1, 10)``
-    rows in one :func:`encode_rows` call, which every later one reuses. A
-    step records an outcome code and nothing more, so a planner-only play
-    encodes no row. :func:`episode_stats` reduces each policy's envs.
+    detection draws as when played alone. A closed-loop policy reads its
+    states from :func:`lockstep_states`, which gives each run the bits of
+    that run read alone; the first such policy encodes the stack's
+    ``(B, T + 1, 10)`` rows in one :func:`encode_rows` call, which every
+    later one reuses. A step records an outcome code and nothing more, so a
+    planner-only play encodes no row. :func:`episode_stats` reduces each
+    policy's envs.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -268,14 +269,19 @@ class ComparisonReport:
 
 def _runs(
     policies: Sequence[Policy], env_cfg: EnvConfig, escape_penalty: float, n_runs: int, base_seed: int
-) -> tuple[list[int], list[Trace], list[list[PipelineEnv]]]:
-    """``(run_seeds, traces, played)`` of the seeded runs: ``played`` holds
-    the played envs of the always-full reference, then of each policy, one
-    per run. Checks ``env_cfg``, the penalty and ``n_runs`` before any trace
-    is generated, then generates every run's trace, so that each policy
-    plays all runs in lockstep (see :func:`_play`)."""
+) -> tuple[float, list[int], list[Trace], list[list[PipelineEnv]]]:
+    """``(escape_penalty, run_seeds, traces, played)`` of the seeded runs:
+    the penalty as :func:`validate_penalties` returns it, and ``played``
+    holds the played envs of the always-full reference, then of each
+    policy, one per run. Checks ``env_cfg``, the penalty, ``n_runs`` and
+    ``base_seed`` (each an ``int``, never a ``bool``) before any trace is
+    generated, then generates every run's trace, so that each policy plays
+    all runs in lockstep (see :func:`_play`)."""
     validate_env(env_cfg)
-    validate_penalties((escape_penalty,))
+    (escape_penalty,) = validate_penalties((escape_penalty,))
+    for name, value in (("n_runs", n_runs), ("base_seed", base_seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n_runs < 1:
         raise ValueError("need at least one run")
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
@@ -285,7 +291,8 @@ def _runs(
     ]
     env_seeds = [derive_seed(s, 1) for s in run_seeds]
     players = [StaticPolicy(), *policies]
-    return run_seeds, traces, _play(players, traces, env_seeds, escape_penalty, env_cfg)
+    played = _play(players, traces, env_seeds, escape_penalty, env_cfg)
+    return escape_penalty, run_seeds, traces, played
 
 
 def compare_policies(
@@ -309,12 +316,17 @@ def compare_policies(
     action per run, raises :class:`ValueError`.
     ``env_cfg`` must pass
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
-    and the penalty the checks of ``validate_penalties`` (``ValueError``).
+    and the penalty the checks of ``validate_penalties`` (``ValueError``);
+    the report holds the penalty as a float, as those checks return it.
+    ``n_runs`` and ``base_seed`` must be ints (``ValueError`` names the bad
+    one).
     """
     if not policies:
         raise ValueError("need at least one policy")
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
-    run_seeds, _, envs = _runs([policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed)
+    escape_penalty, run_seeds, _, envs = _runs(
+        [policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed
+    )
     reference, *stats = map(episode_stats, envs)
     by_name = dict(zip(played, stats))
     all_stats = {
@@ -381,9 +393,8 @@ def penalty_sweep(
             n_runs=n_runs,
             base_seed=eval_seed,
         )
-        entries.append(
-            SweepEntry(escape_penalty=penalty, net=net, log=log, comparison=comparison)
-        )
+        # the checked float, as the comparison holds it
+        entries.append(SweepEntry(comparison.escape_penalty, net, log, comparison))
     return entries
 
 
@@ -413,7 +424,7 @@ def adversarial_eval(
     """
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
-    run_seeds, traces, (reference, envs) = _runs([policy], cfg, escape_penalty, n_runs, base_seed)
+    _, run_seeds, traces, (reference, envs) = _runs([policy], cfg, escape_penalty, n_runs, base_seed)
     low = np.array([trace.diff_size for trace in traces]) <= cutoff
     actions = code_array(envs) // 3
     low_total = int(np.count_nonzero(low))

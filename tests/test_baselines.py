@@ -28,7 +28,7 @@ from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConf
 from testscope.environment import Action, PipelineEnv, metadata_features
 
 from test_environment import make_commit
-from trace_helpers import as_trace, next_state, records
+from trace_helpers import as_trace, play, records
 
 
 def brute_force_auc(scores, labels) -> float:
@@ -322,7 +322,7 @@ class TestTrainClassifier:
         ]
         cfg = StateConfig(diff_cap=37, files_cap=3)
         env = PipelineEnv(as_trace(commits), dataclasses.replace(EnvConfig(), state=cfg), 5.0)
-        states = [env.state] + [next_state(env, Action.FULL_TESTS) for _ in commits[1:]]
+        states = play(env, as_trace(commits), [Action.FULL_TESTS] * (len(commits) - 1))
         x, _ = _labeled_arrays(commits, cfg)
         for state, row, commit in zip(states, x, commits, strict=True):
             assert commit_features(commit, cfg).tobytes() == state[:5].tobytes() == row.tobytes()
@@ -428,14 +428,12 @@ class TestClassifierPolicy:
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
             env = PipelineEnv(trace, cfg, 5.0, seed=24)
             actions = policy.plan(trace.metadata()).tolist()
-            state = env.state
-            for commit, action in zip(observe(trace), actions, strict=True):
+            states = play(env, trace, actions)
+            for commit, action, state in zip(observe(trace), actions, states[:-1], strict=True):
                 at = risk(model, commit)
                 assert predict_risk(model, state[:5]) == at
                 tier = 0 if at < 0.1 else 1 if at < 0.3 else 2
                 assert action == (Action.SKIP_TESTS, Action.PARTIAL_TESTS, Action.FULL_TESTS)[tier]
-                env.step(action)
-                state = env.state
             assert len(set(actions)) == 3
 
     def test_invalid_thresholds_rejected(self):

@@ -22,7 +22,7 @@ from testscope.environment import (
     metadata_features,
     step_envs,
 )
-from trace_helpers import EMPTY_TABLE, as_trace, next_state, records, step_table
+from trace_helpers import EMPTY_TABLE, as_trace, play, records, step_table
 
 
 def make_commit(**kwargs) -> Commit:
@@ -60,7 +60,8 @@ def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bo
 def first_state(commit: Commit, cfg: StateConfig | None = None) -> np.ndarray:
     """The state the environment shows for ``commit`` at the start of an episode."""
     env_cfg = dataclasses.replace(EnvConfig(), state=cfg or StateConfig())
-    return PipelineEnv(as_trace([commit]), env_cfg, 5.0).state
+    trace = as_trace([commit])
+    return play(PipelineEnv(trace, env_cfg, 5.0), trace, [])[0]
 
 
 def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarray]:
@@ -75,7 +76,7 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     assert trace.has_bug.all()
     env = PipelineEnv(trace, cfg, 5.0)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
-    states = [env.state] + [next_state(env, a) for a in actions]
+    states = play(env, trace, actions)
     assert step_table(env).detected == tuple(outcomes)
     return states
 
@@ -97,7 +98,7 @@ class TestEncodeState:
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
         env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        states = [env.state] + [next_state(env, Action(t % 3)) for t in range(len(trace) - 1)]
+        states = play(env, trace, [Action(t % 3) for t in range(len(trace) - 1)])
         assert any(step_table(env).detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
@@ -113,7 +114,7 @@ class TestEncodeState:
         states = []
         for played_trace in (trace, flipped):
             env = PipelineEnv(played_trace, cfg, 5.0, seed=1)
-            states.append([env.state] + [next_state(env, Action.SKIP_TESTS) for _ in range(len(trace))])
+            states.append(play(env, played_trace, [Action.SKIP_TESTS] * len(trace)))
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
@@ -142,15 +143,14 @@ class TestEncodeState:
         )
         env = PipelineEnv(trace, EnvConfig(), 5.0)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
-        state = next_state(env, Action.PARTIAL_TESTS)
-        assert step_table(env).detected == (True,)
+        _, state, after = play(env, trace, [Action.PARTIAL_TESTS, Action.FULL_TESTS])
+        assert step_table(env).detected == (True, False)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
         assert state[8] == 1.0
         assert state[9] == 250 / cfg.diff_cap
-        state = next_state(env, Action.FULL_TESTS)
-        assert step_table(env).detected == (True, False)
+        state = after
         assert state[5] == 0.5
         assert state[6] == 0.0
         assert state[7] == 0.0  # full tests reset the gap counter
@@ -278,35 +278,22 @@ class TestPipelineEnv:
         with pytest.raises(ValueError, match="trace must contain at least one commit"):
             PipelineEnv(empty, EnvConfig(), 5.0)
 
-    def test_reset_is_idempotent(self):
-        trace = generate_trace(EnvConfig(), 10, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
-        first = env.reset()
-        np.testing.assert_array_equal(first, env.reset())
-
-    def test_reset_clears_history(self):
-        trace = generate_trace(EnvConfig(), 10, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
-        initial = env.reset()
-        done = False
-        while not done:
-            _, done = env.step(Action.PARTIAL_TESTS)
-        np.testing.assert_array_equal(initial, env.reset())
-
     def test_returned_states_stay_valid(self):
-        # states are rows of one array per episode: later steps and a reset
-        # leave the ones already returned untouched
+        # later steps, and another episode over the same trace, leave the
+        # states already returned untouched
         cfg = EnvConfig()
-        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, 5.0, seed=1)
-        kept, copies, done = [env.reset()], [], False
-        while not done:
-            copies.append(kept[-1].copy())
-            _, done = env.step(Action(len(kept) % 3))
-            kept.append(env.state)
+        trace = generate_trace(cfg, 30, seed=4)
+        env, again = PipelineEnv(trace, cfg, 5.0, seed=1).replicas([5.0, 5.0])
+        copies = []
+
+        def action(state):
+            copies.append(state.copy())
+            return Action(len(copies) % 3)
+
+        kept = play(env, trace, action)
         copies.append(kept[-1].copy())
-        env.reset()
-        env.step(Action.SKIP_TESTS)
-        for state, copy in zip(kept, copies):
+        play(again, trace, [Action.SKIP_TESTS])
+        for state, copy in zip(kept, copies, strict=True):
             assert state.tobytes() == copy.tobytes()
 
     def test_invalid_action_rejected(self):
@@ -323,10 +310,10 @@ class TestPipelineEnv:
         trace = generate_trace(cfg, 5, seed=4)
         env = PipelineEnv(trace, cfg, 5.0, seed=1)
         env.step(Action.PARTIAL_TESTS)
-        table, state = step_table(env), env.state.copy()
+        table = step_table(env)
         with pytest.raises(ValueError, match=re.escape(str(action))):
             env.step(action)
-        assert step_table(env) == table and env.state.tobytes() == state.tobytes()
+        assert step_table(env) == table
         steps, done = 0, False
         while not done:
             _, done = env.step(Action.SKIP_TESTS)
@@ -337,14 +324,12 @@ class TestPipelineEnv:
         trace = generate_trace(EnvConfig(), 1, seed=4)
         cfg = dataclasses.replace(EnvConfig(), commits_per_episode=1)
         env = PipelineEnv(trace, cfg, 5.0, seed=1)
-        env.reset()
         _, done = env.step(Action.FULL_TESTS)
         assert done
 
     def test_stepping_done_episode_raises(self):
         trace = generate_trace(EnvConfig(), 1, seed=4)
         env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
-        env.reset()
         env.step(Action.FULL_TESTS)
         with pytest.raises(RuntimeError):
             env.step(Action.FULL_TESTS)
@@ -353,7 +338,6 @@ class TestPipelineEnv:
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=6)
         env = PipelineEnv(trace, cfg, 5.0, seed=2)
-        env.reset()
         steps = 0
         done = False
         while not done:
@@ -365,13 +349,11 @@ class TestPipelineEnv:
         # tests fail only on a caught bug, so the failure and caught
         # fractions are one signal
         cfg = EnvConfig()
-        env = PipelineEnv(generate_trace(cfg, cfg.commits_per_episode, seed=8), cfg, 5.0, seed=3)
+        trace = generate_trace(cfg, cfg.commits_per_episode, seed=8)
+        env = PipelineEnv(trace, cfg, 5.0, seed=3)
         rng = np.random.default_rng(0)
-        state, done = env.reset(), False
-        while not done:
+        for state in play(env, trace, lambda _: Action(int(rng.integers(3)))):
             assert state[5] == state[8]
-            _, done = env.step(Action(int(rng.integers(3))))
-            state = env.state
         assert any(step_table(env).detected)
 
     def test_detected_bug_rejected_before_deploy(self):
@@ -403,7 +385,6 @@ class TestPipelineEnv:
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
         env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        env.reset()
         rng = np.random.default_rng(1)
         done = False
         while not done:
@@ -421,22 +402,18 @@ class TestPipelineEnv:
         trace = generate_trace(cfg, 100, seed=8)
         actions = [Action(int(a)) for a in np.random.default_rng(2).integers(0, 3, 100)]
 
-        def play():
+        def replay():
             env = PipelineEnv(trace, cfg, 5.0, seed=5)
-            env.reset()
-            return [(*env.step(a), env.state) for a in actions], step_table(env)
+            return play(env, trace, actions), step_table(env)
 
-        (first, first_table), (second, second_table) = play(), play()
+        (first, first_table), (second, second_table) = replay(), replay()
         assert first_table == second_table
-        for (reward, done, state), (again, again_done, again_state) in zip(first, second):
-            assert (reward, done) == (again, again_done)
-            assert state.tobytes() == again_state.tobytes()
+        assert [s.tobytes() for s in first] == [s.tobytes() for s in second]
 
     def test_reward_identity_every_step(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
         env = PipelineEnv(trace, cfg, 7.0, seed=5)
-        env.reset()
         rng = np.random.default_rng(3)
         done, rewards = False, []
         while not done:
@@ -463,45 +440,30 @@ class TestSharedDraws:
                         env.step(action)
                     assert step_table(env).detected == expected
 
-    def test_reset_replays_the_same_draws(self):
-        cfg = EnvConfig()
-        trace = generate_trace(cfg, 100, seed=8)
-        actions = [Action(int(a)) for a in np.random.default_rng(4).integers(0, 3, 100)]
-        env = PipelineEnv(trace, cfg, 5.0, seed=5)
-        tables = []
-        for played_actions in (actions, [Action.PARTIAL_TESTS] * 100, actions):
-            env.reset()
-            for a in played_actions:
-                env.step(a)
-            tables.append(step_table(env))
-        assert tables[0] == tables[2]
-        assert any(tables[0].detected) and any(tables[0].escaped)
-        fresh = PipelineEnv(trace, cfg, 5.0, seed=5)
-        for _ in range(len(trace)):
-            fresh.step(Action.PARTIAL_TESTS)
-        assert tables[1] == step_table(fresh)
-
     def test_stepping_one_replica_leaves_the_others_untouched(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 60, seed=8)
         rng = np.random.default_rng(6)
         actions = [Action(int(a)) for a in rng.integers(0, 3, 60)]
         first, second, third = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([3.0, 5.0, 5.0])
-        initial = third.state.copy()
-        kept = [second.state] + [next_state(second, a) for a in actions[:30]]
-        copies = [state.copy() for state in kept]
-        half_table = step_table(second)
-        for a in reversed(actions):
-            first.step(a)
-        assert step_table(second) == half_table and step_table(third) == EMPTY_TABLE
-        assert third.state.tobytes() == initial.tobytes()
-        assert all(state.tobytes() == copy.tobytes() for state, copy in zip(kept, copies))
-        # the interrupted replica finishes as an env played alone would
-        kept += [next_state(second, a) for a in actions[30:]]
+
+        def interrupted(state):
+            t = len(second.codes)
+            if t == 30:
+                half_table = step_table(second)
+                for a in reversed(actions):
+                    first.step(a)
+                assert step_table(second) == half_table and step_table(third) == EMPTY_TABLE
+            return actions[t]
+
+        kept = play(second, trace, interrupted)
+        # the interrupted replica finishes as an env played alone would, and
+        # the untouched one starts as it does
         alone = PipelineEnv(trace, cfg, 5.0, seed=2)
-        states = [alone.state] + [next_state(alone, a) for a in actions]
+        states = play(alone, trace, actions)
         assert step_table(alone) == step_table(second)
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
+        assert play(third, trace, [])[0].tobytes() == states[0].tobytes()
 
     def test_a_replica_at_its_sources_penalty_shares_the_step_rows(self):
         # a replica at the source's penalty in value and sign keeps its step
@@ -528,87 +490,6 @@ class TestSharedDraws:
             if source == 0.0:
                 # the signs of zero show in the escaped skips' rewards
                 assert repr(step_table(replicas[0])) != repr(step_table(replicas[1]))
-
-
-class TestStateReads:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from(
-            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
-        ),
-        trace_seed=st.integers(0, 2**32 - 1),
-        env_seed=st.integers(0, 2**32 - 1),
-        actions=st.lists(st.integers(0, 2), min_size=1, max_size=60),
-        # how often the state is read before each step, and after the last
-        reads=st.lists(st.integers(0, 2), min_size=61, max_size=61),
-    )
-    def test_the_order_of_reads_does_not_matter(self, kind, trace_seed, env_seed, actions, reads):
-        mode, bug_probability = kind
-        cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability)
-        trace = generate_trace(cfg, len(actions), seed=trace_seed, mode=mode)
-        if bug_probability in (0.0, 1.0):
-            assert trace.has_bug.all() == bool(bug_probability) == trace.has_bug.any()
-        unread, every, some = (PipelineEnv(trace, cfg, 5.0, seed=env_seed) for _ in range(3))
-        states, kept, outcomes = [every.state], [], []
-        for t, action in enumerate([*actions, None]):
-            for _ in range(reads[t]):
-                state = some.state
-                kept.append((t, state, state.copy()))
-            if action is not None:
-                outcomes.append((unread.step(action), every.step(action), some.step(action)))
-                states.append(every.state)
-        # an episode whose states are never read steps as one whose every state is
-        assert step_table(unread) == step_table(every) == step_table(some)
-        assert all(first == second == third for first, second, third in outcomes)
-        for t, state, copy in kept:
-            # a state read at some steps only, or twice, has the bytes of the
-            # state at that step when every state is read
-            assert copy.tobytes() == states[t].tobytes()
-            # and a kept state keeps them after later steps
-            assert state.tobytes() == copy.tobytes()
-        assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from(
-            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
-        ),
-        trace_seed=st.integers(0, 2**32 - 1),
-        env_seed=st.integers(0, 2**32 - 1),
-        actions=st.lists(st.integers(0, 2), min_size=1, max_size=80),
-        gaps=st.lists(st.integers(1, 25), min_size=1, max_size=80),
-    )
-    def test_a_read_after_unread_steps_equals_a_read_after_every_step(
-        self, kind, trace_seed, env_seed, actions, gaps
-    ):
-        # a read brings the history up to date from the k steps since the
-        # last read at once; the state must be the one read step by step
-        mode, bug_probability = kind
-        cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability)
-        trace = generate_trace(cfg, len(actions), seed=trace_seed, mode=mode)
-        every, lazy = (PipelineEnv(trace, cfg, 5.0, seed=env_seed) for _ in range(2))
-        states = [every.state, *(next_state(every, a) for a in actions)]
-        t = 0
-        for k in gaps:
-            for action in actions[t : t + k]:
-                lazy.step(action)
-            t = min(t + k, len(actions))
-            assert lazy.state.tobytes() == states[t].tobytes()
-        assert lazy.codes == every.codes[:t]
-
-    def test_each_read_returns_a_new_array(self):
-        # two reads at one cursor give equal bytes in distinct arrays, so a
-        # caller that writes into one changes neither the other nor the env
-        cfg = EnvConfig()
-        env = PipelineEnv(generate_trace(cfg, 30, seed=4), cfg, 5.0, seed=1)
-        for t in range(31):
-            first, second = env.state, env.state
-            assert first.tobytes() == second.tobytes()
-            assert not np.shares_memory(first, second)
-            first[:] = -1.0
-            assert env.state.tobytes() == second.tobytes()
-            if t < 30:
-                env.step(Action(t % 3))
 
 
 class TestStepEnvs:
@@ -658,7 +539,7 @@ lockstep_kinds = st.sampled_from(
 
 
 def lockstep_runs(kind, runs: int, length: int, state_cfg: StateConfig, seed: int):
-    """``(cfg, lockstep, alone, rows)``: two equal sets of ``runs`` reset envs
+    """``(cfg, lockstep, alone, rows)``: two equal sets of ``runs`` fresh envs
     over traces of ``length`` commits, and the traces' encoded rows."""
     mode, bug_probability = kind
     cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability, state=state_cfg)
@@ -669,14 +550,15 @@ def lockstep_runs(kind, runs: int, length: int, state_cfg: StateConfig, seed: in
         [PipelineEnv(t, cfg, 5.0, seed=derive_seed(seed, i, 1)) for i, t in enumerate(traces)]
         for _ in range(2)
     )
-    return cfg, lockstep, alone, encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
+    rows = encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
+    return cfg, lockstep, alone, traces, rows
 
 
 class TestLockstepStates:
     @settings(max_examples=60, deadline=None)
     @given(
         kind=lockstep_kinds,
-        runs=st.sampled_from([1, 2, 7, 30]),
+        runs=st.sampled_from([2, 7, 30]),
         # episodes shorter than the window as well as longer ones
         length=st.integers(1, 40),
         window=st.integers(1, 12),
@@ -685,20 +567,25 @@ class TestLockstepStates:
         streak=st.tuples(st.integers(0, 39), st.integers(0, 25)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_each_state_equals_the_envs_own_reads(
+    def test_each_row_equals_the_run_read_alone(
         self, kind, runs, length, window, cap, streak, seed
     ):
+        # the B-run read keeps arrays, a run read alone Python ints; the
+        # formula tests below check the one-run read
         state_cfg = StateConfig(history_window=window, full_test_gap_cap=cap)
-        cfg, lockstep, alone, rows = lockstep_runs(kind, runs, length, state_cfg, seed)
+        cfg, lockstep, alone, traces, rows = lockstep_runs(kind, runs, length, state_cfg, seed)
         actions = np.random.default_rng(seed).integers(0, 3, (length, runs))
         start, count = streak
         actions[start : start + count] = Action.SKIP_TESTS
+        expected = np.stack(
+            [play(env, trace, column) for env, trace, column in zip(alone, traces, actions.T.tolist())],
+            axis=1,
+        )
         read = 0
         for t, states in enumerate(lockstep_states(lockstep, rows, cfg.state)):
             assert states.shape == (runs, STATE_DIM)
-            assert states.tobytes() == np.stack([env.state for env in alone]).tobytes()
+            assert states.tobytes() == expected[t].tobytes()
             step_envs(lockstep, actions[t].tolist())
-            step_envs(alone, actions[t].tolist())
             read += 1
         assert read == length
         assert [env.codes for env in lockstep] == [env.codes for env in alone]
@@ -714,7 +601,7 @@ class TestLockstepStates:
     def test_an_env_not_stepped_once_between_states_raises(self, kind, runs, length, fault, seed):
         # run ``b`` steps ``steps`` times, not once, after state ``t``; the
         # last state's step is checked when the reader is exhausted
-        cfg, envs, _, rows = lockstep_runs(kind, runs, length, StateConfig(), seed)
+        cfg, envs, _, _, rows = lockstep_runs(kind, runs, length, StateConfig(), seed)
         t, b, steps = fault[0] % length, fault[1] % runs, fault[2]
         if steps == 2 and t == length - 1:
             steps = 0  # a finished episode cannot step twice
@@ -733,7 +620,7 @@ class TestLockstepStates:
             next(reader)
 
     def test_rows_that_do_not_fit_the_envs_rejected(self):
-        cfg, envs, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
+        cfg, envs, _, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
         for bad in (rows[:2], rows[:, :-1]):
             with pytest.raises(ValueError, match="do not fit 3 envs of one length"):
                 next(lockstep_states(envs, bad, cfg.state))
@@ -807,18 +694,14 @@ class TestEncodingIsBitIdentical:
         trace = records(cfg, length, seed=trace_seed)
         trace.insert(min(odd_at, length), odd)
         env = PipelineEnv(as_trace(trace), cfg, 5.0, seed=env_seed)
-        detections, actions, prev_diff = [], [], 0
-        state, done = env.reset(), False
-        for commit, action in zip(trace, choices):
-            expected = formula_state(commit, state_cfg, detections, actions, prev_diff)
-            assert state.tobytes() == expected.tobytes()
-            _, done = env.step(action)
-            state = env.state
-            detected = step_table(env).detected[-1]
-            detections.append(detected)
-            actions.append(Action(action))
-            prev_diff = commit.diff_size
-        assert done and state.tobytes() == np.zeros(STATE_DIM).tobytes()
+        states = play(env, as_trace(trace), choices[: len(trace)])
+        detections = step_table(env).detected
+        actions = [Action(action) for action in choices[: len(trace)]]
+        for t, commit in enumerate(trace):
+            prev_diff = trace[t - 1].diff_size if t else 0
+            expected = formula_state(commit, state_cfg, detections[:t], actions[:t], prev_diff)
+            assert states[t].tobytes() == expected.tobytes()
+        assert states[-1].tobytes() == np.zeros(STATE_DIM).tobytes()
 
     def test_nan_and_negative_zero_keep_the_bits_of_np_clip(self):
         nan = float("nan")
@@ -877,7 +760,7 @@ class TestEncodingIsBitIdentical:
         trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
         env = PipelineEnv(trace, cfg, 5.0, seed=16)
-        states = [env.state] + [next_state(env, a) for a in actions]
+        states = play(env, trace, actions)
         detected = step_table(env).detected
         commits = observe(trace)
         for t, (state, commit) in enumerate(zip(states, commits)):

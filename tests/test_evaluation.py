@@ -31,14 +31,17 @@ from testscope.evaluation import (
     compute_metrics,
     convergence_stats,
     comparison_rows,
+    comparison_to_dict,
     exploration_corrected_curve,
     penalty_sweep,
     run_episode,
+    sweep_rows,
+    sweep_to_dict,
 )
-from testscope.fileio import rows_to_csv
+from testscope.fileio import json_text, rows_to_csv
 from testscope.network import mlp_init
 
-from trace_helpers import folded_stats, step_table
+from trace_helpers import folded_stats, play, step_table
 
 
 def refuse_traces(*args, **kwargs):
@@ -245,8 +248,7 @@ class TestLockstep:
         alone = []
         for trace, seed in zip(traces, env_seeds):
             env = PipelineEnv(trace, cfg, 5.0, seed=seed)
-            for _ in range(len(trace)):
-                env.step(greedy_action(net, env.state))
+            play(env, trace, lambda state: greedy_action(net, state))
             alone.append(step_table(env))
 
         (envs,) = evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)
@@ -596,6 +598,41 @@ class TestComparePolicies:
         policies = {"heuristic": HeuristicPolicy(), "rl": GreedyPolicy(as_int[0])}
         (_, by_int), (_, by_float) = (compare_policies(policies, cfg, p, n_runs=2) for p in (7, 7.0))
         assert by_int == by_float
+
+    def test_an_int_penalty_reports_as_its_float(self):
+        # the report keeps the float that the penalty check returns, so 7
+        # and 7.0 write the same bytes; unchecked, 7 wrote "beta": 7
+        cfg = EnvConfig(commits_per_episode=20)
+        train_cfg = TrainConfig(episodes=2, minibatch_size=8, hidden_sizes=(8,), seed=4)
+        texts = []
+        for penalties in ((7, 0), (7.0, 0.0)):
+            report, _ = compare_policies({"heuristic": HeuristicPolicy()}, cfg, penalties[0], n_runs=2)
+            assert report.escape_penalty.hex() == (7.0).hex()
+            sweep = penalty_sweep(cfg, train_cfg, penalties, n_runs=2, eval_seed=3)
+            assert [type(entry.escape_penalty) for entry in sweep] == [float, float]
+            texts.append([
+                json_text(comparison_to_dict(report)),
+                rows_to_csv(comparison_rows(report), REPORT_COLUMNS),
+                json_text(sweep_to_dict(sweep)),
+                rows_to_csv(sweep_rows(sweep), REPORT_COLUMNS),
+            ])
+        assert '"beta": 7.0' in texts[0][0]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_runs", True), ("n_runs", 2.0), ("n_runs", "2"), ("n_runs", None),
+                        ("base_seed", 1.5), ("base_seed", False), ("base_seed", "1")]
+    )
+    def test_a_run_count_or_seed_that_is_not_an_int_rejected(self, monkeypatch, name, value):
+        # unchecked, n_runs=True played one run and wrote "n_runs": true,
+        # and 2.0, "2" or a base seed of 1.5 failed with a bare TypeError
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
+        runs = {"n_runs": 2, "base_seed": 1, name: value}
+        match = f"{name} must be an int, got " + re.escape(repr(value))
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"heuristic": HeuristicPolicy()}, EnvConfig(), 5.0, **runs)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(HeuristicPolicy(), EnvConfig(), 5.0, **runs)
 
     def test_report_rows_schema(self):
         report, _ = compare_policies(

@@ -19,10 +19,10 @@ from pathlib import Path
 import pytest
 
 from testscope import agent, environment
-from testscope.baselines import StaticPolicy, train_classifier
+from testscope.baselines import HeuristicPolicy, StaticPolicy, train_classifier
 from testscope.commits import generate_trace
-from testscope.config import EnvConfig
-from testscope.evaluation import run_episode
+from testscope.config import EnvConfig, TrainConfig
+from testscope.evaluation import compare_policies, run_episode
 from testscope.network import td_loss_and_grads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -136,9 +136,10 @@ def test_classifier_counter_reads_the_fit_arguments_by_position():
 def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     # perfbench times the encoding by rebinding
     # testscope.environment.encode_state; a state read that stopped calling
-    # it through that name would read 0 there without any error. A step
-    # encodes nothing: only reading ``state`` does, so a planner's episode
-    # makes no call and a closed-loop one a call per commit after the first
+    # it through that name would read 0 there without any error. Only
+    # lockstep_states encodes, once per commit index after the first,
+    # whether it reads one run (a training episode) or B runs; a step
+    # encodes nothing, so a planner's episode makes no call
     calls = []
     encode = environment.encode_state
 
@@ -148,17 +149,29 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
 
     monkeypatch.setattr(environment, "encode_state", counted)
     cfg = EnvConfig(commits_per_episode=25)
+    every_index = list(range(1, cfg.commits_per_episode))
+    # one episode, too short to fill a minibatch, so nothing but the play runs
+    train_cfg = TrainConfig(episodes=1, minibatch_size=32)
+    agent.train_agent(cfg, train_cfg)
+    assert calls == every_index
+    calls.clear()
+    agent.train_agents(cfg, train_cfg, (1.0, 5.0))
+    assert calls == every_index
+    calls.clear()
+
+    def partial(states):
+        return [environment.Action.PARTIAL_TESTS] * len(states)
+
+    compare_policies({"partial": partial}, cfg, 5.0, n_runs=3)
+    assert calls == every_index
+    calls.clear()
     trace = generate_trace(cfg, 25, seed=3)
-    env = environment.PipelineEnv(trace, cfg, 5.0, seed=1)
-    for _ in range(len(trace)):
-        env.step(environment.Action.PARTIAL_TESTS)
-        env.state
-    assert calls == list(range(1, len(trace)))
+    run_episode(partial, trace, 5.0, cfg, seed=1)
+    assert calls == every_index
     calls.clear()
     run_episode(StaticPolicy(), trace, 5.0, cfg, seed=1)
+    compare_policies({"static": StaticPolicy(), "heuristic": HeuristicPolicy()}, cfg, 5.0, n_runs=3)
     assert calls == []
-    run_episode(lambda states: [environment.Action.PARTIAL_TESTS], trace, 5.0, cfg, seed=1)
-    assert calls == list(range(1, len(trace)))
 
 
 @pytest.mark.parametrize("workload", ["train", "evaluate", "sweep"])

@@ -1,17 +1,17 @@
 """Traces built from commit records, for tests that make or edit commits one
-by one, the state an env shows after a step, an episode's step table read
+by one, the states of one env played alone, an episode's step table read
 from its outcome codes, and its stats folded from that table."""
 
 from dataclasses import fields
 from functools import reduce
 from operator import add
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from testscope.commits import Commit, Trace, generate_trace, trace_records
 from testscope.config import EnvConfig
-from testscope.environment import Action, EpisodeStats, PipelineEnv
+from testscope.environment import Action, EpisodeStats, PipelineEnv, encode_rows, lockstep_states
 
 
 def as_trace(commits) -> Trace:
@@ -25,10 +25,21 @@ def records(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> list[
     return trace_records(generate_trace(cfg, n, seed, mode), cfg)
 
 
-def next_state(env: PipelineEnv, action) -> np.ndarray:
-    """Step ``env`` under ``action``, then read the state it moved to."""
-    env.step(action)
-    return env.state
+def play(env: PipelineEnv, trace: Trace, actions: Sequence | Callable) -> list[np.ndarray]:
+    """Step a fresh ``env`` over ``trace`` by each of ``actions`` in turn and
+    return its states, read through ``lockstep_states`` as a run of one: the
+    state before each step, then the one after the last (the all-zero end
+    row once the trace is done). ``actions`` may instead be a function that
+    picks each step's action from the state before it, until the trace is
+    done."""
+    cfg = env._cfg.state
+    rows = encode_rows(trace.metadata(), cfg)[None]
+    reader = lockstep_states([env], rows, cfg)
+    states = [next(reader)[0]]
+    for t in range(len(trace) if callable(actions) else len(actions)):
+        env.step(actions(states[-1]) if callable(actions) else actions[t])
+        states.append(next(reader, rows[:, -1])[0])
+    return states
 
 
 class StepTable(NamedTuple):
