@@ -1,12 +1,14 @@
 """Q-learning agent: replay buffer, exploration, and the training loop.
 
 Training runs episode by episode. Each episode plays a freshly generated
-commit trace with epsilon-greedy actions, stores every transition, and then
-performs one minibatch update per collected step. A frozen copy of the
-network provides bootstrap targets and is re-synced every few episodes; the
-replay buffer keeps each transition's TD target from one sync to the next,
-so an update neither runs a target forward pass nor recomputes a target.
-Everything is deterministic given the training seed.
+commit trace through :func:`~testscope.environment.lockstep_play`, the play
+loop that evaluation's closed-loop policies share, under an epsilon-greedy
+policy, stores every transition it yields, and then performs one minibatch
+update per collected step. A frozen copy of the network provides bootstrap
+targets and is re-synced every few episodes; the replay buffer keeps each
+transition's TD target from one sync to the next, so an update neither runs
+a target forward pass nor recomputes a target. Everything is deterministic
+given the training seed.
 
 Agents that share a seed and differ only in the escape penalty draw the same
 random numbers: exploration draws do not depend on the network, replay draws
@@ -29,8 +31,7 @@ from .config import (
     EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
 )
 from .environment import (
-    Action, N_ACTIONS, PipelineEnv, STATE_DIM, encode_rows, episode_stats, lockstep_states,
-    step_envs,
+    Action, N_ACTIONS, PipelineEnv, STATE_DIM, encode_rows, episode_stats, lockstep_play
 )
 from .network import (
     AdamState,
@@ -274,15 +275,16 @@ def train_agents(
         # the all-zero state after the last step
         rows = encode_rows(trace.metadata(), env_cfg.state)
         rows = np.broadcast_to(rows, (len(envs), *rows.shape))
-        states = lockstep_states(envs, rows, env_cfg.state)
-        state, end = joined(next(states)), rows[:, -1]
 
-        for _ in range(len(trace)):
-            action = select_action(net, state, epsilon, rng)
-            rewards, done = step_envs(envs, action.tolist() if stack else [action])
-            next_state = joined(next(states, end))
-            buffer.push(state, action, joined(rewards), next_state, done)
-            state = next_state
+        def explore(states):
+            action = select_action(net, joined(states), epsilon, rng)
+            return action.tolist() if stack else [action]
+
+        played = lockstep_play(envs, rows, env_cfg.state, explore)
+        for t, (state, actions, rewards, next_state) in enumerate(played, 1):
+            buffer.push(
+                joined(state), joined(actions), joined(rewards), joined(next_state), t == len(trace)
+            )
 
         losses = []
         if len(buffer) >= cfg.minibatch_size:

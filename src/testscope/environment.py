@@ -53,14 +53,15 @@ reward. The code itself holds the rest: the action is ``code // 3``, and
 the commit was caught when ``code % 3 == 1`` and escaped when
 ``code % 3 == 2``. The codes are all an env keeps of its episode.
 
-:func:`lockstep_states` is the one way to read states, in training and in
-evaluation alike. B envs play B traces of one length in lockstep, one step
-each per commit index; the reader keeps the episode history behind
+:func:`lockstep_play` is the one closed-loop play loop, in training and in
+evaluation alike. B envs play B traces of one length in lockstep: at each
+commit index it reads the B runs' ``(B, 10)`` states, calls the policy once
+for B actions and steps each env once. It keeps the episode history behind
 features 6-9 (running failure counts and the commits since the last
 full-suite run, capped at ``full_test_gap_cap``), updates it from each
-env's last code, and yields each commit index's ``(B, 10)`` states, with
-features 6-9 written by one :func:`encode_state` call. One run keeps its
-history as Python ints, B runs as arrays; both give each run the same bits.
+env's new code, and writes features 6-9 of the next states with one
+:func:`encode_state` call. One run keeps its history as Python ints, B runs
+as arrays; both give each run the same bits.
 
 :func:`episode_stats` totals B envs' episodes, in training and in
 evaluation alike, from one ``(B, T)`` array of their codes and their prices.
@@ -73,7 +74,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,8 +89,7 @@ __all__ = [
     "encode_rows",
     "encode_state",
     "PipelineEnv",
-    "step_envs",
-    "lockstep_states",
+    "lockstep_play",
     "EpisodeStats",
     "code_array",
     "episode_stats",
@@ -149,7 +149,7 @@ def encode_state(
     B states played in lockstep are the ``(10, B)`` transposed view of their
     ``(B, 10)`` array, with a ``(T + 1, B)`` int array of counts and a
     ``(B,)`` int array of gaps: the same arithmetic on int64 gives each run
-    the bits that Python ints give it alone. :func:`lockstep_states` calls
+    the bits that Python ints give it alone. :func:`lockstep_play` calls
     it through this module-level name, under which the benchmark probes it,
     once per commit index after the first.
     """
@@ -173,7 +173,7 @@ class PipelineEnv:
     when the env is built: the k-th buggy commit is caught when the k-th
     number of ``default_rng(seed).random(n_buggy)`` is below the action's
     detection rate. A step records one outcome code, and the codes are all
-    the env keeps of its episode: :func:`lockstep_states` reads the states
+    the env keeps of its episode: :func:`lockstep_play` reads the states
     from them and :func:`episode_stats` the totals. :meth:`replicas` gives
     fresh envs that replay the same draws.
     """
@@ -271,47 +271,36 @@ class PipelineEnv:
         return self._rewards[code], t == self._n
 
 
-def step_envs(envs: list[PipelineEnv], actions) -> tuple[list[float], bool]:
-    """Step each env by its action, in order; returns their rewards and the
-    done flag. The envs play traces of one length, so they finish together.
-    Callers read the next states they need. Training steps its agents' envs
-    with it, and evaluation each policy's envs, one per run. A count of
-    actions other than one per env raises :class:`ValueError` before any
-    env is stepped.
+def lockstep_play(
+    envs: Sequence[PipelineEnv],
+    rows: np.ndarray,
+    cfg: StateConfig,
+    policy: Callable[[np.ndarray], Sequence],
+) -> Iterator[tuple[np.ndarray, Sequence, list[float], np.ndarray]]:
+    """Play B fresh envs over B traces of one length T in lockstep under
+    ``policy``; yield each commit index's ``(states, actions, rewards,
+    next_states)``.
+
+    ``rows`` holds the traces' ``(B, T + 1, 10)`` :func:`encode_rows` under
+    ``cfg``, the envs' state config. At each commit index ``policy`` maps a
+    new ``(B, 10)`` array of the envs' states to B actions, each env steps
+    once by its own, and the history behind features 6-9 is updated from
+    each env's new code; one :func:`encode_state` call then writes features
+    6-9 of all B next states (from Python ints for one run, int arrays for
+    B), and after the last step ``next_states`` is the all-zero end row. Row
+    b has the bits of ``envs[b]`` played alone. No envs, rows that do not
+    fit them or an env that has stepped raise :class:`ValueError` on the
+    first ``next``; a policy call that returns other than B actions raises
+    it before any env steps at that index.
     """
     if not envs:
         raise ValueError("need at least one environment")
-    if len(actions) != len(envs):
-        raise ValueError(f"got {len(actions)} actions for {len(envs)} environments")
-    rewards = []
-    for env, action in zip(envs, actions):
-        reward, done = env.step(action)
-        rewards.append(reward)
-    return rewards, done
-
-
-def lockstep_states(
-    envs: Sequence[PipelineEnv], rows: np.ndarray, cfg: StateConfig
-) -> Iterator[np.ndarray]:
-    """The states of B fresh envs that play B traces of one length T in
-    lockstep: at each commit index, a new ``(B, 10)`` array whose row b is
-    the state of ``envs[b]``'s commit there.
-
-    ``rows`` holds the traces' ``(B, T + 1, 10)`` :func:`encode_rows`, under
-    ``cfg``, the envs' state config; its last row, all zeros, is the state
-    after the last step, which the reader does not yield. The history is
-    brought up to date from each env's last code before each state after
-    the first, and features 6-9 are then written by one :func:`encode_state`
-    call. One run keeps a list of failure counts and an int gap and writes
-    its ``(10,)`` row; B runs keep a ``(T + 1, B)`` array of counts and a
-    ``(B,)`` array of gaps and write the ``(10, B)`` view. Row b of a B-run
-    read has the bits of ``envs[b]`` read alone. Each env must be stepped
-    exactly once between two states, and once after the last: otherwise the
-    next read raises :class:`ValueError`.
-    """
     n = rows.shape[-2] - 1
     if rows.shape != (len(envs), n + 1, STATE_DIM) or any(env._n != n for env in envs):
         raise ValueError(f"rows of shape {rows.shape} do not fit {len(envs)} envs of one length")
+    if any(env._cursor for env in envs):
+        stepped = [env._cursor for env in envs]
+        raise ValueError(f"need fresh envs, got envs that stepped {stepped} commits")
     # fails[t]: commits among the first t whose tests failed; since: commits
     # since the last full-suite run (codes 0-2), stopped at its cap. One run
     # keeps them as Python ints, which cost less per step than arrays
@@ -322,27 +311,25 @@ def lockstep_states(
         fails = np.zeros((n + 1, len(envs)), dtype=np.int64)
         since = np.zeros(len(envs), dtype=np.int64)
         failed = np.array(_FAILED)
-    for t in range(n + 1):
-        codes = [env._codes for env in envs]
-        if any(len(c) != t for c in codes):
-            raise ValueError(
-                f"each env must step once per state; before commit {t} they stepped "
-                f"{[len(c) for c in codes]} commits"
-            )
-        if t == n:
-            return
-        states = rows[:, t].copy()
-        if t and one:
-            last = codes[0][-1]
+    states = rows[:, 0].copy()
+    for t in range(1, n + 1):
+        actions = policy(states)
+        if len(actions) != len(envs):
+            raise ValueError(f"got {len(actions)} actions for {len(envs)} environments")
+        rewards = [env.step(action)[0] for env, action in zip(envs, actions)]
+        next_states = rows[:, t].copy()
+        if t < n and one:
+            last = envs[0]._codes[-1]
             fails.append(fails[-1] + _FAILED[last])
             since = 0 if last < 3 else since + (since < cap)
-            encode_state(states[0], t, fails, since, cfg)
-        elif t:
-            last = np.array([c[-1] for c in codes])
+            encode_state(next_states[0], t, fails, since, cfg)
+        elif t < n:
+            last = np.array([env._codes[-1] for env in envs])
             np.add(fails[t - 1], failed[last], out=fails[t])
             since = np.where(last < 3, 0, since + (since < cap))
-            encode_state(states.T, t, fails, since, cfg)
-        yield states
+            encode_state(next_states.T, t, fails, since, cfg)
+        yield states, actions, rewards, next_states
+        states = next_states
 
 
 @dataclass

@@ -15,14 +15,14 @@ A policy is either a planner, whose ``plan(metadata)`` gives every trace's
 actions at once from a ``(..., T, 5)`` stack of their raw observable
 columns (the baselines), or a closed-loop callable ``policy(states)`` that
 maps a ``(B, 10)`` float64 array of env states to B actions
-(:class:`GreedyPolicy`). A policy plays all of an evaluation's runs in
-lockstep: a planner makes one ``plan`` call for all B runs and at each commit
-index gives each run that index of its row of the ``(B, T)`` plan, and a
-closed-loop policy gets every run's state at once and picks each run's action
-from that run's state alone. Those states come from
-:func:`~testscope.environment.lockstep_states`, which encodes features 6-9
-of all B runs in one array pass from rows encoded once for the runs'
-stacked columns. Either way every action goes through one
+(:class:`GreedyPolicy`). A planner makes one ``plan`` call for all B runs
+and steps each run's env by its own row of the ``(B, T)`` plan. A
+closed-loop policy plays all B runs in lockstep through
+:func:`~testscope.environment.lockstep_play`, the loop that training plays
+through too: at each commit index it gets every run's state at once and
+picks each run's action from that run's state alone, and the loop encodes
+features 6-9 of all B runs in one array pass from rows encoded once for the
+runs' stacked columns. Either way every action goes through one
 :meth:`PipelineEnv.step` call, and
 :func:`~testscope.environment.episode_stats`, which training shares, totals
 each policy's episodes from their outcome codes.
@@ -44,8 +44,7 @@ from .config import (
     EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
 )
 from .environment import (
-    Action, EpisodeStats, PipelineEnv, code_array, encode_rows, episode_stats, lockstep_states,
-    step_envs,
+    Action, EpisodeStats, PipelineEnv, code_array, encode_rows, episode_stats, lockstep_play
 )
 from .network import QNetwork
 
@@ -101,22 +100,20 @@ def _play(
     trace's seed and played to the end. Every trace has
     ``env_cfg.commits_per_episode`` commits.
 
-    Each policy in turn plays every trace in lockstep, one env per trace: a
-    planner makes one ``plan`` call on the traces' ``(B, T, 5)`` stacked
-    columns and at each commit index gives each trace that index of its row
-    of the ``(B, T)`` plan, a closed-loop policy makes one call per commit
-    index that maps the envs' ``(B, 10)`` states to B actions, and
-    :func:`step_envs` steps the envs by them. A plan of any other shape, or
-    of any dtype but an integer one (a boolean plan included), raises
-    :class:`ValueError` before any env steps. A trace's envs are replicas of
-    one, sharing its draws and prices, so each policy meets the same
-    detection draws as when played alone. A closed-loop policy reads its
-    states from :func:`lockstep_states`, which gives each run the bits of
-    that run read alone; the first such policy encodes the stack's
+    Each policy in turn plays every trace, one env per trace. A planner
+    makes one ``plan`` call on the traces' ``(B, T, 5)`` stacked columns and
+    steps each trace's env by its own row of the ``(B, T)`` plan; a plan of
+    any other shape, or of any dtype but an integer one (a boolean plan
+    included), raises :class:`ValueError` before any env steps. A
+    closed-loop policy plays the envs in lockstep through
+    :func:`lockstep_play`, one call per commit index that maps their
+    ``(B, 10)`` states to B actions, and each run gets the bits of that run
+    played alone; the first such policy encodes the stack's
     ``(B, T + 1, 10)`` rows in one :func:`encode_rows` call, which every
-    later one reuses. A step records an outcome code and nothing more, so a
-    planner-only play encodes no row. :func:`episode_stats` reduces each
-    policy's envs.
+    later one reuses, so a planner-only play encodes no row. A trace's envs
+    are replicas of one, sharing its draws and prices, so each policy meets
+    the same detection draws as when played alone. :func:`episode_stats`
+    reduces each policy's envs.
     """
     n = env_cfg.commits_per_episode
     # [trace][k]: the env of the k-th policy
@@ -136,14 +133,14 @@ def _play(
                 raise ValueError(f"{name}.plan gave shape {plan.shape}, not {(len(envs), n)}")
             if not np.issubdtype(plan.dtype, np.integer):
                 raise ValueError(f"{name}.plan gave {plan.dtype} actions, not integers")
-            # the t-th row holds each trace's action at commit t
-            actions_at = plan.T.tolist()
+            for env, actions in zip(envs, plan.tolist()):
+                for action in actions:
+                    env.step(action)
         else:
             if rows is None:
                 rows = encode_rows(metadata, env_cfg.state)
-            actions_at = map(policy, lockstep_states(envs, rows, env_cfg.state))
-        for actions in actions_at:
-            step_envs(envs, actions)
+            for _ in lockstep_play(envs, rows, env_cfg.state, policy):
+                pass
         played.append(envs)
     return played
 
@@ -267,6 +264,16 @@ class ComparisonReport:
     deltas: dict[str, PolicyDelta]
 
 
+def _check_runs(n_runs: int, seed: int, seed_name: str = "base_seed") -> None:
+    """Check a run count, an int >= 1, and a seed, an int >= 0; neither may
+    be a ``bool``, and :class:`ValueError` names the bad one."""
+    for name, value, least in (("n_runs", n_runs, 1), (seed_name, seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _runs(
     policies: Sequence[Policy], env_cfg: EnvConfig, escape_penalty: float, n_runs: int, base_seed: int
 ) -> tuple[float, list[int], list[Trace], list[list[PipelineEnv]]]:
@@ -274,16 +281,12 @@ def _runs(
     the penalty as :func:`validate_penalties` returns it, and ``played``
     holds the played envs of the always-full reference, then of each
     policy, one per run. Checks ``env_cfg``, the penalty, ``n_runs`` and
-    ``base_seed`` (each an ``int``, never a ``bool``) before any trace is
-    generated, then generates every run's trace, so that each policy plays
-    all runs in lockstep (see :func:`_play`)."""
+    ``base_seed`` (see :func:`_check_runs`) before any trace is generated,
+    then generates every run's trace, so that each policy plays all runs in
+    lockstep (see :func:`_play`)."""
     validate_env(env_cfg)
     (escape_penalty,) = validate_penalties((escape_penalty,))
-    for name, value in (("n_runs", n_runs), ("base_seed", base_seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if n_runs < 1:
-        raise ValueError("need at least one run")
+    _check_runs(n_runs, base_seed)
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
     traces = [
         generate_trace(env_cfg, env_cfg.commits_per_episode, seed=derive_seed(s, 0))
@@ -318,8 +321,8 @@ def compare_policies(
     :func:`~testscope.config.validate_env` (``ConfigError`` names the bad key),
     and the penalty the checks of ``validate_penalties`` (``ValueError``);
     the report holds the penalty as a float, as those checks return it.
-    ``n_runs`` and ``base_seed`` must be ints (``ValueError`` names the bad
-    one).
+    ``n_runs`` must be an int >= 1 and ``base_seed`` an int >= 0
+    (``ValueError`` names the bad one).
     """
     if not policies:
         raise ValueError("need at least one policy")
@@ -379,10 +382,12 @@ def penalty_sweep(
 
     Each agent trains with the same seed and differs only in the penalty, so
     the sweep isolates the speed-vs-safety trade-off. All agents train in
-    lockstep in one :func:`train_agents` call.
+    lockstep in one :func:`train_agents` call. ``n_runs`` and ``eval_seed``
+    are checked, as :func:`compare_policies` checks them, before any trains.
     """
     if not penalties:
         raise ValueError("need at least one penalty value")
+    _check_runs(n_runs, eval_seed, "eval_seed")
     trained = train_agents(env_cfg, train_cfg, penalties)
     entries = []
     for penalty, (net, log) in zip(penalties, trained):

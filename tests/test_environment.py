@@ -18,9 +18,8 @@ from testscope.environment import (
     encode_rows,
     encode_state,
     episode_stats,
-    lockstep_states,
+    lockstep_play,
     metadata_features,
-    step_envs,
 )
 from trace_helpers import EMPTY_TABLE, as_trace, play, records, step_table
 
@@ -492,47 +491,6 @@ class TestSharedDraws:
                 assert repr(step_table(replicas[0])) != repr(step_table(replicas[1]))
 
 
-class TestStepEnvs:
-    def test_steps_each_env_once_in_order_as_single_steps_do(self, monkeypatch):
-        cfg = EnvConfig()
-        trace = generate_trace(cfg, 40, seed=8)
-        penalties = [0.0, 5.0, 50.0]
-        envs = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
-        alone = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
-        step, order = PipelineEnv.step, []
-
-        def recorded(env, action):
-            order.append(env)
-            return step(env, action)
-
-        monkeypatch.setattr(PipelineEnv, "step", recorded)
-        for actions in np.random.default_rng(3).integers(0, 3, (len(trace), 3)).tolist():
-            order.clear()
-            rewards, done = step_envs(envs, actions)
-            assert order == envs
-            expected = [step(env, action) for env, action in zip(alone, actions)]
-            assert rewards == [reward for reward, _ in expected]
-            assert all(done == flag for _, flag in expected)
-        assert done
-        assert [step_table(env) for env in envs] == [step_table(env) for env in alone]
-        # the penalties priced some step apart
-        assert len({stats.total_reward for stats in episode_stats(envs)}) == len(penalties)
-
-    def test_no_envs_rejected(self):
-        # unchecked, the loop never ran and the done flag was never bound
-        with pytest.raises(ValueError, match="need at least one environment"):
-            step_envs([], [])
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_a_wrong_number_of_actions_steps_no_env(self, count):
-        # unchecked, zip stepped only the envs that got an action
-        cfg = EnvConfig()
-        envs = PipelineEnv(generate_trace(cfg, 10, seed=8), cfg, 5.0, seed=2).replicas([5.0] * 3)
-        with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
-            step_envs(envs, [Action.SKIP_TESTS] * count)
-        assert all(step_table(env).action == () for env in envs)
-
-
 lockstep_kinds = st.sampled_from(
     [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
 )
@@ -554,7 +512,69 @@ def lockstep_runs(kind, runs: int, length: int, state_cfg: StateConfig, seed: in
     return cfg, lockstep, alone, traces, rows
 
 
-class TestLockstepStates:
+def replaying(actions):
+    """A closed-loop policy that ignores its states and gives, at its t-th
+    call, ``actions[t]``, a list of one action per run; it records each
+    call's states."""
+    rows, seen = iter(actions), []
+
+    def policy(states):
+        seen.append(states.copy())
+        return next(rows)
+
+    policy.seen = seen
+    return policy
+
+
+class TestLockstepPlay:
+    def test_steps_each_env_once_in_order_as_single_steps_do(self, monkeypatch):
+        cfg = EnvConfig()
+        trace = generate_trace(cfg, 40, seed=8)
+        penalties = [0.0, 5.0, 50.0]
+        envs = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
+        alone = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
+        rows = np.broadcast_to(encode_rows(trace.metadata(), cfg.state), (3, 41, STATE_DIM))
+        step, order = PipelineEnv.step, []
+
+        def recorded(env, action):
+            order.append(env)
+            return step(env, action)
+
+        monkeypatch.setattr(PipelineEnv, "step", recorded)
+        actions = np.random.default_rng(3).integers(0, 3, (len(trace), 3))
+        played = 0
+        for t, (_, chosen, rewards, _) in enumerate(
+            lockstep_play(envs, rows, cfg.state, replaying(actions.tolist()))
+        ):
+            assert order == envs
+            order.clear()
+            assert chosen == actions[t].tolist()
+            expected = [step(env, action) for env, action in zip(alone, chosen)]
+            assert rewards == [reward for reward, _ in expected]
+            played += 1
+        assert played == len(trace)
+        assert [step_table(env) for env in envs] == [step_table(env) for env in alone]
+        # the penalties priced some step apart
+        assert len({stats.total_reward for stats in episode_stats(envs)}) == len(penalties)
+
+    def test_no_envs_rejected(self):
+        # unchecked, the loop stepped nothing and yielded B = 0 states
+        rows = np.zeros((0, 11, STATE_DIM))
+        with pytest.raises(ValueError, match="need at least one environment"):
+            next(lockstep_play([], rows, StateConfig(), replaying([[]] * 10)))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("index", [0, 6])
+    def test_a_wrong_number_of_actions_steps_no_env(self, count, index):
+        # unchecked, zip stepped only the envs that got an action
+        cfg, envs, _, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
+        actions = [[Action.SKIP_TESTS] * (count if t == index else 3) for t in range(10)]
+        play = lockstep_play(envs, rows, cfg.state, replaying(actions))
+        with pytest.raises(ValueError, match=f"got {count} actions for 3 environments"):
+            for _ in play:
+                pass
+        assert [len(env.codes) for env in envs] == [index] * 3
+
     @settings(max_examples=60, deadline=None)
     @given(
         kind=lockstep_kinds,
@@ -567,11 +587,11 @@ class TestLockstepStates:
         streak=st.tuples(st.integers(0, 39), st.integers(0, 25)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_each_row_equals_the_run_read_alone(
+    def test_each_row_equals_the_run_played_alone(
         self, kind, runs, length, window, cap, streak, seed
     ):
-        # the B-run read keeps arrays, a run read alone Python ints; the
-        # formula tests below check the one-run read
+        # the B-run play keeps arrays, a run played alone Python ints; the
+        # formula tests below check the one-run play
         state_cfg = StateConfig(history_window=window, full_test_gap_cap=cap)
         cfg, lockstep, alone, traces, rows = lockstep_runs(kind, runs, length, state_cfg, seed)
         actions = np.random.default_rng(seed).integers(0, 3, (length, runs))
@@ -581,49 +601,32 @@ class TestLockstepStates:
             [play(env, trace, column) for env, trace, column in zip(alone, traces, actions.T.tolist())],
             axis=1,
         )
-        read = 0
-        for t, states in enumerate(lockstep_states(lockstep, rows, cfg.state)):
-            assert states.shape == (runs, STATE_DIM)
-            assert states.tobytes() == expected[t].tobytes()
-            step_envs(lockstep, actions[t].tolist())
-            read += 1
-        assert read == length
+        policy = replaying(actions.tolist())
+        steps = list(lockstep_play(lockstep, rows, cfg.state, policy))
+        assert len(steps) == len(policy.seen) == length
+        for t, (states, _, rewards, next_states) in enumerate(steps):
+            assert states.shape == next_states.shape == (runs, STATE_DIM)
+            assert states.tobytes() == policy.seen[t].tobytes() == expected[t].tobytes()
+            assert next_states.tobytes() == expected[t + 1].tobytes()
+        assert not steps[-1][3].any()  # the all-zero end row
         assert [env.codes for env in lockstep] == [env.codes for env in alone]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        kind=lockstep_kinds,
-        runs=st.sampled_from([1, 2, 7, 30]),
-        length=st.integers(1, 30),
-        fault=st.tuples(st.integers(0, 29), st.integers(0, 29), st.sampled_from([0, 2])),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_an_env_not_stepped_once_between_states_raises(self, kind, runs, length, fault, seed):
-        # run ``b`` steps ``steps`` times, not once, after state ``t``; the
-        # last state's step is checked when the reader is exhausted
-        cfg, envs, _, _, rows = lockstep_runs(kind, runs, length, StateConfig(), seed)
-        t, b, steps = fault[0] % length, fault[1] % runs, fault[2]
-        if steps == 2 and t == length - 1:
-            steps = 0  # a finished episode cannot step twice
-        reader = lockstep_states(envs, rows, cfg.state)
-        for _ in range(t):
-            next(reader)
-            step_envs(envs, [Action.PARTIAL_TESTS] * runs)
-        next(reader)
-        for k, env in enumerate(envs):
-            for _ in range(steps if k == b else 1):
-                env.step(Action.FULL_TESTS)
-        stepped = [t + 1] * runs
-        stepped[b] = t + steps
-        match = re.escape(f"before commit {t + 1} they stepped {stepped} commits")
-        with pytest.raises(ValueError, match=match):
-            next(reader)
 
     def test_rows_that_do_not_fit_the_envs_rejected(self):
         cfg, envs, _, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
+        policy = replaying([[Action.FULL_TESTS] * 3] * 10)
         for bad in (rows[:2], rows[:, :-1]):
             with pytest.raises(ValueError, match="do not fit 3 envs of one length"):
-                next(lockstep_states(envs, bad, cfg.state))
+                next(lockstep_play(envs, bad, cfg.state, policy))
+        assert policy.seen == []
+
+    def test_an_env_that_has_stepped_rejected(self):
+        # the history starts empty, so an env past its first commit would
+        # get states that its codes do not give
+        cfg, envs, _, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
+        envs[1].step(Action.FULL_TESTS)
+        with pytest.raises(ValueError, match=re.escape("got envs that stepped [0, 1, 0] commits")):
+            next(lockstep_play(envs, rows, cfg.state, replaying([[Action.FULL_TESTS] * 3] * 10)))
+        assert [len(env.codes) for env in envs] == [0, 1, 0]
 
 
 def formula_state(

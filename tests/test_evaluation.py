@@ -258,6 +258,48 @@ class TestLockstep:
         if net_kind == "three_actions":
             assert all(sum(column) for column in zip(*(s.action_counts for s in stats["rl"])))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+        ),
+        runs=st.sampled_from([1, 2, 7, 30]),
+        length=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_plan_plays_as_the_loop_replaying_it(self, kind, runs, length, seed):
+        # the two ways a policy's actions reach the envs: a planner's rows,
+        # stepped env by env, and a closed-loop policy that replays the same
+        # (B, T) actions through lockstep_play, one commit index at a time
+        mode, bug_probability = kind
+        cfg = dataclasses.replace(
+            fractional_cfg(mode), bug_probability=bug_probability, commits_per_episode=length
+        )
+        rng = np.random.default_rng(seed)
+        plan = rng.integers(0, 3, (runs, length))
+        traces = [generate_trace(cfg, length, seed=derive_seed(seed, i)) for i in range(runs)]
+        if bug_probability in (0.0, 1.0):
+            assert all(t.has_bug.all() == bool(bug_probability) == t.has_bug.any() for t in traces)
+        env_seeds = [derive_seed(seed, i, 1) for i in range(runs)]
+
+        class Planned:
+            def plan(self, metadata):
+                assert metadata.shape == (runs, length, 5)
+                return plan
+
+        (planned,) = evaluation._play([Planned()], traces, env_seeds, 4.9, cfg)
+        looped = [PipelineEnv(t, cfg, 4.9, seed=s) for t, s in zip(traces, env_seeds)]
+        columns = iter(plan.T.tolist())
+        rows = environment.encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
+        for _ in environment.lockstep_play(looped, rows, cfg.state, lambda states: next(columns)):
+            pass
+        codes = environment.code_array(planned)
+        assert codes.tobytes() == environment.code_array(looped).tobytes()
+        assert (codes // 3 == plan).all()
+        assert [field_bits(s) for s in episode_stats(planned)] == [
+            field_bits(s) for s in episode_stats(looped)
+        ]
+
     def test_one_forward_per_commit_index(self, monkeypatch):
         # five runs in lockstep: one batched forward per commit, not one per run and commit
         calls = []
@@ -372,8 +414,9 @@ class TestEpisodeStats:
             if bug_probability in (0.0, 1.0):
                 assert trace.has_bug.all() == bool(bug_probability) == trace.has_bug.any()
             envs.append(PipelineEnv(trace, cfg, penalty, seed=derive_seed(seed, i, 1)))
-        for step_actions in zip(*actions):
-            environment.step_envs(envs, step_actions)
+        for env, env_actions in zip(envs, actions):
+            for action in env_actions:
+                env.step(action)
         folded = [field_bits(folded_stats(step_table(env))) for env in envs]
         assert [field_bits(s) for s in episode_stats(envs)] == folded
 
@@ -384,8 +427,9 @@ class TestEpisodeStats:
         envs = [
             PipelineEnv(generate_trace(cfg, 50, seed=s), cfg, 5.0, seed=s) for s in range(3)
         ]
-        for _ in range(50):
-            environment.step_envs(envs, [Action.SKIP_TESTS] * 3)
+        for env in envs:
+            for _ in range(50):
+                env.step(Action.SKIP_TESTS)
         assert all(r == -0.0 for env in envs for r in step_table(env).reward)
         for stats, env in zip(episode_stats(envs), envs):
             assert stats.total_reward.hex() == stats.total_test_minutes.hex() == (0.0).hex()
@@ -625,7 +669,9 @@ class TestComparePolicies:
     )
     def test_a_run_count_or_seed_that_is_not_an_int_rejected(self, monkeypatch, name, value):
         # unchecked, n_runs=True played one run and wrote "n_runs": true,
-        # and 2.0, "2" or a base seed of 1.5 failed with a bare TypeError
+        # and 2.0, "2" or a base seed of 1.5 failed with a bare TypeError;
+        # a sweep trained every agent before its evaluation saw them
+        monkeypatch.setattr(agent, "generate_trace", refuse_traces)
         monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
         runs = {"n_runs": 2, "base_seed": 1, name: value}
         match = f"{name} must be an int, got " + re.escape(repr(value))
@@ -633,6 +679,33 @@ class TestComparePolicies:
             compare_policies({"heuristic": HeuristicPolicy()}, EnvConfig(), 5.0, **runs)
         with pytest.raises(ValueError, match=match):
             adversarial_eval(HeuristicPolicy(), EnvConfig(), 5.0, **runs)
+        sweep_runs = {"n_runs": runs["n_runs"], "eval_seed": runs["base_seed"]}
+        match = match.replace("base_seed", "eval_seed")
+        with pytest.raises(ValueError, match=match):
+            penalty_sweep(EnvConfig(), TrainConfig(), (1.0, 5.0), **sweep_runs)
+
+    @pytest.mark.parametrize(
+        "runs, match",
+        [({"n_runs": 0}, "n_runs must be >= 1, got 0"),
+         ({"n_runs": -3}, "n_runs must be >= 1, got -3"),
+         ({"base_seed": -1}, "base_seed must be >= 0, got -1")],
+    )
+    def test_a_run_count_or_seed_out_of_range_rejected_before_training(
+        self, monkeypatch, runs, match
+    ):
+        # unchecked, a sweep trained every agent (and generated all of their
+        # training traces) before compare_policies raised; a negative seed
+        # failed in derive_seed, naming no argument
+        monkeypatch.setattr(agent, "generate_trace", refuse_traces)
+        monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
+        runs = {"n_runs": 2, "base_seed": 1, **runs}
+        with pytest.raises(ValueError, match=match):
+            compare_policies({"heuristic": HeuristicPolicy()}, EnvConfig(), 5.0, **runs)
+        with pytest.raises(ValueError, match=match):
+            adversarial_eval(HeuristicPolicy(), EnvConfig(), 5.0, **runs)
+        sweep_runs = {"n_runs": runs["n_runs"], "eval_seed": runs["base_seed"]}
+        with pytest.raises(ValueError, match=match.replace("base_seed", "eval_seed")):
+            penalty_sweep(EnvConfig(), TrainConfig(episodes=3), (1.0, 5.0), **sweep_runs)
 
     def test_report_rows_schema(self):
         report, _ = compare_policies(

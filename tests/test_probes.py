@@ -137,8 +137,8 @@ def test_the_env_encodes_each_state_through_the_probed_encoder(monkeypatch):
     # perfbench times the encoding by rebinding
     # testscope.environment.encode_state; a state read that stopped calling
     # it through that name would read 0 there without any error. Only
-    # lockstep_states encodes, once per commit index after the first,
-    # whether it reads one run (a training episode) or B runs; a step
+    # lockstep_play encodes, once per commit index after the first,
+    # whether it plays one run (a training episode) or B runs; a step
     # encodes nothing, so a planner's episode makes no call
     calls = []
     encode = environment.encode_state

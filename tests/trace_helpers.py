@@ -4,6 +4,7 @@ from its outcome codes, and its stats folded from that table."""
 
 from dataclasses import fields
 from functools import reduce
+from itertools import islice
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from testscope.commits import Commit, Trace, generate_trace, trace_records
 from testscope.config import EnvConfig
-from testscope.environment import Action, EpisodeStats, PipelineEnv, encode_rows, lockstep_states
+from testscope.environment import Action, EpisodeStats, PipelineEnv, encode_rows, lockstep_play
 
 
 def as_trace(commits) -> Trace:
@@ -27,18 +28,23 @@ def records(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> list[
 
 def play(env: PipelineEnv, trace: Trace, actions: Sequence | Callable) -> list[np.ndarray]:
     """Step a fresh ``env`` over ``trace`` by each of ``actions`` in turn and
-    return its states, read through ``lockstep_states`` as a run of one: the
+    return its states, played through ``lockstep_play`` as a run of one: the
     state before each step, then the one after the last (the all-zero end
     row once the trace is done). ``actions`` may instead be a function that
     picks each step's action from the state before it, until the trace is
-    done."""
+    done. With no action the one state is the first row, as the play loop
+    reads it before its first step."""
     cfg = env._cfg.state
     rows = encode_rows(trace.metadata(), cfg)[None]
-    reader = lockstep_states([env], rows, cfg)
-    states = [next(reader)[0]]
-    for t in range(len(trace) if callable(actions) else len(actions)):
-        env.step(actions(states[-1]) if callable(actions) else actions[t])
-        states.append(next(reader, rows[:, -1])[0])
+    chosen = None if callable(actions) else iter(actions)
+
+    def policy(states):
+        return [actions(states[0]) if chosen is None else next(chosen)]
+
+    steps = len(trace) if chosen is None else len(actions)
+    states = [rows[0, 0].copy()]
+    for _, _, _, next_states in islice(lockstep_play([env], rows, cfg, policy), steps):
+        states.append(next_states[0])
     return states
 
 
