@@ -52,6 +52,8 @@ from .environment import (
     N_ACTIONS,
     PipelineEnv,
     STATE_DIM,
+    outcome_codes,
+    price_table,
 )
 from .evaluation import (
     AdversarialReport,

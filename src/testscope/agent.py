@@ -16,7 +16,9 @@ depend only on the buffer size, and detection draws do not depend on the
 action. ``train_agents`` therefore trains them in lockstep as one stack of
 networks (see ``network.py``), with one loop step per commit and one update
 per minibatch for all of them, and gives each agent the weights and log that
-training it alone would.
+training it alone would. Each episode's K envs step through one table of
+outcome codes, and each agent's rewards come from the price table of its
+penalty, built once per run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .config import (
     EnvConfig, TrainConfig, derive_seed, validate_env, validate_penalties, validate_train
 )
 from .environment import (
-    Action, N_ACTIONS, PipelineEnv, STATE_DIM, encode_rows, episode_stats, lockstep_play
+    Action, N_ACTIONS, PipelineEnv, STATE_DIM, code_array, encode_rows, episode_stats,
+    lockstep_play, outcome_codes, price_table,
 )
 from .network import (
     AdamState,
@@ -230,11 +233,11 @@ def train_agents(
 
     Returns one ``(net, log)`` per penalty, in order, each bit-identical to
     ``train_agent`` at that penalty. Several penalties train as one
-    ``(K, P)`` stack of networks that steps K environments over the same
-    traces, shares one exploration stream and one replay buffer with a
-    leading agent axis, and makes one ``td_loss_and_grads`` and one
-    ``adam_update`` call per update. A single penalty trains the plain
-    ``(P,)`` network. Penalties must be finite and >= 0, and both configs
+    ``(K, P)`` stack of networks that steps K environments over each
+    trace's one table of outcome codes, shares one exploration stream and
+    one replay buffer with a leading agent axis, and makes one
+    ``td_loss_and_grads`` and one ``adam_update`` call per update. A single
+    penalty trains the plain ``(P,)`` network. Penalties must be finite and >= 0, and both configs
     must pass their section checks (``ConfigError`` names the bad key). An
     episode whose mean TD loss is not finite stops the run with a
     :class:`ValueError` that names it.
@@ -245,6 +248,8 @@ def train_agents(
     if not penalties:
         raise ValueError("need at least one escape penalty")
     stack = (len(penalties),) if len(penalties) > 1 else ()
+    prices = price_table(env_cfg, penalties)
+    code_rewards = prices[..., 2].tolist()  # [agent][code]: the step's reward
 
     rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_EXPLORE))
     net = mlp_init(cfg.hidden_sizes, seed=derive_seed(cfg.seed, _STREAM_NET))
@@ -269,8 +274,9 @@ def train_agents(
         trace = generate_trace(
             env_cfg, env_cfg.commits_per_episode, seed=derive_seed(cfg.seed, _STREAM_TRACE, episode)
         )
-        env_seed = derive_seed(cfg.seed, _STREAM_ENV, episode)
-        envs = PipelineEnv(trace, env_cfg, penalties[0], seed=env_seed).replicas(penalties)
+        # every agent meets the same draws: one env each, over one table
+        outcomes = outcome_codes(trace, env_cfg, derive_seed(cfg.seed, _STREAM_ENV, episode))
+        envs = [PipelineEnv(outcomes) for _ in penalties]
         # every agent plays the trace: its rows, one view per agent, end in
         # the all-zero state after the last step
         rows = encode_rows(trace.metadata(), env_cfg.state)
@@ -281,7 +287,8 @@ def train_agents(
             return action.tolist() if stack else [action]
 
         played = lockstep_play(envs, rows, env_cfg.state, explore)
-        for t, (state, actions, rewards, next_state) in enumerate(played, 1):
+        for t, (state, actions, codes, next_state) in enumerate(played, 1):
+            rewards = [agent_rewards[code] for agent_rewards, code in zip(code_rewards, codes)]
             buffer.push(
                 joined(state), joined(actions), joined(rewards), joined(next_state), t == len(trace)
             )
@@ -307,7 +314,7 @@ def train_agents(
                 f"(escape penalties {list(penalties)})"
             )
         for agent_records, stats, mean_loss in zip(
-            records, episode_stats(envs), mean_losses.reshape(-1)
+            records, episode_stats(code_array(envs), prices), mean_losses.reshape(-1)
         ):
             agent_records.append(
                 EpisodeRecord(

@@ -42,39 +42,39 @@ the trace's raw columns, so an episode that only a planner plays encodes no
 row.
 
 The detection draws depend on the trace and the seed alone too, so each
-commit's outcome under each action is fixed when the env is built, and
-:meth:`PipelineEnv.replicas` shares the draws among environments that play
-the same trace, each with its own escape penalty (and the prices too where
-that penalty is the source's). A step records only the outcome's code,
-``3 * action + kind`` (kind 0 clean, 1 caught, 2 escaped), and returns
-``(reward, done)`` with the reward of that code. An env is priced once,
-when it is built: each code gets its test minutes, pipeline minutes and
-reward. The code itself holds the rest: the action is ``code // 3``, and
-the commit was caught when ``code % 3 == 1`` and escaped when
-``code % 3 == 2``. The codes are all an env keeps of its episode.
+commit's outcome under each action is fixed before any step:
+:func:`outcome_codes` gives each commit's code under each action, ``3 *
+action + kind`` (kind 0 clean, 1 caught, 2 escaped). A :class:`PipelineEnv`
+steps one run through such a table, which any number of envs can share,
+and records the code of each step. The code holds the step's outcome: the
+action is ``code // 3``, and the commit was caught when ``code % 3 == 1``
+and escaped when ``code % 3 == 2``. The codes are all an env keeps of its
+episode.
+
+A code's price depends on the config and the escape penalty alone, so
+:func:`price_table` prices the nine codes once per penalty, outside any
+env: each gets its test minutes, pipeline minutes and reward.
 
 :func:`lockstep_play` is the one closed-loop play loop, in training and in
 evaluation alike. B envs play B traces of one length in lockstep: at each
 commit index it reads the B runs' ``(B, 10)`` states, calls the policy once
 for B actions and steps each env once. It keeps the episode history behind
 features 6-9 (running failure counts and the commits since the last
-full-suite run, capped at ``full_test_gap_cap``), updates it from each
-env's new code, and writes features 6-9 of the next states with one
-:func:`encode_state` call. One run keeps its history as Python ints, B runs
-as arrays; both give each run the same bits.
+full-suite run, capped at ``full_test_gap_cap``), updates it from the B
+codes that the steps return, and writes features 6-9 of the next states
+with one :func:`encode_state` call. One run keeps its history as Python
+ints, B runs as arrays; both give each run the same bits.
 
-:func:`episode_stats` totals B envs' episodes, in training and in
-evaluation alike, from one ``(B, T)`` array of their codes and their prices.
+:func:`episode_stats` totals B runs' episodes, in training and in
+evaluation alike, from one ``(B, T)`` array of their codes and their price
+tables.
 """
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +88,8 @@ __all__ = [
     "metadata_features",
     "encode_rows",
     "encode_state",
+    "outcome_codes",
+    "price_table",
     "PipelineEnv",
     "lockstep_play",
     "EpisodeStats",
@@ -165,48 +167,44 @@ def encode_state(
     state[8] = failed
 
 
-class PipelineEnv:
-    """Steps a fixed commit trace through the simulated pipeline.
+def outcome_codes(trace: Trace, cfg: EnvConfig, seed: int = 0) -> list[tuple[int, int, int]]:
+    """Each commit's ``(full, partial, skip)`` outcome codes, ``3 * action +
+    kind``: the code that each action gives it.
 
-    Stateful and single-threaded. The prices (with an escape penalty that
-    :func:`validate_penalties` checks) and the detection draws are fixed
-    when the env is built: the k-th buggy commit is caught when the k-th
-    number of ``default_rng(seed).random(n_buggy)`` is below the action's
-    detection rate. A step records one outcome code, and the codes are all
-    the env keeps of its episode: :func:`lockstep_play` reads the states
-    from them and :func:`episode_stats` the totals. :meth:`replicas` gives
-    fresh envs that replay the same draws.
+    Clean commits never fail tests (kind 0). The k-th buggy commit gets the
+    k-th number of ``default_rng(seed).random(n_buggy)`` and is caught
+    (kind 1) under an action when that number is below the action's
+    detection rate (a rate of 1.0 always, 0.0 never), and escapes (kind 2)
+    otherwise. An empty trace raises :class:`ValueError`.
     """
+    if not trace:
+        raise ValueError("trace must contain at least one commit")
+    has_bug = trace.has_bug.tolist()
+    draws = iter(np.random.default_rng(seed).random(sum(has_bug)).tolist())
+    draws = [next(draws) if bug else None for bug in has_bug]
+    full, partial, skip = cfg.detection_rates
+    return [
+        _CLEAN if d is None else (2 - (d < full), 5 - (d < partial), 8 - (d < skip))
+        for d in draws
+    ]
 
-    def __init__(self, trace: Trace, cfg: EnvConfig, escape_penalty: float, seed: int = 0):
-        if not trace:
-            raise ValueError("trace must contain at least one commit")
-        if min(cfg.test_minutes) < 0:
-            raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
-        self._n = len(trace)
-        self._cfg = cfg
-        # the k-th buggy commit gets the k-th draw; clean commits draw none
-        has_bug = trace.has_bug.tolist()
-        draws = iter(np.random.default_rng(seed).random(sum(has_bug)).tolist())
-        draws = [next(draws) if bug else None for bug in has_bug]
-        # [t][action]: the step's code. Clean commits never fail tests; a
-        # buggy one is caught (kind 1) when its draw is below the action's
-        # rate (a rate of 1.0 always, 0.0 never) and escapes (kind 2) otherwise
-        full, partial, skip = cfg.detection_rates
-        self._outcomes = [
-            _CLEAN if d is None else (2 - (d < full), 5 - (d < partial), 8 - (d < skip))
-            for d in draws
-        ]
-        (escape_penalty,) = validate_penalties((escape_penalty,))
-        self._price(escape_penalty)
-        self._rewind()
 
-    def _price(self, escape_penalty: float) -> None:
-        """Price each code under a checked penalty: its ``(test_minutes,
-        pipeline_minutes, reward)``."""
-        self._escape_penalty = escape_penalty
-        cfg = self._cfg
-        prices = []
+def price_table(cfg: EnvConfig, penalties: Iterable[float]) -> np.ndarray:
+    """The ``(K, 9, 3)`` prices of the nine outcome codes under each of K
+    escape penalties: row ``[k, code]`` holds the code's ``(test_minutes,
+    pipeline_minutes, reward)`` at ``penalties[k]``.
+
+    The penalties must pass :func:`validate_penalties` and the test minutes
+    be >= 0 (:class:`ValueError`). A reward is ``-minutes - 0.0``, less the
+    penalty when the bug escaped, in Python float arithmetic: so at 0 skip
+    minutes, penalties ``0.0`` and ``-0.0`` price an escaped skip at
+    ``-0.0`` and ``0.0``.
+    """
+    penalties = validate_penalties(penalties)
+    if min(cfg.test_minutes) < 0:
+        raise ValueError(f"test_minutes must be >= 0, got {cfg.test_minutes}")
+    prices = []
+    for penalty in penalties:
         for minutes in cfg.test_minutes:
             cost = -minutes - 0.0  # a float, also for int minutes
             caught = cfg.build_minutes + minutes
@@ -215,60 +213,42 @@ class PipelineEnv:
             prices += [
                 (minutes, passed, cost),
                 (minutes, caught, cost),
-                (minutes, escaped, cost - escape_penalty),
+                (minutes, escaped, cost - penalty),
             ]
-        self._prices = tuple(prices)
-        self._rewards = tuple(price[2] for price in prices)
+    return np.array(prices, dtype=np.float64).reshape(len(penalties), 9, 3)
 
-    def replicas(self, penalties: list[float]) -> list["PipelineEnv"]:
-        """One fresh environment per escape penalty, over this one's trace,
-        config and seed.
 
-        They share the detection draws; each has its own cursor and codes.
-        Every penalty is checked first, as the env's own was. A replica whose
-        penalty equals this env's in value and sign shares its prices; any
-        other is priced anew (``-0.0`` and ``0.0`` give escaped-skip rewards
-        that differ in the sign of zero).
+class PipelineEnv:
+    """Steps one run through its commits' :func:`outcome_codes`.
+
+    Stateful and single-threaded. ``outcomes`` is shared, never copied, so
+    any number of envs can replay one table of draws. A step records the
+    outcome code of the commit under the chosen action, and ``codes``, one
+    byte per step, are all the env keeps of its episode:
+    :func:`lockstep_play` reads the states from them and
+    :func:`episode_stats` the totals under a :func:`price_table`.
+    """
+
+    def __init__(self, outcomes: Sequence[tuple[int, int, int]]):
+        self.outcomes = outcomes
+        self.codes = bytearray()
+
+    def step(self, action: Action) -> int:
+        """Process the current commit with the chosen test scope and return
+        the step's outcome code. Stepping a finished episode, or an action
+        that is not an integer in 0..2, raises before anything changes.
         """
-        penalties = validate_penalties(penalties)
-        own = self._escape_penalty
-        envs = [copy.copy(self) for _ in penalties]
-        for env, penalty in zip(envs, penalties):
-            if not (penalty == own and math.copysign(1.0, penalty) == math.copysign(1.0, own)):
-                env._price(penalty)
-            env._rewind()
-        return envs
-
-    def _rewind(self) -> None:
-        """Rewind to the first commit, with no step recorded."""
-        self._cursor = 0
-        self._codes: list[int] = []
-
-    @property
-    def codes(self) -> bytes:
-        """The outcome code of each step so far, ``3 * action + kind``, one
-        byte per step."""
-        return bytes(self._codes)
-
-    def step(self, action: Action) -> tuple[float, bool]:
-        """Process the current commit with the chosen test scope.
-
-        Records the step's outcome code and returns its reward and the done
-        flag. Stepping a finished episode, or an action that is not an
-        integer in 0..2, raises before anything changes.
-        """
-        t = self._cursor
-        if t == self._n:
+        t = len(self.codes)
+        if t == len(self.outcomes):
             raise RuntimeError("episode is done")
         if action not in (0, 1, 2):
             action = Action(action)
         try:
-            code = self._outcomes[t][action]
+            code = self.outcomes[t][action]
         except TypeError:  # a float equal to 0, 1 or 2 passes the guard above
             raise ValueError(f"action must be an integer in 0..2, got {action!r}") from None
-        self._codes.append(code)
-        self._cursor = t = t + 1
-        return self._rewards[code], t == self._n
+        self.codes.append(code)
+        return code
 
 
 def lockstep_play(
@@ -276,30 +256,31 @@ def lockstep_play(
     rows: np.ndarray,
     cfg: StateConfig,
     policy: Callable[[np.ndarray], Sequence],
-) -> Iterator[tuple[np.ndarray, Sequence, list[float], np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, Sequence, list[int], np.ndarray]]:
     """Play B fresh envs over B traces of one length T in lockstep under
-    ``policy``; yield each commit index's ``(states, actions, rewards,
+    ``policy``; yield each commit index's ``(states, actions, codes,
     next_states)``.
 
     ``rows`` holds the traces' ``(B, T + 1, 10)`` :func:`encode_rows` under
     ``cfg``, the envs' state config. At each commit index ``policy`` maps a
     new ``(B, 10)`` array of the envs' states to B actions, each env steps
     once by its own, and the history behind features 6-9 is updated from
-    each env's new code; one :func:`encode_state` call then writes features
-    6-9 of all B next states (from Python ints for one run, int arrays for
-    B), and after the last step ``next_states`` is the all-zero end row. Row
-    b has the bits of ``envs[b]`` played alone. No envs, rows that do not
-    fit them or an env that has stepped raise :class:`ValueError` on the
-    first ``next``; a policy call that returns other than B actions raises
-    it before any env steps at that index.
+    the B outcome codes that the steps return; one :func:`encode_state`
+    call then writes features 6-9 of all B next states (from Python ints
+    for one run, int arrays for B), and after the last step ``next_states``
+    is the all-zero end row. Row b has the bits of ``envs[b]`` played
+    alone. No envs, rows that do not fit them or an env that has stepped
+    raise :class:`ValueError` on the first ``next``; a policy call that
+    returns other than B actions raises it before any env steps at that
+    index.
     """
     if not envs:
         raise ValueError("need at least one environment")
     n = rows.shape[-2] - 1
-    if rows.shape != (len(envs), n + 1, STATE_DIM) or any(env._n != n for env in envs):
+    if rows.shape != (len(envs), n + 1, STATE_DIM) or any(len(env.outcomes) != n for env in envs):
         raise ValueError(f"rows of shape {rows.shape} do not fit {len(envs)} envs of one length")
-    if any(env._cursor for env in envs):
-        stepped = [env._cursor for env in envs]
+    stepped = [len(env.codes) for env in envs]
+    if any(stepped):
         raise ValueError(f"need fresh envs, got envs that stepped {stepped} commits")
     # fails[t]: commits among the first t whose tests failed; since: commits
     # since the last full-suite run (codes 0-2), stopped at its cap. One run
@@ -316,19 +297,19 @@ def lockstep_play(
         actions = policy(states)
         if len(actions) != len(envs):
             raise ValueError(f"got {len(actions)} actions for {len(envs)} environments")
-        rewards = [env.step(action)[0] for env, action in zip(envs, actions)]
+        codes = [env.step(action) for env, action in zip(envs, actions)]
         next_states = rows[:, t].copy()
         if t < n and one:
-            last = envs[0]._codes[-1]
+            (last,) = codes
             fails.append(fails[-1] + _FAILED[last])
             since = 0 if last < 3 else since + (since < cap)
             encode_state(next_states[0], t, fails, since, cfg)
         elif t < n:
-            last = np.array([env._codes[-1] for env in envs])
+            last = np.array(codes)
             np.add(fails[t - 1], failed[last], out=fails[t])
             since = np.where(last < 3, 0, since + (since < cap))
             encode_state(next_states.T, t, fails, since, cfg)
-        yield states, actions, rewards, next_states
+        yield states, actions, codes, next_states
         states = next_states
 
 
@@ -348,29 +329,28 @@ class EpisodeStats:
 
 def code_array(envs: Sequence[PipelineEnv]) -> np.ndarray:
     """The ``(B, T)`` outcome codes of B envs that stepped T commits each."""
-    codes = [env.codes for env in envs]
-    lengths = [len(c) for c in codes]
+    lengths = [len(env.codes) for env in envs]
     if len(set(lengths)) != 1:
         raise ValueError(f"need envs that stepped equally many commits, got {lengths}")
-    return np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(len(codes), -1)
+    return np.frombuffer(b"".join(env.codes for env in envs), dtype=np.uint8).reshape(len(envs), -1)
 
 
-def episode_stats(envs: Sequence[PipelineEnv]) -> list[EpisodeStats]:
-    """The stats of each env's episode so far, for envs that stepped equally
-    many commits, from one ``(B, T)`` array of their outcome codes.
+def episode_stats(codes: np.ndarray, prices: np.ndarray) -> list[EpisodeStats]:
+    """The stats of B runs' episodes from their ``(B, T)`` outcome codes,
+    priced by a :func:`price_table` of one row per run, ``(B, 9, 3)``, or
+    one row for all of them, ``(1, 9, 3)``.
 
     Each total is the left fold of its steps' prices from 0.0, in step
     order (``np.sum`` adds pairwise and ``math.fsum`` exactly):
     ``np.add.accumulate`` adds along the step axis from a leading 0.0 row,
     so steps that each cost -0.0 total +0.0 as the fold does.
     """
-    codes = code_array(envs)
     runs, steps = codes.shape
+    if prices.shape not in ((runs, 9, 3), (1, 9, 3)):
+        raise ValueError(f"prices of shape {prices.shape} do not fit {runs} runs")
     # row 9 * run + code: the test minutes, pipeline minutes and reward of
     # that run's outcome
-    priced = np.fromiter(
-        chain.from_iterable(price for env in envs for price in env._prices), float, 27 * runs
-    ).reshape(-1, 3)
+    priced = np.broadcast_to(prices, (runs, 9, 3)).reshape(-1, 3)
     index = codes.T + 9 * np.arange(runs)  # [t, run]: the row of that run's step t
     columns = np.empty((steps + 1, runs, 3))
     columns[0] = 0.0

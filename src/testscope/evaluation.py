@@ -23,9 +23,11 @@ through too: at each commit index it gets every run's state at once and
 picks each run's action from that run's state alone, and the loop encodes
 features 6-9 of all B runs in one array pass from rows encoded once for the
 runs' stacked columns. Either way every action goes through one
-:meth:`PipelineEnv.step` call, and
-:func:`~testscope.environment.episode_stats`, which training shares, totals
-each policy's episodes from their outcome codes.
+:meth:`PipelineEnv.step` call, over outcome codes that each trace draws
+once for every policy, and :func:`~testscope.environment.episode_stats`,
+which training shares, totals each policy's episodes from their codes
+under one :func:`~testscope.environment.price_table` of the evaluation's
+penalty.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ import numpy as np
 from .agent import EpisodeRecord, GreedyPolicy, train_agent, train_agents  # noqa: F401
 from .baselines import StaticPolicy
 from .commits import Trace, generate_trace, observe  # noqa: F401
-from .config import (
-    EnvConfig, TrainConfig, adversarial, derive_seed, validate_env, validate_penalties
-)
+from .config import EnvConfig, TrainConfig, adversarial, derive_seed, validate_env
 from .environment import (
-    Action, EpisodeStats, PipelineEnv, code_array, encode_rows, episode_stats, lockstep_play
+    Action, EpisodeStats, PipelineEnv, code_array, encode_rows, episode_stats, lockstep_play,
+    outcome_codes, price_table,
 )
 from .network import QNetwork
 
@@ -93,39 +94,34 @@ def _play(
     policies: Sequence[Policy],
     traces: Sequence[Trace],
     seeds: Sequence[int],
-    escape_penalty: float,
     env_cfg: EnvConfig,
-) -> list[list[PipelineEnv]]:
-    """Per policy, the env of its episode over each trace, built with the
-    trace's seed and played to the end. Every trace has
-    ``env_cfg.commits_per_episode`` commits.
+) -> list[np.ndarray]:
+    """Per policy, the ``(B, T)`` outcome codes of its episodes over the B
+    traces, each played to the end from the :func:`outcome_codes` of the
+    trace under its seed. Every trace has ``env_cfg.commits_per_episode``
+    commits.
 
-    Each policy in turn plays every trace, one env per trace. A planner
-    makes one ``plan`` call on the traces' ``(B, T, 5)`` stacked columns and
-    steps each trace's env by its own row of the ``(B, T)`` plan; a plan of
-    any other shape, or of any dtype but an integer one (a boolean plan
-    included), raises :class:`ValueError` before any env steps. A
-    closed-loop policy plays the envs in lockstep through
-    :func:`lockstep_play`, one call per commit index that maps their
-    ``(B, 10)`` states to B actions, and each run gets the bits of that run
-    played alone; the first such policy encodes the stack's
-    ``(B, T + 1, 10)`` rows in one :func:`encode_rows` call, which every
-    later one reuses, so a planner-only play encodes no row. A trace's envs
-    are replicas of one, sharing its draws and prices, so each policy meets
-    the same detection draws as when played alone. :func:`episode_stats`
-    reduces each policy's envs.
+    Each trace's outcome table is drawn once, and each policy in turn plays
+    every trace in a fresh env over it, so each policy meets the same
+    detection draws as when played alone. A planner makes one ``plan`` call
+    on the traces' ``(B, T, 5)`` stacked columns and steps each trace's env
+    by its own row of the ``(B, T)`` plan; a plan of any other shape, or of
+    any dtype but an integer one (a boolean plan included), raises
+    :class:`ValueError` before any env steps. A closed-loop policy plays the
+    envs in lockstep through :func:`lockstep_play`, one call per commit
+    index that maps their ``(B, 10)`` states to B actions, and each run gets
+    the bits of that run played alone; the first such policy encodes the
+    stack's ``(B, T + 1, 10)`` rows in one :func:`encode_rows` call, which
+    every later one reuses, so a planner-only play encodes no row.
+    :func:`episode_stats` totals each policy's codes under a price table.
     """
     n = env_cfg.commits_per_episode
-    # [trace][k]: the env of the k-th policy
-    trace_envs = [
-        PipelineEnv(t, env_cfg, escape_penalty, seed=s).replicas([escape_penalty] * len(policies))
-        for t, s in zip(traces, seeds)
-    ]
+    tables = [outcome_codes(t, env_cfg, s) for t, s in zip(traces, seeds)]
     metadata = np.stack([trace.metadata() for trace in traces])
     rows = None  # the traces' encoded rows, once a closed-loop policy plays
     played = []
-    for k, policy in enumerate(policies):
-        envs = [run_envs[k] for run_envs in trace_envs]
+    for policy in policies:
+        envs = [PipelineEnv(outcomes) for outcomes in tables]
         if hasattr(policy, "plan"):
             plan = np.asarray(policy.plan(metadata))
             name = type(policy).__name__
@@ -141,7 +137,7 @@ def _play(
                 rows = encode_rows(metadata, env_cfg.state)
             for _ in lockstep_play(envs, rows, env_cfg.state, policy):
                 pass
-        played.append(envs)
+        played.append(code_array(envs))
     return played
 
 
@@ -152,18 +148,19 @@ def run_episode(
     env_cfg: EnvConfig,
     seed: int = 0,
 ) -> EpisodeStats:
-    """Play one trace under ``policy``, from an env built with ``seed``, and
-    accumulate episode statistics: the one-run case of :func:`_play`. A
-    planner plans the trace once, as a ``(1, T, 5)`` stack whose plan is
-    ``(1, T)``; a closed-loop policy gets each state as a ``(1, 10)`` array
-    and returns one action."""
+    """Play one trace under ``policy``, from its outcome codes drawn with
+    ``seed``, and total the episode at ``escape_penalty``: the one-run case
+    of :func:`_play`. A planner plans the trace once, as a ``(1, T, 5)``
+    stack whose plan is ``(1, T)``; a closed-loop policy gets each state as
+    a ``(1, 10)`` array and returns one action."""
     if len(trace) != env_cfg.commits_per_episode:
         raise ValueError(
             f"trace length {len(trace)} != commits_per_episode "
             f"{env_cfg.commits_per_episode}"
         )
-    ((env,),) = _play([policy], [trace], [seed], escape_penalty, env_cfg)
-    (stats,) = episode_stats([env])
+    prices = price_table(env_cfg, (escape_penalty,))
+    (codes,) = _play([policy], [trace], [seed], env_cfg)
+    (stats,) = episode_stats(codes, prices)
     return stats
 
 
@@ -276,16 +273,17 @@ def _check_runs(n_runs: int, seed: int, seed_name: str = "base_seed") -> None:
 
 def _runs(
     policies: Sequence[Policy], env_cfg: EnvConfig, escape_penalty: float, n_runs: int, base_seed: int
-) -> tuple[float, list[int], list[Trace], list[list[PipelineEnv]]]:
-    """``(escape_penalty, run_seeds, traces, played)`` of the seeded runs:
-    the penalty as :func:`validate_penalties` returns it, and ``played``
-    holds the played envs of the always-full reference, then of each
-    policy, one per run. Checks ``env_cfg``, the penalty, ``n_runs`` and
-    ``base_seed`` (see :func:`_check_runs`) before any trace is generated,
-    then generates every run's trace, so that each policy plays all runs in
-    lockstep (see :func:`_play`)."""
+) -> tuple[float, list[int], list[Trace], list[np.ndarray], list[list[EpisodeStats]]]:
+    """``(escape_penalty, run_seeds, traces, codes, stats)`` of the seeded
+    runs: the penalty as a float, as :func:`price_table` checks it, and per
+    player (the always-full reference, then each policy) the ``(n_runs,
+    T)`` codes of its episodes and their :func:`episode_stats` at that
+    penalty. Checks ``env_cfg``, the penalty, ``n_runs`` and ``base_seed``
+    (see :func:`_check_runs`) before any trace is generated, then generates
+    every run's trace, so that each policy plays all runs in lockstep (see
+    :func:`_play`)."""
     validate_env(env_cfg)
-    (escape_penalty,) = validate_penalties((escape_penalty,))
+    prices = price_table(env_cfg, (escape_penalty,))
     _check_runs(n_runs, base_seed)
     run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
     traces = [
@@ -293,9 +291,9 @@ def _runs(
         for s in run_seeds
     ]
     env_seeds = [derive_seed(s, 1) for s in run_seeds]
-    players = [StaticPolicy(), *policies]
-    played = _play(players, traces, env_seeds, escape_penalty, env_cfg)
-    return escape_penalty, run_seeds, traces, played
+    codes = _play([StaticPolicy(), *policies], traces, env_seeds, env_cfg)
+    stats = [episode_stats(played, prices) for played in codes]
+    return float(escape_penalty), run_seeds, traces, codes, stats
 
 
 def compare_policies(
@@ -327,10 +325,9 @@ def compare_policies(
     if not policies:
         raise ValueError("need at least one policy")
     played = [n for n, p in policies.items() if not isinstance(p, StaticPolicy)]
-    escape_penalty, run_seeds, _, envs = _runs(
+    escape_penalty, run_seeds, _, _, (reference, *stats) = _runs(
         [policies[n] for n in played], env_cfg, escape_penalty, n_runs, base_seed
     )
-    reference, *stats = map(episode_stats, envs)
     by_name = dict(zip(played, stats))
     all_stats = {
         name: by_name[name] if name in by_name else [replace(s) for s in reference]
@@ -429,14 +426,16 @@ def adversarial_eval(
     """
     cfg = adversarial(env_cfg)
     cutoff = cfg.generator.streak_diff_max
-    _, run_seeds, traces, (reference, envs) = _runs([policy], cfg, escape_penalty, n_runs, base_seed)
+    _, run_seeds, traces, (_, codes), (reference, stats) = _runs(
+        [policy], cfg, escape_penalty, n_runs, base_seed
+    )
     low = np.array([trace.diff_size for trace in traces]) <= cutoff
-    actions = code_array(envs) // 3
+    actions = codes // 3
     low_total = int(np.count_nonzero(low))
     low_partial = int(np.count_nonzero(low & (actions == Action.PARTIAL_TESTS)))
     fraction = low_partial / low_total if low_total else 0.0
     return AdversarialReport(
-        metrics=compute_metrics(episode_stats(envs), episode_stats(reference), run_seeds),
+        metrics=compute_metrics(stats, reference, run_seeds),
         low_diff_partial_fraction=fraction,
         low_diff_cutoff=cutoff,
     )

@@ -113,9 +113,11 @@ def save_policy(
 ) -> None:
     """Write a model to a weight file atomically.
 
-    Raises :class:`ValueError` naming the arrays, and writes nothing, when a
-    parameter is not finite or ``model`` is a stack of networks (a file holds
-    one network; save each of ``model.unstack()``).
+    Raises :class:`ValueError`, and writes nothing, for a file that
+    :func:`load_policy` would reject: when a parameter is not finite (naming
+    the arrays), ``model`` is a stack of networks (a file holds one network;
+    save each of ``model.unstack()``), or a logistic model has other than
+    one weight per metadata field or a cap that is not an int >= 1.
     """
     if isinstance(model, QNetwork):
         if model.stack:
@@ -133,6 +135,15 @@ def save_policy(
             "hidden_sizes": list(model.hidden_sizes),
         }
     elif isinstance(model, LogisticModel):
+        if np.shape(model.weights) != (len(METADATA_FIELDS),):
+            raise ValueError(
+                f"cannot save {path}: logistic weights of shape {np.shape(model.weights)}, "
+                f"expected ({len(METADATA_FIELDS)},)"
+            )
+        for name in ("diff_cap", "files_cap"):
+            cap = getattr(model.state_cfg, name)
+            if type(cap) is not int or cap < 1:
+                raise ValueError(f"cannot save {path}: {name} must be an integer >= 1, got {cap!r}")
         arrays = {"weights": model.weights, "bias": np.array([model.bias])}
         document = {
             "format_version": WEIGHT_FORMAT_VERSION,

@@ -25,7 +25,7 @@ from testscope.baselines import (
 )
 from testscope.commits import Trace, generate_trace, observe
 from testscope.config import ClassifierConfig, ConfigError, EnvConfig, StateConfig, derive_seed
-from testscope.environment import Action, PipelineEnv, metadata_features
+from testscope.environment import Action, PipelineEnv, metadata_features, outcome_codes
 
 from test_environment import make_commit
 from trace_helpers import as_trace, play, records
@@ -321,8 +321,8 @@ class TestTrainClassifier:
             make_commit(diff_size=nan, developer_defect_rate=nan, developer_experience=-nan),
         ]
         cfg = StateConfig(diff_cap=37, files_cap=3)
-        env = PipelineEnv(as_trace(commits), dataclasses.replace(EnvConfig(), state=cfg), 5.0)
-        states = play(env, as_trace(commits), [Action.FULL_TESTS] * (len(commits) - 1))
+        env = PipelineEnv(outcome_codes(as_trace(commits), EnvConfig()))
+        states = play(env, as_trace(commits), cfg, [Action.FULL_TESTS] * (len(commits) - 1))
         x, _ = _labeled_arrays(commits, cfg)
         for state, row, commit in zip(states, x, commits, strict=True):
             assert commit_features(commit, cfg).tobytes() == state[:5].tobytes() == row.tobytes()
@@ -426,9 +426,9 @@ class TestClassifierPolicy:
         trace = generate_trace(cfg, 400, seed=23, mode=mode)
         for model in (fitted, hand_made):
             policy = ClassifierPolicy(model, thresholds(0.1, 0.3))
-            env = PipelineEnv(trace, cfg, 5.0, seed=24)
+            env = PipelineEnv(outcome_codes(trace, cfg, seed=24))
             actions = policy.plan(trace.metadata()).tolist()
-            states = play(env, trace, actions)
+            states = play(env, trace, cfg.state, actions)
             for commit, action, state in zip(observe(trace), actions, states[:-1], strict=True):
                 at = risk(model, commit)
                 assert predict_risk(model, state[:5]) == at

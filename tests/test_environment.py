@@ -1,4 +1,4 @@
-"""Pipeline environment: state encoding, detection, reward, step mechanics."""
+"""Pipeline environment: state encoding, outcome codes, prices, step mechanics."""
 
 import dataclasses
 import math
@@ -15,13 +15,25 @@ from testscope.environment import (
     EpisodeStats,
     PipelineEnv,
     STATE_DIM,
+    code_array,
     encode_rows,
     encode_state,
     episode_stats,
     lockstep_play,
     metadata_features,
+    outcome_codes,
+    price_table,
 )
-from trace_helpers import EMPTY_TABLE, as_trace, play, records, step_table
+from trace_helpers import (
+    EMPTY_TABLE,
+    as_trace,
+    field_bits,
+    folded_stats,
+    fractional_cfg,
+    play,
+    records,
+    step_table,
+)
 
 
 def make_commit(**kwargs) -> Commit:
@@ -39,13 +51,24 @@ def make_commit(**kwargs) -> Commit:
     return Commit(**base)
 
 
+def env_of(trace: Trace, cfg: EnvConfig | None = None, seed: int = 0) -> PipelineEnv:
+    """A fresh env over the outcome codes of ``trace`` under ``cfg`` and ``seed``."""
+    return PipelineEnv(outcome_codes(trace, cfg or EnvConfig(), seed))
+
+
+def table(env: PipelineEnv, cfg: EnvConfig | None = None, penalty: float = 5.0):
+    """``env``'s step table, priced under ``cfg`` at ``penalty``."""
+    return step_table(env, price_table(cfg or EnvConfig(), (penalty,))[0])
+
+
 def played(trace: Trace | list[Commit], action, penalty: float = 5.0, cfg=None, seed: int = 0):
     """Step every commit of a trace or of a list of records under ``action``;
-    returns the rewards and the step table."""
+    returns the step table, whose codes are the ones the steps returned."""
     trace = trace if isinstance(trace, Trace) else as_trace(trace)
-    env = PipelineEnv(trace, cfg or EnvConfig(), penalty, seed=seed)
-    rewards = [env.step(action)[0] for _ in range(len(trace))]
-    return rewards, step_table(env)
+    env = env_of(trace, cfg, seed)
+    codes = [env.step(action) for _ in range(len(trace))]
+    assert codes == list(env.codes)
+    return table(env, cfg, penalty)
 
 
 def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bool, ...]:
@@ -53,14 +76,13 @@ def detected_column(action, n: int, seed: int, has_bug: bool = True) -> tuple[bo
 
     Each buggy commit draws one number from the env's generator, seeded with ``seed``.
     """
-    return played([make_commit(id=i, has_bug=has_bug) for i in range(n)], action, seed=seed)[1].detected
+    return played([make_commit(id=i, has_bug=has_bug) for i in range(n)], action, seed=seed).detected
 
 
 def first_state(commit: Commit, cfg: StateConfig | None = None) -> np.ndarray:
     """The state the environment shows for ``commit`` at the start of an episode."""
-    env_cfg = dataclasses.replace(EnvConfig(), state=cfg or StateConfig())
     trace = as_trace([commit])
-    return play(PipelineEnv(trace, env_cfg, 5.0), trace, [])[0]
+    return play(env_of(trace), trace, cfg or StateConfig(), [])[0]
 
 
 def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarray]:
@@ -73,10 +95,10 @@ def states_after(outcomes: list[bool], state_cfg: StateConfig) -> list[np.ndarra
     cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, state=state_cfg)
     trace = generate_trace(cfg, len(outcomes) + 1, seed=0)
     assert trace.has_bug.all()
-    env = PipelineEnv(trace, cfg, 5.0)
+    env = env_of(trace, cfg)
     actions = [Action.FULL_TESTS if caught else Action.SKIP_TESTS for caught in outcomes]
-    states = play(env, trace, actions)
-    assert step_table(env).detected == tuple(outcomes)
+    states = play(env, trace, state_cfg, actions)
+    assert table(env).detected == tuple(outcomes)
     return states
 
 
@@ -96,9 +118,9 @@ class TestEncodeState:
     def test_dimensions_and_bounds(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 500, seed=2)
-        env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        states = play(env, trace, [Action(t % 3) for t in range(len(trace) - 1)])
-        assert any(step_table(env).detected)
+        env = env_of(trace, cfg, seed=3)
+        states = play(env, trace, cfg.state, [Action(t % 3) for t in range(len(trace) - 1)])
+        assert any(table(env).detected)
         for state in states:
             assert state.shape == (STATE_DIM,)
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
@@ -112,8 +134,8 @@ class TestEncodeState:
         flipped = dataclasses.replace(trace, has_bug=~trace.has_bug)
         states = []
         for played_trace in (trace, flipped):
-            env = PipelineEnv(played_trace, cfg, 5.0, seed=1)
-            states.append(play(env, played_trace, [Action.SKIP_TESTS] * len(trace)))
+            env = env_of(played_trace, cfg, seed=1)
+            states.append(play(env, played_trace, cfg.state, [Action.SKIP_TESTS] * len(trace)))
         assert [s.tobytes() for s in states[0]] == [s.tobytes() for s in states[1]]
 
     def test_pure_recomputation(self):
@@ -140,10 +162,10 @@ class TestEncodeState:
         trace = as_trace(
             [make_commit(diff_size=250, has_bug=True), make_commit(diff_size=10), make_commit()]
         )
-        env = PipelineEnv(trace, EnvConfig(), 5.0)
+        env = env_of(trace)
         # the partial suite catches the bug: seed 0's first draw is below its 0.7 rate
-        _, state, after = play(env, trace, [Action.PARTIAL_TESTS, Action.FULL_TESTS])
-        assert step_table(env).detected == (True, False)
+        _, state, after = play(env, trace, cfg, [Action.PARTIAL_TESTS, Action.FULL_TESTS])
+        assert table(env).detected == (True, False)
         assert state[5] == 1.0  # one of one recent commit failed
         assert state[6] == 1.0  # previous failed
         assert state[7] == 1.0 / cfg.full_test_gap_cap  # one commit since a full run
@@ -183,42 +205,44 @@ class TestDetection:
 
 class TestReward:
     def test_full_suite_cost(self):
-        rewards, table = played([make_commit(has_bug=False)], Action.FULL_TESTS, 5.0)
-        assert rewards == list(table.reward) == [-10.0]
+        assert played([make_commit(has_bug=False)], Action.FULL_TESTS, 5.0).reward == (-10.0,)
 
     def test_escaped_bug_penalty(self):
-        rewards, table = played([make_commit(has_bug=True)], Action.SKIP_TESTS, 5.0)
-        assert rewards == list(table.reward) == [-5.0]
+        assert played([make_commit(has_bug=True)], Action.SKIP_TESTS, 5.0).reward == (-5.0,)
 
     def test_clean_skip_is_free(self):
-        rewards, table = played([make_commit(has_bug=False)], Action.SKIP_TESTS, 123.0)
-        assert rewards == list(table.reward) == [0.0]
+        assert played([make_commit(has_bug=False)], Action.SKIP_TESTS, 123.0).reward == (0.0,)
 
     def test_negative_penalty_rejected(self):
-        # an env, or a replica, is priced when it is built, so a bad penalty
-        # fails there, before any step
-        trace = as_trace([make_commit()])
-        env = PipelineEnv(trace, EnvConfig(), 5.0)
+        # the prices are built before any step, so a bad penalty fails there,
+        # alone or among good ones
         for penalty in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                PipelineEnv(trace, EnvConfig(), penalty)
-            with pytest.raises(ValueError):
-                env.replicas([5.0, penalty])
-        assert step_table(env).action == ()
+            for penalties in ((penalty,), (5.0, penalty)):
+                with pytest.raises(ValueError, match="must be finite and >= 0"):
+                    price_table(EnvConfig(), penalties)
 
-    def test_each_replica_is_charged_its_own_penalty(self):
+    @pytest.mark.parametrize("penalty", [True, False, np.True_, "5", "5.0", None])
+    def test_a_penalty_that_is_not_a_number_rejected(self, penalty):
+        # unchecked, float() priced True as 1.0 and "5" as 5.0
+        match = "escape penalties must be numbers, got " + re.escape(repr([penalty]))
+        for penalties in ((penalty,), (0.0, penalty), (1.0, penalty)):
+            with pytest.raises(ValueError, match=match):
+                price_table(EnvConfig(), penalties)
+
+    def test_each_run_is_charged_its_own_penalty(self):
         # skipping catches half the bugs here, so the shared draws decide
-        # which commits escape, and each escape costs the replica's penalty
+        # which commits escape, and each escape costs its run's penalty
         cfg = dataclasses.replace(
             EnvConfig(), bug_probability=1.0, detection_rates=(1.0, 0.7, 0.5)
         )
         trace = generate_trace(cfg, 40, seed=3)
         assert trace.has_bug.all()
-        free, costly = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([0.0, 7.0])
-        for env in (free, costly):
+        outcomes = outcome_codes(trace, cfg, seed=2)
+        envs = [PipelineEnv(outcomes) for _ in range(2)]
+        for env in envs:
             for _ in range(len(trace)):
                 env.step(Action.SKIP_TESTS)
-        free, costly = step_table(free), step_table(costly)
+        free, costly = (step_table(env, p) for env, p in zip(envs, price_table(cfg, (0.0, 7.0))))
         assert free.detected == costly.detected
         assert free.escaped == costly.escaped
         assert any(free.detected) and any(free.escaped)
@@ -227,8 +251,8 @@ class TestReward:
 
     def test_negative_test_minutes_rejected(self):
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(-1.0, 3.0, 0.0))
-        with pytest.raises(ValueError):
-            PipelineEnv(as_trace([make_commit()]), cfg, 5.0)
+        with pytest.raises(ValueError, match="test_minutes must be >= 0"):
+            price_table(cfg, (5.0,))
 
     @given(
         minutes=st.floats(0, 1e4, allow_nan=False),
@@ -240,9 +264,44 @@ class TestReward:
         cfg = dataclasses.replace(
             EnvConfig(), test_minutes=(minutes,) * 3, detection_rates=(0.0,) * 3
         )
-        rewards, table = played([make_commit(has_bug=escaped)], Action.FULL_TESTS, penalty, cfg)
-        assert table.escaped == (escaped,) and table.test_minutes == (minutes,)
-        assert rewards == list(table.reward) == [-minutes - penalty * escaped]
+        steps = played([make_commit(has_bug=escaped)], Action.FULL_TESTS, penalty, cfg)
+        assert steps.escaped == (escaped,) and steps.test_minutes == (minutes,)
+        assert steps.reward == (-minutes - penalty * escaped,)
+
+
+class TestPriceTable:
+    def test_each_code_is_priced_by_its_action_and_kind(self):
+        cfg = fractional_cfg()
+        prices = price_table(cfg, (4.0, 9.5))
+        assert prices.shape == (2, 9, 3) and prices.dtype == np.float64
+        for penalty, rows in zip((4.0, 9.5), prices.tolist()):
+            for code, (test, pipeline, reward) in enumerate(rows):
+                action, kind = divmod(code, 3)
+                minutes = cfg.test_minutes[action]
+                caught = cfg.build_minutes + minutes
+                passed = caught + cfg.deploy_minutes
+                assert test == minutes
+                assert pipeline == (passed, caught, passed + cfg.escape_delay_minutes)[kind]
+                assert reward == -minutes - penalty * (kind == 2)
+
+    def test_a_row_is_the_table_of_its_penalty_alone(self):
+        # a penalty's row does not depend on the penalties priced beside it,
+        # and int penalties price as their floats
+        cfg = fractional_cfg()
+        penalties = [5.0, 5, 7.0, 0.0, -0.0]
+        prices = price_table(cfg, penalties)
+        for row, penalty in zip(prices, penalties):
+            assert row.tobytes() == price_table(cfg, (float(penalty),))[0].tobytes()
+
+    def test_signed_zero_penalties_differ_in_the_escaped_skip_reward_alone(self):
+        # an escaped skip costs -0.0 - penalty: -0.0 at 0.0 and 0.0 at -0.0
+        zero, negative_zero = price_table(fractional_cfg(), (0.0, -0.0))
+        differ = np.argwhere(zero.view(np.uint64) != negative_zero.view(np.uint64))
+        assert differ.tolist() == [[3 * Action.SKIP_TESTS + 2, 2]]
+        assert zero[8, 2].hex() == (-0.0).hex() and negative_zero[8, 2].hex() == (0.0).hex()
+
+    def test_no_penalties_give_no_rows(self):
+        assert price_table(EnvConfig(), ()).shape == (0, 9, 3)
 
 
 class TestEpisodeTotals:
@@ -251,20 +310,21 @@ class TestEpisodeTotals:
         # -1e16; an exact or compensated sum would keep them
         cfg = dataclasses.replace(EnvConfig(), test_minutes=(1.0, 3.0, 0.0))
         trace = as_trace([make_commit(), make_commit(has_bug=True), make_commit()])
-        env = PipelineEnv(trace, cfg, 1e16)
+        env = env_of(trace, cfg)
         for action in (Action.FULL_TESTS, Action.SKIP_TESTS, Action.FULL_TESTS):
             env.step(action)
-        rewards = step_table(env).reward
+        prices = price_table(cfg, (1e16,))
+        rewards = step_table(env, prices[0]).reward
         assert rewards == (-1.0, -1e16, -1.0)
-        (stats,) = episode_stats([env])
+        (stats,) = episode_stats(code_array([env]), prices)
         assert stats.total_reward == -1e16 != math.fsum(rewards)
         assert stats.total_test_minutes == 2.0
         assert stats.action_counts == (2, 0, 1) and stats.bugs_escaped == 1
 
     def test_empty_episode(self):
-        env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
-        assert step_table(env) == EMPTY_TABLE
-        (stats,) = episode_stats([env])
+        env = env_of(as_trace([make_commit()]))
+        assert table(env) == EMPTY_TABLE
+        (stats,) = episode_stats(code_array([env]), price_table(EnvConfig(), (5.0,)))
         assert stats == EpisodeStats(0, 0.0, 0.0, 0, 0, 0, (0, 0, 0), 0.0)
         totals = (stats.total_pipeline_minutes, stats.total_test_minutes, stats.total_reward)
         assert [math.copysign(1.0, total) for total in totals] == [1.0] * 3
@@ -275,31 +335,32 @@ class TestPipelineEnv:
         empty = as_trace([])
         assert len(empty) == 0
         with pytest.raises(ValueError, match="trace must contain at least one commit"):
-            PipelineEnv(empty, EnvConfig(), 5.0)
+            outcome_codes(empty, EnvConfig())
 
     def test_returned_states_stay_valid(self):
-        # later steps, and another episode over the same trace, leave the
+        # later steps, and another episode over the same outcomes, leave the
         # states already returned untouched
         cfg = EnvConfig()
         trace = generate_trace(cfg, 30, seed=4)
-        env, again = PipelineEnv(trace, cfg, 5.0, seed=1).replicas([5.0, 5.0])
+        outcomes = outcome_codes(trace, cfg, seed=1)
+        env, again = PipelineEnv(outcomes), PipelineEnv(outcomes)
         copies = []
 
         def action(state):
             copies.append(state.copy())
             return Action(len(copies) % 3)
 
-        kept = play(env, trace, action)
+        kept = play(env, trace, cfg.state, action)
         copies.append(kept[-1].copy())
-        play(again, trace, [Action.SKIP_TESTS])
+        play(again, trace, cfg.state, [Action.SKIP_TESTS])
         for state, copy in zip(kept, copies, strict=True):
             assert state.tobytes() == copy.tobytes()
 
     def test_invalid_action_rejected(self):
-        env = PipelineEnv(as_trace([make_commit()]), EnvConfig(), 5.0)
+        env = env_of(as_trace([make_commit()]))
         with pytest.raises(ValueError):
             env.step(3)
-        assert step_table(env).action == ()
+        assert env.codes == b""
 
     @pytest.mark.parametrize("action", [1.0, np.float64(2.0), 1.5])
     def test_non_integer_action_rejected_before_any_change(self, action):
@@ -307,91 +368,79 @@ class TestPipelineEnv:
         # a list index; it must fail as a bad action, with nothing changed
         cfg = EnvConfig()
         trace = generate_trace(cfg, 5, seed=4)
-        env = PipelineEnv(trace, cfg, 5.0, seed=1)
+        env = env_of(trace, cfg, seed=1)
         env.step(Action.PARTIAL_TESTS)
-        table = step_table(env)
+        steps = table(env)
         with pytest.raises(ValueError, match=re.escape(str(action))):
             env.step(action)
-        assert step_table(env) == table
-        steps, done = 0, False
-        while not done:
-            _, done = env.step(Action.SKIP_TESTS)
-            steps += 1
-        assert steps == len(trace) - 1
-
-    def test_single_commit_trace_finishes_in_one_step(self):
-        trace = generate_trace(EnvConfig(), 1, seed=4)
-        cfg = dataclasses.replace(EnvConfig(), commits_per_episode=1)
-        env = PipelineEnv(trace, cfg, 5.0, seed=1)
-        _, done = env.step(Action.FULL_TESTS)
-        assert done
+        assert table(env) == steps
+        # the episode still has its other commits to play, and no more
+        for _ in range(len(trace) - 1):
+            env.step(Action.SKIP_TESTS)
+        with pytest.raises(RuntimeError, match="episode is done"):
+            env.step(Action.SKIP_TESTS)
 
     def test_stepping_done_episode_raises(self):
+        # a one-commit episode is done after one step
         trace = generate_trace(EnvConfig(), 1, seed=4)
-        env = PipelineEnv(trace, EnvConfig(), 5.0, seed=1)
-        env.step(Action.FULL_TESTS)
-        with pytest.raises(RuntimeError):
+        env = env_of(trace, seed=1)
+        code = env.step(Action.FULL_TESTS)
+        assert env.codes == bytes([code])
+        with pytest.raises(RuntimeError, match="episode is done"):
             env.step(Action.FULL_TESTS)
+        assert env.codes == bytes([code])
 
     def test_episode_emits_exactly_trace_length_steps(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=6)
-        env = PipelineEnv(trace, cfg, 5.0, seed=2)
-        steps = 0
-        done = False
-        while not done:
-            _, done = env.step(Action.SKIP_TESTS)
-            steps += 1
-        assert steps == cfg.commits_per_episode
+        env = env_of(trace, cfg, seed=2)
+        codes = [env.step(Action.SKIP_TESTS) for _ in range(cfg.commits_per_episode)]
+        with pytest.raises(RuntimeError, match="episode is done"):
+            env.step(Action.SKIP_TESTS)
+        assert bytes(codes) == env.codes and len(codes) == cfg.commits_per_episode
 
     def test_features_six_and_nine_are_always_equal(self):
         # tests fail only on a caught bug, so the failure and caught
         # fractions are one signal
         cfg = EnvConfig()
         trace = generate_trace(cfg, cfg.commits_per_episode, seed=8)
-        env = PipelineEnv(trace, cfg, 5.0, seed=3)
+        env = env_of(trace, cfg, seed=3)
         rng = np.random.default_rng(0)
-        for state in play(env, trace, lambda _: Action(int(rng.integers(3)))):
+        for state in play(env, trace, cfg.state, lambda _: Action(int(rng.integers(3)))):
             assert state[5] == state[8]
-        assert any(step_table(env).detected)
+        assert any(table(env).detected)
 
     def test_detected_bug_rejected_before_deploy(self):
         # full tests on a buggy commit: no deploy time, no escape delay
         cfg = EnvConfig()
-        trace = [make_commit(has_bug=True)]
-        rewards, table = played(trace, Action.FULL_TESTS, 5.0, cfg)
-        assert table.detected == (True,) and table.escaped == (False,)
-        assert table.pipeline_minutes == (cfg.build_minutes + 10.0,)
-        assert rewards == list(table.reward) == [-10.0]
+        steps = played([make_commit(has_bug=True)], Action.FULL_TESTS, 5.0, cfg)
+        assert steps.detected == (True,) and steps.escaped == (False,)
+        assert steps.pipeline_minutes == (cfg.build_minutes + 10.0,)
+        assert steps.reward == (-10.0,)
 
     def test_escaped_bug_pays_delay(self):
         cfg = EnvConfig()
-        trace = [make_commit(has_bug=True)]
-        rewards, table = played(trace, Action.SKIP_TESTS, 5.0, cfg)
-        assert table.escaped == (True,) and table.detected == (False,)
+        steps = played([make_commit(has_bug=True)], Action.SKIP_TESTS, 5.0, cfg)
+        assert steps.escaped == (True,) and steps.detected == (False,)
         expected = cfg.build_minutes + 0.0 + cfg.deploy_minutes + cfg.escape_delay_minutes
-        assert table.pipeline_minutes[0] == expected == 18.0
-        assert rewards == list(table.reward) == [-5.0]
+        assert steps.pipeline_minutes[0] == expected == 18.0
+        assert steps.reward == (-5.0,)
 
     def test_clean_skip_pipeline_minutes(self):
-        cfg = EnvConfig()
-        trace = [make_commit(has_bug=False)]
-        rewards, table = played(trace, Action.SKIP_TESTS, 5.0, cfg)
-        assert table.pipeline_minutes == (3.0,)
-        assert rewards == list(table.reward) == [0.0]
+        steps = played([make_commit(has_bug=False)], Action.SKIP_TESTS, 5.0)
+        assert steps.pipeline_minutes == (3.0,)
+        assert steps.reward == (0.0,)
 
     def test_pipeline_minutes_cover_test_minutes(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
-        env = PipelineEnv(trace, cfg, 5.0, seed=3)
-        rng = np.random.default_rng(1)
-        done = False
-        while not done:
-            _, done = env.step(Action(int(rng.integers(3))))
-        table = step_table(env)
-        assert len(table.action) == 100
+        env = env_of(trace, cfg, seed=3)
+        for action in np.random.default_rng(1).integers(0, 3, 100).tolist():
+            env.step(action)
+        steps = table(env)
+        assert len(steps.action) == 100
         for pipeline, test, detected, escaped in zip(
-            table.pipeline_minutes, table.test_minutes, table.detected, table.escaped
+            steps.pipeline_minutes, steps.test_minutes, steps.detected, steps.escaped
         ):
             assert pipeline >= test
             assert not (detected and escaped)
@@ -402,8 +451,8 @@ class TestPipelineEnv:
         actions = [Action(int(a)) for a in np.random.default_rng(2).integers(0, 3, 100)]
 
         def replay():
-            env = PipelineEnv(trace, cfg, 5.0, seed=5)
-            return play(env, trace, actions), step_table(env)
+            env = env_of(trace, cfg, seed=5)
+            return play(env, trace, cfg.state, actions), table(env)
 
         (first, first_table), (second, second_table) = replay(), replay()
         assert first_table == second_table
@@ -412,16 +461,33 @@ class TestPipelineEnv:
     def test_reward_identity_every_step(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 100, seed=8)
-        env = PipelineEnv(trace, cfg, 7.0, seed=5)
-        rng = np.random.default_rng(3)
-        done, rewards = False, []
-        while not done:
-            reward, done = env.step(Action(int(rng.integers(3))))
-            rewards.append(reward)
-        table = step_table(env)
-        assert rewards == list(table.reward)
-        for reward, minutes, escaped in zip(table.reward, table.test_minutes, table.escaped):
+        env = env_of(trace, cfg, seed=5)
+        actions = np.random.default_rng(3).integers(0, 3, 100).tolist()
+        codes = [env.step(action) for action in actions]
+        steps = table(env, cfg, 7.0)
+        assert codes == list(env.codes) and list(steps.action) == actions
+        for reward, minutes, escaped in zip(steps.reward, steps.test_minutes, steps.escaped):
             assert reward == -minutes - 7.0 * escaped
+
+
+lockstep_kinds = st.sampled_from(
+    [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
+)
+
+
+def kind_cfg(kind, cfg: EnvConfig | None = None) -> EnvConfig:
+    """``cfg`` in the trace mode and bug probability of ``kind``."""
+    mode, bug_probability = kind
+    return dataclasses.replace(cfg or EnvConfig(), trace_mode=mode, bug_probability=bug_probability)
+
+
+def kind_trace(cfg: EnvConfig, length: int, seed: int) -> Trace:
+    """A trace of ``cfg``'s mode; an all-buggy or all-clean one when its bug
+    probability is 1 or 0."""
+    trace = generate_trace(cfg, length, seed=seed, mode=cfg.trace_mode)
+    if cfg.bug_probability in (0.0, 1.0):
+        assert trace.has_bug.all() == bool(cfg.bug_probability) == trace.has_bug.any()
+    return trace
 
 
 class TestSharedDraws:
@@ -430,84 +496,84 @@ class TestSharedDraws:
         cfg = EnvConfig()
         for seed, mode in ((0, "standard"), (5, "standard"), (9, "adversarial")):
             trace = generate_trace(cfg, 400, seed=seed + 100, mode=mode)
+            outcomes = outcome_codes(trace, cfg, seed)
             for action, rate in zip(Action, cfg.detection_rates):
                 rng = np.random.default_rng(seed)
                 expected = tuple(bug and rng.random() < rate for bug in trace.has_bug.tolist())
-                assert played(trace, action, cfg=cfg, seed=seed)[1].detected == expected
-                for env in PipelineEnv(trace, cfg, 5.0, seed=seed).replicas([5.0, 5.0]):
+                assert played(trace, action, cfg=cfg, seed=seed).detected == expected
+                for env in (PipelineEnv(outcomes), PipelineEnv(outcomes)):
                     for _ in range(len(trace)):
                         env.step(action)
-                    assert step_table(env).detected == expected
+                    assert table(env).detected == expected
 
-    def test_stepping_one_replica_leaves_the_others_untouched(self):
+    @settings(max_examples=60, deadline=None)
+    @given(kind=lockstep_kinds, length=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_envs_over_one_table_step_and_price_as_a_scalar_loop(self, kind, length, seed):
+        # K envs share one outcome table and each plays its own actions; a
+        # scalar loop gives each buggy commit the next draw and judges it
+        # by the action's rate. Each run's stats are the left fold of its
+        # step table, a signed zero penalty among the K, over fractional
+        # minutes, so a sum in another order shows in its bits
+        cfg = kind_cfg(kind, fractional_cfg())
+        trace = kind_trace(cfg, length, seed)
+        penalties = (0.0, -0.0, 5.0, 500.0)
+        actions = np.random.default_rng(seed).integers(0, 3, (len(penalties), length)).tolist()
+        draws, judged = np.random.default_rng(derive_seed(seed, 1)), []
+        for bug in trace.has_bug.tolist():  # judged[t][action]: the kind of the outcome
+            d = draws.random() if bug else None
+            judged.append([0 if d is None else 1 if d < rate else 2 for rate in cfg.detection_rates])
+        outcomes = outcome_codes(trace, cfg, derive_seed(seed, 1))
+        envs = [PipelineEnv(outcomes) for _ in penalties]
+        for env, run_actions in zip(envs, actions):
+            codes = [env.step(action) for action in run_actions]
+            assert codes == [3 * a + kinds[a] for a, kinds in zip(run_actions, judged)]
+        prices = price_table(cfg, penalties)
+        stats = episode_stats(code_array(envs), prices)
+        tables = [step_table(env, p) for env, p in zip(envs, prices)]
+        assert [field_bits(s) for s in stats] == [field_bits(folded_stats(t)) for t in tables]
+        # the same codes priced at 0.0 and at -0.0: equal rewards, whose
+        # signs differ exactly on the escaped skips (code 8)
+        for env in envs:
+            zero, negative_zero = (step_table(env, p).reward for p in prices[:2])
+            assert zero == negative_zero
+            signs = [r.hex() != s.hex() for r, s in zip(zero, negative_zero)]
+            assert signs == [code == 8 for code in env.codes]
+
+    def test_stepping_one_env_leaves_the_others_over_its_table_untouched(self):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 60, seed=8)
         rng = np.random.default_rng(6)
         actions = [Action(int(a)) for a in rng.integers(0, 3, 60)]
-        first, second, third = PipelineEnv(trace, cfg, 5.0, seed=2).replicas([3.0, 5.0, 5.0])
+        outcomes = outcome_codes(trace, cfg, seed=2)
+        first, second, third = (PipelineEnv(outcomes) for _ in range(3))
 
         def interrupted(state):
             t = len(second.codes)
             if t == 30:
-                half_table = step_table(second)
+                half_table = table(second)
                 for a in reversed(actions):
                     first.step(a)
-                assert step_table(second) == half_table and step_table(third) == EMPTY_TABLE
+                assert table(second) == half_table and table(third) == EMPTY_TABLE
             return actions[t]
 
-        kept = play(second, trace, interrupted)
-        # the interrupted replica finishes as an env played alone would, and
+        kept = play(second, trace, cfg.state, interrupted)
+        # the interrupted env finishes as an env played alone would, and
         # the untouched one starts as it does
-        alone = PipelineEnv(trace, cfg, 5.0, seed=2)
-        states = play(alone, trace, actions)
-        assert step_table(alone) == step_table(second)
+        alone = env_of(trace, cfg, seed=2)
+        states = play(alone, trace, cfg.state, actions)
+        assert table(alone) == table(second)
         assert [s.tobytes() for s in states] == [s.tobytes() for s in kept]
-        assert play(third, trace, [])[0].tobytes() == states[0].tobytes()
-
-    def test_a_replica_at_its_sources_penalty_shares_the_step_rows(self):
-        # a replica at the source's penalty in value and sign keeps its step
-        # rows; a 0.0 replica of a -0.0 env (or the reverse) is priced anew,
-        # as its escaped skips earn 0.0 where the source's earn -0.0. Each
-        # replica plays the table of an env built at its own penalty.
-        cfg = dataclasses.replace(EnvConfig(), bug_probability=1.0, detection_rates=(1.0, 0.7, 0.5))
-        trace = generate_trace(cfg, 60, seed=3)
-        actions = np.random.default_rng(7).integers(0, 3, len(trace)).tolist()
-        for source, penalties, shared in [
-            (5.0, [5.0, 5, 7.0], [True, True, False]),
-            (-0.0, [-0.0, 0.0], [True, False]),
-            (0.0, [0.0, -0.0], [True, False]),
-        ]:
-            env = PipelineEnv(trace, cfg, source, seed=2)
-            replicas = env.replicas(penalties)
-            assert [r._prices is env._prices for r in replicas] == shared
-            for replica, penalty in zip(replicas, penalties):
-                fresh = PipelineEnv(trace, cfg, penalty, seed=2)
-                for action in actions:
-                    replica.step(action)
-                    fresh.step(action)
-                assert repr(step_table(replica)) == repr(step_table(fresh))
-            if source == 0.0:
-                # the signs of zero show in the escaped skips' rewards
-                assert repr(step_table(replicas[0])) != repr(step_table(replicas[1]))
-
-
-lockstep_kinds = st.sampled_from(
-    [("standard", 0.15), ("adversarial", 0.15), ("standard", 1.0), ("standard", 0.0)]
-)
+        assert play(third, trace, cfg.state, [])[0].tobytes() == states[0].tobytes()
 
 
 def lockstep_runs(kind, runs: int, length: int, state_cfg: StateConfig, seed: int):
-    """``(cfg, lockstep, alone, rows)``: two equal sets of ``runs`` fresh envs
-    over traces of ``length`` commits, and the traces' encoded rows."""
-    mode, bug_probability = kind
-    cfg = dataclasses.replace(EnvConfig(), bug_probability=bug_probability, state=state_cfg)
-    traces = [generate_trace(cfg, length, seed=derive_seed(seed, i), mode=mode) for i in range(runs)]
-    if bug_probability in (0.0, 1.0):
-        assert all(t.has_bug.all() == bool(bug_probability) == t.has_bug.any() for t in traces)
-    lockstep, alone = (
-        [PipelineEnv(t, cfg, 5.0, seed=derive_seed(seed, i, 1)) for i, t in enumerate(traces)]
-        for _ in range(2)
-    )
+    """``(cfg, lockstep, alone, traces, rows)``: two equal sets of ``runs``
+    fresh envs over traces of ``length`` commits, and the traces' encoded
+    rows."""
+    cfg = kind_cfg(kind, dataclasses.replace(EnvConfig(), state=state_cfg))
+    traces = [kind_trace(cfg, length, derive_seed(seed, i)) for i in range(runs)]
+    tables = [outcome_codes(t, cfg, derive_seed(seed, i, 1)) for i, t in enumerate(traces)]
+    lockstep, alone = ([PipelineEnv(outcomes) for outcomes in tables] for _ in range(2))
     rows = encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
     return cfg, lockstep, alone, traces, rows
 
@@ -530,9 +596,8 @@ class TestLockstepPlay:
     def test_steps_each_env_once_in_order_as_single_steps_do(self, monkeypatch):
         cfg = EnvConfig()
         trace = generate_trace(cfg, 40, seed=8)
-        penalties = [0.0, 5.0, 50.0]
-        envs = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
-        alone = PipelineEnv(trace, cfg, 5.0, seed=2).replicas(penalties)
+        outcomes = outcome_codes(trace, cfg, seed=2)
+        envs, alone = ([PipelineEnv(outcomes) for _ in range(3)] for _ in range(2))
         rows = np.broadcast_to(encode_rows(trace.metadata(), cfg.state), (3, 41, STATE_DIM))
         step, order = PipelineEnv.step, []
 
@@ -543,19 +608,19 @@ class TestLockstepPlay:
         monkeypatch.setattr(PipelineEnv, "step", recorded)
         actions = np.random.default_rng(3).integers(0, 3, (len(trace), 3))
         played = 0
-        for t, (_, chosen, rewards, _) in enumerate(
+        for t, (_, chosen, codes, _) in enumerate(
             lockstep_play(envs, rows, cfg.state, replaying(actions.tolist()))
         ):
             assert order == envs
             order.clear()
             assert chosen == actions[t].tolist()
-            expected = [step(env, action) for env, action in zip(alone, chosen)]
-            assert rewards == [reward for reward, _ in expected]
+            assert codes == [step(env, action) for env, action in zip(alone, chosen)]
             played += 1
         assert played == len(trace)
-        assert [step_table(env) for env in envs] == [step_table(env) for env in alone]
+        assert [env.codes for env in envs] == [env.codes for env in alone]
         # the penalties priced some step apart
-        assert len({stats.total_reward for stats in episode_stats(envs)}) == len(penalties)
+        prices = price_table(cfg, [0.0, 5.0, 50.0])
+        assert len({stats.total_reward for stats in episode_stats(code_array(envs), prices)}) == 3
 
     def test_no_envs_rejected(self):
         # unchecked, the loop stepped nothing and yielded B = 0 states
@@ -598,18 +663,23 @@ class TestLockstepPlay:
         start, count = streak
         actions[start : start + count] = Action.SKIP_TESTS
         expected = np.stack(
-            [play(env, trace, column) for env, trace, column in zip(alone, traces, actions.T.tolist())],
+            [
+                play(env, trace, cfg.state, column)
+                for env, trace, column in zip(alone, traces, actions.T.tolist())
+            ],
             axis=1,
         )
         policy = replaying(actions.tolist())
         steps = list(lockstep_play(lockstep, rows, cfg.state, policy))
         assert len(steps) == len(policy.seen) == length
-        for t, (states, _, rewards, next_states) in enumerate(steps):
+        for t, (states, _, _, next_states) in enumerate(steps):
             assert states.shape == next_states.shape == (runs, STATE_DIM)
             assert states.tobytes() == policy.seen[t].tobytes() == expected[t].tobytes()
             assert next_states.tobytes() == expected[t + 1].tobytes()
         assert not steps[-1][3].any()  # the all-zero end row
-        assert [env.codes for env in lockstep] == [env.codes for env in alone]
+        # the yielded codes, column by column, are the codes each env recorded
+        yielded = np.array([codes for _, _, codes, _ in steps], dtype=np.uint8).T
+        assert yielded.tobytes() == code_array(lockstep).tobytes() == code_array(alone).tobytes()
 
     def test_rows_that_do_not_fit_the_envs_rejected(self):
         cfg, envs, _, _, rows = lockstep_runs(("standard", 0.15), 3, 10, StateConfig(), 5)
@@ -696,9 +766,9 @@ class TestEncodingIsBitIdentical:
         cfg = dataclasses.replace(EnvConfig(), bug_probability=0.5, state=state_cfg)
         trace = records(cfg, length, seed=trace_seed)
         trace.insert(min(odd_at, length), odd)
-        env = PipelineEnv(as_trace(trace), cfg, 5.0, seed=env_seed)
-        states = play(env, as_trace(trace), choices[: len(trace)])
-        detections = step_table(env).detected
+        env = env_of(as_trace(trace), cfg, seed=env_seed)
+        states = play(env, as_trace(trace), state_cfg, choices[: len(trace)])
+        detections = table(env).detected
         actions = [Action(action) for action in choices[: len(trace)]]
         for t, commit in enumerate(trace):
             prev_diff = trace[t - 1].diff_size if t else 0
@@ -762,9 +832,9 @@ class TestEncodingIsBitIdentical:
         )
         trace = generate_trace(cfg, 120, seed=14, mode="adversarial")
         actions = np.random.default_rng(15).integers(0, 3, len(trace)).tolist()
-        env = PipelineEnv(trace, cfg, 5.0, seed=16)
-        states = play(env, trace, actions)
-        detected = step_table(env).detected
+        env = env_of(trace, cfg, seed=16)
+        states = play(env, trace, cfg.state, actions)
+        detected = table(env).detected
         commits = observe(trace)
         for t, (state, commit) in enumerate(zip(states, commits)):
             prev_diff = commits[t - 1].diff_size if t else 0

@@ -23,7 +23,9 @@ from testscope.commits import generate_trace, observe
 from testscope.config import (
     ConfigError, EnvConfig, StateConfig, TrainConfig, adversarial, derive_seed
 )
-from testscope.environment import Action, PipelineEnv, episode_stats
+from testscope.environment import (
+    Action, PipelineEnv, code_array, episode_stats, outcome_codes, price_table
+)
 from testscope.evaluation import (
     REPORT_COLUMNS,
     adversarial_eval,
@@ -41,7 +43,7 @@ from testscope.evaluation import (
 from testscope.fileio import json_text, rows_to_csv
 from testscope.network import mlp_init
 
-from trace_helpers import folded_stats, play, step_table
+from trace_helpers import field_bits, folded_stats, fractional_cfg, play, step_table
 
 
 def refuse_traces(*args, **kwargs):
@@ -245,16 +247,15 @@ class TestLockstep:
         run_seeds = [derive_seed(base_seed, i) for i in range(n_runs)]
         traces = [generate_trace(cfg, 100, seed=derive_seed(s, 0)) for s in run_seeds]
         env_seeds = [derive_seed(s, 1) for s in run_seeds]
-        alone = []
-        for trace, seed in zip(traces, env_seeds):
-            env = PipelineEnv(trace, cfg, 5.0, seed=seed)
-            play(env, trace, lambda state: greedy_action(net, state))
-            alone.append(step_table(env))
+        alone = [PipelineEnv(outcome_codes(t, cfg, s)) for t, s in zip(traces, env_seeds)]
+        for env, trace in zip(alone, traces):
+            play(env, trace, cfg.state, lambda state: greedy_action(net, state))
 
-        (envs,) = evaluation._play([GreedyPolicy(net)], traces, env_seeds, 5.0, cfg)
-        assert [step_table(env) for env in envs] == alone
+        (codes,) = evaluation._play([GreedyPolicy(net)], traces, env_seeds, cfg)
+        assert codes.tobytes() == code_array(alone).tobytes()
         _, stats = compare_policies({"rl": GreedyPolicy(net)}, cfg, 5.0, n_runs, base_seed)
-        assert stats["rl"] == [folded_stats(t) for t in alone]
+        (prices,) = price_table(cfg, (5.0,))
+        assert stats["rl"] == [folded_stats(step_table(env, prices)) for env in alone]
         if net_kind == "three_actions":
             assert all(sum(column) for column in zip(*(s.action_counts for s in stats["rl"])))
 
@@ -287,17 +288,17 @@ class TestLockstep:
                 assert metadata.shape == (runs, length, 5)
                 return plan
 
-        (planned,) = evaluation._play([Planned()], traces, env_seeds, 4.9, cfg)
-        looped = [PipelineEnv(t, cfg, 4.9, seed=s) for t, s in zip(traces, env_seeds)]
+        (codes,) = evaluation._play([Planned()], traces, env_seeds, cfg)
+        looped = [PipelineEnv(outcome_codes(t, cfg, s)) for t, s in zip(traces, env_seeds)]
         columns = iter(plan.T.tolist())
         rows = environment.encode_rows(np.stack([t.metadata() for t in traces]), cfg.state)
         for _ in environment.lockstep_play(looped, rows, cfg.state, lambda states: next(columns)):
             pass
-        codes = environment.code_array(planned)
-        assert codes.tobytes() == environment.code_array(looped).tobytes()
+        assert codes.tobytes() == code_array(looped).tobytes()
         assert (codes // 3 == plan).all()
-        assert [field_bits(s) for s in episode_stats(planned)] == [
-            field_bits(s) for s in episode_stats(looped)
+        prices = price_table(cfg, (4.9,))
+        assert [field_bits(s) for s in episode_stats(codes, prices)] == [
+            field_bits(s) for s in episode_stats(code_array(looped), prices)
         ]
 
     def test_one_forward_per_commit_index(self, monkeypatch):
@@ -383,14 +384,6 @@ class TestLockstep:
         assert reference == heuristic.shapes == classifier.shapes == [shape]
 
 
-def field_bits(stats: environment.EpisodeStats) -> list:
-    """Each field's type and value, a float by its hex digits (so -0.0 and
-    0.0 differ)."""
-    return [
-        (type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(stats)
-    ]
-
-
 class TestEpisodeStats:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -408,45 +401,56 @@ class TestEpisodeStats:
         cfg = dataclasses.replace(fractional_cfg(mode), bug_probability=bug_probability)
         rng = np.random.default_rng(seed)
         actions = rng.integers(0, 3, (runs, length)).tolist()
+        prices = price_table(cfg, rng.choice([4.9, 0.0, -0.0, 1e16], runs).tolist())
         envs = []
-        for i, penalty in enumerate(rng.choice([4.9, 0.0, -0.0, 1e16], runs).tolist()):
+        for i in range(runs):
             trace = generate_trace(cfg, length, seed=derive_seed(seed, i))
             if bug_probability in (0.0, 1.0):
                 assert trace.has_bug.all() == bool(bug_probability) == trace.has_bug.any()
-            envs.append(PipelineEnv(trace, cfg, penalty, seed=derive_seed(seed, i, 1)))
+            envs.append(PipelineEnv(outcome_codes(trace, cfg, derive_seed(seed, i, 1))))
         for env, env_actions in zip(envs, actions):
             for action in env_actions:
                 env.step(action)
-        folded = [field_bits(folded_stats(step_table(env))) for env in envs]
-        assert [field_bits(s) for s in episode_stats(envs)] == folded
+        codes = code_array(envs)
+        folded = [field_bits(folded_stats(step_table(env, p))) for env, p in zip(envs, prices)]
+        assert [field_bits(s) for s in episode_stats(codes, prices)] == folded
+        # one row of prices prices every run alike
+        folded = [field_bits(folded_stats(step_table(env, prices[0]))) for env in envs]
+        assert [field_bits(s) for s in episode_stats(codes, prices[:1])] == folded
 
     def test_an_all_skip_clean_episode_earns_positive_zero(self):
         # every step's reward is -0.0 (no test minutes, no escape); a fold
         # from 0.0 gives +0.0, which np.sum over the column would not
         cfg = dataclasses.replace(zero_bug_cfg(), test_minutes=(10.0, 3.0, 0.0))
-        envs = [
-            PipelineEnv(generate_trace(cfg, 50, seed=s), cfg, 5.0, seed=s) for s in range(3)
-        ]
+        envs = [PipelineEnv(outcome_codes(generate_trace(cfg, 50, seed=s), cfg, s)) for s in range(3)]
         for env in envs:
             for _ in range(50):
                 env.step(Action.SKIP_TESTS)
-        assert all(r == -0.0 for env in envs for r in step_table(env).reward)
-        for stats, env in zip(episode_stats(envs), envs):
+        prices = price_table(cfg, (5.0,))
+        assert all(r.hex() == (-0.0).hex() for env in envs for r in step_table(env, prices[0]).reward)
+        for stats, env in zip(episode_stats(code_array(envs), prices), envs):
             assert stats.total_reward.hex() == stats.total_test_minutes.hex() == (0.0).hex()
-            assert field_bits(stats) == field_bits(folded_stats(step_table(env)))
+            assert field_bits(stats) == field_bits(folded_stats(step_table(env, prices[0])))
             assert stats.action_counts == (0, 0, 50) and stats.bugs_introduced == 0
 
     def test_envs_of_unequal_length_rejected(self):
         # codes of 3 and 1 steps would fill a (2, 2) array without the check
         cfg = EnvConfig()
-        envs = [PipelineEnv(generate_trace(cfg, 5, seed=s), cfg, 5.0, seed=s) for s in range(2)]
+        envs = [PipelineEnv(outcome_codes(generate_trace(cfg, 5, seed=s), cfg, s)) for s in range(2)]
         for action in (0, 1, 2):
             envs[0].step(action)
         envs[1].step(0)
         with pytest.raises(ValueError, match=r"equally many commits, got \[3, 1\]"):
-            episode_stats(envs)
+            code_array(envs)
         with pytest.raises(ValueError, match=r"got \[\]"):
-            episode_stats([])
+            code_array([])
+
+    @pytest.mark.parametrize("shape", [(2, 9, 3), (4, 9, 3), (9, 3), (3, 3, 3)])
+    def test_prices_that_do_not_fit_the_runs_rejected(self, shape):
+        # unchecked, two price rows for three runs priced run 2 off the end
+        codes = np.zeros((3, 5), dtype=np.uint8)
+        with pytest.raises(ValueError, match=re.escape(f"prices of shape {shape} do not fit 3 runs")):
+            episode_stats(codes, np.zeros(shape))
 
     def test_a_planner_only_evaluation_encodes_no_rows(self, monkeypatch):
         # the rows are encoded when the first closed-loop policy plays, once
@@ -614,18 +618,12 @@ class TestComparePolicies:
     @pytest.mark.parametrize("penalty", [True, False, np.True_, "5", "5.0", None])
     def test_a_penalty_that_is_not_a_number_rejected(self, monkeypatch, penalty):
         # unchecked, float() priced True as 1.0 and "5" as 5.0, and such a
-        # penalty trained and evaluated; a replica at the source's penalty
-        # in value, as True is of 1.0, was not checked at all
+        # penalty trained and evaluated (price_table's own cases are in
+        # test_environment.py)
         cfg = EnvConfig(commits_per_episode=20)
-        trace = generate_trace(cfg, 20, seed=1)
         monkeypatch.setattr(agent, "generate_trace", refuse_traces)
         monkeypatch.setattr(evaluation, "generate_trace", refuse_traces)
         match = "escape penalties must be numbers, got " + re.escape(repr([penalty]))
-        with pytest.raises(ValueError, match=match):
-            PipelineEnv(trace, cfg, penalty)
-        for source in (0.0, 1.0):
-            with pytest.raises(ValueError, match=match):
-                PipelineEnv(trace, cfg, source).replicas([source, penalty])
         with pytest.raises(ValueError, match=match):
             train_agents(cfg, TrainConfig(), (1.0, penalty))
         with pytest.raises(ValueError, match=match):
@@ -842,18 +840,6 @@ class MixedPolicy:
         position = self.calls % self.commits_per_episode
         self.calls += 1
         return [int(7 * s[0] + 5 * s[5] + 3 * s[9] + position) % 3 for s in states]
-
-
-def fractional_cfg(mode: str) -> EnvConfig:
-    """Minutes that are not whole numbers, so the order of every sum shows in its bits."""
-    return dataclasses.replace(
-        EnvConfig(),
-        test_minutes=(9.7, 3.1, 0.0),
-        build_minutes=1.9,
-        deploy_minutes=0.7,
-        escape_delay_minutes=15.3,
-        trace_mode=mode,
-    )
 
 
 def stats_digest(stats: list[environment.EpisodeStats]) -> str:

@@ -171,9 +171,29 @@ class TestGuards:
         path = tmp_path / "clf.json"
         # the checksum covers the arrays, so a well-formed file with six
         # weights passes every integrity check and fails only on the length
-        save_policy(path, LogisticModel(weights=np.zeros(6), bias=0.0))
+        save_policy(path, LogisticModel(weights=np.zeros(5), bias=0.0))
+        rewrite_array(path, "weights", np.zeros(6))
         with pytest.raises(WeightFileError, match="6 logistic weights, expected 5"):
             load_policy(path)
+
+    @pytest.mark.parametrize("weights", [np.zeros(3), np.zeros(6), np.zeros((5, 1))])
+    def test_logistic_weight_shape_checked_at_save(self, tmp_path, weights):
+        # unchecked, three weights saved, and loading the file raised
+        # "3 logistic weights, expected 5"
+        match = re.escape(f"logistic weights of shape {weights.shape}, expected (5,)")
+        with pytest.raises(ValueError, match=match):
+            save_policy(tmp_path / "clf.json", LogisticModel(weights, 0.0))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["diff_cap", "files_cap"])
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+    def test_logistic_caps_checked_at_save(self, tmp_path, name, cap):
+        # unchecked, StateConfig(diff_cap=0) saved, and loading the file
+        # raised "diff_cap must be an integer >= 1, got 0"
+        model = LogisticModel(np.zeros(5), 0.0, StateConfig(**{name: cap}))
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {cap!r}"):
+            save_policy(tmp_path / "clf.json", model)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["diff_cap", "files_cap"])
     @pytest.mark.parametrize("cap", [0, "abc", 2.5])

@@ -1,8 +1,10 @@
 """Traces built from commit records, for tests that make or edit commits one
 by one, the states of one env played alone, an episode's step table read
-from its outcome codes, and its stats folded from that table."""
+from its outcome codes and prices, and its stats folded from that table.
+No helper reads a private attribute of an env."""
 
-from dataclasses import fields
+import dataclasses
+
 from functools import reduce
 from itertools import islice
 from operator import add
@@ -11,14 +13,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from testscope.commits import Commit, Trace, generate_trace, trace_records
-from testscope.config import EnvConfig
+from testscope.config import EnvConfig, StateConfig
 from testscope.environment import Action, EpisodeStats, PipelineEnv, encode_rows, lockstep_play
 
 
 def as_trace(commits) -> Trace:
     """The trace whose i-th commit has the fields of ``commits[i]`` (records
     or any objects with the trace's fields); ids and risk scores are dropped."""
-    return Trace(*(np.array([getattr(c, f.name) for c in commits]) for f in fields(Trace)))
+    return Trace(*(np.array([getattr(c, f.name) for c in commits]) for f in dataclasses.fields(Trace)))
 
 
 def records(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> list[Commit]:
@@ -26,15 +28,17 @@ def records(cfg: EnvConfig, n: int, seed: int, mode: str | None = None) -> list[
     return trace_records(generate_trace(cfg, n, seed, mode), cfg)
 
 
-def play(env: PipelineEnv, trace: Trace, actions: Sequence | Callable) -> list[np.ndarray]:
+def play(
+    env: PipelineEnv, trace: Trace, cfg: StateConfig, actions: Sequence | Callable
+) -> list[np.ndarray]:
     """Step a fresh ``env`` over ``trace`` by each of ``actions`` in turn and
-    return its states, played through ``lockstep_play`` as a run of one: the
-    state before each step, then the one after the last (the all-zero end
-    row once the trace is done). ``actions`` may instead be a function that
-    picks each step's action from the state before it, until the trace is
-    done. With no action the one state is the first row, as the play loop
-    reads it before its first step."""
-    cfg = env._cfg.state
+    return its states under the state config ``cfg``, played through
+    ``lockstep_play`` as a run of one: the state before each step, then the
+    one after the last (the all-zero end row once the trace is done).
+    ``actions`` may instead be a function that picks each step's action from
+    the state before it, until the trace is done. With no action the one
+    state is the first row, as the play loop reads it before its first
+    step."""
     rows = encode_rows(trace.metadata(), cfg)[None]
     chosen = None if callable(actions) else iter(actions)
 
@@ -66,12 +70,12 @@ class StepTable(NamedTuple):
 EMPTY_TABLE = StepTable((), (), (), (), (), ())
 
 
-def step_table(env: PipelineEnv) -> StepTable:
+def step_table(env: PipelineEnv, prices: np.ndarray) -> StepTable:
     """The step table of ``env``'s episode so far, read step by step from its
     outcome codes, ``3 * action + kind`` (kind 0 clean, 1 caught, 2
-    escaped), and the price the env put on each code."""
-    codes = env.codes
-    prices = tuple(zip(*(env._prices[code] for code in codes))) or ((), (), ())
+    escaped), and the run's ``(9, 3)`` prices, one row of a price table."""
+    codes, rows = env.codes, np.asarray(prices).tolist()
+    prices = tuple(zip(*(rows[code] for code in codes))) or ((), (), ())
     return StepTable(
         tuple(code // 3 for code in codes),
         tuple(code % 3 == 1 for code in codes),
@@ -93,4 +97,25 @@ def folded_stats(table: StepTable) -> EpisodeStats:
         bugs_escaped=escaped,
         action_counts=tuple(table.action.count(a) for a in Action),
         total_reward=reduce(add, table.reward, 0.0),
+    )
+
+
+def field_bits(stats: EpisodeStats) -> list:
+    """Each field's type and value, a float by its hex digits (so -0.0 and
+    0.0 differ)."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(stats)
+    ]
+
+
+def fractional_cfg(mode: str = "standard") -> EnvConfig:
+    """Minutes that are not whole numbers, so the order of every sum shows in
+    its bits; skipping still costs 0.0 minutes."""
+    return dataclasses.replace(
+        EnvConfig(),
+        test_minutes=(9.7, 3.1, 0.0),
+        build_minutes=1.9,
+        deploy_minutes=0.7,
+        escape_delay_minutes=15.3,
+        trace_mode=mode,
     )
